@@ -16,8 +16,8 @@ from typing import Iterable, Optional
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError, ValidationError
 from .lattice import MixedPattern, integer_min, mixed_feasible
-from .linear import (EQ, LE, LinRow, LinearSystem, lp_solve, recession_bounded, row_eq,
-                     row_le, row_lt, strict_feasible_point)
+from .linear import (LinRow, LinearSystem, lp_solve, recession_bounded, row_eq, row_le,
+                     row_lt, strict_feasible_point, _bounded_system)
 from .rational import QMatrix, QVector, Rat, ceil_rat, floor_rat
 
 
@@ -114,11 +114,21 @@ class Instance:
             rows.append(row_le(tuple(ar) + tuple(-f for f in br), rhs))
         return rows
 
+    def upper_system(self) -> LinearSystem:
+        """The upper rows as a system over (x, z), carrying the boundedness
+        proof that validation made for them (code "unbounded-P")."""
+        return _bounded_system(self.joint_dim(), self.upper_rows())
+
+    def follower_system(self, rhs) -> LinearSystem:
+        """A x <= rhs, carrying the proof that validation made for A
+        (code "unbounded-follower")."""
+        rows = [row_le(ar, rv) for ar, rv in zip(self.A.entries, rhs)]
+        return _bounded_system(self.n, rows)
+
     def follower_system_at(self, z: QVector) -> LinearSystem:
         """A x <= B z + u for a fixed leader point z."""
         rhs = self.B.matvec(z)
-        rows = [row_le(ar, rv + uv) for ar, rv, uv in zip(self.A.entries, rhs, self.u.entries)]
-        return LinearSystem(self.n, tuple(rows))
+        return self.follower_system([rv + uv for rv, uv in zip(rhs, self.u.entries)])
 
 
 @dataclass(frozen=True)
@@ -143,19 +153,11 @@ def specialize_row(row: LinRow, x: Iterable, n: int) -> Optional[LinRow]:
     if len(coeffs) < n or len(xs) != n:
         raise ValueError("row does not match the fixed prefix")
     shift = sum((coeffs[j] * Fraction(xs[j]) for j in range(n)), Fraction(0))
-    zpart = coeffs[n:]
-    rhs = row.rhs - shift
-    if all(f == 0 for f in zpart):
-        if row.rel == LE:
-            ok = rhs >= 0
-        elif row.rel == EQ:
-            ok = rhs == 0
-        else:
-            ok = rhs > 0
-        if ok:
-            return None
-        return row_le([0] * len(zpart), -1)
-    return LinRow(QVector(zpart), rhs, row.rel)
+    out = LinRow(QVector(coeffs[n:]), row.rhs - shift, row.rel)
+    truth = out.constant_truth()
+    if truth is None:
+        return out
+    return None if truth else row_le([0] * (len(coeffs) - n), -1)
 
 
 def floor_rhs(inst: Instance, z: QVector) -> tuple:
@@ -170,7 +172,9 @@ def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> Li
 
     Rows over z: D z <= p - C x (closed), z >= 0 (closed), r_i <= B_i z + u_i
     (closed), B_i z + u_i < r_i + 1 (strict), plus any extra rows over (x, z)
-    specialized to the cell's x.
+    specialized to the cell's x. The region carries a boundedness proof: its
+    recession cone lies in {z : D z <= 0, z >= 0}, the x = 0 slice of the
+    upper-level cone that validation proved to be {0}.
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
@@ -200,15 +204,13 @@ def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> Li
         sp = specialize_row(extra, cell.x, inst.n)
         if sp is not None:
             rows.append(sp)
-    return LinearSystem(inst.d, tuple(rows))
+    return _bounded_system(inst.d, tuple(rows))
 
 
 def _follower_improves(inst: Instance, cell: Cell, config: SolverConfig) -> bool:
     """Whether an integer x' with A x' <= r beats the cell's x by >= 1 in psi."""
-    rows = [row_le(ar, Fraction(rv)) for ar, rv in zip(inst.A.entries, cell.r)]
     target = inst.psi.dot(QVector(cell.x)) - 1
-    rows.append(row_le(inst.psi.entries, target))
-    sys = LinearSystem(inst.n, tuple(rows))
+    sys = inst.follower_system(cell.r).with_rows([row_le(inst.psi.entries, target)])
     return mixed_feasible(sys, MixedPattern.all_integer(inst.n), config) is not None
 
 
@@ -238,7 +240,7 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
     if any(a + b > rhs for a, b, rhs in zip(cx, dz, inst.p.entries)):
         return False
     follower = inst.follower_system_at(z)
-    if not all(r.satisfied_by(xv) for r in follower.rows):
+    if not follower.satisfied_by(xv):
         return False
     opt = integer_min(inst.psi, follower, config=config)
     if not opt.is_optimal:
@@ -285,7 +287,8 @@ def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
             budget[0] += 1
             if budget[0] > config.cell_cap:
-                raise ResourceLimitError("cell enumeration cap exceeded")
+                raise ResourceLimitError(
+                    f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
             walk(prefix + [v], _substitute_first(cur, Fraction(v)), remaining_first - 1)
 
     walk([], list(rows), count)
@@ -340,7 +343,8 @@ class CellIndex:
         if i == inst.m:
             budget[0] += 1
             if budget[0] > config.cell_cap:
-                raise ResourceLimitError("cell enumeration cap exceeded")
+                raise ResourceLimitError(
+                    f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
             cell = Cell(x, tuple(r_prefix))
             key = (cell.r, inst.psi.dot(QVector(x)))
             better = improve_memo.get(key)

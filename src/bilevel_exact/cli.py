@@ -39,8 +39,6 @@ def _build_parser() -> argparse.ArgumentParser:
     fmt = solve.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true", help="JSON report")
     fmt.add_argument("--text", action="store_true", help="plain-text report (default)")
-    solve.add_argument("--seed", type=int, default=None,
-                       help="accepted for interface symmetry; the solver is deterministic")
 
     decide = sub.add_parser("decide", help="answer one threshold query")
     decide.add_argument("file")

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 from .cells import Instance, cell_index, integer_candidates, specialize_row
 from .config import DEFAULT_CONFIG, SolverConfig
 from .lattice import integer_min
-from .linear import (EQ, LE, LT, LinRow, LinearSystem, row_eq, row_le,
+from .linear import (LT, LinRow, LinearSystem, row_eq, row_le,
                      strict_feasible_point)
 from .rational import QVector, floor_rat
 
@@ -86,16 +86,6 @@ def as_problem(prob) -> GeneralizedProblem:
     raise TypeError("expected an Instance or GeneralizedProblem")
 
 
-def _constant_false(row: LinRow) -> bool:
-    if any(f != 0 for f in row.coeffs):
-        return False
-    if row.rel == LE:
-        return row.rhs < 0
-    if row.rel == EQ:
-        return row.rhs != 0
-    return row.rhs <= 0
-
-
 @dataclass
 class _CellItem:
     cell_x: tuple
@@ -120,7 +110,7 @@ def _cell_items(prob: GeneralizedProblem, config: SolverConfig):
             s = specialize_row(r, entry.cell.x, inst.n)
             if s is None:
                 continue
-            if _constant_false(s):
+            if s.constant_truth() is False:
                 dead = True
                 break
             sp.append(s)
@@ -232,17 +222,11 @@ def fix_z_suffix(row: LinRow, z: QVector, n: int) -> Optional[LinRow]:
     """Restrict a row over (x, z) to fixed z; returns a row over x or None."""
     coeffs = row.coeffs.entries
     shift = QVector(coeffs[n:]).dot(z)
-    xpart = coeffs[:n]
-    rhs = row.rhs - shift
-    if all(f == 0 for f in xpart):
-        if row.rel == LE:
-            ok = rhs >= 0
-        elif row.rel == EQ:
-            ok = rhs == 0
-        else:
-            ok = rhs > 0
-        return None if ok else row_le([0] * n, -1)
-    return LinRow(QVector(xpart), rhs, row.rel)
+    out = LinRow(QVector(coeffs[:n]), row.rhs - shift, row.rel)
+    truth = out.constant_truth()
+    if truth is None:
+        return out
+    return None if truth else row_le([0] * n, -1)
 
 
 def decide_le_pure(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
@@ -262,7 +246,7 @@ def decide_le_pure(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
     obj_z = QVector(obj.entries[inst.n:])
     obj_x = QVector(obj.entries[:inst.n])
     extras = [strictify_for_integers(r) for r in prob.effective_extras()]
-    if any(_constant_false(r) for r in extras):
+    if any(r.constant_truth() is False for r in extras):
         return False
 
     joint = inst.upper_rows() + inst.follower_relax_rows() + extras
@@ -278,20 +262,19 @@ def decide_le_pure(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
         fopt = integer_min(inst.psi, follower, config=config)
         if not fopt.is_optimal:
             continue
-        leader_rows = list(follower.rows)
-        leader_rows.append(row_eq(inst.psi.entries, fopt.value))
+        leader_rows = [row_eq(inst.psi.entries, fopt.value)]
         dead = False
         for r in inst.upper_rows() + extras:
             fixed = fix_z_suffix(r, z, inst.n)
             if fixed is None:
                 continue
-            if _constant_false(fixed):
+            if fixed.constant_truth() is False:
                 dead = True
                 break
             leader_rows.append(fixed)
         if dead:
             continue
-        lopt = integer_min(obj_x, LinearSystem(inst.n, tuple(leader_rows)), config=config)
+        lopt = integer_min(obj_x, follower.with_rows(leader_rows), config=config)
         if not lopt.is_optimal:
             continue
         if lopt.value + obj_z.dot(z) <= alpha:

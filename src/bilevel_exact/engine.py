@@ -348,9 +348,8 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
         objective_bounds(prob, config)
     except InfeasibleRelaxationError:
         return report
-    joint_rows = inst.upper_rows() + inst.follower_relax_rows() \
-        + [r.closed() for r in prob.effective_extras()]
-    joint = LinearSystem(inst.joint_dim(), tuple(joint_rows))
+    joint = inst.upper_system().with_rows(
+        inst.follower_relax_rows() + [r.closed() for r in prob.effective_extras()])
     pattern = MixedPattern(inst.joint_dim(), frozenset(range(inst.n)))
     if mixed_feasible(joint, pattern, config) is None:
         return report
@@ -458,20 +457,19 @@ def _pure_enumeration(prob: GeneralizedProblem, config: SolverConfig):
         fopt = integer_min(inst.psi, follower, config=config)
         if not fopt.is_optimal:
             continue
-        response_rows = list(follower.rows)
-        response_rows.append(row_eq(inst.psi.entries, fopt.value))
+        response_rows = [row_eq(inst.psi.entries, fopt.value)]
         dead = False
         for r in inst.upper_rows() + extras:
             fixed = fix_z_suffix(r, z, inst.n)
             if fixed is None:
                 continue
-            if all(f == 0 for f in fixed.coeffs) and fixed.rhs < 0:
+            if fixed.constant_truth() is False:
                 dead = True
                 break
             response_rows.append(fixed)
         if dead:
             continue
-        for x in enumerate_integers(LinearSystem(inst.n, tuple(response_rows)), config):
+        for x in enumerate_integers(follower.with_rows(response_rows), config):
             x_ints = tuple(int(v) for v in x.entries)
             value = obj.dot(QVector(list(x.entries) + list(z.entries)))
             cand = (value, x_ints, z_ints)

@@ -13,7 +13,8 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import LE, EQ, LinRow, LinearSystem, LpOutcome, lp_solve, recession_rows, row_eq, row_le, _cone_coords_zero
+from .linear import (LinRow, LinearSystem, LpOutcome, lp_solve, row_eq, row_le,
+                     _projection_bounded)
 from .rational import QVector, ceil_rat, floor_rat
 
 
@@ -39,9 +40,13 @@ def _require_closed(sys: LinearSystem):
         raise ValueError("lattice operations take closed rows only")
 
 
-def _check_projection_bounded(sys: LinearSystem, coords, config: SolverConfig):
-    if not _cone_coords_zero(recession_rows(sys), sys.dim, sorted(coords), config):
-        raise BoundednessError("projection onto the integer coordinates is unbounded")
+def _check_bounded(sys: LinearSystem, coords, config: SolverConfig, message: str):
+    """Raise BoundednessError unless the projection onto coords is bounded.
+
+    A system carrying a boundedness proof passes without cone LPs.
+    """
+    if not _projection_bounded(sys, coords, config):
+        raise BoundednessError(message)
 
 
 def _unit(dim: int, i: int):
@@ -79,7 +84,8 @@ def mixed_feasible(sys: LinearSystem, pattern: MixedPattern,
     if pattern.dim != sys.dim:
         raise ValueError("pattern dimension does not match the system")
     coords = sorted(pattern.integer_coords)
-    _check_projection_bounded(sys, coords, config)
+    _check_bounded(sys, coords, config,
+                   "projection onto the integer coordinates is unbounded")
     bounds = _integer_bounds(sys, coords, config)
     if bounds is None:
         return None
@@ -95,7 +101,8 @@ def mixed_feasible(sys: LinearSystem, pattern: MixedPattern,
         extra = stack.pop()
         nodes += 1
         if nodes > config.node_cap:
-            raise ResourceLimitError("branch and bound node cap exceeded")
+            raise ResourceLimitError(
+                f"node_cap={config.node_cap}: branch and bound node cap exceeded")
         out = lp_solve(sys.with_rows(extra), zero, "min", config)
         if out.tag == "infeasible":
             continue
@@ -123,7 +130,8 @@ def _bb_min_value(objective: QVector, sys: LinearSystem, coords,
         extra = stack.pop()
         nodes += 1
         if nodes > config.node_cap:
-            raise ResourceLimitError("branch and bound node cap exceeded")
+            raise ResourceLimitError(
+                f"node_cap={config.node_cap}: branch and bound node cap exceeded")
         out = lp_solve(sys.with_rows(extra), objective, "min", config)
         if out.tag == "infeasible":
             continue
@@ -160,8 +168,7 @@ def integer_min(objective: QVector, sys: LinearSystem,
         raise ValueError("integer_min needs an all-integer pattern")
     if objective.dim != sys.dim:
         raise ValueError("objective dimension mismatch")
-    if not _cone_coords_zero(recession_rows(sys), sys.dim, range(sys.dim), config):
-        raise BoundednessError("integer_min needs a bounded feasible region")
+    _check_bounded(sys, range(sys.dim), config, "integer_min needs a bounded feasible region")
 
     coords = list(range(sys.dim))
     best = _bb_min_value(objective, sys, coords, config)
@@ -182,15 +189,15 @@ def enumerate_integers(sys: LinearSystem,
                        config: SolverConfig = DEFAULT_CONFIG) -> list:
     """All integer points of a bounded closed system, in lex order."""
     _require_closed(sys)
-    if not _cone_coords_zero(recession_rows(sys), sys.dim, range(sys.dim), config):
-        raise BoundednessError("enumerate_integers needs a bounded region")
+    _check_bounded(sys, range(sys.dim), config, "enumerate_integers needs a bounded region")
 
     out = []
 
     def emit(prefix):
         out.append(QVector(prefix))
         if len(out) > config.integer_point_cap:
-            raise ResourceLimitError("integer point cap exceeded")
+            raise ResourceLimitError(
+                f"integer_point_cap={config.integer_point_cap}: integer point cap exceeded")
 
     def substitute(rows, value):
         reduced = []
@@ -201,9 +208,7 @@ def enumerate_integers(sys: LinearSystem,
 
     def walk(prefix, rows, remaining):
         if remaining == 0:
-            ok = all((r.rhs >= 0 if r.rel == LE else r.rhs == 0)
-                     for r in rows)
-            if ok:
+            if all(r.constant_truth() for r in rows):
                 emit(prefix)
             return
         sub = LinearSystem(remaining, tuple(rows))

@@ -6,6 +6,24 @@ so every intermediate quantity is an exact integer and every reported optimum
 is an exact rational. Divisibility of each pivot update is asserted; a failure
 would mean a bug, not bad data.
 
+Each row is scaled to integers once: `LinRow.scaled` multiplies it by the lcm
+of its denominators and is cached on the immutable row, so a row shared by
+many LPs (a system reused under branch-and-bound rows, a follower system
+solved for several objectives) is scaled a single time. The simplex tableau,
+the active-row test of vertex purification and the re-verification all read
+that integer form: a point is put over one common denominator and every row
+is checked with integer dot products. Re-verification stays fatal: an
+`lp_solve` optimum or a `strict_feasible_point` witness that misses any row
+raises `InternalInvariantError`.
+
+Boundedness is proved once and carried. A system built from rows whose
+recession cone `{y : rows y <= 0}` is already proved to be `{0}` (instance
+validation proves it for the follower matrix and for the upper-level region)
+is made with `_bounded_system`; adding rows only shrinks a cone, so
+`with_rows` and `closure` keep the proof, and the integer searches and
+`vertices` skip their cone LPs on such systems. A system built through the
+public constructor carries no proof and is still checked.
+
 Conventions: systems are over free variables; rows are "<=", "=", or the
 strict "<". Only closed rows ("<=", "=") are legal LP input; strict rows are
 the business of strict_feasible_point.
@@ -13,9 +31,10 @@ the business of strict_feasible_point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -28,13 +47,22 @@ LT = "<"
 _RELATIONS = (LE, EQ, LT)
 
 
-@dataclass(frozen=True)
+def _over_common_denominator(point) -> tuple:
+    """(nums, den): integer numerators over one positive denominator."""
+    den = math.lcm(*(v.denominator for v in point)) if point else 1
+    return [v.numerator * (den // v.denominator) for v in point], den
+
+
+@dataclass(frozen=True, slots=True)
 class LinRow:
     """One linear constraint: coeffs . x  rel  rhs."""
 
     coeffs: QVector
     rhs: Fraction
     rel: str
+    # integer form and its multiplier, filled on first use of `scaled`
+    _scaled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
+    _mult: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rel not in _RELATIONS:
@@ -44,16 +72,68 @@ class LinRow:
         if not isinstance(self.rhs, Fraction):
             object.__setattr__(self, "rhs", Fraction(self.rhs))
 
+    @property
+    def scaled(self) -> tuple:
+        """(a, b): integer coefficients and rhs of the row times the lcm of its
+        denominators; a . x rel b holds exactly when the row does. Computed
+        once per row."""
+        if self._scaled is None:
+            entries = self.coeffs.entries
+            mult = math.lcm(*(f.denominator for f in entries), self.rhs.denominator)
+            self._set_scaled((tuple(f.numerator * (mult // f.denominator) for f in entries),
+                              self.rhs.numerator * (mult // self.rhs.denominator)), mult)
+        return self._scaled
+
+    def _set_scaled(self, scaled: tuple, mult: int):
+        object.__setattr__(self, "_scaled", scaled)
+        object.__setattr__(self, "_mult", mult)
+
+    def _lifted(self, slack: int) -> "LinRow":
+        """The closed row coeffs . x + slack * t  rel'  rhs over (x, t), with its
+        integer form derived from this row's instead of recomputed. A strict
+        row becomes "<=" (the caller's slack t makes it strict)."""
+        a, b = self.scaled
+        out = LinRow(QVector(self.coeffs.entries + (Fraction(slack),)), self.rhs,
+                     LE if self.rel == LT else self.rel)
+        out._set_scaled((a + (slack * self._mult,), b), self._mult)
+        return out
+
+    def constant_truth(self) -> Optional[bool]:
+        """None if some coefficient is nonzero; otherwise whether 0 rel rhs holds."""
+        a, b = self.scaled
+        if any(a):
+            return None
+        if self.rel == LE:
+            return b >= 0
+        if self.rel == EQ:
+            return b == 0
+        return b > 0
+
+    def holds_at(self, nums, den: int) -> bool:
+        """Whether the row holds at the point nums / den (den > 0)."""
+        a, b = self.scaled
+        lhs = sum(map(mul, a, nums))
+        rhs = b * den
+        if self.rel == LE:
+            return lhs <= rhs
+        if self.rel == EQ:
+            return lhs == rhs
+        return lhs < rhs
+
     def closed(self) -> "LinRow":
-        return LinRow(self.coeffs, self.rhs, LE) if self.rel == LT else self
+        if self.rel != LT:
+            return self
+        out = LinRow(self.coeffs, self.rhs, LE)
+        if self._scaled is not None:
+            out._set_scaled(self._scaled, self._mult)
+        return out
 
     def satisfied_by(self, point: Sequence) -> bool:
-        lhs = self.coeffs.dot(QVector(point))
-        if self.rel == LE:
-            return lhs <= self.rhs
-        if self.rel == EQ:
-            return lhs == self.rhs
-        return lhs < self.rhs
+        if not isinstance(point, QVector):
+            point = QVector(point)
+        if point.dim != self.coeffs.dim:
+            raise ValueError(f"point of dim {point.dim} for a row of dim {self.coeffs.dim}")
+        return self.holds_at(*_over_common_denominator(point.entries))
 
 
 def row_le(coeffs: Iterable, rhs) -> LinRow:
@@ -68,12 +148,18 @@ def row_lt(coeffs: Iterable, rhs) -> LinRow:
     return LinRow(QVector(coeffs), Fraction(rhs), LT)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinearSystem:
-    """A finite set of rows over a fixed ambient dimension."""
+    """A finite set of rows over a fixed ambient dimension.
+
+    `proved_bounded` records a proof that the recession cone of the closed
+    system is {0}. The constructor always sets it False; only
+    `_bounded_system` sets it, and `with_rows` and `closure` keep it.
+    """
 
     dim: int
     rows: tuple
+    proved_bounded: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
@@ -83,18 +169,40 @@ class LinearSystem:
             if r.coeffs.dim != self.dim:
                 raise ValueError(f"row of dim {r.coeffs.dim} in system of dim {self.dim}")
 
+    def _carrying_proof(self, rows) -> "LinearSystem":
+        out = LinearSystem(self.dim, rows)
+        if self.proved_bounded:
+            object.__setattr__(out, "proved_bounded", True)
+        return out
+
     def closure(self) -> "LinearSystem":
         """Replace strict rows by their closed counterparts (idempotent)."""
-        return LinearSystem(self.dim, tuple(r.closed() for r in self.rows))
+        return self._carrying_proof(tuple(r.closed() for r in self.rows))
 
     def has_strict(self) -> bool:
         return any(r.rel == LT for r in self.rows)
 
     def with_rows(self, extra: Iterable[LinRow]) -> "LinearSystem":
-        return LinearSystem(self.dim, self.rows + tuple(extra))
+        return self._carrying_proof(self.rows + tuple(extra))
 
     def satisfied_by(self, point: Sequence) -> bool:
-        return all(r.satisfied_by(point) for r in self.rows)
+        if not isinstance(point, QVector):
+            point = QVector(point)
+        if point.dim != self.dim:
+            raise ValueError(f"point of dim {point.dim} for a system of dim {self.dim}")
+        nums, den = _over_common_denominator(point.entries)
+        return all(r.holds_at(nums, den) for r in self.rows)
+
+
+def _bounded_system(dim: int, rows) -> LinearSystem:
+    """A system marked as having the recession cone {0}.
+
+    Only for rows that include a set whose cone is already proved trivial;
+    the caller states which proof it relies on.
+    """
+    out = LinearSystem(dim, rows)
+    object.__setattr__(out, "proved_bounded", True)
+    return out
 
 
 @dataclass(frozen=True)
@@ -116,18 +224,6 @@ _UNBOUNDED = LpOutcome("unbounded")
 # fraction-free simplex
 
 
-def _lcm(a: int, b: int) -> int:
-    return a * b // math.gcd(a, b)
-
-
-def _scale_row_int(coeffs, rhs):
-    mult = 1
-    for f in coeffs:
-        mult = _lcm(mult, f.denominator)
-    mult = _lcm(mult, rhs.denominator)
-    return [int(f * mult) for f in coeffs], int(rhs * mult)
-
-
 class _Tableau:
     """Integer simplex tableau: true entries are self.t[i][j] / self.den."""
 
@@ -147,19 +243,18 @@ class _Tableau:
             if i == pr:
                 continue
             f = row[pc]
-            for j in range(len(row)):
-                num = row[j] * piv - f * prow[j]
-                q, rem = divmod(num, den)
-                if rem:
+            new = [a * piv - f * b for a, b in zip(row, prow)]
+            if den != 1:
+                if any(v % den for v in new):
                     raise InternalInvariantError("fraction-free pivot lost integrality")
-                row[j] = q
+                new = [v // den for v in new]
+            t[i] = new
         self.den = piv
         self.basis[pr] = pc
         if self.den < 0:
             self.den = -self.den
-            for row in t:
-                for j in range(len(row)):
-                    row[j] = -row[j]
+            for i, row in enumerate(t):
+                t[i] = [-v for v in row]
 
     def value(self, i: int, j: int) -> Fraction:
         return Fraction(self.t[i][j], self.den)
@@ -197,23 +292,18 @@ def _run_phase(tab: _Tableau, objrow: int, allowed, rhs_col: int) -> str:
 def _simplex_free_min(dim: int, rows, cost):
     """Minimize cost . x over closed rows with x free.
 
-    rows: list of (coeffs list[Fraction], rhs Fraction, rel). Returns
-    (tag, point list[Fraction] | None).
+    rows: closed LinRows. Returns (tag, point list[Fraction] | None).
     """
     kept = []
-    for coeffs, rhs, rel in rows:
-        if all(f == 0 for f in coeffs):
-            ok = rhs >= 0 if rel == LE else rhs == 0
-            if not ok:
-                return "infeasible", None
-            continue
-        ia, ib = _scale_row_int(coeffs, rhs)
-        kept.append((ia, ib, rel))
+    for r in rows:
+        truth = r.constant_truth()
+        if truth is None:
+            kept.append(r.scaled + (r.rel,))
+        elif not truth:
+            return "infeasible", None
 
-    cmult = 1
-    for f in cost:
-        cmult = _lcm(cmult, f.denominator)
-    icost = [int(f * cmult) for f in cost]
+    cmult = math.lcm(*(f.denominator for f in cost))
+    icost = [f.numerator * (cmult // f.denominator) for f in cost]
 
     m = len(kept)
     nslack = sum(1 for r in kept if r[2] == LE)
@@ -322,38 +412,37 @@ def _simplex_free_min(dim: int, rows, cost):
 
 
 def _interval_solve(rows, cost: Fraction):
+    """Closed-form LP in one variable; bounds are kept as integer pairs
+    (num, den), den > 0, and compared by cross-multiplication."""
     lo = None  # None encodes the infinite end
     hi = None
-    for coeffs, rhs, rel in rows:
-        a = coeffs[0]
-        if a == 0:
-            ok = rhs >= 0 if rel == LE else rhs == 0
-            if not ok:
+    for r in rows:
+        truth = r.constant_truth()
+        if truth is not None:
+            if not truth:
                 return "infeasible", None
             continue
-        bound = rhs / a
-        if rel == EQ:
-            lo = bound if lo is None or bound > lo else lo
-            hi = bound if hi is None or bound < hi else hi
-        elif a > 0:
-            hi = bound if hi is None or bound < hi else hi
-        else:
-            lo = bound if lo is None or bound > lo else lo
-    if lo is not None and hi is not None and lo > hi:
+        (a,), b = r.scaled
+        bound = (b, a) if a > 0 else (-b, -a)
+        if r.rel == EQ or a < 0:
+            if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
+                lo = bound
+        if r.rel == EQ or a > 0:
+            if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
+                hi = bound
+    if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return "infeasible", None
     if cost > 0:
-        if lo is None:
-            return "unbounded", None
-        return "optimal", [lo]
-    if cost < 0:
-        if hi is None:
-            return "unbounded", None
-        return "optimal", [hi]
-    if lo is not None:
-        return "optimal", [lo]
-    if hi is not None:
-        return "optimal", [hi]
-    return "optimal", [Fraction(0)]
+        end = lo
+    elif cost < 0:
+        end = hi
+    else:
+        end = lo if lo is not None else hi
+        if end is None:
+            return "optimal", [Fraction(0)]
+    if end is None:
+        return "unbounded", None
+    return "optimal", [Fraction(*end)]
 
 
 # ---------------------------------------------------------------------------
@@ -387,16 +476,38 @@ def _rref(vectors, dim):
 
 
 def _nullspace_direction(vectors, dim):
-    """Some nonzero w orthogonal to all vectors, or None if they span R^dim."""
-    rows, pivots = _rref(vectors, dim)
-    if len(pivots) == dim:
-        return None
+    """Some nonzero integer w orthogonal to all integer vectors, or None if
+    they span R^dim.
+
+    Fraction-free elimination: each vector is cleared at the pivots of the
+    earlier ones by integer cross-multiplication. w is, up to a positive
+    factor, the solution with w_f = 1 at the first free column f and 0 at
+    the other free columns.
+    """
+    rows = []
+    pivots = []
+    for vec in vectors:
+        v = list(vec)
+        for r, p in zip(rows, pivots):
+            f = v[p]
+            if f:
+                g = r[p]
+                v = [x * g - f * y for x, y in zip(v, r)]
+        lead = next((j for j in range(dim) if v[j]), None)
+        if lead is None:
+            continue
+        g = math.gcd(*v)
+        rows.append([x // g for x in v])
+        pivots.append(lead)
+        if len(pivots) == dim:
+            return None
     free = next(j for j in range(dim) if j not in pivots)
     w = [Fraction(0)] * dim
     w[free] = Fraction(1)
-    for r, p in zip(rows, pivots):
-        w[p] = -r[free]
-    return w
+    for r, p in reversed(list(zip(rows, pivots))):
+        s = sum(r[j] * w[j] for j in range(dim) if j != p)
+        w[p] = -s / r[p]
+    return _over_common_denominator(w)[0]
 
 
 def _solve_square(vectors, rhs, dim):
@@ -418,33 +529,35 @@ def _purify_to_vertex(dim, rows, point, objective):
 
     Keeps every row satisfied and the objective value fixed. If the optimal
     face contains a line (only possible for unbounded feasible sets) the
-    current point is returned unchanged.
+    current point is returned unchanged. `objective` holds integer
+    coefficients (any positive multiple of the objective); rows are tested
+    for activity in their integer form against the point over one common
+    denominator.
     """
     x = list(point)
     while True:
-        active = [list(objective)]
-        for coeffs, rhs, rel in rows:
-            lhs = sum(c * v for c, v in zip(coeffs, x))
-            if rel == EQ or lhs == rhs:
-                active.append(list(coeffs))
+        nums, den = _over_common_denominator(x)
+        active = [objective]
+        for r in rows:
+            a, b = r.scaled
+            if r.rel == EQ or sum(map(mul, a, nums)) == b * den:
+                active.append(a)
         w = _nullspace_direction(active, dim)
         if w is None:
             return x
         t_plus = None
         t_minus = None
-        for coeffs, rhs, rel in rows:
-            aw = sum(c * v for c, v in zip(coeffs, w))
+        for r in rows:
+            a, b = r.scaled
+            aw = sum(map(mul, a, w))
             if aw == 0:
                 continue
-            slack = rhs - sum(c * v for c, v in zip(coeffs, x))
+            step = Fraction(b * den - sum(map(mul, a, nums)), den * abs(aw))
             if aw > 0:
-                step = slack / aw
                 if t_plus is None or step < t_plus:
                     t_plus = step
-            else:
-                step = slack / (-aw)
-                if t_minus is None or step < t_minus:
-                    t_minus = step
+            elif t_minus is None or step < t_minus:
+                t_minus = step
         if t_plus is not None:
             x = [v + t_plus * d for v, d in zip(x, w)]
         elif t_minus is not None:
@@ -457,16 +570,14 @@ def _purify_to_vertex(dim, rows, point, objective):
 # public operations
 
 
-def _raw_rows(sys: LinearSystem):
-    return [(list(r.coeffs.entries), r.rhs, r.rel) for r in sys.rows]
-
-
 def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
              config: SolverConfig = DEFAULT_CONFIG) -> LpOutcome:
     """Exact LP over a closed system with free variables.
 
     Returns Infeasible, Unbounded, or Optimal with an exact value and a point
-    that is a vertex of the optimal face whenever one exists.
+    that is a vertex of the optimal face whenever one exists. The optimum is
+    re-verified against every row in integer arithmetic; a miss raises
+    InternalInvariantError.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -475,13 +586,13 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
     if objective.dim != sys.dim:
         raise ValueError("objective dimension does not match the system")
 
-    rows = _raw_rows(sys)
+    rows = sys.rows
     cost = list(objective.entries)
     if sense == "max":
         cost = [-f for f in cost]
 
     if sys.dim == 0:
-        ok = all((rhs >= 0 if rel == LE else rhs == 0) for _, rhs, rel in rows)
+        ok = all(r.constant_truth() for r in rows)
         return LpOutcome("optimal", Fraction(0), QVector(())) if ok else _INFEASIBLE
     if sys.dim == 1:
         tag, point = _interval_solve(rows, cost[0])
@@ -493,13 +604,15 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
     if tag == "unbounded":
         return _UNBOUNDED
 
-    point = _purify_to_vertex(sys.dim, rows, point, list(objective.entries))
-    value = sum((c * v for c, v in zip(objective.entries, point)), Fraction(0))
-    out = LpOutcome("optimal", value, QVector(point))
-    for r in sys.rows:
-        if not r.satisfied_by(out.point):
+    omult = math.lcm(*(f.denominator for f in objective.entries))
+    iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
+    point = _purify_to_vertex(sys.dim, rows, point, iobjective)
+    nums, den = _over_common_denominator(point)
+    for r in rows:
+        if not r.holds_at(nums, den):
             raise InternalInvariantError("lp_solve produced an infeasible point")
-    return out
+    value = Fraction(sum(map(mul, iobjective, nums)), omult * den)
+    return LpOutcome("optimal", value, QVector(point))
 
 
 def strict_feasible_point(sys: LinearSystem,
@@ -507,32 +620,25 @@ def strict_feasible_point(sys: LinearSystem,
     """A point satisfying closed rows and every strict row strictly, or None.
 
     Maximizes one uniform slack t in [0, 1] applied to all strict rows; a
-    point exists exactly when the optimum slack is positive.
+    point exists exactly when the optimum slack is positive. The witness is
+    re-verified against every row in integer arithmetic; a miss raises
+    InternalInvariantError.
     """
     closed = []
     strict = []
     for r in sys.rows:
-        coeffs = list(r.coeffs.entries)
-        if all(f == 0 for f in coeffs):
-            if r.rel == LE and r.rhs < 0:
-                return None
-            if r.rel == EQ and r.rhs != 0:
-                return None
-            if r.rel == LT and r.rhs <= 0:
-                return None
-            continue
-        (strict if r.rel == LT else closed).append(r)
+        truth = r.constant_truth()
+        if truth is None:
+            (strict if r.rel == LT else closed).append(r)
+        elif not truth:
+            return None
 
     if not strict:
         out = lp_solve(LinearSystem(sys.dim, tuple(closed)), QVector([0] * sys.dim), "min", config)
         return out.point if out.is_optimal else None
 
     dim = sys.dim + 1
-    lifted = []
-    for r in closed:
-        lifted.append(LinRow(QVector(list(r.coeffs.entries) + [0]), r.rhs, r.rel))
-    for r in strict:
-        lifted.append(LinRow(QVector(list(r.coeffs.entries) + [1]), r.rhs, LE))
+    lifted = [r._lifted(0) for r in closed] + [r._lifted(1) for r in strict]
     lifted.append(row_le([0] * sys.dim + [-1], 0))   # t >= 0
     lifted.append(row_le([0] * sys.dim + [1], 1))    # t <= 1
     objective = QVector([0] * sys.dim + [1])
@@ -540,8 +646,9 @@ def strict_feasible_point(sys: LinearSystem,
     if not out.is_optimal or out.value == 0:
         return None
     point = QVector(out.point.entries[:sys.dim])
+    nums, den = _over_common_denominator(point.entries)
     for r in sys.rows:
-        if not r.satisfied_by(point):
+        if not r.holds_at(nums, den):
             raise InternalInvariantError("strict feasibility witness failed re-verification")
     return point
 
@@ -578,6 +685,17 @@ def _cone_coords_zero(coeff_rows, dim: int, coords,
     return True
 
 
+def _projection_bounded(sys: LinearSystem, coords,
+                        config: SolverConfig = DEFAULT_CONFIG) -> bool:
+    """True iff the closed system's recession cone has y_i = 0 for i in coords.
+
+    A carried boundedness proof answers without solving the cone LPs.
+    """
+    if sys.proved_bounded:
+        return True
+    return _cone_coords_zero(recession_rows(sys), sys.dim, coords, config)
+
+
 def recession_bounded(m: QMatrix, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """Whether {y : m y <= 0} is the origin alone."""
     if m.ncols == 0:
@@ -597,18 +715,20 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
         return []
     if sys.dim == 0:
         return [QVector(())]
-    if not _cone_coords_zero(recession_rows(closed), sys.dim, range(sys.dim), config):
+    if not _projection_bounded(closed, range(sys.dim), config):
         raise ValueError("vertex enumeration on an unbounded system")
-    rows = [r for r in closed.rows if any(f != 0 for f in r.coeffs.entries)]
+    rows = [r for r in closed.rows if r.constant_truth() is None]
     if math.comb(len(rows), sys.dim) > config.basis_cap:
-        raise ResourceLimitError(f"vertex enumeration over {len(rows)} rows exceeds the basis cap")
+        raise ResourceLimitError(f"basis_cap={config.basis_cap}: vertex enumeration over "
+                                 f"{len(rows)} rows exceeds the basis cap")
     found = set()
     for subset in combinations(rows, sys.dim):
         x = _solve_square([list(r.coeffs.entries) for r in subset],
                           [r.rhs for r in subset], sys.dim)
         if x is None:
             continue
-        if all(r.satisfied_by(x) for r in closed.rows):
+        nums, den = _over_common_denominator(x)
+        if all(r.holds_at(nums, den) for r in closed.rows):
             found.add(tuple(x))
     return [QVector(v) for v in sorted(found)]
 

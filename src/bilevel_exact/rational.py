@@ -51,7 +51,8 @@ class QVector:
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
-        object.__setattr__(self, "entries", tuple(Fraction(e) for e in entries))
+        object.__setattr__(self, "entries", tuple(
+            e if type(e) is Fraction else Fraction(e) for e in entries))
 
     @property
     def dim(self) -> int:

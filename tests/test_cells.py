@@ -148,6 +148,13 @@ def test_cell_cap_enforced(example1):
         enumerate_cells(example1, (), SolverConfig(cell_cap=1))
 
 
+def test_cell_cap_messages_name_the_cap(example1):
+    # example1 has two x candidates: cap 1 stops the candidate walk, cap 2 the floor walk
+    for cap in (1, 2):
+        with pytest.raises(ResourceLimitError, match=f"^cell_cap={cap}: cell enumeration cap"):
+            enumerate_cells(example1, (), SolverConfig(cell_cap=cap))
+
+
 # ---------------------------------------------------------- invariant suites
 
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from conftest import MIXED_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
                            GeneralizedProblem, InfeasibleProblemError,
                            InfeasibleRelaxationError, Instance, InternalInvariantError,
@@ -276,3 +277,37 @@ def test_reference_oracle_examples(example1):
     orc3 = reference_oracle(example1, "pure", CFG)
     assert (orc3.status, orc3.infimum) == (ATTAINED, 0)
     assert orc3.solution[0] == (0,)
+
+
+# ------------------------------------------------------ boundedness proofs
+
+
+def test_every_carried_boundedness_proof_holds(monkeypatch):
+    """Each system whose cone LPs are skipped passes them when run anyway.
+
+    Records every system that reaches the boundedness check carrying a proof,
+    over example1 and 20 acceptance-distribution instances solved in both
+    readings and by the oracle, then checks each with the cone LPs.
+    """
+    from bilevel_exact import lattice, linear
+    proved = set()
+    real = linear._projection_bounded
+
+    def recording(sys_, coords, config=CFG):
+        if sys_.proved_bounded:
+            proved.add(sys_)
+        return real(sys_, coords, config)
+
+    monkeypatch.setattr(linear, "_projection_bounded", recording)
+    monkeypatch.setattr(lattice, "_projection_bounded", recording)
+    rng = random.Random(MIXED_SEED)
+    instances = [support.make_example1()] + [random_instance(rng) for _ in range(20)]
+    for inst in instances:
+        solve_mixed(inst, eps=Fraction(1, 8), config=CFG)
+        reference_oracle(inst, "mixed", CFG)
+        solve_pure(inst, config=CFG)
+    monkeypatch.undo()
+    assert len(proved) > 50
+    for sys_ in proved:
+        cone = linear.recession_rows(sys_)
+        assert linear._cone_coords_zero(cone, sys_.dim, range(sys_.dim), CFG), sys_

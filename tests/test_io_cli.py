@@ -1,11 +1,13 @@
+import functools
 import json
 from fractions import Fraction
 
 import pytest
 
 import support
-from bilevel_exact import (ValidationError, instance_to_json, load_instance,
+from bilevel_exact import (SolverConfig, ValidationError, instance_to_json, load_instance,
                            parse_and_validate, parse_instance, report_to_json, solve_mixed)
+from bilevel_exact import cli, engine
 from bilevel_exact.cli import cli_main
 from bilevel_exact.instance_io import render_text
 
@@ -225,3 +227,35 @@ def test_cli_fuzz(capsys):
     assert cli_main(["fuzz", "--count", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "ok: 3 instances, seed 1" in out
+
+
+def test_cli_solve_has_no_seed_flag(example1_path, capsys):
+    with pytest.raises(SystemExit) as err:
+        cli_main(["solve", example1_path, "--seed", "3"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+def _with_config(monkeypatch, config):
+    """Route the CLI's solves through `config`; the CLI has no cap flags."""
+    monkeypatch.setattr(cli, "solve_mixed", functools.partial(engine.solve_mixed, config=config))
+    monkeypatch.setattr(cli, "solve_pure", functools.partial(engine.solve_pure, config=config))
+
+
+@pytest.mark.parametrize("field, words, mode, attained", [
+    ("cell_cap", "cell enumeration cap", "mixed", False),
+    ("node_cap", "node cap", "mixed", False),
+    ("integer_point_cap", "integer point cap", "pure", False),
+    ("basis_cap", "basis cap", "mixed", True),
+])
+def test_cli_cap_hit_names_the_cap(field, words, mode, attained, tmp_path, monkeypatch, capsys):
+    doc = fixture_doc()
+    if attained:
+        doc["c"] = [1]  # leader pays x + z: attained at (0, 0), so lex extraction runs
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    _with_config(monkeypatch, SolverConfig(**{field: 0}))
+    assert cli_main(["solve", str(path), "--mode", mode]) == 3
+    err = capsys.readouterr().err
+    line = next(ln for ln in err.splitlines() if ln.startswith("resource limit:"))
+    assert f"{field}=0:" in line and words in line

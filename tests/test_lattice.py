@@ -56,6 +56,20 @@ def test_integer_min_guards():
         integer_min(QVector([1]), LinearSystem(1, (row_le([-1], 0),)), config=DEFAULT_CONFIG)
 
 
+def test_enumerate_and_mixed_feasible_guards():
+    # no boundedness proof is carried, so the cone LPs still run and still refuse
+    half_line = LinearSystem(1, (row_le([-1], 0),))
+    with pytest.raises(BoundednessError):
+        enumerate_integers(half_line, DEFAULT_CONFIG)
+    with pytest.raises(BoundednessError):
+        mixed_feasible(half_line, MixedPattern.all_integer(1), DEFAULT_CONFIG)
+    # bounded in the integer coordinate, unbounded in the continuous one: fine
+    strip = LinearSystem(2, (row_le([1, 0], 1), row_le([-1, 0], 0), row_le([0, -1], 0)))
+    assert mixed_feasible(strip, MixedPattern(2, frozenset({0})), DEFAULT_CONFIG) is not None
+    with pytest.raises(BoundednessError):
+        mixed_feasible(strip, MixedPattern(2, frozenset({1})), DEFAULT_CONFIG)
+
+
 @settings(max_examples=40)
 @given(boxed_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_integer_min_matches_grid_scan(sys_, obj):

@@ -5,9 +5,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, LinearSystem, QMatrix, QVector,
-                           affinely_independent_vertices, lp_solve, recession_bounded,
-                           row_eq, row_le, row_lt, strict_feasible_point, vertices)
+from bilevel_exact import (DEFAULT_CONFIG, InternalInvariantError, LinearSystem, LpOutcome,
+                           QMatrix, QVector, affinely_independent_vertices, lp_solve,
+                           recession_bounded, row_eq, row_le, row_lt, strict_feasible_point,
+                           vertices)
+from bilevel_exact import linear
 
 BOX = LinearSystem(2, (row_le([1, 0], 2), row_le([0, 1], 3),
                        row_le([-1, 0], 0), row_le([0, -1], 0)))
@@ -137,3 +139,83 @@ def test_recession_bounded():
     assert not recession_bounded(QMatrix([[1], [1]], ncols=1))
     assert not recession_bounded(QMatrix([[1, 0], [-1, 0], [0, 1]], ncols=2))
     assert recession_bounded(QMatrix([[1, 1], [-1, 0], [0, -1]], ncols=2))
+
+
+def fractional_systems():
+    """Closed systems with non-integral Fraction coefficients and rhs, boxed in [-5,5]^2."""
+    frac = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 5))
+    row = st.tuples(st.lists(frac, min_size=2, max_size=2), frac,
+                    st.sampled_from(("le", "eq")))
+    def build(rows):
+        built = [row_le([1, 0], 5), row_le([0, 1], 5), row_le([-1, 0], 5), row_le([0, -1], 5)]
+        for coeffs, rhs, rel in rows:
+            built.append(row_eq(coeffs, rhs) if rel == "eq" else row_le(coeffs, rhs))
+        return LinearSystem(2, tuple(built))
+    return st.lists(row, max_size=4).map(build)
+
+
+@settings(max_examples=60)
+@given(fractional_systems(), st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                                      min_size=2, max_size=2))
+def test_lp_fractional_rows_match_vertex_scan(sys_, obj):
+    ref = support.ref_lp_min(sys_, obj)
+    out = lp_solve(sys_, QVector(obj), "min", DEFAULT_CONFIG)
+    if ref is None:
+        assert out.tag == "infeasible"
+    else:
+        assert out.tag == "optimal"
+        assert out.value == ref[0]
+        assert all(support.row_holds(r, out.point, closed=True) for r in sys_.rows)
+
+
+def test_scaled_row_is_integral_and_equivalent():
+    r = row_le([Fraction(2, 3), Fraction(-1, 4)], Fraction(5, 6))
+    assert r.scaled == ((8, -3), 10)
+    assert r.satisfied_by([Fraction(5, 4), 0]) and not r.satisfied_by([Fraction(13, 10), 0])
+    assert row_lt([Fraction(1, 2)], Fraction(1, 2)).closed().scaled == ((1,), 1)
+
+
+def test_constant_truth():
+    assert row_le([1, 0], -1).constant_truth() is None
+    assert row_le([0, 0], 0).constant_truth() is True
+    assert row_le([0, 0], Fraction(-1, 3)).constant_truth() is False
+    assert row_eq([0], 0).constant_truth() is True
+    assert row_eq([0], Fraction(1, 7)).constant_truth() is False
+    assert row_lt([0], 0).constant_truth() is False
+    assert row_lt([0], Fraction(1, 9)).constant_truth() is True
+
+
+def test_lp_reverification_is_fatal(monkeypatch):
+    # a purification that slides off the feasible region must not go unnoticed
+    monkeypatch.setattr(linear, "_purify_to_vertex",
+                        lambda dim, rows, point, objective: [Fraction(3), Fraction(0)])
+    with pytest.raises(InternalInvariantError):
+        lp_solve(BOX, QVector([1, 1]), "min", DEFAULT_CONFIG)
+
+
+def test_strict_witness_reverification_is_fatal(monkeypatch):
+    # x in (0, 1); the lifted LP claims slack 1/2 at x = 5, outside x < 1
+    s = LinearSystem(1, (row_lt([-1], 0), row_lt([1], 1)))
+    fake = LpOutcome("optimal", Fraction(1, 2), QVector([5, Fraction(1, 2)]))
+    monkeypatch.setattr(linear, "lp_solve", lambda *args, **kwargs: fake)
+    with pytest.raises(InternalInvariantError):
+        strict_feasible_point(s, DEFAULT_CONFIG)
+
+
+def test_boundedness_proof_not_settable_publicly():
+    with pytest.raises(TypeError):
+        LinearSystem(1, (row_le([1], 1),), proved_bounded=True)
+    half_line = LinearSystem(1, (row_le([-1], 0),))
+    assert not half_line.proved_bounded
+    assert not half_line.with_rows([row_le([-1], 3)]).proved_bounded
+    with pytest.raises(ValueError):
+        vertices(half_line, DEFAULT_CONFIG)
+
+
+def test_boundedness_proof_carried_by_with_rows_and_closure():
+    proved = linear._bounded_system(1, (row_le([1], 1), row_le([-1], 0)))
+    assert proved.proved_bounded
+    assert proved.with_rows([row_lt([1], Fraction(1, 2))]).proved_bounded
+    assert proved.with_rows([row_lt([1], Fraction(1, 2))]).closure().proved_bounded
+    # the proof is not part of equality: same rows, same system
+    assert proved == LinearSystem(1, proved.rows)
