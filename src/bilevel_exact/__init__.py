@@ -13,9 +13,9 @@ from .cells import (Cell, Instance, bilevel_feasible, cell_infimum, cell_region,
 from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, GeneralizedProblem, decide_eq, decide_le, decide_le_pure
 from .engine import (ATTAINED, INFEASIBLE, UNATTAINED, EpsSolution, LexTrace, SolveReport,
-                     Telemetry, bisect_decision, denominator_cap, eps_point, infimum,
-                     lex_extract, objective_bounds, rational_reconstruct, reference_oracle,
-                     solve_mixed, solve_pure)
+                     Telemetry, bisect_decision, denominator_cap, disagreement, eps_point,
+                     infimum, lex_extract, objective_bounds, rational_reconstruct,
+                     reference_oracle, solve_mixed, solve_pure)
 from .errors import (BoundednessError, InfeasibleProblemError, InfeasibleRelaxationError,
                      InternalInvariantError, ResourceLimitError, SolverError, ValidationError)
 from .instance_io import (instance_to_json, load_instance, parse_and_validate, parse_instance,

@@ -167,6 +167,35 @@ def floor_rhs(inst: Instance, z: QVector) -> tuple:
     return tuple(floor_rat(v + uv) for v, uv in zip(inst.B.matvec(z), inst.u.entries))
 
 
+def _z_rows(rows) -> Optional[list]:
+    """Rows over z without the constant ones that hold; None if one fails."""
+    out = []
+    for row in rows:
+        truth = row.constant_truth()
+        if truth is False:
+            return None
+        if truth is None:
+            out.append(row)
+    return out
+
+
+def _upper_rows_at(inst: Instance, x) -> Optional[list]:
+    """D z <= p - C x and z >= 0 over z for a fixed x."""
+    cx = inst.C.matvec(QVector(x))
+    rows = [row_le(dr, rhs - shift) for dr, rhs, shift in zip(inst.D.entries, inst.p.entries, cx)]
+    for i in range(inst.d):
+        coeffs = [0] * inst.d
+        coeffs[i] = -1
+        rows.append(row_le(coeffs, 0))
+    return _z_rows(rows)
+
+
+def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt) -> Optional[list]:
+    """r_i <= B_i z + u_i < r_i + 1 over z; upper=row_le gives the closure."""
+    br, uv = inst.B.entries[i], inst.u.entries[i]
+    return _z_rows([row_le([-f for f in br], uv - ri), upper(br, ri + 1 - uv)])
+
+
 def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> LinearSystem:
     """The half-open region of leader points that realize the cell.
 
@@ -178,28 +207,10 @@ def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> Li
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
-    rows = []
-    cx = inst.C.matvec(QVector(cell.x))
-    for dr, rhs, shift in zip(inst.D.entries, inst.p.entries, cx):
-        coeffs = list(dr)
-        if all(f == 0 for f in coeffs):
-            if rhs - shift < 0:
-                rows.append(row_le([0] * inst.d, -1))
-            continue
-        rows.append(row_le(coeffs, rhs - shift))
-    for i in range(inst.d):
-        coeffs = [0] * inst.d
-        coeffs[i] = -1
-        rows.append(row_le(coeffs, 0))
-    for br, uv, ri in zip(inst.B.entries, inst.u.entries, cell.r):
-        lowrhs = Fraction(uv) - ri          # -B_i z <= u_i - r_i
-        uprhs = Fraction(ri + 1) - uv       # B_i z < r_i + 1 - u_i
-        if all(f == 0 for f in br):
-            if not (0 <= uv - ri and uv - ri < 1):
-                rows.append(row_le([0] * inst.d, -1))
-            continue
-        rows.append(row_le([-f for f in br], lowrhs))
-        rows.append(row_lt(list(br), uprhs))
+    parts = [_upper_rows_at(inst, cell.x)]
+    parts += [_floor_rows(inst, i, ri) for i, ri in enumerate(cell.r)]
+    empty = [row_le([0] * inst.d, -1)]
+    rows = [row for part in parts for row in (empty if part is None else part)]
     for extra in extras:
         sp = specialize_row(extra, cell.x, inst.n)
         if sp is not None:
@@ -317,22 +328,9 @@ class CellIndex:
         entries = []
         improve_memo = {}
         for x in xs:
-            base = []
-            infeasible = False
-            cx = inst.C.matvec(QVector(x))
-            for dr, rhs, shift in zip(inst.D.entries, inst.p.entries, cx):
-                if all(f == 0 for f in dr):
-                    if rhs - shift < 0:
-                        infeasible = True
-                        break
-                    continue
-                base.append(row_le(list(dr), rhs - shift))
-            if infeasible:
+            base = _upper_rows_at(inst, x)
+            if base is None:
                 continue
-            for i in range(inst.d):
-                coeffs = [0] * inst.d
-                coeffs[i] = -1
-                base.append(row_le(coeffs, 0))
             ax = inst.A.matvec(QVector(x)).entries
             self._walk_floors(x, ax, base, [], entries, improve_memo, budget)
         return entries
@@ -359,31 +357,22 @@ class CellIndex:
             return
         br = inst.B.entries[i]
         uv = inst.u.entries[i]
-        if all(f == 0 for f in br):
-            lo = hi = floor_rat(uv)
-        else:
-            sub = LinearSystem(inst.d, tuple(cur_rows))
-            mn = lp_solve(sub, QVector(br), "min", config)
-            if mn.tag == "infeasible":
-                return
-            mx = lp_solve(sub, QVector(br), "max", config)
-            if not (mn.is_optimal and mx.is_optimal):
-                raise InternalInvariantError("floor range LP unbounded on a bounded region")
-            lo = floor_rat(mn.value + uv)
-            hi = floor_rat(mx.value + uv)
-        axi = ax[i]
-        if axi > lo:  # response must stay feasible: A_i x <= r_i
-            lo = ceil_rat(axi)
-        for ri in range(lo, hi + 1):
-            if all(f == 0 for f in br):
-                added = []
-                if not (ri <= uv < ri + 1):
-                    continue
-            else:
-                added = [row_le([-f for f in br], Fraction(uv) - ri),
-                         row_le(list(br), Fraction(ri + 1) - uv)]
-            self._walk_floors(x, ax, cur_rows + added, r_prefix + [ri],
-                              entries, improve_memo, budget)
+        if not any(br):  # B_i z + u_i is the constant u_i: one floor and no rows
+            if ax[i] <= floor_rat(uv):  # response must stay feasible: A_i x <= r_i
+                self._walk_floors(x, ax, cur_rows, r_prefix + [floor_rat(uv)],
+                                  entries, improve_memo, budget)
+            return
+        sub = LinearSystem(inst.d, tuple(cur_rows))
+        mn = lp_solve(sub, QVector(br), "min", config)
+        if mn.tag == "infeasible":
+            return
+        mx = lp_solve(sub, QVector(br), "max", config)
+        if not (mn.is_optimal and mx.is_optimal):
+            raise InternalInvariantError("floor range LP unbounded on a bounded region")
+        lo = max(floor_rat(mn.value + uv), ceil_rat(ax[i]))  # A_i x <= r_i as above
+        for ri in range(lo, floor_rat(mx.value + uv) + 1):
+            self._walk_floors(x, ax, cur_rows + _floor_rows(inst, i, ri, row_le),
+                              r_prefix + [ri], entries, improve_memo, budget)
 
 
 def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellIndex:

@@ -6,15 +6,14 @@ import random
 import sys
 from typing import Optional
 
-from .cells import bilevel_feasible
 from .config import DEFAULT_CONFIG
 from .decide import GeneralizedProblem, decide_le, decide_le_pure
-from .engine import ATTAINED, INFEASIBLE, reference_oracle, solve_mixed, solve_pure
+from .engine import INFEASIBLE, disagreement, reference_oracle, solve_mixed, solve_pure
 from .errors import (BoundednessError, InternalInvariantError, ResourceLimitError,
                      SolverError, ValidationError)
 from .instance_io import load_instance, parse_and_validate, render_text, report_to_json
 from .randgen import random_instance
-from .rational import QVector, format_rat, parse_rat
+from .rational import format_rat, parse_rat
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -74,23 +73,6 @@ def _emit_report(report, args) -> None:
         sys.stdout.write(render_text(report))
 
 
-def _reports_agree(inst, mode: str, searched, oracled) -> bool:
-    if searched.status != oracled.status:
-        return False
-    if searched.infimum != oracled.infimum:
-        return False
-    if searched.status != ATTAINED:
-        return True
-    for report in (searched, oracled):
-        x, z = report.solution
-        if not bilevel_feasible(inst, x, z):
-            return False
-        value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
-        if value != report.infimum:
-            return False
-    return searched.solution[0] <= oracled.solution[0]
-
-
 def _cmd_solve(args) -> int:
     inst, meta = load_instance(args.file)
     mode = args.mode or meta["variant"]
@@ -100,11 +82,9 @@ def _cmd_solve(args) -> int:
     else:
         report = solve_mixed(inst, eps=eps) if mode == "mixed" else solve_pure(inst)
         if args.engine == "both":
-            oracled = reference_oracle(inst, mode)
-            if not _reports_agree(inst, mode, report, oracled):
-                raise InternalInvariantError(
-                    "search and oracle disagree: "
-                    f"{report.status}/{report.infimum} vs {oracled.status}/{oracled.infimum}")
+            problem = disagreement(inst, report, reference_oracle(inst, mode))
+            if problem is not None:
+                raise InternalInvariantError(f"search and oracle disagree: {problem}")
             report.oracle_agreement = True
     _emit_report(report, args)
     return EXIT_INFEASIBLE if report.status == INFEASIBLE else EXIT_OK
@@ -140,11 +120,9 @@ def _cmd_fuzz(args) -> int:
     for i in range(args.count):
         inst = random_instance(rng)
         searched = solve_mixed(inst)
-        oracled = reference_oracle(inst, "mixed")
-        if not _reports_agree(inst, "mixed", searched, oracled):
-            raise InternalInvariantError(
-                f"disagreement on instance {i}: "
-                f"{searched.status}/{searched.infimum} vs {oracled.status}/{oracled.infimum}")
+        problem = disagreement(inst, searched, reference_oracle(inst, "mixed"))
+        if problem is not None:
+            raise InternalInvariantError(f"disagreement on instance {i}: {problem}")
         inf = "-" if searched.infimum is None else format_rat(searched.infimum)
         sys.stdout.write(f"{i}: {searched.status.lower()} {inf}\n")
     sys.stdout.write(f"ok: {args.count} instances, seed {args.seed}\n")

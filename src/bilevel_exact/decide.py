@@ -2,7 +2,9 @@
 
 decide_le answers "is there a bilevel-feasible point, satisfying the extra
 rows, with objective at most alpha"; decide_eq asks for exact equality and
-hands back a witness; decide_le_pure is the all-integer variant. These are
+hands back a witness; witness_le hands back the witness of decide_le;
+decide_le_pure is the all-integer variant. The three mixed queries are each
+one pass of DecisionScan.hits, the only loop over the cells here. These are
 the only queries the search engine ever makes.
 """
 from __future__ import annotations
@@ -10,9 +12,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
-from .cells import Instance, cell_index, integer_candidates, specialize_row
+from .cells import Cell, Instance, cell_index, integer_candidates, specialize_row
 from .config import DEFAULT_CONFIG, SolverConfig
 from .lattice import integer_min
 from .linear import (LT, LinRow, LinearSystem, row_eq, row_le,
@@ -69,14 +71,6 @@ class GeneralizedProblem:
             rows.append(row_eq(coeffs, val))
         return tuple(rows)
 
-    def restricted(self, more_rows: Iterable[LinRow]) -> "GeneralizedProblem":
-        return GeneralizedProblem(self.base, self.extra_rows + tuple(more_rows),
-                                  self.fixed_x_prefix, self.objective, self.variant)
-
-    def with_objective(self, objective: Optional[QVector]) -> "GeneralizedProblem":
-        return GeneralizedProblem(self.base, self.extra_rows,
-                                  self.fixed_x_prefix, objective, self.variant)
-
 
 def as_problem(prob) -> GeneralizedProblem:
     if isinstance(prob, GeneralizedProblem):
@@ -88,69 +82,62 @@ def as_problem(prob) -> GeneralizedProblem:
 
 @dataclass
 class _CellItem:
-    cell_x: tuple
+    cell: Cell
     obj_shift: Fraction   # objective restricted to the cell: shift + obj_z . z
-    obj_z: QVector
     system: LinearSystem  # region plus specialized extras, over z
     max_false: Optional[Fraction] = None
-    min_true: Optional[Fraction] = None
-
-
-def _cell_items(prob: GeneralizedProblem, config: SolverConfig):
-    """Per-cell restricted systems and objectives, lex order, dead cells dropped."""
-    inst = prob.base
-    extras = prob.effective_extras()
-    obj = prob.effective_objective()
-    obj_z = QVector(obj.entries[inst.n:])
-    items = []
-    for entry in cell_index(inst, config).entries:
-        sp = []
-        dead = False
-        for r in extras:
-            s = specialize_row(r, entry.cell.x, inst.n)
-            if s is None:
-                continue
-            if s.constant_truth() is False:
-                dead = True
-                break
-            sp.append(s)
-        if dead:
-            continue
-        shift = sum((a * b for a, b in zip(obj.entries[:inst.n], entry.cell.x)),
-                    Fraction(0))
-        items.append(_CellItem(entry.cell.x, shift, obj_z,
-                               entry.region.with_rows(sp)))
-    return items
 
 
 class DecisionScan:
-    """Reusable threshold oracle for one problem across many alpha queries.
+    """Reusable threshold oracle for one problem across many queries.
 
-    Caches, per cell, the largest alpha known to fail and the smallest known
-    to succeed; monotonicity of {objective <= alpha} in alpha makes both
-    sound cutoffs.
+    Holds each valid cell, in lex order of (x, r), with its objective and
+    its region under the extras specialized to the cell's x; cells that an
+    extra row kills are dropped. Remembers per cell the largest alpha for
+    which {value <= alpha} missed the cell. That set only grows with alpha
+    and contains {value = alpha}, so the cutoff skips le, eq and witness
+    checks alike.
     """
 
     def __init__(self, prob, config: SolverConfig = DEFAULT_CONFIG):
         self.prob = as_problem(prob)
         self.config = config
-        self.items = _cell_items(self.prob, config)
+        inst = self.prob.base
+        extras = self.prob.effective_extras()
+        obj = self.prob.effective_objective()
+        self.obj_z = QVector(obj.entries[inst.n:])
+        self.items = []
+        for entry in cell_index(inst, config).entries:
+            sp = [specialize_row(r, entry.cell.x, inst.n) for r in extras]
+            sp = [s for s in sp if s is not None]
+            if any(s.constant_truth() is False for s in sp):
+                continue
+            shift = sum((a * b for a, b in zip(obj.entries[:inst.n], entry.cell.x)),
+                        Fraction(0))
+            self.items.append(_CellItem(entry.cell, shift, entry.region.with_rows(sp)))
 
-    def query(self, alpha) -> bool:
+    def hits(self, row, alpha):
+        """Cells whose region meets value <= alpha (row=row_le) or value =
+        alpha (row=row_eq), in lex order: (cell, strictly feasible z, the
+        cell's system with the value row)."""
         alpha = Fraction(alpha)
         for it in self.items:
-            if it.min_true is not None and alpha >= it.min_true:
-                return True
             if it.max_false is not None and alpha <= it.max_false:
                 continue
-            bound = row_le(it.obj_z.entries, alpha - it.obj_shift)
-            hit = strict_feasible_point(it.system.with_rows([bound]), self.config)
-            if hit is not None:
-                it.min_true = alpha
-                return True
-            if it.max_false is None or alpha > it.max_false:
+            system = it.system.with_rows([row(self.obj_z.entries, alpha - it.obj_shift)])
+            z = strict_feasible_point(system, self.config)
+            if z is not None:
+                yield it.cell, z, system
+            elif row is row_le:
                 it.max_false = alpha
-        return False
+
+
+def _first_hit(prob, row, alpha, config, scan) -> Optional[tuple]:
+    if scan is None:
+        scan = DecisionScan(prob, config)
+    for cell, z, _ in scan.hits(row, alpha):
+        return cell.x, z
+    return None
 
 
 def decide_le(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
@@ -159,43 +146,29 @@ def decide_le(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
 
     A caller running many queries against one problem should pass a
     DecisionScan built from that problem; it must match prob and config.
+    The same holds for decide_eq and witness_le.
     """
     if telemetry is not None:
         telemetry.decision_queries += 1
-    if scan is None:
-        scan = DecisionScan(prob, config)
-    return scan.query(alpha)
+    return _first_hit(prob, row_le, alpha, config, scan) is not None
 
 
 def decide_eq(prob, value, config: SolverConfig = DEFAULT_CONFIG,
-              telemetry=None) -> Optional[tuple]:
+              telemetry=None, scan: Optional[DecisionScan] = None) -> Optional[tuple]:
     """A bilevel-feasible point with objective exactly `value`, or None.
 
-    Scans cells in lex order; the first cell whose value slice is strictly
-    realizable supplies the witness (x, z).
+    The first cell in lex order whose value slice is strictly realizable
+    supplies the witness (x, z).
     """
     if telemetry is not None:
         telemetry.decision_queries += 1
-    prob = as_problem(prob)
-    value = Fraction(value)
-    for it in _cell_items(prob, config):
-        slice_row = row_eq(it.obj_z.entries, value - it.obj_shift)
-        pt = strict_feasible_point(it.system.with_rows([slice_row]), config)
-        if pt is not None:
-            return it.cell_x, pt
-    return None
+    return _first_hit(prob, row_eq, value, config, scan)
 
 
-def witness_le(prob, alpha, config: SolverConfig = DEFAULT_CONFIG) -> Optional[tuple]:
+def witness_le(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
+               scan: Optional[DecisionScan] = None) -> Optional[tuple]:
     """Like decide_le but returns the witness (x, z) from the lex-least cell."""
-    prob = as_problem(prob)
-    alpha = Fraction(alpha)
-    for it in _cell_items(prob, config):
-        bound = row_le(it.obj_z.entries, alpha - it.obj_shift)
-        pt = strict_feasible_point(it.system.with_rows([bound]), config)
-        if pt is not None:
-            return it.cell_x, pt
-    return None
+    return _first_hit(prob, row_le, alpha, config, scan)
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,12 @@
 The mixed driver brackets the infimum by bisection over the decision
 oracle, reconstructs the exact rational from a width < 1/(2L^2) interval
 (L the denominator cap), tests attainment through the value-equality
-oracle, and extracts the lexicographically minimal optimum through the
-floor-vector refinement and a barycenter of vertices. The pure driver runs
-the same search over integer leader points with plain integer snapping,
-and is always cross-checked against direct enumeration.
+oracle, and extracts the lexicographically minimal optimum: x* is the x of
+the lex-first cell whose value slice at v* is nonempty, and z* comes from
+the floor-vector refinement and a barycenter of vertices. All of these
+queries share one DecisionScan. The pure driver runs the same search over
+integer leader points with plain integer snapping, and is always
+cross-checked against direct enumeration.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cells import bilevel_feasible, cell_index, cell_infimum, integer_candidates, specialize_row
+from .cells import bilevel_feasible, cell_index, cell_infimum, integer_candidates
 from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import (MIXED, PURE, DecisionScan, GeneralizedProblem, as_problem, decide_eq,
                      decide_le, decide_le_pure, fix_z_suffix, strictify_for_integers,
@@ -23,7 +25,7 @@ from .decide import (MIXED, PURE, DecisionScan, GeneralizedProblem, as_problem, 
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import MixedPattern, enumerate_integers, integer_min, mixed_feasible
 from .linear import (LinRow, LinearSystem, affinely_independent_vertices, lp_solve, row_eq,
-                     row_le, strict_feasible_point)
+                     strict_feasible_point)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 INFEASIBLE = "Infeasible"
@@ -226,53 +228,35 @@ def _integer_bisect(dec, lo, hi, telemetry) -> int:
 
 
 def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
-                telemetry=None) -> LexTrace:
+                telemetry=None, scan: Optional[DecisionScan] = None) -> LexTrace:
     """Lex-minimal optimum (x*, z*) of an attained problem, with its trace.
 
-    x* comes from per-component bisections of value-constrained
-    subproblems. The floor vector r is then refined one row at a time:
-    rho_i is the least value of B_i z + u_i over the closures of the value
-    slices of the still-compatible attaining cells, r_i its floor, and
-    cells disagreeing on r_i are discarded. The survivor's half-open value
-    slice Q yields z* as the barycenter of affinely independent vertices
-    of its closure, which lands strictly inside Q.
+    One value-equality query scans the cells in lex order of (x, r): x* is
+    the x of the first cell whose value slice at v* is nonempty, and the
+    pool is that cell with the following hits of the same x. The floor
+    vector r is then refined one row at a time: rho_i is the least value of
+    B_i z + u_i over the closures of the value slices of the still-compatible
+    attaining cells, r_i its floor, and cells disagreeing on r_i are
+    discarded. The survivor's half-open value slice Q yields z* as the
+    barycenter of affinely independent vertices of its closure, which lands
+    strictly inside Q.
     """
     prob = as_problem(prob)
     inst = prob.base
-    if telemetry is None:
-        telemetry = Telemetry()
     v_star = Fraction(v_star)
     obj = prob.effective_objective()
-    value_row = row_eq(obj.entries, v_star)
-    extras = prob.extra_rows + (value_row,)
-    dim = inst.joint_dim()
-
-    prefix = list(prob.fixed_x_prefix)
-    for j in range(len(prefix), inst.n):
-        unit = [Fraction(0)] * dim
-        unit[j] = Fraction(1)
-        sub = GeneralizedProblem(inst, extras, tuple(prefix), QVector(unit), prob.variant)
-        s_lo, s_hi = objective_bounds(sub, config)
-        scan = DecisionScan(sub, config)
-
-        def dec(alpha, sub=sub, scan=scan):
-            return decide_le(sub, alpha, config, telemetry, scan)
-
-        if not dec(s_hi):
-            raise InternalInvariantError("value-equality subproblem is infeasible")
-        prefix.append(_integer_bisect(dec, s_lo - 1, s_hi, telemetry))
-    x_star = tuple(prefix)
-
+    if telemetry is not None:
+        telemetry.decision_queries += 1
+    if scan is None:
+        scan = DecisionScan(prob, config)
     pool = []
-    for entry in cell_index(inst, config).entries:
-        if entry.cell.x != x_star:
-            continue
-        sp = [specialize_row(r, x_star, inst.n) for r in extras]
-        sliced = entry.region.with_rows([s for s in sp if s is not None])
-        if strict_feasible_point(sliced, config) is not None:
-            pool.append((entry.cell, sliced))
+    for cell, _, sliced in scan.hits(row_eq, v_star):
+        if pool and cell.x != pool[0][0].x:
+            break
+        pool.append((cell, sliced))
     if not pool:
-        raise InternalInvariantError("no attaining cell matches the lex-minimal response")
+        raise InternalInvariantError("no cell attains the optimal value")
+    x_star = pool[0][0].x
 
     rho = []
     r_vec = []
@@ -319,14 +303,15 @@ def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
                     z_star, k * denom)
 
 
-def eps_point(prob, v_star, eps, config: SolverConfig = DEFAULT_CONFIG) -> EpsSolution:
+def eps_point(prob, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
+              scan: Optional[DecisionScan] = None) -> EpsSolution:
     """A bilevel-feasible point with value at most v* + eps."""
     prob = as_problem(prob)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     v_star = Fraction(v_star)
-    hit = witness_le(prob, v_star + eps, config)
+    hit = witness_le(prob, v_star + eps, config, scan)
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
     x, z = hit
@@ -361,16 +346,16 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     except InfeasibleProblemError:
         return report
     report.infimum = v_star
-    witness = decide_eq(prob, v_star, config, telemetry)
+    witness = decide_eq(prob, v_star, config, telemetry, scan)
     if witness is not None:
-        trace = lex_extract(prob, v_star, config, telemetry)
+        trace = lex_extract(prob, v_star, config, telemetry, scan)
         report.status = ATTAINED
         report.solution = (trace.x_star, trace.z_star)
         report.lex_trace = trace
     else:
         report.status = UNATTAINED
         if eps is not None:
-            report.eps_solution = eps_point(prob, v_star, eps, config)
+            report.eps_solution = eps_point(prob, v_star, eps, config, scan)
     return report
 
 
@@ -563,3 +548,32 @@ def reference_oracle(inst, variant: str = MIXED,
     report.status = ATTAINED
     report.solution = (entry.cell.x, z)
     return report
+
+
+def disagreement(inst, searched: SolveReport, oracled: SolveReport,
+                 config: SolverConfig = DEFAULT_CONFIG) -> Optional[str]:
+    """Why a search report and the reference oracle's report disagree, or None.
+
+    Both must give the same status and infimum, and the infimum's
+    denominator must respect denominator_cap. When attained, each solution
+    is checked from the definition (bilevel feasible, objective equal to the
+    infimum), and the search x* must be lexicographically no larger than
+    the oracle's.
+    """
+    if searched.status != oracled.status or searched.infimum != oracled.infimum:
+        return (f"{searched.status}/{searched.infimum} vs "
+                f"{oracled.status}/{oracled.infimum}")
+    if searched.infimum is not None and searched.infimum.denominator > denominator_cap(inst):
+        return f"infimum {searched.infimum} exceeds the denominator cap"
+    if searched.status != ATTAINED:
+        return None
+    for name, report in (("search", searched), ("oracle", oracled)):
+        x, z = report.solution
+        if not bilevel_feasible(inst, x, z, config):
+            return f"{name} solution is not bilevel feasible"
+        value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
+        if value != report.infimum:
+            return f"{name} solution has value {value}, not {report.infimum}"
+    if tuple(searched.solution[0]) > tuple(oracled.solution[0]):
+        return f"search x* {searched.solution[0]} is lex above the oracle's"
+    return None

@@ -100,9 +100,9 @@ class LinRow:
 
     def constant_truth(self) -> Optional[bool]:
         """None if some coefficient is nonzero; otherwise whether 0 rel rhs holds."""
-        a, b = self.scaled
-        if any(a):
+        if any(self.coeffs.entries):
             return None
+        b = self.rhs
         if self.rel == LE:
             return b >= 0
         if self.rel == EQ:

@@ -13,11 +13,6 @@ from typing import Iterable, Iterator, Sequence
 Rat = Fraction
 
 
-def rat(value) -> Rat:
-    """Coerce an int, string ("p/q" or "p"), or Fraction to a Rat."""
-    return Fraction(value)
-
-
 def parse_rat(text: str) -> Rat:
     """Parse the "p/q" (or "p") serialization; sign sits on the numerator."""
     try:
@@ -80,11 +75,6 @@ class QVector:
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for e in self.entries)
 
-    def to_ints(self) -> tuple:
-        if not self.is_integral():
-            raise ValueError(f"vector is not integral: {self}")
-        return tuple(int(e) for e in self.entries)
-
     def __setattr__(self, name, value):
         raise AttributeError("QVector is immutable")
 
@@ -128,20 +118,11 @@ class QMatrix:
         object.__setattr__(self, "nrows", len(converted))
         object.__setattr__(self, "ncols", width)
 
-    def row(self, i: int) -> QVector:
-        return QVector(self.entries[i])
-
-    def col(self, j: int) -> QVector:
-        return QVector(row[j] for row in self.entries)
-
     def matvec(self, v: QVector | Sequence) -> QVector:
         vals = tuple(Fraction(e) for e in v)
         if len(vals) != self.ncols:
             raise ValueError(f"matvec dim {len(vals)} against {self.ncols} columns")
         return QVector(sum((a * b for a, b in zip(row, vals)), Fraction(0)) for row in self.entries)
-
-    def transpose(self) -> "QMatrix":
-        return QMatrix(zip(*self.entries), ncols=self.nrows) if self.entries else QMatrix((), ncols=0)
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)

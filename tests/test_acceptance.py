@@ -15,8 +15,8 @@ import support
 from conftest import MIXED_SEED, PURE_SEED, record_criterion
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, Cell, QVector, Telemetry,
                            bilevel_feasible, bisect_decision, cell_infimum, cell_region,
-                           denominator_cap, enumerate_cells, floor_rhs, is_valid_cell,
-                           parse_rat, random_instance, rational_reconstruct,
+                           denominator_cap, disagreement, enumerate_cells, floor_rhs,
+                           is_valid_cell, parse_rat, random_instance, rational_reconstruct,
                            strict_feasible_point, vertices)
 from bilevel_exact.cli import cli_main
 
@@ -80,19 +80,8 @@ def test_criterion_3_oracle_equivalence(mixed_batch):
         assert len(rows) >= 200
         attained = 0
         for inst, rep, orc in rows:
-            assert rep.status == orc.status
-            assert rep.infimum == orc.infimum
-            if rep.status == ATTAINED:
-                attained += 1
-                x, z = rep.solution
-                assert bilevel_feasible(inst, x, z, CFG)
-                val = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
-                assert val == rep.infimum
-                ox, oz = orc.solution
-                assert bilevel_feasible(inst, ox, oz, CFG)
-                oval = inst.objective_vector().dot(QVector(list(ox) + list(oz.entries)))
-                assert oval == orc.infimum
-                assert tuple(x) <= tuple(ox)
+            assert disagreement(inst, rep, orc, CFG) is None
+            attained += rep.status == ATTAINED
         assert elapsed < 300.0
         info["detail"] = (f"{len(rows)} instances agree "
                           f"({attained} attained, seed {MIXED_SEED}), {elapsed:.1f}s")

@@ -7,10 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
+from conftest import MIXED_SEED
 from bilevel_exact import (DEFAULT_CONFIG, DecisionScan, GeneralizedProblem, QVector,
                            bilevel_feasible, cell_infimum, decide_eq, decide_le,
                            decide_le_pure, enumerate_cells, random_instance, row_le,
-                           row_lt)
+                           row_lt, solve_mixed)
+from bilevel_exact.decide import witness_le
 
 CFG = DEFAULT_CONFIG
 
@@ -98,12 +100,31 @@ def test_generalized_problem_guards(example1):
         GeneralizedProblem(base=example1, objective=QVector([1]))
 
 
+def _scan_inputs(example1):
+    """example1 plus ten acceptance-distribution instances with cells."""
+    out = [example1]
+    rng = random.Random(MIXED_SEED)
+    while len(out) < 11:
+        inst = random_instance(rng)
+        if enumerate_cells(inst, (), CFG):
+            out.append(inst)
+    return out
+
+
 def test_decision_scan_matches_decide_le(example1):
-    scan = DecisionScan(example1, CFG)
-    for alpha in (Fraction(-2), Fraction(-1), Fraction(-1, 2), Fraction(0), Fraction(3)):
-        assert scan.query(alpha) == decide_le(example1, alpha, CFG)
-        # memoized second call must agree
-        assert scan.query(alpha) == decide_le(example1, alpha, CFG)
+    # one shared scan answering interleaved le/eq/witness queries in
+    # non-monotone alpha order must match a fresh scan on every call
+    calls = (decide_le, decide_eq, witness_le)
+    for inst in _scan_inputs(example1):
+        v_star = solve_mixed(inst, config=CFG).infimum
+        alphas = [Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1), Fraction(0),
+                  Fraction(5, 3), Fraction(-7, 2), Fraction(1, 3), Fraction(-1, 2)]
+        if v_star is not None:
+            alphas[3:3] = [v_star, v_star - Fraction(1, 4), v_star + Fraction(1, 8), v_star]
+        scan = DecisionScan(inst, CFG)
+        for k, alpha in enumerate(alphas):
+            for call in calls[k % 3:] + calls[:k % 3]:
+                assert call(inst, alpha, CFG, scan=scan) == call(inst, alpha, CFG)
 
 
 # ------------------------------------------------------------------ properties

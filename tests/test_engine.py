@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,8 @@ from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
                            GeneralizedProblem, InfeasibleProblemError,
                            InfeasibleRelaxationError, Instance, InternalInvariantError,
                            QVector, Telemetry, bilevel_feasible, bisect_decision, decide_eq,
-                           decide_le, denominator_cap, eps_point, infimum, lex_extract,
-                           objective_bounds, random_instance, rational_reconstruct,
+                           decide_le, denominator_cap, disagreement, eps_point, infimum,
+                           lex_extract, objective_bounds, random_instance, rational_reconstruct,
                            reference_oracle, row_le, solve_mixed, solve_pure)
 
 CFG = DEFAULT_CONFIG
@@ -277,6 +278,23 @@ def test_reference_oracle_examples(example1):
     orc3 = reference_oracle(example1, "pure", CFG)
     assert (orc3.status, orc3.infimum) == (ATTAINED, 0)
     assert orc3.solution[0] == (0,)
+
+
+def test_disagreement_names_each_failed_check():
+    inst = make_flipped()
+    searched, oracled = solve_mixed(inst, config=CFG), reference_oracle(inst, "mixed", CFG)
+    assert disagreement(inst, searched, oracled, CFG) is None
+    assert "vs" in disagreement(inst, searched, replace(oracled, status=UNATTAINED), CFG)
+    tiny = Fraction(1, 10**6)
+    assert "denominator cap" in disagreement(
+        inst, replace(searched, status=UNATTAINED, infimum=tiny),
+        replace(oracled, status=UNATTAINED, infimum=tiny), CFG)
+    off_response = replace(searched, solution=((1,), QVector([0])))
+    assert disagreement(inst, off_response, oracled, CFG) == (
+        "search solution is not bilevel feasible")
+    worse_point = replace(oracled, solution=((1,), QVector([1])))
+    assert disagreement(inst, searched, worse_point, CFG) == (
+        "oracle solution has value 2, not 0")
 
 
 # ------------------------------------------------------ boundedness proofs
