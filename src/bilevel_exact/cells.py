@@ -2,10 +2,14 @@
 
 A cell is a pair (x, r): a candidate integer follower response x together
 with the vector r of floors of the follower row activities B_i z + u_i. Over
-one cell the follower's feasible set is constant, so bilevel feasibility
-reduces to per-cell checks and the leader's infimum to per-cell LPs. Cell
-regions are half open: the floor rows hold as r_i <= B_i z + u_i < r_i + 1,
-the upper-level rows and z >= 0 are closed.
+one cell the follower's feasible set {x : A x <= r} is constant, so bilevel
+feasibility reduces to per-cell checks and the leader's infimum to per-cell
+LPs. Cell regions are half open: the floor rows hold as r_i <= B_i z + u_i <
+r_i + 1, the upper-level rows and z >= 0 are closed.
+
+The index of valid cells walks the floor vectors first: one walk over r on
+the upper system in (x, z), x continuous, and at each reachable r one
+integer solve of the follower gives the responses x to pair with it.
 """
 from __future__ import annotations
 
@@ -15,7 +19,7 @@ from typing import Iterable, Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError, ValidationError
-from .lattice import MixedPattern, integer_min, mixed_feasible
+from .lattice import MixedPattern, enumerate_integers, integer_min, mixed_feasible
 from .linear import (LinRow, LinearSystem, lp_solve, recession_bounded, row_eq, row_le,
                      row_lt, strict_feasible_point, _bounded_system)
 from .rational import QMatrix, QVector, Rat, ceil_rat, floor_rat
@@ -167,8 +171,8 @@ def floor_rhs(inst: Instance, z: QVector) -> tuple:
     return tuple(floor_rat(v + uv) for v, uv in zip(inst.B.matvec(z), inst.u.entries))
 
 
-def _z_rows(rows) -> Optional[list]:
-    """Rows over z without the constant ones that hold; None if one fails."""
+def _nonconstant(rows) -> Optional[list]:
+    """The rows without the constant ones that hold; None if one fails."""
     out = []
     for row in rows:
         truth = row.constant_truth()
@@ -187,13 +191,15 @@ def _upper_rows_at(inst: Instance, x) -> Optional[list]:
         coeffs = [0] * inst.d
         coeffs[i] = -1
         rows.append(row_le(coeffs, 0))
-    return _z_rows(rows)
+    return _nonconstant(rows)
 
 
-def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt) -> Optional[list]:
-    """r_i <= B_i z + u_i < r_i + 1 over z; upper=row_le gives the closure."""
-    br, uv = inst.B.entries[i], inst.u.entries[i]
-    return _z_rows([row_le([-f for f in br], uv - ri), upper(br, ri + 1 - uv)])
+def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt, lead: int = 0) -> list:
+    """r_i <= B_i z + u_i < r_i + 1 over z; upper=row_le gives the closure,
+    and `lead` zero coefficients in front put the rows over (x, z)."""
+    br = (Fraction(0),) * lead + inst.B.entries[i]
+    uv = inst.u.entries[i]
+    return [row_le([-f for f in br], uv - ri), upper(br, ri + 1 - uv)]
 
 
 def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> LinearSystem:
@@ -208,7 +214,7 @@ def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> Li
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
     parts = [_upper_rows_at(inst, cell.x)]
-    parts += [_floor_rows(inst, i, ri) for i, ri in enumerate(cell.r)]
+    parts += [_nonconstant(_floor_rows(inst, i, ri)) for i, ri in enumerate(cell.r)]
     empty = [row_le([0] * inst.d, -1)]
     rows = [row for part in parts for row in (empty if part is None else part)]
     for extra in extras:
@@ -271,6 +277,13 @@ def _substitute_first(rows, value: Fraction):
     return out
 
 
+def _charge(budget, config: SolverConfig):
+    """Count one unit of enumeration work against cell_cap."""
+    budget[0] += 1
+    if budget[0] > config.cell_cap:
+        raise ResourceLimitError(f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
+
+
 def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
                        budget) -> list:
     """Integer assignments of the first `count` coordinates that keep the
@@ -296,10 +309,7 @@ def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
         if not (lo_out.is_optimal and hi_out.is_optimal):
             raise InternalInvariantError("candidate enumeration hit an unbounded direction")
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
-            budget[0] += 1
-            if budget[0] > config.cell_cap:
-                raise ResourceLimitError(
-                    f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
+            _charge(budget, config)
             walk(prefix + [v], _substitute_first(cur, Fraction(v)), remaining_first - 1)
 
     walk([], list(rows), count)
@@ -313,7 +323,21 @@ class CellEntry:
 
 
 class CellIndex:
-    """Lex-ordered valid cells of an instance, built once and reused."""
+    """Lex-ordered valid cells of an instance, built once and reused.
+
+    The build walks the floor vector r once, on the closed upper system in
+    (x, z) with x continuous. At row i it takes the range of B_i z over the
+    rows chosen so far and, for each floor r_i in it, adds r_i <= B_i z +
+    u_i <= r_i + 1 and the response row A_i x <= r_i; a zero row of B has
+    the one floor floor(u_i) and needs no LP. A valid cell (x, r) has a
+    point z in its region, and (x, z) meets every row the walk adds for r,
+    so the walk reaches every r a valid cell has. At a leaf r the follower's feasible set {x : A x <= r} is fixed:
+    one integer_min gives its optimum and one enumerate_integers its argmin,
+    which are exactly the x that no response improves on by 1 or more
+    (psi, x and r are integral). Each such (x, r) with a strictly feasible
+    cell_region is a valid cell. Entries are sorted by (x, r). cell_cap
+    counts the walk's leaves and the (x, r) pairs of their argmins.
+    """
 
     def __init__(self, inst: Instance, config: SolverConfig):
         self.instance = inst
@@ -321,58 +345,50 @@ class CellIndex:
         self.entries = self._build()
 
     def _build(self):
-        inst, config = self.instance, self.config
-        budget = [0]
-        joint = inst.upper_rows()
-        xs = integer_candidates(joint, inst.joint_dim(), inst.n, config, budget)
-        entries = []
-        improve_memo = {}
-        for x in xs:
-            base = _upper_rows_at(inst, x)
-            if base is None:
-                continue
-            ax = inst.A.matvec(QVector(x)).entries
-            self._walk_floors(x, ax, base, [], entries, improve_memo, budget)
+        entries, budget = [], [0]
+        self._walk_floors(self.instance.upper_system(), [], entries, budget)
+        entries.sort(key=lambda e: (e.cell.x, e.cell.r))
         return entries
 
-    def _walk_floors(self, x, ax, cur_rows, r_prefix, entries, improve_memo, budget):
+    def _walk_floors(self, system, r_prefix, entries, budget):
         inst, config = self.instance, self.config
         i = len(r_prefix)
         if i == inst.m:
-            budget[0] += 1
-            if budget[0] > config.cell_cap:
-                raise ResourceLimitError(
-                    f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
-            cell = Cell(x, tuple(r_prefix))
-            key = (cell.r, inst.psi.dot(QVector(x)))
-            better = improve_memo.get(key)
-            if better is None:
-                better = _follower_improves(inst, cell, config)
-                improve_memo[key] = better
-            if better:
+            self._add_argmin_cells(tuple(r_prefix), entries, budget)
+            return
+        uv = inst.u.entries[i]
+        if not any(inst.B.entries[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
+            floors = [floor_rat(uv)]
+        else:
+            activity = QVector((0,) * inst.n + inst.B.entries[i])
+            mn = lp_solve(system, activity, "min", config)
+            if mn.tag == "infeasible":
                 return
+            mx = lp_solve(system, activity, "max", config)
+            if not (mn.is_optimal and mx.is_optimal):
+                raise InternalInvariantError("floor range LP unbounded on a bounded region")
+            floors = range(floor_rat(mn.value + uv), floor_rat(mx.value + uv) + 1)
+        response = inst.A.entries[i] + (Fraction(0),) * inst.d
+        for ri in floors:
+            rows = _nonconstant([row_le(response, ri)]
+                                + _floor_rows(inst, i, ri, row_le, inst.n))
+            if rows is not None:
+                self._walk_floors(system.with_rows(rows), r_prefix + [ri], entries, budget)
+
+    def _add_argmin_cells(self, r, entries, budget):
+        inst, config = self.instance, self.config
+        _charge(budget, config)
+        follower = inst.follower_system(r)
+        opt = integer_min(inst.psi, follower, config=config)
+        if not opt.is_optimal:
+            return
+        argmin = follower.with_rows([row_eq(inst.psi.entries, opt.value)])
+        for x in enumerate_integers(argmin, config):
+            _charge(budget, config)
+            cell = Cell(x.entries, r)
             region = cell_region(inst, cell)
             if strict_feasible_point(region, config) is not None:
                 entries.append(CellEntry(cell, region))
-            return
-        br = inst.B.entries[i]
-        uv = inst.u.entries[i]
-        if not any(br):  # B_i z + u_i is the constant u_i: one floor and no rows
-            if ax[i] <= floor_rat(uv):  # response must stay feasible: A_i x <= r_i
-                self._walk_floors(x, ax, cur_rows, r_prefix + [floor_rat(uv)],
-                                  entries, improve_memo, budget)
-            return
-        sub = LinearSystem(inst.d, tuple(cur_rows))
-        mn = lp_solve(sub, QVector(br), "min", config)
-        if mn.tag == "infeasible":
-            return
-        mx = lp_solve(sub, QVector(br), "max", config)
-        if not (mn.is_optimal and mx.is_optimal):
-            raise InternalInvariantError("floor range LP unbounded on a bounded region")
-        lo = max(floor_rat(mn.value + uv), ceil_rat(ax[i]))  # A_i x <= r_i as above
-        for ri in range(lo, floor_rat(mx.value + uv) + 1):
-            self._walk_floors(x, ax, cur_rows + _floor_rows(inst, i, ri, row_le),
-                              r_prefix + [ri], entries, improve_memo, budget)
 
 
 def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellIndex:

@@ -11,7 +11,9 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class SolverConfig:
-    cell_cap: int = 10**6            # closed (x, r) pairs visited per enumeration
+    # per cell index: floor-walk leaves r plus the (x, r) pairs of their
+    # follower argmins; per integer candidate walk: integer values tried
+    cell_cap: int = 10**6
     integer_point_cap: int = 10**6   # points emitted by enumerate_integers
     basis_cap: int = 10**6           # row subsets tried during vertex enumeration
     node_cap: int = 10**6            # branch-and-bound nodes per search

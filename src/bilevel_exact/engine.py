@@ -2,13 +2,13 @@
 
 The mixed driver brackets the infimum by bisection over the decision
 oracle, reconstructs the exact rational from a width < 1/(2L^2) interval
-(L the denominator cap), tests attainment through the value-equality
-oracle, and extracts the lexicographically minimal optimum: x* is the x of
-the lex-first cell whose value slice at v* is nonempty, and z* comes from
-the floor-vector refinement and a barycenter of vertices. All of these
-queries share one DecisionScan. The pure driver runs the same search over
-integer leader points with plain integer snapping, and is always
-cross-checked against direct enumeration.
+(L the denominator cap), and scans the value slices at the infimum once:
+the infimum is attained exactly when some cell's slice is nonempty, and
+then the lexicographically minimal optimum has x* the x of the lex-first
+such cell and z* from the floor-vector refinement and a barycenter of
+vertices. All of these queries share one DecisionScan. The pure driver
+runs the same search over integer leader points with plain integer
+snapping, and is always cross-checked against direct enumeration.
 """
 from __future__ import annotations
 
@@ -19,9 +19,8 @@ from typing import Callable, Optional
 
 from .cells import bilevel_feasible, cell_index, cell_infimum, integer_candidates
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import (MIXED, PURE, DecisionScan, GeneralizedProblem, as_problem, decide_eq,
-                     decide_le, decide_le_pure, fix_z_suffix, strictify_for_integers,
-                     witness_le)
+from .decide import (MIXED, PURE, DecisionScan, GeneralizedProblem, as_problem, decide_le,
+                     decide_le_pure, fix_z_suffix, strictify_for_integers, witness_le)
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import MixedPattern, enumerate_integers, integer_min, mixed_feasible
 from .linear import (LinRow, LinearSystem, affinely_independent_vertices, lp_solve, row_eq,
@@ -192,14 +191,17 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
 
 
 def infimum(prob, config: SolverConfig = DEFAULT_CONFIG, telemetry=None,
-            scan: Optional[DecisionScan] = None) -> Fraction:
-    """Exact infimum of a feasible mixed problem."""
+            scan: Optional[DecisionScan] = None, bounds: Optional[tuple] = None) -> Fraction:
+    """Exact infimum of a feasible mixed problem.
+
+    `bounds` is objective_bounds(prob, config) when the caller has it already.
+    """
     prob = as_problem(prob)
     if prob.variant == PURE:
         raise ValueError("infimum handles the mixed variant; use solve_pure")
     if telemetry is None:
         telemetry = Telemetry()
-    v_lo, v_hi = objective_bounds(prob, config)
+    v_lo, v_hi = objective_bounds(prob, config) if bounds is None else bounds
     if scan is None:
         scan = DecisionScan(prob, config)
 
@@ -228,8 +230,9 @@ def _integer_bisect(dec, lo, hi, telemetry) -> int:
 
 
 def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
-                telemetry=None, scan: Optional[DecisionScan] = None) -> LexTrace:
-    """Lex-minimal optimum (x*, z*) of an attained problem, with its trace.
+                telemetry=None, scan: Optional[DecisionScan] = None) -> Optional[LexTrace]:
+    """Lex-minimal optimum (x*, z*) at value v*, with its trace; None when
+    no bilevel-feasible point has value v* (an unattained infimum).
 
     One value-equality query scans the cells in lex order of (x, r): x* is
     the x of the first cell whose value slice at v* is nonempty, and the
@@ -255,7 +258,7 @@ def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
             break
         pool.append((cell, sliced))
     if not pool:
-        raise InternalInvariantError("no cell attains the optimal value")
+        return None
     x_star = pool[0][0].x
 
     rho = []
@@ -330,7 +333,7 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
     try:
-        objective_bounds(prob, config)
+        bounds = objective_bounds(prob, config)
     except InfeasibleRelaxationError:
         return report
     joint = inst.upper_system().with_rows(
@@ -342,13 +345,12 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     scan = DecisionScan(prob, config)
     telemetry.cells = len(cell_index(inst, config).entries)
     try:
-        v_star = infimum(prob, config, telemetry, scan)
+        v_star = infimum(prob, config, telemetry, scan, bounds)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star
-    witness = decide_eq(prob, v_star, config, telemetry, scan)
-    if witness is not None:
-        trace = lex_extract(prob, v_star, config, telemetry, scan)
+    trace = lex_extract(prob, v_star, config, telemetry, scan)
+    if trace is not None:
         report.status = ATTAINED
         report.solution = (trace.x_star, trace.z_star)
         report.lex_trace = trace

@@ -1,8 +1,10 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
@@ -149,13 +151,52 @@ def test_cell_cap_enforced(example1):
 
 
 def test_cell_cap_messages_name_the_cap(example1):
-    # example1 has two x candidates: cap 1 stops the candidate walk, cap 2 the floor walk
-    for cap in (1, 2):
+    # example1's floor walk has two leaves, r = (-1, 1, 0) and (0, 1, 0), and
+    # the follower argmin at each has one x, so the cap counts leaf, pair, leaf,
+    # pair: cap 1 stops at the first argmin pair, cap 2 at the second leaf and
+    # cap 3 at the second pair; cap 4 lets the whole build through.
+    for cap in (1, 2, 3):
         with pytest.raises(ResourceLimitError, match=f"^cell_cap={cap}: cell enumeration cap"):
             enumerate_cells(example1, (), SolverConfig(cell_cap=cap))
+    assert len(enumerate_cells(example1, (), SolverConfig(cell_cap=4))) == 2
 
 
 # ---------------------------------------------------------- invariant suites
+
+
+def _valid_cells_by_definition(inst):
+    """Every (x, r) that is_valid_cell accepts, in lex order.
+
+    Valid cells lie inside the upper region, so x ranges over the integer
+    points of its x box and each r_i over the floors of B_i z + u_i between
+    the least and the greatest value at its vertices.
+    """
+    verts = support.ref_vertices(inst.upper_system())
+    if not verts:
+        return []
+    x_ranges = [range(math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)) + 1)
+                for j in range(inst.n)]
+    r_ranges = []
+    for br, uv in zip(inst.B.entries, inst.u.entries):
+        floors = [math.floor(sum(b * zj for b, zj in zip(br, v[inst.n:])) + uv) for v in verts]
+        r_ranges.append(range(min(floors), max(floors) + 1))
+    cells = [Cell(x, r) for x in itertools.product(*x_ranges)
+             for r in itertools.product(*r_ranges)]
+    return [cell for cell in cells if is_valid_cell(inst, cell, (), CFG)]
+
+
+def test_index_holds_every_valid_cell_examples(example1):
+    for inst in (example1, support.make_infeasible_upper()):
+        assert enumerate_cells(inst, (), CFG) == _valid_cells_by_definition(inst)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10**6))
+@example(33)   # seeds 33 and 92: two valid cells share one r, as the
+@example(92)   # follower argmin there holds two responses x
+def test_index_holds_every_valid_cell(seed):
+    inst = random_instance(random.Random(seed))
+    assert enumerate_cells(inst, (), CFG) == _valid_cells_by_definition(inst)
 
 
 def _region_samples(inst, cell, rng, count):
