@@ -7,9 +7,11 @@ feasibility reduces to per-cell checks and the leader's infimum to per-cell
 LPs. Cell regions are half open: the floor rows hold as r_i <= B_i z + u_i <
 r_i + 1, the upper-level rows and z >= 0 are closed.
 
-The index of valid cells walks the floor vectors first: one walk over r on
-the upper system in (x, z), x continuous, and at each reachable r one
-integer solve of the follower gives the responses x to pair with it.
+The index of valid cells walks the floor vectors once: one walk over r on
+the upper system in (x, z), x continuous, carrying the integer x of the
+upper region that fit the floors chosen so far; at each reachable r one
+integer solve of the follower gives its optimum, and the carried x at that
+value are the responses to pair with r.
 """
 from __future__ import annotations
 
@@ -19,7 +21,7 @@ from typing import Iterable, Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError, ValidationError
-from .lattice import MixedPattern, enumerate_integers, integer_min, mixed_feasible
+from .lattice import MixedPattern, integer_min, mixed_feasible
 from .linear import (LinRow, LinearSystem, lp_solve, recession_bounded, row_eq, row_le,
                      row_lt, strict_feasible_point, _bounded_system)
 from .rational import QMatrix, QVector, Rat, ceil_rat, floor_rat
@@ -325,18 +327,23 @@ class CellEntry:
 class CellIndex:
     """Lex-ordered valid cells of an instance, built once and reused.
 
-    The build walks the floor vector r once, on the closed upper system in
-    (x, z) with x continuous. At row i it takes the range of B_i z over the
-    rows chosen so far and, for each floor r_i in it, adds r_i <= B_i z +
-    u_i <= r_i + 1 and the response row A_i x <= r_i; a zero row of B has
-    the one floor floor(u_i) and needs no LP. A valid cell (x, r) has a
-    point z in its region, and (x, z) meets every row the walk adds for r,
-    so the walk reaches every r a valid cell has. At a leaf r the follower's feasible set {x : A x <= r} is fixed:
-    one integer_min gives its optimum and one enumerate_integers its argmin,
-    which are exactly the x that no response improves on by 1 or more
-    (psi, x and r are integral). Each such (x, r) with a strictly feasible
-    cell_region is a valid cell. Entries are sorted by (x, r). cell_cap
-    counts the walk's leaves and the (x, r) pairs of their argmins.
+    The build lists the x candidates once: the integer x of the upper
+    region, each with A x and psi . x. It then walks the floor vector r once,
+    on the closed upper system in (x, z) with x continuous. At row i it takes
+    the range of B_i z over the rows chosen so far and, for each floor r_i
+    in it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row A_i x <=
+    r_i and keeps the candidates with A_i x <= r_i; a floor that keeps none
+    is not entered, and a zero row of B has the one floor floor(u_i) and
+    needs no LP. A valid cell (x, r) has a point z in its region, and (x, z)
+    meets every row the walk adds for r, so the walk reaches every r a valid
+    cell has with x still among its candidates. At a leaf r one integer_min
+    over {A x <= r} gives the follower's optimum; the x that no response
+    improves on by 1 or more are exactly those with psi . x equal to it
+    (psi, x and r are integral), so the leaf pairs r with the candidates at
+    that value and keeps each (x, r) whose cell_region is strictly feasible.
+    A leaf never lists the follower's argmin, which may be far wider than
+    the upper region. Entries are sorted by (x, r). cell_cap counts the
+    candidate walk's values, the leaves and the (x, r) pairs tested.
     """
 
     def __init__(self, inst: Instance, config: SolverConfig):
@@ -345,16 +352,22 @@ class CellIndex:
         self.entries = self._build()
 
     def _build(self):
+        inst, config = self.instance, self.config
         entries, budget = [], [0]
-        self._walk_floors(self.instance.upper_system(), [], entries, budget)
+        upper = inst.upper_system()
+        candidates = []
+        for x in integer_candidates(upper.rows, inst.joint_dim(), inst.n, config, budget):
+            xv = QVector(x)
+            candidates.append((x, inst.A.matvec(xv).entries, inst.psi.dot(xv)))
+        self._walk_floors(upper, [], candidates, entries, budget)
         entries.sort(key=lambda e: (e.cell.x, e.cell.r))
         return entries
 
-    def _walk_floors(self, system, r_prefix, entries, budget):
+    def _walk_floors(self, system, r_prefix, candidates, entries, budget):
         inst, config = self.instance, self.config
         i = len(r_prefix)
         if i == inst.m:
-            self._add_argmin_cells(tuple(r_prefix), entries, budget)
+            self._add_optimal_cells(tuple(r_prefix), candidates, entries, budget)
             return
         uv = inst.u.entries[i]
         if not any(inst.B.entries[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
@@ -370,25 +383,27 @@ class CellIndex:
             floors = range(floor_rat(mn.value + uv), floor_rat(mx.value + uv) + 1)
         response = inst.A.entries[i] + (Fraction(0),) * inst.d
         for ri in floors:
+            fits = [cand for cand in candidates if cand[1][i] <= ri]
+            if not fits:
+                continue
             rows = _nonconstant([row_le(response, ri)]
                                 + _floor_rows(inst, i, ri, row_le, inst.n))
             if rows is not None:
-                self._walk_floors(system.with_rows(rows), r_prefix + [ri], entries, budget)
+                self._walk_floors(system.with_rows(rows), r_prefix + [ri], fits, entries, budget)
 
-    def _add_argmin_cells(self, r, entries, budget):
+    def _add_optimal_cells(self, r, candidates, entries, budget):
         inst, config = self.instance, self.config
         _charge(budget, config)
-        follower = inst.follower_system(r)
-        opt = integer_min(inst.psi, follower, config=config)
+        opt = integer_min(inst.psi, inst.follower_system(r), config=config)
         if not opt.is_optimal:
-            return
-        argmin = follower.with_rows([row_eq(inst.psi.entries, opt.value)])
-        for x in enumerate_integers(argmin, config):
-            _charge(budget, config)
-            cell = Cell(x.entries, r)
-            region = cell_region(inst, cell)
-            if strict_feasible_point(region, config) is not None:
-                entries.append(CellEntry(cell, region))
+            raise InternalInvariantError("follower has a response at r yet integer_min found none")
+        for x, _, value in candidates:
+            if value == opt.value:
+                _charge(budget, config)
+                cell = Cell(x, r)
+                region = cell_region(inst, cell)
+                if strict_feasible_point(region, config) is not None:
+                    entries.append(CellEntry(cell, region))
 
 
 def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellIndex:

@@ -11,8 +11,9 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # per cell index: floor-walk leaves r plus the (x, r) pairs of their
-    # follower argmins; per integer candidate walk: integer values tried
+    # per integer candidate walk: integer values tried; per cell index, that
+    # count for its x candidates plus the floor-walk leaves r and the
+    # optimal responses (x, r) found at them
     cell_cap: int = 10**6
     integer_point_cap: int = 10**6   # points emitted by enumerate_integers
     basis_cap: int = 10**6           # row subsets tried during vertex enumeration

@@ -191,17 +191,14 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
 
 
 def infimum(prob, config: SolverConfig = DEFAULT_CONFIG, telemetry=None,
-            scan: Optional[DecisionScan] = None, bounds: Optional[tuple] = None) -> Fraction:
-    """Exact infimum of a feasible mixed problem.
-
-    `bounds` is objective_bounds(prob, config) when the caller has it already.
-    """
+            scan: Optional[DecisionScan] = None) -> Fraction:
+    """Exact infimum of a feasible mixed problem."""
     prob = as_problem(prob)
     if prob.variant == PURE:
         raise ValueError("infimum handles the mixed variant; use solve_pure")
     if telemetry is None:
         telemetry = Telemetry()
-    v_lo, v_hi = objective_bounds(prob, config) if bounds is None else bounds
+    v_lo, v_hi = objective_bounds(prob, config)
     if scan is None:
         scan = DecisionScan(prob, config)
 
@@ -332,10 +329,6 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     inst = prob.base
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    try:
-        bounds = objective_bounds(prob, config)
-    except InfeasibleRelaxationError:
-        return report
     joint = inst.upper_system().with_rows(
         inst.follower_relax_rows() + [r.closed() for r in prob.effective_extras()])
     pattern = MixedPattern(inst.joint_dim(), frozenset(range(inst.n)))
@@ -345,7 +338,7 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     scan = DecisionScan(prob, config)
     telemetry.cells = len(cell_index(inst, config).entries)
     try:
-        v_star = infimum(prob, config, telemetry, scan, bounds)
+        v_star = infimum(prob, config, telemetry, scan)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star

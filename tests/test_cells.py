@@ -151,14 +151,15 @@ def test_cell_cap_enforced(example1):
 
 
 def test_cell_cap_messages_name_the_cap(example1):
-    # example1's floor walk has two leaves, r = (-1, 1, 0) and (0, 1, 0), and
-    # the follower argmin at each has one x, so the cap counts leaf, pair, leaf,
-    # pair: cap 1 stops at the first argmin pair, cap 2 at the second leaf and
-    # cap 3 at the second pair; cap 4 lets the whole build through.
-    for cap in (1, 2, 3):
+    # The cap counts example1's two x candidates, x = 0 and 1, then per leaf
+    # of the floor walk, r = (-1, 1, 0) and (0, 1, 0), the leaf and its one
+    # optimal response: cap 1 stops the candidate walk, caps 2 and 4 stop at
+    # the first and second leaf, caps 3 and 5 at their responses; cap 6 lets
+    # the whole build through.
+    for cap in (1, 2, 3, 4, 5):
         with pytest.raises(ResourceLimitError, match=f"^cell_cap={cap}: cell enumeration cap"):
             enumerate_cells(example1, (), SolverConfig(cell_cap=cap))
-    assert len(enumerate_cells(example1, (), SolverConfig(cell_cap=4))) == 2
+    assert len(enumerate_cells(example1, (), SolverConfig(cell_cap=6))) == 2
 
 
 # ---------------------------------------------------------- invariant suites
@@ -197,6 +198,22 @@ def test_index_holds_every_valid_cell_examples(example1):
 def test_index_holds_every_valid_cell(seed):
     inst = random_instance(random.Random(seed))
     assert enumerate_cells(inst, (), CFG) == _valid_cells_by_definition(inst)
+
+
+@pytest.mark.parametrize("psi", [(0, 0), (1, 0)])
+def test_index_reads_argmin_only_inside_the_upper_region(psi):
+    # The follower box -1 <= x_j <= 1000 is fixed (B = 0) and its argmin
+    # holds about 10**6 points for psi = 0 and 1,002 for psi = (1, 0); the
+    # upper region keeps |x_j| <= 1, so only 9 and 3 of them make cells.
+    inst = Instance(
+        n=2, d=1,
+        A=[[1, 0], [-1, 0], [0, 1], [0, -1]], B=[[0], [0], [0], [0]],
+        C=[[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], D=[[0], [0], [0], [0], [1]],
+        c=[0, 0], e=[1], psi=list(psi), u=[1000, 1, 1000, 1], p=[1, 1, 1, 1, 1],
+    )
+    cells = enumerate_cells(inst, (), CFG)
+    assert cells == _valid_cells_by_definition(inst)
+    assert len(cells) == (9 if psi == (0, 0) else 3)
 
 
 def _region_samples(inst, cell, rng, count):
