@@ -21,9 +21,9 @@ from typing import Iterable, Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError, ValidationError
-from .lattice import MixedPattern, integer_min, mixed_feasible
+from .lattice import MixedPattern, integer_min_value, mixed_feasible
 from .linear import (LinRow, LinearSystem, lp_solve, recession_bounded, row_eq, row_le,
-                     row_lt, strict_feasible_point, _bounded_system)
+                     row_lt, strict_feasible_point, substitute_first, _bounded_system)
 from .rational import QMatrix, QVector, Rat, ceil_rat, floor_rat
 
 
@@ -261,22 +261,14 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
     follower = inst.follower_system_at(z)
     if not follower.satisfied_by(xv):
         return False
-    opt = integer_min(inst.psi, follower, config=config)
-    if not opt.is_optimal:
+    opt = integer_min_value(inst.psi, follower, config)
+    if opt is None:
         raise InternalInvariantError("follower was feasible at x yet integer_min found nothing")
-    return opt.value == inst.psi.dot(xv)
+    return opt == inst.psi.dot(xv)
 
 
 # ---------------------------------------------------------------------------
 # enumeration and the per-instance index
-
-
-def _substitute_first(rows, value: Fraction):
-    out = []
-    for r in rows:
-        coeffs = r.coeffs.entries
-        out.append(LinRow(QVector(coeffs[1:]), r.rhs - coeffs[0] * value, r.rel))
-    return out
 
 
 def _charge(budget, config: SolverConfig):
@@ -312,7 +304,7 @@ def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
             raise InternalInvariantError("candidate enumeration hit an unbounded direction")
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
             _charge(budget, config)
-            walk(prefix + [v], _substitute_first(cur, Fraction(v)), remaining_first - 1)
+            walk(prefix + [v], substitute_first(cur, Fraction(v)), remaining_first - 1)
 
     walk([], list(rows), count)
     return out
@@ -336,11 +328,12 @@ class CellIndex:
     is not entered, and a zero row of B has the one floor floor(u_i) and
     needs no LP. A valid cell (x, r) has a point z in its region, and (x, z)
     meets every row the walk adds for r, so the walk reaches every r a valid
-    cell has with x still among its candidates. At a leaf r one integer_min
-    over {A x <= r} gives the follower's optimum; the x that no response
-    improves on by 1 or more are exactly those with psi . x equal to it
-    (psi, x and r are integral), so the leaf pairs r with the candidates at
-    that value and keeps each (x, r) whose cell_region is strictly feasible.
+    cell has with x still among its candidates. At a leaf r one
+    integer_min_value over {A x <= r} gives the follower's optimal value;
+    the x that no response improves on by 1 or more are exactly those with
+    psi . x equal to it (psi, x and r are integral), so the leaf pairs r with
+    the candidates at that value and keeps each (x, r) whose cell_region is
+    strictly feasible.
     A leaf never lists the follower's argmin, which may be far wider than
     the upper region. Entries are sorted by (x, r). cell_cap counts the
     candidate walk's values, the leaves and the (x, r) pairs tested.
@@ -394,11 +387,11 @@ class CellIndex:
     def _add_optimal_cells(self, r, candidates, entries, budget):
         inst, config = self.instance, self.config
         _charge(budget, config)
-        opt = integer_min(inst.psi, inst.follower_system(r), config=config)
-        if not opt.is_optimal:
+        opt = integer_min_value(inst.psi, inst.follower_system(r), config)
+        if opt is None:
             raise InternalInvariantError("follower has a response at r yet integer_min found none")
         for x, _, value in candidates:
-            if value == opt.value:
+            if value == opt:
                 _charge(budget, config)
                 cell = Cell(x, r)
                 region = cell_region(inst, cell)

@@ -4,8 +4,11 @@ decide_le answers "is there a bilevel-feasible point, satisfying the extra
 rows, with objective at most alpha"; decide_eq asks for exact equality and
 hands back a witness; witness_le hands back the witness of decide_le;
 decide_le_pure is the all-integer variant. The three mixed queries are each
-one pass of DecisionScan.hits, the only loop over the cells here. These are
-the only queries the search engine ever makes.
+one pass of DecisionScan.hits, the only loop over the cells here. The
+all-integer variant's one loop is pure_responses, the table of the best
+leader response at each integer z: decide_le_pure is one pass of it, and the
+pure driver lists it once per solve and answers every threshold query from
+the list.
 """
 from __future__ import annotations
 
@@ -16,7 +19,7 @@ from typing import Optional
 
 from .cells import Cell, Instance, cell_index, integer_candidates, specialize_row
 from .config import DEFAULT_CONFIG, SolverConfig
-from .lattice import integer_min
+from .lattice import integer_min, integer_min_value
 from .linear import (LT, LinRow, LinearSystem, row_eq, row_le,
                      strict_feasible_point)
 from .rational import QVector, floor_rat
@@ -202,54 +205,67 @@ def fix_z_suffix(row: LinRow, z: QVector, n: int) -> Optional[LinRow]:
     return None if truth else row_le([0] * n, -1)
 
 
-def decide_le_pure(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
-                   telemetry=None) -> bool:
-    """All-integer variant: leader z is integral too.
+def z_first(rows, n: int) -> list:
+    """Rows over (x, z) rewritten over (z, x), so that integer_candidates
+    lists the leader's z first."""
+    out = []
+    for r in rows:
+        co = r.coeffs.entries
+        out.append(LinRow(QVector(co[n:] + co[:n]), r.rhs, r.rel))
+    return out
 
-    Enumerates integer z over the closed joint relaxation, solves the
-    follower exactly at each z, then minimizes the leader objective over
-    the follower's argmin under upper rows and extras.
+
+def pure_responses(prob, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
+    """The all-integer variant's response table, one entry per leader z.
+
+    Lists the integer z of the closed joint relaxation (upper rows, follower
+    relaxation, extras tightened to closed rows over integers, and value <=
+    alpha when alpha is given) in lex order. At each z it solves the
+    follower, fixes the upper rows and extras at z, and minimizes the
+    leader's objective over the follower's argmin under them; when that set
+    is nonempty it yields (value, x, z) with x its lex-least minimizer and x
+    and z as tuples of ints. Every bilevel-feasible point of value v at a
+    listed z has an entry of value <= v at that z.
     """
-    if telemetry is not None:
-        telemetry.decision_queries += 1
     prob = as_problem(prob)
     inst = prob.base
-    alpha = Fraction(alpha)
     obj = prob.effective_objective()
     obj_z = QVector(obj.entries[inst.n:])
     obj_x = QVector(obj.entries[:inst.n])
     extras = [strictify_for_integers(r) for r in prob.effective_extras()]
     if any(r.constant_truth() is False for r in extras):
-        return False
-
+        return
+    fixable = inst.upper_rows() + extras
     joint = inst.upper_rows() + inst.follower_relax_rows() + extras
-    joint.append(row_le(obj.entries, alpha))
-    swapped = []
-    for r in joint:
-        co = r.coeffs.entries
-        swapped.append(LinRow(QVector(co[inst.n:] + co[:inst.n]), r.rhs, r.rel))
+    if alpha is not None:
+        joint.append(row_le(obj.entries, alpha))
     budget = [0]
-    for z_ints in integer_candidates(swapped, inst.joint_dim(), inst.d, config, budget):
+    for z_ints in integer_candidates(z_first(joint, inst.n), inst.joint_dim(), inst.d,
+                                     config, budget):
         z = QVector([Fraction(v) for v in z_ints])
         follower = inst.follower_system_at(z)
-        fopt = integer_min(inst.psi, follower, config=config)
-        if not fopt.is_optimal:
+        fopt = integer_min_value(inst.psi, follower, config)
+        if fopt is None:
             continue
-        leader_rows = [row_eq(inst.psi.entries, fopt.value)]
-        dead = False
-        for r in inst.upper_rows() + extras:
-            fixed = fix_z_suffix(r, z, inst.n)
-            if fixed is None:
-                continue
-            if fixed.constant_truth() is False:
-                dead = True
-                break
-            leader_rows.append(fixed)
-        if dead:
+        fixed = [fix_z_suffix(r, z, inst.n) for r in fixable]
+        fixed = [r for r in fixed if r is not None]
+        if any(r.constant_truth() is False for r in fixed):
             continue
-        lopt = integer_min(obj_x, follower.with_rows(leader_rows), config=config)
-        if not lopt.is_optimal:
-            continue
-        if lopt.value + obj_z.dot(z) <= alpha:
-            return True
-    return False
+        leader = follower.with_rows([row_eq(inst.psi.entries, fopt)] + fixed)
+        lopt = integer_min(obj_x, leader, config=config)
+        if lopt.is_optimal:
+            x = tuple(int(v) for v in lopt.point.entries)
+            yield lopt.value + obj_z.dot(z), x, z_ints
+
+
+def decide_le_pure(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
+                   telemetry=None) -> bool:
+    """All-integer variant: leader z is integral too.
+
+    One pass of pure_responses with value <= alpha added to the relaxation,
+    stopping at the first entry of value <= alpha.
+    """
+    if telemetry is not None:
+        telemetry.decision_queries += 1
+    alpha = Fraction(alpha)
+    return any(v <= alpha for v, _, _ in pure_responses(prob, config, alpha))

@@ -7,8 +7,9 @@ the infimum is attained exactly when some cell's slice is nonempty, and
 then the lexicographically minimal optimum has x* the x of the lex-first
 such cell and z* from the floor-vector refinement and a barycenter of
 vertices. All of these queries share one DecisionScan. The pure driver
-runs the same search over integer leader points with plain integer
-snapping, and is always cross-checked against direct enumeration.
+lists the response table over integer leader points once, bisects over it
+with plain integer snapping and reads x* and z* from it; it is always
+cross-checked against direct enumeration.
 """
 from __future__ import annotations
 
@@ -20,10 +21,11 @@ from typing import Callable, Optional
 from .cells import bilevel_feasible, cell_index, cell_infimum, integer_candidates
 from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import (MIXED, PURE, DecisionScan, GeneralizedProblem, as_problem, decide_le,
-                     decide_le_pure, fix_z_suffix, strictify_for_integers, witness_le)
+                     fix_z_suffix, pure_responses, strictify_for_integers, witness_le,
+                     z_first)
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
-from .lattice import MixedPattern, enumerate_integers, integer_min, mixed_feasible
-from .linear import (LinRow, LinearSystem, affinely_independent_vertices, lp_solve, row_eq,
+from .lattice import MixedPattern, enumerate_integers, integer_min_value, mixed_feasible
+from .linear import (LinearSystem, affinely_independent_vertices, lp_solve, row_eq,
                      strict_feasible_point)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
 
@@ -367,56 +369,33 @@ def _as_pure(prob) -> GeneralizedProblem:
 
 
 def _pure_driver(prob: GeneralizedProblem, config: SolverConfig, telemetry):
-    """Bisection-based pure solve: (v*, x*, z*) or None when infeasible."""
-    inst = prob.base
+    """Bisection-based pure solve: (v*, x*, z*) or None when infeasible.
+
+    Lists the response table (pure_responses) once. Each threshold query of
+    the bisection is a scan of that list, counted as one decision query, and
+    v* is snapped from the final width-< 1 interval. (x*, z*) is the least
+    (x, z) among the entries of value v*: an optimal point (x, z) minimizes
+    the leader's objective at its z, so the entry at z has value v* and an x
+    no larger, and the least such entry is the lex-least optimum.
+    """
     try:
         v_lo, v_hi = objective_bounds(prob, config)
     except InfeasibleRelaxationError:
         return None
+    table = list(pure_responses(prob, config))
 
-    def dec(alpha, sub=prob):
-        return decide_le_pure(sub, alpha, config, telemetry)
+    def dec(alpha):
+        telemetry.decision_queries += 1
+        return any(v <= alpha for v, _, _ in table)
 
     if not dec(v_hi):
         return None
     v_star = Fraction(_integer_bisect(dec, v_lo - 1, v_hi, telemetry))
-
-    obj = prob.effective_objective()
-    extras = prob.extra_rows + (row_eq(obj.entries, v_star),)
-    dim = inst.joint_dim()
-    prefix = list(prob.fixed_x_prefix)
-    for j in range(len(prefix), inst.n):
-        unit = [Fraction(0)] * dim
-        unit[j] = Fraction(1)
-        sub = GeneralizedProblem(inst, extras, tuple(prefix), QVector(unit), PURE)
-        s_lo, s_hi = objective_bounds(sub, config)
-
-        def dec_j(alpha, sub=sub):
-            return decide_le_pure(sub, alpha, config, telemetry)
-
-        if not dec_j(s_hi):
-            raise InternalInvariantError("pure value-equality subproblem is infeasible")
-        prefix.append(_integer_bisect(dec_j, s_lo - 1, s_hi, telemetry))
-    x_star = tuple(prefix)
-
-    z_vals = []
-    zfix = []
-    for j in range(inst.d):
-        unit = [Fraction(0)] * dim
-        unit[inst.n + j] = Fraction(1)
-        sub = GeneralizedProblem(inst, extras + tuple(zfix), x_star, QVector(unit), PURE)
-        s_lo, s_hi = objective_bounds(sub, config)
-
-        def dec_j(alpha, sub=sub):
-            return decide_le_pure(sub, alpha, config, telemetry)
-
-        if not dec_j(s_hi):
-            raise InternalInvariantError("pure leader-component subproblem is infeasible")
-        zj = _integer_bisect(dec_j, s_lo - 1, s_hi, telemetry)
-        z_vals.append(zj)
-        zfix.append(row_eq(unit, zj))
-    z_star = QVector([Fraction(v) for v in z_vals])
-    return v_star, x_star, z_star
+    optima = [(x, z) for v, x, z in table if v == v_star]
+    if not optima:
+        raise InternalInvariantError(f"no table entry has the bisected value {v_star}")
+    x_star, z_ints = min(optima)
+    return v_star, x_star, QVector([Fraction(v) for v in z_ints])
 
 
 def _pure_enumeration(prob: GeneralizedProblem, config: SolverConfig):
@@ -425,19 +404,16 @@ def _pure_enumeration(prob: GeneralizedProblem, config: SolverConfig):
     obj = prob.effective_objective()
     extras = [strictify_for_integers(r) for r in prob.effective_extras()]
     rows = inst.upper_rows() + inst.follower_relax_rows() + extras
-    swapped = []
-    for r in rows:
-        co = r.coeffs.entries
-        swapped.append(LinRow(QVector(co[inst.n:] + co[:inst.n]), r.rhs, r.rel))
     budget = [0]
     best = None
-    for z_ints in integer_candidates(swapped, inst.joint_dim(), inst.d, config, budget):
+    for z_ints in integer_candidates(z_first(rows, inst.n), inst.joint_dim(), inst.d,
+                                     config, budget):
         z = QVector([Fraction(v) for v in z_ints])
         follower = inst.follower_system_at(z)
-        fopt = integer_min(inst.psi, follower, config=config)
-        if not fopt.is_optimal:
+        fopt = integer_min_value(inst.psi, follower, config)
+        if fopt is None:
             continue
-        response_rows = [row_eq(inst.psi.entries, fopt.value)]
+        response_rows = [row_eq(inst.psi.entries, fopt)]
         dead = False
         for r in inst.upper_rows() + extras:
             fixed = fix_z_suffix(r, z, inst.n)

@@ -13,7 +13,7 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (LinRow, LinearSystem, LpOutcome, lp_solve, row_eq, row_le,
+from .linear import (LinearSystem, LpOutcome, lp_solve, row_eq, row_le, substitute_first,
                      _projection_bounded)
 from .rational import QVector, ceil_rat, floor_rat
 
@@ -152,28 +152,34 @@ def _bb_min_value(objective: QVector, sys: LinearSystem, coords,
     return best
 
 
+def integer_min_value(objective: QVector, sys: LinearSystem,
+                      config: SolverConfig = DEFAULT_CONFIG) -> Optional[Fraction]:
+    """Exact integer minimum value of the objective, None when no integer
+    point exists. The feasible region must be bounded."""
+    _require_closed(sys)
+    if objective.dim != sys.dim:
+        raise ValueError("objective dimension mismatch")
+    _check_bounded(sys, range(sys.dim), config, "integer_min needs a bounded feasible region")
+    return _bb_min_value(objective, sys, range(sys.dim), config)
+
+
 def integer_min(objective: QVector, sys: LinearSystem,
                 pattern: Optional[MixedPattern] = None,
                 config: SolverConfig = DEFAULT_CONFIG) -> LpOutcome:
     """Exact integer minimum with the lexicographically smallest optimum.
 
     The pattern must mark every coordinate integer; the feasible region must
-    be bounded. Stage one finds the optimum value by branch and bound, stage
+    be bounded. Stage one finds the optimum value (integer_min_value), stage
     two fixes coordinates left to right at their minimum values.
     """
-    _require_closed(sys)
     if pattern is None:
         pattern = MixedPattern.all_integer(sys.dim)
     if pattern.dim != sys.dim or pattern.integer_coords != frozenset(range(sys.dim)):
         raise ValueError("integer_min needs an all-integer pattern")
-    if objective.dim != sys.dim:
-        raise ValueError("objective dimension mismatch")
-    _check_bounded(sys, range(sys.dim), config, "integer_min needs a bounded feasible region")
-
-    coords = list(range(sys.dim))
-    best = _bb_min_value(objective, sys, coords, config)
+    best = integer_min_value(objective, sys, config)
     if best is None:
         return LpOutcome("infeasible")
+    coords = range(sys.dim)
     cur = sys.with_rows([row_eq(objective.entries, best)])
     point = []
     for j in coords:
@@ -199,13 +205,6 @@ def enumerate_integers(sys: LinearSystem,
             raise ResourceLimitError(
                 f"integer_point_cap={config.integer_point_cap}: integer point cap exceeded")
 
-    def substitute(rows, value):
-        reduced = []
-        for r in rows:
-            coeffs = r.coeffs.entries
-            reduced.append(LinRow(QVector(coeffs[1:]), r.rhs - coeffs[0] * value, r.rel))
-        return reduced
-
     def walk(prefix, rows, remaining):
         if remaining == 0:
             if all(r.constant_truth() for r in rows):
@@ -220,7 +219,7 @@ def enumerate_integers(sys: LinearSystem,
         if not (lo_out.is_optimal and hi_out.is_optimal):
             _raise_unbounded()
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
-            walk(prefix + [Fraction(v)], substitute(rows, Fraction(v)), remaining - 1)
+            walk(prefix + [Fraction(v)], substitute_first(rows, Fraction(v)), remaining - 1)
 
     walk([], list(sys.rows), sys.dim)
     return out

@@ -148,6 +148,15 @@ def row_lt(coeffs: Iterable, rhs) -> LinRow:
     return LinRow(QVector(coeffs), Fraction(rhs), LT)
 
 
+def substitute_first(rows, value) -> list:
+    """Rows over (y_0, y_1, ...) with y_0 fixed at value, as rows over (y_1, ...)."""
+    out = []
+    for r in rows:
+        coeffs = r.coeffs.entries
+        out.append(LinRow(QVector(coeffs[1:]), r.rhs - coeffs[0] * value, r.rel))
+    return out
+
+
 @dataclass(frozen=True, slots=True)
 class LinearSystem:
     """A finite set of rows over a fixed ambient dimension.

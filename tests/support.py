@@ -158,6 +158,36 @@ def _brute_feasible(inst, x, z):
     return True
 
 
+def brute_pure_points(inst, z_hi=4, x_box=5):
+    """Every point of the all-integer bilevel feasible set F' inside the grid
+    0 <= z_j <= z_hi, |x_j| <= x_box, as (value, x, z) with integer tuples.
+
+    The follower's optimum at each z is taken over the grid's x only, so the
+    answer is exact when the grid holds the follower's feasible set at every
+    grid z and the whole upper region.
+    """
+    out = []
+    for ztup in itertools.product(range(0, z_hi + 1), repeat=inst.d):
+        rhs = [sum(b * zv for b, zv in zip(br, ztup)) + uv
+               for br, uv in zip(inst.B.entries, inst.u.entries)]
+        responses = [x for x in itertools.product(range(-x_box, x_box + 1), repeat=inst.n)
+                     if all(sum(a * xv for a, xv in zip(ar, x)) <= rv
+                            for ar, rv in zip(inst.A.entries, rhs))]
+        if not responses:
+            continue
+        best = min(sum(pv * xv for pv, xv in zip(inst.psi.entries, x)) for x in responses)
+        for x in responses:
+            if sum(pv * xv for pv, xv in zip(inst.psi.entries, x)) != best:
+                continue
+            if all(sum(cv * xv for cv, xv in zip(cr, x))
+                   + sum(dv * zv for dv, zv in zip(dr, ztup)) <= pp
+                   for cr, dr, pp in zip(inst.C.entries, inst.D.entries, inst.p.entries)):
+                value = (sum(cv * xv for cv, xv in zip(inst.c.entries, x))
+                         + sum(ev * zv for ev, zv in zip(inst.e.entries, ztup)))
+                out.append((value, x, ztup))
+    return out
+
+
 def simplest_in_interval_scan(lo, hi, qmax):
     """All lowest-terms rationals with denominator <= qmax inside [lo, hi]."""
     found = []

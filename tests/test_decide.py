@@ -1,4 +1,3 @@
-import itertools
 import random
 from fractions import Fraction
 
@@ -7,37 +6,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from conftest import MIXED_SEED
-from bilevel_exact import (DEFAULT_CONFIG, DecisionScan, GeneralizedProblem, QVector,
-                           bilevel_feasible, cell_infimum, decide_eq, decide_le,
-                           decide_le_pure, enumerate_cells, random_instance, row_le,
-                           row_lt, solve_mixed)
-from bilevel_exact.decide import witness_le
+from conftest import MIXED_SEED, PURE_SEED
+from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, DecisionScan, GeneralizedProblem,
+                           InfeasibleRelaxationError, QVector, bilevel_feasible, cell_infimum,
+                           decide_eq, decide_le, decide_le_pure, enumerate_cells,
+                           objective_bounds, random_instance, row_le, row_lt, solve_mixed,
+                           solve_pure)
+from bilevel_exact.decide import pure_responses, witness_le
 
 CFG = DEFAULT_CONFIG
 
 
 def brute_pure_values(inst, z_hi=4, x_box=5):
     """All objective values of F' (integer leader and follower), by grid scan."""
-    vals = []
-    for ztup in itertools.product(range(0, z_hi + 1), repeat=inst.d):
-        rhs = [sum(b * zv for b, zv in zip(br, ztup)) + uv
-               for br, uv in zip(inst.B.entries, inst.u.entries)]
-        responses = [x for x in itertools.product(range(-x_box, x_box + 1), repeat=inst.n)
-                     if all(sum(a * xv for a, xv in zip(ar, x)) <= rv
-                            for ar, rv in zip(inst.A.entries, rhs))]
-        if not responses:
-            continue
-        best = min(sum(pv * xv for pv, xv in zip(inst.psi.entries, x)) for x in responses)
-        for x in responses:
-            if sum(pv * xv for pv, xv in zip(inst.psi.entries, x)) != best:
-                continue
-            if all(sum(cv * xv for cv, xv in zip(cr, x))
-                   + sum(dv * zv for dv, zv in zip(dr, ztup)) <= pp
-                   for cr, dr, pp in zip(inst.C.entries, inst.D.entries, inst.p.entries)):
-                vals.append(sum(cv * xv for cv, xv in zip(inst.c.entries, x))
-                            + sum(ev * zv for ev, zv in zip(inst.e.entries, ztup)))
-    return vals
+    return [v for v, _, _ in support.brute_pure_points(inst, z_hi, x_box)]
 
 
 # ------------------------------------------------------------ frozen examples
@@ -125,6 +107,36 @@ def test_decision_scan_matches_decide_le(example1):
         for k, alpha in enumerate(alphas):
             for call in calls[k % 3:] + calls[:k % 3]:
                 assert call(inst, alpha, CFG, scan=scan) == call(inst, alpha, CFG)
+
+
+def _pure_table_inputs(example1):
+    """example1, an empty F', extras with a fixed x prefix, and pure
+    acceptance-distribution instances until ten of them are feasible."""
+    out = [example1, support.make_empty_follower_pure(),
+           GeneralizedProblem(base=example1, extra_rows=(row_lt([0, -1], 0), row_le([1, 1], 2)),
+                              fixed_x_prefix=(1,))]
+    rng = random.Random(PURE_SEED)
+    feasible = 0
+    while feasible < 10:
+        inst = random_instance(rng)
+        out.append(inst)
+        feasible += solve_pure(inst, config=CFG).status == ATTAINED
+    return out
+
+
+def test_pure_table_matches_decide_le_pure(example1):
+    # the driver answers every query from one table listed without an alpha
+    # row; each answer must equal a fresh decide_le_pure at that alpha
+    for prob in _pure_table_inputs(example1):
+        try:
+            v_lo, v_hi = objective_bounds(prob, CFG)
+        except InfeasibleRelaxationError:
+            v_lo = v_hi = Fraction(0)
+        v_star = solve_pure(prob, config=CFG).infimum
+        base = v_lo if v_star is None else v_star
+        table = list(pure_responses(prob, CFG))
+        for alpha in (base - 1, base - Fraction(1, 2), base, base + Fraction(1, 2), v_hi):
+            assert any(v <= alpha for v, _, _ in table) == decide_le_pure(prob, alpha, CFG)
 
 
 # ------------------------------------------------------------------ properties

@@ -11,10 +11,11 @@ from conftest import MIXED_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
                            GeneralizedProblem, InfeasibleProblemError,
                            InfeasibleRelaxationError, Instance, InternalInvariantError,
-                           QVector, Telemetry, bilevel_feasible, bisect_decision, decide_eq,
-                           decide_le, denominator_cap, disagreement, eps_point, infimum,
-                           lex_extract, objective_bounds, random_instance, rational_reconstruct,
-                           reference_oracle, row_le, solve_mixed, solve_pure)
+                           LinearSystem, QVector, Telemetry, bilevel_feasible,
+                           bisect_decision, decide_eq, decide_le, denominator_cap,
+                           disagreement, eps_point, infimum, lex_extract, objective_bounds,
+                           random_instance, rational_reconstruct, reference_oracle, row_le,
+                           solve_mixed, solve_pure)
 
 CFG = DEFAULT_CONFIG
 
@@ -266,6 +267,48 @@ def test_solve_pure_examples(example1):
 def test_solve_pure_empty_follower_set():
     rep = solve_pure(support.make_empty_follower_pure(), config=CFG)
     assert rep.status == INFEASIBLE
+
+
+def _check_pure_against_grid(inst, z_hi=4, x_box=5):
+    # the grid must hold the upper region and the follower's feasible set at
+    # every grid z, or the brute force would not be exact
+    z_box = []
+    for j in range(inst.d):
+        unit = [0] * inst.joint_dim()
+        unit[inst.n + j] = 1
+        z_box += [row_le(unit, z_hi), row_le([-v for v in unit], 0)]
+    follower = LinearSystem(inst.joint_dim(), inst.follower_relax_rows() + z_box)
+    for region in (inst.upper_system(), follower):
+        for vert in support.ref_vertices(region):
+            assert all(-x_box <= v <= x_box for v in vert[:inst.n])
+            assert all(0 <= v <= z_hi for v in vert[inst.n:])
+    points = support.brute_pure_points(inst, z_hi, x_box)
+    rep = solve_pure(inst, config=CFG)
+    if not points:
+        assert (rep.status, rep.infimum, rep.solution) == (INFEASIBLE, None, None)
+        return
+    value, x, z = min(points)
+    assert (rep.status, rep.infimum) == (ATTAINED, value)
+    assert (rep.solution[0], rep.solution[1].entries) == (x, tuple(map(Fraction, z)))
+
+
+def test_solve_pure_matches_grid_example(example1):
+    _check_pure_against_grid(example1)
+    _check_pure_against_grid(support.make_empty_follower_pure())
+    # every point of x + z = 1 in the unit box is optimal: lex order picks
+    # (x, z) = (0, 1), not the z-first (1, 0)
+    tie = Instance(n=1, d=1, A=[[1], [-1]], B=[[0], [0]],
+                   C=[[1], [-1], [1], [-1]], D=[[1], [-1], [0], [0]],
+                   c=[0], e=[0], psi=[0], u=[1, 0], p=[1, -1, 1, 0])
+    _check_pure_against_grid(tie)
+
+
+@settings(max_examples=30)
+@given(st.integers(0, 10**6))
+def test_solve_pure_matches_grid(seed):
+    # status, v*, x* and z* against the lex-least (value, x, z) of a grid
+    # scan that shares no code with either pure driver
+    _check_pure_against_grid(random_instance(random.Random(seed)))
 
 
 def test_reference_oracle_examples(example1):

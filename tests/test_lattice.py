@@ -8,6 +8,7 @@ import support
 from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, MixedPattern,
                            QVector, enumerate_integers, integer_min, mixed_feasible,
                            row_eq, row_le, row_lt)
+from bilevel_exact.lattice import integer_min_value
 
 
 def boxed_systems(dim=2, side=4):
@@ -83,6 +84,26 @@ def test_integer_min_matches_grid_scan(sys_, obj):
     assert out.tag == "optimal" and out.value == best
     lex_best = min(p for p, v in zip(pts, vals) if v == best)
     assert tuple(int(v) for v in out.point.entries) == lex_best
+
+
+@settings(max_examples=40)
+@given(boxed_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_integer_min_value_matches_grid_scan(sys_, obj):
+    pts = support.brute_integer_points(sys_, -4, 4)
+    got = integer_min_value(QVector(obj), sys_, DEFAULT_CONFIG)
+    if not pts:
+        assert got is None
+        return
+    assert got == min(sum(o * v for o, v in zip(obj, p)) for p in pts)
+
+
+def test_integer_min_value_guards():
+    with pytest.raises(ValueError):
+        integer_min_value(QVector([1]), LinearSystem(1, (row_lt([1], 1),)), DEFAULT_CONFIG)
+    with pytest.raises(ValueError):
+        integer_min_value(QVector([1, 0]), LinearSystem(1, (row_le([1], 1),)), DEFAULT_CONFIG)
+    with pytest.raises(BoundednessError):
+        integer_min_value(QVector([1]), LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
 
 
 def test_enumerate_integers_interval():
