@@ -304,7 +304,10 @@ def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
             raise InternalInvariantError("candidate enumeration hit an unbounded direction")
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
             _charge(budget, config)
-            walk(prefix + [v], substitute_first(cur, Fraction(v)), remaining_first - 1)
+            if remaining_first == 1:  # a leaf: nothing reads the substituted rows
+                out.append(tuple(prefix) + (v,))
+            else:
+                walk(prefix + [v], substitute_first(cur, Fraction(v)), remaining_first - 1)
 
     walk([], list(rows), count)
     return out

@@ -3,9 +3,20 @@
 decide_le answers "is there a bilevel-feasible point, satisfying the extra
 rows, with objective at most alpha"; decide_eq asks for exact equality and
 hands back a witness; witness_le hands back the witness of decide_le;
-decide_le_pure is the all-integer variant. The three mixed queries are each
-one pass of DecisionScan.hits, the only loop over the cells here. The
-all-integer variant's one loop is pure_responses, the table of the best
+decide_le_pure is the all-integer variant.
+
+The three mixed queries are each one pass of DecisionScan.hits, the only
+loop over the cells here. On one cell the objective is affine in z over a
+half-open region Q, and the thresholds alpha for which Q has a point of
+value <= alpha form a ray, [low, inf) or (low, inf), where low is the LP
+minimum of the objective over the closure of Q. A scan keeps each cell's
+low, found once by the first query that reaches the cell, and answers from
+it: a threshold below low skips the cell and a value <= alpha query above
+low is a hit, both without an LP. Only a threshold equal to low, and an
+equality query above it, run a strict-feasibility check; so does a witness
+request, to produce the point.
+
+The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
 pure driver lists it once per solve and answers every threshold query from
 the list.
@@ -19,8 +30,9 @@ from typing import Optional
 
 from .cells import Cell, Instance, cell_index, integer_candidates, specialize_row
 from .config import DEFAULT_CONFIG, SolverConfig
+from .errors import InternalInvariantError
 from .lattice import integer_min, integer_min_value
-from .linear import (LT, LinRow, LinearSystem, row_eq, row_le,
+from .linear import (LT, LinRow, LinearSystem, lp_solve, row_eq, row_le,
                      strict_feasible_point)
 from .rational import QVector, floor_rat
 
@@ -88,18 +100,31 @@ class _CellItem:
     cell: Cell
     obj_shift: Fraction   # objective restricted to the cell: shift + obj_z . z
     system: LinearSystem  # region plus specialized extras, over z
-    max_false: Optional[Fraction] = None
+    nonempty: Optional[bool] = None  # the system has a strictly feasible point
+    low: Optional[Fraction] = None   # min of obj_z over the system's closure
 
 
 class DecisionScan:
     """Reusable threshold oracle for one problem across many queries.
 
     Holds each valid cell, in lex order of (x, r), with its objective and
-    its region under the extras specialized to the cell's x; cells that an
-    extra row kills are dropped. Remembers per cell the largest alpha for
-    which {value <= alpha} missed the cell. That set only grows with alpha
-    and contains {value = alpha}, so the cutoff skips le, eq and witness
-    checks alike.
+    its region Q under the extras specialized to the cell's x; cells that an
+    extra row kills are dropped. Each cell keeps two facts, found the first
+    time a query reaches it: whether Q is nonempty (known without work when
+    no extra specializes to a row, since the index build proved the region
+    strictly feasible; else one strict-feasibility check), and `low`, the LP
+    minimum of the objective over the closure cl(Q).
+
+    Why `low` answers most queries exactly: when Q is nonempty, the closed
+    system cl(Q), its strict rows relaxed, is the closure of Q, so Q is
+    dense in it. For y in cl(Q) and q in Q, the points y + t (q - y) with
+    0 < t <= 1 meet the closed rows, meet every strict row strictly, and
+    tend to y as t -> 0. Taking y where the objective attains `low`, Q meets
+    {value <= alpha} for every alpha > low; as Q lies in cl(Q), it misses
+    {value <= alpha}, and so {value = alpha}, for every alpha < low. Only
+    alpha = low (is the minimum attained on Q?) and equality queries above
+    `low` (does Q reach that value?) need a strict-feasibility check of the
+    region with the value row.
     """
 
     def __init__(self, prob, config: SolverConfig = DEFAULT_CONFIG):
@@ -117,28 +142,52 @@ class DecisionScan:
                 continue
             shift = sum((a * b for a, b in zip(obj.entries[:inst.n], entry.cell.x)),
                         Fraction(0))
-            self.items.append(_CellItem(entry.cell, shift, entry.region.with_rows(sp)))
+            self.items.append(_CellItem(entry.cell, shift, entry.region.with_rows(sp),
+                                        nonempty=True if not sp else None))
 
-    def hits(self, row, alpha):
+    def low_of(self, it: _CellItem) -> Optional[Fraction]:
+        """The item's `low`, or None when its region is empty; computed once."""
+        if it.nonempty is None:
+            it.nonempty = strict_feasible_point(it.system, self.config) is not None
+        if it.nonempty and it.low is None:
+            out = lp_solve(it.system.closure(), self.obj_z, "min", self.config)
+            if not out.is_optimal:
+                raise InternalInvariantError("nonempty bounded cell region has no LP minimum")
+            it.low = out.value
+        return it.low if it.nonempty else None
+
+    def hits(self, row, alpha, witness: bool = True):
         """Cells whose region meets value <= alpha (row=row_le) or value =
         alpha (row=row_eq), in lex order: (cell, strictly feasible z, the
-        cell's system with the value row)."""
+        cell's system with the value row).
+
+        Beyond the item's own `low`, found once, a cell costs no LP when its
+        region is empty or alpha lies below its least value obj_shift + low
+        (skipped), nor when a value <= alpha query lies above that value (a
+        hit, whose z is None unless `witness` asks for it).
+        """
         alpha = Fraction(alpha)
         for it in self.items:
-            if it.max_false is not None and alpha <= it.max_false:
+            low = self.low_of(it)
+            target = alpha - it.obj_shift
+            if low is None or target < low:
                 continue
-            system = it.system.with_rows([row(self.obj_z.entries, alpha - it.obj_shift)])
+            system = it.system.with_rows([row(self.obj_z.entries, target)])
+            sure = row is row_le and target > low
+            if sure and not witness:
+                yield it.cell, None, system
+                continue
             z = strict_feasible_point(system, self.config)
             if z is not None:
                 yield it.cell, z, system
-            elif row is row_le:
-                it.max_false = alpha
+            elif sure:
+                raise InternalInvariantError("cell with a minimum below alpha has no witness")
 
 
-def _first_hit(prob, row, alpha, config, scan) -> Optional[tuple]:
+def _first_hit(prob, row, alpha, config, scan, witness=True) -> Optional[tuple]:
     if scan is None:
         scan = DecisionScan(prob, config)
-    for cell, z, _ in scan.hits(row, alpha):
+    for cell, z, _ in scan.hits(row, alpha, witness):
         return cell.x, z
     return None
 
@@ -153,7 +202,7 @@ def decide_le(prob, alpha, config: SolverConfig = DEFAULT_CONFIG,
     """
     if telemetry is not None:
         telemetry.decision_queries += 1
-    return _first_hit(prob, row_le, alpha, config, scan) is not None
+    return _first_hit(prob, row_le, alpha, config, scan, witness=False) is not None
 
 
 def decide_eq(prob, value, config: SolverConfig = DEFAULT_CONFIG,

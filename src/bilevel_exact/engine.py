@@ -6,10 +6,15 @@ oracle, reconstructs the exact rational from a width < 1/(2L^2) interval
 the infimum is attained exactly when some cell's slice is nonempty, and
 then the lexicographically minimal optimum has x* the x of the lex-first
 such cell and z* from the floor-vector refinement and a barycenter of
-vertices. All of these queries share one DecisionScan. The pure driver
-lists the response table over integer leader points once, bisects over it
-with plain integer snapping and reads x* and z* from it; it is always
-cross-checked against direct enumeration.
+vertices. All of these queries share one DecisionScan. It solves one LP per
+cell, the minimum of the objective over the cell's closure, and answers a
+bisection query from those minima: a cell whose minimum lies above the
+threshold is skipped and one whose minimum lies below it is a hit, since
+the half-open cell is dense in its closure. Strict-feasibility checks
+remain only where a threshold meets a cell's minimum, for the value slices
+and for witnesses. The pure driver lists the response table over integer
+leader points once, bisects over it with plain integer snapping and reads
+x* and z* from it; it is always cross-checked against direct enumeration.
 """
 from __future__ import annotations
 

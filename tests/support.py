@@ -74,8 +74,10 @@ def row_holds(row, point, closed=False):
 
 def ref_vertices(system):
     """All basic feasible points of the closure, by brute combination."""
-    dim = system.dim
-    rows = list(system.rows)
+    return _closure_vertices(list(system.rows), system.dim)
+
+
+def _closure_vertices(rows, dim):
     seen = set()
     out = []
     for combo in itertools.combinations(range(len(rows)), dim):
@@ -89,6 +91,22 @@ def ref_vertices(system):
             seen.add(key)
             out.append(pt)
     return out
+
+
+def ref_strictly_feasible(rows):
+    """Whether one point meets every closed row and every strict row strictly.
+
+    Only for rows with a bounded closure. The barycenter of all vertices of
+    the closure lies in its relative interior, and a nonempty half-open set
+    contains the relative interior of its closure, so the barycenter is such
+    a point whenever one exists.
+    """
+    rows = list(rows)
+    verts = _closure_vertices(rows, rows[0].coeffs.dim)
+    if not verts:
+        return False
+    center = [sum(col) / len(verts) for col in zip(*verts)]
+    return all(row_holds(r, center) for r in rows)
 
 
 def ref_lp_min(system, objective):

@@ -10,9 +10,9 @@ from conftest import MIXED_SEED, PURE_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, DecisionScan, GeneralizedProblem,
                            InfeasibleRelaxationError, QVector, bilevel_feasible, cell_infimum,
                            decide_eq, decide_le, decide_le_pure, enumerate_cells,
-                           objective_bounds, random_instance, row_le, row_lt, solve_mixed,
-                           solve_pure)
-from bilevel_exact.decide import pure_responses, witness_le
+                           objective_bounds, random_instance, row_eq, row_le, row_lt,
+                           solve_mixed, solve_pure)
+from bilevel_exact.decide import as_problem, pure_responses, witness_le
 
 CFG = DEFAULT_CONFIG
 
@@ -107,6 +107,73 @@ def test_decision_scan_matches_decide_le(example1):
         for k, alpha in enumerate(alphas):
             for call in calls[k % 3:] + calls[:k % 3]:
                 assert call(inst, alpha, CFG, scan=scan) == call(inst, alpha, CFG)
+
+
+def _table_inputs(example1):
+    """The scan inputs plus example1 under two extras. z > 0 empties the
+    cell x = 0, whose region is z = 0; z = 0 meets the closure of the cell
+    x = 1, whose region is 0 < z <= 1, only on its open face, so both leave
+    a cell whose region is empty while its closure is not."""
+    return _scan_inputs(example1) + [
+        GeneralizedProblem(base=example1, extra_rows=(row_lt([0, -1], 0),)),
+        GeneralizedProblem(base=example1, extra_rows=(row_eq([0, 1], 0),)),
+    ]
+
+
+def _reference_hit(scan, row, alpha):
+    """The first item whose region meets the value row at alpha, by vertex scan."""
+    for it in scan.items:
+        rows = list(it.system.rows) + [row(scan.obj_z.entries, alpha - it.obj_shift)]
+        if support.ref_strictly_feasible(rows):
+            return it
+    return None
+
+
+def _assert_witness(prob, got, it, alpha, row):
+    x, z = got
+    assert x == it.cell.x
+    assert all(support.row_holds(r, z.entries) for r in it.system.rows)
+    value = prob.effective_objective().dot(QVector(list(x) + list(z.entries)))
+    assert value == alpha if row is row_eq else value <= alpha
+    assert bilevel_feasible(prob.base, x, z, CFG)
+
+
+def test_decision_table_matches_vertex_reference(example1):
+    # each cell's emptiness and LP minimum against a vertex scan, then every
+    # query at the thresholds where the table switches from a skip to a
+    # check to a sure hit, asked cold of one shared scan
+    empty_items = 0
+    for prob in _table_inputs(example1):
+        prob = as_problem(prob)
+        table = DecisionScan(prob, CFG)
+        alphas = set()
+        for it in table.items:
+            low = table.low_of(it)
+            assert it.nonempty == support.ref_strictly_feasible(it.system.rows)
+            if not it.nonempty:
+                empty_items += 1
+                assert low is None
+                continue
+            assert low == support.ref_lp_min(it.system, table.obj_z.entries)[0]
+            alphas.update(it.obj_shift + low + delta
+                          for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
+        v_star = solve_mixed(prob, config=CFG).infimum
+        if v_star is not None:
+            alphas.add(v_star)
+        scan = DecisionScan(prob, CFG)
+        for alpha in sorted(alphas, reverse=True):
+            le_hit = _reference_hit(table, row_le, alpha)
+            eq_hit = _reference_hit(table, row_eq, alpha)
+            assert decide_le(prob, alpha, CFG, scan=scan) == (le_hit is not None)
+            got = witness_le(prob, alpha, CFG, scan=scan)
+            assert (got is None) == (le_hit is None)
+            if got is not None:
+                _assert_witness(prob, got, le_hit, alpha, row_le)
+            got = decide_eq(prob, alpha, CFG, scan=scan)
+            assert (got is None) == (eq_hit is None)
+            if got is not None:
+                _assert_witness(prob, got, eq_hit, alpha, row_eq)
+    assert empty_items >= 2
 
 
 def _pure_table_inputs(example1):

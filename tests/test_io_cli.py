@@ -1,5 +1,8 @@
 import functools
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -234,6 +237,25 @@ def test_cli_solve_has_no_seed_flag(example1_path, capsys):
         cli_main(["solve", example1_path, "--seed", "3"])
     assert err.value.code == 2
     capsys.readouterr()
+
+
+def _readme_output_after(command):
+    """The README's output block that follows the block holding `command`."""
+    with open(os.path.join(support.ROOT, "README.md"), encoding="utf-8") as fh:
+        blocks = fh.read().split("```")[1::2]
+    at = next(i for i, block in enumerate(blocks) if command in block)
+    return blocks[at + 1].strip().splitlines()
+
+
+def test_solve_example1_script_matches_readme():
+    script = os.path.join(support.ROOT, "scripts", "solve_example1.py")
+    out = subprocess.run([sys.executable, script], capture_output=True, text=True,
+                         check=True, timeout=300).stdout
+    sections = out.split("\n\n")
+    mixed = next(s for s in sections if s.startswith("mixed solve")).splitlines()[1:]
+    pure = next(s for s in sections if s.startswith("pure solve")).splitlines()[1:]
+    assert mixed == _readme_output_after("example1.json --epsilon 1/8")
+    assert pure == _readme_output_after("example1.json --mode pure")
 
 
 def _with_config(monkeypatch, config):
