@@ -1,9 +1,12 @@
-"""Golden outputs of the two acceptance batches.
+"""Golden outputs of the two acceptance batches and the mixed-grid workload.
 
 tests/golden/acceptance.json pins status, infimum, x* and z* of every solve
 in conftest's session batches (mixed at MIXED_SEED, pure at PURE_SEED), so a
 refactor that claims the same behaviour is checked against recorded answers.
-Telemetry is left out: query counts may change while answers may not.
+tests/golden/mixed_grid.json pins the same fields plus the eps point for the
+125 mixed-grid benchmark instances at seed 7, built by perfbench's own
+generator and solved with eps 1/8. Telemetry is left out: query counts may
+change while answers may not.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -12,10 +15,18 @@ Regenerate (only when a change of answers is intended and explained):
 import json
 import os
 import random
+import sys
+from fractions import Fraction
 
 from conftest import MIXED_SEED, PURE_SEED
 
-GOLDEN_PATH = os.path.join(os.path.dirname(__file__), "golden", "acceptance.json")
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
+GOLDEN_PATH = os.path.join(GOLDEN_DIR, "acceptance.json")
+GRID_PATH = os.path.join(GOLDEN_DIR, "mixed_grid.json")
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+GRID_SEED = 7
+GRID_COUNT = 125
+GRID_EPS = Fraction(1, 8)
 
 
 def report_record(rep) -> dict:
@@ -25,6 +36,10 @@ def report_record(rep) -> dict:
         x, z = rep.solution
         record["x"] = list(x)
         record["z"] = [str(v) for v in z.entries]
+    if rep.eps_solution is not None:
+        es = rep.eps_solution
+        record["eps_point"] = {"x": list(es.x), "z": [str(v) for v in es.z.entries],
+                               "value": str(es.value), "eps": str(es.eps)}
     return record
 
 
@@ -33,6 +48,25 @@ def batch_records(mixed_rows, pure_rows) -> dict:
         "mixed": {"seed": MIXED_SEED, "reports": [report_record(rep) for _, rep, _ in mixed_rows]},
         "pure": {"seed": PURE_SEED, "reports": [report_record(rep) for _, rep in pure_rows]},
     }
+
+
+def grid_records() -> list:
+    """Reports of the mixed-grid instances, drawn as the benchmark draws them:
+    grid_instance at GRID_SEED over the workload's shapes, round-robin."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import gen
+    import workloads
+    from bilevel_exact import parse_instance, solve_mixed
+    rng = random.Random(GRID_SEED)
+    shapes = workloads.GRID_SHAPES
+    out = []
+    for i in range(GRID_COUNT):
+        doc = gen.grid_instance(rng, f"mixed-grid-{GRID_SEED}-{i}", shapes[i % len(shapes)],
+                                "mixed")
+        inst, _ = parse_instance(gen.to_json(doc))
+        out.append(report_record(solve_mixed(inst, eps=GRID_EPS)))
+    return out
 
 
 def test_acceptance_batches_match_golden(mixed_batch, pure_batch):
@@ -48,6 +82,21 @@ def test_acceptance_batches_match_golden(mixed_batch, pure_batch):
             assert h == w, f"{variant} instance {i}: {h} != {w}"
 
 
+def test_mixed_grid_matches_golden():
+    with open(GRID_PATH) as fh:
+        golden = json.load(fh)
+    assert (golden["seed"], golden["eps"]) == (GRID_SEED, str(GRID_EPS))
+    want = golden["reports"]
+    have = grid_records()
+    assert len(have) == len(want)
+    for i, (h, w) in enumerate(zip(have, want)):
+        assert h == w, f"mixed-grid instance {i}: {h} != {w}"
+
+
+def _write_reports(fh, reports):
+    fh.write(",\n".join("  " + json.dumps(r) for r in reports))
+
+
 def _write_golden():
     from bilevel_exact import random_instance, solve_mixed, solve_pure
     rng = random.Random(MIXED_SEED)
@@ -55,14 +104,18 @@ def _write_golden():
     rng = random.Random(PURE_SEED)
     pure = [(None, solve_pure(random_instance(rng))) for _ in range(220)]
     doc = batch_records(mixed, pure)
-    os.makedirs(os.path.dirname(GOLDEN_PATH), exist_ok=True)
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:
         fh.write("{\n")
         for k, variant in enumerate(("mixed", "pure")):
             fh.write(f' "{variant}": {{"seed": {doc[variant]["seed"]}, "reports": [\n')
-            fh.write(",\n".join("  " + json.dumps(r) for r in doc[variant]["reports"]))
+            _write_reports(fh, doc[variant]["reports"])
             fh.write("\n ]}" + (",\n" if k == 0 else "\n"))
         fh.write("}\n")
+    with open(GRID_PATH, "w") as fh:
+        fh.write(f'{{"seed": {GRID_SEED}, "eps": "{GRID_EPS}", "reports": [\n')
+        _write_reports(fh, grid_records())
+        fh.write("\n]}\n")
 
 
 if __name__ == "__main__":

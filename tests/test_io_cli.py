@@ -198,6 +198,14 @@ def test_cli_decide(example1_path, capsys):
     assert capsys.readouterr().out.strip() == "true"
 
 
+def test_cli_decide_pure(example1_path, capsys):
+    # integer z leaves F' = {(0, 0), (1, 1)}, both of value 0
+    assert cli_main(["decide", example1_path, "--mode", "pure", "--alpha=-1/2"]) == 0
+    assert capsys.readouterr().out.strip() == "false"
+    assert cli_main(["decide", example1_path, "--mode", "pure", "--alpha", "0"]) == 0
+    assert capsys.readouterr().out.strip() == "true"
+
+
 def test_cli_decide_bad_rational(example1_path, capsys):
     assert cli_main(["decide", example1_path, "--alpha", "one"]) == 2
     assert "bad-rational" in capsys.readouterr().err
