@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .cells import (Cell, Instance, bilevel_feasible, cell_infimum, cell_region,
                     enumerate_cells, floor_rhs, is_valid_cell)
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import DecisionScan, GeneralizedProblem, decide_eq, decide_le, decide_le_pure
+from .decide import DecisionScan, decide_eq, decide_le, decide_le_pure
 from .engine import (ATTAINED, INFEASIBLE, UNATTAINED, EpsSolution, LexTrace, SolveReport,
                      Telemetry, bisect_decision, denominator_cap, disagreement, eps_point,
                      infimum, lex_extract, objective_bounds, rational_reconstruct,

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError, ValidationError
 from .lattice import MixedPattern, integer_min_value, mixed_feasible
-from .linear import (LinRow, LinearSystem, lp_solve, recession_bounded, row_eq, row_le,
-                     row_lt, strict_feasible_point, substitute_first, _bounded_system)
+from .linear import (LinearSystem, lp_solve, recession_bounded, row_eq, row_le, row_lt,
+                     strict_feasible_point, substitute_first, _bounded_system)
 from .rational import QMatrix, QVector, Rat, ceil_rat, floor_rat
 
 
@@ -147,25 +147,6 @@ class Cell:
         object.__setattr__(self, "r", tuple(int(v) for v in self.r))
 
 
-def specialize_row(row: LinRow, x: Iterable, n: int) -> Optional[LinRow]:
-    """Restrict a row over (x, z) to fixed integer x; returns a row over z.
-
-    Constant rows that become trivially true collapse to None; trivially
-    false ones come back as an unsatisfiable closed row so downstream LPs
-    report infeasibility.
-    """
-    coeffs = row.coeffs.entries
-    xs = list(x)
-    if len(coeffs) < n or len(xs) != n:
-        raise ValueError("row does not match the fixed prefix")
-    shift = sum((coeffs[j] * Fraction(xs[j]) for j in range(n)), Fraction(0))
-    out = LinRow(QVector(coeffs[n:]), row.rhs - shift, row.rel)
-    truth = out.constant_truth()
-    if truth is None:
-        return out
-    return None if truth else row_le([0] * (len(coeffs) - n), -1)
-
-
 def floor_rhs(inst: Instance, z: QVector) -> tuple:
     """Componentwise floor of B z + u at the given leader point."""
     if z.dim != inst.d:
@@ -204,14 +185,14 @@ def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt, lead: int = 0) ->
     return [row_le([-f for f in br], uv - ri), upper(br, ri + 1 - uv)]
 
 
-def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> LinearSystem:
+def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
     """The half-open region of leader points that realize the cell.
 
     Rows over z: D z <= p - C x (closed), z >= 0 (closed), r_i <= B_i z + u_i
-    (closed), B_i z + u_i < r_i + 1 (strict), plus any extra rows over (x, z)
-    specialized to the cell's x. The region carries a boundedness proof: its
-    recession cone lies in {z : D z <= 0, z >= 0}, the x = 0 slice of the
-    upper-level cone that validation proved to be {0}.
+    (closed) and B_i z + u_i < r_i + 1 (strict). The region carries a
+    boundedness proof: its recession cone lies in {z : D z <= 0, z >= 0},
+    the x = 0 slice of the upper-level cone that validation proved to be
+    {0}.
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
@@ -219,10 +200,6 @@ def cell_region(inst: Instance, cell: Cell, extras: Iterable[LinRow] = ()) -> Li
     parts += [_nonconstant(_floor_rows(inst, i, ri)) for i, ri in enumerate(cell.r)]
     empty = [row_le([0] * inst.d, -1)]
     rows = [row for part in parts for row in (empty if part is None else part)]
-    for extra in extras:
-        sp = specialize_row(extra, cell.x, inst.n)
-        if sp is not None:
-            rows.append(sp)
     return _bounded_system(inst.d, tuple(rows))
 
 
@@ -233,15 +210,14 @@ def _follower_improves(inst: Instance, cell: Cell, config: SolverConfig) -> bool
     return mixed_feasible(sys, MixedPattern.all_integer(inst.n), config) is not None
 
 
-def is_valid_cell(inst: Instance, cell: Cell, extras: Iterable[LinRow] = (),
-                  config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """Feasible response, follower-optimal, and a strictly realizable region."""
     ax = inst.A.matvec(QVector(cell.x))
     if any(av > rv for av, rv in zip(ax, cell.r)):
         return False
     if _follower_improves(inst, cell, config):
         return False
-    return strict_feasible_point(cell_region(inst, cell, extras), config) is not None
+    return strict_feasible_point(cell_region(inst, cell), config) is not None
 
 
 def bilevel_feasible(inst: Instance, x, z: QVector,
@@ -411,26 +387,9 @@ def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellInd
     return idx
 
 
-def enumerate_cells(inst: Instance, extras: Iterable[LinRow] = (),
-                    config: SolverConfig = DEFAULT_CONFIG) -> list:
-    """Lex-ordered valid cells, optionally under extra rows over (x, z).
-
-    Extra rows shrink the strictly realizable region but never change the
-    response-feasibility or follower-optimality of a cell, so validity under
-    extras is validity of the base cell plus strict feasibility of the
-    augmented region.
-    """
-    extras = tuple(extras)
-    idx = cell_index(inst, config)
-    if not extras:
-        return [e.cell for e in idx.entries]
-    out = []
-    for e in idx.entries:
-        sp = [specialize_row(r, e.cell.x, inst.n) for r in extras]
-        sp = [r for r in sp if r is not None]
-        if strict_feasible_point(e.region.with_rows(sp), config) is not None:
-            out.append(e.cell)
-    return out
+def enumerate_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> list:
+    """Lex-ordered valid cells: the cells of cell_index."""
+    return [e.cell for e in cell_index(inst, config).entries]
 
 
 def cell_infimum(inst: Instance, cell: Cell, objective: QVector,

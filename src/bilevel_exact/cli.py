@@ -7,8 +7,9 @@ import sys
 from typing import Optional
 
 from .config import DEFAULT_CONFIG
-from .decide import GeneralizedProblem, decide_le, decide_le_pure
-from .engine import INFEASIBLE, disagreement, reference_oracle, solve_mixed, solve_pure
+from .decide import decide_le, decide_le_pure
+from .engine import (INFEASIBLE, MIXED, PURE, disagreement, reference_oracle, solve_mixed,
+                     solve_pure)
 from .errors import (BoundednessError, InternalInvariantError, ResourceLimitError,
                      SolverError, ValidationError)
 from .instance_io import load_instance, parse_and_validate, render_text, report_to_json
@@ -32,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
     solve.add_argument("file")
     solve.add_argument("--epsilon", metavar="P/Q", default=None,
                        help="attach an eps-optimal point when the infimum is unattained")
-    solve.add_argument("--mode", choices=("mixed", "pure"), default=None,
+    solve.add_argument("--mode", choices=(MIXED, PURE), default=None,
                        help="override the file's variant")
     solve.add_argument("--engine", choices=("search", "oracle", "both"), default="search")
     fmt = solve.add_mutually_exclusive_group()
@@ -42,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     decide = sub.add_parser("decide", help="answer one threshold query")
     decide.add_argument("file")
     decide.add_argument("--alpha", metavar="P/Q", required=True)
-    decide.add_argument("--mode", choices=("mixed", "pure"), default=None)
+    decide.add_argument("--mode", choices=(MIXED, PURE), default=None)
 
     check = sub.add_parser("check", help="validate an instance file")
     check.add_argument("file")
@@ -80,7 +81,7 @@ def _cmd_solve(args) -> int:
     if args.engine == "oracle":
         report = reference_oracle(inst, mode)
     else:
-        report = solve_mixed(inst, eps=eps) if mode == "mixed" else solve_pure(inst)
+        report = solve_mixed(inst, eps=eps) if mode == MIXED else solve_pure(inst)
         if args.engine == "both":
             problem = disagreement(inst, report, reference_oracle(inst, mode))
             if problem is not None:
@@ -94,8 +95,8 @@ def _cmd_decide(args) -> int:
     inst, meta = load_instance(args.file)
     mode = args.mode or meta["variant"]
     alpha = _parse_rat_arg(args.alpha, "--alpha")
-    if mode == "pure":
-        answer = decide_le_pure(GeneralizedProblem(inst, variant="pure"), alpha)
+    if mode == PURE:
+        answer = decide_le_pure(inst, alpha)
     else:
         answer = decide_le(inst, alpha)
     sys.stdout.write("true\n" if answer else "false\n")
@@ -120,7 +121,7 @@ def _cmd_fuzz(args) -> int:
     for i in range(args.count):
         inst = random_instance(rng)
         searched = solve_mixed(inst)
-        problem = disagreement(inst, searched, reference_oracle(inst, "mixed"))
+        problem = disagreement(inst, searched, reference_oracle(inst, MIXED))
         if problem is not None:
             raise InternalInvariantError(f"disagreement on instance {i}: {problem}")
         inf = "-" if searched.infimum is None else format_rat(searched.infimum)

@@ -23,16 +23,17 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cells import bilevel_feasible, cell_index, cell_infimum, integer_candidates
+from .cells import Instance, bilevel_feasible, cell_index, cell_infimum, integer_candidates
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import (MIXED, PURE, DecisionScan, GeneralizedProblem, as_problem, decide_le,
-                     fix_z_suffix, pure_responses, strictify_for_integers, witness_le,
-                     z_first)
+from .decide import DecisionScan, decide_le, fix_z_suffix, pure_responses, witness_le, z_first
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import MixedPattern, enumerate_integers, integer_min_value, mixed_feasible
 from .linear import (LinearSystem, affinely_independent_vertices, lp_solve, row_eq,
                      strict_feasible_point)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
+
+MIXED = "mixed"
+PURE = "pure"
 
 INFEASIBLE = "Infeasible"
 ATTAINED = "Attained"
@@ -92,20 +93,17 @@ class SolveReport:
 # bounds, caps, reconstruction
 
 
-def objective_bounds(prob, config: SolverConfig = DEFAULT_CONFIG):
-    """LP min and max of the objective over the closed upper-level system.
+def objective_bounds(inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
+    """LP min and max of the objective over the upper-level system.
 
-    Extras participate through their closures; the bilevel constraint is
-    dropped, so [v_lo, v_hi] brackets every feasible value.
+    The bilevel constraint is dropped, so [v_lo, v_hi] brackets every
+    feasible value.
     """
-    prob = as_problem(prob)
-    inst = prob.base
-    rows = inst.upper_rows() + [r.closed() for r in prob.effective_extras()]
-    sys = LinearSystem(inst.joint_dim(), tuple(rows))
-    obj = prob.effective_objective()
+    sys = LinearSystem(inst.joint_dim(), tuple(inst.upper_rows()))
+    obj = inst.objective_vector()
     mn = lp_solve(sys, obj, "min", config)
     if mn.tag == "infeasible":
-        raise InfeasibleRelaxationError("upper-level system with extras is empty")
+        raise InfeasibleRelaxationError("upper-level system is empty")
     if not mn.is_optimal:
         raise InternalInvariantError("LP unbounded over a bounded upper-level region")
     mx = lp_solve(sys, obj, "max", config)
@@ -114,23 +112,14 @@ def objective_bounds(prob, config: SolverConfig = DEFAULT_CONFIG):
     return mn.value, mx.value
 
 
-def denominator_cap(prob) -> int:
+def denominator_cap(inst: Instance) -> int:
     """Upper bound L on the denominator of the infimum.
 
     Hadamard-style column bound over the stacked z-coefficient rows of the
-    slice LPs: rows of D, rows of B, and z-parts of extra rows scaled to
-    integers. Unit rows (z >= 0 and friends) are covered by the max(1, .)
-    per-column clamp.
+    slice LPs: rows of D and rows of B. Unit rows (z >= 0 and friends) are
+    covered by the max(1, .) per-column clamp.
     """
-    prob = as_problem(prob)
-    inst = prob.base
     rows = [tuple(r) for r in inst.D.entries] + [tuple(r) for r in inst.B.entries]
-    for r in prob.effective_extras():
-        zpart = r.coeffs.entries[inst.n:]
-        if all(f == 0 for f in zpart):
-            continue
-        scale = math.lcm(*(f.denominator for f in zpart), r.rhs.denominator)
-        rows.append(tuple(f * scale for f in zpart))
     return subdeterminant_bound(QMatrix(rows, ncols=inst.d))
 
 
@@ -197,24 +186,21 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
     return lo, hi
 
 
-def infimum(prob, config: SolverConfig = DEFAULT_CONFIG, telemetry=None,
+def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, telemetry=None,
             scan: Optional[DecisionScan] = None) -> Fraction:
-    """Exact infimum of a feasible mixed problem."""
-    prob = as_problem(prob)
-    if prob.variant == PURE:
-        raise ValueError("infimum handles the mixed variant; use solve_pure")
+    """Exact infimum of a feasible mixed instance."""
     if telemetry is None:
         telemetry = Telemetry()
-    v_lo, v_hi = objective_bounds(prob, config)
+    v_lo, v_hi = objective_bounds(inst, config)
     if scan is None:
-        scan = DecisionScan(prob, config)
+        scan = DecisionScan(inst, config)
 
     def dec(alpha):
-        return decide_le(prob, alpha, config, telemetry, scan)
+        return decide_le(inst, alpha, config, telemetry, scan)
 
     if not dec(v_hi):
-        raise InfeasibleProblemError("no bilevel-feasible point satisfies the extras")
-    cap = denominator_cap(prob)
+        raise InfeasibleProblemError("no bilevel-feasible point")
+    cap = denominator_cap(inst)
     width = Fraction(1, 2 * cap * cap)
     lo, hi = bisect_decision(dec, v_lo - 1, v_hi, width, telemetry)
     return rational_reconstruct(lo, hi, cap, telemetry)
@@ -233,7 +219,7 @@ def _integer_bisect(dec, lo, hi, telemetry) -> int:
     return val
 
 
-def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
+def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
                 telemetry=None, scan: Optional[DecisionScan] = None) -> Optional[LexTrace]:
     """Lex-minimal optimum (x*, z*) at value v*, with its trace; None when
     no bilevel-feasible point has value v* (an unattained infimum).
@@ -248,14 +234,11 @@ def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
     barycenter of affinely independent vertices of its closure, which lands
     strictly inside Q.
     """
-    prob = as_problem(prob)
-    inst = prob.base
     v_star = Fraction(v_star)
-    obj = prob.effective_objective()
     if telemetry is not None:
         telemetry.decision_queries += 1
     if scan is None:
-        scan = DecisionScan(prob, config)
+        scan = DecisionScan(inst, config)
     pool = []
     for cell, _, sliced in scan.hits(row_eq, v_star):
         if pool and cell.x != pool[0][0].x:
@@ -299,7 +282,7 @@ def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
     if not bilevel_feasible(inst, x_star, z_star, config):
         raise InternalInvariantError("extracted optimum is not bilevel feasible")
     joint = QVector(list(map(Fraction, x_star)) + list(z_star.entries))
-    if obj.dot(joint) != v_star:
+    if inst.objective_vector().dot(joint) != v_star:
         raise InternalInvariantError("extracted optimum misses the optimal value")
 
     denom = 1
@@ -310,46 +293,40 @@ def lex_extract(prob, v_star, config: SolverConfig = DEFAULT_CONFIG,
                     z_star, k * denom)
 
 
-def eps_point(prob, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
+def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
               scan: Optional[DecisionScan] = None) -> EpsSolution:
     """A bilevel-feasible point with value at most v* + eps."""
-    prob = as_problem(prob)
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     v_star = Fraction(v_star)
-    hit = witness_le(prob, v_star + eps, config, scan)
+    hit = witness_le(inst, v_star + eps, config, scan)
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
     x, z = hit
-    value = prob.effective_objective().dot(QVector(list(map(Fraction, x)) + list(z.entries)))
+    value = inst.objective_vector().dot(QVector(list(map(Fraction, x)) + list(z.entries)))
     if value > v_star + eps:
         raise InternalInvariantError("eps witness exceeds the allowed value")
     return EpsSolution(x, z, value, eps)
 
 
-def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Full mixed pipeline: feasibility, infimum, attainment, extraction."""
-    prob = as_problem(inst)
-    if prob.variant != MIXED:
-        raise ValueError("solve_mixed needs a mixed problem")
-    inst = prob.base
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    joint = inst.upper_system().with_rows(
-        inst.follower_relax_rows() + [r.closed() for r in prob.effective_extras()])
+    joint = inst.upper_system().with_rows(inst.follower_relax_rows())
     pattern = MixedPattern(inst.joint_dim(), frozenset(range(inst.n)))
     if mixed_feasible(joint, pattern, config) is None:
         return report
 
-    scan = DecisionScan(prob, config)
+    scan = DecisionScan(inst, config)
     telemetry.cells = len(cell_index(inst, config).entries)
     try:
-        v_star = infimum(prob, config, telemetry, scan)
+        v_star = infimum(inst, config, telemetry, scan)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star
-    trace = lex_extract(prob, v_star, config, telemetry, scan)
+    trace = lex_extract(inst, v_star, config, telemetry, scan)
     if trace is not None:
         report.status = ATTAINED
         report.solution = (trace.x_star, trace.z_star)
@@ -357,7 +334,7 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
     else:
         report.status = UNATTAINED
         if eps is not None:
-            report.eps_solution = eps_point(prob, v_star, eps, config, scan)
+            report.eps_solution = eps_point(inst, v_star, eps, config, scan)
     return report
 
 
@@ -365,15 +342,7 @@ def solve_mixed(inst, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveR
 # pure driver and enumeration cross-check
 
 
-def _as_pure(prob) -> GeneralizedProblem:
-    prob = as_problem(prob)
-    if prob.variant == PURE:
-        return prob
-    return GeneralizedProblem(prob.base, prob.extra_rows, prob.fixed_x_prefix,
-                              prob.objective, PURE)
-
-
-def _pure_driver(prob: GeneralizedProblem, config: SolverConfig, telemetry):
+def _pure_driver(inst: Instance, config: SolverConfig, telemetry):
     """Bisection-based pure solve: (v*, x*, z*) or None when infeasible.
 
     Lists the response table (pure_responses) once. Each threshold query of
@@ -384,10 +353,10 @@ def _pure_driver(prob: GeneralizedProblem, config: SolverConfig, telemetry):
     no larger, and the least such entry is the lex-least optimum.
     """
     try:
-        v_lo, v_hi = objective_bounds(prob, config)
+        v_lo, v_hi = objective_bounds(inst, config)
     except InfeasibleRelaxationError:
         return None
-    table = list(pure_responses(prob, config))
+    table = list(pure_responses(inst, config))
 
     def dec(alpha):
         telemetry.decision_queries += 1
@@ -403,12 +372,10 @@ def _pure_driver(prob: GeneralizedProblem, config: SolverConfig, telemetry):
     return v_star, x_star, QVector([Fraction(v) for v in z_ints])
 
 
-def _pure_enumeration(prob: GeneralizedProblem, config: SolverConfig):
+def _pure_enumeration(inst: Instance, config: SolverConfig):
     """Direct scan of the finite pure feasible set; lex-least optimum."""
-    inst = prob.base
-    obj = prob.effective_objective()
-    extras = [strictify_for_integers(r) for r in prob.effective_extras()]
-    rows = inst.upper_rows() + inst.follower_relax_rows() + extras
+    obj = inst.objective_vector()
+    rows = inst.upper_rows() + inst.follower_relax_rows()
     budget = [0]
     best = None
     for z_ints in integer_candidates(z_first(rows, inst.n), inst.joint_dim(), inst.d,
@@ -420,7 +387,7 @@ def _pure_enumeration(prob: GeneralizedProblem, config: SolverConfig):
             continue
         response_rows = [row_eq(inst.psi.entries, fopt)]
         dead = False
-        for r in inst.upper_rows() + extras:
+        for r in inst.upper_rows():
             fixed = fix_z_suffix(r, z, inst.n)
             if fixed is None:
                 continue
@@ -442,13 +409,12 @@ def _pure_enumeration(prob: GeneralizedProblem, config: SolverConfig):
     return value, x_ints, QVector([Fraction(v) for v in z_ints])
 
 
-def solve_pure(inst, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Pure-integer solve; the two independent drivers must agree exactly."""
-    prob = _as_pure(inst)
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    searched = _pure_driver(prob, config, telemetry)
-    enumerated = _pure_enumeration(prob, config)
+    searched = _pure_driver(inst, config, telemetry)
+    enumerated = _pure_enumeration(inst, config)
     if (searched is None) != (enumerated is None):
         raise InternalInvariantError(
             f"pure drivers disagree on feasibility: {searched} vs {enumerated}")
@@ -468,20 +434,16 @@ def solve_pure(inst, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
 # reference oracle
 
 
-def reference_oracle(inst, variant: str = MIXED,
+def reference_oracle(inst: Instance, variant: str = MIXED,
                      config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Brute-force solve used to cross-check the search drivers.
 
     Mixed: every valid cell's infimum, then the lex-first attaining cell
     with greedy coordinatewise z minimization. Pure: the enumeration pass.
     """
-    prob = as_problem(inst)
-    if prob.extra_rows or prob.fixed_x_prefix:
-        raise ValueError("the reference oracle works on plain instances")
-    inst = prob.base
     telemetry = Telemetry()
     if variant == PURE:
-        got = _pure_enumeration(_as_pure(prob), config)
+        got = _pure_enumeration(inst, config)
         if got is None:
             return SolveReport(INFEASIBLE, telemetry=telemetry)
         value, x_ints, z = got
@@ -490,7 +452,7 @@ def reference_oracle(inst, variant: str = MIXED,
     if variant != MIXED:
         raise ValueError(f"unknown variant {variant!r}")
 
-    obj = prob.effective_objective()
+    obj = inst.objective_vector()
     index = cell_index(inst, config)
     telemetry.cells = len(index.entries)
     results = []

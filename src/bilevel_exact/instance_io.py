@@ -12,12 +12,12 @@ from fractions import Fraction
 from typing import Optional
 
 from .cells import Instance
-from .engine import SolveReport
+from .engine import MIXED, PURE, SolveReport
 from .errors import ValidationError
 from .rational import QMatrix, QVector, format_rat
 
 _REQUIRED = ("n", "d", "A", "B", "C", "D", "c", "e", "psi", "u", "p")
-_VARIANTS = ("mixed", "pure")
+_VARIANTS = (MIXED, PURE)
 
 
 def _int_entry(value, where: str) -> int:
@@ -60,7 +60,7 @@ def parse_instance(text: str):
     for key in _REQUIRED:
         if key not in doc:
             raise ValidationError("bad-format", f"missing field {key!r}")
-    variant = doc.get("variant", "mixed")
+    variant = doc.get("variant", MIXED)
     if variant not in _VARIANTS:
         raise ValidationError("bad-variant", f"variant must be one of {_VARIANTS}")
     name = doc.get("name")
@@ -103,7 +103,7 @@ def _vector_out(v: QVector) -> list:
 
 
 def instance_to_json(inst: Instance, name: Optional[str] = None,
-                     variant: str = "mixed") -> str:
+                     variant: str = MIXED) -> str:
     doc = {"format_version": 1}
     if name is not None:
         doc["name"] = name

@@ -7,6 +7,7 @@ and only meant for small reference problems.
 """
 import itertools
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 from bilevel_exact import LE, EQ, LT, Instance
@@ -23,6 +24,25 @@ def make_example1():
         C=[[0], [1], [-1]], D=[[1], [0], [0]],
         c=[-1], e=[1], psi=[1], u=[0, 1, 0], p=[1, 1, 0],
     )
+
+
+def make_flipped():
+    """The bundled example with leader objective x + z: attained at (0,0)."""
+    return Instance(
+        n=1, d=1,
+        A=[[-1], [1], [-1]], B=[[-1], [0], [0]],
+        C=[[0], [1], [-1]], D=[[1], [0], [0]],
+        c=[1], e=[1], psi=[1], u=[0, 1, 0], p=[1, 1, 0],
+    )
+
+
+def with_upper_rows(inst, *rows):
+    """The instance with rows cx . x + dz . z <= p appended to (C, D, p),
+    each row given as (cx, dz, p)."""
+    return replace(inst,
+                   C=list(inst.C.entries) + [cx for cx, _, _ in rows],
+                   D=list(inst.D.entries) + [dz for _, dz, _ in rows],
+                   p=list(inst.p.entries) + [p for _, _, p in rows])
 
 
 def make_empty_follower_pure():

@@ -162,7 +162,7 @@ def test_criterion_7_lex_postconditions(mixed_batch):
 def _invariant_points(inst, rng):
     """Run the partition/equivalence/constancy/infimum checks; count points."""
     points = 0
-    cells = enumerate_cells(inst, (), CFG)
+    cells = enumerate_cells(inst, CFG)
     obj = inst.objective_vector()
     obj_z = list(obj.entries[inst.n:])
 
@@ -193,7 +193,7 @@ def _invariant_points(inst, rng):
                         moved[i] += rng.choice((-1, 1))
                         assert not cell_region(inst, Cell(x, tuple(moved))).satisfied_by(z)
                 # equivalence with the definition-level feasibility check
-                via_cells = is_valid_cell(inst, cell, (), CFG) and in_region
+                via_cells = is_valid_cell(inst, cell, CFG) and in_region
                 assert bilevel_feasible(inst, x, z, CFG) == via_cells
                 points += 1
         for cell in cells:

@@ -92,26 +92,25 @@ def test_floor_rhs_examples(example1):
 
 
 def test_is_valid_cell_examples(example1):
-    assert is_valid_cell(example1, Cell((1,), (-1, 1, 0)), (), CFG)
-    assert is_valid_cell(example1, Cell((0,), (0, 1, 0)), (), CFG)
-    assert not is_valid_cell(example1, Cell((1,), (0, 1, 0)), (), CFG)
+    assert is_valid_cell(example1, Cell((1,), (-1, 1, 0)), CFG)
+    assert is_valid_cell(example1, Cell((0,), (0, 1, 0)), CFG)
+    assert not is_valid_cell(example1, Cell((1,), (0, 1, 0)), CFG)
 
 
 def test_enumerate_cells_example(example1):
-    cells = enumerate_cells(example1, (), CFG)
+    cells = enumerate_cells(example1, CFG)
     assert [(c.x, c.r) for c in cells] == [((0,), (0, 1, 0)), ((1,), (-1, 1, 0))]
 
 
 def test_enumerate_cells_contradictory_upper():
     inst = support.make_infeasible_upper()
-    assert enumerate_cells(inst, (), CFG) == []
+    assert enumerate_cells(inst, CFG) == []
 
 
 def test_enumerate_cells_with_killing_extra(example1):
-    # objective row -x + z <= -1 forces z <= 0 inside the only candidate cell,
+    # the upper row -x + z <= -1 forces z <= 0 inside the only candidate cell,
     # which its strict z > 0 row rejects
-    extras = (row_le([-1, 1], -1),)
-    assert enumerate_cells(example1, extras, CFG) == []
+    assert enumerate_cells(support.with_upper_rows(example1, ([-1], [1], -1)), CFG) == []
 
 
 def test_cell_region_shape(example1):
@@ -147,7 +146,7 @@ def test_bilevel_feasible_examples(example1):
 
 def test_cell_cap_enforced(example1):
     with pytest.raises(ResourceLimitError):
-        enumerate_cells(example1, (), SolverConfig(cell_cap=1))
+        enumerate_cells(example1, SolverConfig(cell_cap=1))
 
 
 def test_cell_cap_messages_name_the_cap(example1):
@@ -158,8 +157,8 @@ def test_cell_cap_messages_name_the_cap(example1):
     # the whole build through.
     for cap in (1, 2, 3, 4, 5):
         with pytest.raises(ResourceLimitError, match=f"^cell_cap={cap}: cell enumeration cap"):
-            enumerate_cells(example1, (), SolverConfig(cell_cap=cap))
-    assert len(enumerate_cells(example1, (), SolverConfig(cell_cap=6))) == 2
+            enumerate_cells(example1, SolverConfig(cell_cap=cap))
+    assert len(enumerate_cells(example1, SolverConfig(cell_cap=6))) == 2
 
 
 # ---------------------------------------------------------- invariant suites
@@ -183,12 +182,12 @@ def _valid_cells_by_definition(inst):
         r_ranges.append(range(min(floors), max(floors) + 1))
     cells = [Cell(x, r) for x in itertools.product(*x_ranges)
              for r in itertools.product(*r_ranges)]
-    return [cell for cell in cells if is_valid_cell(inst, cell, (), CFG)]
+    return [cell for cell in cells if is_valid_cell(inst, cell, CFG)]
 
 
 def test_index_holds_every_valid_cell_examples(example1):
     for inst in (example1, support.make_infeasible_upper()):
-        assert enumerate_cells(inst, (), CFG) == _valid_cells_by_definition(inst)
+        assert enumerate_cells(inst, CFG) == _valid_cells_by_definition(inst)
 
 
 @settings(max_examples=25)
@@ -197,7 +196,7 @@ def test_index_holds_every_valid_cell_examples(example1):
 @example(92)   # follower argmin there holds two responses x
 def test_index_holds_every_valid_cell(seed):
     inst = random_instance(random.Random(seed))
-    assert enumerate_cells(inst, (), CFG) == _valid_cells_by_definition(inst)
+    assert enumerate_cells(inst, CFG) == _valid_cells_by_definition(inst)
 
 
 @pytest.mark.parametrize("psi", [(0, 0), (1, 0)])
@@ -211,7 +210,7 @@ def test_index_reads_argmin_only_inside_the_upper_region(psi):
         C=[[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], D=[[0], [0], [0], [0], [1]],
         c=[0, 0], e=[1], psi=list(psi), u=[1000, 1, 1000, 1], p=[1, 1, 1, 1, 1],
     )
-    cells = enumerate_cells(inst, (), CFG)
+    cells = enumerate_cells(inst, CFG)
     assert cells == _valid_cells_by_definition(inst)
     assert len(cells) == (9 if psi == (0, 0) else 3)
 
@@ -229,7 +228,7 @@ def _region_samples(inst, cell, rng, count):
 def test_partition_invariant(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
-    for entry_x in {c.x for c in enumerate_cells(inst, (), CFG)}:
+    for entry_x in {c.x for c in enumerate_cells(inst, CFG)}:
         upper = upper_region_for_x(inst, entry_x)
         verts = [tuple(v.entries) for v in vertices(upper, CFG)]
         if not verts:
@@ -250,7 +249,7 @@ def test_equivalence_invariant(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
     xs = [tuple(rng.randint(-2, 2) for _ in range(inst.n)) for _ in range(4)]
-    xs.extend(c.x for c in enumerate_cells(inst, (), CFG))
+    xs.extend(c.x for c in enumerate_cells(inst, CFG))
     for x in xs:
         upper = upper_region_for_x(inst, x)
         verts = [tuple(v.entries) for v in vertices(upper, CFG)]
@@ -259,7 +258,7 @@ def test_equivalence_invariant(seed):
                            for _ in range(inst.d)]))
         for z in zs:
             cell = Cell(x, floor_rhs(inst, z))
-            via_cells = (is_valid_cell(inst, cell, (), CFG)
+            via_cells = (is_valid_cell(inst, cell, CFG)
                          and cell_region(inst, cell).satisfied_by(z))
             assert bilevel_feasible(inst, x, z, CFG) == via_cells
 
@@ -269,7 +268,7 @@ def test_equivalence_invariant(seed):
 def test_constancy_invariant(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
-    for cell in enumerate_cells(inst, (), CFG):
+    for cell in enumerate_cells(inst, CFG):
         _, pts = _region_samples(inst, cell, rng, 10)
         for z in pts:
             assert floor_rhs(inst, z) == cell.r
@@ -282,7 +281,7 @@ def test_cell_infimum_certificate(seed):
     inst = random_instance(rng)
     obj = inst.objective_vector()
     obj_z = list(obj.entries[inst.n:])
-    for cell in enumerate_cells(inst, (), CFG):
+    for cell in enumerate_cells(inst, CFG):
         inf, attained, witness = cell_infimum(inst, cell, obj, CFG)
         obj_x = sum(a * Fraction(b) for a, b in zip(obj.entries[: inst.n], cell.x))
         region, pts = _region_samples(inst, cell, rng, 10)

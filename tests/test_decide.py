@@ -1,18 +1,17 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
 from conftest import MIXED_SEED, PURE_SEED
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, DecisionScan, GeneralizedProblem,
-                           InfeasibleRelaxationError, QVector, bilevel_feasible, cell_infimum,
-                           decide_eq, decide_le, decide_le_pure, enumerate_cells,
-                           objective_bounds, random_instance, row_eq, row_le, row_lt,
-                           solve_mixed, solve_pure)
-from bilevel_exact.decide import as_problem, pure_responses, witness_le
+from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, DecisionScan, InfeasibleRelaxationError,
+                           QVector, bilevel_feasible, cell_infimum, decide_eq, decide_le,
+                           decide_le_pure, enumerate_cells, objective_bounds, random_instance,
+                           row_eq, row_le, solve_mixed, solve_pure)
+from bilevel_exact.decide import pure_responses, witness_le
+from support import make_flipped, with_upper_rows
 
 CFG = DEFAULT_CONFIG
 
@@ -35,8 +34,7 @@ def test_decide_eq_examples(example1):
     assert decide_eq(example1, Fraction(-1), CFG) is None
     x, z = decide_eq(example1, Fraction(0), CFG)
     assert (x, z.entries) == ((0,), (0,))
-    flipped = GeneralizedProblem(base=example1, objective=QVector([1, 1]))
-    x2, z2 = decide_eq(flipped, Fraction(0), CFG)
+    x2, z2 = decide_eq(make_flipped(), Fraction(0), CFG)
     assert (x2, z2.entries) == ((0,), (0,))
 
 
@@ -49,37 +47,19 @@ def test_decide_le_pure_examples(example1):
 
 
 def test_prefix_restriction(example1):
-    only_one = GeneralizedProblem(base=example1, fixed_x_prefix=(1,))
+    # x = 1 and x = 0, each as the upper rows x <= v and -x <= -v
+    only_one = with_upper_rows(example1, ([1], [0], 1), ([-1], [0], -1))
     assert decide_le(only_one, Fraction(-1, 2), CFG)
-    only_zero = GeneralizedProblem(base=example1, fixed_x_prefix=(0,))
+    only_zero = with_upper_rows(example1, ([1], [0], 0), ([-1], [0], 0))
     assert not decide_le(only_zero, Fraction(-1, 2), CFG)
     assert decide_le(only_zero, Fraction(0), CFG)
 
 
-def test_extras_strict_row(example1):
-    # demand z > 0: kills (0,0), leaves the branch {1} x (0,1] with value -1+z
-    strict = GeneralizedProblem(base=example1, extra_rows=(row_lt([0, -1], 0),))
-    assert decide_le(strict, Fraction(-1, 2), CFG)
-    x, z = decide_eq(strict, Fraction(0), CFG)
-    assert (x, z.entries) == ((1,), (1,))
-    assert decide_eq(strict, Fraction(-1), CFG) is None
-
-
 def test_pure_extras(example1):
-    # F' = {(0,0), (1,1)}; x <= 0 keeps only (0,0)
-    keep_zero = GeneralizedProblem(base=example1, extra_rows=(row_le([1, 0], 0),))
+    # F' = {(0,0), (1,1)}; the upper row x <= 0 keeps only (0,0)
+    keep_zero = with_upper_rows(example1, ([1], [0], 0))
     assert decide_le_pure(keep_zero, Fraction(0), CFG)
     assert not decide_le_pure(keep_zero, Fraction(-1), CFG)
-    # strict -x + z < 0 rejects both points of F'
-    none_left = GeneralizedProblem(base=example1, extra_rows=(row_lt([-1, 1], 0),))
-    assert not decide_le_pure(none_left, Fraction(10), CFG)
-
-
-def test_generalized_problem_guards(example1):
-    with pytest.raises(ValueError):
-        GeneralizedProblem(base=example1, fixed_x_prefix=(0, 0))
-    with pytest.raises(ValueError):
-        GeneralizedProblem(base=example1, objective=QVector([1]))
 
 
 def _scan_inputs(example1):
@@ -88,7 +68,7 @@ def _scan_inputs(example1):
     rng = random.Random(MIXED_SEED)
     while len(out) < 11:
         inst = random_instance(rng)
-        if enumerate_cells(inst, (), CFG):
+        if enumerate_cells(inst, CFG):
             out.append(inst)
     return out
 
@@ -109,17 +89,6 @@ def test_decision_scan_matches_decide_le(example1):
                 assert call(inst, alpha, CFG, scan=scan) == call(inst, alpha, CFG)
 
 
-def _table_inputs(example1):
-    """The scan inputs plus example1 under two extras. z > 0 empties the
-    cell x = 0, whose region is z = 0; z = 0 meets the closure of the cell
-    x = 1, whose region is 0 < z <= 1, only on its open face, so both leave
-    a cell whose region is empty while its closure is not."""
-    return _scan_inputs(example1) + [
-        GeneralizedProblem(base=example1, extra_rows=(row_lt([0, -1], 0),)),
-        GeneralizedProblem(base=example1, extra_rows=(row_eq([0, 1], 0),)),
-    ]
-
-
 def _reference_hit(scan, row, alpha):
     """The first item whose region meets the value row at alpha, by vertex scan."""
     for it in scan.items:
@@ -129,59 +98,54 @@ def _reference_hit(scan, row, alpha):
     return None
 
 
-def _assert_witness(prob, got, it, alpha, row):
+def _assert_witness(inst, got, it, alpha, row):
     x, z = got
     assert x == it.cell.x
     assert all(support.row_holds(r, z.entries) for r in it.system.rows)
-    value = prob.effective_objective().dot(QVector(list(x) + list(z.entries)))
+    value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
     assert value == alpha if row is row_eq else value <= alpha
-    assert bilevel_feasible(prob.base, x, z, CFG)
+    assert bilevel_feasible(inst, x, z, CFG)
 
 
 def test_decision_table_matches_vertex_reference(example1):
-    # each cell's emptiness and LP minimum against a vertex scan, then every
-    # query at the thresholds where the table switches from a skip to a
-    # check to a sure hit, asked cold of one shared scan
-    empty_items = 0
-    for prob in _table_inputs(example1):
-        prob = as_problem(prob)
-        table = DecisionScan(prob, CFG)
+    # each cell's region has a strictly feasible point and the LP minimum of
+    # a vertex scan; then every query at the thresholds where the table
+    # switches from a skip to a check to a sure hit, asked cold of one shared
+    # scan
+    for inst in _scan_inputs(example1):
+        table = DecisionScan(inst, CFG)
         alphas = set()
         for it in table.items:
             low = table.low_of(it)
-            assert it.nonempty == support.ref_strictly_feasible(it.system.rows)
-            if not it.nonempty:
-                empty_items += 1
-                assert low is None
-                continue
+            assert support.ref_strictly_feasible(it.system.rows)
             assert low == support.ref_lp_min(it.system, table.obj_z.entries)[0]
             alphas.update(it.obj_shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
-        v_star = solve_mixed(prob, config=CFG).infimum
+        v_star = solve_mixed(inst, config=CFG).infimum
         if v_star is not None:
             alphas.add(v_star)
-        scan = DecisionScan(prob, CFG)
+        scan = DecisionScan(inst, CFG)
         for alpha in sorted(alphas, reverse=True):
             le_hit = _reference_hit(table, row_le, alpha)
             eq_hit = _reference_hit(table, row_eq, alpha)
-            assert decide_le(prob, alpha, CFG, scan=scan) == (le_hit is not None)
-            got = witness_le(prob, alpha, CFG, scan=scan)
+            assert decide_le(inst, alpha, CFG, scan=scan) == (le_hit is not None)
+            got = witness_le(inst, alpha, CFG, scan=scan)
             assert (got is None) == (le_hit is None)
             if got is not None:
-                _assert_witness(prob, got, le_hit, alpha, row_le)
-            got = decide_eq(prob, alpha, CFG, scan=scan)
+                _assert_witness(inst, got, le_hit, alpha, row_le)
+            got = decide_eq(inst, alpha, CFG, scan=scan)
             assert (got is None) == (eq_hit is None)
             if got is not None:
-                _assert_witness(prob, got, eq_hit, alpha, row_eq)
-    assert empty_items >= 2
+                _assert_witness(inst, got, eq_hit, alpha, row_eq)
 
 
 def _pure_table_inputs(example1):
-    """example1, an empty F', extras with a fixed x prefix, and pure
-    acceptance-distribution instances until ten of them are feasible."""
+    """example1, an empty F', example1 under extra upper rows (z >= 1,
+    x + z <= 2 and x = 1), and pure acceptance-distribution instances until
+    ten of them are feasible."""
     out = [example1, support.make_empty_follower_pure(),
-           GeneralizedProblem(base=example1, extra_rows=(row_lt([0, -1], 0), row_le([1, 1], 2)),
-                              fixed_x_prefix=(1,))]
+           with_upper_rows(example1, ([0], [-1], -1), ([1], [1], 2), ([1], [0], 1),
+                           ([-1], [0], -1))]
     rng = random.Random(PURE_SEED)
     feasible = 0
     while feasible < 10:
@@ -194,16 +158,16 @@ def _pure_table_inputs(example1):
 def test_pure_table_matches_decide_le_pure(example1):
     # the driver answers every query from one table listed without an alpha
     # row; each answer must equal a fresh decide_le_pure at that alpha
-    for prob in _pure_table_inputs(example1):
+    for inst in _pure_table_inputs(example1):
         try:
-            v_lo, v_hi = objective_bounds(prob, CFG)
+            v_lo, v_hi = objective_bounds(inst, CFG)
         except InfeasibleRelaxationError:
             v_lo = v_hi = Fraction(0)
-        v_star = solve_pure(prob, config=CFG).infimum
+        v_star = solve_pure(inst, config=CFG).infimum
         base = v_lo if v_star is None else v_star
-        table = list(pure_responses(prob, CFG))
+        table = list(pure_responses(inst, CFG))
         for alpha in (base - 1, base - Fraction(1, 2), base, base + Fraction(1, 2), v_hi):
-            assert any(v <= alpha for v, _, _ in table) == decide_le_pure(prob, alpha, CFG)
+            assert any(v <= alpha for v, _, _ in table) == decide_le_pure(inst, alpha, CFG)
 
 
 # ------------------------------------------------------------------ properties
@@ -226,7 +190,7 @@ def test_consistency_with_cell_infima(seed, alpha):
     inst = random_instance(random.Random(seed))
     obj = inst.objective_vector()
     expected = False
-    for cell in enumerate_cells(inst, (), CFG):
+    for cell in enumerate_cells(inst, CFG):
         inf, attained, _ = cell_infimum(inst, cell, obj, CFG)
         if (attained and inf <= alpha) or (not attained and inf < alpha):
             expected = True

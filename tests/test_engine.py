@@ -9,25 +9,15 @@ from hypothesis import strategies as st
 import support
 from conftest import MIXED_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
-                           GeneralizedProblem, InfeasibleProblemError,
-                           InfeasibleRelaxationError, Instance, InternalInvariantError,
-                           LinearSystem, QVector, Telemetry, bilevel_feasible,
-                           bisect_decision, decide_eq, decide_le, denominator_cap,
-                           disagreement, eps_point, infimum, lex_extract, objective_bounds,
-                           random_instance, rational_reconstruct, reference_oracle, row_le,
-                           solve_mixed, solve_pure)
+                           InfeasibleProblemError, InfeasibleRelaxationError, Instance,
+                           InternalInvariantError, LinearSystem, QVector, Telemetry,
+                           bilevel_feasible, bisect_decision, decide_eq, decide_le,
+                           denominator_cap, disagreement, eps_point, infimum, lex_extract,
+                           objective_bounds, random_instance, rational_reconstruct,
+                           reference_oracle, row_le, solve_mixed, solve_pure)
+from support import make_flipped, with_upper_rows
 
 CFG = DEFAULT_CONFIG
-
-
-def make_flipped():
-    """The bundled example with leader objective x + z: attained at (0,0)."""
-    return Instance(
-        n=1, d=1,
-        A=[[-1], [1], [-1]], B=[[-1], [0], [0]],
-        C=[[0], [1], [-1]], D=[[1], [0], [0]],
-        c=[1], e=[1], psi=[1], u=[0, 1, 0], p=[1, 1, 0],
-    )
 
 
 def halvings_needed(width, target):
@@ -43,7 +33,7 @@ def halvings_needed(width, target):
 
 def test_objective_bounds_examples(example1):
     assert objective_bounds(example1, CFG) == (-1, 1)
-    flat = GeneralizedProblem(base=example1, objective=QVector([0, 0]))
+    flat = replace(example1, c=[0], e=[0])
     assert objective_bounds(flat, CFG) == (0, 0)
     with pytest.raises(InfeasibleRelaxationError):
         objective_bounds(support.make_infeasible_upper(), CFG)
@@ -51,10 +41,9 @@ def test_objective_bounds_examples(example1):
 
 def test_denominator_cap_examples(example1):
     assert denominator_cap(example1) == 2
-    wide = GeneralizedProblem(base=example1, extra_rows=(row_le([0, 3], 10),))
+    wide = with_upper_rows(example1, ([0], [3], 10))
     assert denominator_cap(wide) == 4
-    # fractional extras are scaled to integers first: -z <= -1/2 becomes -2z <= -1
-    half = GeneralizedProblem(base=example1, extra_rows=(row_le([0, -1], Fraction(-1, 2)),))
+    half = with_upper_rows(example1, ([0], [-2], -1))
     assert denominator_cap(half) == 3
 
 
@@ -122,8 +111,7 @@ def test_bisect_decision_brackets():
 def test_infimum_examples(example1):
     assert infimum(example1, CFG) == -1
     assert infimum(make_flipped(), CFG) == 0
-    shifted = GeneralizedProblem(base=example1, objective=QVector([-1, 2]),
-                                 extra_rows=(row_le([0, -1], Fraction(-1, 2)),))
+    shifted = replace(with_upper_rows(example1, ([0], [-2], -1)), c=[-1], e=[2])
     assert infimum(shifted, CFG) == 0
 
 
@@ -171,8 +159,7 @@ def test_infimum_boundary_probes(seed):
 
 
 def test_lex_extract_single_point_cell(example1):
-    prob = GeneralizedProblem(base=example1, objective=QVector([1, 1]))
-    trace = lex_extract(prob, Fraction(0), CFG)
+    trace = lex_extract(make_flipped(), Fraction(0), CFG)
     assert trace.x_star == (0,)
     assert trace.rho == (0, 1, 0)
     assert trace.r == (0, 1, 0)
@@ -182,8 +169,8 @@ def test_lex_extract_single_point_cell(example1):
 
 
 def test_lex_extract_with_extras(example1):
-    prob = GeneralizedProblem(base=example1, extra_rows=(row_le([0, -1], Fraction(-1, 2)),))
-    trace = lex_extract(prob, Fraction(-1, 2), CFG)
+    # the extra upper row -2z <= -1 keeps z >= 1/2
+    trace = lex_extract(with_upper_rows(example1, ([0], [-2], -1)), Fraction(-1, 2), CFG)
     assert trace.x_star == (1,)
     # the closure of the value-slice pins z = 1/2, so rho_1 = -z = -1/2
     assert trace.rho[0] == Fraction(-1, 2)
