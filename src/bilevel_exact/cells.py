@@ -7,11 +7,13 @@ feasibility reduces to per-cell checks and the leader's infimum to per-cell
 LPs. Cell regions are half open: the floor rows hold as r_i <= B_i z + u_i <
 r_i + 1, the upper-level rows and z >= 0 are closed.
 
-The index of valid cells walks the floor vectors once: one walk over r on
-the upper system in (x, z), x continuous, carrying the integer x of the
-upper region that fit the floors chosen so far; at each reachable r one
-integer solve of the follower gives its optimum, and the carried x at that
-value are the responses to pair with r.
+The valid cells come from one walk over the floor vectors r on the upper
+system in (x, z), x continuous, carrying the integer x of the upper region
+that fit the floors chosen so far; at each reachable r one integer solve of
+the follower gives its optimum, and the carried x at that value are the
+responses to pair with r. The same walk serves the per-instance index, which
+collects and sorts its cells, and a single threshold query, which adds the
+row value <= alpha to the walk and stops at the first cell that meets it.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from .errors import InternalInvariantError, ResourceLimitError, ValidationError
 from .lattice import MixedPattern, integer_min_value, mixed_feasible
 from .linear import (LinearSystem, lp_solve, recession_bounded, row_eq, row_le, row_lt,
                      strict_feasible_point, substitute_first, _bounded_system)
-from .rational import QMatrix, QVector, Rat, ceil_rat, floor_rat
+from .rational import QMatrix, QVector, ceil_rat, floor_rat
 
 
 @dataclass(frozen=True)
@@ -295,51 +297,54 @@ class CellEntry:
     region: LinearSystem
 
 
-class CellIndex:
-    """Lex-ordered valid cells of an instance, built once and reused.
+def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
+    """The valid cells of the instance with their regions, as CellEntry, in
+    the order of one floor walk; with `alpha`, only the cells whose region
+    has a point of value c . x + e . z <= alpha.
 
-    The build lists the x candidates once: the integer x of the upper
-    region, each with A x and psi . x. It then walks the floor vector r once,
-    on the closed upper system in (x, z) with x continuous. At row i it takes
-    the range of B_i z over the rows chosen so far and, for each floor r_i
-    in it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row A_i x <=
-    r_i and keeps the candidates with A_i x <= r_i; a floor that keeps none
-    is not entered, and a zero row of B has the one floor floor(u_i) and
-    needs no LP. A valid cell (x, r) has a point z in its region, and (x, z)
-    meets every row the walk adds for r, so the walk reaches every r a valid
-    cell has with x still among its candidates. At a leaf r one
+    The walk lists the x candidates once: the integer x of the upper region,
+    each with A x and psi . x. It then walks the floor vector r once, on the
+    closed upper system in (x, z) with x continuous. At row i it takes the
+    range of B_i z over the rows chosen so far and, for each floor r_i in
+    it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row A_i x <= r_i
+    and keeps the candidates with A_i x <= r_i; a floor that keeps none is
+    not entered, and a zero row of B has the one floor floor(u_i) and needs
+    no LP. A valid cell (x, r) has a point z in its region, and (x, z) meets
+    every row the walk adds for r, so the walk reaches every r a valid cell
+    has with x still among its candidates. At a leaf r one
     integer_min_value over {A x <= r} gives the follower's optimal value;
     the x that no response improves on by 1 or more are exactly those with
-    psi . x equal to it (psi, x and r are integral), so the leaf pairs r with
-    the candidates at that value and keeps each (x, r) whose cell_region is
-    strictly feasible.
-    A leaf never lists the follower's argmin, which may be far wider than
-    the upper region. Entries are sorted by (x, r). cell_cap counts the
-    candidate walk's values, the leaves and the (x, r) pairs tested.
+    psi . x equal to it (psi, x and r are integral), so the leaf pairs r
+    with the candidates at that value and keeps each (x, r) whose
+    cell_region is strictly feasible. A leaf never lists the follower's
+    argmin, which may be far wider than the upper region.
+
+    With `alpha`, the candidate listing and the walk's system carry the row
+    c . x + e . z <= alpha too: a cell with a point z of value <= alpha in
+    its region has (x, z) on that row, so the walk still reaches it. Each
+    leaf pair is kept when its region with e . z <= alpha - c . x added is
+    strictly feasible, which proves at once that the cell is valid and that
+    it meets the threshold. A decision query stops at the first pair.
+
+    cell_cap counts the candidate walk's values, the leaves and the (x, r)
+    pairs tested.
     """
+    budget = [0]
+    upper = inst.upper_system()
+    if alpha is not None:
+        value_rows = _nonconstant([row_le(inst.objective_vector().entries, alpha)])
+        if value_rows is None:
+            return
+        upper = upper.with_rows(value_rows)
+    candidates = []
+    for x in integer_candidates(upper.rows, inst.joint_dim(), inst.n, config, budget):
+        xv = QVector(x)
+        candidates.append((x, inst.A.matvec(xv).entries, inst.psi.dot(xv)))
 
-    def __init__(self, inst: Instance, config: SolverConfig):
-        self.instance = inst
-        self.config = config
-        self.entries = self._build()
-
-    def _build(self):
-        inst, config = self.instance, self.config
-        entries, budget = [], [0]
-        upper = inst.upper_system()
-        candidates = []
-        for x in integer_candidates(upper.rows, inst.joint_dim(), inst.n, config, budget):
-            xv = QVector(x)
-            candidates.append((x, inst.A.matvec(xv).entries, inst.psi.dot(xv)))
-        self._walk_floors(upper, [], candidates, entries, budget)
-        entries.sort(key=lambda e: (e.cell.x, e.cell.r))
-        return entries
-
-    def _walk_floors(self, system, r_prefix, candidates, entries, budget):
-        inst, config = self.instance, self.config
+    def walk(system, r_prefix, candidates):
         i = len(r_prefix)
         if i == inst.m:
-            self._add_optimal_cells(tuple(r_prefix), candidates, entries, budget)
+            yield from optimal_cells(tuple(r_prefix), candidates)
             return
         uv = inst.u.entries[i]
         if not any(inst.B.entries[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
@@ -361,10 +366,9 @@ class CellIndex:
             rows = _nonconstant([row_le(response, ri)]
                                 + _floor_rows(inst, i, ri, row_le, inst.n))
             if rows is not None:
-                self._walk_floors(system.with_rows(rows), r_prefix + [ri], fits, entries, budget)
+                yield from walk(system.with_rows(rows), r_prefix + [ri], fits)
 
-    def _add_optimal_cells(self, r, candidates, entries, budget):
-        inst, config = self.instance, self.config
+    def optimal_cells(r, candidates):
         _charge(budget, config)
         opt = integer_min_value(inst.psi, inst.follower_system(r), config)
         if opt is None:
@@ -374,8 +378,29 @@ class CellIndex:
                 _charge(budget, config)
                 cell = Cell(x, r)
                 region = cell_region(inst, cell)
-                if strict_feasible_point(region, config) is not None:
-                    entries.append(CellEntry(cell, region))
+                check = region
+                if alpha is not None:
+                    below = alpha - inst.c.dot(QVector(x))
+                    check = region.with_rows([row_le(inst.e.entries, below)])
+                if strict_feasible_point(check, config) is not None:
+                    yield CellEntry(cell, region)
+
+    yield from walk(upper, [], candidates)
+
+
+class CellIndex:
+    """Lex-ordered valid cells of an instance, built once and reused: the
+    entries of valid_cells, sorted by (x, r)."""
+
+    def __init__(self, inst: Instance, config: SolverConfig):
+        self.instance = inst
+        self.config = config
+        self.entries = self._build()
+
+    def _build(self):
+        entries = list(valid_cells(self.instance, self.config))
+        entries.sort(key=lambda e: (e.cell.x, e.cell.r))
+        return entries
 
 
 def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellIndex:

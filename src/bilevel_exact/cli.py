@@ -6,7 +6,6 @@ import random
 import sys
 from typing import Optional
 
-from .config import DEFAULT_CONFIG
 from .decide import decide_le, decide_le_pure
 from .engine import (INFEASIBLE, MIXED, PURE, disagreement, reference_oracle, solve_mixed,
                      solve_pure)

@@ -11,9 +11,10 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # per integer candidate walk: integer values tried; per cell index, that
-    # count for its x candidates plus the floor-walk leaves r and the
-    # optimal responses (x, r) found at them
+    # per integer candidate walk: integer values tried; per floor walk (a
+    # cell index or a cold decide_le query), that count for its x
+    # candidates plus the leaves r and the optimal responses (x, r) tested
+    # at them
     cell_cap: int = 10**6
     integer_point_cap: int = 10**6   # points emitted by enumerate_integers
     basis_cap: int = 10**6           # row subsets tried during vertex enumeration

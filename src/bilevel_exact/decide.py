@@ -5,16 +5,19 @@ alpha"; decide_eq asks for exact equality and hands back a witness;
 witness_le hands back the witness of decide_le; decide_le_pure is the
 all-integer variant.
 
-The three mixed queries are each one pass of DecisionScan.hits, the only
-loop over the cells here. On one cell the objective is affine in z over a
-half-open region Q, and the thresholds alpha for which Q has a point of
-value <= alpha form a ray, [low, inf) or (low, inf), where low is the LP
-minimum of the objective over the closure of Q. A scan keeps each cell's
-low, found once by the first query that reaches the cell, and answers from
-it: a threshold below low skips the cell and a value <= alpha query above
-low is a hit, both without an LP. Only a threshold equal to low, and an
-equality query above it, run a strict-feasibility check; so does a witness
-request, to produce the point.
+A single decide_le query, with no scan passed, is one floor walk of
+cells.valid_cells restricted to value <= alpha that stops at its first cell:
+it builds no cell index and no scan. Repeated queries, and the lex-ordered
+ones (decide_eq, witness_le), are each one pass of DecisionScan.hits, the
+only loop over the indexed cells here. On one cell the objective is affine
+in z over a half-open region Q, and the thresholds alpha for which Q has a
+point of value <= alpha form a ray, [low, inf) or (low, inf), where low is
+the LP minimum of the objective over the closure of Q. A scan keeps each
+cell's low, found once by the first query that reaches the cell, and
+answers from it: a threshold below low skips the cell and a value <= alpha
+query above low is a hit, both without an LP. Only a threshold equal to
+low, and an equality query above it, run a strict-feasibility check; so
+does a witness request, to produce the point.
 
 The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cells import Cell, Instance, cell_index, integer_candidates
+from .cells import Cell, Instance, cell_index, integer_candidates, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_min, integer_min_value
@@ -119,12 +122,16 @@ def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
               telemetry=None, scan: Optional[DecisionScan] = None) -> bool:
     """True iff some bilevel-feasible point has value <= alpha.
 
-    A caller running many queries against one instance should pass a
-    DecisionScan built from that instance; it must match inst and config.
-    The same holds for decide_eq and witness_le.
+    Without a scan, one floor walk restricted to value <= alpha answers the
+    query and stops at its first cell; it leaves the instance's cell index
+    unbuilt. Repeated queries: pass a scan, a DecisionScan built from the
+    same inst and config. The same holds for decide_eq and witness_le,
+    which build a scan when none is passed.
     """
     if telemetry is not None:
         telemetry.decision_queries += 1
+    if scan is None:
+        return next(valid_cells(inst, config, Fraction(alpha)), None) is not None
     return _first_hit(inst, row_le, alpha, config, scan, witness=False) is not None
 
 

@@ -39,7 +39,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError
-from .rational import QMatrix, QVector, Rat
+from .rational import QMatrix, QVector
 
 LE = "<="
 EQ = "="
@@ -672,16 +672,21 @@ def recession_rows(sys: LinearSystem):
     return out
 
 
-def _cone_coords_zero(coeff_rows, dim: int, coords,
-                      config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """True iff every y with (rows) . y <= 0 has y_i = 0 for i in coords."""
+def _truncated_cone(coeff_rows, dim: int) -> LinearSystem:
+    """{y : (rows) . y <= 0, |y_j| <= 1}; the cone rows come first."""
     rows = [row_le(r, 0) for r in coeff_rows]
     for j in range(dim):
         unit = [0] * dim
         unit[j] = 1
         rows.append(row_le(unit, 1))
         rows.append(row_le([-v for v in unit], 1))
-    cone = LinearSystem(dim, tuple(rows))
+    return LinearSystem(dim, tuple(rows))
+
+
+def _cone_coords_zero(coeff_rows, dim: int, coords,
+                      config: SolverConfig = DEFAULT_CONFIG) -> bool:
+    """True iff every y with (rows) . y <= 0 has y_i = 0 for i in coords."""
+    cone = _truncated_cone(coeff_rows, dim)
     for i in coords:
         unit = [0] * dim
         unit[i] = 1
@@ -706,10 +711,25 @@ def _projection_bounded(sys: LinearSystem, coords,
 
 
 def recession_bounded(m: QMatrix, config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """Whether {y : m y <= 0} is the origin alone."""
-    if m.ncols == 0:
+    """Whether {y : m y <= 0} is the origin alone.
+
+    A rank test and one LP. The rows must span R^n, else a direction w with
+    m w = 0 lies in the cone. Then the column sums 1^T m are minimized over
+    the truncated cone {m y <= 0, |y_j| <= 1}: every (m y)_i is <= 0 there,
+    so an optimum of 0 forces m y = 0, hence y = 0 by full rank, while a
+    nonzero y in the cone has m y != 0 and a negative sum.
+    """
+    dim = m.ncols
+    if dim == 0:
         return True
-    return _cone_coords_zero([tuple(row) for row in m.entries], m.ncols, range(m.ncols), config)
+    cone = _truncated_cone(m.entries, dim)
+    if _nullspace_direction([r.scaled[0] for r in cone.rows[:m.nrows]], dim) is not None:
+        return False
+    sums = QVector([sum(col, Fraction(0)) for col in zip(*m.entries)])
+    out = lp_solve(cone, sums, "min", config)
+    if not out.is_optimal:
+        raise InternalInvariantError("truncated cone LP must be optimal")
+    return out.value == 0
 
 
 def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:

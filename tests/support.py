@@ -6,11 +6,12 @@ sets, and a denominator scan for simplest-rational questions. They are slow
 and only meant for small reference problems.
 """
 import itertools
+import math
 import os
 from dataclasses import replace
 from fractions import Fraction
 
-from bilevel_exact import LE, EQ, LT, Instance
+from bilevel_exact import DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, is_valid_cell
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1_PATH = os.path.join(ROOT, "instances", "example1.json")
@@ -127,6 +128,27 @@ def ref_strictly_feasible(rows):
         return False
     center = [sum(col) / len(verts) for col in zip(*verts)]
     return all(row_holds(r, center) for r in rows)
+
+
+def valid_cells_by_definition(inst):
+    """Every (x, r) that is_valid_cell accepts, in lex order.
+
+    Valid cells lie inside the upper region, so x ranges over the integer
+    points of its x box and each r_i over the floors of B_i z + u_i between
+    the least and the greatest value at its vertices.
+    """
+    verts = ref_vertices(inst.upper_system())
+    if not verts:
+        return []
+    x_ranges = [range(math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)) + 1)
+                for j in range(inst.n)]
+    r_ranges = []
+    for br, uv in zip(inst.B.entries, inst.u.entries):
+        floors = [math.floor(sum(b * zj for b, zj in zip(br, v[inst.n:])) + uv) for v in verts]
+        r_ranges.append(range(min(floors), max(floors) + 1))
+    cells = [Cell(x, r) for x in itertools.product(*x_ranges)
+             for r in itertools.product(*r_ranges)]
+    return [cell for cell in cells if is_valid_cell(inst, cell, DEFAULT_CONFIG)]
 
 
 def ref_lp_min(system, objective):

@@ -1,5 +1,3 @@
-import itertools
-import math
 import random
 from fractions import Fraction
 
@@ -164,30 +162,9 @@ def test_cell_cap_messages_name_the_cap(example1):
 # ---------------------------------------------------------- invariant suites
 
 
-def _valid_cells_by_definition(inst):
-    """Every (x, r) that is_valid_cell accepts, in lex order.
-
-    Valid cells lie inside the upper region, so x ranges over the integer
-    points of its x box and each r_i over the floors of B_i z + u_i between
-    the least and the greatest value at its vertices.
-    """
-    verts = support.ref_vertices(inst.upper_system())
-    if not verts:
-        return []
-    x_ranges = [range(math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)) + 1)
-                for j in range(inst.n)]
-    r_ranges = []
-    for br, uv in zip(inst.B.entries, inst.u.entries):
-        floors = [math.floor(sum(b * zj for b, zj in zip(br, v[inst.n:])) + uv) for v in verts]
-        r_ranges.append(range(min(floors), max(floors) + 1))
-    cells = [Cell(x, r) for x in itertools.product(*x_ranges)
-             for r in itertools.product(*r_ranges)]
-    return [cell for cell in cells if is_valid_cell(inst, cell, CFG)]
-
-
 def test_index_holds_every_valid_cell_examples(example1):
     for inst in (example1, support.make_infeasible_upper()):
-        assert enumerate_cells(inst, CFG) == _valid_cells_by_definition(inst)
+        assert enumerate_cells(inst, CFG) == support.valid_cells_by_definition(inst)
 
 
 @settings(max_examples=25)
@@ -196,7 +173,7 @@ def test_index_holds_every_valid_cell_examples(example1):
 @example(92)   # follower argmin there holds two responses x
 def test_index_holds_every_valid_cell(seed):
     inst = random_instance(random.Random(seed))
-    assert enumerate_cells(inst, CFG) == _valid_cells_by_definition(inst)
+    assert enumerate_cells(inst, CFG) == support.valid_cells_by_definition(inst)
 
 
 @pytest.mark.parametrize("psi", [(0, 0), (1, 0)])
@@ -211,7 +188,7 @@ def test_index_reads_argmin_only_inside_the_upper_region(psi):
         c=[0, 0], e=[1], psi=list(psi), u=[1000, 1, 1000, 1], p=[1, 1, 1, 1, 1],
     )
     cells = enumerate_cells(inst, CFG)
-    assert cells == _valid_cells_by_definition(inst)
+    assert cells == support.valid_cells_by_definition(inst)
     assert len(cells) == (9 if psi == (0, 0) else 3)
 
 

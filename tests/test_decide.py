@@ -1,15 +1,16 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
 from conftest import MIXED_SEED, PURE_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, DecisionScan, InfeasibleRelaxationError,
-                           QVector, bilevel_feasible, cell_infimum, decide_eq, decide_le,
-                           decide_le_pure, enumerate_cells, objective_bounds, random_instance,
-                           row_eq, row_le, solve_mixed, solve_pure)
+                           QVector, bilevel_feasible, cell_infimum, cell_region, decide_eq,
+                           decide_le, decide_le_pure, enumerate_cells, objective_bounds,
+                           random_instance, row_eq, row_le, solve_mixed, solve_pure)
 from bilevel_exact.decide import pure_responses, witness_le
 from support import make_flipped, with_upper_rows
 
@@ -137,6 +138,58 @@ def test_decision_table_matches_vertex_reference(example1):
             assert (got is None) == (eq_hit is None)
             if got is not None:
                 _assert_witness(inst, got, eq_hit, alpha, row_eq)
+
+
+def _reference_decide_le(inst, alpha):
+    """decide_le from the definition, sharing no code with the floor walk:
+    is_valid_cell over the covering box of the upper region's vertices, then
+    a vertex-barycenter strict-feasibility test of each valid cell's region
+    with the row value <= alpha."""
+    for cell in support.valid_cells_by_definition(inst):
+        shift = inst.c.dot(QVector(cell.x))
+        rows = list(cell_region(inst, cell).rows) + [row_le(inst.e.entries, alpha - shift)]
+        if support.ref_strictly_feasible(rows):
+            return True
+    return False
+
+
+def _assert_cold_decide_le(inst, alpha, expected=None):
+    # the cold walk, on a fresh copy whose cell-index cache starts empty,
+    # must leave that cache empty and agree with a scan and the reference
+    fresh = replace(inst)
+    cold = decide_le(fresh, alpha, CFG)
+    assert not fresh._index_cache
+    assert cold == decide_le(inst, alpha, CFG, scan=DecisionScan(inst, CFG))
+    assert cold == _reference_decide_le(inst, alpha)
+    if expected is not None:
+        assert cold == expected
+
+
+def test_cold_decide_le_examples(example1):
+    # example1: v* = -1 unattained; make_flipped: v* = 0 attained at (0, 0)
+    for alpha, expected in ((Fraction(-8, 7), False), (Fraction(-1), False),
+                            (Fraction(-6, 7), True)):
+        _assert_cold_decide_le(example1, alpha, expected)
+    _assert_cold_decide_le(make_flipped(), Fraction(0), True)
+    for alpha in (Fraction(-5), Fraction(0), Fraction(100)):
+        _assert_cold_decide_le(support.make_infeasible_upper(), alpha, False)
+    # a zero objective makes the value row constant: false below 0, true at 0
+    for alpha, expected in ((Fraction(-1), False), (Fraction(0), True)):
+        _assert_cold_decide_le(replace(example1, c=[0], e=[0]), alpha, expected)
+
+
+@settings(max_examples=25)
+@given(st.integers(0, 10**6), st.fractions(min_value=-8, max_value=8, max_denominator=8))
+@example(19, Fraction(0))  # the walk reaches a valid cell that misses v* - 1/7
+def test_cold_decide_le_matches_reference(seed, alpha):
+    # the drawn alpha, and the thresholds at and beside the infimum
+    inst = random_instance(random.Random(seed))
+    alphas = [alpha]
+    v_star = solve_mixed(inst, config=CFG).infimum
+    if v_star is not None:
+        alphas += [v_star - Fraction(1, 7), v_star, v_star + Fraction(1, 7)]
+    for a in alphas:
+        _assert_cold_decide_le(inst, a)
 
 
 def _pure_table_inputs(example1):

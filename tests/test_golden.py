@@ -5,8 +5,9 @@ in conftest's session batches (mixed at MIXED_SEED, pure at PURE_SEED), so a
 refactor that claims the same behaviour is checked against recorded answers.
 tests/golden/mixed_grid.json pins the same fields plus the eps point for the
 125 mixed-grid benchmark instances at seed 7, built by perfbench's own
-generator and solved with eps 1/8. Telemetry is left out: query counts may
-change while answers may not.
+generator and solved with eps 1/8; the cold decide_le answers on those
+instances are checked against it too. Telemetry is left out: query counts
+may change while answers may not.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -50,23 +51,27 @@ def batch_records(mixed_rows, pure_rows) -> dict:
     }
 
 
-def grid_records() -> list:
-    """Reports of the mixed-grid instances, drawn as the benchmark draws them:
+def grid_instances() -> list:
+    """The mixed-grid instances, drawn as the benchmark draws them:
     grid_instance at GRID_SEED over the workload's shapes, round-robin."""
     if BENCH not in sys.path:
         sys.path.insert(0, BENCH)
     import gen
     import workloads
-    from bilevel_exact import parse_instance, solve_mixed
+    from bilevel_exact import parse_instance
     rng = random.Random(GRID_SEED)
     shapes = workloads.GRID_SHAPES
     out = []
     for i in range(GRID_COUNT):
         doc = gen.grid_instance(rng, f"mixed-grid-{GRID_SEED}-{i}", shapes[i % len(shapes)],
                                 "mixed")
-        inst, _ = parse_instance(gen.to_json(doc))
-        out.append(report_record(solve_mixed(inst, eps=GRID_EPS)))
+        out.append(parse_instance(gen.to_json(doc))[0])
     return out
+
+
+def grid_records() -> list:
+    from bilevel_exact import solve_mixed
+    return [report_record(solve_mixed(inst, eps=GRID_EPS)) for inst in grid_instances()]
 
 
 def test_acceptance_batches_match_golden(mixed_batch, pure_batch):
@@ -91,6 +96,29 @@ def test_mixed_grid_matches_golden():
     assert len(have) == len(want)
     for i, (h, w) in enumerate(zip(have, want)):
         assert h == w, f"mixed-grid instance {i}: {h} != {w}"
+
+
+def test_mixed_grid_cold_decide_matches_golden():
+    # each cold query runs its own floor walk on an instance whose cell index
+    # is never built: false 1/8 below the golden infimum, true 1/8 above it,
+    # true at it exactly when it is attained, and false at a large threshold
+    # when the instance is infeasible
+    from bilevel_exact import decide_le
+    gap = Fraction(1, 8)
+    with open(GRID_PATH) as fh:
+        want = json.load(fh)["reports"]
+    insts = grid_instances()
+    assert len(insts) == len(want)
+    for i, (inst, w) in enumerate(zip(insts, want)):
+        if w["infimum"] is None:
+            expected = {Fraction(10**6): False}
+        else:
+            v_star = Fraction(w["infimum"])
+            expected = {v_star - gap: False, v_star: w["status"] == "Attained",
+                        v_star + gap: True}
+        for alpha, answer in expected.items():
+            assert decide_le(inst, alpha) == answer, f"mixed-grid instance {i} at {alpha}"
+        assert not inst._index_cache
 
 
 def _write_reports(fh, reports):

@@ -10,7 +10,7 @@ import pytest
 import support
 from bilevel_exact import (SolverConfig, ValidationError, instance_to_json, load_instance,
                            parse_and_validate, parse_instance, report_to_json, solve_mixed)
-from bilevel_exact import cli, engine
+from bilevel_exact import cli, decide, engine
 from bilevel_exact.cli import cli_main
 from bilevel_exact.instance_io import render_text
 
@@ -267,9 +267,11 @@ def test_solve_example1_script_matches_readme():
 
 
 def _with_config(monkeypatch, config):
-    """Route the CLI's solves through `config`; the CLI has no cap flags."""
+    """Route the CLI's solves and mixed decide queries through `config`; the
+    CLI has no cap flags."""
     monkeypatch.setattr(cli, "solve_mixed", functools.partial(engine.solve_mixed, config=config))
     monkeypatch.setattr(cli, "solve_pure", functools.partial(engine.solve_pure, config=config))
+    monkeypatch.setattr(cli, "decide_le", functools.partial(decide.decide_le, config=config))
 
 
 @pytest.mark.parametrize("field, words, mode, attained", [
@@ -289,3 +291,11 @@ def test_cli_cap_hit_names_the_cap(field, words, mode, attained, tmp_path, monke
     err = capsys.readouterr().err
     line = next(ln for ln in err.splitlines() if ln.startswith("resource limit:"))
     assert f"{field}=0:" in line and words in line
+
+
+def test_cli_decide_cap_hit_names_the_cap(example1_path, monkeypatch, capsys):
+    # a cold mixed query walks the cells itself, under the same cell_cap
+    _with_config(monkeypatch, SolverConfig(cell_cap=0))
+    assert cli_main(["decide", example1_path, "--alpha", "0"]) == 3
+    err = capsys.readouterr().err
+    assert any(ln.startswith("resource limit: cell_cap=0:") for ln in err.splitlines())
