@@ -8,6 +8,7 @@ import support
 from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, MixedPattern,
                            QVector, enumerate_integers, integer_min, mixed_feasible,
                            row_eq, row_le, row_lt)
+from bilevel_exact.cells import integer_candidates
 from bilevel_exact.lattice import integer_min_value
 
 
@@ -117,6 +118,19 @@ def test_enumerate_integers_matches_grid_scan(sys_):
     got = [tuple(int(v) for v in p.entries) for p in enumerate_integers(sys_, DEFAULT_CONFIG)]
     assert got == support.brute_integer_points(sys_, -4, 4)
     assert got == sorted(got)
+
+
+@settings(max_examples=40)
+@given(boxed_systems(dim=3, side=2), st.sampled_from([1, 2]))
+def test_integer_candidates_lists_feasible_prefixes(sys_, count):
+    # a prefix is listed iff the slice with those coordinates fixed has a point
+    got = integer_candidates(sys_.rows, 3, count, DEFAULT_CONFIG, [0])
+    want = []
+    for prefix in support.grid_points(count, -2, 2):
+        fixed = [row_eq([int(j == i) for j in range(3)], v) for i, v in enumerate(prefix)]
+        if support.ref_lp_min(sys_.with_rows(fixed), [Fraction(0)] * 3) is not None:
+            want.append(prefix)
+    assert got == want
 
 
 def test_mixed_feasible_follower_slice():
