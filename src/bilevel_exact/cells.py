@@ -14,19 +14,21 @@ the follower gives its optimum, and the carried x at that value are the
 responses to pair with r. The same walk serves the per-instance index, which
 collects and sorts its cells, and a single threshold query, which adds the
 row value <= alpha to the walk and stops at the first cell that meets it.
+The candidate x come from lattice.integer_candidates, the one integer walk,
+and cell rows are restricted to a fixed x through linear.fix_block.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
-from .errors import InternalInvariantError, ResourceLimitError, ValidationError
-from .lattice import MixedPattern, integer_min_value, mixed_feasible
-from .linear import (LinearSystem, lp_solve, recession_bounded, row_eq, row_le, row_lt,
-                     strict_feasible_point, substitute_first, _bounded_system)
-from .rational import QMatrix, QVector, ceil_rat, floor_rat
+from .errors import InternalInvariantError, ValidationError
+from .lattice import (MixedPattern, integer_candidates, integer_min_value, mixed_feasible,
+                      _charge)
+from .linear import (LinearSystem, fix_block, lp_solve, nonconstant, recession_bounded, row_eq,
+                     row_le, row_lt, strict_feasible_point, _bounded_system)
+from .rational import QMatrix, QVector, floor_rat
 
 
 @dataclass(frozen=True)
@@ -156,29 +158,6 @@ def floor_rhs(inst: Instance, z: QVector) -> tuple:
     return tuple(floor_rat(v + uv) for v, uv in zip(inst.B.matvec(z), inst.u.entries))
 
 
-def _nonconstant(rows) -> Optional[list]:
-    """The rows without the constant ones that hold; None if one fails."""
-    out = []
-    for row in rows:
-        truth = row.constant_truth()
-        if truth is False:
-            return None
-        if truth is None:
-            out.append(row)
-    return out
-
-
-def _upper_rows_at(inst: Instance, x) -> Optional[list]:
-    """D z <= p - C x and z >= 0 over z for a fixed x."""
-    cx = inst.C.matvec(QVector(x))
-    rows = [row_le(dr, rhs - shift) for dr, rhs, shift in zip(inst.D.entries, inst.p.entries, cx)]
-    for i in range(inst.d):
-        coeffs = [0] * inst.d
-        coeffs[i] = -1
-        rows.append(row_le(coeffs, 0))
-    return _nonconstant(rows)
-
-
 def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt, lead: int = 0) -> list:
     """r_i <= B_i z + u_i < r_i + 1 over z; upper=row_le gives the closure,
     and `lead` zero coefficients in front put the rows over (x, z)."""
@@ -198,8 +177,8 @@ def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
-    parts = [_upper_rows_at(inst, cell.x)]
-    parts += [_nonconstant(_floor_rows(inst, i, ri)) for i, ri in enumerate(cell.r)]
+    parts = [nonconstant(fix_block(inst.upper_rows(), cell.x, 0))]
+    parts += [nonconstant(_floor_rows(inst, i, ri)) for i, ri in enumerate(cell.r)]
     empty = [row_le([0] * inst.d, -1)]
     rows = [row for part in parts for row in (empty if part is None else part)]
     return _bounded_system(inst.d, tuple(rows))
@@ -249,48 +228,6 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
 # enumeration and the per-instance index
 
 
-def _charge(budget, config: SolverConfig):
-    """Count one unit of enumeration work against cell_cap."""
-    budget[0] += 1
-    if budget[0] > config.cell_cap:
-        raise ResourceLimitError(f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
-
-
-def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
-                       budget) -> list:
-    """Integer assignments of the first `count` coordinates that keep the
-    closed system feasible with the remaining coordinates continuous.
-
-    Lex order; `budget` is a one-element mutable counter shared with the
-    caller's cap.
-    """
-    out = []
-
-    def walk(prefix, cur, remaining_first):
-        if remaining_first == 0:
-            out.append(tuple(prefix))
-            return
-        dim = total_dim - len(prefix)
-        sub = LinearSystem(dim, tuple(cur))
-        unit = [Fraction(0)] * dim
-        unit[0] = Fraction(1)
-        lo_out = lp_solve(sub, QVector(unit), "min", config)
-        if lo_out.tag == "infeasible":
-            return
-        hi_out = lp_solve(sub, QVector(unit), "max", config)
-        if not (lo_out.is_optimal and hi_out.is_optimal):
-            raise InternalInvariantError("candidate enumeration hit an unbounded direction")
-        for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
-            _charge(budget, config)
-            if remaining_first == 1:  # a leaf: nothing reads the substituted rows
-                out.append(tuple(prefix) + (v,))
-            else:
-                walk(prefix + [v], substitute_first(cur, Fraction(v)), remaining_first - 1)
-
-    walk([], list(rows), count)
-    return out
-
-
 @dataclass
 class CellEntry:
     cell: Cell
@@ -332,7 +269,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     budget = [0]
     upper = inst.upper_system()
     if alpha is not None:
-        value_rows = _nonconstant([row_le(inst.objective_vector().entries, alpha)])
+        value_rows = nonconstant([row_le(inst.objective_vector().entries, alpha)])
         if value_rows is None:
             return
         upper = upper.with_rows(value_rows)
@@ -363,7 +300,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
             fits = [cand for cand in candidates if cand[1][i] <= ri]
             if not fits:
                 continue
-            rows = _nonconstant([row_le(response, ri)]
+            rows = nonconstant([row_le(response, ri)]
                                 + _floor_rows(inst, i, ri, row_le, inst.n))
             if rows is not None:
                 yield from walk(system.with_rows(rows), r_prefix + [ri], fits)

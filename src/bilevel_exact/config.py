@@ -11,12 +11,11 @@ from fractions import Fraction
 
 @dataclass(frozen=True)
 class SolverConfig:
-    # per integer candidate walk: integer values tried; per floor walk (a
-    # cell index or a cold decide_le query), that count for its x
-    # candidates plus the leaves r and the optimal responses (x, r) tested
-    # at them
+    # per integer walk (integer_candidates, enumerate_integers): integer
+    # values tried, at every level; per floor walk (a cell index or a cold
+    # decide_le query), that count for its x candidates plus the leaves r
+    # and the optimal responses (x, r) tested at them
     cell_cap: int = 10**6
-    integer_point_cap: int = 10**6   # points emitted by enumerate_integers
     basis_cap: int = 10**6           # row subsets tried during vertex enumeration
     node_cap: int = 10**6            # branch-and-bound nodes per search
     witness_delta: Fraction = Fraction(1, 2**20)  # of the cell's objective range

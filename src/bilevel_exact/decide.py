@@ -30,11 +30,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cells import Cell, Instance, cell_index, integer_candidates, valid_cells
+from .cells import Cell, Instance, cell_index, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
-from .lattice import integer_min, integer_min_value
-from .linear import LinRow, LinearSystem, lp_solve, row_eq, row_le, strict_feasible_point
+from .lattice import integer_candidates, integer_min, integer_min_value
+from .linear import (LinRow, LinearSystem, fix_block, lp_solve, nonconstant, row_eq, row_le,
+                     strict_feasible_point)
 from .rational import QVector
 
 
@@ -157,17 +158,6 @@ def witness_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
 # pure variant
 
 
-def fix_z_suffix(row: LinRow, z: QVector, n: int) -> Optional[LinRow]:
-    """Restrict a row over (x, z) to fixed z; returns a row over x or None."""
-    coeffs = row.coeffs.entries
-    shift = QVector(coeffs[n:]).dot(z)
-    out = LinRow(QVector(coeffs[:n]), row.rhs - shift, row.rel)
-    truth = out.constant_truth()
-    if truth is None:
-        return out
-    return None if truth else row_le([0] * n, -1)
-
-
 def z_first(rows, n: int) -> list:
     """Rows over (x, z) rewritten over (z, x), so that integer_candidates
     lists the leader's z first."""
@@ -201,9 +191,8 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
         fopt = integer_min_value(inst.psi, follower, config)
         if fopt is None:
             continue
-        fixed = [fix_z_suffix(r, z, inst.n) for r in upper]
-        fixed = [r for r in fixed if r is not None]
-        if any(r.constant_truth() is False for r in fixed):
+        fixed = nonconstant(fix_block(upper, z.entries, inst.n))
+        if fixed is None:
             continue
         leader = follower.with_rows([row_eq(inst.psi.entries, fopt)] + fixed)
         lopt = integer_min(inst.c, leader, config=config)

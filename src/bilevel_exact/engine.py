@@ -23,13 +23,14 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cells import Instance, bilevel_feasible, cell_index, cell_infimum, integer_candidates
+from .cells import Instance, bilevel_feasible, cell_index, cell_infimum
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import DecisionScan, decide_le, fix_z_suffix, pure_responses, witness_le, z_first
+from .decide import DecisionScan, decide_le, pure_responses, witness_le, z_first
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
-from .lattice import MixedPattern, enumerate_integers, integer_min_value, mixed_feasible
-from .linear import (LinearSystem, affinely_independent_vertices, lp_solve, row_eq,
-                     strict_feasible_point)
+from .lattice import (MixedPattern, enumerate_integers, integer_candidates, integer_min_value,
+                      mixed_feasible)
+from .linear import (LinearSystem, affinely_independent_vertices, fix_block, lp_solve, nonconstant,
+                     row_eq, strict_feasible_point)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -385,18 +386,10 @@ def _pure_enumeration(inst: Instance, config: SolverConfig):
         fopt = integer_min_value(inst.psi, follower, config)
         if fopt is None:
             continue
-        response_rows = [row_eq(inst.psi.entries, fopt)]
-        dead = False
-        for r in inst.upper_rows():
-            fixed = fix_z_suffix(r, z, inst.n)
-            if fixed is None:
-                continue
-            if fixed.constant_truth() is False:
-                dead = True
-                break
-            response_rows.append(fixed)
-        if dead:
+        fixed = nonconstant(fix_block(inst.upper_rows(), z.entries, inst.n))
+        if fixed is None:
             continue
+        response_rows = [row_eq(inst.psi.entries, fopt)] + fixed
         for x in enumerate_integers(follower.with_rows(response_rows), config):
             x_ints = tuple(int(v) for v in x.entries)
             value = obj.dot(QVector(list(x.entries) + list(z.entries)))

@@ -1,9 +1,17 @@
-"""Integer and mixed-integer search over polyhedra.
+"""Integer and mixed-integer search over polyhedra: one walk, one
+branch-and-bound, sharing no search code, so each cross-checks the other.
 
-Feasibility and optimization run branch-and-bound on exact LP relaxations:
-branch on the lowest-index fractional coordinate, lower branch first, so
-results and tie-breaks are deterministic. Enumeration is a separate
-bounds-guided depth-first walk and serves as the independent cross-check.
+The walk, integer_candidates, lists in lex order the integer values of the
+leading coordinates that keep a closed system feasible, taking the exact LP
+range of one coordinate per level; every value tried counts against
+cell_cap. It lists the cell candidates, the pure table's leader points and,
+over every coordinate, enumerate_integers. _branch_and_bound serves
+feasibility (zero objective) and minimization: it branches on the
+lowest-index fractional coordinate, lower branch first, so results and
+tie-breaks are deterministic. A bounded projection onto the integer
+coordinates, checked first, bounds every branch, so no box is needed. The
+search stops once the incumbent's value equals the root relaxation's (Land
+and Doig, 1960): every node is a subproblem of the root, so none does better.
 """
 from __future__ import annotations
 
@@ -13,7 +21,7 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (LinearSystem, LpOutcome, lp_solve, row_eq, row_le, substitute_first,
+from .linear import (LinearSystem, LpOutcome, fix_block, lp_solve, row_eq, row_le,
                      _projection_bounded)
 from .rational import QVector, ceil_rat, floor_rat
 
@@ -55,76 +63,18 @@ def _unit(dim: int, i: int):
     return e
 
 
-def _integer_bounds(sys: LinearSystem, coords, config: SolverConfig):
-    """Integer interval per required coordinate, or None when one is empty."""
-    bounds = {}
-    for i in coords:
-        unit = QVector(_unit(sys.dim, i))
-        lo_out = lp_solve(sys, unit, "min", config)
-        if not lo_out.is_optimal:
-            return None if lo_out.tag == "infeasible" else _raise_unbounded()
-        hi_out = lp_solve(sys, unit, "max", config)
-        if not hi_out.is_optimal:
-            return None if hi_out.tag == "infeasible" else _raise_unbounded()
-        lo, hi = ceil_rat(lo_out.value), floor_rat(hi_out.value)
-        if lo > hi:
-            return None
-        bounds[i] = (lo, hi)
-    return bounds
-
-
 def _raise_unbounded():
     raise BoundednessError("LP relaxation unbounded despite the boundedness pre-check")
 
 
-def mixed_feasible(sys: LinearSystem, pattern: MixedPattern,
-                   config: SolverConfig = DEFAULT_CONFIG) -> Optional[QVector]:
-    """A feasible point with the patterned coordinates integer, or None."""
-    _require_closed(sys)
-    if pattern.dim != sys.dim:
-        raise ValueError("pattern dimension does not match the system")
-    coords = sorted(pattern.integer_coords)
-    _check_bounded(sys, coords, config,
-                   "projection onto the integer coordinates is unbounded")
-    bounds = _integer_bounds(sys, coords, config)
-    if bounds is None:
-        return None
-    box = []
-    for i, (lo, hi) in bounds.items():
-        box.append(row_le(_unit(sys.dim, i), hi))
-        box.append(row_le([-v for v in _unit(sys.dim, i)], -lo))
-    zero = QVector([0] * sys.dim)
-
+def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
+                      config: SolverConfig) -> Optional[LpOutcome]:
+    """The LP optimum at the first node of least value whose point is integer
+    on coords, or None when there is none. A node no better than the
+    incumbent is pruned; an incumbent at the root relaxation's value ends
+    the search."""
     nodes = 0
-    stack = [tuple(box)]
-    while stack:
-        extra = stack.pop()
-        nodes += 1
-        if nodes > config.node_cap:
-            raise ResourceLimitError(
-                f"node_cap={config.node_cap}: branch and bound node cap exceeded")
-        out = lp_solve(sys.with_rows(extra), zero, "min", config)
-        if out.tag == "infeasible":
-            continue
-        if not out.is_optimal:
-            _raise_unbounded()
-        pt = out.point
-        frac = next((i for i in coords if pt[i].denominator != 1), None)
-        if frac is None:
-            return pt
-        fl = floor_rat(pt[frac])
-        up = extra + (row_le([-v for v in _unit(sys.dim, frac)], -(fl + 1)),)
-        down = extra + (row_le(_unit(sys.dim, frac), fl),)
-        stack.append(up)
-        stack.append(down)  # popped first: lower branch leads
-    return None
-
-
-def _bb_min_value(objective: QVector, sys: LinearSystem, coords,
-                  config: SolverConfig) -> Optional[Fraction]:
-    """Minimum of the objective over integer-patterned points, None if empty."""
-    nodes = 0
-    best = None
+    best = root = None
     stack = [()]
     while stack:
         extra = stack.pop()
@@ -137,19 +87,36 @@ def _bb_min_value(objective: QVector, sys: LinearSystem, coords,
             continue
         if not out.is_optimal:
             _raise_unbounded()
-        if best is not None and out.value >= best:
+        if not extra:
+            root = out.value
+        if best is not None and out.value >= best.value:
             continue
         pt = out.point
         frac = next((i for i in coords if pt[i].denominator != 1), None)
         if frac is None:
-            best = out.value
+            best = out
+            if best.value == root:
+                break
             continue
         fl = floor_rat(pt[frac])
         up = extra + (row_le([-v for v in _unit(sys.dim, frac)], -(fl + 1)),)
         down = extra + (row_le(_unit(sys.dim, frac), fl),)
         stack.append(up)
-        stack.append(down)
+        stack.append(down)  # popped first: lower branch leads
     return best
+
+
+def mixed_feasible(sys: LinearSystem, pattern: MixedPattern,
+                   config: SolverConfig = DEFAULT_CONFIG) -> Optional[QVector]:
+    """A feasible point with the patterned coordinates integer, or None."""
+    _require_closed(sys)
+    if pattern.dim != sys.dim:
+        raise ValueError("pattern dimension does not match the system")
+    coords = sorted(pattern.integer_coords)
+    _check_bounded(sys, coords, config,
+                   "projection onto the integer coordinates is unbounded")
+    out = _branch_and_bound(QVector([0] * sys.dim), sys, coords, config)
+    return None if out is None else out.point
 
 
 def integer_min_value(objective: QVector, sys: LinearSystem,
@@ -160,7 +127,8 @@ def integer_min_value(objective: QVector, sys: LinearSystem,
     if objective.dim != sys.dim:
         raise ValueError("objective dimension mismatch")
     _check_bounded(sys, range(sys.dim), config, "integer_min needs a bounded feasible region")
-    return _bb_min_value(objective, sys, range(sys.dim), config)
+    out = _branch_and_bound(objective, sys, range(sys.dim), config)
+    return None if out is None else out.value
 
 
 def integer_min(objective: QVector, sys: LinearSystem,
@@ -183,43 +151,59 @@ def integer_min(objective: QVector, sys: LinearSystem,
     cur = sys.with_rows([row_eq(objective.entries, best)])
     point = []
     for j in coords:
-        vj = _bb_min_value(QVector(_unit(sys.dim, j)), cur, coords, config)
-        if vj is None or vj.denominator != 1:
+        out = _branch_and_bound(QVector(_unit(sys.dim, j)), cur, coords, config)
+        if out is None or out.value.denominator != 1:
             raise InternalInvariantError("lex fixing lost feasibility or integrality")
-        point.append(vj)
-        cur = cur.with_rows([row_eq(_unit(sys.dim, j), vj)])
+        point.append(out.value)
+        cur = cur.with_rows([row_eq(_unit(sys.dim, j), out.value)])
     return LpOutcome("optimal", best, QVector(point))
 
 
-def enumerate_integers(sys: LinearSystem,
-                       config: SolverConfig = DEFAULT_CONFIG) -> list:
-    """All integer points of a bounded closed system, in lex order."""
-    _require_closed(sys)
-    _check_bounded(sys, range(sys.dim), config, "enumerate_integers needs a bounded region")
+def _charge(budget, config: SolverConfig):
+    """Count one unit of enumeration work against cell_cap."""
+    budget[0] += 1
+    if budget[0] > config.cell_cap:
+        raise ResourceLimitError(f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
 
+
+def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
+                       budget) -> list:
+    """Integer assignments of the first `count` coordinates that keep the
+    closed system feasible with the remaining coordinates continuous.
+
+    Lex order; `budget` is a one-element mutable counter shared with the
+    caller's cap, charged once per integer value tried.
+    """
+    if count == 0:  # the empty prefix, when the system has a point
+        sys = LinearSystem(total_dim, tuple(rows))
+        return [()] if lp_solve(sys, QVector([0] * total_dim), "min", config).is_optimal else []
     out = []
 
-    def emit(prefix):
-        out.append(QVector(prefix))
-        if len(out) > config.integer_point_cap:
-            raise ResourceLimitError(
-                f"integer_point_cap={config.integer_point_cap}: integer point cap exceeded")
-
-    def walk(prefix, rows, remaining):
-        if remaining == 0:
-            if all(r.constant_truth() for r in rows):
-                emit(prefix)
-            return
-        sub = LinearSystem(remaining, tuple(rows))
-        unit = QVector(_unit(remaining, 0))
+    def walk(prefix, cur, remaining_first):
+        dim = total_dim - len(prefix)
+        sub = LinearSystem(dim, tuple(cur))
+        unit = QVector(_unit(dim, 0))
         lo_out = lp_solve(sub, unit, "min", config)
         if lo_out.tag == "infeasible":
             return
         hi_out = lp_solve(sub, unit, "max", config)
         if not (lo_out.is_optimal and hi_out.is_optimal):
-            _raise_unbounded()
+            raise InternalInvariantError("candidate enumeration hit an unbounded direction")
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
-            walk(prefix + [Fraction(v)], substitute_first(rows, Fraction(v)), remaining - 1)
+            _charge(budget, config)
+            if remaining_first == 1:  # a leaf: nothing reads the substituted rows
+                out.append(tuple(prefix) + (v,))
+            else:
+                walk(prefix + [v], fix_block(cur, (v,), 0), remaining_first - 1)
 
-    walk([], list(sys.rows), sys.dim)
+    walk([], list(rows), count)
     return out
+
+
+def enumerate_integers(sys: LinearSystem,
+                       config: SolverConfig = DEFAULT_CONFIG) -> list:
+    """All integer points of a bounded closed system, in lex order: one
+    integer_candidates walk over every coordinate, charged to cell_cap."""
+    _require_closed(sys)
+    _check_bounded(sys, range(sys.dim), config, "enumerate_integers needs a bounded region")
+    return [QVector(p) for p in integer_candidates(sys.rows, sys.dim, sys.dim, config, [0])]

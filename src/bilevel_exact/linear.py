@@ -24,6 +24,11 @@ is made with `_bounded_system`; adding rows only shrinks a cone, so
 `vertices` skip their cone LPs on such systems. A system built through the
 public constructor carries no proof and is still checked.
 
+Constant rows (all coefficients zero) are settled in one place,
+`nonconstant`, which `lp_solve` calls once before its dim-0, one-variable
+and simplex branches; re-verification still checks every row. `fix_block`
+is the one restriction of rows to fixed values of a block of coordinates.
+
 Conventions: systems are over free variables; rows are "<=", "=", or the
 strict "<". Only closed rows ("<=", "=") are legal LP input; strict rows are
 the business of strict_feasible_point.
@@ -148,12 +153,27 @@ def row_lt(coeffs: Iterable, rhs) -> LinRow:
     return LinRow(QVector(coeffs), Fraction(rhs), LT)
 
 
-def substitute_first(rows, value) -> list:
-    """Rows over (y_0, y_1, ...) with y_0 fixed at value, as rows over (y_1, ...)."""
+def nonconstant(rows) -> Optional[list]:
+    """The rows without the constant ones that hold; None if one fails."""
+    out = []
+    for row in rows:
+        truth = row.constant_truth()
+        if truth is False:
+            return None
+        if truth is None:
+            out.append(row)
+    return out
+
+
+def fix_block(rows, values, start: int) -> list:
+    """Rows with the coordinates start, ..., start + len(values) - 1 fixed at
+    values, as rows over the remaining coordinates in their order."""
+    stop = start + len(values)
     out = []
     for r in rows:
         coeffs = r.coeffs.entries
-        out.append(LinRow(QVector(coeffs[1:]), r.rhs - coeffs[0] * value, r.rel))
+        shift = sum(map(mul, coeffs[start:stop], values))
+        out.append(LinRow(QVector(coeffs[:start] + coeffs[stop:]), r.rhs - shift, r.rel))
     return out
 
 
@@ -301,16 +321,9 @@ def _run_phase(tab: _Tableau, objrow: int, allowed, rhs_col: int) -> str:
 def _simplex_free_min(dim: int, rows, cost):
     """Minimize cost . x over closed rows with x free.
 
-    rows: closed LinRows. Returns (tag, point list[Fraction] | None).
+    rows: closed nonconstant LinRows. Returns (tag, point list[Fraction] | None).
     """
-    kept = []
-    for r in rows:
-        truth = r.constant_truth()
-        if truth is None:
-            kept.append(r.scaled + (r.rel,))
-        elif not truth:
-            return "infeasible", None
-
+    kept = [r.scaled + (r.rel,) for r in rows]
     cmult = math.lcm(*(f.denominator for f in cost))
     icost = [f.numerator * (cmult // f.denominator) for f in cost]
 
@@ -421,16 +434,11 @@ def _simplex_free_min(dim: int, rows, cost):
 
 
 def _interval_solve(rows, cost: Fraction):
-    """Closed-form LP in one variable; bounds are kept as integer pairs
-    (num, den), den > 0, and compared by cross-multiplication."""
+    """Closed-form LP in one variable over nonconstant rows; bounds are kept
+    as integer pairs (num, den), den > 0, and compared by cross-multiplication."""
     lo = None  # None encodes the infinite end
     hi = None
     for r in rows:
-        truth = r.constant_truth()
-        if truth is not None:
-            if not truth:
-                return "infeasible", None
-            continue
         (a,), b = r.scaled
         bound = (b, a) if a > 0 else (-b, -a)
         if r.rel == EQ or a < 0:
@@ -595,14 +603,15 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
     if objective.dim != sys.dim:
         raise ValueError("objective dimension does not match the system")
 
-    rows = sys.rows
+    rows = nonconstant(sys.rows)
+    if rows is None:
+        return _INFEASIBLE
     cost = list(objective.entries)
     if sense == "max":
         cost = [-f for f in cost]
 
     if sys.dim == 0:
-        ok = all(r.constant_truth() for r in rows)
-        return LpOutcome("optimal", Fraction(0), QVector(())) if ok else _INFEASIBLE
+        return LpOutcome("optimal", Fraction(0), QVector(()))
     if sys.dim == 1:
         tag, point = _interval_solve(rows, cost[0])
     else:
@@ -617,7 +626,7 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
     iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
     point = _purify_to_vertex(sys.dim, rows, point, iobjective)
     nums, den = _over_common_denominator(point)
-    for r in rows:
+    for r in sys.rows:
         if not r.holds_at(nums, den):
             raise InternalInvariantError("lp_solve produced an infeasible point")
     value = Fraction(sum(map(mul, iobjective, nums)), omult * den)
@@ -633,14 +642,11 @@ def strict_feasible_point(sys: LinearSystem,
     re-verified against every row in integer arithmetic; a miss raises
     InternalInvariantError.
     """
-    closed = []
-    strict = []
-    for r in sys.rows:
-        truth = r.constant_truth()
-        if truth is None:
-            (strict if r.rel == LT else closed).append(r)
-        elif not truth:
-            return None
+    rows = nonconstant(sys.rows)
+    if rows is None:
+        return None
+    closed = [r for r in rows if r.rel != LT]
+    strict = [r for r in rows if r.rel == LT]
 
     if not strict:
         out = lp_solve(LinearSystem(sys.dim, tuple(closed)), QVector([0] * sys.dim), "min", config)
@@ -746,7 +752,7 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
         return [QVector(())]
     if not _projection_bounded(closed, range(sys.dim), config):
         raise ValueError("vertex enumeration on an unbounded system")
-    rows = [r for r in closed.rows if r.constant_truth() is None]
+    rows = nonconstant(closed.rows)
     if math.comb(len(rows), sys.dim) > config.basis_cap:
         raise ResourceLimitError(f"basis_cap={config.basis_cap}: vertex enumeration over "
                                  f"{len(rows)} rows exceeds the basis cap")

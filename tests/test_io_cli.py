@@ -277,7 +277,6 @@ def _with_config(monkeypatch, config):
 @pytest.mark.parametrize("field, words, mode, attained", [
     ("cell_cap", "cell enumeration cap", "mixed", False),
     ("node_cap", "node cap", "mixed", False),
-    ("integer_point_cap", "integer point cap", "pure", False),
     ("basis_cap", "basis cap", "mixed", True),
 ])
 def test_cli_cap_hit_names_the_cap(field, words, mode, attained, tmp_path, monkeypatch, capsys):

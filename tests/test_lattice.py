@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 import support
 from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, MixedPattern,
-                           QVector, enumerate_integers, integer_min, mixed_feasible,
-                           row_eq, row_le, row_lt)
-from bilevel_exact.cells import integer_candidates
-from bilevel_exact.lattice import integer_min_value
+                           QVector, ResourceLimitError, SolverConfig, enumerate_integers,
+                           integer_min, mixed_feasible, row_eq, row_le, row_lt)
+from bilevel_exact.lattice import integer_candidates, integer_min_value
+from bilevel_exact.linear import fix_block
 
 
 def boxed_systems(dim=2, side=4):
@@ -110,6 +110,10 @@ def test_integer_min_value_guards():
 def test_enumerate_integers_interval():
     s = LinearSystem(1, (row_le([-1], Fraction(-1, 2)), row_le([1], Fraction(5, 2))))
     assert [p.entries for p in enumerate_integers(s, DEFAULT_CONFIG)] == [(1,), (2,)]
+    # each integer value the walk tries counts against cell_cap
+    with pytest.raises(ResourceLimitError, match="^cell_cap=1:"):
+        enumerate_integers(s, SolverConfig(cell_cap=1))
+    assert [p.entries for p in enumerate_integers(s, SolverConfig(cell_cap=2))] == [(1,), (2,)]
 
 
 @settings(max_examples=40)
@@ -133,6 +137,17 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, count):
     assert got == want
 
 
+def test_fix_block():
+    rows = [row_le([1, 2, 3, 4], 10), row_eq([0, -1, 0, 1], Fraction(1, 2))]
+    def shown(out):
+        return [(r.coeffs.entries, r.rhs, r.rel) for r in out]
+    assert shown(fix_block(rows, (1, 2), 0)) == [((3, 4), 5, "<="), ((0, 1), Fraction(5, 2), "=")]
+    assert shown(fix_block(rows, (Fraction(1, 2),), 1)) == [((1, 3, 4), 9, "<="),
+                                                          ((0, 0, 1), 1, "=")]
+    assert shown(fix_block(rows, (2, -1), 2)) == [((1, 2), 8, "<="), ((0, -1), Fraction(3, 2), "=")]
+    assert shown(fix_block(rows, (), 4)) == shown(rows)
+
+
 def test_mixed_feasible_follower_slice():
     # the bundled example's follower at z = 1/2: integer x with x >= 1/2, 0 <= x <= 1
     s = LinearSystem(1, (row_le([-1], Fraction(-1, 2)), row_le([1], 1), row_le([-1], 0)))
@@ -154,13 +169,15 @@ def test_mixed_feasible_partial_pattern():
 @settings(max_examples=40)
 @given(boxed_systems())
 def test_mixed_feasible_agrees_with_scan(sys_):
-    pat = MixedPattern(2, frozenset({0}))
-    pt = mixed_feasible(sys_, pat, DEFAULT_CONFIG)
-    if pt is not None:
-        assert pt[0].denominator == 1
-        assert all(support.row_holds(r, pt, closed=True) for r in sys_.rows)
-        return
-    # completeness: no integer x0 leaves a feasible continuous slice
-    for x0 in range(-4, 5):
-        slice_sys = sys_.with_rows([row_eq([1, 0], x0)])
-        assert support.ref_lp_min(slice_sys, [Fraction(0), Fraction(0)]) is None
+    # the integer coordinate is the first one, then the second one
+    for i in (0, 1):
+        unit = [int(j == i) for j in range(2)]
+        pt = mixed_feasible(sys_, MixedPattern(2, frozenset({i})), DEFAULT_CONFIG)
+        if pt is not None:
+            assert pt[i].denominator == 1
+            assert all(support.row_holds(r, pt, closed=True) for r in sys_.rows)
+            continue
+        # completeness: no integer value of coordinate i leaves a feasible slice
+        for v in range(-4, 5):
+            slice_sys = sys_.with_rows([row_eq(unit, v)])
+            assert support.ref_lp_min(slice_sys, [Fraction(0), Fraction(0)]) is None
