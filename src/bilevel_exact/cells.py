@@ -301,7 +301,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
             if not fits:
                 continue
             rows = nonconstant([row_le(response, ri)]
-                                + _floor_rows(inst, i, ri, row_le, inst.n))
+                               + _floor_rows(inst, i, ri, row_le, inst.n))
             if rows is not None:
                 yield from walk(system.with_rows(rows), r_prefix + [ri], fits)
 

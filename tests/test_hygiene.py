@@ -29,19 +29,7 @@ def _imported_names(tree):
 
 
 def _used_names(tree):
-    """Names loaded anywhere, string annotations included."""
-    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        annotations = []
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            annotations.append(node.returns)
-            annotations += [a.annotation for a in ast.walk(node.args) if isinstance(a, ast.arg)]
-        elif isinstance(node, ast.AnnAssign):
-            annotations.append(node.annotation)
-        for ann in annotations:
-            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
-                used |= {n.id for n in ast.walk(ast.parse(ann.value)) if isinstance(n, ast.Name)}
-    return used
+    return {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
 
 
 @pytest.mark.parametrize("name", [m for m in MODULES if m != "__init__.py"])

@@ -114,6 +114,9 @@ def test_enumerate_integers_interval():
     with pytest.raises(ResourceLimitError, match="^cell_cap=1:"):
         enumerate_integers(s, SolverConfig(cell_cap=1))
     assert [p.entries for p in enumerate_integers(s, SolverConfig(cell_cap=2))] == [(1,), (2,)]
+    # no coordinates: the empty point, when the constant rows hold
+    assert [p.entries for p in enumerate_integers(LinearSystem(0, ()))] == [()]
+    assert enumerate_integers(LinearSystem(0, (row_le([], -1),))) == []
 
 
 @settings(max_examples=40)
