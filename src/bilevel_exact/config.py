@@ -16,7 +16,7 @@ class SolverConfig:
     # decide_le query), that count for its x candidates plus the leaves r
     # and the optimal responses (x, r) tested at them
     cell_cap: int = 10**6
-    basis_cap: int = 10**6           # row subsets tried during vertex enumeration
+    basis_cap: int = 10**6           # row subsets tried by `vertices`; no solve calls it
     node_cap: int = 10**6            # branch-and-bound nodes per search
     witness_delta: Fraction = Fraction(1, 2**20)  # of the cell's objective range
 

@@ -6,15 +6,16 @@ oracle, reconstructs the exact rational from a width < 1/(2L^2) interval
 the infimum is attained exactly when some cell's slice is nonempty, and
 then the lexicographically minimal optimum has x* the x of the lex-first
 such cell and z* from the floor-vector refinement and a barycenter of
-vertices. All of these queries share one DecisionScan. It solves one LP per
-cell, the minimum of the objective over the cell's closure, and answers a
-bisection query from those minima: a cell whose minimum lies above the
-threshold is skipped and one whose minimum lies below it is a hit, since
-the half-open cell is dense in its closure. Strict-feasibility checks
-remain only where a threshold meets a cell's minimum, for the value slices
-and for witnesses. The pure driver lists the response table over integer
-leader points once, bisects over it with plain integer snapping and reads
-x* and z* from it; it is always cross-checked against direct enumeration.
+vertices found by at most 2d + 1 LPs. All of these queries share one
+DecisionScan. It solves one LP per cell, the minimum of the objective over
+the cell's closure, and answers a bisection query from those minima: a cell
+whose minimum lies above the threshold is skipped and one whose minimum
+lies below it is a hit, since the half-open cell is dense in its closure.
+Strict-feasibility checks remain only where a threshold meets a cell's
+minimum, for the value slices and for witnesses. The pure driver lists the
+response table over integer leader points once, bisects over it with plain
+integer snapping and reads x* and z* from it; it is always cross-checked
+against direct enumeration.
 """
 from __future__ import annotations
 
@@ -232,8 +233,9 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     B_i z + u_i over the closures of the value slices of the still-compatible
     attaining cells, r_i its floor, and cells disagreeing on r_i are
     discarded. The survivor's half-open value slice Q yields z* as the
-    barycenter of affinely independent vertices of its closure, which lands
-    strictly inside Q.
+    barycenter of k affinely independent vertices of its closure, found by
+    at most 2d + 1 LPs, which span its affine hull, so z* lands strictly
+    inside Q.
     """
     v_star = Fraction(v_star)
     if telemetry is not None:
@@ -313,6 +315,8 @@ def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG
 
 def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Full mixed pipeline: feasibility, infimum, attainment, extraction."""
+    if eps is not None and Fraction(eps) <= 0:
+        raise ValueError("eps must be positive")
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
     joint = inst.upper_system().with_rows(inst.follower_relax_rows())

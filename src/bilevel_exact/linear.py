@@ -29,6 +29,9 @@ Constant rows (all coefficients zero) are settled in one place,
 and simplex branches; re-verification still checks every row. `fix_block`
 is the one restriction of rows to fixed values of a block of coordinates.
 
+`_nullspace_direction` is the one exact elimination routine. No solve path
+calls `vertices`, the only code that tries all `C(rows, dim)` bases.
+
 Conventions: systems are over free variables; rows are "<=", "=", or the
 strict "<". Only closed rows ("<=", "=") are legal LP input; strict rows are
 the business of strict_feasible_point.
@@ -463,33 +466,7 @@ def _interval_solve(rows, cost: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# exact Gaussian helpers
-
-
-def _rref(vectors, dim):
-    """Reduced row echelon form; returns (rows, pivot column list)."""
-    rows = []
-    pivots = []
-    for vec in vectors:
-        v = list(vec)
-        for r, p in zip(rows, pivots):
-            if v[p] != 0:
-                f = v[p]
-                for j in range(dim):
-                    v[j] -= f * r[j]
-        lead = next((j for j in range(dim) if v[j] != 0), None)
-        if lead is None:
-            continue
-        f = v[lead]
-        v = [e / f for e in v]
-        for r, p in zip(rows, pivots):
-            if r[lead] != 0:
-                g = r[lead]
-                for j in range(dim):
-                    r[j] -= g * v[j]
-        rows.append(v)
-        pivots.append(lead)
-    return rows, pivots
+# exact elimination
 
 
 def _nullspace_direction(vectors, dim):
@@ -528,17 +505,13 @@ def _nullspace_direction(vectors, dim):
 
 
 def _solve_square(vectors, rhs, dim):
-    """Unique solution of the dim x dim system, or None when singular."""
-    aug = [list(v) + [b] for v, b in zip(vectors, rhs)]
-    rows, pivots = _rref(aug, dim + 1)
-    if dim in pivots:  # a row reduced to 0 = nonzero
+    """Unique solution of the dim x dim integer system, or None when singular:
+    the null vector of the rows (a_i, -b_i) is the solution times its last
+    entry, which is nonzero exactly when the system is nonsingular."""
+    w = _nullspace_direction([tuple(a) + (-b,) for a, b in zip(vectors, rhs)], dim + 1)
+    if not w[dim]:
         return None
-    if len(pivots) < dim:
-        return None
-    x = [Fraction(0)] * dim
-    for r, p in zip(rows, pivots):
-        x[p] = r[dim]
-    return x
+    return [Fraction(v, w[dim]) for v in w[:dim]]
 
 
 def _purify_to_vertex(dim, rows, point, objective):
@@ -758,8 +731,8 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
                                  f"{len(rows)} rows exceeds the basis cap")
     found = set()
     for subset in combinations(rows, sys.dim):
-        x = _solve_square([list(r.coeffs.entries) for r in subset],
-                          [r.rhs for r in subset], sys.dim)
+        x = _solve_square([r.scaled[0] for r in subset], [r.scaled[1] for r in subset],
+                          sys.dim)
         if x is None:
             continue
         nums, den = _over_common_denominator(x)
@@ -770,29 +743,34 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
 
 def affinely_independent_vertices(sys: LinearSystem,
                                   config: SolverConfig = DEFAULT_CONFIG):
-    """(k, vertices) with k = 1 + affine dimension of the feasible region.
+    """(k, vertices): k affinely independent vertices of the closed region,
+    k = 1 + its affine dimension, found by at most 2 dim + 1 LPs.
 
-    Vertices are chosen greedily from the lex-ordered vertex list; an
-    infeasible system gives (0, []).
+    v0 is the optimum of the zero objective. While the directions found
+    span less than R^dim, a w orthogonal to them is minimized and
+    maximized: an optimal vertex v with w . v != w . v0 (the minimizer
+    first) joins the output and v - v0 the directions; if none, w is an
+    implicit equality and joins the directions. The w are independent and
+    each is bounded both ways on a bounded region, so an unbounded region
+    raises ValueError; an infeasible one gives (0, []).
     """
-    verts = vertices(sys, config)
-    if not verts:
+    closed = sys.closure()
+    first = lp_solve(closed, QVector([0] * sys.dim), "min", config)
+    if not first.is_optimal:
         return 0, []
-    chosen = [verts[0]]
-    echelon = []
-    pivots = []
-    for v in verts[1:]:
-        diff = list((v - chosen[0]).entries)
-        for r, p in zip(echelon, pivots):
-            if diff[p] != 0:
-                f = diff[p]
-                for j in range(len(diff)):
-                    diff[j] -= f * r[j]
-        lead = next((j for j in range(len(diff)) if diff[j] != 0), None)
-        if lead is None:
-            continue
-        f = diff[lead]
-        echelon.append([e / f for e in diff])
-        pivots.append(lead)
-        chosen.append(v)
+    v0 = first.point
+    chosen = [v0]
+    spanned = []
+    while len(spanned) < sys.dim:
+        normal = _nullspace_direction(spanned, sys.dim)
+        w = QVector(normal)
+        outs = [lp_solve(closed, w, sense, config) for sense in ("min", "max")]
+        if not all(out.is_optimal for out in outs):
+            raise ValueError("vertex walk on an unbounded system")
+        off = next((out.point for out in outs if out.value != w.dot(v0)), None)
+        if off is None:
+            spanned.append(normal)
+        else:
+            chosen.append(off)
+            spanned.append(_over_common_denominator((off - v0).entries)[0])
     return len(chosen), chosen

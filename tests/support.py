@@ -98,20 +98,69 @@ def ref_vertices(system):
     return _closure_vertices(list(system.rows), system.dim)
 
 
+def _reduced(basis, coeffs, rhs):
+    """(coeffs, rhs, pivot) of a row reduced at the pivots of the independent
+    rows in basis, or None when it depends on them."""
+    for a, b, p in basis:
+        if coeffs[p] != 0:
+            f = coeffs[p] / a[p]
+            coeffs = [x - f * y for x, y in zip(coeffs, a)]
+            rhs -= f * b
+    lead = next((j for j, x in enumerate(coeffs) if x != 0), None)
+    return None if lead is None else (coeffs, rhs, lead)
+
+
 def _closure_vertices(rows, dim):
+    """Every vertex lies on every equality row, so the bases tried are a
+    maximal independent set of the equality rows plus each combination of
+    other rows that stays independent; each is solved by back substitution
+    in Fraction arithmetic and kept when it meets every row."""
+    basis = []
+    others = []
+    for r in rows:
+        coeffs, rhs = [Fraction(v) for v in r.coeffs], Fraction(r.rhs)
+        if r.rel != EQ:
+            others.append((coeffs, rhs))
+        elif len(basis) < dim:
+            basis += [red for red in [_reduced(basis, coeffs, rhs)] if red is not None]
     seen = set()
     out = []
-    for combo in itertools.combinations(range(len(rows)), dim):
-        pt = _solve_square([rows[i].coeffs for i in combo], [rows[i].rhs for i in combo])
-        if pt is None:
-            continue
-        if not all(row_holds(r, pt, closed=True) for r in rows):
-            continue
-        key = tuple(pt)
-        if key not in seen:
-            seen.add(key)
-            out.append(pt)
+
+    def extend(basis, start):
+        if len(basis) == dim:
+            pt = [Fraction(0)] * dim
+            for a, b, p in reversed(basis):
+                pt[p] = (b - sum(x * y for x, y in zip(a, pt))) / a[p]
+            key = tuple(pt)
+            if key not in seen:
+                seen.add(key)
+                if all(row_holds(r, pt, closed=True) for r in rows):
+                    out.append(pt)
+            return
+        for i in range(start, len(others) - (dim - len(basis)) + 1):
+            red = _reduced(basis, *others[i])
+            if red is not None:
+                extend(basis + [red], i + 1)
+
+    extend(basis, 0)
     return out
+
+
+def affine_dimension(points):
+    """Affine dimension of a nonempty point set: the rank of the differences
+    to the first point, by Fraction row reduction."""
+    rows = [[Fraction(a) - Fraction(b) for a, b in zip(p, points[0])] for p in points[1:]]
+    rank = 0
+    for col in range(len(points[0])):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] != 0), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][col] / rows[rank][col]
+            rows[i] = [a - f * b for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
 
 
 def ref_strictly_feasible(rows):

@@ -1,4 +1,6 @@
+import os
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -10,14 +12,16 @@ import support
 from conftest import MIXED_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
-                           InternalInvariantError, LinearSystem, QVector, Telemetry,
+                           InternalInvariantError, LinearSystem, QVector, SolverConfig, Telemetry,
                            bilevel_feasible, bisect_decision, decide_eq, decide_le,
                            denominator_cap, disagreement, eps_point, infimum, lex_extract,
-                           objective_bounds, random_instance, rational_reconstruct,
-                           reference_oracle, row_le, solve_mixed, solve_pure)
+                           objective_bounds, parse_instance, random_instance,
+                           rational_reconstruct, reference_oracle, row_le, solve_mixed,
+                           solve_pure)
 from support import make_flipped, with_upper_rows
 
 CFG = DEFAULT_CONFIG
+BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
 def halvings_needed(width, target):
@@ -198,6 +202,59 @@ def test_lex_trace_postconditions(seed):
     assert val == rep.infimum
 
 
+def grid_instances(shape, count, seed=7):
+    """The first `count` instances of one shape from the benchmark's
+    grid_instance generator."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import gen
+    rng = random.Random(seed)
+    return [parse_instance(gen.to_json(gen.grid_instance(rng, f"grid-{seed}-{i}", shape,
+                                                         "mixed")))[0]
+            for i in range(count)]
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 2, 2), (1, 6, 2, 2)])
+def test_lex_trace_postconditions_in_higher_leader_dimension(shape):
+    attained = 0
+    for inst in grid_instances(shape, 3):
+        rep = solve_mixed(inst, config=CFG)
+        assert disagreement(inst, rep, reference_oracle(inst, "mixed", CFG), CFG) is None
+        trace = rep.lex_trace
+        if rep.status != ATTAINED:
+            continue
+        attained += 1
+        for row in trace.q_system.rows:
+            assert row.satisfied_by(trace.z_star)
+        verts = support.ref_vertices(trace.q_system)
+        assert trace.k == 1 + support.affine_dimension(verts)
+    assert attained
+
+
+def test_solve_paths_enumerate_no_vertices(mixed_batch):
+    """With basis_cap=0 any call of linear.vertices on a feasible system
+    raises; the attained solves of the mixed acceptance batch, their oracle
+    reports and pure readings of the first ten come out as with the default."""
+    capped = SolverConfig(basis_cap=0)
+    rows, _ = mixed_batch
+    attained = [(inst, rep, orc) for inst, rep, orc in rows if rep.status == ATTAINED]
+    assert attained
+    for inst, rep, orc in attained:
+        got = solve_mixed(inst, config=capped)
+        assert (got.status, got.infimum) == (rep.status, rep.infimum)
+        assert got.solution[0] == rep.solution[0]
+        assert got.solution[1].entries == rep.solution[1].entries
+        again = reference_oracle(inst, "mixed", capped)
+        assert (again.status, again.infimum, again.solution) == (orc.status, orc.infimum,
+                                                                  orc.solution)
+        assert decide_le(inst, rep.infimum, capped)
+    for inst, _, _ in attained[:10]:
+        pure = solve_pure(inst, config=capped)
+        want = solve_pure(inst, config=CFG)
+        assert (pure.status, pure.infimum, pure.solution) == (want.status, want.infimum,
+                                                              want.solution)
+
+
 # ------------------------------------------------------------------ epsilon
 
 
@@ -233,6 +290,14 @@ def test_solve_mixed_attained():
     x, z = rep.solution
     assert (x, z.entries) == ((0,), (0,))
     assert rep.eps_solution is None
+
+
+def test_solve_mixed_rejects_nonpositive_eps(example1):
+    # rejected before solving, on an attained instance as on an unattained one
+    for inst in (example1, make_flipped()):
+        for eps in (0, Fraction(-1, 8)):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                solve_mixed(inst, eps=eps, config=CFG)
 
 
 def test_solve_mixed_infeasible():

@@ -229,6 +229,20 @@ def test_cli_infeasible_exit(tmp_path):
     assert cli_main(["solve", str(path)]) == 1
 
 
+@pytest.mark.parametrize("attained", [False, True])
+def test_cli_solve_rejects_nonpositive_epsilon(attained, tmp_path, capsys):
+    doc = fixture_doc()
+    if attained:
+        doc["c"] = [1]  # leader pays x + z: attained at (0, 0)
+    path = tmp_path / "inst.json"
+    path.write_text(json.dumps(doc))
+    for flag in ("--epsilon=0", "--epsilon=-1/8"):
+        assert cli_main(["solve", str(path), flag]) == 2
+        assert "validation error [bad-epsilon]" in capsys.readouterr().err
+    assert cli_main(["solve", str(path), "--epsilon=1/8"]) == 0
+    capsys.readouterr()
+
+
 def test_cli_missing_file(capsys):
     assert cli_main(["solve", "/no/such/file.json"]) == 2
     assert "unreadable" in capsys.readouterr().err
@@ -277,7 +291,6 @@ def _with_config(monkeypatch, config):
 @pytest.mark.parametrize("field, words, mode, attained", [
     ("cell_cap", "cell enumeration cap", "mixed", False),
     ("node_cap", "node cap", "mixed", False),
-    ("basis_cap", "basis cap", "mixed", True),
 ])
 def test_cli_cap_hit_names_the_cap(field, words, mode, attained, tmp_path, monkeypatch, capsys):
     doc = fixture_doc()

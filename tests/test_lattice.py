@@ -98,6 +98,35 @@ def test_integer_min_value_matches_grid_scan(sys_, obj):
     assert got == min(sum(o * v for o, v in zip(obj, p)) for p in pts)
 
 
+def test_integer_min_value_searches_past_the_first_incumbent():
+    # lower branch first: the first integer node is (1, 0) of value -2, and
+    # only the later upper branches reach the optimum (3, 2) of value -4
+    sys_ = LinearSystem(2, (row_le([-1, 0], 0), row_le([0, -1], 0), row_le([1, 0], 3),
+                            row_le([0, 1], 3), row_le([4, -4], 6), row_le([-1, 1], 1)))
+    assert integer_min_value(QVector([-2, 1]), sys_, DEFAULT_CONFIG) == -4
+    out = integer_min(QVector([-2, 1]), sys_, config=DEFAULT_CONFIG)
+    assert out.value == -4 and out.point.entries == (3, 2)
+
+
+def two_row_systems():
+    """[-4,4]^2 with exactly two rows of wider coefficients than
+    boxed_systems, so that the first integer point branch-and-bound reaches
+    is more often not optimal."""
+    row = st.tuples(st.lists(st.integers(-5, 5), min_size=2, max_size=2), st.integers(-10, 10))
+    box = (row_le([1, 0], 4), row_le([0, 1], 4), row_le([-1, 0], 4), row_le([0, -1], 4))
+    return st.lists(row, min_size=2, max_size=2).map(
+        lambda rows: LinearSystem(2, box + tuple(row_le(c, r) for c, r in rows)))
+
+
+@settings(max_examples=200)
+@given(two_row_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_integer_min_value_matches_grid_scan_on_two_row_systems(sys_, obj):
+    pts = support.brute_integer_points(sys_, -4, 4)
+    got = integer_min_value(QVector(obj), sys_, DEFAULT_CONFIG)
+    want = min((sum(o * v for o, v in zip(obj, p)) for p in pts), default=None)
+    assert got == want
+
+
 def test_integer_min_value_guards():
     with pytest.raises(ValueError):
         integer_min_value(QVector([1]), LinearSystem(1, (row_lt([1], 1),)), DEFAULT_CONFIG)

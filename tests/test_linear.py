@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import support
 from bilevel_exact import (DEFAULT_CONFIG, InternalInvariantError, LinearSystem, LpOutcome,
-                           QMatrix, QVector, affinely_independent_vertices, lp_solve,
-                           recession_bounded, row_eq, row_le, row_lt, strict_feasible_point,
-                           vertices)
+                           QMatrix, QVector, ResourceLimitError, SolverConfig,
+                           affinely_independent_vertices, lp_solve, recession_bounded, row_eq,
+                           row_le, row_lt, strict_feasible_point, vertices)
 from bilevel_exact import linear
 
 BOX = LinearSystem(2, (row_le([1, 0], 2), row_le([0, 1], 3),
@@ -123,6 +123,56 @@ def test_vertices_match_brute_enumeration(sys_):
     assert got == want
 
 
+def test_vertices_basis_cap_names_the_cap():
+    # C(4, 2) = 6 bases on the box; the cap error names its SolverConfig field
+    with pytest.raises(ResourceLimitError, match="^basis_cap=0:"):
+        vertices(BOX, SolverConfig(basis_cap=0))
+    assert len(vertices(BOX, SolverConfig(basis_cap=6))) == 4
+
+
+def walk_systems():
+    """Closed systems of dim 1-3 in a [-4,4] box with rows of every relation;
+    equality rows and opposite pairs make lower-dimensional regions."""
+    def build(dim, rows):
+        built = []
+        for j in range(dim):
+            unit = [0] * dim
+            unit[j] = 1
+            built += [row_le(unit, 4), row_le([-v for v in unit], 4)]
+        for coeffs, rhs, rel in rows:
+            coeffs = coeffs[:dim]
+            if rel == "pair":
+                built += [row_le(coeffs, rhs), row_le([-v for v in coeffs], -rhs)]
+            else:
+                built.append({"le": row_le, "eq": row_eq, "lt": row_lt}[rel](coeffs, rhs))
+        return LinearSystem(dim, tuple(built))
+    row = st.tuples(st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(-5, 5),
+                    st.sampled_from(("le", "eq", "lt", "pair")))
+    return st.builds(build, st.integers(1, 3), st.lists(row, max_size=3))
+
+
+@settings(max_examples=80)
+@given(walk_systems())
+def test_affinely_independent_vertices_match_vertex_scan(sys_):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return lp_solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "lp_solve", counting)
+        k, verts = affinely_independent_vertices(sys_, DEFAULT_CONFIG)
+    assert len(calls) <= 2 * sys_.dim + 1
+    ref = [tuple(p) for p in support.ref_vertices(sys_)]
+    if not ref:
+        assert (k, verts) == (0, [])
+        return
+    assert k == len(verts) == 1 + support.affine_dimension(ref)
+    assert all(tuple(v.entries) in ref for v in verts)
+    assert support.affine_dimension([v.entries for v in verts]) == k - 1
+
+
 def test_affinely_independent_counts():
     k, verts = affinely_independent_vertices(BOX, DEFAULT_CONFIG)
     assert k == 3 and len(verts) == 3
@@ -132,6 +182,19 @@ def test_affinely_independent_counts():
     segment = BOX.with_rows([row_eq([0, 1], 1)])
     k2, _ = affinely_independent_vertices(segment, DEFAULT_CONFIG)
     assert k2 == 2
+
+
+def test_affinely_independent_vertices_empty_and_unbounded():
+    empty = BOX.with_rows([row_le([1, 1], -1)])
+    assert affinely_independent_vertices(empty, DEFAULT_CONFIG) == (0, [])
+    with pytest.raises(ValueError):
+        affinely_independent_vertices(LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
+    # unbounded, yet each minimization of the walk finds a vertex off v0's
+    # level: only the maximizations see the unbounded direction
+    wedge = LinearSystem(2, (row_le([-1, -2], 1), row_le([-1, -1], 1), row_le([-1, 0], 2),
+                             row_le([2, -2], 3)))
+    with pytest.raises(ValueError):
+        affinely_independent_vertices(wedge, DEFAULT_CONFIG)
 
 
 def test_recession_bounded():
