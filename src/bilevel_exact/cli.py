@@ -84,7 +84,7 @@ def _cmd_solve(args) -> int:
     else:
         report = solve_mixed(inst, eps=eps) if mode == MIXED else solve_pure(inst)
         if args.engine == "both":
-            problem = disagreement(inst, report, reference_oracle(inst, mode))
+            problem = disagreement(inst, report, reference_oracle(inst, mode), variant=mode)
             if problem is not None:
                 raise InternalInvariantError(f"search and oracle disagree: {problem}")
             report.oracle_agreement = True

@@ -60,5 +60,6 @@ def pure_batch():
     for _ in range(220):
         inst = random_instance(rng)
         rep = solve_pure(inst, config=DEFAULT_CONFIG)
-        rows.append((inst, rep))
+        orc = reference_oracle(inst, "pure", DEFAULT_CONFIG)
+        rows.append((inst, rep, orc))
     return rows, time.perf_counter() - t0

@@ -92,14 +92,15 @@ def test_criterion_4_pure_crosscheck(pure_batch):
     with criterion(4, "pure driver crosscheck") as info:
         assert len(rows) >= 200
         feasible = 0
-        for inst, rep in rows:
-            # solve_pure runs the decision driver and the enumerator and
-            # raises on any disagreement, so reaching here means they agreed
+        for inst, rep, orc in rows:
+            # the enumeration oracle lists every feasible point, so status,
+            # infimum, x* and z* must all be its own
+            assert disagreement(inst, rep, orc, CFG, variant="pure") is None
             if rep.infimum is not None:
                 feasible += 1
                 assert rep.infimum.denominator == 1
         assert elapsed < 300.0
-        info["detail"] = (f"{len(rows)} instances, drivers agree, all {feasible} "
+        info["detail"] = (f"{len(rows)} instances, oracle agrees, all {feasible} "
                           f"optima integral (seed {PURE_SEED}), {elapsed:.1f}s")
 
 
@@ -110,7 +111,7 @@ def test_criterion_5_denominator_bound(mixed_batch, pure_batch):
             if rep.infimum is not None:
                 assert rep.infimum.denominator <= denominator_cap(inst)
                 checked += 1
-        for inst, rep in pure_batch[0]:
+        for inst, rep, _ in pure_batch[0]:
             if rep.infimum is not None:
                 assert rep.infimum.denominator <= denominator_cap(inst)
                 checked += 1

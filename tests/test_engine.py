@@ -321,6 +321,13 @@ def test_solve_pure_empty_follower_set():
     assert rep.status == INFEASIBLE
 
 
+def make_tie():
+    """Every point of x + z = 1 in the unit box is optimal, at value 0."""
+    return Instance(n=1, d=1, A=[[1], [-1]], B=[[0], [0]],
+                    C=[[1], [-1], [1], [-1]], D=[[1], [-1], [0], [0]],
+                    c=[0], e=[0], psi=[0], u=[1, 0], p=[1, -1, 1, 0])
+
+
 def _check_pure_against_grid(inst, z_hi=4, x_box=5):
     # the grid must hold the upper region and the follower's feasible set at
     # every grid z, or the brute force would not be exact
@@ -347,12 +354,8 @@ def _check_pure_against_grid(inst, z_hi=4, x_box=5):
 def test_solve_pure_matches_grid_example(example1):
     _check_pure_against_grid(example1)
     _check_pure_against_grid(support.make_empty_follower_pure())
-    # every point of x + z = 1 in the unit box is optimal: lex order picks
-    # (x, z) = (0, 1), not the z-first (1, 0)
-    tie = Instance(n=1, d=1, A=[[1], [-1]], B=[[0], [0]],
-                   C=[[1], [-1], [1], [-1]], D=[[1], [-1], [0], [0]],
-                   c=[0], e=[0], psi=[0], u=[1, 0], p=[1, -1, 1, 0])
-    _check_pure_against_grid(tie)
+    # lex order picks (x, z) = (0, 1) of the tie, not the z-first (1, 0)
+    _check_pure_against_grid(make_tie())
 
 
 @settings(max_examples=30)
@@ -392,6 +395,21 @@ def test_disagreement_names_each_failed_check():
         "oracle solution has value 2, not 0")
 
 
+def test_disagreement_requires_the_oracles_pure_optimum():
+    # both tie points are optimal; a pure report must name the oracle's own
+    tie = make_tie()
+    searched, oracled = solve_pure(tie, config=CFG), reference_oracle(tie, "pure", CFG)
+    assert (oracled.solution[0], oracled.solution[1].entries) == ((0,), (1,))
+    assert disagreement(tie, searched, oracled, CFG, variant="pure") is None
+    z_first = replace(searched, solution=((1,), QVector([0])))
+    assert disagreement(tie, z_first, oracled, CFG, variant="pure") == (
+        "search (x*, z*) ((1,), QVector([0])) is not the oracle's ((0,), QVector([1]))")
+    # a lex-smaller search x* passes the mixed rule, but not the pure one
+    lex_above = replace(oracled, solution=z_first.solution)
+    assert disagreement(tie, searched, lex_above, CFG) is None
+    assert "is not the oracle's" in disagreement(tie, searched, lex_above, CFG, variant="pure")
+
+
 # ------------------------------------------------------ boundedness proofs
 
 
@@ -400,7 +418,7 @@ def test_every_carried_boundedness_proof_holds(monkeypatch):
 
     Records every system that reaches the boundedness check carrying a proof,
     over example1 and 20 acceptance-distribution instances solved in both
-    readings and by the oracle, then checks each with the cone LPs.
+    readings and by both oracles, then checks each with the cone LPs.
     """
     from bilevel_exact import lattice, linear
     proved = set()
@@ -419,6 +437,7 @@ def test_every_carried_boundedness_proof_holds(monkeypatch):
         solve_mixed(inst, eps=Fraction(1, 8), config=CFG)
         reference_oracle(inst, "mixed", CFG)
         solve_pure(inst, config=CFG)
+        reference_oracle(inst, "pure", CFG)
     monkeypatch.undo()
     assert len(proved) > 50
     for sys_ in proved:

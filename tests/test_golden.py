@@ -47,7 +47,7 @@ def report_record(rep) -> dict:
 def batch_records(mixed_rows, pure_rows) -> dict:
     return {
         "mixed": {"seed": MIXED_SEED, "reports": [report_record(rep) for _, rep, _ in mixed_rows]},
-        "pure": {"seed": PURE_SEED, "reports": [report_record(rep) for _, rep in pure_rows]},
+        "pure": {"seed": PURE_SEED, "reports": [report_record(rep) for _, rep, _ in pure_rows]},
     }
 
 
@@ -130,7 +130,7 @@ def _write_golden():
     rng = random.Random(MIXED_SEED)
     mixed = [(None, solve_mixed(random_instance(rng)), None) for _ in range(220)]
     rng = random.Random(PURE_SEED)
-    pure = [(None, solve_pure(random_instance(rng))) for _ in range(220)]
+    pure = [(None, solve_pure(random_instance(rng)), None) for _ in range(220)]
     doc = batch_records(mixed, pure)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
     with open(GOLDEN_PATH, "w") as fh:

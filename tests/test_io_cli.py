@@ -1,6 +1,7 @@
 import functools
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,8 +9,10 @@ from fractions import Fraction
 import pytest
 
 import support
-from bilevel_exact import (SolverConfig, ValidationError, instance_to_json, load_instance,
-                           parse_and_validate, parse_instance, report_to_json, solve_mixed)
+from conftest import PURE_SEED
+from bilevel_exact import (SolverConfig, ValidationError, disagreement, instance_to_json,
+                           load_instance, parse_and_validate, parse_instance, random_instance,
+                           reference_oracle, report_to_json, solve_mixed, solve_pure)
 from bilevel_exact import cli, decide, engine
 from bilevel_exact.cli import cli_main
 from bilevel_exact.instance_io import render_text
@@ -148,6 +151,44 @@ def test_report_json_frozen(example1):
 """
 
 
+def test_pure_report_json_frozen(example1):
+    rep = solve_pure(example1)
+    assert report_to_json(rep) == """\
+{
+  "status": "attained",
+  "infimum": "0",
+  "solution": {
+    "x": [
+      0
+    ],
+    "z": [
+      "0"
+    ]
+  },
+  "eps_solution": null,
+  "telemetry": {
+    "decision_queries": 3,
+    "bisection_steps": 2,
+    "reconstruction_steps": 0,
+    "cells": 0
+  }
+}
+"""
+
+
+def test_solve_pure_runs_one_driver(example1, monkeypatch):
+    rng = random.Random(PURE_SEED)
+    instances = [example1] + [random_instance(rng) for _ in range(20)]
+    oracled = [reference_oracle(inst, "pure") for inst in instances]
+
+    def enumeration_called(*args):
+        raise AssertionError("solve_pure ran the enumeration oracle")
+
+    monkeypatch.setattr(engine, "_pure_enumeration", enumeration_called)
+    for inst, orc in zip(instances, oracled):
+        assert disagreement(inst, solve_pure(inst), orc, variant="pure") is None
+
+
 def test_render_text_mentions_everything(example1):
     rep = solve_mixed(example1, eps=Fraction(1, 8))
     text = render_text(rep)
@@ -189,6 +230,13 @@ def test_cli_engines(example1_path, capsys):
     assert cli_main(["solve", example1_path, "--engine", "both", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["oracle_agreement"] is True
+
+
+def test_cli_engine_both_pure(example1_path, capsys):
+    assert cli_main(["solve", example1_path, "--mode", "pure", "--engine", "both", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["oracle_agreement"] is True
+    assert doc["solution"] == {"x": [0], "z": ["0"]}
 
 
 def test_cli_decide(example1_path, capsys):
@@ -288,18 +336,15 @@ def _with_config(monkeypatch, config):
     monkeypatch.setattr(cli, "decide_le", functools.partial(decide.decide_le, config=config))
 
 
-@pytest.mark.parametrize("field, words, mode, attained", [
-    ("cell_cap", "cell enumeration cap", "mixed", False),
-    ("node_cap", "node cap", "mixed", False),
+@pytest.mark.parametrize("field, words, mode", [
+    ("cell_cap", "cell enumeration cap", "mixed"),
+    ("node_cap", "node cap", "mixed"),
+    ("cell_cap", "cell enumeration cap", "pure"),
+    ("node_cap", "node cap", "pure"),
 ])
-def test_cli_cap_hit_names_the_cap(field, words, mode, attained, tmp_path, monkeypatch, capsys):
-    doc = fixture_doc()
-    if attained:
-        doc["c"] = [1]  # leader pays x + z: attained at (0, 0), so lex extraction runs
-    path = tmp_path / "inst.json"
-    path.write_text(json.dumps(doc))
+def test_cli_cap_hit_names_the_cap(field, words, mode, example1_path, monkeypatch, capsys):
     _with_config(monkeypatch, SolverConfig(**{field: 0}))
-    assert cli_main(["solve", str(path), "--mode", mode]) == 3
+    assert cli_main(["solve", example1_path, "--mode", mode]) == 3
     err = capsys.readouterr().err
     line = next(ln for ln in err.splitlines() if ln.startswith("resource limit:"))
     assert f"{field}=0:" in line and words in line
