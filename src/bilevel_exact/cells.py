@@ -15,12 +15,18 @@ responses to pair with r. The same walk serves the per-instance index, which
 collects and sorts its cells, and a single threshold query, which adds the
 row value <= alpha to the walk and stops at the first cell that meets it.
 The candidate x come from lattice.integer_candidates, the one integer walk,
-and cell rows are restricted to a fixed x through linear.fix_block.
+with their activities A x and psi . x as integers, and cell rows are
+restricted to a fixed x through linear.fix_block. Within one walk the cell
+regions share their row blocks (the upper rows restricted to each x, the
+floor rows of each (i, r_i)), each built once; nothing outlives the walk,
+and cell_region alone says which rows a region has.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
@@ -166,19 +172,45 @@ def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt, lead: int = 0) ->
     return [row_le([-f for f in br], uv - ri), upper(br, ri + 1 - uv)]
 
 
-def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
+class _RegionRows:
+    """The row blocks of cell regions over z, each built on first use: the
+    upper rows with x fixed, one block per x, and the floor rows, one block
+    per (i, r_i). A walk shares one of these among its cells, so a block
+    many cells have in common is built and scaled once."""
+
+    def __init__(self, inst: Instance):
+        self.inst = inst
+        self.upper = inst.upper_rows()
+        self.at_x = {}
+        self.floors = {}
+
+    def upper_at(self, x: tuple):
+        if x not in self.at_x:
+            self.at_x[x] = nonconstant(fix_block(self.upper, x, 0))
+        return self.at_x[x]
+
+    def floor(self, i: int, ri: int):
+        if (i, ri) not in self.floors:
+            self.floors[i, ri] = nonconstant(_floor_rows(self.inst, i, ri))
+        return self.floors[i, ri]
+
+
+def cell_region(inst: Instance, cell: Cell, blocks: Optional[_RegionRows] = None) -> LinearSystem:
     """The half-open region of leader points that realize the cell.
 
     Rows over z: D z <= p - C x (closed), z >= 0 (closed), r_i <= B_i z + u_i
     (closed) and B_i z + u_i < r_i + 1 (strict). The region carries a
     boundedness proof: its recession cone lies in {z : D z <= 0, z >= 0},
     the x = 0 slice of the upper-level cone that validation proved to be
-    {0}.
+    {0}. `blocks` shares row blocks among the cells of one walk; without
+    it, every row is built fresh.
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
-    parts = [nonconstant(fix_block(inst.upper_rows(), cell.x, 0))]
-    parts += [nonconstant(_floor_rows(inst, i, ri)) for i, ri in enumerate(cell.r)]
+    if blocks is None:
+        blocks = _RegionRows(inst)
+    parts = [blocks.upper_at(cell.x)]
+    parts += [blocks.floor(i, ri) for i, ri in enumerate(cell.r)]
     empty = [row_le([0] * inst.d, -1)]
     rows = [row for part in parts for row in (empty if part is None else part)]
     return _bounded_system(inst.d, tuple(rows))
@@ -273,10 +305,12 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         if value_rows is None:
             return
         upper = upper.with_rows(value_rows)
-    candidates = []
-    for x in integer_candidates(upper.rows, inst.joint_dim(), inst.n, config, budget):
-        xv = QVector(x)
-        candidates.append((x, inst.A.matvec(xv).entries, inst.psi.dot(xv)))
+    a_rows = [tuple(map(int, row)) for row in inst.A.entries]
+    psi = tuple(map(int, inst.psi.entries))
+    candidates = [(x, tuple(sum(map(mul, row, x)) for row in a_rows), sum(map(mul, psi, x)))
+                  for x in integer_candidates(upper.rows, inst.joint_dim(), inst.n, config,
+                                              budget)]
+    blocks = _RegionRows(inst)
 
     def walk(system, r_prefix, candidates):
         i = len(r_prefix)
@@ -314,7 +348,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
             if value == opt:
                 _charge(budget, config)
                 cell = Cell(x, r)
-                region = cell_region(inst, cell)
+                region = cell_region(inst, cell, blocks)
                 check = region
                 if alpha is not None:
                     below = alpha - inst.c.dot(QVector(x))
@@ -322,7 +356,13 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                 if strict_feasible_point(check, config) is not None:
                     yield CellEntry(cell, region)
 
-    yield from walk(upper, [], candidates)
+    try:
+        yield from walk(upper, [], candidates)
+    finally:
+        # walk refers to itself through its closure: dropping the name frees
+        # the walk's state (candidates, row blocks) as soon as the caller
+        # stops, not at the next cyclic garbage collection
+        del walk
 
 
 class CellIndex:

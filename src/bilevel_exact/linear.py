@@ -3,8 +3,15 @@
 The LP core is a two-phase simplex with Bland's rule. The tableau is kept as
 an integer matrix over a common positive denominator (fraction-free pivoting),
 so every intermediate quantity is an exact integer and every reported optimum
-is an exact rational. Divisibility of each pivot update is asserted; a failure
-would mean a bug, not bad data.
+is an exact rational. The tableau is set up in one pass: slack and
+artificial columns are counted first, so each row is built once at full
+width. A pivot skips the division where it is exact by construction (a
+denominator of 1, or a zero in the pivot column under a pivot equal to the
+denominator leaves the row as it is); every other updated row has its
+divisibility checked in the same pass, and a failure would mean a bug, not
+bad data. The optimal vertex leaves the tableau as integer numerators over
+the tableau's denominator, is purified and re-verified in that form, and
+becomes `Fraction`s once, for the returned point and value.
 
 Each row is scaled to integers once: `LinRow.scaled` multiplies it by the lcm
 of its denominators and is cached on the immutable row, so a row shared by
@@ -266,30 +273,42 @@ class _Tableau:
         self.nrows = nrows    # number of constraint rows (objectives follow)
 
     def pivot(self, pr: int, pc: int):
+        """Fraction-free pivot: each other row becomes
+        (row * piv - row[pc] * prow) / den.
+
+        Two updates are exact by construction and skip the division: with
+        den == 1 there is none, and a row with row[pc] == 0 under piv == den
+        stays as it is. Every other row is divided and checked for
+        integrality in the same pass."""
         t, den = self.t, self.den
-        piv = t[pr][pc]
+        prow = t[pr]
+        piv = prow[pc]
         if piv == 0:
             raise InternalInvariantError("pivot on a zero element")
-        prow = t[pr]
         for i, row in enumerate(t):
             if i == pr:
                 continue
             f = row[pc]
-            new = [a * piv - f * b for a, b in zip(row, prow)]
-            if den != 1:
-                if any(v % den for v in new):
+            if f == 0 and piv == den:
+                continue
+            if den == 1:
+                t[i] = [a * piv - f * b for a, b in zip(row, prow)]
+                continue
+            new = []
+            append = new.append
+            for a, b in zip(row, prow):
+                q, rem = divmod(a * piv - f * b, den)
+                if rem:
                     raise InternalInvariantError("fraction-free pivot lost integrality")
-                new = [v // den for v in new]
+                append(q)
             t[i] = new
-        self.den = piv
         self.basis[pr] = pc
-        if self.den < 0:
-            self.den = -self.den
+        if piv > 0:
+            self.den = piv
+        else:
+            self.den = -piv
             for i, row in enumerate(t):
                 t[i] = [-v for v in row]
-
-    def value(self, i: int, j: int) -> Fraction:
-        return Fraction(self.t[i][j], self.den)
 
 
 def _run_phase(tab: _Tableau, objrow: int, allowed, rhs_col: int) -> str:
@@ -322,82 +341,66 @@ def _run_phase(tab: _Tableau, objrow: int, allowed, rhs_col: int) -> str:
 
 
 def _simplex_free_min(dim: int, rows, cost):
-    """Minimize cost . x over closed rows with x free.
+    """Minimize cost . x over closed rows with x = u - v free.
 
-    rows: closed nonconstant LinRows. Returns (tag, point list[Fraction] | None).
+    rows: closed nonconstant LinRows. Returns (tag, nums, den): an optimal
+    basic point as integer numerators over one positive denominator, or
+    None, None when there is none.
+
+    Columns are u, v, one slack per "<=" row, one artificial per row that
+    cannot start from its slack ("=" rows and rows with a negative rhs,
+    which are negated), and the rhs, so each row is built once at full
+    width. The phase-1 row is minus the column sum over the artificial rows,
+    zero on the artificial columns.
     """
-    kept = [r.scaled + (r.rel,) for r in rows]
     cmult = math.lcm(*(f.denominator for f in cost))
     icost = [f.numerator * (cmult // f.denominator) for f in cost]
 
-    m = len(kept)
-    nslack = sum(1 for r in kept if r[2] == LE)
-    base_cols = 2 * dim + nslack
-    body = []
-    slack_seen = 0
+    m = len(rows)
+    nslack = sum(1 for r in rows if r.rel == LE)
+    nart = sum(1 for r in rows if r.rel == EQ or r.scaled[1] < 0)
+    art_start = 2 * dim + nslack
+    rhs_col = art_start + nart
+    width = rhs_col + 1
+    t = []
+    basis = []
     art_rows = []
-    for i, (a, b, rel) in enumerate(kept):
-        row = [0] * base_cols
-        for j, v in enumerate(a):
-            row[j] = v
-            row[dim + j] = -v
-        if rel == LE:
-            row[2 * dim + slack_seen] = 1
-            slack_seen += 1
+    slack = 2 * dim
+    art = art_start
+    for r in rows:
+        a, b = r.scaled
+        row = [0] * width
+        row[:dim] = a
+        row[dim:2 * dim] = [-v for v in a]
+        row[rhs_col] = b
+        if r.rel == LE:
+            row[slack] = 1
         if b < 0:
             row = [-v for v in row]
-            b = -b
-        body.append((row, b, rel))
-
-    # basis: a slack column with +1 where available, otherwise an artificial
-    art_start = base_cols
-    basis = []
-    columns = base_cols
-    for i, (row, b, rel) in enumerate(body):
-        slack_col = None
-        if rel == LE:
-            for j in range(2 * dim, base_cols):
-                if row[j] == 1:
-                    slack_col = j
-                    break
-        if slack_col is not None:
-            basis.append(slack_col)
+        if r.rel == LE and b >= 0:
+            basis.append(slack)
         else:
-            basis.append(columns)
-            art_rows.append(i)
-            columns += 1
-    nart = columns - art_start
-
-    rhs_col = columns
-    t = []
-    for i, (row, b, rel) in enumerate(body):
-        full = row + [0] * nart + [0]
-        if basis[i] >= art_start:
-            full[basis[i]] = 1
-        full[rhs_col] = b
-        t.append(full)
+            row[art] = 1
+            basis.append(art)
+            art_rows.append(row)
+            art += 1
+        if r.rel == LE:
+            slack += 1
+        t.append(row)
 
     # phase-2 objective row: costs on u and v, slack and artificial costs zero
-    p2 = [0] * (columns + 1)
-    for j in range(dim):
-        p2[j] = icost[j]
-        p2[dim + j] = -icost[j]
+    p2 = [0] * width
+    p2[:dim] = icost
+    p2[dim:2 * dim] = [-v for v in icost]
     t.append(p2)
     p2row = m
 
     tab = _Tableau(t, 1, basis, m)
-    non_art = list(range(base_cols))
+    non_art = range(art_start)
 
     if nart:
-        # phase-1 objective: reduced costs of sum(artificials) given the basis
-        p1 = [0] * (columns + 1)
-        for j in range(columns + 1):
-            s = 0
-            for i in art_rows:
-                s += t[i][j]
-            p1[j] = -s
-        for j in range(art_start, columns):
-            p1[j] += 1
+        p1 = [-sum(col) for col in zip(*art_rows)]
+        p1[art_start:rhs_col] = [0] * nart
         t.append(p1)
         p1row = m + 1
         tag = _run_phase(tab, p1row, non_art, rhs_col)
@@ -405,7 +408,7 @@ def _simplex_free_min(dim: int, rows, cost):
             raise InternalInvariantError("phase 1 cannot be unbounded")
         for i in range(tab.nrows):
             if tab.basis[i] >= art_start and tab.t[i][rhs_col] != 0:
-                return "infeasible", None
+                return "infeasible", None, None
         # pivot remaining zero-valued artificials out, dropping redundant rows
         i = 0
         while i < tab.nrows:
@@ -423,13 +426,12 @@ def _simplex_free_min(dim: int, rows, cost):
 
     tag = _run_phase(tab, p2row, non_art, rhs_col)
     if tag == "unbounded":
-        return "unbounded", None
+        return "unbounded", None, None
 
-    values = [Fraction(0)] * columns
+    values = [0] * width
     for i in range(tab.nrows):
-        values[tab.basis[i]] = tab.value(i, rhs_col)
-    point = [values[j] - values[dim + j] for j in range(dim)]
-    return "optimal", point
+        values[tab.basis[i]] = tab.t[i][rhs_col]
+    return "optimal", [values[j] - values[dim + j] for j in range(dim)], tab.den
 
 
 # ---------------------------------------------------------------------------
@@ -438,7 +440,8 @@ def _simplex_free_min(dim: int, rows, cost):
 
 def _interval_solve(rows, cost: Fraction):
     """Closed-form LP in one variable over nonconstant rows; bounds are kept
-    as integer pairs (num, den), den > 0, and compared by cross-multiplication."""
+    as integer pairs (num, den), den > 0, and compared by cross-multiplication.
+    Returns (tag, nums, den) like _simplex_free_min."""
     lo = None  # None encodes the infinite end
     hi = None
     for r in rows:
@@ -451,7 +454,7 @@ def _interval_solve(rows, cost: Fraction):
             if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
                 hi = bound
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        return "infeasible", None
+        return "infeasible", None, None
     if cost > 0:
         end = lo
     elif cost < 0:
@@ -459,10 +462,10 @@ def _interval_solve(rows, cost: Fraction):
     else:
         end = lo if lo is not None else hi
         if end is None:
-            return "optimal", [Fraction(0)]
+            return "optimal", [0], 1
     if end is None:
-        return "unbounded", None
-    return "optimal", [Fraction(*end)]
+        return "unbounded", None, None
+    return "optimal", [end[0]], end[1]
 
 
 # ---------------------------------------------------------------------------
@@ -514,19 +517,18 @@ def _solve_square(vectors, rhs, dim):
     return [Fraction(v, w[dim]) for v in w[:dim]]
 
 
-def _purify_to_vertex(dim, rows, point, objective):
-    """Slide an optimal point along the optimal face onto a vertex.
+def _purify_to_vertex(dim, rows, nums, den, objective):
+    """Slide an optimal point nums / den (den > 0) along the optimal face onto
+    a vertex; returns the vertex as (nums, den), in lowest terms after a move.
 
     Keeps every row satisfied and the objective value fixed. If the optimal
     face contains a line (only possible for unbounded feasible sets) the
     current point is returned unchanged. `objective` holds integer
     coefficients (any positive multiple of the objective); rows are tested
-    for activity in their integer form against the point over one common
-    denominator.
+    for activity, and the step to the nearest row is taken, in integer
+    arithmetic.
     """
-    x = list(point)
     while True:
-        nums, den = _over_common_denominator(x)
         active = [objective]
         for r in rows:
             a, b = r.scaled
@@ -534,26 +536,32 @@ def _purify_to_vertex(dim, rows, point, objective):
                 active.append(a)
         w = _nullspace_direction(active, dim)
         if w is None:
-            return x
-        t_plus = None
-        t_minus = None
+            return nums, den
+        # a step is (gap, |a . w|): row a is reached at x + gap / (den |a . w|) * (+-w)
+        plus = minus = None
         for r in rows:
             a, b = r.scaled
             aw = sum(map(mul, a, w))
             if aw == 0:
                 continue
-            step = Fraction(b * den - sum(map(mul, a, nums)), den * abs(aw))
+            step = (b * den - sum(map(mul, a, nums)), abs(aw))
             if aw > 0:
-                if t_plus is None or step < t_plus:
-                    t_plus = step
-            elif t_minus is None or step < t_minus:
-                t_minus = step
-        if t_plus is not None:
-            x = [v + t_plus * d for v, d in zip(x, w)]
-        elif t_minus is not None:
-            x = [v - t_minus * d for v, d in zip(x, w)]
+                if plus is None or step[0] * plus[1] < plus[0] * step[1]:
+                    plus = step
+            elif minus is None or step[0] * minus[1] < minus[0] * step[1]:
+                minus = step
+        if plus is not None:
+            gap, scale = plus
+        elif minus is not None:
+            gap, scale = minus
+            w = [-v for v in w]
         else:
-            return x
+            return nums, den
+        nums = [v * scale + gap * d for v, d in zip(nums, w)]
+        den *= scale
+        g = math.gcd(den, *nums)
+        nums = [v // g for v in nums]
+        den //= g
 
 
 # ---------------------------------------------------------------------------
@@ -586,9 +594,9 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
     if sys.dim == 0:
         return LpOutcome("optimal", Fraction(0), QVector(()))
     if sys.dim == 1:
-        tag, point = _interval_solve(rows, cost[0])
+        tag, nums, den = _interval_solve(rows, cost[0])
     else:
-        tag, point = _simplex_free_min(sys.dim, rows, cost)
+        tag, nums, den = _simplex_free_min(sys.dim, rows, cost)
 
     if tag == "infeasible":
         return _INFEASIBLE
@@ -597,13 +605,12 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
 
     omult = math.lcm(*(f.denominator for f in objective.entries))
     iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
-    point = _purify_to_vertex(sys.dim, rows, point, iobjective)
-    nums, den = _over_common_denominator(point)
+    nums, den = _purify_to_vertex(sys.dim, rows, nums, den, iobjective)
     for r in sys.rows:
         if not r.holds_at(nums, den):
             raise InternalInvariantError("lp_solve produced an infeasible point")
     value = Fraction(sum(map(mul, iobjective, nums)), omult * den)
-    return LpOutcome("optimal", value, QVector(point))
+    return LpOutcome("optimal", value, QVector([Fraction(v, den) for v in nums]))
 
 
 def strict_feasible_point(sys: LinearSystem,

@@ -121,6 +121,18 @@ def test_mixed_grid_cold_decide_matches_golden():
         assert not inst._index_cache
 
 
+def test_index_regions_match_fresh_cell_regions(example1):
+    # the floor walk shares row blocks among its cells' regions; each region
+    # must have exactly the rows cell_region builds fresh for its cell
+    from bilevel_exact.cells import cell_index, cell_region
+    checked = 0
+    for inst in [example1] + grid_instances():
+        for entry in cell_index(inst).entries:
+            assert entry.region.rows == cell_region(inst, entry.cell).rows, entry.cell
+            checked += 1
+    assert checked > 700
+
+
 def _write_reports(fh, reports):
     fh.write(",\n".join("  " + json.dumps(r) for r in reports))
 

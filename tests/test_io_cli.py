@@ -291,6 +291,25 @@ def test_cli_solve_rejects_nonpositive_epsilon(attained, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_cli_parser_built_once_keeps_no_state(example1_path, capsys):
+    # one parser serves every cli_main call of a process; the options of one
+    # command line must not reach the next
+    cli._build_parser.cache_clear()
+    assert cli_main(["decide", example1_path, "--alpha=0"]) == 0
+    assert capsys.readouterr().out == "true\n"
+    assert cli_main(["solve", example1_path, "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["status"] == "unattained" and doc["infimum"] == "-1"
+    assert doc["eps_solution"] is None
+    assert cli_main(["solve", example1_path, "--epsilon", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error [bad-epsilon]" in captured.err
+    assert cli_main(["solve", example1_path]) == 0
+    assert "status: unattained" in capsys.readouterr().out
+    assert cli._build_parser.cache_info().misses == 1
+
+
 def test_cli_missing_file(capsys):
     assert cli_main(["solve", "/no/such/file.json"]) == 2
     assert "unreadable" in capsys.readouterr().err

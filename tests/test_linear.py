@@ -73,6 +73,78 @@ def test_lp_matches_vertex_scan(sys_, obj):
         assert sys_.satisfied_by(out.point)
 
 
+def boxed_systems():
+    """Closed systems of dim 3 or 4 in the box [-4, 4], with fractional
+    coefficients and right-hand sides of both signs. An equality row may
+    come twice, the copy scaled by 1 or -2: phase 1 then ends with an
+    artificial variable at zero in a row that has no other nonzero, and
+    that redundant row is deleted."""
+    frac = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
+    row = st.tuples(st.lists(frac, min_size=4, max_size=4), frac,
+                    st.sampled_from(("le", "eq", "twice")), st.sampled_from((1, -2)))
+
+    def build(dim, rows):
+        built = []
+        for j in range(dim):
+            unit = [0] * dim
+            unit[j] = 1
+            built += [row_le(unit, 4), row_le([-v for v in unit], 4)]
+        for coeffs, rhs, rel, scale in rows:
+            coeffs = coeffs[:dim]
+            if rel == "le":
+                built.append(row_le(coeffs, rhs))
+                continue
+            built.append(row_eq(coeffs, rhs))
+            if rel == "twice":
+                built.append(row_eq([scale * v for v in coeffs], scale * rhs))
+        return LinearSystem(dim, tuple(built))
+    return st.builds(build, st.integers(3, 4), st.lists(row, min_size=1, max_size=4))
+
+
+@settings(max_examples=60, deadline=None)
+@given(boxed_systems(), st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                                 min_size=4, max_size=4))
+def test_lp_matches_vertex_scan_in_three_and_four_dimensions(sys_, obj):
+    obj = obj[:sys_.dim]
+    verts = {tuple(p) for p in support.ref_vertices(sys_)}
+    for sense, sign in (("min", 1), ("max", -1)):
+        ref = support.ref_lp_min(sys_, [sign * v for v in obj])
+        out = lp_solve(sys_, QVector(obj), sense, DEFAULT_CONFIG)
+        if ref is None:
+            assert out.tag == "infeasible"
+            continue
+        assert out.tag == "optimal"
+        assert out.value == sign * ref[0]
+        assert tuple(out.point.entries) in verts  # purified onto a vertex
+
+
+def test_pivot_lost_integrality_is_fatal():
+    # pivoting on the 2 (true entry 2/2 = 1) sends row 1 to
+    # (1 * 2 - 1 * 1) / 2 = 1/2 in column 1: not an integer over the new den
+    tab = linear._Tableau([[2, 1], [1, 1]], 2, [0, 1], 2)
+    with pytest.raises(InternalInvariantError, match="lost integrality"):
+        tab.pivot(0, 0)
+
+
+@settings(max_examples=80)
+@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=3, max_size=3),
+       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=5))
+def test_pivots_match_fraction_elimination(rows, pivots):
+    # every entry of the fraction-free tableau, skipped rows included, is
+    # den times the entry of Gauss-Jordan elimination in Fraction arithmetic
+    tab = linear._Tableau([list(r) for r in rows], 1, [None] * 3, 3)
+    ref = [[Fraction(v) for v in r] for r in rows]
+    for pr, pc in pivots:
+        if ref[pr][pc] == 0:
+            continue
+        tab.pivot(pr, pc)
+        ref[pr] = [v / ref[pr][pc] for v in ref[pr]]
+        ref = [r if i == pr else [a - r[pc] * b for a, b in zip(r, ref[pr])]
+               for i, r in enumerate(ref)]
+        assert tab.den > 0
+        assert tab.t == [[v * tab.den for v in r] for r in ref]
+
+
 def test_strict_point_examples():
     s = LinearSystem(1, (row_lt([-1], 0), row_lt([1], 1)))
     pt = strict_feasible_point(s, DEFAULT_CONFIG)
@@ -249,9 +321,10 @@ def test_constant_truth():
 
 
 def test_lp_reverification_is_fatal(monkeypatch):
-    # a purification that slides off the feasible region must not go unnoticed
+    # a purification that slides off the feasible region must not go unnoticed:
+    # (6/2, 0) lies outside the box's x <= 2
     monkeypatch.setattr(linear, "_purify_to_vertex",
-                        lambda dim, rows, point, objective: [Fraction(3), Fraction(0)])
+                        lambda dim, rows, nums, den, objective: ([6, 0], 2))
     with pytest.raises(InternalInvariantError):
         lp_solve(BOX, QVector([1, 1]), "min", DEFAULT_CONFIG)
 
