@@ -9,11 +9,15 @@ r_i + 1, the upper-level rows and z >= 0 are closed.
 
 The valid cells come from one walk over the floor vectors r on the upper
 system in (x, z), x continuous, carrying the integer x of the upper region
-that fit the floors chosen so far; at each reachable r one integer solve of
-the follower gives its optimum, and the carried x at that value are the
+that fit the floors chosen so far; at each reachable r one integer
+feasibility check, for a follower response better than the best carried x,
+settles the follower's optimum, and the carried x at that value are the
 responses to pair with r. The same walk serves the per-instance index, which
 collects and sorts its cells, and a single threshold query, which adds the
 row value <= alpha to the walk and stops at the first cell that meets it.
+One LP over the closure of each pair's region gives the cell's least e . z
+and, when its vertex lies in the half-open region, proves the cell valid
+with no strict-feasibility check.
 The candidate x come from lattice.integer_candidates, the one integer walk,
 with their activities A x and psi . x as integers, and cell rows are
 restricted to a fixed x through linear.fix_block. Within one walk the cell
@@ -216,10 +220,9 @@ def cell_region(inst: Instance, cell: Cell, blocks: Optional[_RegionRows] = None
     return _bounded_system(inst.d, tuple(rows))
 
 
-def _follower_improves(inst: Instance, cell: Cell, config: SolverConfig) -> bool:
-    """Whether an integer x' with A x' <= r beats the cell's x by >= 1 in psi."""
-    target = inst.psi.dot(QVector(cell.x)) - 1
-    sys = inst.follower_system(cell.r).with_rows([row_le(inst.psi.entries, target)])
+def _follower_improves(inst: Instance, r: tuple, value, config: SolverConfig) -> bool:
+    """Whether an integer x' with A x' <= r has psi . x' <= value - 1."""
+    sys = inst.follower_system(r).with_rows([row_le(inst.psi.entries, value - 1)])
     return mixed_feasible(sys, MixedPattern.all_integer(inst.n), config) is not None
 
 
@@ -228,7 +231,7 @@ def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CON
     ax = inst.A.matvec(QVector(cell.x))
     if any(av > rv for av, rv in zip(ax, cell.r)):
         return False
-    if _follower_improves(inst, cell, config):
+    if _follower_improves(inst, cell.r, inst.psi.dot(QVector(cell.x)), config):
         return False
     return strict_feasible_point(cell_region(inst, cell), config) is not None
 
@@ -262,8 +265,13 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
 
 @dataclass
 class CellEntry:
+    """A valid cell with its region Q and low, the least e . z over cl(Q);
+    low_inside says that the LP vertex attaining low lies in Q itself."""
+
     cell: Cell
     region: LinearSystem
+    low: Fraction
+    low_inside: bool
 
 
 def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
@@ -280,20 +288,30 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     not entered, and a zero row of B has the one floor floor(u_i) and needs
     no LP. A valid cell (x, r) has a point z in its region, and (x, z) meets
     every row the walk adds for r, so the walk reaches every r a valid cell
-    has with x still among its candidates. At a leaf r one
-    integer_min_value over {A x <= r} gives the follower's optimal value;
-    the x that no response improves on by 1 or more are exactly those with
-    psi . x equal to it (psi, x and r are integral), so the leaf pairs r
-    with the candidates at that value and keeps each (x, r) whose
-    cell_region is strictly feasible. A leaf never lists the follower's
-    argmin, which may be far wider than the upper region.
+    has with x still among its candidates. A leaf r is entered with
+    candidates, all with A x <= r, so the follower's optimal value at r is
+    at most v_c, the least psi . x among them. One mixed_feasible check of
+    {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are integral):
+    a point there beats every candidate, and the leaf has no cell; none
+    makes v_c the optimum, and the candidates at v_c are the follower's
+    optimal responses that lie in the upper region. A leaf never lists the
+    follower's argmin, which may be far wider than the upper region.
+
+    Each such (x, r) then takes one LP, the minimum low of e . z over the
+    closure of its cell_region Q. An infeasible LP means an empty Q. When
+    the LP vertex, purified and re-verified, meets every row of Q (strict
+    rows strictly), Q is nonempty and attains low: the cell is valid with
+    no strict-feasibility check. Otherwise strict_feasible_point decides.
+    The entry carries low and whether its vertex lies in Q.
 
     With `alpha`, the candidate listing and the walk's system carry the row
     c . x + e . z <= alpha too: a cell with a point z of value <= alpha in
-    its region has (x, z) on that row, so the walk still reaches it. Each
-    leaf pair is kept when its region with e . z <= alpha - c . x added is
-    strictly feasible, which proves at once that the cell is valid and that
-    it meets the threshold. A decision query stops at the first pair.
+    its region has (x, z) on that row, so the walk still reaches it. A pair
+    with low > alpha - c . x has no such point and is skipped; a pair whose
+    LP vertex lies in Q at low <= alpha - c . x is a hit. Any other pair is
+    kept when its region with e . z <= alpha - c . x added is strictly
+    feasible, which proves at once that the cell is valid and that it meets
+    the threshold. A decision query stops at the first pair.
 
     cell_cap counts the candidate walk's values, the leaves and the (x, r)
     pairs tested.
@@ -341,20 +359,33 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
     def optimal_cells(r, candidates):
         _charge(budget, config)
-        opt = integer_min_value(inst.psi, inst.follower_system(r), config)
-        if opt is None:
-            raise InternalInvariantError("follower has a response at r yet integer_min found none")
+        opt = min(value for _, _, value in candidates)
+        if _follower_improves(inst, r, opt, config):
+            return
         for x, _, value in candidates:
             if value == opt:
                 _charge(budget, config)
-                cell = Cell(x, r)
-                region = cell_region(inst, cell, blocks)
-                check = region
-                if alpha is not None:
-                    below = alpha - inst.c.dot(QVector(x))
-                    check = region.with_rows([row_le(inst.e.entries, below)])
-                if strict_feasible_point(check, config) is not None:
-                    yield CellEntry(cell, region)
+                entry = checked_entry(Cell(x, r))
+                if entry is not None:
+                    yield entry
+
+    def checked_entry(cell):
+        region = cell_region(inst, cell, blocks)
+        mn = lp_solve(region.closure(), inst.e, "min", config)
+        if mn.tag == "infeasible":
+            return None
+        if not mn.is_optimal:
+            raise InternalInvariantError("cell region LP unbounded on a bounded region")
+        inside = region.satisfied_by(mn.point)
+        check = region
+        if alpha is not None:
+            below = alpha - inst.c.dot(QVector(cell.x))
+            if mn.value > below:
+                return None
+            check = region.with_rows([row_le(inst.e.entries, below)])
+        if inside or strict_feasible_point(check, config) is not None:
+            return CellEntry(cell, region, mn.value, inside)
+        return None
 
     try:
         yield from walk(upper, [], candidates)

@@ -12,12 +12,13 @@ ones (decide_eq, witness_le), are each one pass of DecisionScan.hits, the
 only loop over the indexed cells here. On one cell the objective is affine
 in z over a half-open region Q, and the thresholds alpha for which Q has a
 point of value <= alpha form a ray, [low, inf) or (low, inf), where low is
-the LP minimum of the objective over the closure of Q. A scan keeps each
-cell's low, found once by the first query that reaches the cell, and
-answers from it: a threshold below low skips the cell and a value <= alpha
-query above low is a hit, both without an LP. Only a threshold equal to
-low, and an equality query above it, run a strict-feasibility check; so
-does a witness request, to produce the point.
+the LP minimum of the objective over the closure of Q. The index build
+solves that LP for each cell as it checks the cell, and a scan answers
+from the low it carries: a threshold below low skips the cell, a value
+<= alpha query above low is a hit, and so is a query at low when the LP
+vertex at low lies in Q (low_inside), all without an LP. Only the other
+queries at low, and equality queries above it, run a strict-feasibility
+check; so does a witness request, to produce the point.
 
 The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
@@ -34,7 +35,7 @@ from .cells import Cell, Instance, cell_index, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_candidates, integer_min, integer_min_value
-from .linear import (LinRow, LinearSystem, fix_block, lp_solve, nonconstant, row_eq, row_le,
+from .linear import (LinRow, LinearSystem, fix_block, nonconstant, row_eq, row_le,
                      strict_feasible_point)
 from .rational import QVector
 
@@ -44,17 +45,17 @@ class _CellItem:
     cell: Cell
     obj_shift: Fraction   # objective restricted to the cell: shift + obj_z . z
     system: LinearSystem  # the cell's region, over z
-    low: Optional[Fraction] = None  # min of obj_z over the region's closure
+    low: Fraction         # min of obj_z over the region's closure
+    low_inside: bool      # the LP vertex at low lies in the region
 
 
 class DecisionScan:
     """Reusable threshold oracle for one instance across many queries.
 
     Holds each valid cell, in lex order of (x, r), with the leader's
-    objective restricted to it and its region Q, which the index build
-    proved strictly feasible. Each cell keeps `low`, the LP minimum of the
-    objective over the closure cl(Q), found the first time a query reaches
-    the cell.
+    objective restricted to it, its region Q and, from the index entry,
+    `low`, the LP minimum of the objective over the closure cl(Q), and
+    `low_inside`, whether the LP vertex at `low` lies in Q.
 
     Why `low` answers most queries exactly: Q has a point, so the closed
     system cl(Q), its strict rows relaxed, is the closure of Q, and Q is
@@ -62,45 +63,37 @@ class DecisionScan:
     0 < t <= 1 meet the closed rows, meet every strict row strictly, and
     tend to y as t -> 0. Taking y where the objective attains `low`, Q meets
     {value <= alpha} for every alpha > low; as Q lies in cl(Q), it misses
-    {value <= alpha}, and so {value = alpha}, for every alpha < low. Only
-    alpha = low (is the minimum attained on Q?) and equality queries above
-    `low` (does Q reach that value?) need a strict-feasibility check of the
-    region with the value row.
+    {value <= alpha}, and so {value = alpha}, for every alpha < low. At
+    alpha = low, a vertex of Q at `low` (`low_inside`) answers both queries
+    yes. The other queries at `low`, and equality queries above it (does Q
+    reach that value?), need a strict-feasibility check of the region with
+    the value row.
     """
 
     def __init__(self, inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
         self.config = config
         self.obj_z = inst.e
-        self.items = [_CellItem(e.cell, inst.c.dot(QVector(e.cell.x)), e.region)
+        self.items = [_CellItem(e.cell, inst.c.dot(QVector(e.cell.x)), e.region, e.low,
+                                e.low_inside)
                       for e in cell_index(inst, config).entries]
-
-    def low_of(self, it: _CellItem) -> Fraction:
-        """The item's `low`, computed once."""
-        if it.low is None:
-            out = lp_solve(it.system.closure(), self.obj_z, "min", self.config)
-            if not out.is_optimal:
-                raise InternalInvariantError("strictly feasible bounded cell region has no LP minimum")
-            it.low = out.value
-        return it.low
 
     def hits(self, row, alpha, witness: bool = True):
         """Cells whose region meets value <= alpha (row=row_le) or value =
         alpha (row=row_eq), in lex order: (cell, strictly feasible z, the
         cell's system with the value row).
 
-        Beyond the item's own `low`, found once, a cell costs no LP when
-        alpha lies below its least value obj_shift + low (skipped), nor when
-        a value <= alpha query lies above that value (a hit, whose z is None
-        unless `witness` asks for it).
+        A cell costs no LP when alpha lies below its least value
+        obj_shift + low (skipped), nor when the cell surely meets the row,
+        a value <= alpha query above that value or a query at it with
+        `low_inside`: a hit, whose z is None unless `witness` asks for it.
         """
         alpha = Fraction(alpha)
         for it in self.items:
-            low = self.low_of(it)
             target = alpha - it.obj_shift
-            if target < low:
+            if target < it.low:
                 continue
             system = it.system.with_rows([row(self.obj_z.entries, target)])
-            sure = row is row_le and target > low
+            sure = it.low_inside if target == it.low else row is row_le
             if sure and not witness:
                 yield it.cell, None, system
                 continue
@@ -108,7 +101,7 @@ class DecisionScan:
             if z is not None:
                 yield it.cell, z, system
             elif sure:
-                raise InternalInvariantError("cell with a minimum below alpha has no witness")
+                raise InternalInvariantError("cell with a point on the value row has no witness")
 
 
 def _first_hit(inst, row, alpha, config, scan, witness=True) -> Optional[tuple]:

@@ -7,12 +7,13 @@ the infimum is attained exactly when some cell's slice is nonempty, and
 then the lexicographically minimal optimum has x* the x of the lex-first
 such cell and z* from the floor-vector refinement and a barycenter of
 vertices found by at most 2d + 1 LPs. All of these queries share one
-DecisionScan. It solves one LP per cell, the minimum of the objective over
-the cell's closure, and answers a bisection query from those minima: a cell
-whose minimum lies above the threshold is skipped and one whose minimum
-lies below it is a hit, since the half-open cell is dense in its closure.
-Strict-feasibility checks remain only where a threshold meets a cell's
-minimum, for the value slices and for witnesses. The pure driver lists the
+DecisionScan. It reads one LP minimum per cell, of the objective over the
+cell's closure, which the index build found, and answers a bisection query
+from those minima: a cell whose minimum lies above the threshold is skipped
+and one whose minimum lies below it is a hit, since the half-open cell is
+dense in its closure. Strict-feasibility checks remain only where a
+threshold meets a cell's minimum at an LP vertex outside the cell, for the
+value slices and for witnesses. The pure driver lists the
 response table over integer leader points once, bisects over it with plain
 integer snapping and reads x* and z* from it. A direct enumeration of the
 pure feasible set is the pure reference oracle: `solve --engine both`, the
@@ -236,7 +237,9 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     discarded. The survivor's half-open value slice Q yields z* as the
     barycenter of k affinely independent vertices of its closure, found by
     at most 2d + 1 LPs, which span its affine hull, so z* lands strictly
-    inside Q.
+    inside Q. A pool of one cell finds those vertices first: when its
+    slice's closure is one point (k = 1), each rho_i is B_i z + u_i there,
+    with no LP, and a floor that disagrees with the cell's r_i stays fatal.
     """
     v_star = Fraction(v_star)
     if telemetry is not None:
@@ -244,7 +247,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     if scan is None:
         scan = DecisionScan(inst, config)
     pool = []
-    for cell, _, sliced in scan.hits(row_eq, v_star):
+    for cell, _, sliced in scan.hits(row_eq, v_star, witness=False):
         if pool and cell.x != pool[0][0].x:
             break
         pool.append((cell, sliced))
@@ -252,17 +255,22 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         return None
     x_star = pool[0][0].x
 
+    walked = affinely_independent_vertices(pool[0][1], config) if len(pool) == 1 else None
+    point = walked[1][0] if walked is not None and walked[0] == 1 else None
     rho = []
     r_vec = []
     for i in range(inst.m):
-        best = None
-        for _, sliced in pool:
-            out = lp_solve(sliced.closure(), QVector(inst.B.entries[i]), "min", config)
-            if not out.is_optimal:
-                raise InternalInvariantError("attaining slice lost feasibility")
-            val = out.value + inst.u.entries[i]
-            if best is None or val < best:
-                best = val
+        if point is not None:  # the slice's closure is one point
+            best = QVector(inst.B.entries[i]).dot(point) + inst.u.entries[i]
+        else:
+            best = None
+            for _, sliced in pool:
+                out = lp_solve(sliced.closure(), QVector(inst.B.entries[i]), "min", config)
+                if not out.is_optimal:
+                    raise InternalInvariantError("attaining slice lost feasibility")
+                val = out.value + inst.u.entries[i]
+                if best is None or val < best:
+                    best = val
         rho.append(best)
         ri = floor_rat(best)
         r_vec.append(ri)
@@ -273,7 +281,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         raise InternalInvariantError("full floor vector did not isolate one cell")
     _, q_system = pool[0]
 
-    k, verts = affinely_independent_vertices(q_system, config)
+    k, verts = walked if walked is not None else affinely_independent_vertices(q_system, config)
     if k == 0:
         raise InternalInvariantError("attaining slice closure has no vertices")
     total = verts[0]

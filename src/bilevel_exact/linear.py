@@ -748,24 +748,50 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
     return [QVector(v) for v in sorted(found)]
 
 
+def _pinned(rows, dim: int, v0: QVector) -> bool:
+    """Whether the rows tight at v0 alone prove that v0 is the region's only
+    point: the equality rows leave no free direction, or they leave exactly
+    one, w, and two rows tight at v0 bound it on opposite sides (a . w > 0
+    and a . w < 0, so v0 + t w leaves the region for every t != 0)."""
+    nums, den = _over_common_denominator(v0.entries)
+    equal = [r.scaled[0] for r in rows if r.rel == EQ]
+    w = _nullspace_direction(equal, dim)
+    if w is None:
+        return True
+    if _nullspace_direction(equal + [w], dim) is not None:
+        return False
+    sides = set()
+    for r in rows:
+        a, b = r.scaled
+        if r.rel != EQ and sum(map(mul, a, nums)) == b * den:
+            aw = sum(map(mul, a, w))
+            if aw:
+                sides.add(aw > 0)
+    return len(sides) == 2
+
+
 def affinely_independent_vertices(sys: LinearSystem,
                                   config: SolverConfig = DEFAULT_CONFIG):
     """(k, vertices): k affinely independent vertices of the closed region,
     k = 1 + its affine dimension, found by at most 2 dim + 1 LPs.
 
-    v0 is the optimum of the zero objective. While the directions found
-    span less than R^dim, a w orthogonal to them is minimized and
-    maximized: an optimal vertex v with w . v != w . v0 (the minimizer
-    first) joins the output and v - v0 the directions; if none, w is an
-    implicit equality and joins the directions. The w are independent and
-    each is bounded both ways on a bounded region, so an unbounded region
-    raises ValueError; an infeasible one gives (0, []).
+    v0 is the optimum of the zero objective. When the rows tight at v0
+    pin it (_pinned), the region is the point v0 and the walk ends there,
+    after one LP. Otherwise, while the directions found span less than
+    R^dim, a w orthogonal to them is minimized and maximized: an optimal
+    vertex v with w . v != w . v0 (the minimizer first) joins the output
+    and v - v0 the directions; if none, w is an implicit equality and joins
+    the directions. The w are independent and each is bounded both ways on
+    a bounded region, so an unbounded region raises ValueError; an
+    infeasible one gives (0, []).
     """
     closed = sys.closure()
     first = lp_solve(closed, QVector([0] * sys.dim), "min", config)
     if not first.is_optimal:
         return 0, []
     v0 = first.point
+    if sys.dim == 0 or _pinned(closed.rows, sys.dim, v0):
+        return 1, [v0]
     chosen = [v0]
     spanned = []
     while len(spanned) < sys.dim:

@@ -117,7 +117,7 @@ def test_decision_table_matches_vertex_reference(example1):
         table = DecisionScan(inst, CFG)
         alphas = set()
         for it in table.items:
-            low = table.low_of(it)
+            low = it.low
             assert support.ref_strictly_feasible(it.system.rows)
             assert low == support.ref_lp_min(it.system, table.obj_z.entries)[0]
             alphas.update(it.obj_shift + low + delta

@@ -7,7 +7,9 @@ tests/golden/mixed_grid.json pins the same fields plus the eps point for the
 125 mixed-grid benchmark instances at seed 7, built by perfbench's own
 generator and solved with eps 1/8; the cold decide_le answers on those
 instances are checked against it too. Telemetry is left out: query counts
-may change while answers may not.
+may change while answers may not. The same instances also check each
+cell-index entry against references that share no LP or lattice code, and
+cap the LP count of 25 solves.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -131,6 +133,57 @@ def test_index_regions_match_fresh_cell_regions(example1):
             assert entry.region.rows == cell_region(inst, entry.cell).rows, entry.cell
             checked += 1
     assert checked > 700
+
+
+def test_index_entries_match_independent_references(example1):
+    # each entry's low is the vertex-scan minimum of e . z over its region's
+    # closure; low_inside promises a point of the region at that value, and
+    # the cell's x is follower-optimal at r among the integer points of the
+    # follower's box: references that share no LP or lattice code
+    import math
+    import support
+    from bilevel_exact import row_eq
+    from bilevel_exact.cells import cell_index
+    checked = inside = 0
+    for inst in [example1] + grid_instances():
+        for entry in cell_index(inst).entries:
+            cell, region = entry.cell, entry.region
+            assert entry.low == support.ref_lp_min(region, inst.e.entries)[0], cell
+            if entry.low_inside:
+                rows = list(region.rows) + [row_eq(inst.e.entries, entry.low)]
+                assert support.ref_strictly_feasible(rows), cell
+                inside += 1
+            follower = inst.follower_system(cell.r)
+            coords = [v for p in support.ref_vertices(follower) for v in p]
+            points = support.brute_integer_points(follower, math.floor(min(coords)),
+                                                  math.ceil(max(coords)))
+            value = {p: sum(a * b for a, b in zip(inst.psi.entries, p)) for p in points}
+            assert cell.x in value and value[cell.x] == min(value.values()), cell
+            checked += 1
+    assert checked > 700 and 0 < inside < checked
+
+
+def test_mixed_grid_lp_count():
+    # a deterministic count of the LPs of 25 mixed-grid solves, in every
+    # module that binds lp_solve; it was 1310 before the index build began
+    # to certify cells from the closure LP's vertex, and may only fall
+    import pytest
+    from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
+    insts = grid_instances()[:25]
+    solve = linear.lp_solve
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return solve(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (linear, cells, decide, engine, lattice):
+            if hasattr(module, "lp_solve"):
+                mp.setattr(module, "lp_solve", counting)
+        for inst in insts:
+            solve_mixed(inst, eps=GRID_EPS)
+    assert len(calls) <= 1046
 
 
 def _write_reports(fh, reports):

@@ -223,9 +223,8 @@ def walk_systems():
     return st.builds(build, st.integers(1, 3), st.lists(row, max_size=3))
 
 
-@settings(max_examples=80)
-@given(walk_systems())
-def test_affinely_independent_vertices_match_vertex_scan(sys_):
+def _walk_counting_lps(sys_):
+    """affinely_independent_vertices(sys_) and the systems of its LPs."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -234,7 +233,13 @@ def test_affinely_independent_vertices_match_vertex_scan(sys_):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linear, "lp_solve", counting)
-        k, verts = affinely_independent_vertices(sys_, DEFAULT_CONFIG)
+        return affinely_independent_vertices(sys_, DEFAULT_CONFIG), calls
+
+
+@settings(max_examples=80)
+@given(walk_systems())
+def test_affinely_independent_vertices_match_vertex_scan(sys_):
+    (k, verts), calls = _walk_counting_lps(sys_)
     assert len(calls) <= 2 * sys_.dim + 1
     ref = [tuple(p) for p in support.ref_vertices(sys_)]
     if not ref:
@@ -254,6 +259,23 @@ def test_affinely_independent_counts():
     segment = BOX.with_rows([row_eq([0, 1], 1)])
     k2, _ = affinely_independent_vertices(segment, DEFAULT_CONFIG)
     assert k2 == 2
+
+
+def test_pinned_point_slice_ends_the_walk_after_one_lp():
+    # x + y = 2 leaves the direction (1, -1); x <= 1 and y <= 1, both tight
+    # at (1, 1), bound it on opposite sides, so (1, 1) is the whole region
+    point = BOX.with_rows([row_eq([1, 1], 2), row_le([1, 0], 1), row_le([0, 1], 1)])
+    (k, verts), calls = _walk_counting_lps(point)
+    assert (k, [v.entries for v in verts], len(calls)) == (1, [(1, 1)], 1)
+
+
+def test_segment_slice_still_walks():
+    # at v0 = (2, 0) the tight rows x <= 2 and y >= 0 bound (1, -1) on the
+    # same side: no pin, and the walk finds the segment's other end
+    segment = BOX.with_rows([row_eq([1, 1], 2)])
+    (k, verts), calls = _walk_counting_lps(segment)
+    assert (k, [v.entries for v in verts]) == (2, [(2, 0), (0, 2)])
+    assert len(calls) <= 2 * segment.dim + 1
 
 
 def test_affinely_independent_vertices_empty_and_unbounded():
