@@ -12,7 +12,7 @@ system in (x, z), x continuous, carrying the integer x of the upper region
 that fit the floors chosen so far; at each reachable r one integer
 feasibility check, for a follower response better than the best carried x,
 settles the follower's optimum, and the carried x at that value are the
-responses to pair with r. The same walk serves the per-instance index, which
+responses to pair with r. The same walk serves the cell index, which
 collects and sorts its cells, and a single threshold query, which adds the
 row value <= alpha to the walk and stops at the first cell that meets it.
 One LP over the closure of each pair's region gives the cell's least e . z
@@ -23,7 +23,9 @@ with their activities A x and psi . x as integers, and cell rows are
 restricted to a fixed x through linear.fix_block. Within one walk the cell
 regions share their row blocks (the upper rows restricted to each x, the
 floor rows of each (i, r_i)), each built once; nothing outlives the walk,
-and cell_region alone says which rows a region has.
+and cell_region alone says which rows a region has. Nothing caches an index
+across calls either: each cell_index call builds a fresh one, and the
+Instance holds its data fields alone.
 """
 from __future__ import annotations
 
@@ -100,7 +102,6 @@ class Instance:
             raise ValidationError("unbounded-P", "upper-level region C x + D z <= p, z >= 0 is unbounded")
         if not recession_bounded(self.A):
             raise ValidationError("unbounded-follower", "follower regions A x <= B z + u are unbounded")
-        object.__setattr__(self, "_index_cache", {})
 
     @property
     def m(self) -> int:
@@ -233,7 +234,7 @@ def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CON
         return False
     if _follower_improves(inst, cell.r, inst.psi.dot(QVector(cell.x)), config):
         return False
-    return strict_feasible_point(cell_region(inst, cell), config) is not None
+    return strict_feasible_point(cell_region(inst, cell)) is not None
 
 
 def bilevel_feasible(inst: Instance, x, z: QVector,
@@ -260,15 +261,17 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
 
 
 # ---------------------------------------------------------------------------
-# enumeration and the per-instance index
+# enumeration and the cell index
 
 
 @dataclass
 class CellEntry:
-    """A valid cell with its region Q and low, the least e . z over cl(Q);
-    low_inside says that the LP vertex attaining low lies in Q itself."""
+    """A valid cell with shift = c . x, its region Q and low, the least
+    e . z over cl(Q); low_inside says that the LP vertex attaining low lies
+    in Q itself. Over the cell the leader's objective is shift + e . z."""
 
     cell: Cell
+    shift: Fraction
     region: LinearSystem
     low: Fraction
     low_inside: bool
@@ -340,10 +343,10 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
             floors = [floor_rat(uv)]
         else:
             activity = QVector((0,) * inst.n + inst.B.entries[i])
-            mn = lp_solve(system, activity, "min", config)
+            mn = lp_solve(system, activity, "min")
             if mn.tag == "infeasible":
                 return
-            mx = lp_solve(system, activity, "max", config)
+            mx = lp_solve(system, activity, "max")
             if not (mn.is_optimal and mx.is_optimal):
                 raise InternalInvariantError("floor range LP unbounded on a bounded region")
             floors = range(floor_rat(mn.value + uv), floor_rat(mx.value + uv) + 1)
@@ -371,20 +374,21 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
     def checked_entry(cell):
         region = cell_region(inst, cell, blocks)
-        mn = lp_solve(region.closure(), inst.e, "min", config)
+        mn = lp_solve(region.closure(), inst.e, "min")
         if mn.tag == "infeasible":
             return None
         if not mn.is_optimal:
             raise InternalInvariantError("cell region LP unbounded on a bounded region")
         inside = region.satisfied_by(mn.point)
+        shift = inst.c.dot(QVector(cell.x))
         check = region
         if alpha is not None:
-            below = alpha - inst.c.dot(QVector(cell.x))
+            below = alpha - shift
             if mn.value > below:
                 return None
             check = region.with_rows([row_le(inst.e.entries, below)])
-        if inside or strict_feasible_point(check, config) is not None:
-            return CellEntry(cell, region, mn.value, inside)
+        if inside or strict_feasible_point(check) is not None:
+            return CellEntry(cell, shift, region, mn.value, inside)
         return None
 
     try:
@@ -397,8 +401,8 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
 
 class CellIndex:
-    """Lex-ordered valid cells of an instance, built once and reused: the
-    entries of valid_cells, sorted by (x, r)."""
+    """Lex-ordered valid cells of an instance: the entries of valid_cells,
+    sorted by (x, r)."""
 
     def __init__(self, inst: Instance, config: SolverConfig):
         self.instance = inst
@@ -412,12 +416,8 @@ class CellIndex:
 
 
 def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellIndex:
-    cache = inst._index_cache
-    idx = cache.get(config)
-    if idx is None:
-        idx = CellIndex(inst, config)
-        cache[config] = idx
-    return idx
+    """A freshly built CellIndex; nothing keeps it once its caller drops it."""
+    return CellIndex(inst, config)
 
 
 def enumerate_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> list:
@@ -441,22 +441,22 @@ def cell_infimum(inst: Instance, cell: Cell, objective: QVector,
     obj_x = sum((a * b for a, b in zip(objective.entries[:inst.n], cell.x)), Fraction(0))
     obj_z = QVector(objective.entries[inst.n:])
     closed = region.closure()
-    mn = lp_solve(closed, obj_z, "min", config)
+    mn = lp_solve(closed, obj_z, "min")
     if not mn.is_optimal:
         raise InternalInvariantError("cell_infimum needs a valid (nonempty, bounded) cell")
     inf = obj_x + mn.value
-    at = strict_feasible_point(region.with_rows([row_eq(obj_z.entries, mn.value)]), config)
+    at = strict_feasible_point(region.with_rows([row_eq(obj_z.entries, mn.value)]))
     if at is not None:
         witness = QVector(list(map(Fraction, cell.x)) + list(at.entries))
         return inf, True, witness
-    mx = lp_solve(closed, obj_z, "max", config)
+    mx = lp_solve(closed, obj_z, "max")
     if not mx.is_optimal:
         raise InternalInvariantError("cell objective range must be bounded")
     spread = mx.value - mn.value
     if spread == 0:
         raise InternalInvariantError("constant objective on a valid cell must be attained")
     delta = config.witness_delta * spread
-    near = strict_feasible_point(region.with_rows([row_le(obj_z.entries, mn.value + delta)]), config)
+    near = strict_feasible_point(region.with_rows([row_le(obj_z.entries, mn.value + delta)]))
     if near is None:
         raise InternalInvariantError("near-optimal witness must exist on a valid cell")
     witness = QVector(list(map(Fraction, cell.x)) + list(near.entries))

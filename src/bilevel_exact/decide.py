@@ -13,10 +13,11 @@ only loop over the indexed cells here. On one cell the objective is affine
 in z over a half-open region Q, and the thresholds alpha for which Q has a
 point of value <= alpha form a ray, [low, inf) or (low, inf), where low is
 the LP minimum of the objective over the closure of Q. The index build
-solves that LP for each cell as it checks the cell, and a scan answers
-from the low it carries: a threshold below low skips the cell, a value
-<= alpha query above low is a hit, and so is a query at low when the LP
-vertex at low lies in Q (low_inside), all without an LP. Only the other
+solves that LP for each cell as it checks the cell. A scan's items are the
+entries of the cell index it builds, each with its cell's shift c . x and
+low, and a scan answers from them: a threshold below low skips the cell, a
+value <= alpha query above low is a hit, and so is a query at low when the
+LP vertex at low lies in Q (low_inside), all without an LP. Only the other
 queries at low, and equality queries above it, run a strict-feasibility
 check; so does a witness request, to produce the point.
 
@@ -27,34 +28,24 @@ the list.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .cells import Cell, Instance, cell_index, valid_cells
+from .cells import Instance, cell_index, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_candidates, integer_min, integer_min_value
-from .linear import (LinRow, LinearSystem, fix_block, nonconstant, row_eq, row_le,
-                     strict_feasible_point)
+from .linear import LinRow, fix_block, nonconstant, row_eq, row_le, strict_feasible_point
 from .rational import QVector
-
-
-@dataclass
-class _CellItem:
-    cell: Cell
-    obj_shift: Fraction   # objective restricted to the cell: shift + obj_z . z
-    system: LinearSystem  # the cell's region, over z
-    low: Fraction         # min of obj_z over the region's closure
-    low_inside: bool      # the LP vertex at low lies in the region
 
 
 class DecisionScan:
     """Reusable threshold oracle for one instance across many queries.
 
-    Holds each valid cell, in lex order of (x, r), with the leader's
-    objective restricted to it, its region Q and, from the index entry,
-    `low`, the LP minimum of the objective over the closure cl(Q), and
+    Its items are the entries of the cell index it builds, and it is the
+    only holder of that index: each valid cell, in lex order of (x, r), with
+    `shift` = c . x (the leader's objective on the cell is shift + e . z),
+    its region Q, `low`, the LP minimum of e . z over the closure cl(Q), and
     `low_inside`, whether the LP vertex at `low` lies in Q.
 
     Why `low` answers most queries exactly: Q has a point, so the closed
@@ -71,11 +62,8 @@ class DecisionScan:
     """
 
     def __init__(self, inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
-        self.config = config
         self.obj_z = inst.e
-        self.items = [_CellItem(e.cell, inst.c.dot(QVector(e.cell.x)), e.region, e.low,
-                                e.low_inside)
-                      for e in cell_index(inst, config).entries]
+        self.items = cell_index(inst, config).entries
 
     def hits(self, row, alpha, witness: bool = True):
         """Cells whose region meets value <= alpha (row=row_le) or value =
@@ -83,21 +71,21 @@ class DecisionScan:
         cell's system with the value row).
 
         A cell costs no LP when alpha lies below its least value
-        obj_shift + low (skipped), nor when the cell surely meets the row,
+        shift + low (skipped), nor when the cell surely meets the row,
         a value <= alpha query above that value or a query at it with
         `low_inside`: a hit, whose z is None unless `witness` asks for it.
         """
         alpha = Fraction(alpha)
         for it in self.items:
-            target = alpha - it.obj_shift
+            target = alpha - it.shift
             if target < it.low:
                 continue
-            system = it.system.with_rows([row(self.obj_z.entries, target)])
+            system = it.region.with_rows([row(self.obj_z.entries, target)])
             sure = it.low_inside if target == it.low else row is row_le
             if sure and not witness:
                 yield it.cell, None, system
                 continue
-            z = strict_feasible_point(system, self.config)
+            z = strict_feasible_point(system)
             if z is not None:
                 yield it.cell, z, system
             elif sure:
@@ -117,9 +105,9 @@ def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
     """True iff some bilevel-feasible point has value <= alpha.
 
     Without a scan, one floor walk restricted to value <= alpha answers the
-    query and stops at its first cell; it leaves the instance's cell index
-    unbuilt. Repeated queries: pass a scan, a DecisionScan built from the
-    same inst and config. The same holds for decide_eq and witness_le,
+    query and stops at its first cell; it builds no cell index. Repeated
+    queries: pass a scan, a DecisionScan built from the same inst and
+    config. The same holds for decide_eq and witness_le,
     which build a scan when none is passed.
     """
     if telemetry is not None:

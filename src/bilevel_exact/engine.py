@@ -97,7 +97,7 @@ class SolveReport:
 # bounds, caps, reconstruction
 
 
-def objective_bounds(inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
+def objective_bounds(inst: Instance):
     """LP min and max of the objective over the upper-level system.
 
     The bilevel constraint is dropped, so [v_lo, v_hi] brackets every
@@ -105,12 +105,12 @@ def objective_bounds(inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
     """
     sys = LinearSystem(inst.joint_dim(), tuple(inst.upper_rows()))
     obj = inst.objective_vector()
-    mn = lp_solve(sys, obj, "min", config)
+    mn = lp_solve(sys, obj, "min")
     if mn.tag == "infeasible":
         raise InfeasibleRelaxationError("upper-level system is empty")
     if not mn.is_optimal:
         raise InternalInvariantError("LP unbounded over a bounded upper-level region")
-    mx = lp_solve(sys, obj, "max", config)
+    mx = lp_solve(sys, obj, "max")
     if not mx.is_optimal:
         raise InternalInvariantError("LP unbounded over a bounded upper-level region")
     return mn.value, mx.value
@@ -195,7 +195,7 @@ def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, telemetry=Non
     """Exact infimum of a feasible mixed instance."""
     if telemetry is None:
         telemetry = Telemetry()
-    v_lo, v_hi = objective_bounds(inst, config)
+    v_lo, v_hi = objective_bounds(inst)
     if scan is None:
         scan = DecisionScan(inst, config)
 
@@ -255,7 +255,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         return None
     x_star = pool[0][0].x
 
-    walked = affinely_independent_vertices(pool[0][1], config) if len(pool) == 1 else None
+    walked = affinely_independent_vertices(pool[0][1]) if len(pool) == 1 else None
     point = walked[1][0] if walked is not None and walked[0] == 1 else None
     rho = []
     r_vec = []
@@ -265,7 +265,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         else:
             best = None
             for _, sliced in pool:
-                out = lp_solve(sliced.closure(), QVector(inst.B.entries[i]), "min", config)
+                out = lp_solve(sliced.closure(), QVector(inst.B.entries[i]), "min")
                 if not out.is_optimal:
                     raise InternalInvariantError("attaining slice lost feasibility")
                 val = out.value + inst.u.entries[i]
@@ -281,7 +281,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         raise InternalInvariantError("full floor vector did not isolate one cell")
     _, q_system = pool[0]
 
-    k, verts = walked if walked is not None else affinely_independent_vertices(q_system, config)
+    k, verts = walked if walked is not None else affinely_independent_vertices(q_system)
     if k == 0:
         raise InternalInvariantError("attaining slice closure has no vertices")
     total = verts[0]
@@ -334,7 +334,7 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
         return report
 
     scan = DecisionScan(inst, config)
-    telemetry.cells = len(cell_index(inst, config).entries)
+    telemetry.cells = len(scan.items)
     try:
         v_star = infimum(inst, config, telemetry, scan)
     except InfeasibleProblemError:
@@ -367,7 +367,7 @@ def _pure_driver(inst: Instance, config: SolverConfig, telemetry):
     no larger, and the least such entry is the lex-least optimum.
     """
     try:
-        v_lo, v_hi = objective_bounds(inst, config)
+        v_lo, v_hi = objective_bounds(inst)
     except InfeasibleRelaxationError:
         return None
     table = list(pure_responses(inst, config))
@@ -477,13 +477,13 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     for j in range(inst.d):
         unit = [Fraction(0)] * inst.d
         unit[j] = Fraction(1)
-        mn = lp_solve(sliced.closure(), QVector(unit), "min", config)
+        mn = lp_solve(sliced.closure(), QVector(unit), "min")
         if not mn.is_optimal:
             raise InternalInvariantError("winning slice lost feasibility")
         trial = sliced.with_rows([row_eq(unit, mn.value)])
-        if strict_feasible_point(trial, config) is not None:
+        if strict_feasible_point(trial) is not None:
             sliced = trial
-    z = strict_feasible_point(sliced, config)
+    z = strict_feasible_point(sliced)
     if z is None:
         raise InternalInvariantError("winning slice has no strictly feasible point")
     report.status = ATTAINED

@@ -48,12 +48,12 @@ def _require_closed(sys: LinearSystem):
         raise ValueError("lattice operations take closed rows only")
 
 
-def _check_bounded(sys: LinearSystem, coords, config: SolverConfig, message: str):
+def _check_bounded(sys: LinearSystem, coords, message: str):
     """Raise BoundednessError unless the projection onto coords is bounded.
 
     A system carrying a boundedness proof passes without cone LPs.
     """
-    if not _projection_bounded(sys, coords, config):
+    if not _projection_bounded(sys, coords):
         raise BoundednessError(message)
 
 
@@ -82,7 +82,7 @@ def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
         if nodes > config.node_cap:
             raise ResourceLimitError(
                 f"node_cap={config.node_cap}: branch and bound node cap exceeded")
-        out = lp_solve(sys.with_rows(extra), objective, "min", config)
+        out = lp_solve(sys.with_rows(extra), objective, "min")
         if out.tag == "infeasible":
             continue
         if not out.is_optimal:
@@ -113,8 +113,7 @@ def mixed_feasible(sys: LinearSystem, pattern: MixedPattern,
     if pattern.dim != sys.dim:
         raise ValueError("pattern dimension does not match the system")
     coords = sorted(pattern.integer_coords)
-    _check_bounded(sys, coords, config,
-                   "projection onto the integer coordinates is unbounded")
+    _check_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
     out = _branch_and_bound(QVector([0] * sys.dim), sys, coords, config)
     return None if out is None else out.point
 
@@ -126,7 +125,7 @@ def integer_min_value(objective: QVector, sys: LinearSystem,
     _require_closed(sys)
     if objective.dim != sys.dim:
         raise ValueError("objective dimension mismatch")
-    _check_bounded(sys, range(sys.dim), config, "integer_min needs a bounded feasible region")
+    _check_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
     out = _branch_and_bound(objective, sys, range(sys.dim), config)
     return None if out is None else out.value
 
@@ -176,17 +175,17 @@ def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
     """
     if count == 0:  # the empty prefix, when the system has a point
         sys = LinearSystem(total_dim, tuple(rows))
-        return [()] if lp_solve(sys, QVector([0] * total_dim), "min", config).is_optimal else []
+        return [()] if lp_solve(sys, QVector([0] * total_dim), "min").is_optimal else []
     out = []
 
     def walk(prefix, cur, remaining_first):
         dim = total_dim - len(prefix)
         sub = LinearSystem(dim, tuple(cur))
         unit = QVector(_unit(dim, 0))
-        lo_out = lp_solve(sub, unit, "min", config)
+        lo_out = lp_solve(sub, unit, "min")
         if lo_out.tag == "infeasible":
             return
-        hi_out = lp_solve(sub, unit, "max", config)
+        hi_out = lp_solve(sub, unit, "max")
         if not (lo_out.is_optimal and hi_out.is_optimal):
             raise InternalInvariantError("candidate enumeration hit an unbounded direction")
         for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
@@ -205,5 +204,5 @@ def enumerate_integers(sys: LinearSystem,
     """All integer points of a bounded closed system, in lex order: one
     integer_candidates walk over every coordinate, charged to cell_cap."""
     _require_closed(sys)
-    _check_bounded(sys, range(sys.dim), config, "enumerate_integers needs a bounded region")
+    _check_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
     return [QVector(p) for p in integer_candidates(sys.rows, sys.dim, sys.dim, config, [0])]

@@ -37,7 +37,9 @@ and simplex branches; re-verification still checks every row. `fix_block`
 is the one restriction of rows to fixed values of a block of coordinates.
 
 `_nullspace_direction` is the one exact elimination routine. No solve path
-calls `vertices`, the only code that tries all `C(rows, dim)` bases.
+calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
+also the only function here that takes a `SolverConfig`, for `basis_cap`.
+Nothing else in this module reads a cap.
 
 Conventions: systems are over free variables; rows are "<=", "=", or the
 strict "<". Only closed rows ("<=", "=") are legal LP input; strict rows are
@@ -568,8 +570,7 @@ def _purify_to_vertex(dim, rows, nums, den, objective):
 # public operations
 
 
-def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
-             config: SolverConfig = DEFAULT_CONFIG) -> LpOutcome:
+def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOutcome:
     """Exact LP over a closed system with free variables.
 
     Returns Infeasible, Unbounded, or Optimal with an exact value and a point
@@ -613,8 +614,7 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min",
     return LpOutcome("optimal", value, QVector([Fraction(v, den) for v in nums]))
 
 
-def strict_feasible_point(sys: LinearSystem,
-                          config: SolverConfig = DEFAULT_CONFIG) -> Optional[QVector]:
+def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     """A point satisfying closed rows and every strict row strictly, or None.
 
     Maximizes one uniform slack t in [0, 1] applied to all strict rows; a
@@ -629,7 +629,7 @@ def strict_feasible_point(sys: LinearSystem,
     strict = [r for r in rows if r.rel == LT]
 
     if not strict:
-        out = lp_solve(LinearSystem(sys.dim, tuple(closed)), QVector([0] * sys.dim), "min", config)
+        out = lp_solve(LinearSystem(sys.dim, tuple(closed)), QVector([0] * sys.dim), "min")
         return out.point if out.is_optimal else None
 
     dim = sys.dim + 1
@@ -637,7 +637,7 @@ def strict_feasible_point(sys: LinearSystem,
     lifted.append(row_le([0] * sys.dim + [-1], 0))   # t >= 0
     lifted.append(row_le([0] * sys.dim + [1], 1))    # t <= 1
     objective = QVector([0] * sys.dim + [1])
-    out = lp_solve(LinearSystem(dim, tuple(lifted)), objective, "max", config)
+    out = lp_solve(LinearSystem(dim, tuple(lifted)), objective, "max")
     if not out.is_optimal or out.value == 0:
         return None
     point = QVector(out.point.entries[:sys.dim])
@@ -669,15 +669,14 @@ def _truncated_cone(coeff_rows, dim: int) -> LinearSystem:
     return LinearSystem(dim, tuple(rows))
 
 
-def _cone_coords_zero(coeff_rows, dim: int, coords,
-                      config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def _cone_coords_zero(coeff_rows, dim: int, coords) -> bool:
     """True iff every y with (rows) . y <= 0 has y_i = 0 for i in coords."""
     cone = _truncated_cone(coeff_rows, dim)
     for i in coords:
         unit = [0] * dim
         unit[i] = 1
         for sense in ("max", "min"):
-            out = lp_solve(cone, QVector(unit), sense, config)
+            out = lp_solve(cone, QVector(unit), sense)
             if not out.is_optimal:
                 raise InternalInvariantError("truncated cone LP must be optimal")
             if out.value != 0:
@@ -685,18 +684,17 @@ def _cone_coords_zero(coeff_rows, dim: int, coords,
     return True
 
 
-def _projection_bounded(sys: LinearSystem, coords,
-                        config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def _projection_bounded(sys: LinearSystem, coords) -> bool:
     """True iff the closed system's recession cone has y_i = 0 for i in coords.
 
     A carried boundedness proof answers without solving the cone LPs.
     """
     if sys.proved_bounded:
         return True
-    return _cone_coords_zero(recession_rows(sys), sys.dim, coords, config)
+    return _cone_coords_zero(recession_rows(sys), sys.dim, coords)
 
 
-def recession_bounded(m: QMatrix, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def recession_bounded(m: QMatrix) -> bool:
     """Whether {y : m y <= 0} is the origin alone.
 
     A rank test and one LP. The rows must span R^n, else a direction w with
@@ -712,7 +710,7 @@ def recession_bounded(m: QMatrix, config: SolverConfig = DEFAULT_CONFIG) -> bool
     if _nullspace_direction([r.scaled[0] for r in cone.rows[:m.nrows]], dim) is not None:
         return False
     sums = QVector([sum(col, Fraction(0)) for col in zip(*m.entries)])
-    out = lp_solve(cone, sums, "min", config)
+    out = lp_solve(cone, sums, "min")
     if not out.is_optimal:
         raise InternalInvariantError("truncated cone LP must be optimal")
     return out.value == 0
@@ -725,12 +723,12 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
     raises ResourceLimitError if C(rows, dim) exceeds the configured cap.
     """
     closed = sys.closure()
-    feas = lp_solve(closed, QVector([0] * sys.dim), "min", config)
+    feas = lp_solve(closed, QVector([0] * sys.dim), "min")
     if not feas.is_optimal:
         return []
     if sys.dim == 0:
         return [QVector(())]
-    if not _projection_bounded(closed, range(sys.dim), config):
+    if not _projection_bounded(closed, range(sys.dim)):
         raise ValueError("vertex enumeration on an unbounded system")
     rows = nonconstant(closed.rows)
     if math.comb(len(rows), sys.dim) > config.basis_cap:
@@ -770,8 +768,7 @@ def _pinned(rows, dim: int, v0: QVector) -> bool:
     return len(sides) == 2
 
 
-def affinely_independent_vertices(sys: LinearSystem,
-                                  config: SolverConfig = DEFAULT_CONFIG):
+def affinely_independent_vertices(sys: LinearSystem):
     """(k, vertices): k affinely independent vertices of the closed region,
     k = 1 + its affine dimension, found by at most 2 dim + 1 LPs.
 
@@ -786,7 +783,7 @@ def affinely_independent_vertices(sys: LinearSystem,
     infeasible one gives (0, []).
     """
     closed = sys.closure()
-    first = lp_solve(closed, QVector([0] * sys.dim), "min", config)
+    first = lp_solve(closed, QVector([0] * sys.dim), "min")
     if not first.is_optimal:
         return 0, []
     v0 = first.point
@@ -797,7 +794,7 @@ def affinely_independent_vertices(sys: LinearSystem,
     while len(spanned) < sys.dim:
         normal = _nullspace_direction(spanned, sys.dim)
         w = QVector(normal)
-        outs = [lp_solve(closed, w, sense, config) for sense in ("min", "max")]
+        outs = [lp_solve(closed, w, sense) for sense in ("min", "max")]
         if not all(out.is_optimal for out in outs):
             raise ValueError("vertex walk on an unbounded system")
         off = next((out.point for out in outs if out.value != w.dot(v0)), None)

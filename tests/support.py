@@ -5,13 +5,15 @@ Fraction Gaussian elimination for vertex enumeration, grid scans for integer
 sets, and a denominator scan for simplest-rational questions. They are slow
 and only meant for small reference problems.
 """
+import contextlib
 import itertools
 import math
 import os
 from dataclasses import replace
 from fractions import Fraction
+from unittest import mock
 
-from bilevel_exact import DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, is_valid_cell
+from bilevel_exact import DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, cells, is_valid_cell
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1_PATH = os.path.join(ROOT, "instances", "example1.json")
@@ -44,6 +46,16 @@ def with_upper_rows(inst, *rows):
                    C=list(inst.C.entries) + [cx for cx, _, _ in rows],
                    D=list(inst.D.entries) + [dz for _, dz, _ in rows],
                    p=list(inst.p.entries) + [p for _, _, p in rows])
+
+
+@contextlib.contextmanager
+def no_index_build():
+    """Inside the block, building a cell index fails the test."""
+    def refuse(self):
+        raise AssertionError("a cell index was built")
+
+    with mock.patch.object(cells.CellIndex, "_build", refuse):
+        yield
 
 
 def make_empty_follower_pure():

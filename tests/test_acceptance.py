@@ -199,7 +199,7 @@ def _invariant_points(inst, rng):
                 points += 1
         for cell in cells:
             region = cell_region(inst, cell)
-            pts = [strict_feasible_point(region, CFG)]
+            pts = [strict_feasible_point(region)]
             verts = [tuple(v.entries) for v in vertices(region, CFG)]
             pts += [p for p in sample_hull(verts, rng, 4) if region.satisfied_by(p)]
             inf, attained, witness = cell_infimum(inst, cell, obj, CFG)

@@ -194,7 +194,7 @@ def test_index_reads_argmin_only_inside_the_upper_region(psi):
 
 def _region_samples(inst, cell, rng, count):
     region = cell_region(inst, cell)
-    pts = [strict_feasible_point(region, CFG)]
+    pts = [strict_feasible_point(region)]
     verts = [tuple(v.entries) for v in vertices(region, CFG)]
     pts.extend(p for p in sample_hull(verts, rng, count) if region.satisfied_by(p))
     return region, [p for p in pts if p is not None]

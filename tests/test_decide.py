@@ -93,7 +93,7 @@ def test_decision_scan_matches_decide_le(example1):
 def _reference_hit(scan, row, alpha):
     """The first item whose region meets the value row at alpha, by vertex scan."""
     for it in scan.items:
-        rows = list(it.system.rows) + [row(scan.obj_z.entries, alpha - it.obj_shift)]
+        rows = list(it.region.rows) + [row(scan.obj_z.entries, alpha - it.shift)]
         if support.ref_strictly_feasible(rows):
             return it
     return None
@@ -102,7 +102,7 @@ def _reference_hit(scan, row, alpha):
 def _assert_witness(inst, got, it, alpha, row):
     x, z = got
     assert x == it.cell.x
-    assert all(support.row_holds(r, z.entries) for r in it.system.rows)
+    assert all(support.row_holds(r, z.entries) for r in it.region.rows)
     value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
     assert value == alpha if row is row_eq else value <= alpha
     assert bilevel_feasible(inst, x, z, CFG)
@@ -118,9 +118,9 @@ def test_decision_table_matches_vertex_reference(example1):
         alphas = set()
         for it in table.items:
             low = it.low
-            assert support.ref_strictly_feasible(it.system.rows)
-            assert low == support.ref_lp_min(it.system, table.obj_z.entries)[0]
-            alphas.update(it.obj_shift + low + delta
+            assert support.ref_strictly_feasible(it.region.rows)
+            assert low == support.ref_lp_min(it.region, table.obj_z.entries)[0]
+            alphas.update(it.shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
         v_star = solve_mixed(inst, config=CFG).infimum
         if v_star is not None:
@@ -154,11 +154,10 @@ def _reference_decide_le(inst, alpha):
 
 
 def _assert_cold_decide_le(inst, alpha, expected=None):
-    # the cold walk, on a fresh copy whose cell-index cache starts empty,
-    # must leave that cache empty and agree with a scan and the reference
-    fresh = replace(inst)
-    cold = decide_le(fresh, alpha, CFG)
-    assert not fresh._index_cache
+    # the cold walk must build no cell index and agree with a scan and the
+    # reference
+    with support.no_index_build():
+        cold = decide_le(inst, alpha, CFG)
     assert cold == decide_le(inst, alpha, CFG, scan=DecisionScan(inst, CFG))
     assert cold == _reference_decide_le(inst, alpha)
     if expected is not None:
@@ -213,7 +212,7 @@ def test_pure_table_matches_decide_le_pure(example1):
     # row; each answer must equal a fresh decide_le_pure at that alpha
     for inst in _pure_table_inputs(example1):
         try:
-            v_lo, v_hi = objective_bounds(inst, CFG)
+            v_lo, v_hi = objective_bounds(inst)
         except InfeasibleRelaxationError:
             v_lo = v_hi = Fraction(0)
         v_star = solve_pure(inst, config=CFG).infimum

@@ -1,7 +1,7 @@
 import os
 import random
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -36,11 +36,11 @@ def halvings_needed(width, target):
 
 
 def test_objective_bounds_examples(example1):
-    assert objective_bounds(example1, CFG) == (-1, 1)
+    assert objective_bounds(example1) == (-1, 1)
     flat = replace(example1, c=[0], e=[0])
-    assert objective_bounds(flat, CFG) == (0, 0)
+    assert objective_bounds(flat) == (0, 0)
     with pytest.raises(InfeasibleRelaxationError):
-        objective_bounds(support.make_infeasible_upper(), CFG)
+        objective_bounds(support.make_infeasible_upper())
 
 
 def test_denominator_cap_examples(example1):
@@ -131,7 +131,7 @@ def test_infimum_infeasible_bilevel():
 def test_infimum_telemetry_bound(seed):
     inst = random_instance(random.Random(seed))
     try:
-        v_lo, v_hi = objective_bounds(inst, CFG)
+        v_lo, v_hi = objective_bounds(inst)
     except InfeasibleRelaxationError:
         return
     tel = Telemetry()
@@ -300,6 +300,16 @@ def test_solve_mixed_rejects_nonpositive_eps(example1):
                 solve_mixed(inst, eps=eps, config=CFG)
 
 
+def test_solve_leaves_no_state_on_the_instance():
+    # a solve keeps its cell index in its own scan: afterwards the instance
+    # holds its dataclass fields and nothing else
+    inst = support.make_example1()
+    names = {f.name for f in fields(inst)}
+    assert set(vars(inst)) == names
+    solve_mixed(inst, eps=Fraction(1, 8), config=CFG)
+    assert set(vars(inst)) == names
+
+
 def test_solve_mixed_infeasible():
     rep = solve_mixed(support.make_infeasible_upper(), config=CFG)
     assert rep.status == INFEASIBLE
@@ -424,10 +434,10 @@ def test_every_carried_boundedness_proof_holds(monkeypatch):
     proved = set()
     real = linear._projection_bounded
 
-    def recording(sys_, coords, config=CFG):
+    def recording(sys_, coords):
         if sys_.proved_bounded:
             proved.add(sys_)
-        return real(sys_, coords, config)
+        return real(sys_, coords)
 
     monkeypatch.setattr(linear, "_projection_bounded", recording)
     monkeypatch.setattr(lattice, "_projection_bounded", recording)
@@ -442,4 +452,4 @@ def test_every_carried_boundedness_proof_holds(monkeypatch):
     assert len(proved) > 50
     for sys_ in proved:
         cone = linear.recession_rows(sys_)
-        assert linear._cone_coords_zero(cone, sys_.dim, range(sys_.dim), CFG), sys_
+        assert linear._cone_coords_zero(cone, sys_.dim, range(sys_.dim)), sys_

@@ -1,6 +1,7 @@
 """Source hygiene of the package, checked with the stdlib `ast` module: no
-module imports a name it never uses, and every SolverConfig field is read
-somewhere, so dead imports and dead knobs cannot come back unnoticed."""
+module imports a name it never uses, every SolverConfig field is read
+somewhere, and every function that takes a `config` parameter uses it, so
+dead imports, dead knobs and unread arguments cannot come back unnoticed."""
 import ast
 import os
 
@@ -51,3 +52,22 @@ def test_every_config_field_is_read():
                 if base_name == "config":
                     read.add(node.attr)
     assert sorted(fields - read) == []
+
+
+def _functions_ignoring_config(tree):
+    """Names of the functions with a `config` parameter whose body never
+    mentions `config`."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+            if any(a.arg == "config" for a in params):
+                body = ast.Module(body=node.body, type_ignores=[])
+                if "config" not in _used_names(body):
+                    out.append(node.name)
+    return out
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_config_parameter_is_used(name):
+    assert _functions_ignoring_config(_tree(name)) == []

@@ -232,6 +232,23 @@ def test_cli_engines(example1_path, capsys):
     assert doc["oracle_agreement"] is True
 
 
+def test_cli_engine_both_builds_two_indexes(example1_path, capsys, monkeypatch):
+    # the engine and the reference oracle each build their own cell index;
+    # neither reads the other's
+    from bilevel_exact import cells
+    built = []
+    real = cells.CellIndex._build
+
+    def counting(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(cells.CellIndex, "_build", counting)
+    assert cli_main(["solve", example1_path, "--engine", "both"]) == 0
+    capsys.readouterr()
+    assert len(built) == 2 and built[0] is not built[1]
+
+
 def test_cli_engine_both_pure(example1_path, capsys):
     assert cli_main(["solve", example1_path, "--mode", "pure", "--engine", "both", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -29,7 +29,7 @@ def small_systems():
 
 
 def test_lp_box_corner():
-    out = lp_solve(BOX, QVector([1, 1]), "max", DEFAULT_CONFIG)
+    out = lp_solve(BOX, QVector([1, 1]), "max")
     assert out.tag == "optimal"
     assert out.value == 5
     assert out.point.entries == (Fraction(2), Fraction(3))
@@ -37,26 +37,26 @@ def test_lp_box_corner():
 
 def test_lp_min_with_equality():
     sys_ = BOX.with_rows([row_eq([1, 1], 3)])
-    out = lp_solve(sys_, QVector([1, 0]), "min", DEFAULT_CONFIG)
+    out = lp_solve(sys_, QVector([1, 0]), "min")
     assert out.value == 0
     assert out.point.entries == (Fraction(0), Fraction(3))
 
 
 def test_lp_infeasible_and_unbounded():
     assert lp_solve(LinearSystem(1, (row_le([1], 0), row_le([-1], -1))),
-                    QVector([1]), "min", DEFAULT_CONFIG).tag == "infeasible"
+                    QVector([1]), "min").tag == "infeasible"
     assert lp_solve(LinearSystem(1, (row_le([-1], 0),)),
-                    QVector([1]), "max", DEFAULT_CONFIG).tag == "unbounded"
+                    QVector([1]), "max").tag == "unbounded"
 
 
 def test_lp_rejects_strict_rows():
     with pytest.raises(ValueError):
-        lp_solve(LinearSystem(1, (row_lt([1], 1),)), QVector([1]), "min", DEFAULT_CONFIG)
+        lp_solve(LinearSystem(1, (row_lt([1], 1),)), QVector([1]), "min")
 
 
 def test_lp_fractional_data():
     sys_ = LinearSystem(1, (row_le([Fraction(2, 3)], Fraction(1, 2)), row_le([-1], 0)))
-    out = lp_solve(sys_, QVector([-1]), "min", DEFAULT_CONFIG)
+    out = lp_solve(sys_, QVector([-1]), "min")
     assert out.value == Fraction(-3, 4)
 
 
@@ -64,7 +64,7 @@ def test_lp_fractional_data():
 @given(small_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_lp_matches_vertex_scan(sys_, obj):
     ref = support.ref_lp_min(sys_, [Fraction(v) for v in obj])
-    out = lp_solve(sys_, QVector(obj), "min", DEFAULT_CONFIG)
+    out = lp_solve(sys_, QVector(obj), "min")
     if ref is None:
         assert out.tag == "infeasible"
     else:
@@ -109,7 +109,7 @@ def test_lp_matches_vertex_scan_in_three_and_four_dimensions(sys_, obj):
     verts = {tuple(p) for p in support.ref_vertices(sys_)}
     for sense, sign in (("min", 1), ("max", -1)):
         ref = support.ref_lp_min(sys_, [sign * v for v in obj])
-        out = lp_solve(sys_, QVector(obj), sense, DEFAULT_CONFIG)
+        out = lp_solve(sys_, QVector(obj), sense)
         if ref is None:
             assert out.tag == "infeasible"
             continue
@@ -147,18 +147,18 @@ def test_pivots_match_fraction_elimination(rows, pivots):
 
 def test_strict_point_examples():
     s = LinearSystem(1, (row_lt([-1], 0), row_lt([1], 1)))
-    pt = strict_feasible_point(s, DEFAULT_CONFIG)
+    pt = strict_feasible_point(s)
     assert pt is not None and 0 < pt[0] < 1
     # closed equality pinning the point, strict row still satisfiable
     s2 = LinearSystem(1, (row_eq([1], 0), row_lt([1], 1)))
-    pt2 = strict_feasible_point(s2, DEFAULT_CONFIG)
+    pt2 = strict_feasible_point(s2)
     assert pt2 is not None and pt2[0] == 0
     # empty: x < 0 and x > 0
     s3 = LinearSystem(1, (row_lt([1], 0), row_lt([-1], 0)))
-    assert strict_feasible_point(s3, DEFAULT_CONFIG) is None
+    assert strict_feasible_point(s3) is None
     # closed-feasible but strictly empty: 0 <= x with x < 0
     s4 = LinearSystem(1, (row_le([-1], 0), row_lt([1], 0)))
-    assert strict_feasible_point(s4, DEFAULT_CONFIG) is None
+    assert strict_feasible_point(s4) is None
 
 
 @settings(max_examples=40)
@@ -167,7 +167,7 @@ def test_strict_point_examples():
     max_size=2))
 def test_strict_point_satisfies_all_rows(sys_, strict_rows):
     sys_ = sys_.with_rows([row_lt(c, r) for c, r in strict_rows])
-    pt = strict_feasible_point(sys_, DEFAULT_CONFIG)
+    pt = strict_feasible_point(sys_)
     if pt is not None:
         assert all(r.satisfied_by(pt) for r in sys_.rows)
 
@@ -233,7 +233,7 @@ def _walk_counting_lps(sys_):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linear, "lp_solve", counting)
-        return affinely_independent_vertices(sys_, DEFAULT_CONFIG), calls
+        return affinely_independent_vertices(sys_), calls
 
 
 @settings(max_examples=80)
@@ -251,13 +251,13 @@ def test_affinely_independent_vertices_match_vertex_scan(sys_):
 
 
 def test_affinely_independent_counts():
-    k, verts = affinely_independent_vertices(BOX, DEFAULT_CONFIG)
+    k, verts = affinely_independent_vertices(BOX)
     assert k == 3 and len(verts) == 3
     point = LinearSystem(2, (row_eq([1, 0], 1), row_eq([0, 1], 2)))
-    k1, v1 = affinely_independent_vertices(point, DEFAULT_CONFIG)
+    k1, v1 = affinely_independent_vertices(point)
     assert k1 == 1 and v1[0].entries == (1, 2)
     segment = BOX.with_rows([row_eq([0, 1], 1)])
-    k2, _ = affinely_independent_vertices(segment, DEFAULT_CONFIG)
+    k2, _ = affinely_independent_vertices(segment)
     assert k2 == 2
 
 
@@ -280,15 +280,15 @@ def test_segment_slice_still_walks():
 
 def test_affinely_independent_vertices_empty_and_unbounded():
     empty = BOX.with_rows([row_le([1, 1], -1)])
-    assert affinely_independent_vertices(empty, DEFAULT_CONFIG) == (0, [])
+    assert affinely_independent_vertices(empty) == (0, [])
     with pytest.raises(ValueError):
-        affinely_independent_vertices(LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
+        affinely_independent_vertices(LinearSystem(1, (row_le([-1], 0),)))
     # unbounded, yet each minimization of the walk finds a vertex off v0's
     # level: only the maximizations see the unbounded direction
     wedge = LinearSystem(2, (row_le([-1, -2], 1), row_le([-1, -1], 1), row_le([-1, 0], 2),
                              row_le([2, -2], 3)))
     with pytest.raises(ValueError):
-        affinely_independent_vertices(wedge, DEFAULT_CONFIG)
+        affinely_independent_vertices(wedge)
 
 
 def test_recession_bounded():
@@ -316,7 +316,7 @@ def fractional_systems():
                                       min_size=2, max_size=2))
 def test_lp_fractional_rows_match_vertex_scan(sys_, obj):
     ref = support.ref_lp_min(sys_, obj)
-    out = lp_solve(sys_, QVector(obj), "min", DEFAULT_CONFIG)
+    out = lp_solve(sys_, QVector(obj), "min")
     if ref is None:
         assert out.tag == "infeasible"
     else:
@@ -348,7 +348,7 @@ def test_lp_reverification_is_fatal(monkeypatch):
     monkeypatch.setattr(linear, "_purify_to_vertex",
                         lambda dim, rows, nums, den, objective: ([6, 0], 2))
     with pytest.raises(InternalInvariantError):
-        lp_solve(BOX, QVector([1, 1]), "min", DEFAULT_CONFIG)
+        lp_solve(BOX, QVector([1, 1]), "min")
 
 
 def test_strict_witness_reverification_is_fatal(monkeypatch):
@@ -357,7 +357,7 @@ def test_strict_witness_reverification_is_fatal(monkeypatch):
     fake = LpOutcome("optimal", Fraction(1, 2), QVector([5, Fraction(1, 2)]))
     monkeypatch.setattr(linear, "lp_solve", lambda *args, **kwargs: fake)
     with pytest.raises(InternalInvariantError):
-        strict_feasible_point(s, DEFAULT_CONFIG)
+        strict_feasible_point(s)
 
 
 def test_boundedness_proof_not_settable_publicly():
