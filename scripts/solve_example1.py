@@ -28,7 +28,7 @@ def main():
     obj = inst.objective_vector()
     print("\ncells (x, r) with objective infima:")
     for cell in enumerate_cells(inst, DEFAULT_CONFIG):
-        inf, attained, witness = cell_infimum(inst, cell, obj, DEFAULT_CONFIG)
+        inf, attained, witness = cell_infimum(inst, cell, obj)
         tag = "attained" if attained else "open"
         print(f"  x={cell.x} r={cell.r}  inf={inf} ({tag})  witness={tuple(witness.entries)}")
 

@@ -36,11 +36,12 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
-from .lattice import (MixedPattern, integer_candidates, integer_min_value, mixed_feasible,
-                      _charge)
-from .linear import (LinearSystem, fix_block, lp_solve, nonconstant, recession_bounded, row_eq,
-                     row_le, row_lt, strict_feasible_point, _bounded_system)
+from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge
+from .linear import (LinearSystem, fix_block, lp_range, lp_solve, nonconstant, recession_bounded,
+                     row_eq, row_le, row_lt, strict_feasible_point, _bounded_system)
 from .rational import QMatrix, QVector, floor_rat
+
+WITNESS_DELTA = Fraction(1, 2**20)  # cell_infimum's witness slack, of the objective range
 
 
 @dataclass(frozen=True)
@@ -224,7 +225,7 @@ def cell_region(inst: Instance, cell: Cell, blocks: Optional[_RegionRows] = None
 def _follower_improves(inst: Instance, r: tuple, value, config: SolverConfig) -> bool:
     """Whether an integer x' with A x' <= r has psi . x' <= value - 1."""
     sys = inst.follower_system(r).with_rows([row_le(inst.psi.entries, value - 1)])
-    return mixed_feasible(sys, MixedPattern.all_integer(inst.n), config) is not None
+    return mixed_feasible(sys, range(inst.n), config) is not None
 
 
 def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CONFIG) -> bool:
@@ -329,8 +330,8 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     a_rows = [tuple(map(int, row)) for row in inst.A.entries]
     psi = tuple(map(int, inst.psi.entries))
     candidates = [(x, tuple(sum(map(mul, row, x)) for row in a_rows), sum(map(mul, psi, x)))
-                  for x in integer_candidates(upper.rows, inst.joint_dim(), inst.n, config,
-                                              budget)]
+                  for x in integer_candidates(upper.rows, inst.joint_dim(), range(inst.n),
+                                              config, budget)]
     blocks = _RegionRows(inst)
 
     def walk(system, r_prefix, candidates):
@@ -342,14 +343,10 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         if not any(inst.B.entries[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
             floors = [floor_rat(uv)]
         else:
-            activity = QVector((0,) * inst.n + inst.B.entries[i])
-            mn = lp_solve(system, activity, "min")
-            if mn.tag == "infeasible":
+            span = lp_range(system, QVector((0,) * inst.n + inst.B.entries[i]))
+            if span is None:
                 return
-            mx = lp_solve(system, activity, "max")
-            if not (mn.is_optimal and mx.is_optimal):
-                raise InternalInvariantError("floor range LP unbounded on a bounded region")
-            floors = range(floor_rat(mn.value + uv), floor_rat(mx.value + uv) + 1)
+            floors = range(floor_rat(span[0] + uv), floor_rat(span[1] + uv) + 1)
         response = inst.A.entries[i] + (Fraction(0),) * inst.d
         for ri in floors:
             fits = [cand for cand in candidates if cand[1][i] <= ri]
@@ -425,14 +422,13 @@ def enumerate_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> li
     return [e.cell for e in cell_index(inst, config).entries]
 
 
-def cell_infimum(inst: Instance, cell: Cell, objective: QVector,
-                 config: SolverConfig = DEFAULT_CONFIG):
+def cell_infimum(inst: Instance, cell: Cell, objective: QVector):
     """(infimum, attained, witness) of an objective over one valid cell.
 
     The infimum is the LP minimum over the region's closure; it is attained
     exactly when the optimal face meets the half-open region. The witness is
     an exact optimal point when attained, otherwise a strictly feasible point
-    within delta of the infimum, delta being a configured fraction of the
+    within delta of the infimum, delta being WITNESS_DELTA times the
     objective range over the cell.
     """
     if objective.dim != inst.joint_dim():
@@ -455,7 +451,7 @@ def cell_infimum(inst: Instance, cell: Cell, objective: QVector,
     spread = mx.value - mn.value
     if spread == 0:
         raise InternalInvariantError("constant objective on a valid cell must be attained")
-    delta = config.witness_delta * spread
+    delta = WITNESS_DELTA * spread
     near = strict_feasible_point(region.with_rows([row_le(obj_z.entries, mn.value + delta)]))
     if near is None:
         raise InternalInvariantError("near-optimal witness must exist on a valid cell")

@@ -122,6 +122,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    if args.count < 0:
+        raise ValidationError("bad-count", f"--count must be non-negative, got {args.count}")
     rng = random.Random(args.seed)
     for i in range(args.count):
         inst = random_instance(rng)

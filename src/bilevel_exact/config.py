@@ -1,12 +1,10 @@
 """Solver-wide configuration knobs.
 
-All caps are plain counts; the witness slack is a fraction of the objective
-range over a cell, so it scales with the instance.
+All caps are plain counts.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 
 @dataclass(frozen=True)
@@ -18,7 +16,6 @@ class SolverConfig:
     cell_cap: int = 10**6
     basis_cap: int = 10**6           # row subsets tried by `vertices`; no solve calls it
     node_cap: int = 10**6            # branch-and-bound nodes per search
-    witness_delta: Fraction = Fraction(1, 2**20)  # of the cell's objective range
 
 
 DEFAULT_CONFIG = SolverConfig()

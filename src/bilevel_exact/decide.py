@@ -35,7 +35,7 @@ from .cells import Instance, cell_index, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_candidates, integer_min, integer_min_value
-from .linear import LinRow, fix_block, nonconstant, row_eq, row_le, strict_feasible_point
+from .linear import fix_block, nonconstant, row_eq, row_le, strict_feasible_point
 from .rational import QVector
 
 
@@ -139,21 +139,12 @@ def witness_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
 # pure variant
 
 
-def z_first(rows, n: int) -> list:
-    """Rows over (x, z) rewritten over (z, x), so that integer_candidates
-    lists the leader's z first."""
-    out = []
-    for r in rows:
-        co = r.coeffs.entries
-        out.append(LinRow(QVector(co[n:] + co[:n]), r.rhs, r.rel))
-    return out
-
-
 def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
     """The all-integer variant's response table, one entry per leader z.
 
     Lists the integer z of the closed joint relaxation (upper rows, follower
-    relaxation, and value <= alpha when alpha is given) in lex order. At
+    relaxation, and value <= alpha when alpha is given) in lex order, one
+    integer_candidates walk over the coordinates range(n, n + d). At
     each z it solves the follower, fixes the upper rows at z, and minimizes
     the leader's objective over the follower's argmin under them; when that
     set has a point it yields (value, x, z) with x its lex-least minimizer
@@ -165,7 +156,7 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     if alpha is not None:
         joint.append(row_le(inst.objective_vector().entries, alpha))
     budget = [0]
-    for z_ints in integer_candidates(z_first(joint, inst.n), inst.joint_dim(), inst.d,
+    for z_ints in integer_candidates(joint, inst.joint_dim(), range(inst.n, inst.joint_dim()),
                                      config, budget):
         z = QVector([Fraction(v) for v in z_ints])
         follower = inst.follower_system_at(z)
@@ -176,7 +167,7 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
         if fixed is None:
             continue
         leader = follower.with_rows([row_eq(inst.psi.entries, fopt)] + fixed)
-        lopt = integer_min(inst.c, leader, config=config)
+        lopt = integer_min(inst.c, leader, config)
         if lopt.is_optimal:
             x = tuple(int(v) for v in lopt.point.entries)
             yield lopt.value + inst.e.dot(z), x, z_ints

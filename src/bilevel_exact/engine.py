@@ -28,12 +28,11 @@ from typing import Callable, Optional
 
 from .cells import Instance, bilevel_feasible, cell_index, cell_infimum
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import DecisionScan, decide_le, pure_responses, witness_le, z_first
+from .decide import DecisionScan, decide_le, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
-from .lattice import (MixedPattern, enumerate_integers, integer_candidates, integer_min_value,
-                      mixed_feasible)
-from .linear import (LinearSystem, affinely_independent_vertices, fix_block, lp_solve, nonconstant,
-                     row_eq, strict_feasible_point)
+from .lattice import enumerate_integers, integer_candidates, integer_min_value, mixed_feasible
+from .linear import (LinearSystem, affinely_independent_vertices, fix_block, lp_range, lp_solve,
+                     nonconstant, row_eq, strict_feasible_point)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -103,17 +102,10 @@ def objective_bounds(inst: Instance):
     The bilevel constraint is dropped, so [v_lo, v_hi] brackets every
     feasible value.
     """
-    sys = LinearSystem(inst.joint_dim(), tuple(inst.upper_rows()))
-    obj = inst.objective_vector()
-    mn = lp_solve(sys, obj, "min")
-    if mn.tag == "infeasible":
+    span = lp_range(inst.upper_system(), inst.objective_vector())
+    if span is None:
         raise InfeasibleRelaxationError("upper-level system is empty")
-    if not mn.is_optimal:
-        raise InternalInvariantError("LP unbounded over a bounded upper-level region")
-    mx = lp_solve(sys, obj, "max")
-    if not mx.is_optimal:
-        raise InternalInvariantError("LP unbounded over a bounded upper-level region")
-    return mn.value, mx.value
+    return span
 
 
 def denominator_cap(inst: Instance) -> int:
@@ -329,8 +321,7 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
     joint = inst.upper_system().with_rows(inst.follower_relax_rows())
-    pattern = MixedPattern(inst.joint_dim(), frozenset(range(inst.n)))
-    if mixed_feasible(joint, pattern, config) is None:
+    if mixed_feasible(joint, range(inst.n), config) is None:
         return report
 
     scan = DecisionScan(inst, config)
@@ -392,7 +383,7 @@ def _pure_enumeration(inst: Instance, config: SolverConfig):
     rows = inst.upper_rows() + inst.follower_relax_rows()
     budget = [0]
     best = None
-    for z_ints in integer_candidates(z_first(rows, inst.n), inst.joint_dim(), inst.d,
+    for z_ints in integer_candidates(rows, inst.joint_dim(), range(inst.n, inst.joint_dim()),
                                      config, budget):
         z = QVector([Fraction(v) for v in z_ints])
         follower = inst.follower_system_at(z)
@@ -460,7 +451,7 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     telemetry.cells = len(index.entries)
     results = []
     for entry in index.entries:
-        inf, attained, _ = cell_infimum(inst, entry.cell, obj, config)
+        inf, attained, _ = cell_infimum(inst, entry.cell, obj)
         results.append((entry, inf, attained))
     if not results:
         return SolveReport(INFEASIBLE, telemetry=telemetry)

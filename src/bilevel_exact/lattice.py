@@ -1,46 +1,30 @@
 """Integer and mixed-integer search over polyhedra: one walk, one
 branch-and-bound, sharing no search code, so each cross-checks the other.
 
-The walk, integer_candidates, lists in lex order the integer values of the
-leading coordinates that keep a closed system feasible, taking the exact LP
-range of one coordinate per level; every value tried counts against
-cell_cap. It lists the cell candidates, the pure table's leader points and,
-over every coordinate, enumerate_integers. _branch_and_bound serves
-feasibility (zero objective) and minimization: it branches on the
-lowest-index fractional coordinate, lower branch first, so results and
-tie-breaks are deterministic. A bounded projection onto the integer
-coordinates, checked first, bounds every branch, so no box is needed. The
-search stops once the incumbent's value equals the root relaxation's (Land
-and Doig, 1960): every node is a subproblem of the root, so none does better.
+Both name the integer coordinates by index. The walk, integer_candidates,
+lists in lex order the integer values of a range of coordinates that keep a
+closed system feasible, taking the exact LP range (lp_range) of one
+coordinate per level; every value tried counts against cell_cap. It lists
+the cell candidates (x, the leading range), the pure table's leader points
+(z, the trailing range) and, over every coordinate, enumerate_integers.
+_branch_and_bound serves feasibility (zero objective) and minimization: it
+branches on the lowest-index fractional coordinate, lower branch first, so
+results and tie-breaks are deterministic. A bounded projection onto the
+integer coordinates, checked first, bounds every branch, so no box is
+needed. The search stops once the incumbent's value equals the root
+relaxation's (Land and Doig, 1960): every node is a subproblem of the root,
+so none does better.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (LinearSystem, LpOutcome, fix_block, lp_solve, row_eq, row_le,
+from .linear import (LinearSystem, LpOutcome, fix_block, lp_range, lp_solve, row_eq, row_le,
                      _projection_bounded)
 from .rational import QVector, ceil_rat, floor_rat
-
-
-@dataclass(frozen=True)
-class MixedPattern:
-    """Which coordinates of a system must be integer."""
-
-    dim: int
-    integer_coords: frozenset
-
-    def __post_init__(self):
-        object.__setattr__(self, "integer_coords", frozenset(self.integer_coords))
-        if not all(0 <= i < self.dim for i in self.integer_coords):
-            raise ValueError("integer coordinate index out of range")
-
-    @classmethod
-    def all_integer(cls, dim: int) -> "MixedPattern":
-        return cls(dim, frozenset(range(dim)))
 
 
 def _require_closed(sys: LinearSystem):
@@ -63,10 +47,6 @@ def _unit(dim: int, i: int):
     return e
 
 
-def _raise_unbounded():
-    raise BoundednessError("LP relaxation unbounded despite the boundedness pre-check")
-
-
 def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
                       config: SolverConfig) -> Optional[LpOutcome]:
     """The LP optimum at the first node of least value whose point is integer
@@ -86,7 +66,7 @@ def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
         if out.tag == "infeasible":
             continue
         if not out.is_optimal:
-            _raise_unbounded()
+            raise BoundednessError("LP relaxation unbounded despite the boundedness pre-check")
         if not extra:
             root = out.value
         if best is not None and out.value >= best.value:
@@ -106,13 +86,14 @@ def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
     return best
 
 
-def mixed_feasible(sys: LinearSystem, pattern: MixedPattern,
+def mixed_feasible(sys: LinearSystem, integer_coords,
                    config: SolverConfig = DEFAULT_CONFIG) -> Optional[QVector]:
-    """A feasible point with the patterned coordinates integer, or None."""
+    """A feasible point with the coordinates whose indices integer_coords
+    lists (a range, say) integer and the others continuous, or None."""
     _require_closed(sys)
-    if pattern.dim != sys.dim:
-        raise ValueError("pattern dimension does not match the system")
-    coords = sorted(pattern.integer_coords)
+    coords = sorted(set(integer_coords))
+    if not all(0 <= i < sys.dim for i in coords):
+        raise ValueError("integer coordinate index out of range")
     _check_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
     out = _branch_and_bound(QVector([0] * sys.dim), sys, coords, config)
     return None if out is None else out.point
@@ -131,18 +112,13 @@ def integer_min_value(objective: QVector, sys: LinearSystem,
 
 
 def integer_min(objective: QVector, sys: LinearSystem,
-                pattern: Optional[MixedPattern] = None,
                 config: SolverConfig = DEFAULT_CONFIG) -> LpOutcome:
     """Exact integer minimum with the lexicographically smallest optimum.
 
-    The pattern must mark every coordinate integer; the feasible region must
-    be bounded. Stage one finds the optimum value (integer_min_value), stage
-    two fixes coordinates left to right at their minimum values.
+    Every coordinate is integer; the feasible region must be bounded. Stage
+    one finds the optimum value (integer_min_value), stage two fixes
+    coordinates left to right at their minimum values.
     """
-    if pattern is None:
-        pattern = MixedPattern.all_integer(sys.dim)
-    if pattern.dim != sys.dim or pattern.integer_coords != frozenset(range(sys.dim)):
-        raise ValueError("integer_min needs an all-integer pattern")
     best = integer_min_value(objective, sys, config)
     if best is None:
         return LpOutcome("infeasible")
@@ -165,37 +141,34 @@ def _charge(budget, config: SolverConfig):
         raise ResourceLimitError(f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
 
 
-def integer_candidates(rows, total_dim: int, count: int, config: SolverConfig,
+def integer_candidates(rows, total_dim: int, coords: range, config: SolverConfig,
                        budget) -> list:
-    """Integer assignments of the first `count` coordinates that keep the
-    closed system feasible with the remaining coordinates continuous.
+    """Integer assignments of the coordinates in `coords`, a step-1 range,
+    that keep the closed system feasible with the others continuous.
 
-    Lex order; `budget` is a one-element mutable counter shared with the
-    caller's cap, charged once per integer value tried.
+    Lex order; each level fixes coordinate coords.start, where the next one
+    of the range then sits. `budget` is a one-element mutable counter shared
+    with the caller's cap, charged once per integer value tried.
     """
-    if count == 0:  # the empty prefix, when the system has a point
+    if not coords:  # the empty assignment, when the system has a point
         sys = LinearSystem(total_dim, tuple(rows))
         return [()] if lp_solve(sys, QVector([0] * total_dim), "min").is_optimal else []
+    at = coords.start
     out = []
 
-    def walk(prefix, cur, remaining_first):
+    def walk(prefix, cur):
         dim = total_dim - len(prefix)
-        sub = LinearSystem(dim, tuple(cur))
-        unit = QVector(_unit(dim, 0))
-        lo_out = lp_solve(sub, unit, "min")
-        if lo_out.tag == "infeasible":
+        span = lp_range(LinearSystem(dim, tuple(cur)), QVector(_unit(dim, at)))
+        if span is None:
             return
-        hi_out = lp_solve(sub, unit, "max")
-        if not (lo_out.is_optimal and hi_out.is_optimal):
-            raise InternalInvariantError("candidate enumeration hit an unbounded direction")
-        for v in range(ceil_rat(lo_out.value), floor_rat(hi_out.value) + 1):
+        for v in range(ceil_rat(span[0]), floor_rat(span[1]) + 1):
             _charge(budget, config)
-            if remaining_first == 1:  # a leaf: nothing reads the substituted rows
+            if len(prefix) + 1 == len(coords):  # a leaf: nothing reads the substituted rows
                 out.append(tuple(prefix) + (v,))
             else:
-                walk(prefix + [v], fix_block(cur, (v,), 0), remaining_first - 1)
+                walk(prefix + [v], fix_block(cur, (v,), at))
 
-    walk([], list(rows), count)
+    walk([], list(rows))
     return out
 
 
@@ -205,4 +178,4 @@ def enumerate_integers(sys: LinearSystem,
     integer_candidates walk over every coordinate, charged to cell_cap."""
     _require_closed(sys)
     _check_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
-    return [QVector(p) for p in integer_candidates(sys.rows, sys.dim, sys.dim, config, [0])]
+    return [QVector(p) for p in integer_candidates(sys.rows, sys.dim, range(sys.dim), config, [0])]

@@ -34,7 +34,8 @@ public constructor carries no proof and is still checked.
 Constant rows (all coefficients zero) are settled in one place,
 `nonconstant`, which `lp_solve` calls once before its dim-0, one-variable
 and simplex branches; re-verification still checks every row. `fix_block`
-is the one restriction of rows to fixed values of a block of coordinates.
+is the one restriction of rows to fixed values of a block of coordinates,
+and `lp_range` the one min-then-max range of an objective.
 
 `_nullspace_direction` is the one exact elimination routine. No solve path
 calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
@@ -612,6 +613,20 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOut
             raise InternalInvariantError("lp_solve produced an infeasible point")
     value = Fraction(sum(map(mul, iobjective, nums)), omult * den)
     return LpOutcome("optimal", value, QVector([Fraction(v, den) for v in nums]))
+
+
+def lp_range(sys: LinearSystem, objective: QVector) -> Optional[tuple]:
+    """(min, max) of the objective over a closed system, None when the
+    system is empty. The maximum is solved only once the minimum is optimal.
+    The caller knows the region bounded, so an unbounded LP raises
+    InternalInvariantError."""
+    mn = lp_solve(sys, objective, "min")
+    if mn.tag == "infeasible":
+        return None
+    mx = lp_solve(sys, objective, "max") if mn.is_optimal else mn
+    if not mx.is_optimal:
+        raise InternalInvariantError("LP range unbounded on a bounded region")
+    return mn.value, mx.value
 
 
 def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:

@@ -202,7 +202,7 @@ def _invariant_points(inst, rng):
             pts = [strict_feasible_point(region)]
             verts = [tuple(v.entries) for v in vertices(region, CFG)]
             pts += [p for p in sample_hull(verts, rng, 4) if region.satisfied_by(p)]
-            inf, attained, witness = cell_infimum(inst, cell, obj, CFG)
+            inf, attained, witness = cell_infimum(inst, cell, obj)
             obj_x = sum(a * Fraction(b) for a, b in zip(obj.entries[: inst.n], cell.x))
             for z in pts:
                 # constancy of the floor vector and the infimum lower bound

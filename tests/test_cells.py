@@ -11,6 +11,7 @@ from bilevel_exact import (DEFAULT_CONFIG, Cell, Instance, LinearSystem, QVector
                            bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
                            floor_rhs, is_valid_cell, random_instance, row_le,
                            strict_feasible_point, vertices)
+from bilevel_exact.cells import WITNESS_DELTA
 
 CFG = DEFAULT_CONFIG
 
@@ -123,16 +124,16 @@ def test_cell_region_shape(example1):
 def test_cell_infimum_examples(example1):
     obj = example1.objective_vector()
     c1 = Cell((1,), (-1, 1, 0))
-    inf, attained, witness = cell_infimum(example1, c1, obj, CFG)
+    inf, attained, witness = cell_infimum(example1, c1, obj)
     assert (inf, attained) == (-1, False)
     wval = obj.dot(witness)
-    assert -1 < wval <= -1 + CFG.witness_delta * 1    # objective range is 1 here
+    assert -1 < wval <= -1 + WITNESS_DELTA * 1    # objective range is 1 here
     c0 = Cell((0,), (0, 1, 0))
-    inf0, attained0, witness0 = cell_infimum(example1, c0, obj, CFG)
+    inf0, attained0, witness0 = cell_infimum(example1, c0, obj)
     assert (inf0, attained0) == (0, True)
     assert witness0.entries == (0, 0)
     flipped = QVector([1, 1])
-    inf2, attained2, _ = cell_infimum(example1, c1, flipped, CFG)
+    inf2, attained2, _ = cell_infimum(example1, c1, flipped)
     assert (inf2, attained2) == (1, False)
 
 
@@ -259,7 +260,7 @@ def test_cell_infimum_certificate(seed):
     obj = inst.objective_vector()
     obj_z = list(obj.entries[inst.n:])
     for cell in enumerate_cells(inst, CFG):
-        inf, attained, witness = cell_infimum(inst, cell, obj, CFG)
+        inf, attained, witness = cell_infimum(inst, cell, obj)
         obj_x = sum(a * Fraction(b) for a, b in zip(obj.entries[: inst.n], cell.x))
         region, pts = _region_samples(inst, cell, rng, 10)
         # independent certificate: closure minimum by brute vertex scan

@@ -243,7 +243,7 @@ def test_consistency_with_cell_infima(seed, alpha):
     obj = inst.objective_vector()
     expected = False
     for cell in enumerate_cells(inst, CFG):
-        inf, attained, _ = cell_infimum(inst, cell, obj, CFG)
+        inf, attained, _ = cell_infimum(inst, cell, obj)
         if (attained and inf <= alpha) or (not attained and inf < alpha):
             expected = True
             break

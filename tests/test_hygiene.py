@@ -1,7 +1,9 @@
 """Source hygiene of the package, checked with the stdlib `ast` module: no
 module imports a name it never uses, every SolverConfig field is read
-somewhere, and every function that takes a `config` parameter uses it, so
-dead imports, dead knobs and unread arguments cannot come back unnoticed."""
+somewhere, every function that takes a `config` parameter uses it, and every
+top-level function and class is named somewhere in the package, so dead
+imports, dead knobs, unread arguments and dead definitions cannot come back
+unnoticed."""
 import ast
 import os
 
@@ -71,3 +73,26 @@ def _functions_ignoring_config(tree):
 @pytest.mark.parametrize("name", MODULES)
 def test_every_config_parameter_is_used(name):
     assert _functions_ignoring_config(_tree(name)) == []
+
+
+def _referenced_names(tree):
+    """Names the module mentions: as a Name, as an attribute, or imported
+    by a `from` import (a re-export in __init__ counts)."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(a.name for a in node.names)
+    return names
+
+
+def test_every_top_level_definition_is_named():
+    trees = {name: _tree(name) for name in MODULES}
+    referenced = set().union(*(_referenced_names(tree) for tree in trees.values()))
+    dead = [f"{name}: {node.name}" for name, tree in trees.items() for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name not in referenced]
+    assert dead == []

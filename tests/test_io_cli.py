@@ -116,6 +116,15 @@ def test_unknown_keys_tolerated():
     assert meta["name"] == "example1"
 
 
+def test_optional_keys_take_their_defaults(example1_path):
+    doc = fixture_doc()
+    for key in ("format_version", "variant", "name", "comment"):
+        del doc[key]
+    inst, meta = parse_doc(doc)
+    assert inst == load_instance(example1_path)[0]
+    assert meta == {"name": None, "variant": "mixed"}
+
+
 def test_roundtrip_identity(example1_path):
     inst, meta = load_instance(example1_path)
     once = instance_to_json(inst, name=meta["name"], variant=meta["variant"])
@@ -336,6 +345,13 @@ def test_cli_fuzz(capsys):
     assert cli_main(["fuzz", "--count", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out
     assert "ok: 3 instances, seed 1" in out
+
+
+def test_cli_fuzz_rejects_a_negative_count(capsys):
+    assert cli_main(["fuzz", "--count", "-3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error [bad-count]" in captured.err
 
 
 def test_cli_solve_has_no_seed_flag(example1_path, capsys):

@@ -5,9 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, MixedPattern,
-                           QVector, ResourceLimitError, SolverConfig, enumerate_integers,
-                           integer_min, mixed_feasible, row_eq, row_le, row_lt)
+from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, QVector,
+                           ResourceLimitError, SolverConfig, enumerate_integers, integer_min,
+                           mixed_feasible, row_eq, row_le, row_lt)
 from bilevel_exact.lattice import integer_candidates, integer_min_value
 from bilevel_exact.linear import fix_block
 
@@ -64,12 +64,16 @@ def test_enumerate_and_mixed_feasible_guards():
     with pytest.raises(BoundednessError):
         enumerate_integers(half_line, DEFAULT_CONFIG)
     with pytest.raises(BoundednessError):
-        mixed_feasible(half_line, MixedPattern.all_integer(1), DEFAULT_CONFIG)
+        mixed_feasible(half_line, range(1), DEFAULT_CONFIG)
     # bounded in the integer coordinate, unbounded in the continuous one: fine
     strip = LinearSystem(2, (row_le([1, 0], 1), row_le([-1, 0], 0), row_le([0, -1], 0)))
-    assert mixed_feasible(strip, MixedPattern(2, frozenset({0})), DEFAULT_CONFIG) is not None
+    assert mixed_feasible(strip, [0], DEFAULT_CONFIG) is not None
     with pytest.raises(BoundednessError):
-        mixed_feasible(strip, MixedPattern(2, frozenset({1})), DEFAULT_CONFIG)
+        mixed_feasible(strip, [1], DEFAULT_CONFIG)
+    # an integer coordinate index outside the system is refused before any LP
+    for coords in ([2], [-1], range(3)):
+        with pytest.raises(ValueError, match="out of range"):
+            mixed_feasible(strip, coords, DEFAULT_CONFIG)
 
 
 @settings(max_examples=40)
@@ -157,15 +161,17 @@ def test_enumerate_integers_matches_grid_scan(sys_):
 
 
 @settings(max_examples=40)
-@given(boxed_systems(dim=3, side=2), st.sampled_from([1, 2]))
-def test_integer_candidates_lists_feasible_prefixes(sys_, count):
-    # a prefix is listed iff the slice with those coordinates fixed has a point
-    got = integer_candidates(sys_.rows, 3, count, DEFAULT_CONFIG, [0])
+@given(boxed_systems(dim=3, side=2),
+       st.sampled_from([range(0), range(1), range(2), range(1, 2), range(1, 3), range(2, 3)]))
+def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
+    # an assignment of the coordinates in the range is listed iff the slice
+    # with them fixed has a point; the range need not start at coordinate 0
+    got = integer_candidates(sys_.rows, 3, coords, DEFAULT_CONFIG, [0])
     want = []
-    for prefix in support.grid_points(count, -2, 2):
-        fixed = [row_eq([int(j == i) for j in range(3)], v) for i, v in enumerate(prefix)]
+    for values in support.grid_points(len(coords), -2, 2):
+        fixed = [row_eq([int(j == i) for j in range(3)], v) for i, v in zip(coords, values)]
         if support.ref_lp_min(sys_.with_rows(fixed), [Fraction(0)] * 3) is not None:
-            want.append(prefix)
+            want.append(values)
     assert got == want
 
 
@@ -183,19 +189,18 @@ def test_fix_block():
 def test_mixed_feasible_follower_slice():
     # the bundled example's follower at z = 1/2: integer x with x >= 1/2, 0 <= x <= 1
     s = LinearSystem(1, (row_le([-1], Fraction(-1, 2)), row_le([1], 1), row_le([-1], 0)))
-    pt = mixed_feasible(s, MixedPattern.all_integer(1), DEFAULT_CONFIG)
+    pt = mixed_feasible(s, range(1), DEFAULT_CONFIG)
     assert pt is not None and pt.entries == (1,)
 
 
 def test_mixed_feasible_partial_pattern():
     # x integer, y continuous: x = 1/2 impossible, but (1, 1/2) works
     s = LinearSystem(2, (row_eq([2, 0], 2), row_eq([0, 2], 1)))
-    pat = MixedPattern(2, frozenset({0}))
-    pt = mixed_feasible(s, pat, DEFAULT_CONFIG)
+    pt = mixed_feasible(s, [0], DEFAULT_CONFIG)
     assert pt is not None
     assert pt.entries == (1, Fraction(1, 2))
     # forcing the continuous coordinate into the integer set kills it
-    assert mixed_feasible(s, MixedPattern.all_integer(2), DEFAULT_CONFIG) is None
+    assert mixed_feasible(s, range(2), DEFAULT_CONFIG) is None
 
 
 @settings(max_examples=40)
@@ -204,7 +209,7 @@ def test_mixed_feasible_agrees_with_scan(sys_):
     # the integer coordinate is the first one, then the second one
     for i in (0, 1):
         unit = [int(j == i) for j in range(2)]
-        pt = mixed_feasible(sys_, MixedPattern(2, frozenset({i})), DEFAULT_CONFIG)
+        pt = mixed_feasible(sys_, [i], DEFAULT_CONFIG)
         if pt is not None:
             assert pt[i].denominator == 1
             assert all(support.row_holds(r, pt, closed=True) for r in sys_.rows)

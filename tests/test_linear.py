@@ -49,6 +49,28 @@ def test_lp_infeasible_and_unbounded():
                     QVector([1]), "max").tag == "unbounded"
 
 
+def test_lp_range(monkeypatch):
+    senses = []
+    solve = linear.lp_solve
+    monkeypatch.setattr(linear, "lp_solve",
+                        lambda s, o, sense: senses.append(sense) or solve(s, o, sense))
+    # an empty system: None after the minimization alone
+    assert linear.lp_range(BOX.with_rows([row_le([1, 1], -1)]), QVector([1, 0])) is None
+    assert senses == ["min"]
+    # a box: the exact range, minimum first
+    senses.clear()
+    assert linear.lp_range(BOX, QVector([Fraction(1, 2), -2])) == (-6, 1)
+    assert senses == ["min", "max"]
+    # an unbounded direction is a broken invariant; unbounded below, the
+    # maximization is never solved
+    half_line = LinearSystem(1, (row_le([-1], 0),))
+    for objective, solved in (([1], ["min", "max"]), ([-1], ["min"])):
+        senses.clear()
+        with pytest.raises(InternalInvariantError, match="unbounded"):
+            linear.lp_range(half_line, QVector(objective))
+        assert senses == solved
+
+
 def test_lp_rejects_strict_rows():
     with pytest.raises(ValueError):
         lp_solve(LinearSystem(1, (row_lt([1], 1),)), QVector([1]), "min")
