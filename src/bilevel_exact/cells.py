@@ -303,10 +303,10 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
     Each such (x, r) then takes one LP, the minimum low of e . z over the
     closure of its cell_region Q. An infeasible LP means an empty Q. When
-    the LP vertex, purified and re-verified, meets every row of Q (strict
-    rows strictly), Q is nonempty and attains low: the cell is valid with
-    no strict-feasibility check. Otherwise strict_feasible_point decides.
-    The entry carries low and whether its vertex lies in Q.
+    the LP's optimal vertex, re-verified on the closure, meets every row of
+    Q (strict rows strictly), Q is nonempty and attains low: the cell is
+    valid with no strict-feasibility check. Otherwise strict_feasible_point
+    decides. The entry carries low and whether its vertex lies in Q.
 
     With `alpha`, the candidate listing and the walk's system carry the row
     c . x + e . z <= alpha too: a cell with a point z of value <= alpha in

@@ -80,7 +80,7 @@ def _emit_report(report, args) -> None:
 def _cmd_solve(args) -> int:
     inst, meta = load_instance(args.file)
     mode = args.mode or meta["variant"]
-    eps = _parse_rat_arg(args.epsilon, "--epsilon") if args.epsilon else None
+    eps = _parse_rat_arg(args.epsilon, "--epsilon") if args.epsilon is not None else None
     if eps is not None and eps <= 0:
         raise ValidationError("bad-epsilon", f"--epsilon must be positive, got {args.epsilon!r}")
     if args.engine == "oracle":

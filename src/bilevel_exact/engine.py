@@ -380,7 +380,8 @@ def _pure_driver(inst: Instance, config: SolverConfig, telemetry):
 def _pure_enumeration(inst: Instance, config: SolverConfig):
     """Direct scan of the finite pure feasible set; lex-least optimum."""
     obj = inst.objective_vector()
-    rows = inst.upper_rows() + inst.follower_relax_rows()
+    upper = inst.upper_rows()
+    rows = upper + inst.follower_relax_rows()
     budget = [0]
     best = None
     for z_ints in integer_candidates(rows, inst.joint_dim(), range(inst.n, inst.joint_dim()),
@@ -390,7 +391,7 @@ def _pure_enumeration(inst: Instance, config: SolverConfig):
         fopt = integer_min_value(inst.psi, follower, config)
         if fopt is None:
             continue
-        fixed = nonconstant(fix_block(inst.upper_rows(), z.entries, inst.n))
+        fixed = nonconstant(fix_block(upper, z.entries, inst.n))
         if fixed is None:
             continue
         response_rows = [row_eq(inst.psi.entries, fopt)] + fixed

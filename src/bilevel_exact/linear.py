@@ -1,22 +1,24 @@
 """Exact linear programming and polyhedral predicates over the rationals.
 
-The LP core is a two-phase simplex with Bland's rule. The tableau is kept as
-an integer matrix over a common positive denominator (fraction-free pivoting),
-so every intermediate quantity is an exact integer and every reported optimum
-is an exact rational. The tableau is set up in one pass: slack and
-artificial columns are counted first, so each row is built once at full
-width. A pivot skips the division where it is exact by construction (a
-denominator of 1, or a zero in the pivot column under a pivot equal to the
-denominator leaves the row as it is); every other updated row has its
-divisibility checked in the same pass, and a failure would mean a bug, not
-bad data. The optimal vertex leaves the tableau as integer numerators over
-the tableau's denominator, is purified and re-verified in that form, and
-becomes `Fraction`s once, for the returned point and value.
+The LP core is an integer dual simplex over a basis of `dim` rows, for LPs
+in two or more variables; an LP in one variable has a closed form. The
+basis inverse is kept as an integer adjugate over a positive denominator,
+B^-1 = adj / det (Bareiss), so every intermediate quantity is an exact
+integer and every reported optimum is an exact rational. A basis exchange
+is one fraction-free update, `_exchange`, whose divisions are exact by
+construction; a remainder would mean a bug, not bad data. The start is dual
+feasible, built from rows with a single nonzero coefficient or from
+artificial bound rows far enough out to cut off no vertex, and Bland's rule
+on the dual ends every solve. The optimum leaves the kernel as integer
+numerators over det. It is a vertex unless an artificial row stays in the
+final basis; only then is it purified onto a vertex of the optimal face.
+It is re-verified in that form and becomes `Fraction`s once, for the
+returned point and value.
 
 Each row is scaled to integers once: `LinRow.scaled` multiplies it by the lcm
 of its denominators and is cached on the immutable row, so a row shared by
 many LPs (a system reused under branch-and-bound rows, a follower system
-solved for several objectives) is scaled a single time. The simplex tableau,
+solved for several objectives) is scaled a single time. The dual simplex,
 the active-row test of vertex purification and the re-verification all read
 that integer form: a point is put over one common denominator and every row
 is checked with integer dot products. Re-verification stays fatal: an
@@ -263,188 +265,129 @@ _UNBOUNDED = LpOutcome("unbounded")
 
 
 # ---------------------------------------------------------------------------
-# fraction-free simplex
+# integer dual simplex
 
 
-class _Tableau:
-    """Integer simplex tableau: true entries are self.t[i][j] / self.den."""
-
-    def __init__(self, t, den, basis, nrows):
-        self.t = t            # list of lists of int, objective rows included
-        self.den = den        # positive int
-        self.basis = basis    # basis column per constraint row
-        self.nrows = nrows    # number of constraint rows (objectives follow)
-
-    def pivot(self, pr: int, pc: int):
-        """Fraction-free pivot: each other row becomes
-        (row * piv - row[pc] * prow) / den.
-
-        Two updates are exact by construction and skip the division: with
-        den == 1 there is none, and a row with row[pc] == 0 under piv == den
-        stays as it is. Every other row is divided and checked for
-        integrality in the same pass."""
-        t, den = self.t, self.den
-        prow = t[pr]
-        piv = prow[pc]
-        if piv == 0:
-            raise InternalInvariantError("pivot on a zero element")
-        for i, row in enumerate(t):
-            if i == pr:
-                continue
-            f = row[pc]
-            if f == 0 and piv == den:
-                continue
-            if den == 1:
-                t[i] = [a * piv - f * b for a, b in zip(row, prow)]
-                continue
-            new = []
-            append = new.append
-            for a, b in zip(row, prow):
-                q, rem = divmod(a * piv - f * b, den)
-                if rem:
-                    raise InternalInvariantError("fraction-free pivot lost integrality")
-                append(q)
-            t[i] = new
-        self.basis[pr] = pc
-        if piv > 0:
-            self.den = piv
-        else:
-            self.den = -piv
-            for i, row in enumerate(t):
-                t[i] = [-v for v in row]
+def _exchange(adj, det: int, alpha, r: int) -> list:
+    """The adjugate after basis row r is replaced by a row a with
+    alpha = adj^T a: (alpha_r adj - adj[:, r] (alpha - det e_r)^T) / det,
+    over the new denominator alpha_r (Bareiss). Every division is exact when
+    adj / det is the inverse of the old basis; a remainder raises
+    InternalInvariantError."""
+    ar = alpha[r]
+    out = []
+    for row in adj:
+        f = row[r]
+        new = []
+        for v, aj in zip(row, alpha):
+            q, rem = divmod(ar * v - f * aj, det)
+            if rem:
+                raise InternalInvariantError("adjugate update lost integrality")
+            new.append(q)
+        new[r] = f
+        out.append(new)
+    return out
 
 
-def _run_phase(tab: _Tableau, objrow: int, allowed, rhs_col: int) -> str:
-    """Bland-rule simplex on one objective row; returns 'optimal' or 'unbounded'."""
-    t = tab.t
-    while True:
-        obj = t[objrow]
-        pc = None
-        for j in allowed:
-            if obj[j] < 0:
-                pc = j
-                break
-        if pc is None:
-            return "optimal"
-        best = None
-        for i in range(tab.nrows):
-            a = t[i][pc]
-            if a <= 0:
-                continue
-            if best is None:
-                best = i
-                continue
-            lhs = t[i][rhs_col] * t[best][pc]
-            rhs = t[best][rhs_col] * a
-            if lhs < rhs or (lhs == rhs and tab.basis[i] < tab.basis[best]):
-                best = i
-        if best is None:
-            return "unbounded"
-        tab.pivot(best, pc)
+def _dual_simplex_min(dim: int, rows, cost):
+    """Minimize cost . x over closed nonconstant rows with free x.
 
+    cost: integers. Returns (tag, nums, den, vertex): an optimal point as
+    integer numerators over one positive denominator, and whether it is
+    known to be a vertex; None, None, False when there is none.
 
-def _simplex_free_min(dim: int, rows, cost):
-    """Minimize cost . x over closed rows with x = u - v free.
-
-    rows: closed nonconstant LinRows. Returns (tag, nums, den): an optimal
-    basic point as integer numerators over one positive denominator, or
-    None, None when there is none.
-
-    Columns are u, v, one slack per "<=" row, one artificial per row that
-    cannot start from its slack ("=" rows and rows with a negative rhs,
-    which are negated), and the rhs, so each row is built once at full
-    width. The phase-1 row is minus the column sum over the artificial rows,
-    zero on the artificial columns.
+    Each row is a . x <= b in its integer form; an "=" row enters as its
+    two sides, in place. The basis is dim rows kept as an integer adjugate
+    adj and a denominator det > 0 with B^-1 = adj / det, so the point is
+    adj b_B / det and the duals are y det = -adj^T cost. The start is dual
+    feasible: each x_j gets a row whose only nonzero is at j, on the side
+    its cost pushes it to (the one nearest 0 for a zero cost); a coordinate
+    without one gets the artificial row +-x_j <= M, where M exceeds every
+    vertex coordinate by Hadamard's bound. Each iteration brings in the
+    first violated row and drops the basis row of least y_r / alpha_r
+    (Bland's rule on the dual). An artificial row left in the final basis
+    means an unbounded LP when its dual is positive; at a zero dual the
+    point is optimal but may not be a vertex.
     """
-    cmult = math.lcm(*(f.denominator for f in cost))
-    icost = [f.numerator * (cmult // f.denominator) for f in cost]
-
-    m = len(rows)
-    nslack = sum(1 for r in rows if r.rel == LE)
-    nart = sum(1 for r in rows if r.rel == EQ or r.scaled[1] < 0)
-    art_start = 2 * dim + nslack
-    rhs_col = art_start + nart
-    width = rhs_col + 1
-    t = []
-    basis = []
-    art_rows = []
-    slack = 2 * dim
-    art = art_start
+    A = []
+    b = []
+    units = [[] for _ in range(dim)]
     for r in rows:
-        a, b = r.scaled
-        row = [0] * width
-        row[:dim] = a
-        row[dim:2 * dim] = [-v for v in a]
-        row[rhs_col] = b
-        if r.rel == LE:
-            row[slack] = 1
-        if b < 0:
-            row = [-v for v in row]
-        if r.rel == LE and b >= 0:
-            basis.append(slack)
-        else:
-            row[art] = 1
-            basis.append(art)
-            art_rows.append(row)
-            art += 1
-        if r.rel == LE:
-            slack += 1
-        t.append(row)
+        a, rhs = r.scaled
+        sides = ((a, rhs), (tuple(-v for v in a), -rhs)) if r.rel == EQ else ((a, rhs),)
+        for a, rhs in sides:
+            support = [j for j, v in enumerate(a) if v]
+            if len(support) == 1:
+                units[support[0]].append(len(A))
+            A.append(a)
+            b.append(rhs)
+    m = len(A)
+    big = None
+    basis = []
+    for j, cj in enumerate(cost):
+        k = None
+        for i in units[j]:
+            if cj:
+                if (A[i][j] > 0) == (cj < 0):
+                    k = i
+                    break
+            elif k is None or abs(b[i] * A[k][j]) < abs(b[k] * A[i][j]):
+                k = i
+        if k is None:
+            if big is None:
+                big = max((sum(map(abs, a)) + abs(rhs) for a, rhs in zip(A, b)),
+                          default=1) ** dim + 1
+            unit = [0] * dim
+            unit[j] = -1 if cj > 0 else 1
+            k = len(A)
+            A.append(tuple(unit))
+            b.append(big)
+        basis.append(k)
+    diag = [A[k][j] for j, k in enumerate(basis)]
+    det = abs(math.prod(diag))
+    adj = [[0] * dim for _ in range(dim)]
+    for j, d in enumerate(diag):
+        adj[j][j] = det // d
 
-    # phase-2 objective row: costs on u and v, slack and artificial costs zero
-    p2 = [0] * width
-    p2[:dim] = icost
-    p2[dim:2 * dim] = [-v for v in icost]
-    t.append(p2)
-    p2row = m
-
-    tab = _Tableau(t, 1, basis, m)
-    non_art = range(art_start)
-
-    if nart:
-        p1 = [-sum(col) for col in zip(*art_rows)]
-        p1[art_start:rhs_col] = [0] * nart
-        t.append(p1)
-        p1row = m + 1
-        tag = _run_phase(tab, p1row, non_art, rhs_col)
-        if tag != "optimal":
-            raise InternalInvariantError("phase 1 cannot be unbounded")
-        for i in range(tab.nrows):
-            if tab.basis[i] >= art_start and tab.t[i][rhs_col] != 0:
-                return "infeasible", None, None
-        # pivot remaining zero-valued artificials out, dropping redundant rows
-        i = 0
-        while i < tab.nrows:
-            if tab.basis[i] >= art_start:
-                pc = next((j for j in non_art if tab.t[i][j] != 0), None)
-                if pc is None:
-                    del tab.t[i]
-                    del tab.basis[i]
-                    tab.nrows -= 1
-                    p2row -= 1
+    while True:
+        bb = [b[k] for k in basis]
+        nums = [sum(map(mul, row, bb)) for row in adj]
+        k = next((i for i, a in enumerate(A) if sum(map(mul, a, nums)) > b[i] * det), None)
+        cols = list(zip(*adj))
+        ydet = [-sum(map(mul, col, cost)) for col in cols]
+        if k is None:
+            break
+        alpha = [sum(map(mul, col, A[k])) for col in cols]
+        out = None
+        for r, ar in enumerate(alpha):
+            if ar > 0:
+                if out is None:
+                    out = r
                     continue
-                tab.pivot(i, pc)
-            i += 1
-        tab.t.pop()  # phase-1 row
-
-    tag = _run_phase(tab, p2row, non_art, rhs_col)
-    if tag == "unbounded":
-        return "unbounded", None, None
-
-    values = [0] * width
-    for i in range(tab.nrows):
-        values[tab.basis[i]] = tab.t[i][rhs_col]
-    return "optimal", [values[j] - values[dim + j] for j in range(dim)], tab.den
+                lhs = ydet[r] * alpha[out]
+                rhs = ydet[out] * ar
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[out]):
+                    out = r
+        if out is None:
+            return "infeasible", None, None, False
+        adj = _exchange(adj, det, alpha, out)
+        det = alpha[out]
+        basis[out] = k
+    artificial = [r for r, k in enumerate(basis) if k >= m]
+    if any(ydet[r] > 0 for r in artificial):
+        return "unbounded", None, None, False
+    return "optimal", nums, det, not artificial
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional closed systems have a closed-form solution
 
 
-def _interval_solve(rows, cost: Fraction):
+def _interval_solve(rows, cost: int):
     """Closed-form LP in one variable over nonconstant rows; bounds are kept
     as integer pairs (num, den), den > 0, and compared by cross-multiplication.
-    Returns (tag, nums, den) like _simplex_free_min."""
+    Returns (tag, nums, den, vertex) like _dual_simplex_min: the point is an
+    end of the interval, and no vertex exists when it has neither end."""
     lo = None  # None encodes the infinite end
     hi = None
     for r in rows:
@@ -457,7 +400,7 @@ def _interval_solve(rows, cost: Fraction):
             if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
                 hi = bound
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
-        return "infeasible", None, None
+        return "infeasible", None, None, False
     if cost > 0:
         end = lo
     elif cost < 0:
@@ -465,10 +408,10 @@ def _interval_solve(rows, cost: Fraction):
     else:
         end = lo if lo is not None else hi
         if end is None:
-            return "optimal", [0], 1
+            return "optimal", [0], 1, False
     if end is None:
-        return "unbounded", None, None
-    return "optimal", [end[0]], end[1]
+        return "unbounded", None, None, False
+    return "optimal", [end[0]], end[1], True
 
 
 # ---------------------------------------------------------------------------
@@ -589,25 +532,22 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOut
     rows = nonconstant(sys.rows)
     if rows is None:
         return _INFEASIBLE
-    cost = list(objective.entries)
-    if sense == "max":
-        cost = [-f for f in cost]
-
     if sys.dim == 0:
         return LpOutcome("optimal", Fraction(0), QVector(()))
+    omult = math.lcm(*(f.denominator for f in objective.entries))
+    iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
+    cost = iobjective if sense == "min" else [-v for v in iobjective]
     if sys.dim == 1:
-        tag, nums, den = _interval_solve(rows, cost[0])
+        tag, nums, den, vertex = _interval_solve(rows, cost[0])
     else:
-        tag, nums, den = _simplex_free_min(sys.dim, rows, cost)
+        tag, nums, den, vertex = _dual_simplex_min(sys.dim, rows, cost)
 
     if tag == "infeasible":
         return _INFEASIBLE
     if tag == "unbounded":
         return _UNBOUNDED
-
-    omult = math.lcm(*(f.denominator for f in objective.entries))
-    iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
-    nums, den = _purify_to_vertex(sys.dim, rows, nums, den, iobjective)
+    if not vertex:
+        nums, den = _purify_to_vertex(sys.dim, rows, nums, den, iobjective)
     for r in sys.rows:
         if not r.holds_at(nums, den):
             raise InternalInvariantError("lp_solve produced an infeasible point")

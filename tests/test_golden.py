@@ -9,7 +9,7 @@ generator and solved with eps 1/8; the cold decide_le answers on those
 instances are checked against it too. Telemetry is left out: query counts
 may change while answers may not. The same instances also check each
 cell-index entry against references that share no LP or lattice code, and
-cap the LP count of 25 solves.
+cap the LP count and the LP kernel's basis exchanges of 25 solves.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -185,6 +185,21 @@ def test_mixed_grid_lp_count():
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
     assert len(calls) <= 1046
+
+
+def test_mixed_grid_basis_exchanges():
+    # a deterministic count of the exact LP kernel's work in the same 25
+    # mixed-grid solves: its basis exchanges (linear._exchange calls). The
+    # two-phase tableau it replaced made 2519 pivots there; it may only fall
+    import pytest
+    from bilevel_exact import linear, solve_mixed
+    exchange = linear._exchange
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
+        for inst in grid_instances()[:25]:
+            solve_mixed(inst, eps=GRID_EPS)
+    assert len(calls) <= 881
 
 
 def _write_reports(fh, reports):

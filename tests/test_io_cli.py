@@ -313,6 +313,9 @@ def test_cli_solve_rejects_nonpositive_epsilon(attained, tmp_path, capsys):
     for flag in ("--epsilon=0", "--epsilon=-1/8"):
         assert cli_main(["solve", str(path), flag]) == 2
         assert "validation error [bad-epsilon]" in capsys.readouterr().err
+    # an empty value is a malformed rational, not an absent flag
+    assert cli_main(["solve", str(path), "--epsilon="]) == 2
+    assert "validation error [bad-rational]" in capsys.readouterr().err
     assert cli_main(["solve", str(path), "--epsilon=1/8"]) == 0
     capsys.readouterr()
 

@@ -98,9 +98,9 @@ def test_lp_matches_vertex_scan(sys_, obj):
 def boxed_systems():
     """Closed systems of dim 3 or 4 in the box [-4, 4], with fractional
     coefficients and right-hand sides of both signs. An equality row may
-    come twice, the copy scaled by 1 or -2: phase 1 then ends with an
-    artificial variable at zero in a row that has no other nonzero, and
-    that redundant row is deleted."""
+    come twice, the copy scaled by 1 or -2: the four sides of the pair are
+    parallel, are violated together and tie in the ratio test, and no basis
+    can hold two of them."""
     frac = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2, 3)))
     row = st.tuples(st.lists(frac, min_size=4, max_size=4), frac,
                     st.sampled_from(("le", "eq", "twice")), st.sampled_from((1, -2)))
@@ -123,48 +123,192 @@ def boxed_systems():
     return st.builds(build, st.integers(3, 4), st.lists(row, min_size=1, max_size=4))
 
 
+def _no_purification(*args):
+    raise AssertionError("purification reached on a system with unit rows")
+
+
 @settings(max_examples=60, deadline=None)
 @given(boxed_systems(), st.lists(st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
                                  min_size=4, max_size=4))
 def test_lp_matches_vertex_scan_in_three_and_four_dimensions(sys_, obj):
+    # every coordinate has unit rows, so the kernel starts without an
+    # artificial row and ends on a vertex without purification
     obj = obj[:sys_.dim]
     verts = {tuple(p) for p in support.ref_vertices(sys_)}
-    for sense, sign in (("min", 1), ("max", -1)):
-        ref = support.ref_lp_min(sys_, [sign * v for v in obj])
-        out = lp_solve(sys_, QVector(obj), sense)
-        if ref is None:
-            assert out.tag == "infeasible"
-            continue
-        assert out.tag == "optimal"
-        assert out.value == sign * ref[0]
-        assert tuple(out.point.entries) in verts  # purified onto a vertex
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "_purify_to_vertex", _no_purification)
+        for sense, sign in (("min", 1), ("max", -1)):
+            ref = support.ref_lp_min(sys_, [sign * v for v in obj])
+            out = lp_solve(sys_, QVector(obj), sense)
+            if ref is None:
+                assert out.tag == "infeasible"
+                continue
+            assert out.tag == "optimal"
+            assert out.value == sign * ref[0]
+            assert tuple(out.point.entries) in verts
 
 
-def test_pivot_lost_integrality_is_fatal():
-    # pivoting on the 2 (true entry 2/2 = 1) sends row 1 to
-    # (1 * 2 - 1 * 1) / 2 = 1/2 in column 1: not an integer over the new den
-    tab = linear._Tableau([[2, 1], [1, 1]], 2, [0, 1], 2)
+def test_exchange_rejects_an_inconsistent_adjugate():
+    # adj / det = I / 2 claims B = 2I, whose adjugate is 2I over det 4;
+    # bringing in (1, 1) for row 0 sends entry (0, 1) to (1 * 0 - 1 * 1) / 2
     with pytest.raises(InternalInvariantError, match="lost integrality"):
-        tab.pivot(0, 0)
+        linear._exchange([[1, 0], [0, 1]], 2, [1, 1], 0)
+
+
+def _fraction_inverse(rows):
+    """The inverse of a nonsingular square matrix by Fraction Gauss-Jordan."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
+           for i, row in enumerate(rows)]
+    for col in range(n):
+        piv = next(i for i in range(col, n) if aug[i][col] != 0)
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        aug = [r if i == col else [a - r[col] * b for a, b in zip(r, aug[col])]
+               for i, r in enumerate(aug)]
+    return [r[n:] for r in aug]
 
 
 @settings(max_examples=80)
-@given(st.lists(st.lists(st.integers(-4, 4), min_size=4, max_size=4), min_size=3, max_size=3),
-       st.lists(st.tuples(st.integers(0, 2), st.integers(0, 3)), max_size=5))
-def test_pivots_match_fraction_elimination(rows, pivots):
-    # every entry of the fraction-free tableau, skipped rows included, is
-    # den times the entry of Gauss-Jordan elimination in Fraction arithmetic
-    tab = linear._Tableau([list(r) for r in rows], 1, [None] * 3, 3)
-    ref = [[Fraction(v) for v in r] for r in rows]
-    for pr, pc in pivots:
-        if ref[pr][pc] == 0:
+@given(st.integers(2, 4), st.lists(st.tuples(st.integers(0, 3), st.lists(
+    st.integers(-4, 4), min_size=4, max_size=4)), max_size=8))
+def test_exchanges_keep_the_inverse(dim, swaps):
+    # from B = I, each swap replaces basis row r by a; a swap that would make
+    # B singular (alpha_r = 0) is skipped. adj / det stays B^-1 throughout.
+    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    adj, det = [row[:] for row in basis], 1
+    for r, a in swaps:
+        r, a = r % dim, a[:dim]
+        alpha = [sum(adj[i][j] * a[i] for i in range(dim)) for j in range(dim)]
+        if alpha[r] == 0:
             continue
-        tab.pivot(pr, pc)
-        ref[pr] = [v / ref[pr][pc] for v in ref[pr]]
-        ref = [r if i == pr else [a - r[pc] * b for a, b in zip(r, ref[pr])]
-               for i, r in enumerate(ref)]
-        assert tab.den > 0
-        assert tab.t == [[v * tab.den for v in r] for r in ref]
+        adj, det = linear._exchange(adj, det, alpha, r), alpha[r]
+        basis[r] = a
+        assert [[Fraction(v, det) for v in row] for row in adj] == _fraction_inverse(basis)
+
+
+def _cross_polytope(dim, radius):
+    """The rows sum_j s_j x_j <= radius over all sign vectors s: no row is a
+    unit row, so the kernel starts from artificial rows alone."""
+    signs = [[]]
+    for _ in range(dim):
+        signs = [s + [1] for s in signs] + [s + [-1] for s in signs]
+    return [row_le(s, radius) for s in signs]
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4), st.integers(1, 5), st.lists(st.tuples(
+    st.lists(st.sampled_from((-3, -2, -1, 1, 2, 3)), min_size=4, max_size=4),
+    st.integers(-4, 4)), max_size=3),
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_lp_without_unit_rows_matches_vertex_scan(dim, radius, extra, obj):
+    sys_ = LinearSystem(dim, _cross_polytope(dim, radius)
+                        + [row_le(a[:dim], b) for a, b in extra])
+    obj = obj[:dim]
+    verts = {tuple(p) for p in support.ref_vertices(sys_)}
+    values = [sum(c * x for c, x in zip(obj, p)) for p in verts]
+    for sense, best in (("min", min), ("max", max)):
+        out = lp_solve(sys_, QVector(obj), sense)
+        if not verts:
+            assert out.tag == "infeasible"
+            continue
+        assert out.tag == "optimal"
+        assert out.value == best(values)
+        assert tuple(out.point.entries) in verts
+
+
+def test_far_vertex_without_unit_rows():
+    # no row is a unit row and every row has sum |a| + |b| <= 12, yet the
+    # maximum of x + y is at the vertex (35, 25): the artificial start rows
+    # must lie beyond Hadamard's bound, not beyond the row sizes
+    wedge = LinearSystem(2, (row_le([3, -4], 5), row_le([-2, 3], 5), row_le([-1, -1], 1)))
+    out = lp_solve(wedge, QVector([1, 1]), "max")
+    assert out.tag == "optimal"
+    assert (out.value, out.point.entries) == (60, (35, 25))
+    assert out.value == -support.ref_lp_min(wedge, [-1, -1])[0]
+
+
+def test_lp_over_no_rows():
+    for dim in (2, 3, 4):
+        empty = LinearSystem(dim, ())
+        assert lp_solve(empty, QVector([0] * dim), "min").tag == "optimal"
+        assert lp_solve(empty, QVector([0] * dim), "min").value == 0
+        for sense in ("min", "max"):
+            assert lp_solve(empty, QVector([0] * (dim - 1) + [1]), sense).tag == "unbounded"
+
+
+@settings(max_examples=80)
+@given(st.integers(2, 3), st.lists(st.tuples(
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3), st.integers(0, 4)),
+    min_size=1, max_size=4),
+    st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_lp_on_unbounded_regions_matches_vertex_scan(dim, rows, obj):
+    # 0 meets every row (rhs >= 0), so the LP is unbounded exactly when the
+    # truncated cone {a . d <= 0, |d_j| <= 1} has a d with obj . d < 0; a
+    # bounded optimum is attained within Hadamard's bound 13^dim, so a box
+    # of that size leaves the optimal value as it is
+    rows = [(a[:dim], b) for a, b in rows]
+    obj = obj[:dim]
+    sys_ = LinearSystem(dim, [row_le(a, b) for a, b in rows])
+    box = []
+    for j in range(dim):
+        unit = [0] * dim
+        unit[j] = 1
+        box.append(unit)
+        box.append([-v for v in unit])
+    cone = LinearSystem(dim, [row_le(a, 0) for a, _ in rows] + [row_le(u, 1) for u in box])
+    out = lp_solve(sys_, QVector(obj), "min")
+    if support.ref_lp_min(cone, obj)[0] < 0:
+        assert out.tag == "unbounded"
+        return
+    assert out.tag == "optimal"
+    assert sys_.satisfied_by(out.point)
+    boxed = sys_.with_rows([row_le(u, 13 ** dim) for u in box])
+    assert out.value == support.ref_lp_min(boxed, obj)[0]
+    verts = {tuple(p) for p in support.ref_vertices(sys_)}
+    assert not verts or tuple(out.point.entries) in verts
+
+
+def test_optimal_face_with_a_line_is_purified_in_place(monkeypatch):
+    # x_2 has no unit row, so its artificial row stays in the final basis at
+    # a zero dual: the kernel's point is optimal, not a vertex, and the
+    # purification finds no row that bounds the line it lies on
+    calls = []
+    purify = linear._purify_to_vertex
+    monkeypatch.setattr(linear, "_purify_to_vertex",
+                        lambda *args: calls.append(args) or purify(*args))
+    half_plane = LinearSystem(2, (row_le([-1, 0], 0),))
+    out = lp_solve(half_plane, QVector([1, 0]), "min")
+    assert (out.tag, out.value, len(calls)) == ("optimal", 0, 1)
+    assert out.point[0] == 0
+    # x_2 >= x_1 bounds the ray that the kernel's point ends on: purification
+    # slides down it onto the vertex (0, 0)
+    calls.clear()
+    out = lp_solve(half_plane.with_rows([row_le([1, -1], 0)]), QVector([1, 0]), "min")
+    assert (out.tag, out.value, out.point.entries, len(calls)) == ("optimal", 0, (0, 0), 1)
+
+
+@settings(max_examples=30)
+@given(st.integers(2, 4), st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+       st.lists(st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=4, max_size=7),
+       st.lists(st.integers(-3, 3), min_size=4, max_size=4))
+def test_degenerate_vertex_matches_vertex_scan(dim, v, normals, obj):
+    # many rows a . x <= a . v meet at v, inside the box |x_j - v_j| <= 3
+    v, obj = v[:dim], obj[:dim]
+    rows = [row_le(a[:dim], sum(x * y for x, y in zip(a, v))) for a in normals]
+    for j in range(dim):
+        unit = [0] * dim
+        unit[j] = 1
+        rows += [row_le(unit, v[j] + 3), row_le([-u for u in unit], 3 - v[j])]
+    sys_ = LinearSystem(dim, rows)
+    verts = {tuple(p) for p in support.ref_vertices(sys_)}
+    for objective in ([0] * dim, obj):
+        values = [sum(c * x for c, x in zip(objective, p)) for p in verts]
+        for sense, best in (("min", min), ("max", max)):
+            out = lp_solve(sys_, QVector(objective), sense)
+            assert out.tag == "optimal"
+            assert out.value == best(values)
+            assert tuple(out.point.entries) in verts
 
 
 def test_strict_point_examples():
@@ -365,10 +509,10 @@ def test_constant_truth():
 
 
 def test_lp_reverification_is_fatal(monkeypatch):
-    # a purification that slides off the feasible region must not go unnoticed:
+    # a kernel vertex off the feasible region must not go unnoticed:
     # (6/2, 0) lies outside the box's x <= 2
-    monkeypatch.setattr(linear, "_purify_to_vertex",
-                        lambda dim, rows, nums, den, objective: ([6, 0], 2))
+    monkeypatch.setattr(linear, "_dual_simplex_min",
+                        lambda dim, rows, cost: ("optimal", [6, 0], 2, True))
     with pytest.raises(InternalInvariantError):
         lp_solve(BOX, QVector([1, 1]), "min")
 
