@@ -15,24 +15,27 @@ dense in its closure. Strict-feasibility checks remain only where a
 threshold meets a cell's minimum at an LP vertex outside the cell, for the
 value slices and for witnesses. The pure driver lists the
 response table over integer leader points once, bisects over it with plain
-integer snapping and reads x* and z* from it. A direct enumeration of the
-pure feasible set is the pure reference oracle: `solve --engine both`, the
-`oracle` command and the acceptance tests compare the two, a solve does not.
+integer snapping and reads x* and z* from it. The reference oracle checks
+both drivers from the cell definition, with no floor walk, cell index,
+DecisionScan or response table (see reference_oracle for what it shares):
+`solve --engine both`, the `oracle` command and the acceptance tests compare
+the drivers with it, a solve does not.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Optional
 
-from .cells import Instance, bilevel_feasible, cell_index, cell_infimum
+from .cells import Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell
 from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, decide_le, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
-from .lattice import enumerate_integers, integer_candidates, integer_min_value, mixed_feasible
-from .linear import (LinearSystem, affinely_independent_vertices, fix_block, lp_range, lp_solve,
-                     nonconstant, row_eq, strict_feasible_point)
+from .lattice import integer_min, mixed_feasible, _charge
+from .linear import (LT, LinearSystem, affinely_independent_vertices, lp_range, lp_solve, row_eq,
+                     row_le, _bounded_system)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -344,7 +347,7 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
 
 
 # ---------------------------------------------------------------------------
-# pure driver, and the direct enumeration behind the pure reference oracle
+# pure driver
 
 
 def _pure_driver(inst: Instance, config: SolverConfig, telemetry):
@@ -377,41 +380,11 @@ def _pure_driver(inst: Instance, config: SolverConfig, telemetry):
     return v_star, x_star, QVector([Fraction(v) for v in z_ints])
 
 
-def _pure_enumeration(inst: Instance, config: SolverConfig):
-    """Direct scan of the finite pure feasible set; lex-least optimum."""
-    obj = inst.objective_vector()
-    upper = inst.upper_rows()
-    rows = upper + inst.follower_relax_rows()
-    budget = [0]
-    best = None
-    for z_ints in integer_candidates(rows, inst.joint_dim(), range(inst.n, inst.joint_dim()),
-                                     config, budget):
-        z = QVector([Fraction(v) for v in z_ints])
-        follower = inst.follower_system_at(z)
-        fopt = integer_min_value(inst.psi, follower, config)
-        if fopt is None:
-            continue
-        fixed = nonconstant(fix_block(upper, z.entries, inst.n))
-        if fixed is None:
-            continue
-        response_rows = [row_eq(inst.psi.entries, fopt)] + fixed
-        for x in enumerate_integers(follower.with_rows(response_rows), config):
-            x_ints = tuple(int(v) for v in x.entries)
-            value = obj.dot(QVector(list(x.entries) + list(z.entries)))
-            cand = (value, x_ints, z_ints)
-            if best is None or cand < best:
-                best = cand
-    if best is None:
-        return None
-    value, x_ints, z_ints = best
-    return value, x_ints, QVector([Fraction(v) for v in z_ints])
-
-
 def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Pure-integer solve by the bisection driver alone.
 
-    Its independent second computation, the direct enumeration, is the pure
-    reference oracle; `solve --engine both` and the tests compare the two.
+    Its independent second computation is the pure reference oracle;
+    `solve --engine both` and the tests compare the two.
     """
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
@@ -429,58 +402,73 @@ def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
 # reference oracle
 
 
+def _cells_by_definition(inst: Instance, config: SolverConfig) -> list:
+    """The valid cells in lex order of (x, r): every integer x of the upper
+    region's x box with every floor vector r of B z + u over that region,
+    each pair charged to cell_cap and kept when is_valid_cell accepts it."""
+    upper = inst.upper_system()
+    ranges = []
+    for j in range(inst.n):
+        span = lp_range(upper, QVector([int(i == j) for i in range(inst.joint_dim())]))
+        if span is None:
+            return []
+        ranges.append(range(ceil_rat(span[0]), floor_rat(span[1]) + 1))
+    for br, uv in zip(inst.B.entries, inst.u.entries):
+        lo, hi = lp_range(upper, QVector((0,) * inst.n + br))
+        ranges.append(range(floor_rat(lo + uv), floor_rat(hi + uv) + 1))
+    budget = [0]
+    cells = []
+    for point in itertools.product(*ranges):
+        _charge(budget, config)
+        cell = Cell(point[:inst.n], point[inst.n:])
+        if is_valid_cell(inst, cell, config):
+            cells.append(cell)
+    return cells
+
+
 def reference_oracle(inst: Instance, variant: str = MIXED,
                      config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
-    """Brute-force solve used to cross-check the search drivers.
+    """Solve from the cells of _cells_by_definition, to cross-check the drivers.
 
-    Mixed: every valid cell's infimum, then the lex-first attaining cell
-    with greedy coordinatewise z minimization. Pure: the enumeration pass.
+    Mixed: v* is the least cell_infimum; the first cell attaining it gives
+    x* and, from cell_infimum's witness, z* strictly inside its optimal
+    slice. Pure: an integer z in a cell (x, r) has B z + u = r, so each
+    strict row a . z < b of its region, in integral form, tightens to
+    a . z <= b - 1; integer_min over those rows gives the cell's lex-least
+    optimum, and the least (value, x, z) over the cells wins. Shared with
+    the engines: is_valid_cell (_follower_improves, a mixed_feasible check,
+    and strict_feasible_point), cell_region, integer_min, and cell_infimum's
+    LP over a cell's closure, the LP behind the engine's per-cell low.
     """
-    telemetry = Telemetry()
-    if variant == PURE:
-        got = _pure_enumeration(inst, config)
-        if got is None:
-            return SolveReport(INFEASIBLE, telemetry=telemetry)
-        value, x_ints, z = got
-        return SolveReport(ATTAINED, infimum=value, solution=(x_ints, z),
-                           telemetry=telemetry)
-    if variant != MIXED:
+    if variant not in (MIXED, PURE):
         raise ValueError(f"unknown variant {variant!r}")
+    telemetry = Telemetry()
+    cells = _cells_by_definition(inst, config)
+    if variant == PURE:
+        found = []
+        for cell in cells:
+            rows = [row_le(r.scaled[0], r.scaled[1] - 1) if r.rel == LT else r
+                    for r in cell_region(inst, cell).rows]
+            out = integer_min(inst.e, _bounded_system(inst.d, rows), config)
+            if out.is_optimal:
+                found.append((inst.c.dot(QVector(cell.x)) + out.value, cell.x,
+                              out.point.entries))
+        if not found:
+            return SolveReport(INFEASIBLE, telemetry=telemetry)
+        value, x, z = min(found)
+        return SolveReport(ATTAINED, infimum=value, solution=(x, QVector(z)), telemetry=telemetry)
 
-    obj = inst.objective_vector()
-    index = cell_index(inst, config)
-    telemetry.cells = len(index.entries)
-    results = []
-    for entry in index.entries:
-        inf, attained, _ = cell_infimum(inst, entry.cell, obj)
-        results.append((entry, inf, attained))
-    if not results:
+    telemetry.cells = len(cells)
+    if not cells:
         return SolveReport(INFEASIBLE, telemetry=telemetry)
-    v_star = min(inf for _, inf, _ in results)
-    winner = next(((e, inf) for e, inf, att in results if inf == v_star and att), None)
-    report = SolveReport(UNATTAINED, infimum=v_star, telemetry=telemetry)
-    if winner is None:
-        return report
-    entry, _ = winner
-    obj_z = QVector(obj.entries[inst.n:])
-    shift = sum((a * Fraction(b) for a, b in zip(obj.entries[:inst.n], entry.cell.x)),
-                Fraction(0))
-    sliced = entry.region.with_rows([row_eq(obj_z.entries, v_star - shift)])
-    for j in range(inst.d):
-        unit = [Fraction(0)] * inst.d
-        unit[j] = Fraction(1)
-        mn = lp_solve(sliced.closure(), QVector(unit), "min")
-        if not mn.is_optimal:
-            raise InternalInvariantError("winning slice lost feasibility")
-        trial = sliced.with_rows([row_eq(unit, mn.value)])
-        if strict_feasible_point(trial) is not None:
-            sliced = trial
-    z = strict_feasible_point(sliced)
-    if z is None:
-        raise InternalInvariantError("winning slice has no strictly feasible point")
-    report.status = ATTAINED
-    report.solution = (entry.cell.x, z)
-    return report
+    obj = inst.objective_vector()
+    # the least infimum, attained before unattained, then the lex-first cell
+    v_star, attained, witness, cell = min((cell_infimum(inst, c, obj) + (c,) for c in cells),
+                                          key=lambda t: (t[0], not t[1]))
+    if not attained:
+        return SolveReport(UNATTAINED, infimum=v_star, telemetry=telemetry)
+    return SolveReport(ATTAINED, infimum=v_star, solution=(cell.x, QVector(witness[inst.n:])),
+                       telemetry=telemetry)
 
 
 def disagreement(inst, searched: SolveReport, oracled: SolveReport,
@@ -491,9 +479,11 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
     Both must give the same status and infimum, and the infimum's
     denominator must respect denominator_cap. When attained, each solution
     is checked from the definition (bilevel feasible, objective equal to the
-    infimum). For a mixed report the search x* must be lexicographically no
-    larger than the oracle's; for a pure report, whose oracle enumerates
-    every feasible point, (x*, z*) must be the oracle's exactly.
+    infimum). For a mixed report the search x* must equal the oracle's:
+    both take the x of the lex-first cell whose value slice at v* is
+    nonempty, so a difference means one of them lost a cell. For a pure
+    report, whose oracle finds each cell's lex-least integer optimum,
+    (x*, z*) must be the oracle's exactly.
     """
     if searched.status != oracled.status or searched.infimum != oracled.infimum:
         return (f"{searched.status}/{searched.infimum} vs "
@@ -513,6 +503,6 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
         got, want = ((tuple(x), z) for x, z in (searched.solution, oracled.solution))
         if got != want:
             return f"search (x*, z*) {got} is not the oracle's {want}"
-    elif tuple(searched.solution[0]) > tuple(oracled.solution[0]):
-        return f"search x* {searched.solution[0]} is lex above the oracle's"
+    elif tuple(searched.solution[0]) != tuple(oracled.solution[0]):
+        return f"search x* {searched.solution[0]} is not the oracle's {oracled.solution[0]}"
     return None

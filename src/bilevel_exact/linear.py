@@ -207,16 +207,20 @@ class LinearSystem:
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        for r in self.rows:
+        self._check(self.rows)
+
+    def _check(self, rows):
+        for r in rows:
             if not isinstance(r, LinRow):
                 raise ValueError("LinearSystem rows must be LinRow")
             if r.coeffs.dim != self.dim:
                 raise ValueError(f"row of dim {r.coeffs.dim} in system of dim {self.dim}")
 
-    def _carrying_proof(self, rows) -> "LinearSystem":
-        out = LinearSystem(self.dim, rows)
-        if self.proved_bounded:
-            object.__setattr__(out, "proved_bounded", True)
+    def _carrying_proof(self, rows: tuple) -> "LinearSystem":
+        out = object.__new__(LinearSystem)  # rows already checked: no __post_init__
+        object.__setattr__(out, "dim", self.dim)
+        object.__setattr__(out, "rows", rows)
+        object.__setattr__(out, "proved_bounded", self.proved_bounded)
         return out
 
     def closure(self) -> "LinearSystem":
@@ -227,7 +231,9 @@ class LinearSystem:
         return any(r.rel == LT for r in self.rows)
 
     def with_rows(self, extra: Iterable[LinRow]) -> "LinearSystem":
-        return self._carrying_proof(self.rows + tuple(extra))
+        extra = tuple(extra)
+        self._check(extra)
+        return self._carrying_proof(self.rows + extra)
 
     def satisfied_by(self, point: Sequence) -> bool:
         if not isinstance(point, QVector):

@@ -18,6 +18,7 @@ from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
                            objective_bounds, parse_instance, random_instance,
                            rational_reconstruct, reference_oracle, row_le, solve_mixed,
                            solve_pure)
+from bilevel_exact import cells, lattice
 from support import make_flipped, with_upper_rows
 
 CFG = DEFAULT_CONFIG
@@ -414,10 +415,50 @@ def test_disagreement_requires_the_oracles_pure_optimum():
     z_first = replace(searched, solution=((1,), QVector([0])))
     assert disagreement(tie, z_first, oracled, CFG, variant="pure") == (
         "search (x*, z*) ((1,), QVector([0])) is not the oracle's ((0,), QVector([1]))")
-    # a lex-smaller search x* passes the mixed rule, but not the pure one
+    # a lex-smaller search x* fails the mixed rule too: x* must be the oracle's
     lex_above = replace(oracled, solution=z_first.solution)
-    assert disagreement(tie, searched, lex_above, CFG) is None
+    assert disagreement(tie, searched, lex_above, CFG) == (
+        "search x* (0,) is not the oracle's (1,)")
     assert "is not the oracle's" in disagreement(tie, searched, lex_above, CFG, variant="pure")
+
+
+def _plant(monkeypatch, home, name, fault):
+    """Replace home.name by fault(home.name) in every module of the package
+    that binds it, so that every caller sees the planted fault."""
+    real = getattr(home, name)
+    planted = fault(real)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("bilevel_exact") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, planted)
+
+
+def test_oracle_catches_a_lost_cell(mixed_batch, monkeypatch):
+    # a floor walk that loses its last valid cell; the oracle takes its
+    # cells from the definition, so the search and the oracle part somewhere
+    def drop_last(real):
+        return lambda *args, **kwargs: iter(list(real(*args, **kwargs))[:-1])
+
+    _plant(monkeypatch, cells, "valid_cells", drop_last)
+    rows, _ = mixed_batch
+    assert any(disagreement(inst, solve_mixed(inst, config=CFG),
+                            reference_oracle(inst, "mixed", CFG), CFG)
+               for inst, _, _ in rows)
+
+
+def test_pure_oracle_catches_a_lost_leader_point(pure_batch, monkeypatch):
+    # the integer walk loses its last leader z (trailing-range calls only,
+    # so the cell candidates over x are intact)
+    def drop_last_z(real):
+        def walk(rows, total_dim, coords, config, budget):
+            out = real(rows, total_dim, coords, config, budget)
+            return out[:-1] if coords.start > 0 else out
+        return walk
+
+    _plant(monkeypatch, lattice, "integer_candidates", drop_last_z)
+    rows, _ = pure_batch
+    assert any(disagreement(inst, solve_pure(inst, config=CFG),
+                            reference_oracle(inst, "pure", CFG), CFG, variant="pure")
+               for inst, _, _ in rows)
 
 
 # ------------------------------------------------------ boundedness proofs
@@ -430,7 +471,7 @@ def test_every_carried_boundedness_proof_holds(monkeypatch):
     over example1 and 20 acceptance-distribution instances solved in both
     readings and by both oracles, then checks each with the cone LPs.
     """
-    from bilevel_exact import lattice, linear
+    from bilevel_exact import linear
     proved = set()
     real = linear._projection_bounded
 

@@ -3,7 +3,8 @@ module imports a name it never uses, every SolverConfig field is read
 somewhere, every function that takes a `config` parameter uses it, and every
 top-level function and class is named somewhere in the package, so dead
 imports, dead knobs, unread arguments and dead definitions cannot come back
-unnoticed."""
+unnoticed. The reference oracle reaches none of the engines' enumerations,
+so it stays an independent second computation."""
 import ast
 import os
 
@@ -96,3 +97,52 @@ def test_every_top_level_definition_is_named():
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             and node.name not in referenced]
     assert dead == []
+
+
+# The engines' own enumerations: the floor walk, the cell index and its
+# scan, the pure response table and the integer walk.
+ENUMERATIONS = {"valid_cells", "cell_index", "CellIndex", "DecisionScan", "pure_responses",
+                "integer_candidates", "enumerate_integers"}
+
+
+def _definitions():
+    """(module, name) -> top-level function or class node, and per module
+    the package definitions its names resolve to: its own and those it
+    imports with a relative `from` import."""
+    defs, scopes = {}, {}
+    for name in MODULES:
+        module = name[:-3]
+        tree = _tree(name)
+        scope = scopes.setdefault(module, {})
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defs[module, node.name] = node
+                scope[node.name] = (module, node.name)
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                for alias in node.names:
+                    scope[alias.asname or alias.name] = (node.module, alias.name)
+    return defs, scopes
+
+
+def _reached_from(module, name):
+    """Names of the package definitions that (module, name) names,
+    transitively; a class counts with its whole body."""
+    defs, scopes = _definitions()
+    seen, todo = set(), [(module, name)]
+    while todo:
+        key = todo.pop()
+        if key in seen or key not in defs:
+            continue
+        seen.add(key)
+        loaded = {n.id for n in ast.walk(defs[key])
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+        for ref in loaded:
+            if ref in scopes[key[0]]:
+                todo.append(scopes[key[0]][ref])
+    return {n for _, n in seen}
+
+
+def test_reference_oracle_reaches_no_engine_enumeration():
+    reached = _reached_from("engine", "reference_oracle")
+    assert {"is_valid_cell", "cell_infimum", "integer_min"} <= reached
+    assert sorted(reached & ENUMERATIONS) == []

@@ -190,10 +190,10 @@ def test_solve_pure_runs_one_driver(example1, monkeypatch):
     instances = [example1] + [random_instance(rng) for _ in range(20)]
     oracled = [reference_oracle(inst, "pure") for inst in instances]
 
-    def enumeration_called(*args):
-        raise AssertionError("solve_pure ran the enumeration oracle")
+    def oracle_called(*args):
+        raise AssertionError("solve_pure ran the reference oracle")
 
-    monkeypatch.setattr(engine, "_pure_enumeration", enumeration_called)
+    monkeypatch.setattr(engine, "_cells_by_definition", oracle_called)
     for inst, orc in zip(instances, oracled):
         assert disagreement(inst, solve_pure(inst), orc, variant="pure") is None
 
@@ -241,9 +241,9 @@ def test_cli_engines(example1_path, capsys):
     assert doc["oracle_agreement"] is True
 
 
-def test_cli_engine_both_builds_two_indexes(example1_path, capsys, monkeypatch):
-    # the engine and the reference oracle each build their own cell index;
-    # neither reads the other's
+def test_cli_engine_both_builds_one_index(example1_path, capsys, monkeypatch):
+    # the engine builds its cell index; the reference oracle builds none, as
+    # it takes its cells from the definition
     from bilevel_exact import cells
     built = []
     real = cells.CellIndex._build
@@ -255,7 +255,7 @@ def test_cli_engine_both_builds_two_indexes(example1_path, capsys, monkeypatch):
     monkeypatch.setattr(cells.CellIndex, "_build", counting)
     assert cli_main(["solve", example1_path, "--engine", "both"]) == 0
     capsys.readouterr()
-    assert len(built) == 2 and built[0] is not built[1]
+    assert len(built) == 1
 
 
 def test_cli_engine_both_pure(example1_path, capsys):

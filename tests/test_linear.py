@@ -457,6 +457,23 @@ def test_affinely_independent_vertices_empty_and_unbounded():
         affinely_independent_vertices(wedge)
 
 
+def test_derived_systems_check_only_new_rows():
+    # the constructor checks every row; with_rows checks the rows it adds,
+    # and a derived system keeps its rows and its boundedness proof
+    with pytest.raises(ValueError):
+        LinearSystem(2, (row_le([1], 0),))
+    with pytest.raises(ValueError):
+        BOX.with_rows([row_le([1, 0, 0], 1)])
+    with pytest.raises(ValueError):
+        BOX.with_rows(["x <= 1"])
+    proved = linear._bounded_system(2, BOX.rows + (row_lt([1, 1], 4),))
+    grown = proved.with_rows([row_eq([1, -1], 0)])
+    assert grown.proved_bounded and grown.rows == proved.rows + (row_eq([1, -1], 0),)
+    closed = proved.closure()
+    assert closed.proved_bounded and closed == LinearSystem(2, BOX.rows + (row_le([1, 1], 4),))
+    assert not BOX.with_rows([]).proved_bounded
+
+
 def test_recession_bounded():
     assert recession_bounded(QMatrix([[1], [-1]], ncols=1))
     assert not recession_bounded(QMatrix([[1], [1]], ncols=1))
