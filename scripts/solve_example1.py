@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Walk through the bundled example instance step by step.
 
-Shows the cell decomposition, the decision oracle at a few thresholds, the
-bisection result, and the final reports for both variants. Run from the
-repository root:
+Shows the cell decomposition with each cell's infimum (the least of them is
+the mixed infimum), the decision oracle at a few thresholds, and the final
+reports for both variants. Run from the repository root:
 
     python3 scripts/solve_example1.py
 """

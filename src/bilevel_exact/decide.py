@@ -23,8 +23,7 @@ check; so does a witness request, to produce the point.
 
 The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
-pure driver lists it once per solve and answers every threshold query from
-the list.
+pure driver lists it once per solve and takes its least entry.
 """
 from __future__ import annotations
 

@@ -1,25 +1,22 @@
 """Top-level solvers.
 
-The mixed driver brackets the infimum by bisection over the decision
-oracle, reconstructs the exact rational from a width < 1/(2L^2) interval
-(L the denominator cap), and scans the value slices at the infimum once:
-the infimum is attained exactly when some cell's slice is nonempty, and
-then the lexicographically minimal optimum has x* the x of the lex-first
-such cell and z* from the floor-vector refinement and a barycenter of
-vertices found by at most 2d + 1 LPs. All of these queries share one
-DecisionScan. It reads one LP minimum per cell, of the objective over the
-cell's closure, which the index build found, and answers a bisection query
-from those minima: a cell whose minimum lies above the threshold is skipped
-and one whose minimum lies below it is a hit, since the half-open cell is
-dense in its closure. Strict-feasibility checks remain only where a
-threshold meets a cell's minimum at an LP vertex outside the cell, for the
-value slices and for witnesses. The pure driver lists the
-response table over integer leader points once, bisects over it with plain
-integer snapping and reads x* and z* from it. The reference oracle checks
-both drivers from the cell definition, with no floor walk, cell index,
-DecisionScan or response table (see reference_oracle for what it shares):
-`solve --engine both`, the `oracle` command and the acceptance tests compare
-the drivers with it, a solve does not.
+The mixed driver reads the infimum off one DecisionScan and scans the value
+slices at it once: the infimum is attained exactly when some cell's slice is
+nonempty, and then the lexicographically minimal optimum has x* the x of
+the lex-first such cell and z* from the floor-vector refinement and a
+barycenter of vertices found by at most 2d + 1 LPs. The scan holds, for
+each valid cell, one LP minimum of the objective over the cell's closure,
+which the index build found. The half-open cell is dense in its closure, so
+that minimum is the cell's infimum, and the least of them is v*. No solve
+bisects: bisect_decision and rational_reconstruct, the search that a
+decomposition known only through its decision oracle needs, stay exported
+for callers. Strict-feasibility checks remain for the value slices and for
+witnesses. The pure driver lists the response table over integer leader
+points once and reads v*, x* and z* off its least entry. The reference
+oracle checks both drivers from the cell definition, with no floor walk,
+cell index, DecisionScan or response table (see reference_oracle for what
+it shares): `solve --engine both`, the `oracle` command and the acceptance
+tests compare the drivers with it, a solve does not.
 """
 from __future__ import annotations
 
@@ -31,7 +28,7 @@ from typing import Callable, Optional
 
 from .cells import Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import DecisionScan, decide_le, pure_responses, witness_le
+from .decide import DecisionScan, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import integer_min, mixed_feasible, _charge
 from .linear import (LT, LinearSystem, affinely_independent_vertices, lp_range, lp_solve, row_eq,
@@ -187,35 +184,27 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
 
 def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, telemetry=None,
             scan: Optional[DecisionScan] = None) -> Fraction:
-    """Exact infimum of a feasible mixed instance."""
-    if telemetry is None:
-        telemetry = Telemetry()
-    v_lo, v_hi = objective_bounds(inst)
+    """Exact infimum of a feasible mixed instance: the least shift + low
+    over the scan's items.
+
+    Each item's shift + low is its cell's infimum (see DecisionScan), so
+    their minimum is v*; reading it makes no decision query, and telemetry
+    is left as passed. A v* whose denominator exceeds denominator_cap
+    falsifies the subdeterminant bound and raises InternalInvariantError.
+    """
     if scan is None:
         scan = DecisionScan(inst, config)
-
-    def dec(alpha):
-        return decide_le(inst, alpha, config, telemetry, scan)
-
-    if not dec(v_hi):
+    if not scan.items:
         raise InfeasibleProblemError("no bilevel-feasible point")
+    v_star = Fraction(min(it.shift + it.low for it in scan.items))
     cap = denominator_cap(inst)
-    width = Fraction(1, 2 * cap * cap)
-    lo, hi = bisect_decision(dec, v_lo - 1, v_hi, width, telemetry)
-    return rational_reconstruct(lo, hi, cap, telemetry)
+    if v_star.denominator > cap:
+        raise InternalInvariantError(f"infimum {v_star} has a denominator above the cap {cap}")
+    return v_star
 
 
 # ---------------------------------------------------------------------------
 # mixed driver
-
-
-def _integer_bisect(dec, lo, hi, telemetry) -> int:
-    """Integer target identification: bisect to width < 1 and snap."""
-    lo, hi = bisect_decision(dec, lo, hi, Fraction(1), telemetry)
-    val = floor_rat(hi)
-    if not (lo < val <= hi):
-        raise InternalInvariantError("no integer left in the final interval")
-    return val
 
 
 def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
@@ -350,45 +339,31 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
 # pure driver
 
 
-def _pure_driver(inst: Instance, config: SolverConfig, telemetry):
-    """Bisection-based pure solve: (v*, x*, z*) or None when infeasible.
+def _pure_driver(inst: Instance, config: SolverConfig):
+    """Pure solve from the response table: (v*, x*, z*) or None when infeasible.
 
-    Lists the response table (pure_responses) once. Each threshold query of
-    the bisection is a scan of that list, counted as one decision query, and
-    v* is snapped from the final width-< 1 interval. (x*, z*) is the least
-    (x, z) among the entries of value v*: an optimal point (x, z) minimizes
-    the leader's objective at its z, so the entry at z has value v* and an x
-    no larger, and the least such entry is the lex-least optimum.
+    Lists the response table (pure_responses) and takes its least entry
+    (value, x, z): the least value is v*, and (x*, z*) is the least (x, z)
+    among the entries of value v*. An optimal point (x, z) minimizes the
+    leader's objective at its z, so the entry at z has value v* and an x no
+    larger, and the least such entry is the lex-least optimum.
     """
-    try:
-        v_lo, v_hi = objective_bounds(inst)
-    except InfeasibleRelaxationError:
+    best = min(pure_responses(inst, config), default=None)
+    if best is None:
         return None
-    table = list(pure_responses(inst, config))
-
-    def dec(alpha):
-        telemetry.decision_queries += 1
-        return any(v <= alpha for v, _, _ in table)
-
-    if not dec(v_hi):
-        return None
-    v_star = Fraction(_integer_bisect(dec, v_lo - 1, v_hi, telemetry))
-    optima = [(x, z) for v, x, z in table if v == v_star]
-    if not optima:
-        raise InternalInvariantError(f"no table entry has the bisected value {v_star}")
-    x_star, z_ints = min(optima)
+    v_star, x_star, z_ints = best
     return v_star, x_star, QVector([Fraction(v) for v in z_ints])
 
 
 def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
-    """Pure-integer solve by the bisection driver alone.
+    """Pure-integer solve by the response-table driver alone.
 
     Its independent second computation is the pure reference oracle;
     `solve --engine both` and the tests compare the two.
     """
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    searched = _pure_driver(inst, config, telemetry)
+    searched = _pure_driver(inst, config)
     if searched is None:
         return report
     v_star, x_star, z_star = searched

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import sys
@@ -14,8 +15,8 @@ from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
                            InternalInvariantError, LinearSystem, QVector, SolverConfig, Telemetry,
                            bilevel_feasible, bisect_decision, decide_eq, decide_le,
-                           denominator_cap, disagreement, eps_point, infimum, lex_extract,
-                           objective_bounds, parse_instance, random_instance,
+                           denominator_cap, disagreement, eps_point, infimum, instance_to_json,
+                           lex_extract, objective_bounds, parse_instance, random_instance,
                            rational_reconstruct, reference_oracle, row_le, solve_mixed,
                            solve_pure)
 from bilevel_exact import cells, lattice
@@ -129,23 +130,20 @@ def test_infimum_infeasible_bilevel():
 
 @settings(max_examples=20)
 @given(st.integers(0, 10**6))
-def test_infimum_telemetry_bound(seed):
+def test_infimum_matches_oracle_within_cap(seed):
+    # v* is read off the scan's per-cell minima: no decision query is made,
+    # and the value is the oracle's, with a denominator within the cap
     inst = random_instance(random.Random(seed))
-    try:
-        v_lo, v_hi = objective_bounds(inst)
-    except InfeasibleRelaxationError:
-        return
     tel = Telemetry()
+    want = reference_oracle(inst, "mixed", CFG)
     try:
         v = infimum(inst, CFG, tel)
     except InfeasibleProblemError:
-        return
-    cap = denominator_cap(inst)
-    assert v.denominator <= cap
-    target = Fraction(1, 2 * cap * cap)
-    # the engine widens the bracket to [v_lo - 1, v_hi] so decide(lo) is false
-    # even when v* = v_lo is attained; one extra query probes feasibility
-    assert tel.decision_queries <= halvings_needed(v_hi - v_lo + 1, target) + 3
+        assert want.status == INFEASIBLE
+    else:
+        assert v == want.infimum
+        assert v.denominator <= denominator_cap(inst)
+    assert tel == Telemetry()
 
 
 @settings(max_examples=20)
@@ -158,6 +156,26 @@ def test_infimum_boundary_probes(seed):
     gamma = Fraction(1, 2 * denominator_cap(inst) ** 2)
     assert decide_le(inst, rep.infimum + gamma, CFG)
     assert not decide_le(inst, rep.infimum - gamma, CFG)
+
+
+def test_infimum_above_the_denominator_cap_is_fatal(monkeypatch, tmp_path):
+    # the first mixed-grid golden instance with a fractional infimum p/q,
+    # solved with a planted cap of q - 1
+    from bilevel_exact import engine
+    from bilevel_exact.cli import cli_main
+    from test_golden import GRID_PATH, grid_instances
+    with open(GRID_PATH) as fh:
+        reports = json.load(fh)["reports"]
+    inst, v_star = next((inst, Fraction(rec["infimum"]))
+                        for inst, rec in zip(grid_instances(), reports)
+                        if rec["infimum"] is not None and Fraction(rec["infimum"]).denominator > 1)
+    assert solve_mixed(inst, config=CFG).infimum == v_star
+    monkeypatch.setattr(engine, "denominator_cap", lambda _: v_star.denominator - 1)
+    with pytest.raises(InternalInvariantError, match="denominator"):
+        solve_mixed(inst, config=CFG)
+    path = tmp_path / "capped.json"
+    path.write_text(instance_to_json(inst))
+    assert cli_main(["solve", str(path)]) == 4
 
 
 # ------------------------------------------------------------- lex extraction

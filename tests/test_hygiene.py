@@ -4,7 +4,8 @@ somewhere, every function that takes a `config` parameter uses it, and every
 top-level function and class is named somewhere in the package, so dead
 imports, dead knobs, unread arguments and dead definitions cannot come back
 unnoticed. The reference oracle reaches none of the engines' enumerations,
-so it stays an independent second computation."""
+so it stays an independent second computation, and neither solve path
+reaches the bisection and reconstruction search."""
 import ast
 import os
 
@@ -146,3 +147,17 @@ def test_reference_oracle_reaches_no_engine_enumeration():
     reached = _reached_from("engine", "reference_oracle")
     assert {"is_valid_cell", "cell_infimum", "integer_min"} <= reached
     assert sorted(reached & ENUMERATIONS) == []
+
+
+# The search layer of a decomposition known only through its decision
+# oracle: both solve paths read v* off their tables instead.
+SEARCH = {"bisect_decision", "rational_reconstruct", "_simplest_in_interval",
+          "objective_bounds", "decide_le", "_integer_bisect"}
+
+
+@pytest.mark.parametrize("driver", ["solve_mixed", "solve_pure"])
+def test_solve_paths_reach_no_search(driver):
+    reached = _reached_from("engine", driver)
+    assert sorted(reached & SEARCH) == []
+    if driver == "solve_mixed":
+        assert "denominator_cap" in reached

@@ -151,9 +151,9 @@ def test_report_json_frozen(example1):
     "eps": "1/8"
   },
   "telemetry": {
-    "decision_queries": 7,
-    "bisection_steps": 5,
-    "reconstruction_steps": 1,
+    "decision_queries": 1,
+    "bisection_steps": 0,
+    "reconstruction_steps": 0,
     "cells": 2
   }
 }
@@ -176,8 +176,8 @@ def test_pure_report_json_frozen(example1):
   },
   "eps_solution": null,
   "telemetry": {
-    "decision_queries": 3,
-    "bisection_steps": 2,
+    "decision_queries": 0,
+    "bisection_steps": 0,
     "reconstruction_steps": 0,
     "cells": 0
   }
