@@ -13,7 +13,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bilevel_exact import (DEFAULT_CONFIG, Telemetry, cell_infimum, decide_le,
+from bilevel_exact import (DEFAULT_CONFIG, cell_infimum, decide_le,
                            enumerate_cells, parse_and_validate, render_text,
                            solve_mixed, solve_pure)
 
@@ -33,9 +33,8 @@ def main():
         print(f"  x={cell.x} r={cell.r}  inf={inf} ({tag})  witness={tuple(witness.entries)}")
 
     print("\ndecision oracle:")
-    tel = Telemetry()
     for alpha in (Fraction(0), Fraction(-1, 2), Fraction(-7, 8), Fraction(-1)):
-        ans = decide_le(inst, alpha, DEFAULT_CONFIG, tel)
+        ans = decide_le(inst, alpha, DEFAULT_CONFIG)
         print(f"  exists value <= {alpha}?  {ans}")
 
     print("\nmixed solve (epsilon = 1/8):")

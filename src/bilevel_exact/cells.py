@@ -182,7 +182,7 @@ class _RegionRows:
     """The row blocks of cell regions over z, each built on first use: the
     upper rows with x fixed, one block per x, and the floor rows, one block
     per (i, r_i). A walk shares one of these among its cells, so a block
-    many cells have in common is built and scaled once."""
+    many cells have in common is built once."""
 
     def __init__(self, inst: Instance):
         self.inst = inst

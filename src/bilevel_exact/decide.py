@@ -5,21 +5,20 @@ alpha"; decide_eq asks for exact equality and hands back a witness;
 witness_le hands back the witness of decide_le; decide_le_pure is the
 all-integer variant.
 
-A single decide_le query, with no scan passed, is one floor walk of
-cells.valid_cells restricted to value <= alpha that stops at its first cell:
-it builds no cell index and no scan. Repeated queries, and the lex-ordered
-ones (decide_eq, witness_le), are each one pass of DecisionScan.hits, the
-only loop over the indexed cells here. On one cell the objective is affine
-in z over a half-open region Q, and the thresholds alpha for which Q has a
-point of value <= alpha form a ray, [low, inf) or (low, inf), where low is
-the LP minimum of the objective over the closure of Q. The index build
-solves that LP for each cell as it checks the cell. A scan's items are the
-entries of the cell index it builds, each with its cell's shift c . x and
-low, and a scan answers from them: a threshold below low skips the cell, a
-value <= alpha query above low is a hit, and so is a query at low when the
-LP vertex at low lies in Q (low_inside), all without an LP. Only the other
-queries at low, and equality queries above it, run a strict-feasibility
-check; so does a witness request, to produce the point.
+A decide_le query is one floor walk of cells.valid_cells restricted to value
+<= alpha that stops at its first cell: it builds no cell index and no scan.
+The lex-ordered queries (decide_eq, witness_le) are each one pass of
+DecisionScan.hits, the only loop over the indexed cells here. On one cell
+the objective is affine in z over a half-open region Q, and the thresholds
+alpha for which Q has a point of value <= alpha form a ray, [low, inf) or
+(low, inf), where low is the LP minimum of the objective over the closure of
+Q. The index build solves that LP for each cell as it checks the cell. A
+scan's items are the entries of the cell index it builds, each with its
+cell's shift c . x and low, and a scan answers from them: a threshold below
+low skips the cell, a value <= alpha query above low is a hit, and so is a
+query at low when the LP vertex at low lies in Q (low_inside), all without
+an LP. Only the other queries at low, and equality queries above it, run a
+strict-feasibility check; so does a witness request, to produce the point.
 
 The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
@@ -91,29 +90,26 @@ class DecisionScan:
                 raise InternalInvariantError("cell with a point on the value row has no witness")
 
 
-def _first_hit(inst, row, alpha, config, scan, witness=True) -> Optional[tuple]:
+def _first_hit(inst, row, alpha, config, scan) -> Optional[tuple]:
     if scan is None:
         scan = DecisionScan(inst, config)
-    for cell, z, _ in scan.hits(row, alpha, witness):
+    for cell, z, _ in scan.hits(row, alpha):
         return cell.x, z
     return None
 
 
 def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
-              telemetry=None, scan: Optional[DecisionScan] = None) -> bool:
+              telemetry=None) -> bool:
     """True iff some bilevel-feasible point has value <= alpha.
 
-    Without a scan, one floor walk restricted to value <= alpha answers the
-    query and stops at its first cell; it builds no cell index. Repeated
-    queries: pass a scan, a DecisionScan built from the same inst and
-    config. The same holds for decide_eq and witness_le,
-    which build a scan when none is passed.
+    One floor walk restricted to value <= alpha answers the query and stops
+    at its first cell; it builds no cell index. Repeated lex-ordered
+    queries (decide_eq, witness_le) take a DecisionScan built from the same
+    inst and config, and build one when none is passed.
     """
     if telemetry is not None:
         telemetry.decision_queries += 1
-    if scan is None:
-        return next(valid_cells(inst, config, Fraction(alpha)), None) is not None
-    return _first_hit(inst, row_le, alpha, config, scan, witness=False) is not None
+    return next(valid_cells(inst, config, Fraction(alpha)), None) is not None
 
 
 def decide_eq(inst: Instance, value, config: SolverConfig = DEFAULT_CONFIG,
@@ -162,7 +158,7 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
         fopt = integer_min_value(inst.psi, follower, config)
         if fopt is None:
             continue
-        fixed = nonconstant(fix_block(upper, z.entries, inst.n))
+        fixed = nonconstant(fix_block(upper, z_ints, inst.n))
         if fixed is None:
             continue
         leader = follower.with_rows([row_eq(inst.psi.entries, fopt)] + fixed)

@@ -31,8 +31,8 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import integer_min, mixed_feasible, _charge
-from .linear import (LT, LinearSystem, affinely_independent_vertices, lp_range, lp_solve, row_eq,
-                     row_le, _bounded_system)
+from .linear import (LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
+                     lp_solve, row_eq, _bounded_system)
 from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -422,7 +422,7 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     if variant == PURE:
         found = []
         for cell in cells:
-            rows = [row_le(r.scaled[0], r.scaled[1] - 1) if r.rel == LT else r
+            rows = [LinRow(r.a, r.b - 1, LE) if r.rel == LT else r
                     for r in cell_region(inst, cell).rows]
             out = integer_min(inst.e, _bounded_system(inst.d, rows), config)
             if out.is_optimal:

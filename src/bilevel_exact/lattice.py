@@ -42,8 +42,8 @@ def _check_bounded(sys: LinearSystem, coords, message: str):
 
 
 def _unit(dim: int, i: int):
-    e = [Fraction(0)] * dim
-    e[i] = Fraction(1)
+    e = [0] * dim
+    e[i] = 1
     return e
 
 

@@ -15,13 +15,13 @@ final basis; only then is it purified onto a vertex of the optimal face.
 It is re-verified in that form and becomes `Fraction`s once, for the
 returned point and value.
 
-Each row is scaled to integers once: `LinRow.scaled` multiplies it by the lcm
-of its denominators and is cached on the immutable row, so a row shared by
-many LPs (a system reused under branch-and-bound rows, a follower system
-solved for several objectives) is scaled a single time. The dual simplex,
-the active-row test of vertex purification and the re-verification all read
-that integer form: a point is put over one common denominator and every row
-is checked with integer dot products. Re-verification stays fatal: an
+Every row is stored in integer form alone: `LinRow(a, b, rel)` is the row
+a . x rel b with integer a and b, and its constructor rejects anything else.
+`row_le`, `row_eq` and `row_lt` take rationals and multiply the row once by
+the lcm of its denominators, with no gcd reduction. The dual simplex, the
+active-row test of vertex purification and the re-verification all read
+that form: a point is put over one common denominator and every row is
+checked with integer dot products. Re-verification stays fatal: an
 `lp_solve` optimum or a `strict_feasible_point` witness that misses any row
 raises `InternalInvariantError`.
 
@@ -75,65 +75,35 @@ def _over_common_denominator(point) -> tuple:
 
 @dataclass(frozen=True, slots=True)
 class LinRow:
-    """One linear constraint: coeffs . x  rel  rhs."""
+    """One linear constraint over integers: a . x  rel  b."""
 
-    coeffs: QVector
-    rhs: Fraction
+    a: tuple
+    b: int
     rel: str
-    # integer form and its multiplier, filled on first use of `scaled`
-    _scaled: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
-    _mult: int = field(default=0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.rel not in _RELATIONS:
             raise ValueError(f"unknown relation {self.rel!r}")
-        if not isinstance(self.coeffs, QVector):
-            object.__setattr__(self, "coeffs", QVector(self.coeffs))
-        if not isinstance(self.rhs, Fraction):
-            object.__setattr__(self, "rhs", Fraction(self.rhs))
-
-    @property
-    def scaled(self) -> tuple:
-        """(a, b): integer coefficients and rhs of the row times the lcm of its
-        denominators; a . x rel b holds exactly when the row does. Computed
-        once per row."""
-        if self._scaled is None:
-            entries = self.coeffs.entries
-            mult = math.lcm(*(f.denominator for f in entries), self.rhs.denominator)
-            self._set_scaled((tuple(f.numerator * (mult // f.denominator) for f in entries),
-                              self.rhs.numerator * (mult // self.rhs.denominator)), mult)
-        return self._scaled
-
-    def _set_scaled(self, scaled: tuple, mult: int):
-        object.__setattr__(self, "_scaled", scaled)
-        object.__setattr__(self, "_mult", mult)
-
-    def _lifted(self, slack: int) -> "LinRow":
-        """The closed row coeffs . x + slack * t  rel'  rhs over (x, t), with its
-        integer form derived from this row's instead of recomputed. A strict
-        row becomes "<=" (the caller's slack t makes it strict)."""
-        a, b = self.scaled
-        out = LinRow(QVector(self.coeffs.entries + (Fraction(slack),)), self.rhs,
-                     LE if self.rel == LT else self.rel)
-        out._set_scaled((a + (slack * self._mult,), b), self._mult)
-        return out
+        if type(self.a) is not tuple:
+            object.__setattr__(self, "a", tuple(self.a))
+        if type(self.b) is not int or any(type(v) is not int for v in self.a):
+            raise ValueError("LinRow takes integer coefficients and rhs; "
+                             "row_le, row_eq and row_lt take rationals")
 
     def constant_truth(self) -> Optional[bool]:
-        """None if some coefficient is nonzero; otherwise whether 0 rel rhs holds."""
-        if any(self.coeffs.entries):
+        """None if some coefficient is nonzero; otherwise whether 0 rel b holds."""
+        if any(self.a):
             return None
-        b = self.rhs
         if self.rel == LE:
-            return b >= 0
+            return self.b >= 0
         if self.rel == EQ:
-            return b == 0
-        return b > 0
+            return self.b == 0
+        return self.b > 0
 
     def holds_at(self, nums, den: int) -> bool:
         """Whether the row holds at the point nums / den (den > 0)."""
-        a, b = self.scaled
-        lhs = sum(map(mul, a, nums))
-        rhs = b * den
+        lhs = sum(map(mul, self.a, nums))
+        rhs = self.b * den
         if self.rel == LE:
             return lhs <= rhs
         if self.rel == EQ:
@@ -141,31 +111,37 @@ class LinRow:
         return lhs < rhs
 
     def closed(self) -> "LinRow":
-        if self.rel != LT:
-            return self
-        out = LinRow(self.coeffs, self.rhs, LE)
-        if self._scaled is not None:
-            out._set_scaled(self._scaled, self._mult)
-        return out
+        return self if self.rel != LT else LinRow(self.a, self.b, LE)
 
     def satisfied_by(self, point: Sequence) -> bool:
         if not isinstance(point, QVector):
             point = QVector(point)
-        if point.dim != self.coeffs.dim:
-            raise ValueError(f"point of dim {point.dim} for a row of dim {self.coeffs.dim}")
+        if point.dim != len(self.a):
+            raise ValueError(f"point of dim {point.dim} for a row of dim {len(self.a)}")
         return self.holds_at(*_over_common_denominator(point.entries))
 
 
+def _integer_row(coeffs: Iterable, rhs, rel: str) -> LinRow:
+    """The rational row coeffs . x rel rhs times the lcm of its denominators,
+    with no gcd reduction."""
+    q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coeffs]
+    if not isinstance(rhs, (int, Fraction)):
+        rhs = Fraction(rhs)
+    mult = math.lcm(rhs.denominator, *(v.denominator for v in q))
+    return LinRow(tuple(v.numerator * (mult // v.denominator) for v in q),
+                  rhs.numerator * (mult // rhs.denominator), rel)
+
+
 def row_le(coeffs: Iterable, rhs) -> LinRow:
-    return LinRow(QVector(coeffs), Fraction(rhs), LE)
+    return _integer_row(coeffs, rhs, LE)
 
 
 def row_eq(coeffs: Iterable, rhs) -> LinRow:
-    return LinRow(QVector(coeffs), Fraction(rhs), EQ)
+    return _integer_row(coeffs, rhs, EQ)
 
 
 def row_lt(coeffs: Iterable, rhs) -> LinRow:
-    return LinRow(QVector(coeffs), Fraction(rhs), LT)
+    return _integer_row(coeffs, rhs, LT)
 
 
 def nonconstant(rows) -> Optional[list]:
@@ -182,14 +158,10 @@ def nonconstant(rows) -> Optional[list]:
 
 def fix_block(rows, values, start: int) -> list:
     """Rows with the coordinates start, ..., start + len(values) - 1 fixed at
-    values, as rows over the remaining coordinates in their order."""
+    the integer values, as rows over the remaining coordinates in their order."""
     stop = start + len(values)
-    out = []
-    for r in rows:
-        coeffs = r.coeffs.entries
-        shift = sum(map(mul, coeffs[start:stop], values))
-        out.append(LinRow(QVector(coeffs[:start] + coeffs[stop:]), r.rhs - shift, r.rel))
-    return out
+    return [LinRow(r.a[:start] + r.a[stop:], r.b - sum(map(mul, r.a[start:stop], values)), r.rel)
+            for r in rows]
 
 
 @dataclass(frozen=True, slots=True)
@@ -213,8 +185,8 @@ class LinearSystem:
         for r in rows:
             if not isinstance(r, LinRow):
                 raise ValueError("LinearSystem rows must be LinRow")
-            if r.coeffs.dim != self.dim:
-                raise ValueError(f"row of dim {r.coeffs.dim} in system of dim {self.dim}")
+            if len(r.a) != self.dim:
+                raise ValueError(f"row of dim {len(r.a)} in system of dim {self.dim}")
 
     def _carrying_proof(self, rows: tuple) -> "LinearSystem":
         out = object.__new__(LinearSystem)  # rows already checked: no __post_init__
@@ -319,8 +291,7 @@ def _dual_simplex_min(dim: int, rows, cost):
     b = []
     units = [[] for _ in range(dim)]
     for r in rows:
-        a, rhs = r.scaled
-        sides = ((a, rhs), (tuple(-v for v in a), -rhs)) if r.rel == EQ else ((a, rhs),)
+        sides = ((r.a, r.b), (tuple(-v for v in r.a), -r.b)) if r.rel == EQ else ((r.a, r.b),)
         for a, rhs in sides:
             support = [j for j, v in enumerate(a) if v]
             if len(support) == 1:
@@ -397,7 +368,7 @@ def _interval_solve(rows, cost: int):
     lo = None  # None encodes the infinite end
     hi = None
     for r in rows:
-        (a,), b = r.scaled
+        (a,), b = r.a, r.b
         bound = (b, a) if a > 0 else (-b, -a)
         if r.rel == EQ or a < 0:
             if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
@@ -483,20 +454,18 @@ def _purify_to_vertex(dim, rows, nums, den, objective):
     while True:
         active = [objective]
         for r in rows:
-            a, b = r.scaled
-            if r.rel == EQ or sum(map(mul, a, nums)) == b * den:
-                active.append(a)
+            if r.rel == EQ or sum(map(mul, r.a, nums)) == r.b * den:
+                active.append(r.a)
         w = _nullspace_direction(active, dim)
         if w is None:
             return nums, den
         # a step is (gap, |a . w|): row a is reached at x + gap / (den |a . w|) * (+-w)
         plus = minus = None
         for r in rows:
-            a, b = r.scaled
-            aw = sum(map(mul, a, w))
+            aw = sum(map(mul, r.a, w))
             if aw == 0:
                 continue
-            step = (b * den - sum(map(mul, a, nums)), abs(aw))
+            step = (r.b * den - sum(map(mul, r.a, nums)), abs(aw))
             if aw > 0:
                 if plus is None or step[0] * plus[1] < plus[0] * step[1]:
                     plus = step
@@ -594,9 +563,10 @@ def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
         return out.point if out.is_optimal else None
 
     dim = sys.dim + 1
-    lifted = [r._lifted(0) for r in closed] + [r._lifted(1) for r in strict]
-    lifted.append(row_le([0] * sys.dim + [-1], 0))   # t >= 0
-    lifted.append(row_le([0] * sys.dim + [1], 1))    # t <= 1
+    lifted = [LinRow(r.a + (0,), r.b, r.rel) for r in closed]
+    lifted += [LinRow(r.a + (1,), r.b, LE) for r in strict]
+    lifted.append(LinRow((0,) * sys.dim + (-1,), 0, LE))   # t >= 0
+    lifted.append(LinRow((0,) * sys.dim + (1,), 1, LE))    # t <= 1
     objective = QVector([0] * sys.dim + [1])
     out = lp_solve(LinearSystem(dim, tuple(lifted)), objective, "max")
     if not out.is_optimal or out.value == 0:
@@ -613,9 +583,9 @@ def recession_rows(sys: LinearSystem):
     """Coefficient rows of the recession cone of the closed system."""
     out = []
     for r in sys.closure().rows:
-        out.append(tuple(r.coeffs.entries))
+        out.append(r.a)
         if r.rel == EQ:
-            out.append(tuple(-f for f in r.coeffs.entries))
+            out.append(tuple(-v for v in r.a))
     return out
 
 
@@ -668,7 +638,7 @@ def recession_bounded(m: QMatrix) -> bool:
     if dim == 0:
         return True
     cone = _truncated_cone(m.entries, dim)
-    if _nullspace_direction([r.scaled[0] for r in cone.rows[:m.nrows]], dim) is not None:
+    if _nullspace_direction([r.a for r in cone.rows[:m.nrows]], dim) is not None:
         return False
     sums = QVector([sum(col, Fraction(0)) for col in zip(*m.entries)])
     out = lp_solve(cone, sums, "min")
@@ -697,8 +667,7 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
                                  f"{len(rows)} rows exceeds the basis cap")
     found = set()
     for subset in combinations(rows, sys.dim):
-        x = _solve_square([r.scaled[0] for r in subset], [r.scaled[1] for r in subset],
-                          sys.dim)
+        x = _solve_square([r.a for r in subset], [r.b for r in subset], sys.dim)
         if x is None:
             continue
         nums, den = _over_common_denominator(x)
@@ -713,7 +682,7 @@ def _pinned(rows, dim: int, v0: QVector) -> bool:
     one, w, and two rows tight at v0 bound it on opposite sides (a . w > 0
     and a . w < 0, so v0 + t w leaves the region for every t != 0)."""
     nums, den = _over_common_denominator(v0.entries)
-    equal = [r.scaled[0] for r in rows if r.rel == EQ]
+    equal = [r.a for r in rows if r.rel == EQ]
     w = _nullspace_direction(equal, dim)
     if w is None:
         return True
@@ -721,9 +690,8 @@ def _pinned(rows, dim: int, v0: QVector) -> bool:
         return False
     sides = set()
     for r in rows:
-        a, b = r.scaled
-        if r.rel != EQ and sum(map(mul, a, nums)) == b * den:
-            aw = sum(map(mul, a, w))
+        if r.rel != EQ and sum(map(mul, r.a, nums)) == r.b * den:
+            aw = sum(map(mul, r.a, w))
             if aw:
                 sides.add(aw > 0)
     return len(sides) == 2

@@ -97,12 +97,12 @@ def _solve_square(rows, rhs):
 
 
 def row_holds(row, point, closed=False):
-    val = sum(c * p for c, p in zip(row.coeffs, point))
+    val = sum(c * p for c, p in zip(row.a, point))
     if row.rel == EQ:
-        return val == row.rhs
+        return val == row.b
     if row.rel == LT and not closed:
-        return val < row.rhs
-    return val <= row.rhs
+        return val < row.b
+    return val <= row.b
 
 
 def ref_vertices(system):
@@ -130,7 +130,7 @@ def _closure_vertices(rows, dim):
     basis = []
     others = []
     for r in rows:
-        coeffs, rhs = [Fraction(v) for v in r.coeffs], Fraction(r.rhs)
+        coeffs, rhs = [Fraction(v) for v in r.a], Fraction(r.b)
         if r.rel != EQ:
             others.append((coeffs, rhs))
         elif len(basis) < dim:
@@ -184,7 +184,7 @@ def ref_strictly_feasible(rows):
     a point whenever one exists.
     """
     rows = list(rows)
-    verts = _closure_vertices(rows, rows[0].coeffs.dim)
+    verts = _closure_vertices(rows, len(rows[0].a))
     if not verts:
         return False
     center = [sum(col) / len(verts) for col in zip(*verts)]

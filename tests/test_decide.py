@@ -74,10 +74,19 @@ def _scan_inputs(example1):
     return out
 
 
+def _decide_le(inst, alpha, config, scan=None):
+    """decide_le's cold floor walk, or with a scan, the first of its hits
+    at value <= alpha (witness=False)."""
+    if scan is None:
+        return decide_le(inst, alpha, config)
+    return next(scan.hits(row_le, alpha, witness=False), None) is not None
+
+
 def test_decision_scan_matches_decide_le(example1):
     # one shared scan answering interleaved le/eq/witness queries in
-    # non-monotone alpha order must match a fresh scan on every call
-    calls = (decide_le, decide_eq, witness_le)
+    # non-monotone alpha order must match a fresh scan (for value <= alpha,
+    # the cold walk) on every call
+    calls = (_decide_le, decide_eq, witness_le)
     for inst in _scan_inputs(example1):
         v_star = solve_mixed(inst, config=CFG).infimum
         alphas = [Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1), Fraction(0),
@@ -129,7 +138,7 @@ def test_decision_table_matches_vertex_reference(example1):
         for alpha in sorted(alphas, reverse=True):
             le_hit = _reference_hit(table, row_le, alpha)
             eq_hit = _reference_hit(table, row_eq, alpha)
-            assert decide_le(inst, alpha, CFG, scan=scan) == (le_hit is not None)
+            assert _decide_le(inst, alpha, CFG, scan) == (le_hit is not None)
             got = witness_le(inst, alpha, CFG, scan=scan)
             assert (got is None) == (le_hit is None)
             if got is not None:
@@ -158,7 +167,7 @@ def _assert_cold_decide_le(inst, alpha, expected=None):
     # reference
     with support.no_index_build():
         cold = decide_le(inst, alpha, CFG)
-    assert cold == decide_le(inst, alpha, CFG, scan=DecisionScan(inst, CFG))
+    assert cold == _decide_le(inst, alpha, CFG, DecisionScan(inst, CFG))
     assert cold == _reference_decide_le(inst, alpha)
     if expected is not None:
         assert cold == expected

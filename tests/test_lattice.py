@@ -176,14 +176,16 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
 
 
 def test_fix_block():
+    # the second row is -x1 + x3 = 1/2 in integer form: -2 x1 + 2 x3 = 1
     rows = [row_le([1, 2, 3, 4], 10), row_eq([0, -1, 0, 1], Fraction(1, 2))]
     def shown(out):
-        return [(r.coeffs.entries, r.rhs, r.rel) for r in out]
-    assert shown(fix_block(rows, (1, 2), 0)) == [((3, 4), 5, "<="), ((0, 1), Fraction(5, 2), "=")]
-    assert shown(fix_block(rows, (Fraction(1, 2),), 1)) == [((1, 3, 4), 9, "<="),
-                                                          ((0, 0, 1), 1, "=")]
-    assert shown(fix_block(rows, (2, -1), 2)) == [((1, 2), 8, "<="), ((0, -1), Fraction(3, 2), "=")]
+        return [(r.a, r.b, r.rel) for r in out]
+    assert shown(fix_block(rows, (1, 2), 0)) == [((3, 4), 5, "<="), ((0, 2), 5, "=")]
+    assert shown(fix_block(rows, (1,), 1)) == [((1, 3, 4), 8, "<="), ((0, 0, 2), 3, "=")]
+    assert shown(fix_block(rows, (2, -1), 2)) == [((1, 2), 8, "<="), ((0, -2), 3, "=")]
     assert shown(fix_block(rows, (), 4)) == shown(rows)
+    with pytest.raises(ValueError):
+        fix_block(rows, (Fraction(1, 2),), 1)
 
 
 def test_mixed_feasible_follower_slice():

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, InternalInvariantError, LinearSystem, LpOutcome,
-                           QMatrix, QVector, ResourceLimitError, SolverConfig,
+from bilevel_exact import (LE, DEFAULT_CONFIG, InternalInvariantError, LinRow, LinearSystem,
+                           LpOutcome, QMatrix, QVector, ResourceLimitError, SolverConfig,
                            affinely_independent_vertices, lp_solve, recession_bounded, row_eq,
                            row_le, row_lt, strict_feasible_point, vertices)
 from bilevel_exact import linear
@@ -510,9 +510,18 @@ def test_lp_fractional_rows_match_vertex_scan(sys_, obj):
 
 def test_scaled_row_is_integral_and_equivalent():
     r = row_le([Fraction(2, 3), Fraction(-1, 4)], Fraction(5, 6))
-    assert r.scaled == ((8, -3), 10)
+    assert (r.a, r.b) == ((8, -3), 10)
     assert r.satisfied_by([Fraction(5, 4), 0]) and not r.satisfied_by([Fraction(13, 10), 0])
-    assert row_lt([Fraction(1, 2)], Fraction(1, 2)).closed().scaled == ((1,), 1)
+    closed = row_lt([Fraction(1, 2)], Fraction(1, 2)).closed()
+    assert (closed.a, closed.b, closed.rel) == ((1,), 1, LE)
+    # no gcd reduction: an integral row keeps its coefficients as given
+    r = row_le([2, 4], 6)
+    assert (r.a, r.b) == ((2, 4), 6)
+    # the constructor takes the integer form only
+    with pytest.raises(ValueError):
+        LinRow((Fraction(1, 2),), 1, LE)
+    with pytest.raises(ValueError):
+        LinRow((1,), Fraction(1, 2), LE)
 
 
 def test_constant_truth():
