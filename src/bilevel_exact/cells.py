@@ -18,9 +18,11 @@ row value <= alpha to the walk and stops at the first cell that meets it.
 One LP over the closure of each pair's region gives the cell's least e . z
 and, when its vertex lies in the half-open region, proves the cell valid
 with no strict-feasibility check.
-The candidate x come from lattice.integer_candidates, the one integer walk,
-with their activities A x and psi . x as integers, and cell rows are
-restricted to a fixed x through linear.fix_block. Within one walk the cell
+The instance data are ints, so the rows of the walk, of the cell regions
+and of the follower are built as LinRows straight from them. The candidate
+x come from lattice.integer_candidates, the one integer walk, with their
+activities A x and psi . x as integers, and cell rows are restricted to a
+fixed x through linear.fix_block. Within one walk the cell
 regions share their row blocks (the upper rows restricted to each x, the
 floor rows of each (i, r_i)), each built once; nothing outlives the walk,
 and cell_region alone says which rows a region has. Nothing caches an index
@@ -36,12 +38,16 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
-from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge
-from .linear import (LinearSystem, fix_block, lp_range, lp_solve, nonconstant, recession_bounded,
-                     row_eq, row_le, row_lt, strict_feasible_point, _bounded_system)
+from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge, _unit
+from .linear import (LE, LT, LinRow, LinearSystem, fix_block, lp_range, lp_solve, nonconstant,
+                     recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system)
 from .rational import QMatrix, QVector, floor_rat
 
 WITNESS_DELTA = Fraction(1, 2**20)  # cell_infimum's witness slack, of the objective range
+
+
+_MATRICES = ("A", "B", "C", "D")
+_VECTORS = ("c", "e", "psi", "u", "p")
 
 
 @dataclass(frozen=True)
@@ -50,91 +56,87 @@ class Instance:
 
     Leader variables z (continuous, z >= 0 implicit), follower variables x
     (integer). Upper level: C x + D z <= p. Follower: x minimizes psi . x
-    over A x <= B z + u. Construction validates shapes, integrality, that
-    the upper-level region is bounded, and that the follower polyhedra are
-    bounded for every z.
+    over A x <= B z + u. The matrices A, B, C and D are tuples of rows, each
+    a tuple of ints; the vectors c, e, psi, u and p are tuples of ints.
+    Construction takes any numbers with integral values (ints, integral
+    Fractions), validates shapes and integrality before it converts them to
+    ints, then validates that the upper-level region is bounded and that the
+    follower polyhedra are bounded for every z.
     """
 
     n: int
     d: int
-    A: QMatrix
-    B: QMatrix
-    C: QMatrix
-    D: QMatrix
-    c: QVector
-    e: QVector
-    psi: QVector
-    u: QVector
-    p: QVector
+    A: tuple
+    B: tuple
+    C: tuple
+    D: tuple
+    c: tuple
+    e: tuple
+    psi: tuple
+    u: tuple
+    p: tuple
 
     def __post_init__(self):
-        if self.n < 1 or self.d < 1:
+        n, d = self.n, self.d
+        if n < 1 or d < 1:
             raise ValidationError("bad-shape", "need n >= 1 and d >= 1")
         try:
-            for name, ncols in (("A", self.n), ("B", self.d), ("C", self.n), ("D", self.d)):
-                val = getattr(self, name)
-                if not isinstance(val, QMatrix):
-                    object.__setattr__(self, name, QMatrix(val, ncols=ncols))
-            for name in ("c", "e", "psi", "u", "p"):
-                val = getattr(self, name)
-                if not isinstance(val, QVector):
-                    object.__setattr__(self, name, QVector(val))
+            data = {name: tuple(tuple(v if type(v) is int else Fraction(v) for v in row)
+                                for row in getattr(self, name)) for name in _MATRICES}
+            data.update((name, tuple(v if type(v) is int else Fraction(v)
+                                     for v in getattr(self, name))) for name in _VECTORS)
         except (TypeError, ValueError, ZeroDivisionError) as exc:
             raise ValidationError("bad-shape", f"cannot build instance data: {exc}") from exc
-        m, h = self.A.nrows, self.C.nrows
-        shape_ok = (self.A.ncols == self.n and self.B.nrows == m and self.B.ncols == self.d
-                    and self.C.ncols == self.n and self.D.nrows == h and self.D.ncols == self.d
-                    and self.c.dim == self.n and self.e.dim == self.d and self.psi.dim == self.n
-                    and self.u.dim == m and self.p.dim == h)
-        if not shape_ok:
-            raise ValidationError("bad-shape", "matrix and vector shapes are inconsistent")
-        for name in ("A", "B", "C", "D"):
-            if not getattr(self, name).is_integral():
+        m, h = len(data["A"]), len(data["C"])
+        widths = {"A": n, "B": d, "C": n, "D": d}
+        lengths = {"A": m, "B": m, "C": h, "D": h, "c": n, "e": d, "psi": n, "u": m, "p": h}
+        for name, size in lengths.items():
+            cols = widths.get(name)
+            if len(data[name]) != size or (
+                    cols is not None and any(len(row) != cols for row in data[name])):
+                raise ValidationError("bad-shape", f"{name} does not fit n={n}, d={d}, the "
+                                      f"{m} rows of A and the {h} rows of C")
+        for name in _MATRICES:
+            if any(type(v) is not int and v.denominator != 1 for row in data[name] for v in row):
                 raise ValidationError("nonintegral-data", f"matrix {name} has a non-integer entry")
-        for name in ("c", "e", "psi", "u", "p"):
-            if not getattr(self, name).is_integral():
+        for name in _VECTORS:
+            if any(type(v) is not int and v.denominator != 1 for v in data[name]):
                 raise ValidationError("nonintegral-data", f"vector {name} has a non-integer entry")
-        cone_rows = [tuple(cr) + tuple(dr) for cr, dr in zip(self.C.entries, self.D.entries)]
-        for i in range(self.d):
-            unit = [Fraction(0)] * (self.n + self.d)
-            unit[self.n + i] = Fraction(-1)
-            cone_rows.append(tuple(unit))
-        if not recession_bounded(QMatrix(cone_rows, ncols=self.n + self.d)):
+        for name in _MATRICES:
+            object.__setattr__(self, name, tuple(tuple(map(int, row)) for row in data[name]))
+        for name in _VECTORS:
+            object.__setattr__(self, name, tuple(map(int, data[name])))
+        cone_rows = [cr + dr for cr, dr in zip(self.C, self.D)]
+        cone_rows += [_unit(n + d, n + i, -1) for i in range(d)]
+        if not recession_bounded(QMatrix(cone_rows, ncols=n + d)):
             raise ValidationError("unbounded-P", "upper-level region C x + D z <= p, z >= 0 is unbounded")
-        if not recession_bounded(self.A):
+        if not recession_bounded(QMatrix(self.A, ncols=n)):
             raise ValidationError("unbounded-follower", "follower regions A x <= B z + u are unbounded")
 
     @property
     def m(self) -> int:
-        return self.A.nrows
+        return len(self.A)
 
     @property
     def h(self) -> int:
-        return self.C.nrows
+        return len(self.C)
 
     def joint_dim(self) -> int:
         return self.n + self.d
 
     def objective_vector(self) -> QVector:
-        return QVector(tuple(self.c.entries) + tuple(self.e.entries))
+        return QVector(self.c + self.e)
 
     def upper_rows(self) -> list:
         """C x + D z <= p plus z >= 0, over (x, z)."""
-        rows = []
-        for cr, dr, rhs in zip(self.C.entries, self.D.entries, self.p.entries):
-            rows.append(row_le(tuple(cr) + tuple(dr), rhs))
-        for i in range(self.d):
-            coeffs = [0] * (self.n + self.d)
-            coeffs[self.n + i] = -1
-            rows.append(row_le(coeffs, 0))
+        rows = [LinRow(cr + dr, pv, LE) for cr, dr, pv in zip(self.C, self.D, self.p)]
+        rows += [LinRow(_unit(self.n + self.d, self.n + i, -1), 0, LE) for i in range(self.d)]
         return rows
 
     def follower_relax_rows(self) -> list:
         """A x - B z <= u over (x, z)."""
-        rows = []
-        for ar, br, rhs in zip(self.A.entries, self.B.entries, self.u.entries):
-            rows.append(row_le(tuple(ar) + tuple(-f for f in br), rhs))
-        return rows
+        return [LinRow(ar + tuple(-v for v in br), uv, LE)
+                for ar, br, uv in zip(self.A, self.B, self.u)]
 
     def upper_system(self) -> LinearSystem:
         """The upper rows as a system over (x, z), carrying the boundedness
@@ -143,39 +145,61 @@ class Instance:
 
     def follower_system(self, rhs) -> LinearSystem:
         """A x <= rhs, carrying the proof that validation made for A
-        (code "unbounded-follower")."""
-        rows = [row_le(ar, rv) for ar, rv in zip(self.A.entries, rhs)]
+        (code "unbounded-follower"). An int rhs entry gives its row as is;
+        a rational one is scaled by row_le."""
+        rows = [LinRow(ar, rv, LE) if type(rv) is int else row_le(ar, rv)
+                for ar, rv in zip(self.A, rhs)]
         return _bounded_system(self.n, rows)
 
-    def follower_system_at(self, z: QVector) -> LinearSystem:
-        """A x <= B z + u for a fixed leader point z."""
-        rhs = self.B.matvec(z)
-        return self.follower_system([rv + uv for rv, uv in zip(rhs, self.u.entries)])
+    def follower_system_at(self, z) -> LinearSystem:
+        """A x <= B z + u for a fixed leader point z, a QVector or a tuple
+        of ints."""
+        return self.follower_system(_affine(self.B, self.u, z))
+
+
+def _affine(rows, offsets, point) -> list:
+    """rows . point + offsets, one value per row."""
+    return [sum(map(mul, row, point)) + off for row, off in zip(rows, offsets)]
 
 
 @dataclass(frozen=True)
 class Cell:
+    """A follower response x and a floor vector r, both tuples of ints;
+    any integral entries are taken, a non-integral one raises ValueError."""
+
     x: tuple
     r: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", tuple(int(v) for v in self.x))
-        object.__setattr__(self, "r", tuple(int(v) for v in self.r))
+        object.__setattr__(self, "x", _int_tuple(self.x))
+        object.__setattr__(self, "r", _int_tuple(self.r))
+
+
+def _int_tuple(values) -> tuple:
+    out = []
+    for v in values:
+        if type(v) is not int:
+            q = Fraction(v)
+            if q.denominator != 1:
+                raise ValueError(f"cell entry {v!r} is not an integer")
+            v = int(q)
+        out.append(v)
+    return tuple(out)
 
 
 def floor_rhs(inst: Instance, z: QVector) -> tuple:
     """Componentwise floor of B z + u at the given leader point."""
     if z.dim != inst.d:
         raise ValueError("leader point has the wrong dimension")
-    return tuple(floor_rat(v + uv) for v, uv in zip(inst.B.matvec(z), inst.u.entries))
+    return tuple(map(floor_rat, _affine(inst.B, inst.u, z)))
 
 
-def _floor_rows(inst: Instance, i: int, ri: int, upper=row_lt, lead: int = 0) -> list:
-    """r_i <= B_i z + u_i < r_i + 1 over z; upper=row_le gives the closure,
-    and `lead` zero coefficients in front put the rows over (x, z)."""
-    br = (Fraction(0),) * lead + inst.B.entries[i]
-    uv = inst.u.entries[i]
-    return [row_le([-f for f in br], uv - ri), upper(br, ri + 1 - uv)]
+def _floor_rows(inst: Instance, i: int, ri: int, rel: str = LT, lead: int = 0) -> list:
+    """r_i <= B_i z + u_i < r_i + 1 over z; rel=LE gives the closure, and
+    `lead` zero coefficients in front put the rows over (x, z)."""
+    br = (0,) * lead + inst.B[i]
+    uv = inst.u[i]
+    return [LinRow(tuple(-v for v in br), uv - ri, LE), LinRow(br, ri + 1 - uv, rel)]
 
 
 class _RegionRows:
@@ -217,23 +241,22 @@ def cell_region(inst: Instance, cell: Cell, blocks: Optional[_RegionRows] = None
         blocks = _RegionRows(inst)
     parts = [blocks.upper_at(cell.x)]
     parts += [blocks.floor(i, ri) for i, ri in enumerate(cell.r)]
-    empty = [row_le([0] * inst.d, -1)]
+    empty = [LinRow((0,) * inst.d, -1, LE)]
     rows = [row for part in parts for row in (empty if part is None else part)]
     return _bounded_system(inst.d, tuple(rows))
 
 
 def _follower_improves(inst: Instance, r: tuple, value, config: SolverConfig) -> bool:
     """Whether an integer x' with A x' <= r has psi . x' <= value - 1."""
-    sys = inst.follower_system(r).with_rows([row_le(inst.psi.entries, value - 1)])
+    sys = inst.follower_system(r).with_rows([LinRow(inst.psi, value - 1, LE)])
     return mixed_feasible(sys, range(inst.n), config) is not None
 
 
 def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """Feasible response, follower-optimal, and a strictly realizable region."""
-    ax = inst.A.matvec(QVector(cell.x))
-    if any(av > rv for av, rv in zip(ax, cell.r)):
+    if any(sum(map(mul, ar, cell.x)) > rv for ar, rv in zip(inst.A, cell.r)):
         return False
-    if _follower_improves(inst, cell.r, inst.psi.dot(QVector(cell.x)), config):
+    if _follower_improves(inst, cell.r, sum(map(mul, inst.psi, cell.x)), config):
         return False
     return strict_feasible_point(cell_region(inst, cell)) is not None
 
@@ -248,17 +271,16 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
         raise ValueError("point has the wrong shape")
     if any(v < 0 for v in z):
         return False
-    cx = inst.C.matvec(xv)
-    dz = inst.D.matvec(z)
-    if any(a + b > rhs for a, b, rhs in zip(cx, dz, inst.p.entries)):
+    if any(sum(map(mul, cr, xv)) + sum(map(mul, dr, z)) > pv
+           for cr, dr, pv in zip(inst.C, inst.D, inst.p)):
         return False
     follower = inst.follower_system_at(z)
     if not follower.satisfied_by(xv):
         return False
-    opt = integer_min_value(inst.psi, follower, config)
+    opt = integer_min_value(QVector(inst.psi), follower, config)
     if opt is None:
         raise InternalInvariantError("follower was feasible at x yet integer_min found nothing")
-    return opt == inst.psi.dot(xv)
+    return opt == sum(map(mul, inst.psi, xv))
 
 
 # ---------------------------------------------------------------------------
@@ -272,7 +294,7 @@ class CellEntry:
     in Q itself. Over the cell the leader's objective is shift + e . z."""
 
     cell: Cell
-    shift: Fraction
+    shift: int
     region: LinearSystem
     low: Fraction
     low_inside: bool
@@ -323,37 +345,39 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     budget = [0]
     upper = inst.upper_system()
     if alpha is not None:
-        value_rows = nonconstant([row_le(inst.objective_vector().entries, alpha)])
+        value_rows = nonconstant([row_le(inst.c + inst.e, alpha)])
         if value_rows is None:
             return
         upper = upper.with_rows(value_rows)
-    a_rows = [tuple(map(int, row)) for row in inst.A.entries]
-    psi = tuple(map(int, inst.psi.entries))
-    candidates = [(x, tuple(sum(map(mul, row, x)) for row in a_rows), sum(map(mul, psi, x)))
+    candidates = [(x, tuple(sum(map(mul, row, x)) for row in inst.A), sum(map(mul, inst.psi, x)))
                   for x in integer_candidates(upper.rows, inst.joint_dim(), range(inst.n),
                                               config, budget)]
     blocks = _RegionRows(inst)
+    # per row i: B_i z as an objective over (x, z), None for a zero row of B,
+    # and the response row's coefficients A_i x over (x, z)
+    spans = [QVector((0,) * inst.n + br) if any(br) else None for br in inst.B]
+    responses = [ar + (0,) * inst.d for ar in inst.A]
+    e_obj = QVector(inst.e)
 
     def walk(system, r_prefix, candidates):
         i = len(r_prefix)
         if i == inst.m:
             yield from optimal_cells(tuple(r_prefix), candidates)
             return
-        uv = inst.u.entries[i]
-        if not any(inst.B.entries[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
-            floors = [floor_rat(uv)]
+        uv = inst.u[i]
+        if spans[i] is None:  # B_i z + u_i is the constant u_i: one floor, no LP
+            floors = [uv]
         else:
-            span = lp_range(system, QVector((0,) * inst.n + inst.B.entries[i]))
+            span = lp_range(system, spans[i])
             if span is None:
                 return
             floors = range(floor_rat(span[0] + uv), floor_rat(span[1] + uv) + 1)
-        response = inst.A.entries[i] + (Fraction(0),) * inst.d
         for ri in floors:
             fits = [cand for cand in candidates if cand[1][i] <= ri]
             if not fits:
                 continue
-            rows = nonconstant([row_le(response, ri)]
-                               + _floor_rows(inst, i, ri, row_le, inst.n))
+            rows = nonconstant([LinRow(responses[i], ri, LE)]
+                               + _floor_rows(inst, i, ri, LE, inst.n))
             if rows is not None:
                 yield from walk(system.with_rows(rows), r_prefix + [ri], fits)
 
@@ -371,19 +395,19 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
     def checked_entry(cell):
         region = cell_region(inst, cell, blocks)
-        mn = lp_solve(region.closure(), inst.e, "min")
+        mn = lp_solve(region.closure(), e_obj, "min")
         if mn.tag == "infeasible":
             return None
         if not mn.is_optimal:
             raise InternalInvariantError("cell region LP unbounded on a bounded region")
         inside = region.satisfied_by(mn.point)
-        shift = inst.c.dot(QVector(cell.x))
+        shift = sum(map(mul, inst.c, cell.x))
         check = region
         if alpha is not None:
             below = alpha - shift
             if mn.value > below:
                 return None
-            check = region.with_rows([row_le(inst.e.entries, below)])
+            check = region.with_rows([row_le(inst.e, below)])
         if inside or strict_feasible_point(check) is not None:
             return CellEntry(cell, shift, region, mn.value, inside)
         return None

@@ -27,6 +27,7 @@ pure driver lists it once per solve and takes its least entry.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional
 
 from .cells import Instance, cell_index, valid_cells
@@ -78,7 +79,7 @@ class DecisionScan:
             target = alpha - it.shift
             if target < it.low:
                 continue
-            system = it.region.with_rows([row(self.obj_z.entries, target)])
+            system = it.region.with_rows([row(self.obj_z, target)])
             sure = it.low_inside if target == it.low else row is row_le
             if sure and not witness:
                 yield it.cell, None, system
@@ -149,23 +150,23 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     upper = inst.upper_rows()
     joint = upper + inst.follower_relax_rows()
     if alpha is not None:
-        joint.append(row_le(inst.objective_vector().entries, alpha))
+        joint.append(row_le(inst.c + inst.e, alpha))
+    psi, c = QVector(inst.psi), QVector(inst.c)
     budget = [0]
     for z_ints in integer_candidates(joint, inst.joint_dim(), range(inst.n, inst.joint_dim()),
                                      config, budget):
-        z = QVector([Fraction(v) for v in z_ints])
-        follower = inst.follower_system_at(z)
-        fopt = integer_min_value(inst.psi, follower, config)
+        follower = inst.follower_system_at(z_ints)
+        fopt = integer_min_value(psi, follower, config)
         if fopt is None:
             continue
         fixed = nonconstant(fix_block(upper, z_ints, inst.n))
         if fixed is None:
             continue
-        leader = follower.with_rows([row_eq(inst.psi.entries, fopt)] + fixed)
-        lopt = integer_min(inst.c, leader, config)
+        leader = follower.with_rows([row_eq(inst.psi, fopt)] + fixed)
+        lopt = integer_min(c, leader, config)
         if lopt.is_optimal:
             x = tuple(int(v) for v in lopt.point.entries)
-            yield lopt.value + inst.e.dot(z), x, z_ints
+            yield lopt.value + sum(map(mul, inst.e, z_ints)), x, z_ints
 
 
 def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,

@@ -24,6 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 from typing import Callable, Optional
 
 from .cells import Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell
@@ -115,8 +116,7 @@ def denominator_cap(inst: Instance) -> int:
     slice LPs: rows of D and rows of B. Unit rows (z >= 0 and friends) are
     covered by the max(1, .) per-column clamp.
     """
-    rows = [tuple(r) for r in inst.D.entries] + [tuple(r) for r in inst.B.entries]
-    return subdeterminant_bound(QMatrix(rows, ncols=inst.d))
+    return subdeterminant_bound(QMatrix(inst.D + inst.B, ncols=inst.d))
 
 
 def _simplest_in_interval(lo: Fraction, hi: Fraction, telemetry=None) -> Fraction:
@@ -245,14 +245,15 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     r_vec = []
     for i in range(inst.m):
         if point is not None:  # the slice's closure is one point
-            best = QVector(inst.B.entries[i]).dot(point) + inst.u.entries[i]
+            best = sum(map(mul, inst.B[i], point)) + inst.u[i]
         else:
             best = None
+            objective = QVector(inst.B[i])
             for _, sliced in pool:
-                out = lp_solve(sliced.closure(), QVector(inst.B.entries[i]), "min")
+                out = lp_solve(sliced.closure(), objective, "min")
                 if not out.is_optimal:
                     raise InternalInvariantError("attaining slice lost feasibility")
-                val = out.value + inst.u.entries[i]
+                val = out.value + inst.u[i]
                 if best is None or val < best:
                     best = val
         rho.append(best)
@@ -388,7 +389,7 @@ def _cells_by_definition(inst: Instance, config: SolverConfig) -> list:
         if span is None:
             return []
         ranges.append(range(ceil_rat(span[0]), floor_rat(span[1]) + 1))
-    for br, uv in zip(inst.B.entries, inst.u.entries):
+    for br, uv in zip(inst.B, inst.u):
         lo, hi = lp_range(upper, QVector((0,) * inst.n + br))
         ranges.append(range(floor_rat(lo + uv), floor_rat(hi + uv) + 1))
     budget = [0]
@@ -421,12 +422,13 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     cells = _cells_by_definition(inst, config)
     if variant == PURE:
         found = []
+        e = QVector(inst.e)
         for cell in cells:
             rows = [LinRow(r.a, r.b - 1, LE) if r.rel == LT else r
                     for r in cell_region(inst, cell).rows]
-            out = integer_min(inst.e, _bounded_system(inst.d, rows), config)
+            out = integer_min(e, _bounded_system(inst.d, rows), config)
             if out.is_optimal:
-                found.append((inst.c.dot(QVector(cell.x)) + out.value, cell.x,
+                found.append((sum(map(mul, inst.c, cell.x)) + out.value, cell.x,
                               out.point.entries))
         if not found:
             return SolveReport(INFEASIBLE, telemetry=telemetry)

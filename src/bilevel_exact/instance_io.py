@@ -8,13 +8,12 @@ bytes.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from typing import Optional
 
 from .cells import Instance
 from .engine import MIXED, PURE, SolveReport
 from .errors import ValidationError
-from .rational import QMatrix, QVector, format_rat
+from .rational import format_rat
 
 _REQUIRED = ("n", "d", "A", "B", "C", "D", "c", "e", "psi", "u", "p")
 _VARIANTS = (MIXED, PURE)
@@ -28,22 +27,18 @@ def _int_entry(value, where: str) -> int:
     return value
 
 
-def _matrix(doc: dict, key: str, ncols: int) -> QMatrix:
+def _matrix(doc: dict, key: str) -> list:
     raw = doc[key]
     if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
         raise ValidationError("bad-format", f"{key} must be a list of rows")
-    entries = [[Fraction(_int_entry(e, key)) for e in row] for row in raw]
-    try:
-        return QMatrix(entries, ncols=ncols)
-    except ValueError as exc:
-        raise ValidationError("bad-shape", f"{key}: {exc}") from exc
+    return [[_int_entry(e, key) for e in row] for row in raw]
 
 
-def _vector(doc: dict, key: str) -> QVector:
+def _vector(doc: dict, key: str) -> list:
     raw = doc[key]
     if not isinstance(raw, list):
         raise ValidationError("bad-format", f"{key} must be a list")
-    return QVector([Fraction(_int_entry(e, key)) for e in raw])
+    return [_int_entry(e, key) for e in raw]
 
 
 def parse_instance(text: str):
@@ -72,8 +67,7 @@ def parse_instance(text: str):
         raise ValidationError("bad-shape", "need n >= 1 and d >= 1")
     inst = Instance(
         n=n, d=d,
-        A=_matrix(doc, "A", n), B=_matrix(doc, "B", d),
-        C=_matrix(doc, "C", n), D=_matrix(doc, "D", d),
+        A=_matrix(doc, "A"), B=_matrix(doc, "B"), C=_matrix(doc, "C"), D=_matrix(doc, "D"),
         c=_vector(doc, "c"), e=_vector(doc, "e"), psi=_vector(doc, "psi"),
         u=_vector(doc, "u"), p=_vector(doc, "p"),
     )
@@ -94,14 +88,6 @@ def parse_and_validate(path) -> Instance:
     return load_instance(path)[0]
 
 
-def _matrix_out(m: QMatrix) -> list:
-    return [[int(v) for v in row] for row in m.entries]
-
-
-def _vector_out(v: QVector) -> list:
-    return [int(f) for f in v.entries]
-
-
 def instance_to_json(inst: Instance, name: Optional[str] = None,
                      variant: str = MIXED) -> str:
     doc = {"format_version": 1}
@@ -110,11 +96,10 @@ def instance_to_json(inst: Instance, name: Optional[str] = None,
     doc["variant"] = variant
     doc.update({
         "n": inst.n, "d": inst.d,
-        "A": _matrix_out(inst.A), "B": _matrix_out(inst.B),
-        "C": _matrix_out(inst.C), "D": _matrix_out(inst.D),
-        "c": _vector_out(inst.c), "e": _vector_out(inst.e),
-        "psi": _vector_out(inst.psi),
-        "u": _vector_out(inst.u), "p": _vector_out(inst.p),
+        "A": [list(row) for row in inst.A], "B": [list(row) for row in inst.B],
+        "C": [list(row) for row in inst.C], "D": [list(row) for row in inst.D],
+        "c": list(inst.c), "e": list(inst.e), "psi": list(inst.psi),
+        "u": list(inst.u), "p": list(inst.p),
     })
     return json.dumps(doc, indent=2) + "\n"
 

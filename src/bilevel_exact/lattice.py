@@ -22,7 +22,7 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (LinearSystem, LpOutcome, fix_block, lp_range, lp_solve, row_eq, row_le,
+from .linear import (LE, LinRow, LinearSystem, LpOutcome, fix_block, lp_range, lp_solve, row_eq,
                      _projection_bounded)
 from .rational import QVector, ceil_rat, floor_rat
 
@@ -41,10 +41,8 @@ def _check_bounded(sys: LinearSystem, coords, message: str):
         raise BoundednessError(message)
 
 
-def _unit(dim: int, i: int):
-    e = [0] * dim
-    e[i] = 1
-    return e
+def _unit(dim: int, i: int, sign: int = 1) -> tuple:
+    return tuple(sign if j == i else 0 for j in range(dim))
 
 
 def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
@@ -79,8 +77,8 @@ def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
                 break
             continue
         fl = floor_rat(pt[frac])
-        up = extra + (row_le([-v for v in _unit(sys.dim, frac)], -(fl + 1)),)
-        down = extra + (row_le(_unit(sys.dim, frac), fl),)
+        up = extra + (LinRow(_unit(sys.dim, frac, -1), -(fl + 1), LE),)
+        down = extra + (LinRow(_unit(sys.dim, frac), fl, LE),)
         stack.append(up)
         stack.append(down)  # popped first: lower branch leads
     return best

@@ -17,8 +17,11 @@ returned point and value.
 
 Every row is stored in integer form alone: `LinRow(a, b, rel)` is the row
 a . x rel b with integer a and b, and its constructor rejects anything else.
-`row_le`, `row_eq` and `row_lt` take rationals and multiply the row once by
-the lcm of its denominators, with no gcd reduction. The dual simplex, the
+Rows of integer data (the instance's, the floor walk's, the branch rows)
+are built as `LinRow`s directly. `row_le`, `row_eq` and `row_lt` are for
+rational data, such as a value row at a rational threshold: they multiply
+the row once by the lcm of its denominators, with no gcd reduction, so a
+row of integral data comes out with the integers it was given. The dual simplex, the
 active-row test of vertex purification and the re-verification all read
 that form: a point is put over one common denominator and every row is
 checked with integer dot products. Re-verification stays fatal: an

@@ -8,10 +8,8 @@ unattained cases all show up.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .cells import Instance
-from .rational import QMatrix, QVector
 
 
 def _coeff(rng: random.Random, lo: int, hi: int, zero_bias: float = 0.0) -> int:
@@ -69,13 +67,9 @@ def random_instance(rng: random.Random) -> Instance:
 
     return Instance(
         n=n, d=d,
-        A=QMatrix([[Fraction(v) for v in row] for row in a_rows], ncols=n),
-        B=QMatrix([[Fraction(v) for v in row] for row in b_rows], ncols=d),
-        C=QMatrix([[Fraction(v) for v in row] for row in c_rows], ncols=n),
-        D=QMatrix([[Fraction(v) for v in row] for row in d_rows], ncols=d),
-        c=QVector([Fraction(_coeff(rng, -3, 3)) for _ in range(n)]),
-        e=QVector([Fraction(_coeff(rng, -3, 3)) for _ in range(d)]),
-        psi=QVector([Fraction(_coeff(rng, -3, 3)) for _ in range(n)]),
-        u=QVector([Fraction(v) for v in u]),
-        p=QVector([Fraction(v) for v in p]),
+        A=a_rows, B=b_rows, C=c_rows, D=d_rows,
+        c=[_coeff(rng, -3, 3) for _ in range(n)],
+        e=[_coeff(rng, -3, 3) for _ in range(d)],
+        psi=[_coeff(rng, -3, 3) for _ in range(n)],
+        u=u, p=p,
     )

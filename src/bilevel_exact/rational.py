@@ -1,14 +1,17 @@
 """Exact rational scalars, vectors, and matrices.
 
-Every number in the library is a `fractions.Fraction`; nothing is ever
-rounded. Vectors and matrices are immutable, carry explicit dimensions, and
-reject shape mismatches at construction time.
+Nothing in the library is ever rounded. Integer data stays int: instance
+data, cells and the coefficients of every row (linear.LinRow). Rational
+values are `fractions.Fraction`s, held in the immutable QVector and QMatrix
+here: LP optima and points, thresholds and objectives. Both carry explicit
+dimensions and reject shape mismatches at construction time. A QMatrix is
+built only for recession_bounded and subdeterminant_bound.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 Rat = Fraction
 
@@ -117,12 +120,6 @@ class QMatrix:
         object.__setattr__(self, "entries", converted)
         object.__setattr__(self, "nrows", len(converted))
         object.__setattr__(self, "ncols", width)
-
-    def matvec(self, v: QVector | Sequence) -> QVector:
-        vals = tuple(Fraction(e) for e in v)
-        if len(vals) != self.ncols:
-            raise ValueError(f"matvec dim {len(vals)} against {self.ncols} columns")
-        return QVector(sum((a * b for a, b in zip(row, vals)), Fraction(0)) for row in self.entries)
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for row in self.entries for e in row)

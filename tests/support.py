@@ -43,9 +43,9 @@ def with_upper_rows(inst, *rows):
     """The instance with rows cx . x + dz . z <= p appended to (C, D, p),
     each row given as (cx, dz, p)."""
     return replace(inst,
-                   C=list(inst.C.entries) + [cx for cx, _, _ in rows],
-                   D=list(inst.D.entries) + [dz for _, dz, _ in rows],
-                   p=list(inst.p.entries) + [p for _, _, p in rows])
+                   C=list(inst.C) + [cx for cx, _, _ in rows],
+                   D=list(inst.D) + [dz for _, dz, _ in rows],
+                   p=list(inst.p) + [p for _, _, p in rows])
 
 
 @contextlib.contextmanager
@@ -204,7 +204,7 @@ def valid_cells_by_definition(inst):
     x_ranges = [range(math.ceil(min(v[j] for v in verts)), math.floor(max(v[j] for v in verts)) + 1)
                 for j in range(inst.n)]
     r_ranges = []
-    for br, uv in zip(inst.B.entries, inst.u.entries):
+    for br, uv in zip(inst.B, inst.u):
         floors = [math.floor(sum(b * zj for b, zj in zip(br, v[inst.n:])) + uv) for v in verts]
         r_ranges.append(range(min(floors), max(floors) + 1))
     cells = [Cell(x, r) for x in itertools.product(*x_ranges)
@@ -260,21 +260,21 @@ def _brute_feasible(inst, x, z):
     xz = [Fraction(v) for v in x] + [Fraction(v) for v in z]
     if any(v < 0 for v in xz[inst.n:]):
         return False
-    for cr, dr, pv in zip(inst.C.entries, inst.D.entries, inst.p.entries):
+    for cr, dr, pv in zip(inst.C, inst.D, inst.p):
         if sum(a * b for a, b in zip(cr, xz[:inst.n])) + \
            sum(a * b for a, b in zip(dr, xz[inst.n:])) > pv:
             return False
     rhs = [sum(a * b for a, b in zip(br, xz[inst.n:])) + uv
-           for br, uv in zip(inst.B.entries, inst.u.entries)]
+           for br, uv in zip(inst.B, inst.u)]
     def fol_ok(xc):
         return all(sum(a * b for a, b in zip(ar, xc)) <= rv
-                   for ar, rv in zip(inst.A.entries, rhs))
+                   for ar, rv in zip(inst.A, rhs))
     if not fol_ok(xz[:inst.n]):
         return False
-    mine = sum(a * b for a, b in zip(inst.psi.entries, xz[:inst.n]))
+    mine = sum(a * b for a, b in zip(inst.psi, xz[:inst.n]))
     for cand in grid_points(inst.n, -8, 8):
         fc = [Fraction(v) for v in cand]
-        if fol_ok(fc) and sum(a * b for a, b in zip(inst.psi.entries, fc)) < mine:
+        if fol_ok(fc) and sum(a * b for a, b in zip(inst.psi, fc)) < mine:
             return False
     return True
 
@@ -290,21 +290,21 @@ def brute_pure_points(inst, z_hi=4, x_box=5):
     out = []
     for ztup in itertools.product(range(0, z_hi + 1), repeat=inst.d):
         rhs = [sum(b * zv for b, zv in zip(br, ztup)) + uv
-               for br, uv in zip(inst.B.entries, inst.u.entries)]
+               for br, uv in zip(inst.B, inst.u)]
         responses = [x for x in itertools.product(range(-x_box, x_box + 1), repeat=inst.n)
                      if all(sum(a * xv for a, xv in zip(ar, x)) <= rv
-                            for ar, rv in zip(inst.A.entries, rhs))]
+                            for ar, rv in zip(inst.A, rhs))]
         if not responses:
             continue
-        best = min(sum(pv * xv for pv, xv in zip(inst.psi.entries, x)) for x in responses)
+        best = min(sum(pv * xv for pv, xv in zip(inst.psi, x)) for x in responses)
         for x in responses:
-            if sum(pv * xv for pv, xv in zip(inst.psi.entries, x)) != best:
+            if sum(pv * xv for pv, xv in zip(inst.psi, x)) != best:
                 continue
             if all(sum(cv * xv for cv, xv in zip(cr, x))
                    + sum(dv * zv for dv, zv in zip(dr, ztup)) <= pp
-                   for cr, dr, pp in zip(inst.C.entries, inst.D.entries, inst.p.entries)):
-                value = (sum(cv * xv for cv, xv in zip(inst.c.entries, x))
-                         + sum(ev * zv for ev, zv in zip(inst.e.entries, ztup)))
+                   for cr, dr, pp in zip(inst.C, inst.D, inst.p)):
+                value = (sum(cv * xv for cv, xv in zip(inst.c, x))
+                         + sum(ev * zv for ev, zv in zip(inst.e, ztup)))
                 out.append((value, x, ztup))
     return out
 

@@ -6,12 +6,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, Cell, Instance, LinearSystem, QVector,
+from bilevel_exact import (DEFAULT_CONFIG, LE, LT, Cell, Instance, LinearSystem, QVector,
                            ResourceLimitError, SolverConfig, ValidationError,
                            bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
-                           floor_rhs, is_valid_cell, random_instance, row_le,
+                           floor_rhs, is_valid_cell, random_instance, row_le, row_lt,
                            strict_feasible_point, vertices)
-from bilevel_exact.cells import WITNESS_DELTA
+from bilevel_exact.cells import WITNESS_DELTA, _floor_rows
 
 CFG = DEFAULT_CONFIG
 
@@ -19,7 +19,7 @@ CFG = DEFAULT_CONFIG
 def upper_region_for_x(inst, x):
     """The leader's closed region {z >= 0 : D z <= p - C x} for one fixed x."""
     rows = []
-    for cr, dr, pv in zip(inst.C.entries, inst.D.entries, inst.p.entries):
+    for cr, dr, pv in zip(inst.C, inst.D, inst.p):
         shift = pv - sum(a * Fraction(b) for a, b in zip(cr, x))
         rows.append(row_le(list(dr), shift))
     for j in range(inst.d):
@@ -79,6 +79,91 @@ def test_instance_rejects_unbounded_follower():
                  C=[[1], [-1], [0]], D=[[0], [0], [1]], c=[1], e=[1], psi=[1],
                  u=[1], p=[1, 0, 1])
     assert err.value.code == "unbounded-follower"
+
+
+def test_instance_holds_int_tuples():
+    data = dict(A=[[-1], [1], [-1]], B=[[-1], [0], [0]], C=[[0], [1], [-1]],
+                D=[[1], [0], [0]], c=[-1], e=[1], psi=[1], u=[0, 1, 0], p=[1, 1, 0])
+    from_ints = Instance(n=1, d=1, **data)
+    as_fractions = {k: ([[Fraction(v) for v in row] for row in val] if k in "ABCD"
+                        else [Fraction(v) for v in val]) for k, val in data.items()}
+    from_fractions = Instance(n=1, d=1, **as_fractions)
+    assert from_ints == from_fractions and hash(from_ints) == hash(from_fractions)
+    for inst in (from_ints, from_fractions):
+        for name in "ABCD":
+            rows = getattr(inst, name)
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert all(type(v) is int for row in rows for v in row)
+        for name in ("c", "e", "psi", "u", "p"):
+            assert type(getattr(inst, name)) is tuple
+            assert all(type(v) is int for v in getattr(inst, name))
+
+
+def test_cell_rejects_non_integers():
+    with pytest.raises(ValueError):
+        Cell((Fraction(1, 2),), (Fraction(7, 2),))
+    with pytest.raises(ValueError):
+        Cell((1.9,), (2,))
+    with pytest.raises(ValueError):
+        Cell((1,), (2, Fraction(-1, 3)))
+    cell = Cell((Fraction(2),), (2.0, -1))
+    assert cell == Cell((2,), (2, -1))
+    assert all(type(v) is int for v in cell.x + cell.r)
+
+
+def _fractions(values):
+    return [Fraction(v) for v in values]
+
+
+def test_rows_carry_the_integers_of_the_rational_rows():
+    # every row built straight from the int data is the row that row_le and
+    # row_lt build from the Fraction form of the same data: lcm 1, no gcd
+    # reduction, the same a, b and rel
+    rng = random.Random(20240611)
+    for _ in range(12):
+        inst = random_instance(rng)
+        n, d = inst.n, inst.d
+        units = [_fractions(-int(j == n + i) for j in range(n + d)) for i in range(d)]
+        assert inst.upper_rows() == (
+            [row_le(_fractions(cr + dr), Fraction(pv)) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+            + [row_le(unit, 0) for unit in units])
+        assert inst.follower_relax_rows() == [
+            row_le(_fractions(ar) + [-Fraction(v) for v in br], Fraction(uv))
+            for ar, br, uv in zip(inst.A, inst.B, inst.u)]
+        r = tuple(rng.randint(-3, 3) for _ in range(inst.m))
+        assert inst.follower_system(r).rows == tuple(
+            row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r))
+        for i, ri in enumerate(r):
+            uv = Fraction(inst.u[i])
+            for lead in (0, n):
+                br = [Fraction(0)] * lead + _fractions(inst.B[i])
+                lower = row_le([-f for f in br], uv - ri)
+                assert _floor_rows(inst, i, ri, LT, lead) == [lower, row_lt(br, ri + 1 - uv)]
+                assert _floor_rows(inst, i, ri, LE, lead) == [lower, row_le(br, ri + 1 - uv)]
+        for _ in range(4):
+            cell = Cell(tuple(rng.randint(-1, 1) for _ in range(n)), r)
+            assert cell_region(inst, cell).rows == _region_rows_from_fractions(inst, cell)
+
+
+def _region_rows_from_fractions(inst, cell):
+    """cell_region's rows, built by row_le and row_lt from Fraction data: the
+    upper rows at x, then the floor rows of each i, a block with a failing
+    constant row replaced by 0 <= -1 and constant rows that hold dropped."""
+    d = inst.d
+    upper = [row_le(_fractions(dr), pv - sum(Fraction(a) * v for a, v in zip(cr, cell.x)))
+             for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+    upper += [row_le(_fractions(-int(j == i) for j in range(d)), 0) for i in range(d)]
+    blocks = [upper]
+    for br, uv, ri in zip(inst.B, inst.u, cell.r):
+        br = _fractions(br)
+        blocks.append([row_le([-f for f in br], uv - ri), row_lt(br, ri + 1 - uv)])
+    rows = []
+    for block in blocks:
+        if any(row.constant_truth() is False for row in block):
+            rows.append(row_le([0] * d, -1))
+        else:
+            rows += [row for row in block if row.constant_truth() is None]
+    return tuple(rows)
 
 
 # ------------------------------------------------------------ frozen examples

@@ -102,7 +102,7 @@ def test_decision_scan_matches_decide_le(example1):
 def _reference_hit(scan, row, alpha):
     """The first item whose region meets the value row at alpha, by vertex scan."""
     for it in scan.items:
-        rows = list(it.region.rows) + [row(scan.obj_z.entries, alpha - it.shift)]
+        rows = list(it.region.rows) + [row(scan.obj_z, alpha - it.shift)]
         if support.ref_strictly_feasible(rows):
             return it
     return None
@@ -128,7 +128,7 @@ def test_decision_table_matches_vertex_reference(example1):
         for it in table.items:
             low = it.low
             assert support.ref_strictly_feasible(it.region.rows)
-            assert low == support.ref_lp_min(it.region, table.obj_z.entries)[0]
+            assert low == support.ref_lp_min(it.region, table.obj_z)[0]
             alphas.update(it.shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
         v_star = solve_mixed(inst, config=CFG).infimum
@@ -155,8 +155,8 @@ def _reference_decide_le(inst, alpha):
     a vertex-barycenter strict-feasibility test of each valid cell's region
     with the row value <= alpha."""
     for cell in support.valid_cells_by_definition(inst):
-        shift = inst.c.dot(QVector(cell.x))
-        rows = list(cell_region(inst, cell).rows) + [row_le(inst.e.entries, alpha - shift)]
+        shift = sum(a * b for a, b in zip(inst.c, cell.x))
+        rows = list(cell_region(inst, cell).rows) + [row_le(inst.e, alpha - shift)]
         if support.ref_strictly_feasible(rows):
             return True
     return False

@@ -149,16 +149,16 @@ def test_index_entries_match_independent_references(example1):
     for inst in [example1] + grid_instances():
         for entry in cell_index(inst).entries:
             cell, region = entry.cell, entry.region
-            assert entry.low == support.ref_lp_min(region, inst.e.entries)[0], cell
+            assert entry.low == support.ref_lp_min(region, inst.e)[0], cell
             if entry.low_inside:
-                rows = list(region.rows) + [row_eq(inst.e.entries, entry.low)]
+                rows = list(region.rows) + [row_eq(inst.e, entry.low)]
                 assert support.ref_strictly_feasible(rows), cell
                 inside += 1
             follower = inst.follower_system(cell.r)
             coords = [v for p in support.ref_vertices(follower) for v in p]
             points = support.brute_integer_points(follower, math.floor(min(coords)),
                                                   math.ceil(max(coords)))
-            value = {p: sum(a * b for a, b in zip(inst.psi.entries, p)) for p in points}
+            value = {p: sum(a * b for a, b in zip(inst.psi, p)) for p in points}
             assert cell.x in value and value[cell.x] == min(value.values()), cell
             checked += 1
     assert checked > 700 and 0 < inside < checked

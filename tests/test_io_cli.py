@@ -39,7 +39,7 @@ def expect_code(doc, code):
 def test_parse_fixture(example1_path):
     inst = parse_and_validate(example1_path)
     assert (inst.n, inst.d, inst.m, inst.h) == (1, 1, 3, 3)
-    assert inst.c.entries == (-1,) and inst.e.entries == (1,)
+    assert inst.c == (-1,) and inst.e == (1,)
 
 
 def test_bad_json():
@@ -131,6 +131,16 @@ def test_roundtrip_identity(example1_path):
     inst2, meta2 = parse_instance(once)
     assert inst2 == inst
     assert instance_to_json(inst2, name=meta2["name"], variant=meta2["variant"]) == once
+
+
+def test_instance_to_json_writes_the_fixture_back():
+    with open(support.EXAMPLE1_PATH, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    inst, meta = parse_instance(text)
+    written = instance_to_json(inst, name=meta["name"], variant=meta["variant"])
+    expected = {key: value for key, value in json.loads(text).items() if key != "comment"}
+    assert json.loads(written) == expected
+    assert parse_instance(written) == (inst, meta)
 
 
 def test_report_json_frozen(example1):
