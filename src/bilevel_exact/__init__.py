@@ -25,4 +25,4 @@ from .linear import (LE, EQ, LT, LinRow, LinearSystem, LpOutcome, affinely_indep
                      lp_solve, recession_bounded, row_eq, row_le, row_lt, strict_feasible_point,
                      vertices)
 from .randgen import random_instance
-from .rational import QMatrix, QVector, Rat, floor_rat, format_rat, parse_rat, subdeterminant_bound
+from .rational import QVector, Rat, floor_rat, format_rat, parse_rat, subdeterminant_bound

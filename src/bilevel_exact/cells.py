@@ -18,16 +18,25 @@ row value <= alpha to the walk and stops at the first cell that meets it.
 One LP over the closure of each pair's region gives the cell's least e . z
 and, when its vertex lies in the half-open region, proves the cell valid
 with no strict-feasibility check.
-The instance data are ints, so the rows of the walk, of the cell regions
-and of the follower are built as LinRows straight from them. The candidate
-x come from lattice.integer_candidates, the one integer walk, with their
-activities A x and psi . x as integers, and cell rows are restricted to a
-fixed x through linear.fix_block. Within one walk the cell
-regions share their row blocks (the upper rows restricted to each x, the
-floor rows of each (i, r_i)), each built once; nothing outlives the walk,
-and cell_region alone says which rows a region has. Nothing caches an index
-across calls either: each cell_index call builds a fresh one, and the
-Instance holds its data fields alone.
+
+Within one walk, the LPs of each kind share their rows and cost and differ
+only in their right-hand sides, which are integers: the walk carries the
+right-hand sides of its prefix of floors, not a system, and solves each
+kind as one linear.RhsFamily, warm-started from its last optimal basis.
+The kinds are the range of B_i z at level i (a min and a max family per
+level), the closure LP of the pairs and their strict check
+(linear.StrictFamily). Each family is built on first use and none outlives
+the walk; constant rows never enter one and are settled on their
+right-hand sides. The instance data are ints, so the rows of the walk, of
+the cell regions and of the follower are built as LinRows straight from
+them. The candidate x come from lattice.integer_candidates, the one
+integer walk, with their activities A x and psi . x as integers, and cell
+rows are restricted to a fixed x through linear.fix_block. Within one walk
+the cell regions share their row blocks (the upper rows restricted to each
+x, the floor rows of each (i, r_i)), each built once, and cell_region
+alone says which rows a region has. Nothing caches an index across calls
+either: each cell_index call builds a fresh one, and the Instance holds its
+data fields alone.
 """
 from __future__ import annotations
 
@@ -39,9 +48,10 @@ from typing import Optional
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
 from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge, _unit
-from .linear import (LE, LT, LinRow, LinearSystem, fix_block, lp_range, lp_solve, nonconstant,
-                     recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system)
-from .rational import QMatrix, QVector, floor_rat
+from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, fix_block, lp_solve,
+                     nonconstant, recession_bounded, row_eq, row_le, strict_feasible_point,
+                     _bounded_system)
+from .rational import QVector, floor_rat
 
 WITNESS_DELTA = Fraction(1, 2**20)  # cell_infimum's witness slack, of the objective range
 
@@ -108,9 +118,9 @@ class Instance:
             object.__setattr__(self, name, tuple(map(int, data[name])))
         cone_rows = [cr + dr for cr, dr in zip(self.C, self.D)]
         cone_rows += [_unit(n + d, n + i, -1) for i in range(d)]
-        if not recession_bounded(QMatrix(cone_rows, ncols=n + d)):
+        if not recession_bounded(cone_rows, n + d):
             raise ValidationError("unbounded-P", "upper-level region C x + D z <= p, z >= 0 is unbounded")
-        if not recession_bounded(QMatrix(self.A, ncols=n)):
+        if not recession_bounded(self.A, n):
             raise ValidationError("unbounded-follower", "follower regions A x <= B z + u are unbounded")
 
     @property
@@ -194,12 +204,11 @@ def floor_rhs(inst: Instance, z: QVector) -> tuple:
     return tuple(map(floor_rat, _affine(inst.B, inst.u, z)))
 
 
-def _floor_rows(inst: Instance, i: int, ri: int, rel: str = LT, lead: int = 0) -> list:
-    """r_i <= B_i z + u_i < r_i + 1 over z; rel=LE gives the closure, and
-    `lead` zero coefficients in front put the rows over (x, z)."""
-    br = (0,) * lead + inst.B[i]
+def _floor_rows(inst: Instance, i: int, ri: int) -> list:
+    """r_i <= B_i z + u_i < r_i + 1 over z."""
+    br = inst.B[i]
     uv = inst.u[i]
-    return [LinRow(tuple(-v for v in br), uv - ri, LE), LinRow(br, ri + 1 - uv, rel)]
+    return [LinRow(tuple(-v for v in br), uv - ri, LE), LinRow(br, ri + 1 - uv, LT)]
 
 
 class _RegionRows:
@@ -312,9 +321,12 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row A_i x <= r_i
     and keeps the candidates with A_i x <= r_i; a floor that keeps none is
     not entered, and a zero row of B has the one floor floor(u_i) and needs
-    no LP. A valid cell (x, r) has a point z in its region, and (x, z) meets
-    every row the walk adds for r, so the walk reaches every r a valid cell
-    has with x still among its candidates. A leaf r is entered with
+    no LP. The rows at row i are the same for every prefix of floors, and
+    their right-hand sides are integers: the walk carries those right-hand
+    sides, and takes each range from a min and a max RhsFamily of row i.
+    A valid cell (x, r) has a point z in its region, and (x, z) meets every
+    row the walk adds for r, so the walk reaches every r a valid cell has
+    with x still among its candidates. A leaf r is entered with
     candidates, all with A x <= r, so the follower's optimal value at r is
     at most v_c, the least psi . x among them. One mixed_feasible check of
     {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are integral):
@@ -327,8 +339,14 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     closure of its cell_region Q. An infeasible LP means an empty Q. When
     the LP's optimal vertex, re-verified on the closure, meets every row of
     Q (strict rows strictly), Q is nonempty and attains low: the cell is
-    valid with no strict-feasibility check. Otherwise strict_feasible_point
-    decides. The entry carries low and whether its vertex lies in Q.
+    valid with no strict-feasibility check. Otherwise a strict check
+    decides. The entry carries low and whether its vertex lies in Q. Every
+    region of the walk has the rows D_k z <= p_k - C_k x, -z <= 0 and
+    -B_i z <= u_i - r_i, B_i z < r_i + 1 - u_i, with the same coefficients
+    for every (x, r): the closure LPs are one RhsFamily per walk and the
+    strict checks one StrictFamily. A warm start may end at another optimal
+    vertex than a cold one, so low_inside says only that some optimal
+    vertex lies in Q; low and the cells are the same.
 
     With `alpha`, the candidate listing and the walk's system carry the row
     c . x + e . z <= alpha too: a cell with a point z of value <= alpha in
@@ -337,49 +355,79 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     LP vertex lies in Q at low <= alpha - c . x is a hit. Any other pair is
     kept when its region with e . z <= alpha - c . x added is strictly
     feasible, which proves at once that the cell is valid and that it meets
-    the threshold. A decision query stops at the first pair.
+    the threshold; that value row has the same coefficients for every x,
+    so it is a row of the walk's strict family. A decision query stops at
+    the first pair.
 
     cell_cap counts the candidate walk's values, the leaves and the (x, r)
     pairs tested.
     """
     budget = [0]
-    upper = inst.upper_system()
+    upper = inst.upper_rows()
     if alpha is not None:
         value_rows = nonconstant([row_le(inst.c + inst.e, alpha)])
         if value_rows is None:
             return
-        upper = upper.with_rows(value_rows)
+        upper += value_rows
     candidates = [(x, tuple(sum(map(mul, row, x)) for row in inst.A), sum(map(mul, inst.psi, x)))
-                  for x in integer_candidates(upper.rows, inst.joint_dim(), range(inst.n),
+                  for x in integer_candidates(upper, inst.joint_dim(), range(inst.n),
                                               config, budget)]
+    top = nonconstant(upper)
+    if top is None:
+        return
+    n, dim = inst.n, inst.joint_dim()
     blocks = _RegionRows(inst)
-    # per row i: B_i z as an objective over (x, z), None for a zero row of B,
-    # and the response row's coefficients A_i x over (x, z)
-    spans = [QVector((0,) * inst.n + br) if any(br) else None for br in inst.B]
-    responses = [ar + (0,) * inst.d for ar in inst.A]
-    e_obj = QVector(inst.e)
+    # per row i over (x, z): B_i z, and the rows a floor r_i adds, A_i x <= r_i,
+    # -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i, split into the
+    # nonconstant ones, which the walk's LPs take, and the positions of the
+    # constant ones, settled on their rhs
+    spans = [(0,) * n + br for br in inst.B]
+    level_rows, kept, settled = [], [], []
+    for ar, span in zip(inst.A, spans):
+        added = (ar + (0,) * inst.d, tuple(-v for v in span), span)
+        kept.append([k for k, a in enumerate(added) if any(a)])
+        settled.append([k for k, a in enumerate(added) if not any(a)])
+        level_rows.append([(added[k], LE) for k in kept[-1]])
+    ranges = {}  # row i -> the min and max families of B_i z over the rows of levels < i
+    closure = strict = None  # the families of the pairs' closure LPs and strict checks
 
-    def walk(system, r_prefix, candidates):
+    def floor_range(i, rhs):
+        """The floors of B_i z + u_i over the walk's system at rhs, None
+        when the system is empty: one family solve per sense."""
+        if i not in ranges:
+            rows = [(r.a, r.rel) for r in top] + [row for j in range(i) for row in level_rows[j]]
+            ranges[i] = (RhsFamily(dim, rows, spans[i]),
+                         RhsFamily(dim, rows, tuple(-v for v in spans[i])))
+        uv = inst.u[i]
+        ends = []
+        for family in ranges[i]:
+            tag, nums, den = family.solve(rhs)
+            if tag == "infeasible" and not ends:  # the min LP finds the system empty
+                return None
+            if tag != "optimal":
+                raise InternalInvariantError("LP range unbounded on a bounded region")
+            ends.append((sum(map(mul, spans[i], nums)) + uv * den) // den)
+        return range(ends[0], ends[1] + 1)
+
+    def walk(rhs, r_prefix, candidates):
         i = len(r_prefix)
         if i == inst.m:
             yield from optimal_cells(tuple(r_prefix), candidates)
             return
         uv = inst.u[i]
-        if spans[i] is None:  # B_i z + u_i is the constant u_i: one floor, no LP
+        if not any(inst.B[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
             floors = [uv]
         else:
-            span = lp_range(system, spans[i])
-            if span is None:
+            floors = floor_range(i, rhs)
+            if floors is None:
                 return
-            floors = range(floor_rat(span[0] + uv), floor_rat(span[1] + uv) + 1)
         for ri in floors:
             fits = [cand for cand in candidates if cand[1][i] <= ri]
             if not fits:
                 continue
-            rows = nonconstant([LinRow(responses[i], ri, LE)]
-                               + _floor_rows(inst, i, ri, LE, inst.n))
-            if rows is not None:
-                yield from walk(system.with_rows(rows), r_prefix + [ri], fits)
+            added = (ri, uv - ri, ri + 1 - uv)
+            if all(added[k] >= 0 for k in settled[i]):  # a constant row reads 0 <= rhs
+                yield from walk(rhs + [added[k] for k in kept[i]], r_prefix + [ri], fits)
 
     def optimal_cells(r, candidates):
         _charge(budget, config)
@@ -394,30 +442,45 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                     yield entry
 
     def checked_entry(cell):
-        region = cell_region(inst, cell, blocks)
-        mn = lp_solve(region.closure(), e_obj, "min")
-        if mn.tag == "infeasible":
+        # every region of the walk has the same coefficient rows: the
+        # nonconstant upper rows at x, the same for every x, and the floor
+        # rows of each i, none for a zero row of B, whose one floor u_i
+        # makes its constant rows hold; only the rhs differ
+        nonlocal closure, strict
+        if blocks.upper_at(cell.x) is None:  # a constant upper row fails at x
             return None
-        if not mn.is_optimal:
+        region = cell_region(inst, cell, blocks)
+        rows = region.rows
+        rhs = [r.b for r in rows]
+        if closure is None:
+            closure = RhsFamily(inst.d, [(r.a, LE) for r in rows], inst.e)
+        tag, nums, den = closure.solve(rhs)
+        if tag == "infeasible":
+            return None
+        if tag != "optimal":
             raise InternalInvariantError("cell region LP unbounded on a bounded region")
-        inside = region.satisfied_by(mn.point)
+        low = Fraction(sum(map(mul, inst.e, nums)), den)
+        inside = all(r.holds_at(nums, den) for r in rows)
         shift = sum(map(mul, inst.c, cell.x))
-        check = region
-        if alpha is not None:
-            below = alpha - shift
-            if mn.value > below:
+        if alpha is not None and low > alpha - shift:
+            return None
+        if not inside:
+            if alpha is not None and any(inst.e):  # a zero e meets e . z <= alpha - shift at low
+                value = row_le(inst.e, alpha - shift)
+                rows += (value,)
+                rhs.append(value.b)
+            if strict is None:
+                strict = StrictFamily(inst.d, [(r.a, r.rel) for r in rows])
+            if strict.point(rhs) is None:
                 return None
-            check = region.with_rows([row_le(inst.e, below)])
-        if inside or strict_feasible_point(check) is not None:
-            return CellEntry(cell, shift, region, mn.value, inside)
-        return None
+        return CellEntry(cell, shift, region, low, inside)
 
     try:
-        yield from walk(upper, [], candidates)
+        yield from walk([r.b for r in top], [], candidates)
     finally:
         # walk refers to itself through its closure: dropping the name frees
-        # the walk's state (candidates, row blocks) as soon as the caller
-        # stops, not at the next cyclic garbage collection
+        # the walk's state (candidates, row blocks, families) as soon as the
+        # caller stops, not at the next cyclic garbage collection
         del walk
 
 

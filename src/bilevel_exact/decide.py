@@ -45,7 +45,11 @@ class DecisionScan:
     only holder of that index: each valid cell, in lex order of (x, r), with
     `shift` = c . x (the leader's objective on the cell is shift + e . z),
     its region Q, `low`, the LP minimum of e . z over the closure cl(Q), and
-    `low_inside`, whether the LP vertex at `low` lies in Q.
+    `low_inside`, whether the optimal vertex that the index build's LP
+    reached lies in Q. That LP is warm-started, so on a tied optimum the
+    vertex is some optimal one, not a fixed one: `low_inside` False does not
+    say that Q misses `low`, and only changes how many queries need a
+    strict-feasibility check, never an answer.
 
     Why `low` answers most queries exactly: Q has a point, so the closed
     system cl(Q), its strict rows relaxed, is the closure of Q, and Q is

@@ -34,7 +34,7 @@ from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, Internal
 from .lattice import integer_min, mixed_feasible, _charge
 from .linear import (LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
                      lp_solve, row_eq, _bounded_system)
-from .rational import QMatrix, QVector, ceil_rat, floor_rat, subdeterminant_bound
+from .rational import QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
 PURE = "pure"
@@ -116,7 +116,7 @@ def denominator_cap(inst: Instance) -> int:
     slice LPs: rows of D and rows of B. Unit rows (z >= 0 and friends) are
     covered by the max(1, .) per-column clamp.
     """
-    return subdeterminant_bound(QMatrix(inst.D + inst.B, ncols=inst.d))
+    return subdeterminant_bound(inst.D + inst.B, inst.d)
 
 
 def _simplest_in_interval(lo: Fraction, hi: Fraction, telemetry=None) -> Fraction:

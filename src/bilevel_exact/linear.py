@@ -6,14 +6,27 @@ basis inverse is kept as an integer adjugate over a positive denominator,
 B^-1 = adj / det (Bareiss), so every intermediate quantity is an exact
 integer and every reported optimum is an exact rational. A basis exchange
 is one fraction-free update, `_exchange`, whose divisions are exact by
-construction; a remainder would mean a bug, not bad data. The start is dual
-feasible, built from rows with a single nonzero coefficient or from
-artificial bound rows far enough out to cut off no vertex, and Bland's rule
-on the dual ends every solve. The optimum leaves the kernel as integer
-numerators over det. It is a vertex unless an artificial row stays in the
-final basis; only then is it purified onto a vertex of the optimal face.
-It is re-verified in that form and becomes `Fraction`s once, for the
-returned point and value.
+construction; a remainder would mean a bug, not bad data. The core reads
+the kernel form of the rows: the "<=" rows, each "=" row split into its
+two sides, and per coordinate the rows whose only nonzero is there. A cold
+start is dual feasible, built from those unit rows or from artificial bound
+rows far enough out to cut off no vertex, and Bland's rule on the dual ends
+every solve. The optimum leaves the kernel as integer numerators over det.
+It is a vertex unless an artificial row stays in the final basis; only then
+is it purified onto a vertex of the optimal face. It is re-verified in that
+form and becomes `Fraction`s once, for the returned point and value.
+
+The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the
+nonconstant rows (a, rel) and an integer cost, and solves them for one
+right-hand side after another, each from the last optimal basis that held
+no artificial row: the duals of a basis, y det = -adj^T cost, depend on its
+rows and the cost alone, so a basis optimal for one right-hand side is dual
+feasible for every other, and the dual simplex goes on from it. `lp_solve`
+is a one-shot family, started cold, so its pivots and vertices are those of
+a cold solve. `StrictFamily` is the one strict lift: closed rows keep their
+coefficients with a 0 for a new variable t, strict rows get +t, 0 <= t <= 1
+and t is maximized; `strict_feasible_point` checks one system with it, and
+the floor walk of `cells.valid_cells` checks its cells with one per walk.
 
 Every row is stored in integer form alone: `LinRow(a, b, rel)` is the row
 a . x rel b with integer a and b, and its constructor rejects anything else.
@@ -24,9 +37,9 @@ the row once by the lcm of its denominators, with no gcd reduction, so a
 row of integral data comes out with the integers it was given. The dual simplex, the
 active-row test of vertex purification and the re-verification all read
 that form: a point is put over one common denominator and every row is
-checked with integer dot products. Re-verification stays fatal: an
-`lp_solve` optimum or a `strict_feasible_point` witness that misses any row
-raises `InternalInvariantError`.
+checked with integer dot products. Re-verification stays fatal: a family
+optimum, and so an `lp_solve` one, or a `strict_feasible_point` witness
+that misses any row raises `InternalInvariantError`.
 
 Boundedness is proved once and carried. A system built from rows whose
 recession cone `{y : rows y <= 0}` is already proved to be `{0}` (instance
@@ -37,10 +50,12 @@ is made with `_bounded_system`; adding rows only shrinks a cone, so
 public constructor carries no proof and is still checked.
 
 Constant rows (all coefficients zero) are settled in one place,
-`nonconstant`, which `lp_solve` calls once before its dim-0, one-variable
-and simplex branches; re-verification still checks every row. `fix_block`
-is the one restriction of rows to fixed values of a block of coordinates,
-and `lp_range` the one min-then-max range of an objective.
+`nonconstant`, which `lp_solve` and `strict_feasible_point` call once
+before they build a family; a family takes nonconstant rows alone, and a
+caller that solves one for many right-hand sides settles the constant rows
+on their right-hand sides itself. `fix_block` is the one restriction of
+rows to fixed values of a block of coordinates, and `lp_range` the one
+min-then-max range of an objective.
 
 `_nullspace_direction` is the one exact elimination routine. No solve path
 calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
@@ -49,7 +64,7 @@ Nothing else in this module reads a cap.
 
 Conventions: systems are over free variables; rows are "<=", "=", or the
 strict "<". Only closed rows ("<=", "=") are legal LP input; strict rows are
-the business of strict_feasible_point.
+the business of StrictFamily and strict_feasible_point.
 """
 from __future__ import annotations
 
@@ -62,7 +77,7 @@ from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError
-from .rational import QMatrix, QVector
+from .rational import QVector
 
 LE = "<="
 EQ = "="
@@ -151,11 +166,10 @@ def nonconstant(rows) -> Optional[list]:
     """The rows without the constant ones that hold; None if one fails."""
     out = []
     for row in rows:
-        truth = row.constant_truth()
-        if truth is False:
-            return None
-        if truth is None:
+        if any(row.a):
             out.append(row)
+        elif not row.constant_truth():
+            return None
     return out
 
 
@@ -270,64 +284,87 @@ def _exchange(adj, det: int, alpha, r: int) -> list:
     return out
 
 
-def _dual_simplex_min(dim: int, rows, cost):
-    """Minimize cost . x over closed nonconstant rows with free x.
-
-    cost: integers. Returns (tag, nums, den, vertex): an optimal point as
-    integer numerators over one positive denominator, and whether it is
-    known to be a vertex; None, None, False when there is none.
-
-    Each row is a . x <= b in its integer form; an "=" row enters as its
-    two sides, in place. The basis is dim rows kept as an integer adjugate
-    adj and a denominator det > 0 with B^-1 = adj / det, so the point is
-    adj b_B / det and the duals are y det = -adj^T cost. The start is dual
-    feasible: each x_j gets a row whose only nonzero is at j, on the side
-    its cost pushes it to (the one nearest 0 for a zero cost); a coordinate
-    without one gets the artificial row +-x_j <= M, where M exceeds every
-    vertex coordinate by Hadamard's bound. Each iteration brings in the
-    first violated row and drops the basis row of least y_r / alpha_r
-    (Bland's rule on the dual). An artificial row left in the final basis
-    means an unbounded LP when its dual is positive; at a zero dual the
-    point is optimal but may not be a vertex.
-    """
-    A = []
-    b = []
-    units = [[] for _ in range(dim)]
-    for r in rows:
-        sides = ((r.a, r.b), (tuple(-v for v in r.a), -r.b)) if r.rel == EQ else ((r.a, r.b),)
-        for a, rhs in sides:
-            support = [j for j, v in enumerate(a) if v]
-            if len(support) == 1:
-                units[support[0]].append(len(A))
+def _kernel_form(dim: int, rows) -> tuple:
+    """(A, sides, units) of nonconstant rows (a, rel): A the "<=" rows of the
+    kernel, an "=" row entering as its two sides in place; sides[k] =
+    (i, sign) says that A[k] is sign times row i, and is None when no row is
+    "=", so that A is the rows themselves; units[j] lists the A rows whose
+    only nonzero coefficient is at j."""
+    if all(rel == LE for _, rel in rows):
+        A = [a for a, _ in rows]
+        sides = None
+    else:
+        A = []
+        sides = []
+        for i, (a, rel) in enumerate(rows):
             A.append(a)
-            b.append(rhs)
+            sides.append((i, 1))
+            if rel == EQ:
+                A.append(tuple(-v for v in a))
+                sides.append((i, -1))
+    units = [[] for _ in range(dim)]
+    for k, a in enumerate(A):
+        if a.count(0) == dim - 1:  # one nonzero, which is then the sum of the row
+            units[a.index(sum(a))].append(k)
+    return A, sides, units
+
+
+def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
+    """Minimize cost . x over the rows A x <= b with free x.
+
+    A and units: a kernel form (_kernel_form); b and cost: integers. start:
+    a basis (ids, adj, det) of A rows that is dual feasible for cost, or
+    None for a cold start. Returns (tag, nums, den, basis): an optimal point
+    as integer numerators over one positive denominator, and the final basis
+    as (ids, adj, det) when it holds no artificial row, so that the point is
+    a vertex; None, None, None when there is no optimum.
+
+    The basis is dim rows kept as an integer adjugate adj and a denominator
+    det > 0 with B^-1 = adj / det, so the point is adj b_B / det and the
+    duals are y det = -adj^T cost. A cold start is dual feasible: each x_j
+    gets a row whose only nonzero is at j, on the side its cost pushes it to
+    (the one nearest 0 for a zero cost); a coordinate without one gets the
+    artificial row +-x_j <= M, where M exceeds every vertex coordinate by
+    Hadamard's bound. Each iteration brings in the first violated row and
+    drops the basis row of least y_r / alpha_r (Bland's rule on the dual).
+    An artificial row left in the final basis means an unbounded LP when
+    its dual is positive; at a zero dual the point is optimal but may not be
+    a vertex.
+    """
     m = len(A)
-    big = None
-    basis = []
-    for j, cj in enumerate(cost):
-        k = None
-        for i in units[j]:
-            if cj:
-                if (A[i][j] > 0) == (cj < 0):
+    if start is None:
+        big = None
+        basis = []
+        extra = []
+        for j, cj in enumerate(cost):
+            k = None
+            for i in units[j]:
+                if cj:
+                    if (A[i][j] > 0) == (cj < 0):
+                        k = i
+                        break
+                elif k is None or abs(b[i] * A[k][j]) < abs(b[k] * A[i][j]):
                     k = i
-                    break
-            elif k is None or abs(b[i] * A[k][j]) < abs(b[k] * A[i][j]):
-                k = i
-        if k is None:
-            if big is None:
-                big = max((sum(map(abs, a)) + abs(rhs) for a, rhs in zip(A, b)),
-                          default=1) ** dim + 1
-            unit = [0] * dim
-            unit[j] = -1 if cj > 0 else 1
-            k = len(A)
-            A.append(tuple(unit))
-            b.append(big)
-        basis.append(k)
-    diag = [A[k][j] for j, k in enumerate(basis)]
-    det = abs(math.prod(diag))
-    adj = [[0] * dim for _ in range(dim)]
-    for j, d in enumerate(diag):
-        adj[j][j] = det // d
+            if k is None:
+                if big is None:
+                    big = max((sum(map(abs, a)) + abs(rhs) for a, rhs in zip(A, b)),
+                              default=1) ** dim + 1
+                unit = [0] * dim
+                unit[j] = -1 if cj > 0 else 1
+                k = m + len(extra)
+                extra.append(tuple(unit))
+            basis.append(k)
+        if extra:
+            A = A + extra
+            b = list(b) + [big] * len(extra)
+        diag = [A[k][j] for j, k in enumerate(basis)]
+        det = abs(math.prod(diag))
+        adj = [[0] * dim for _ in range(dim)]
+        for j, d in enumerate(diag):
+            adj[j][j] = det // d
+    else:
+        ids, adj, det = start
+        basis = list(ids)
 
     while True:
         bb = [b[k] for k in basis]
@@ -349,34 +386,34 @@ def _dual_simplex_min(dim: int, rows, cost):
                 if lhs < rhs or (lhs == rhs and basis[r] < basis[out]):
                     out = r
         if out is None:
-            return "infeasible", None, None, False
+            return "infeasible", None, None, None
         adj = _exchange(adj, det, alpha, out)
         det = alpha[out]
         basis[out] = k
     artificial = [r for r, k in enumerate(basis) if k >= m]
     if any(ydet[r] > 0 for r in artificial):
-        return "unbounded", None, None, False
-    return "optimal", nums, det, not artificial
+        return "unbounded", None, None, None
+    return "optimal", nums, det, (None if artificial else (tuple(basis), adj, det))
 
 
 # ---------------------------------------------------------------------------
 # one-dimensional closed systems have a closed-form solution
 
 
-def _interval_solve(rows, cost: int):
-    """Closed-form LP in one variable over nonconstant rows; bounds are kept
-    as integer pairs (num, den), den > 0, and compared by cross-multiplication.
-    Returns (tag, nums, den, vertex) like _dual_simplex_min: the point is an
-    end of the interval, and no vertex exists when it has neither end."""
+def _interval_solve(rows, rhs, cost: int):
+    """Closed-form LP in one variable over nonconstant rows (a, rel) with
+    right-hand sides rhs; bounds are kept as integer pairs (num, den),
+    den > 0, and compared by cross-multiplication. Returns (tag, nums, den,
+    vertex): the point is an end of the interval, and no vertex exists when
+    it has neither end."""
     lo = None  # None encodes the infinite end
     hi = None
-    for r in rows:
-        (a,), b = r.a, r.b
+    for ((a,), rel), b in zip(rows, rhs):
         bound = (b, a) if a > 0 else (-b, -a)
-        if r.rel == EQ or a < 0:
+        if rel == EQ or a < 0:
             if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
                 lo = bound
-        if r.rel == EQ or a > 0:
+        if rel == EQ or a > 0:
             if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
                 hi = bound
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
@@ -443,32 +480,32 @@ def _solve_square(vectors, rhs, dim):
     return [Fraction(v, w[dim]) for v in w[:dim]]
 
 
-def _purify_to_vertex(dim, rows, nums, den, objective):
+def _purify_to_vertex(dim, rows, rhs, nums, den, objective):
     """Slide an optimal point nums / den (den > 0) along the optimal face onto
     a vertex; returns the vertex as (nums, den), in lowest terms after a move.
 
-    Keeps every row satisfied and the objective value fixed. If the optimal
-    face contains a line (only possible for unbounded feasible sets) the
-    current point is returned unchanged. `objective` holds integer
-    coefficients (any positive multiple of the objective); rows are tested
-    for activity, and the step to the nearest row is taken, in integer
-    arithmetic.
+    rows: nonconstant rows (a, rel) with right-hand sides rhs. Keeps every
+    row satisfied and the objective value fixed. If the optimal face
+    contains a line (only possible for unbounded feasible sets) the current
+    point is returned unchanged. `objective` holds integer coefficients (any
+    nonzero multiple of the objective); rows are tested for activity, and
+    the step to the nearest row is taken, in integer arithmetic.
     """
     while True:
         active = [objective]
-        for r in rows:
-            if r.rel == EQ or sum(map(mul, r.a, nums)) == r.b * den:
-                active.append(r.a)
+        for (a, rel), b in zip(rows, rhs):
+            if rel == EQ or sum(map(mul, a, nums)) == b * den:
+                active.append(a)
         w = _nullspace_direction(active, dim)
         if w is None:
             return nums, den
         # a step is (gap, |a . w|): row a is reached at x + gap / (den |a . w|) * (+-w)
         plus = minus = None
-        for r in rows:
-            aw = sum(map(mul, r.a, w))
+        for (a, _), b in zip(rows, rhs):
+            aw = sum(map(mul, a, w))
             if aw == 0:
                 continue
-            step = (r.b * den - sum(map(mul, r.a, nums)), abs(aw))
+            step = (b * den - sum(map(mul, a, nums)), abs(aw))
             if aw > 0:
                 if plus is None or step[0] * plus[1] < plus[0] * step[1]:
                     plus = step
@@ -489,6 +526,95 @@ def _purify_to_vertex(dim, rows, nums, den, objective):
 
 
 # ---------------------------------------------------------------------------
+# right-hand-side families: one set of rows and one cost, many right-hand sides
+
+
+class RhsFamily:
+    """The LPs min cost . x over fixed rows a . x rel b, one per right-hand
+    side b, with free x.
+
+    dim: the number of variables; rows: nonconstant integer rows (a, rel),
+    rel "<=" or "="; cost: integers. solve(rhs) takes one integer b per row
+    and returns (tag, nums, den): "optimal" with an optimal point as integer
+    numerators over one positive denominator, a vertex of the optimal face
+    whenever one exists, or "infeasible" or "unbounded" with None, None.
+
+    The kernel form of the rows (_kernel_form) is built once, on the first
+    solve in two or more variables. A solve starts from the last optimal
+    basis that held no artificial row, and cold when there is none: the
+    reduced costs of a basis depend on its rows and the cost alone, not on
+    b, so an optimal basis for one rhs is dual feasible for every other, and
+    the dual simplex goes on from it. An optimum whose basis keeps an
+    artificial row is purified onto a vertex and stores no basis. One
+    variable takes the closed form. Every optimum is re-verified against
+    every row in integer arithmetic; a miss raises InternalInvariantError.
+    """
+
+    __slots__ = ("dim", "rows", "cost", "_kernel", "_basis")
+
+    def __init__(self, dim: int, rows, cost):
+        self.dim = dim
+        self.rows = rows
+        self.cost = cost
+        self._kernel = None
+        self._basis = None
+
+    def solve(self, rhs) -> tuple:
+        dim, rows, cost = self.dim, self.rows, self.cost
+        if dim == 1:
+            tag, nums, den, vertex = _interval_solve(rows, rhs, cost[0])
+        else:
+            if self._kernel is None:
+                self._kernel = _kernel_form(dim, rows)
+            A, sides, units = self._kernel
+            b = rhs if sides is None else [sign * rhs[i] for i, sign in sides]
+            tag, nums, den, basis = _dual_simplex_min(dim, A, b, units, cost, self._basis)
+            vertex = basis is not None
+            if vertex:
+                self._basis = basis
+        if tag != "optimal":
+            return tag, None, None
+        if not vertex:
+            nums, den = _purify_to_vertex(dim, rows, rhs, nums, den, cost)
+        for (a, rel), b in zip(rows, rhs):
+            gap = sum(map(mul, a, nums)) - b * den
+            if gap > 0 or (gap and rel == EQ):
+                raise InternalInvariantError("an LP optimum failed re-verification")
+        return "optimal", nums, den
+
+
+class StrictFamily:
+    """Strict-feasibility checks over fixed rows (a, rel), rel "<=", "=" or
+    "<", one per right-hand side, through the strict lift.
+
+    The lift adds a variable t: a closed row keeps its coefficients with a 0
+    for t, a strict row a . x < b becomes a . x + t <= b, and 0 <= t <= 1;
+    it is an RhsFamily that maximizes t. The rows have a point meeting the
+    closed rows and every strict row strictly exactly when the optimal t is
+    positive.
+    """
+
+    __slots__ = ("lp", "order")
+
+    def __init__(self, dim: int, rows):
+        closed = [i for i, (_, rel) in enumerate(rows) if rel != LT]
+        strict = [i for i, (_, rel) in enumerate(rows) if rel == LT]
+        lifted = [(rows[i][0] + (0,), rows[i][1]) for i in closed]
+        lifted += [(rows[i][0] + (1,), LE) for i in strict]
+        lifted += [((0,) * dim + (-1,), LE), ((0,) * dim + (1,), LE)]  # 0 <= t <= 1
+        self.order = closed + strict
+        self.lp = RhsFamily(dim + 1, lifted, (0,) * dim + (-1,))
+
+    def point(self, rhs) -> Optional[tuple]:
+        """(nums, den) of a point with the rows' right-hand sides rhs that
+        meets every strict row strictly, or None when there is none."""
+        tag, nums, den = self.lp.solve([rhs[i] for i in self.order] + [0, 1])
+        if tag != "optimal" or not nums[-1]:
+            return None
+        return nums[:-1], den
+
+
+# ---------------------------------------------------------------------------
 # public operations
 
 
@@ -496,9 +622,9 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOut
     """Exact LP over a closed system with free variables.
 
     Returns Infeasible, Unbounded, or Optimal with an exact value and a point
-    that is a vertex of the optimal face whenever one exists. The optimum is
-    re-verified against every row in integer arithmetic; a miss raises
-    InternalInvariantError.
+    that is a vertex of the optimal face whenever one exists: a one-shot
+    RhsFamily, started cold. The optimum is re-verified against every row in
+    integer arithmetic; a miss raises InternalInvariantError.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
@@ -510,25 +636,15 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOut
     rows = nonconstant(sys.rows)
     if rows is None:
         return _INFEASIBLE
-    if sys.dim == 0:
-        return LpOutcome("optimal", Fraction(0), QVector(()))
     omult = math.lcm(*(f.denominator for f in objective.entries))
     iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
     cost = iobjective if sense == "min" else [-v for v in iobjective]
-    if sys.dim == 1:
-        tag, nums, den, vertex = _interval_solve(rows, cost[0])
-    else:
-        tag, nums, den, vertex = _dual_simplex_min(sys.dim, rows, cost)
-
+    family = RhsFamily(sys.dim, [(r.a, r.rel) for r in rows], cost)
+    tag, nums, den = family.solve([r.b for r in rows])
     if tag == "infeasible":
         return _INFEASIBLE
     if tag == "unbounded":
         return _UNBOUNDED
-    if not vertex:
-        nums, den = _purify_to_vertex(sys.dim, rows, nums, den, iobjective)
-    for r in sys.rows:
-        if not r.holds_at(nums, den):
-            raise InternalInvariantError("lp_solve produced an infeasible point")
     value = Fraction(sum(map(mul, iobjective, nums)), omult * den)
     return LpOutcome("optimal", value, QVector([Fraction(v, den) for v in nums]))
 
@@ -550,36 +666,25 @@ def lp_range(sys: LinearSystem, objective: QVector) -> Optional[tuple]:
 def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     """A point satisfying closed rows and every strict row strictly, or None.
 
-    Maximizes one uniform slack t in [0, 1] applied to all strict rows; a
-    point exists exactly when the optimum slack is positive. The witness is
+    A system with strict rows takes one check of a one-shot StrictFamily;
+    one without takes an LP of the zero objective. The witness is
     re-verified against every row in integer arithmetic; a miss raises
     InternalInvariantError.
     """
     rows = nonconstant(sys.rows)
     if rows is None:
         return None
-    closed = [r for r in rows if r.rel != LT]
-    strict = [r for r in rows if r.rel == LT]
-
-    if not strict:
-        out = lp_solve(LinearSystem(sys.dim, tuple(closed)), QVector([0] * sys.dim), "min")
+    if not any(r.rel == LT for r in rows):
+        out = lp_solve(LinearSystem(sys.dim, tuple(rows)), QVector([0] * sys.dim), "min")
         return out.point if out.is_optimal else None
-
-    dim = sys.dim + 1
-    lifted = [LinRow(r.a + (0,), r.b, r.rel) for r in closed]
-    lifted += [LinRow(r.a + (1,), r.b, LE) for r in strict]
-    lifted.append(LinRow((0,) * sys.dim + (-1,), 0, LE))   # t >= 0
-    lifted.append(LinRow((0,) * sys.dim + (1,), 1, LE))    # t <= 1
-    objective = QVector([0] * sys.dim + [1])
-    out = lp_solve(LinearSystem(dim, tuple(lifted)), objective, "max")
-    if not out.is_optimal or out.value == 0:
+    found = StrictFamily(sys.dim, [(r.a, r.rel) for r in rows]).point([r.b for r in rows])
+    if found is None:
         return None
-    point = QVector(out.point.entries[:sys.dim])
-    nums, den = _over_common_denominator(point.entries)
+    nums, den = found
     for r in sys.rows:
         if not r.holds_at(nums, den):
             raise InternalInvariantError("strict feasibility witness failed re-verification")
-    return point
+    return QVector([Fraction(v, den) for v in nums])
 
 
 def recession_rows(sys: LinearSystem):
@@ -593,13 +698,14 @@ def recession_rows(sys: LinearSystem):
 
 
 def _truncated_cone(coeff_rows, dim: int) -> LinearSystem:
-    """{y : (rows) . y <= 0, |y_j| <= 1}; the cone rows come first."""
-    rows = [row_le(r, 0) for r in coeff_rows]
+    """{y : (rows) . y <= 0, |y_j| <= 1} for integer rows; the cone rows come
+    first."""
+    rows = [LinRow(tuple(r), 0, LE) for r in coeff_rows]
     for j in range(dim):
         unit = [0] * dim
         unit[j] = 1
-        rows.append(row_le(unit, 1))
-        rows.append(row_le([-v for v in unit], 1))
+        rows.append(LinRow(tuple(unit), 1, LE))
+        rows.append(LinRow(tuple(-v for v in unit), 1, LE))
     return LinearSystem(dim, tuple(rows))
 
 
@@ -628,23 +734,23 @@ def _projection_bounded(sys: LinearSystem, coords) -> bool:
     return _cone_coords_zero(recession_rows(sys), sys.dim, coords)
 
 
-def recession_bounded(m: QMatrix) -> bool:
-    """Whether {y : m y <= 0} is the origin alone.
+def recession_bounded(rows, ncols: int) -> bool:
+    """Whether {y : rows y <= 0} is the origin alone, for integer rows of
+    ncols entries each.
 
-    A rank test and one LP. The rows must span R^n, else a direction w with
-    m w = 0 lies in the cone. Then the column sums 1^T m are minimized over
-    the truncated cone {m y <= 0, |y_j| <= 1}: every (m y)_i is <= 0 there,
-    so an optimum of 0 forces m y = 0, hence y = 0 by full rank, while a
-    nonzero y in the cone has m y != 0 and a negative sum.
+    A rank test and one LP. The rows must span R^ncols, else a direction w
+    with rows w = 0 lies in the cone. Then the column sums 1^T rows are
+    minimized over the truncated cone {rows y <= 0, |y_j| <= 1}: every
+    (rows y)_i is <= 0 there, so an optimum of 0 forces rows y = 0, hence
+    y = 0 by full rank, while a nonzero y in the cone has rows y != 0 and a
+    negative sum.
     """
-    dim = m.ncols
-    if dim == 0:
+    if ncols == 0:
         return True
-    cone = _truncated_cone(m.entries, dim)
-    if _nullspace_direction([r.a for r in cone.rows[:m.nrows]], dim) is not None:
+    if _nullspace_direction(rows, ncols) is not None:
         return False
-    sums = QVector([sum(col, Fraction(0)) for col in zip(*m.entries)])
-    out = lp_solve(cone, sums, "min")
+    sums = QVector([sum(col) for col in zip(*rows)])
+    out = lp_solve(_truncated_cone(rows, ncols), sums, "min")
     if not out.is_optimal:
         raise InternalInvariantError("truncated cone LP must be optimal")
     return out.value == 0

@@ -1,11 +1,12 @@
-"""Exact rational scalars, vectors, and matrices.
+"""Exact rational scalars and vectors, and a subdeterminant bound.
 
 Nothing in the library is ever rounded. Integer data stays int: instance
-data, cells and the coefficients of every row (linear.LinRow). Rational
-values are `fractions.Fraction`s, held in the immutable QVector and QMatrix
-here: LP optima and points, thresholds and objectives. Both carry explicit
-dimensions and reject shape mismatches at construction time. A QMatrix is
-built only for recession_bounded and subdeterminant_bound.
+data, cells, the coefficients of every row (linear.LinRow) and the integer
+matrices that linear.recession_bounded and subdeterminant_bound take as
+tuples of int rows. Rational values are `fractions.Fraction`s, held in the
+immutable QVector here: LP optima and points, thresholds and objectives. A
+QVector carries its dimension, and operations on two of them reject a
+mismatch.
 """
 from __future__ import annotations
 
@@ -100,54 +101,19 @@ class QVector:
         return "QVector([%s])" % ", ".join(format_rat(e) for e in self.entries)
 
 
-class QMatrix:
-    """Immutable dense matrix of rationals with explicit row and column counts."""
-
-    __slots__ = ("entries", "nrows", "ncols")
-
-    def __init__(self, rows: Iterable[Iterable], ncols: int | None = None):
-        converted = tuple(tuple(Fraction(e) for e in row) for row in rows)
-        if converted:
-            width = len(converted[0])
-            if any(len(row) != width for row in converted):
-                raise ValueError("ragged rows in matrix")
-            if ncols is not None and ncols != width:
-                raise ValueError(f"declared ncols {ncols} but rows have {width}")
-        else:
-            if ncols is None:
-                raise ValueError("empty matrix needs an explicit column count")
-            width = ncols
-        object.__setattr__(self, "entries", converted)
-        object.__setattr__(self, "nrows", len(converted))
-        object.__setattr__(self, "ncols", width)
-
-    def is_integral(self) -> bool:
-        return all(e.denominator == 1 for row in self.entries for e in row)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QMatrix is immutable")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, QMatrix) and self.entries == other.entries and self.ncols == other.ncols
-
-    def __hash__(self) -> int:
-        return hash(("QMatrix", self.entries, self.ncols))
-
-    def __repr__(self) -> str:
-        return f"QMatrix({[list(map(format_rat, row)) for row in self.entries]}, ncols={self.ncols})"
-
-
-def subdeterminant_bound(m: QMatrix) -> int:
-    """Integer upper bound on |det S| over all square submatrices S of m.
+def subdeterminant_bound(rows, ncols: int) -> int:
+    """Integer upper bound on |det S| over all square submatrices S of the
+    matrix with the given integer rows, each of ncols entries.
 
     Product over columns of max(1, ceil of the column 2-norm); Hadamard's
-    inequality makes this dominate every square subdeterminant. Requires
-    integer entries; an empty matrix gives 1.
+    inequality makes this dominate every square subdeterminant. No rows
+    give 1; a row of another length or a non-int entry raises ValueError.
     """
-    if not m.is_integral():
+    if any(len(row) != ncols for row in rows):
+        raise ValueError(f"subdeterminant_bound needs rows of {ncols} entries")
+    if any(type(v) is not int for row in rows for v in row):
         raise ValueError("subdeterminant_bound needs an integer matrix")
     bound = 1
-    for j in range(m.ncols):
-        sq = sum(int(row[j]) ** 2 for row in m.entries)
-        bound *= max(1, isqrt_ceil(sq))
+    for j in range(ncols):
+        bound *= max(1, isqrt_ceil(sum(row[j] ** 2 for row in rows)))
     return bound

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, LE, LT, Cell, Instance, LinearSystem, QVector,
+from bilevel_exact import (DEFAULT_CONFIG, Cell, Instance, LinearSystem, QVector,
                            ResourceLimitError, SolverConfig, ValidationError,
                            bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
                            floor_rhs, is_valid_cell, random_instance, row_le, row_lt,
@@ -135,11 +135,9 @@ def test_rows_carry_the_integers_of_the_rational_rows():
             row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r))
         for i, ri in enumerate(r):
             uv = Fraction(inst.u[i])
-            for lead in (0, n):
-                br = [Fraction(0)] * lead + _fractions(inst.B[i])
-                lower = row_le([-f for f in br], uv - ri)
-                assert _floor_rows(inst, i, ri, LT, lead) == [lower, row_lt(br, ri + 1 - uv)]
-                assert _floor_rows(inst, i, ri, LE, lead) == [lower, row_le(br, ri + 1 - uv)]
+            br = _fractions(inst.B[i])
+            lower = row_le([-f for f in br], uv - ri)
+            assert _floor_rows(inst, i, ri) == [lower, row_lt(br, ri + 1 - uv)]
         for _ in range(4):
             cell = Cell(tuple(rng.randint(-1, 1) for _ in range(n)), r)
             assert cell_region(inst, cell).rows == _region_rows_from_fractions(inst, cell)

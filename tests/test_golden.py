@@ -9,7 +9,8 @@ generator and solved with eps 1/8; the cold decide_le answers on those
 instances are checked against it too. Telemetry is left out: query counts
 may change while answers may not. The same instances also check each
 cell-index entry against references that share no LP or lattice code, and
-cap the LP count and the LP kernel's basis exchanges of 25 solves.
+cap the LP count (lp_solve calls and right-hand-side family solves) and
+the LP kernel's basis exchanges of 25 solves.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -165,23 +166,37 @@ def test_index_entries_match_independent_references(example1):
 
 
 def test_mixed_grid_lp_count():
-    # a deterministic count of the LPs of 25 mixed-grid solves, in every
-    # module that binds lp_solve; it was 1310 before the index build began
-    # to certify cells from the closure LP's vertex, and may only fall
+    # a deterministic count of the LPs of 25 mixed-grid solves: the lp_solve
+    # calls, in every module that binds lp_solve, and the RhsFamily solves
+    # made outside one (the floor walk's and the strict checks'); it was
+    # 1310 before the index build began to certify cells from the closure
+    # LP's vertex, and may only fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
     solve = linear.lp_solve
+    family_solve = linear.RhsFamily.solve
     calls = []
+    inside = []
 
     def counting(*args, **kwargs):
         calls.append(args[0])
-        return solve(*args, **kwargs)
+        inside.append(True)
+        try:
+            return solve(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def counting_family(family, rhs):
+        if not inside:
+            calls.append(family)
+        return family_solve(family, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
         for module in (linear, cells, decide, engine, lattice):
             if hasattr(module, "lp_solve"):
                 mp.setattr(module, "lp_solve", counting)
+        mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
     assert len(calls) <= 1046
@@ -190,7 +205,8 @@ def test_mixed_grid_lp_count():
 def test_mixed_grid_basis_exchanges():
     # a deterministic count of the exact LP kernel's work in the same 25
     # mixed-grid solves: its basis exchanges (linear._exchange calls). The
-    # two-phase tableau it replaced made 2519 pivots there; it may only fall
+    # two-phase tableau it replaced made 2519 pivots there and the cold-started
+    # dual simplex 833; it may only fall
     import pytest
     from bilevel_exact import linear, solve_mixed
     exchange = linear._exchange
@@ -199,7 +215,7 @@ def test_mixed_grid_basis_exchanges():
         mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 881
+    assert len(calls) <= 592
 
 
 def _write_reports(fh, reports):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 import support
 from bilevel_exact import (LE, DEFAULT_CONFIG, InternalInvariantError, LinRow, LinearSystem,
-                           LpOutcome, QMatrix, QVector, ResourceLimitError, SolverConfig,
+                           QVector, ResourceLimitError, SolverConfig,
                            affinely_independent_vertices, lp_solve, recession_bounded, row_eq,
                            row_le, row_lt, strict_feasible_point, vertices)
 from bilevel_exact import linear
@@ -475,10 +475,10 @@ def test_derived_systems_check_only_new_rows():
 
 
 def test_recession_bounded():
-    assert recession_bounded(QMatrix([[1], [-1]], ncols=1))
-    assert not recession_bounded(QMatrix([[1], [1]], ncols=1))
-    assert not recession_bounded(QMatrix([[1, 0], [-1, 0], [0, 1]], ncols=2))
-    assert recession_bounded(QMatrix([[1, 1], [-1, 0], [0, -1]], ncols=2))
+    assert recession_bounded([(1,), (-1,)], 1)
+    assert not recession_bounded([(1,), (1,)], 1)
+    assert not recession_bounded([(1, 0), (-1, 0), (0, 1)], 2)
+    assert recession_bounded([(1, 1), (-1, 0), (0, -1)], 2)
 
 
 def fractional_systems():
@@ -538,16 +538,95 @@ def test_lp_reverification_is_fatal(monkeypatch):
     # a kernel vertex off the feasible region must not go unnoticed:
     # (6/2, 0) lies outside the box's x <= 2
     monkeypatch.setattr(linear, "_dual_simplex_min",
-                        lambda dim, rows, cost: ("optimal", [6, 0], 2, True))
+                        lambda *args: ("optimal", [6, 0], 2, ((0, 1), [[1, 0], [0, 1]], 1)))
     with pytest.raises(InternalInvariantError):
         lp_solve(BOX, QVector([1, 1]), "min")
+
+
+def rhs_families():
+    """(dim, rows, cost, rhs list): integer rows (a, rel) over dim 2 or 3
+    bounded by a box, either the unit box |x_j| <= 4 or the simplex-like
+    -x_j <= 4, sum x <= 4 (which has no unit row for a negative cost, so a
+    cold start needs an artificial row), then up to four random "<=" or "="
+    rows; and two to six right-hand sides for them, the box's kept, the
+    others drawn so that some systems are empty."""
+    coeffs = st.lists(st.integers(-3, 3), min_size=3, max_size=3).filter(any)
+    extra = st.lists(st.tuples(coeffs, st.sampled_from((LE, "="))), max_size=4)
+
+    def build(dim, unit_box, rows, cost, draws):
+        box = []
+        for j in range(dim):
+            unit = tuple(int(i == j) for i in range(dim))
+            box.append((tuple(-v for v in unit), LE))
+            if unit_box:
+                box.append((unit, LE))
+        if not unit_box:
+            box.append(((1,) * dim, LE))
+        rows = box + [(tuple(a[:dim]), rel) for a, rel in rows if any(a[:dim])]
+        rhs = [[4] * len(box) + [b for b in draw[:len(rows) - len(box)]] for draw in draws]
+        return dim, rows, tuple(cost[:dim]), rhs
+
+    draws = st.lists(st.lists(st.integers(-6, 6), min_size=4, max_size=4), min_size=2, max_size=6)
+    return st.builds(build, st.integers(2, 3), st.booleans(), extra,
+                     st.lists(st.integers(-4, 4), min_size=3, max_size=3), draws)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rhs_families())
+def test_rhs_family_matches_cold_lp_and_vertex_scan(family):
+    # each warm solve of one family, in turn, against a cold lp_solve of the
+    # same rows and a vertex scan that shares no LP code
+    dim, rows, cost, rhs_list = family
+    warm = linear.RhsFamily(dim, rows, cost)
+    for rhs in rhs_list:
+        sys_ = LinearSystem(dim, tuple(LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)))
+        ref = support.ref_lp_min(sys_, cost)
+        cold = lp_solve(sys_, QVector(cost), "min")
+        tag, nums, den = warm.solve(rhs)
+        if ref is None:
+            assert tag == cold.tag == "infeasible"
+            continue
+        point = [Fraction(v, den) for v in nums]
+        value = sum(c * v for c, v in zip(cost, point))
+        assert tag == cold.tag == "optimal"
+        assert value == cold.value == ref[0]
+        assert sys_.satisfied_by(point)
+        assert tuple(point) in {tuple(p) for p in support.ref_vertices(sys_)}
+
+
+def test_rhs_family_restarts_from_its_last_optimal_basis(monkeypatch):
+    # a repeated right-hand side starts at its own optimal basis: no exchange
+    rows = [((2, 1), LE), ((1, 3), LE), ((-1, 0), LE), ((0, -1), LE)]
+    family = linear.RhsFamily(2, rows, (-1, -1))
+    assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
+    exchanges = []
+    exchange = linear._exchange
+    monkeypatch.setattr(linear, "_exchange",
+                        lambda *args: exchanges.append(args) or exchange(*args))
+    assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
+    assert exchanges == []
+    assert family.solve([8, 30, 0, 0]) == ("optimal", [0, 8], 1)
+    assert family.solve([8, 9, -9, 0])[0] == "infeasible"
+    assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
+
+
+def test_rhs_family_corrupted_basis_is_fatal():
+    # the stored adjugate of the basis {2x + y <= 8, x + 3y <= 9} over det 5
+    # is altered in one entry; the next solve must not return a point
+    rows = [((2, 1), LE), ((1, 3), LE), ((-1, 0), LE), ((0, -1), LE)]
+    family = linear.RhsFamily(2, rows, (-1, -1))
+    family.solve([8, 9, 0, 0])
+    ids, adj, det = family._basis
+    assert (sorted(ids), det) == ([0, 1], 5)
+    adj[0][0] += 1
+    with pytest.raises(InternalInvariantError):
+        family.solve([8, 30, 0, 0])
 
 
 def test_strict_witness_reverification_is_fatal(monkeypatch):
     # x in (0, 1); the lifted LP claims slack 1/2 at x = 5, outside x < 1
     s = LinearSystem(1, (row_lt([-1], 0), row_lt([1], 1)))
-    fake = LpOutcome("optimal", Fraction(1, 2), QVector([5, Fraction(1, 2)]))
-    monkeypatch.setattr(linear, "lp_solve", lambda *args, **kwargs: fake)
+    monkeypatch.setattr(linear.RhsFamily, "solve", lambda self, rhs: ("optimal", [10, 1], 2))
     with pytest.raises(InternalInvariantError):
         strict_feasible_point(s)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from bilevel_exact import QMatrix, QVector, floor_rat, format_rat, parse_rat, subdeterminant_bound
+from bilevel_exact import QVector, floor_rat, format_rat, parse_rat, subdeterminant_bound
 from bilevel_exact.rational import ceil_rat, isqrt_ceil
 
 rationals = st.fractions(max_denominator=10**6)
@@ -86,33 +86,32 @@ def test_qvector_dot_and_integrality():
     assert w.is_integral()
 
 
-def test_qmatrix_shapes():
-    m = QMatrix([[1, 2], [3, 4]])
-    assert (m.nrows, m.ncols) == (2, 2)
+def test_subdeterminant_bound_shapes():
+    # column norms sqrt(10) and sqrt(20): ceilings 4 and 5
+    assert subdeterminant_bound([(1, 2), (3, 4)], 2) == 20
     with pytest.raises(ValueError):
-        QMatrix([[1, 2], [3]])
+        subdeterminant_bound([(1, 2), (3,)], 2)
     with pytest.raises(ValueError):
-        QMatrix([], ncols=None)
-    assert QMatrix([], ncols=3).nrows == 0
+        subdeterminant_bound([(1, 2)], 3)
+    assert subdeterminant_bound([], 3) == 1
 
 
 def test_subdeterminant_bound_examples():
     # stacked z-columns of the bundled example: entries 1 and -1 -> norm sqrt(2)
-    assert subdeterminant_bound(QMatrix([[1], [-1], [0], [0], [0], [0]], ncols=1)) == 2
-    assert subdeterminant_bound(QMatrix([[1], [-1], [3]], ncols=1)) == 4
-    assert subdeterminant_bound(QMatrix([], ncols=1)) == 1
-    assert subdeterminant_bound(QMatrix([[0], [0]], ncols=1)) == 1
-    assert subdeterminant_bound(QMatrix([[1, 0], [0, 1]])) == 1
+    assert subdeterminant_bound([(1,), (-1,), (0,), (0,), (0,), (0,)], 1) == 2
+    assert subdeterminant_bound([(1,), (-1,), (3,)], 1) == 4
+    assert subdeterminant_bound([], 1) == 1
+    assert subdeterminant_bound([(0,), (0,)], 1) == 1
+    assert subdeterminant_bound([(1, 0), (0, 1)], 2) == 1
 
 
 def test_subdeterminant_bound_rejects_fractions():
     with pytest.raises(ValueError):
-        subdeterminant_bound(QMatrix([[Fraction(1, 2)]]))
+        subdeterminant_bound([(Fraction(1, 2),)], 1)
 
 
 @given(st.lists(st.lists(st.integers(-4, 4), min_size=1, max_size=4),
                 min_size=1, max_size=4).filter(
                     lambda rows: len({len(r) for r in rows}) == 1))
 def test_subdeterminant_bound_dominates_brute_force(rows):
-    m = QMatrix(rows)
-    assert subdeterminant_bound(m) >= max(1, brute_max_subdet(rows))
+    assert subdeterminant_bound(rows, len(rows[0])) >= max(1, brute_max_subdet(rows))
