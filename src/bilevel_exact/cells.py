@@ -26,31 +26,30 @@ kind as one linear.RhsFamily, warm-started from its last optimal basis.
 The kinds are the range of B_i z at level i (a min and a max family per
 level), the closure LP of the pairs and their strict check
 (linear.StrictFamily). Each family is built on first use and none outlives
-the walk; constant rows never enter one and are settled on their
-right-hand sides. The instance data are ints, so the rows of the walk, of
-the cell regions and of the follower are built as LinRows straight from
-them. The candidate x come from lattice.integer_candidates, the one
-integer walk, with their activities A x and psi . x as integers, and cell
-rows are restricted to a fixed x through linear.fix_block. Within one walk
-the cell regions share their row blocks (the upper rows restricted to each
-x, the floor rows of each (i, r_i)), each built once, and cell_region
-alone says which rows a region has. Nothing caches an index across calls
-either: each cell_index call builds a fresh one, and the Instance holds its
-data fields alone.
+the walk; constant rows never enter one, and those the walk meets hold
+(see valid_cells). A cell's rows are defined once: _region_rows gives their
+coefficients over z, the same for every cell, and _region_rhs their
+integer right-hand sides at (x, r). The walk's families and cell_region
+both derive from that pair, and a cell index holds no region: a caller
+that needs one builds it with cell_region. The instance data are ints, so
+the rows of the walk, of the cell regions and of the follower are built as
+LinRows straight from them. The candidate x come from
+lattice.integer_candidates, the one integer walk, with their activities
+A x and psi . x as integers. Nothing caches an index across calls either:
+each cell_index call builds a fresh one, and the Instance holds its data
+fields alone.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
-from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
 from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge, _unit
-from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, fix_block, lp_solve,
-                     nonconstant, recession_bounded, row_eq, row_le, strict_feasible_point,
-                     _bounded_system)
+from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve, nonconstant,
+                     recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system)
 from .rational import QVector, floor_rat
 
 WITNESS_DELTA = Fraction(1, 2**20)  # cell_infimum's witness slack, of the objective range
@@ -204,54 +203,44 @@ def floor_rhs(inst: Instance, z: QVector) -> tuple:
     return tuple(map(floor_rat, _affine(inst.B, inst.u, z)))
 
 
-def _floor_rows(inst: Instance, i: int, ri: int) -> list:
-    """r_i <= B_i z + u_i < r_i + 1 over z."""
-    br = inst.B[i]
-    uv = inst.u[i]
-    return [LinRow(tuple(-v for v in br), uv - ri, LE), LinRow(br, ri + 1 - uv, LT)]
+def _region_rows(inst: Instance) -> list:
+    """The coefficient rows (a, rel) over z that every cell region has, in
+    the order of _region_rhs: D_k (<=), -e_j (<=) and, for each i, -B_i (<=)
+    and B_i (<)."""
+    rows = [(dr, LE) for dr in inst.D]
+    rows += [(_unit(inst.d, j, -1), LE) for j in range(inst.d)]
+    for br in inst.B:
+        rows += [(tuple(-v for v in br), LE), (br, LT)]
+    return rows
 
 
-class _RegionRows:
-    """The row blocks of cell regions over z, each built on first use: the
-    upper rows with x fixed, one block per x, and the floor rows, one block
-    per (i, r_i). A walk shares one of these among its cells, so a block
-    many cells have in common is built once."""
-
-    def __init__(self, inst: Instance):
-        self.inst = inst
-        self.upper = inst.upper_rows()
-        self.at_x = {}
-        self.floors = {}
-
-    def upper_at(self, x: tuple):
-        if x not in self.at_x:
-            self.at_x[x] = nonconstant(fix_block(self.upper, x, 0))
-        return self.at_x[x]
-
-    def floor(self, i: int, ri: int):
-        if (i, ri) not in self.floors:
-            self.floors[i, ri] = nonconstant(_floor_rows(self.inst, i, ri))
-        return self.floors[i, ri]
+def _region_rhs(inst: Instance, x: tuple, r: tuple) -> list:
+    """The integer right-hand sides of _region_rows for the cell (x, r):
+    p_k - C_k x, 0 and, for each i, u_i - r_i and r_i + 1 - u_i."""
+    rhs = [pv - sum(map(mul, cr, x)) for cr, pv in zip(inst.C, inst.p)]
+    rhs += [0] * inst.d
+    for ri, uv in zip(r, inst.u):
+        rhs += [uv - ri, ri + 1 - uv]
+    return rhs
 
 
-def cell_region(inst: Instance, cell: Cell, blocks: Optional[_RegionRows] = None) -> LinearSystem:
+def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
     """The half-open region of leader points that realize the cell.
 
     Rows over z: D z <= p - C x (closed), z >= 0 (closed), r_i <= B_i z + u_i
-    (closed) and B_i z + u_i < r_i + 1 (strict). The region carries a
-    boundedness proof: its recession cone lies in {z : D z <= 0, z >= 0},
-    the x = 0 slice of the upper-level cone that validation proved to be
-    {0}. `blocks` shares row blocks among the cells of one walk; without
-    it, every row is built fresh.
+    (closed) and B_i z + u_i < r_i + 1 (strict), the rows of _region_rows
+    at the right-hand sides of _region_rhs. Constant rows that hold are
+    dropped; when one fails, the region is the one row 0 <= -1. The region
+    carries a boundedness proof: its recession cone lies in
+    {z : D z <= 0, z >= 0}, the x = 0 slice of the upper-level cone that
+    validation proved to be {0}.
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
-    if blocks is None:
-        blocks = _RegionRows(inst)
-    parts = [blocks.upper_at(cell.x)]
-    parts += [blocks.floor(i, ri) for i, ri in enumerate(cell.r)]
-    empty = [LinRow((0,) * inst.d, -1, LE)]
-    rows = [row for part in parts for row in (empty if part is None else part)]
+    rows = nonconstant([LinRow(a, b, rel) for (a, rel), b in
+                        zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
+    if rows is None:
+        rows = [LinRow((0,) * inst.d, -1, LE)]
     return _bounded_system(inst.d, tuple(rows))
 
 
@@ -298,21 +287,21 @@ def bilevel_feasible(inst: Instance, x, z: QVector,
 
 @dataclass
 class CellEntry:
-    """A valid cell with shift = c . x, its region Q and low, the least
-    e . z over cl(Q); low_inside says that the LP vertex attaining low lies
-    in Q itself. Over the cell the leader's objective is shift + e . z."""
+    """A valid cell with shift = c . x and low, the least e . z over the
+    closure of its region Q (cell_region builds Q on demand); low_inside
+    says that the LP vertex attaining low lies in Q itself. Over the cell
+    the leader's objective is shift + e . z."""
 
     cell: Cell
     shift: int
-    region: LinearSystem
     low: Fraction
     low_inside: bool
 
 
 def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
-    """The valid cells of the instance with their regions, as CellEntry, in
-    the order of one floor walk; with `alpha`, only the cells whose region
-    has a point of value c . x + e . z <= alpha.
+    """The valid cells of the instance, as CellEntry, in the order of one
+    floor walk; with `alpha`, only the cells whose region has a point of
+    value c . x + e . z <= alpha.
 
     The walk lists the x candidates once: the integer x of the upper region,
     each with A x and psi . x. It then walks the floor vector r once, on the
@@ -320,13 +309,16 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     range of B_i z over the rows chosen so far and, for each floor r_i in
     it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row A_i x <= r_i
     and keeps the candidates with A_i x <= r_i; a floor that keeps none is
-    not entered, and a zero row of B has the one floor floor(u_i) and needs
-    no LP. The rows at row i are the same for every prefix of floors, and
-    their right-hand sides are integers: the walk carries those right-hand
-    sides, and takes each range from a min and a max RhsFamily of row i.
-    A valid cell (x, r) has a point z in its region, and (x, z) meets every
-    row the walk adds for r, so the walk reaches every r a valid cell has
-    with x still among its candidates. A leaf r is entered with
+    not entered, and a zero row of B has the one floor u_i and needs no LP.
+    The rows at row i are the same for every prefix of floors, and their
+    right-hand sides are integers: the walk carries those right-hand sides,
+    and takes each range from a min and a max RhsFamily of row i. A
+    constant row among them holds wherever the walk goes: for a zero row of
+    A it reads 0 <= r_i, which a candidate kept with A_i x = 0 <= r_i
+    proves, and for a zero row of B its floor u_i gives right-hand sides 0
+    and 1. A valid cell (x, r) has a point z in its region, and (x, z) meets
+    every row the walk adds for r, so the walk reaches every r a valid cell
+    has with x still among its candidates. A leaf r is entered with
     candidates, all with A x <= r, so the follower's optimal value at r is
     at most v_c, the least psi . x among them. One mixed_feasible check of
     {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are integral):
@@ -336,17 +328,21 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     follower's argmin, which may be far wider than the upper region.
 
     Each such (x, r) then takes one LP, the minimum low of e . z over the
-    closure of its cell_region Q. An infeasible LP means an empty Q. When
-    the LP's optimal vertex, re-verified on the closure, meets every row of
-    Q (strict rows strictly), Q is nonempty and attains low: the cell is
-    valid with no strict-feasibility check. Otherwise a strict check
-    decides. The entry carries low and whether its vertex lies in Q. Every
-    region of the walk has the rows D_k z <= p_k - C_k x, -z <= 0 and
-    -B_i z <= u_i - r_i, B_i z < r_i + 1 - u_i, with the same coefficients
-    for every (x, r): the closure LPs are one RhsFamily per walk and the
-    strict checks one StrictFamily. A warm start may end at another optimal
-    vertex than a cold one, so low_inside says only that some optimal
-    vertex lies in Q; low and the cells are the same.
+    closure of its region Q. Every Q has the rows of _region_rows, the same
+    for every (x, r), and only their right-hand sides, _region_rhs, depend
+    on the pair: the closure LPs are one RhsFamily per walk over the
+    nonconstant rows, and the strict checks one StrictFamily. The constant
+    rows hold at every pair: a zero row of D reads 0 <= p_k - C_k x, an
+    upper row free of z that the candidate x meets, as integer_candidates
+    lists only x with a point of the upper region, and a zero row of B
+    has the right-hand sides 0 and 1 at its one floor. An infeasible LP
+    means an empty Q. When the LP's optimal vertex, re-verified on the
+    closure, meets every strict row of Q strictly, Q is nonempty and attains
+    low: the cell is valid with no strict-feasibility check. Otherwise a
+    strict check decides. The entry carries low and whether its vertex lies
+    in Q, and no region. A warm start may end at another optimal vertex
+    than a cold one, so low_inside says only that some optimal vertex lies
+    in Q; low and the cells are the same.
 
     With `alpha`, the candidate listing and the walk's system carry the row
     c . x + e . z <= alpha too: a cell with a point z of value <= alpha in
@@ -376,18 +372,17 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     if top is None:
         return
     n, dim = inst.n, inst.joint_dim()
-    blocks = _RegionRows(inst)
-    # per row i over (x, z): B_i z, and the rows a floor r_i adds, A_i x <= r_i,
-    # -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i, split into the
-    # nonconstant ones, which the walk's LPs take, and the positions of the
-    # constant ones, settled on their rhs
+    # per row i over (x, z): B_i z, and the nonconstant rows among those a
+    # floor r_i adds, A_i x <= r_i, -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i
     spans = [(0,) * n + br for br in inst.B]
-    level_rows, kept, settled = [], [], []
+    level_rows, kept = [], []
     for ar, span in zip(inst.A, spans):
         added = (ar + (0,) * inst.d, tuple(-v for v in span), span)
         kept.append([k for k, a in enumerate(added) if any(a)])
-        settled.append([k for k, a in enumerate(added) if not any(a)])
         level_rows.append([(added[k], LE) for k in kept[-1]])
+    region_rows = _region_rows(inst)
+    live = [k for k, (a, _) in enumerate(region_rows) if any(a)]
+    region_rows = [region_rows[k] for k in live]  # the pairs' rows: the nonconstant ones
     ranges = {}  # row i -> the min and max families of B_i z over the rows of levels < i
     closure = strict = None  # the families of the pairs' closure LPs and strict checks
 
@@ -423,10 +418,8 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                 return
         for ri in floors:
             fits = [cand for cand in candidates if cand[1][i] <= ri]
-            if not fits:
-                continue
-            added = (ri, uv - ri, ri + 1 - uv)
-            if all(added[k] >= 0 for k in settled[i]):  # a constant row reads 0 <= rhs
+            if fits:
+                added = (ri, uv - ri, ri + 1 - uv)
                 yield from walk(rhs + [added[k] for k in kept[i]], r_prefix + [ri], fits)
 
     def optimal_cells(r, candidates):
@@ -442,45 +435,41 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                     yield entry
 
     def checked_entry(cell):
-        # every region of the walk has the same coefficient rows: the
-        # nonconstant upper rows at x, the same for every x, and the floor
-        # rows of each i, none for a zero row of B, whose one floor u_i
-        # makes its constant rows hold; only the rhs differ
         nonlocal closure, strict
-        if blocks.upper_at(cell.x) is None:  # a constant upper row fails at x
-            return None
-        region = cell_region(inst, cell, blocks)
-        rows = region.rows
-        rhs = [r.b for r in rows]
+        every = _region_rhs(inst, cell.x, cell.r)
+        rhs = [every[k] for k in live]
         if closure is None:
-            closure = RhsFamily(inst.d, [(r.a, LE) for r in rows], inst.e)
+            closure = RhsFamily(inst.d, [(a, LE) for a, _ in region_rows], inst.e)
         tag, nums, den = closure.solve(rhs)
         if tag == "infeasible":
             return None
         if tag != "optimal":
             raise InternalInvariantError("cell region LP unbounded on a bounded region")
         low = Fraction(sum(map(mul, inst.e, nums)), den)
-        inside = all(r.holds_at(nums, den) for r in rows)
+        # the family re-verified the closed rows at the vertex: the strict ones remain
+        inside = all(sum(map(mul, a, nums)) < b * den
+                     for (a, rel), b in zip(region_rows, rhs) if rel == LT)
         shift = sum(map(mul, inst.c, cell.x))
         if alpha is not None and low > alpha - shift:
             return None
         if not inside:
+            rows = region_rows
             if alpha is not None and any(inst.e):  # a zero e meets e . z <= alpha - shift at low
                 value = row_le(inst.e, alpha - shift)
-                rows += (value,)
+                rows = rows + [(value.a, LE)]
                 rhs.append(value.b)
             if strict is None:
-                strict = StrictFamily(inst.d, [(r.a, r.rel) for r in rows])
+                strict = StrictFamily(inst.d, rows)
             if strict.point(rhs) is None:
                 return None
-        return CellEntry(cell, shift, region, low, inside)
+        return CellEntry(cell, shift, low, inside)
 
     try:
         yield from walk([r.b for r in top], [], candidates)
     finally:
         # walk refers to itself through its closure: dropping the name frees
-        # the walk's state (candidates, row blocks, families) as soon as the
-        # caller stops, not at the next cyclic garbage collection
+        # the walk's state (candidates, families) as soon as the caller
+        # stops, not at the next cyclic garbage collection
         del walk
 
 

@@ -6,7 +6,8 @@ witness_le hands back the witness of decide_le; decide_le_pure is the
 all-integer variant.
 
 A decide_le query is one floor walk of cells.valid_cells restricted to value
-<= alpha that stops at its first cell: it builds no cell index and no scan.
+<= alpha that stops at its first cell: it builds no cell index, no scan and
+no region.
 The lex-ordered queries (decide_eq, witness_le) are each one pass of
 DecisionScan.hits, the only loop over the indexed cells here. On one cell
 the objective is affine in z over a half-open region Q, and the thresholds
@@ -30,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cells import Instance, cell_index, valid_cells
+from .cells import Instance, cell_index, cell_region, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_candidates, integer_min, integer_min_value
@@ -44,12 +45,13 @@ class DecisionScan:
     Its items are the entries of the cell index it builds, and it is the
     only holder of that index: each valid cell, in lex order of (x, r), with
     `shift` = c . x (the leader's objective on the cell is shift + e . z),
-    its region Q, `low`, the LP minimum of e . z over the closure cl(Q), and
-    `low_inside`, whether the optimal vertex that the index build's LP
+    `low`, the LP minimum of e . z over the closure cl(Q) of its region Q,
+    and `low_inside`, whether the optimal vertex that the index build's LP
     reached lies in Q. That LP is warm-started, so on a tied optimum the
     vertex is some optimal one, not a fixed one: `low_inside` False does not
     say that Q misses `low`, and only changes how many queries need a
-    strict-feasibility check, never an answer.
+    strict-feasibility check, never an answer. The items hold no region: a
+    query builds Q with cell_region for the items it does not skip.
 
     Why `low` answers most queries exactly: Q has a point, so the closed
     system cl(Q), its strict rows relaxed, is the closure of Q, and Q is
@@ -65,6 +67,7 @@ class DecisionScan:
     """
 
     def __init__(self, inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
+        self.inst = inst
         self.obj_z = inst.e
         self.items = cell_index(inst, config).entries
 
@@ -74,16 +77,17 @@ class DecisionScan:
         cell's system with the value row).
 
         A cell costs no LP when alpha lies below its least value
-        shift + low (skipped), nor when the cell surely meets the row,
-        a value <= alpha query above that value or a query at it with
-        `low_inside`: a hit, whose z is None unless `witness` asks for it.
+        shift + low (skipped, with no region built), nor when the cell
+        surely meets the row, a value <= alpha query above that value or a
+        query at it with `low_inside`: a hit, whose z is None unless
+        `witness` asks for it.
         """
         alpha = Fraction(alpha)
         for it in self.items:
             target = alpha - it.shift
             if target < it.low:
                 continue
-            system = it.region.with_rows([row(self.obj_z, target)])
+            system = cell_region(self.inst, it.cell).with_rows([row(self.obj_z, target)])
             sure = it.low_inside if target == it.low else row is row_le
             if sure and not witness:
                 yield it.cell, None, system

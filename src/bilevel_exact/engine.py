@@ -2,12 +2,14 @@
 
 The mixed driver reads the infimum off one DecisionScan and scans the value
 slices at it once: the infimum is attained exactly when some cell's slice is
-nonempty, and then the lexicographically minimal optimum has x* the x of
-the lex-first such cell and z* from the floor-vector refinement and a
-barycenter of vertices found by at most 2d + 1 LPs. The scan holds, for
-each valid cell, one LP minimum of the objective over the cell's closure,
-which the index build found. The half-open cell is dense in its closure, so
-that minimum is the cell's infimum, and the least of them is v*. No solve
+nonempty, and then the lex-first such cell, the scan's first hit, gives the
+lexicographically minimal optimum: its x is x*, its floor vector is the one
+that the floor-vector refinement would isolate, and z* is a barycenter of
+vertices of its slice's closure found by at most 2d + 1 LPs. The scan
+holds, for each valid cell, one LP minimum of the objective over the cell's
+closure, which the index build found. The half-open cell is dense in its
+closure, so that minimum is the cell's infimum, and the least of them is
+v*. No solve
 bisects: bisect_decision and rational_reconstruct, the search that a
 decomposition known only through its decision oracle needs, stay exported
 for callers. Strict-feasibility checks remain for the value slices and for
@@ -182,15 +184,15 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
     return lo, hi
 
 
-def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, telemetry=None,
+def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
             scan: Optional[DecisionScan] = None) -> Fraction:
     """Exact infimum of a feasible mixed instance: the least shift + low
     over the scan's items.
 
     Each item's shift + low is its cell's infimum (see DecisionScan), so
-    their minimum is v*; reading it makes no decision query, and telemetry
-    is left as passed. A v* whose denominator exceeds denominator_cap
-    falsifies the subdeterminant bound and raises InternalInvariantError.
+    their minimum is v*; reading it makes no decision query. A v* whose
+    denominator exceeds denominator_cap falsifies the subdeterminant bound
+    and raises InternalInvariantError.
     """
     if scan is None:
         scan = DecisionScan(inst, config)
@@ -212,61 +214,31 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     """Lex-minimal optimum (x*, z*) at value v*, with its trace; None when
     no bilevel-feasible point has value v* (an unattained infimum).
 
-    One value-equality query scans the cells in lex order of (x, r): x* is
-    the x of the first cell whose value slice at v* is nonempty, and the
-    pool is that cell with the following hits of the same x. The floor
-    vector r is then refined one row at a time: rho_i is the least value of
-    B_i z + u_i over the closures of the value slices of the still-compatible
-    attaining cells, r_i its floor, and cells disagreeing on r_i are
-    discarded. The survivor's half-open value slice Q yields z* as the
-    barycenter of k affinely independent vertices of its closure, found by
-    at most 2d + 1 LPs, which span its affine hull, so z* lands strictly
-    inside Q. A pool of one cell finds those vertices first: when its
-    slice's closure is one point (k = 1), each rho_i is B_i z + u_i there,
-    with no LP, and a floor that disagrees with the cell's r_i stays fatal.
+    One value-equality query scans the cells in lex order of (x, r), and
+    its first hit is the lex-least cell (x*, r) whose value slice Q at v* is
+    nonempty: x* is the least x of an optimum, and r the least floor vector
+    among that x's attaining cells. The floor-vector refinement, which
+    keeps, one row at a time, the attaining cells of x* with the least
+    floor of the minimum of B_i z + u_i over their slices' closures, ends
+    at that cell: a nonempty slice puts that minimum in [r_i, r_i + 1), so
+    each step keeps the cells of least r_i. z* is the barycenter of k
+    affinely independent vertices of cl(Q), found by at most 2d + 1 LPs,
+    which span its affine hull, so z* lands strictly inside Q. rho_i is the
+    least value of B_i z + u_i over cl(Q), one LP per row; when cl(Q) is
+    one point (k = 1), it is B_i z* + u_i, with no LP.
     """
     v_star = Fraction(v_star)
     if telemetry is not None:
         telemetry.decision_queries += 1
     if scan is None:
         scan = DecisionScan(inst, config)
-    pool = []
-    for cell, _, sliced in scan.hits(row_eq, v_star, witness=False):
-        if pool and cell.x != pool[0][0].x:
-            break
-        pool.append((cell, sliced))
-    if not pool:
+    hit = next(scan.hits(row_eq, v_star, witness=False), None)
+    if hit is None:
         return None
-    x_star = pool[0][0].x
+    cell, _, q_system = hit
+    x_star = cell.x
 
-    walked = affinely_independent_vertices(pool[0][1]) if len(pool) == 1 else None
-    point = walked[1][0] if walked is not None and walked[0] == 1 else None
-    rho = []
-    r_vec = []
-    for i in range(inst.m):
-        if point is not None:  # the slice's closure is one point
-            best = sum(map(mul, inst.B[i], point)) + inst.u[i]
-        else:
-            best = None
-            objective = QVector(inst.B[i])
-            for _, sliced in pool:
-                out = lp_solve(sliced.closure(), objective, "min")
-                if not out.is_optimal:
-                    raise InternalInvariantError("attaining slice lost feasibility")
-                val = out.value + inst.u[i]
-                if best is None or val < best:
-                    best = val
-        rho.append(best)
-        ri = floor_rat(best)
-        r_vec.append(ri)
-        pool = [(cell, sliced) for cell, sliced in pool if cell.r[i] == ri]
-        if not pool:
-            raise InternalInvariantError("floor refinement emptied the cell pool")
-    if len(pool) != 1:
-        raise InternalInvariantError("full floor vector did not isolate one cell")
-    _, q_system = pool[0]
-
-    k, verts = walked if walked is not None else affinely_independent_vertices(q_system)
+    k, verts = affinely_independent_vertices(q_system)
     if k == 0:
         raise InternalInvariantError("attaining slice closure has no vertices")
     total = verts[0]
@@ -282,12 +254,21 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     if inst.objective_vector().dot(joint) != v_star:
         raise InternalInvariantError("extracted optimum misses the optimal value")
 
+    if k == 1:  # cl(Q) is the point z*
+        rho = [sum(map(mul, br, z_star)) + uv for br, uv in zip(inst.B, inst.u)]
+    else:
+        closed = q_system.closure()
+        rho = []
+        for br, uv in zip(inst.B, inst.u):
+            out = lp_solve(closed, QVector(br), "min")
+            if not out.is_optimal:
+                raise InternalInvariantError("attaining slice lost feasibility")
+            rho.append(out.value + uv)
     denom = 1
     for v in verts:
         for coord in v:
             denom = math.lcm(denom, coord.denominator)
-    return LexTrace(x_star, tuple(rho), tuple(r_vec), q_system, k, tuple(verts),
-                    z_star, k * denom)
+    return LexTrace(x_star, tuple(rho), cell.r, q_system, k, tuple(verts), z_star, k * denom)
 
 
 def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
@@ -320,7 +301,7 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
     scan = DecisionScan(inst, config)
     telemetry.cells = len(scan.items)
     try:
-        v_star = infimum(inst, config, telemetry, scan)
+        v_star = infimum(inst, config, scan)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star

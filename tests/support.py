@@ -13,7 +13,8 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
-from bilevel_exact import DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, cells, is_valid_cell
+from bilevel_exact import (DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, LinearSystem, cells,
+                           is_valid_cell, row_eq)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1_PATH = os.path.join(ROOT, "instances", "example1.json")
@@ -224,6 +225,33 @@ def ref_lp_min(system, objective):
         if best is None or val < best[0]:
             best = (val, pt)
     return best
+
+
+def ref_floor_refinement(inst, cell_list, v_star):
+    """The floor-vector refinement of the lex-minimal optimum, by vertex
+    scans: the cells it leaves of the valid cells `cell_list`, in lex order
+    of (x, r), at the value v_star; None when no cell attains v_star.
+
+    The pool is the first cell whose value slice, its region with
+    c . x + e . z = v_star, is strictly feasible, with every later such cell
+    of the same x. Row by row, rho_i is the least B_i z + u_i over the
+    closures of the pool's slices, and the cells whose r_i is not
+    floor(rho_i) leave the pool.
+    """
+    pool = []
+    for cell in cell_list:
+        if pool and cell.x != pool[0][0].x:
+            break
+        shift = sum(a * b for a, b in zip(inst.c, cell.x))
+        rows = cells.cell_region(inst, cell).rows + (row_eq(inst.e, v_star - shift),)
+        if ref_strictly_feasible(rows):
+            pool.append((cell, LinearSystem(inst.d, rows)))
+    if not pool:
+        return None
+    for i, (br, uv) in enumerate(zip(inst.B, inst.u)):
+        rho_i = min(ref_lp_min(sliced, br)[0] for _, sliced in pool) + uv
+        pool = [(cell, sliced) for cell, sliced in pool if cell.r[i] == math.floor(rho_i)]
+    return [cell for cell, _ in pool]
 
 
 def grid_points(dim, lo, hi):

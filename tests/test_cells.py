@@ -11,7 +11,7 @@ from bilevel_exact import (DEFAULT_CONFIG, Cell, Instance, LinearSystem, QVector
                            bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
                            floor_rhs, is_valid_cell, random_instance, row_le, row_lt,
                            strict_feasible_point, vertices)
-from bilevel_exact.cells import WITNESS_DELTA, _floor_rows
+from bilevel_exact.cells import WITNESS_DELTA
 
 CFG = DEFAULT_CONFIG
 
@@ -133,35 +133,29 @@ def test_rows_carry_the_integers_of_the_rational_rows():
         r = tuple(rng.randint(-3, 3) for _ in range(inst.m))
         assert inst.follower_system(r).rows == tuple(
             row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r))
-        for i, ri in enumerate(r):
-            uv = Fraction(inst.u[i])
-            br = _fractions(inst.B[i])
-            lower = row_le([-f for f in br], uv - ri)
-            assert _floor_rows(inst, i, ri) == [lower, row_lt(br, ri + 1 - uv)]
-        for _ in range(4):
-            cell = Cell(tuple(rng.randint(-1, 1) for _ in range(n)), r)
-            assert cell_region(inst, cell).rows == _region_rows_from_fractions(inst, cell)
+        # r, and r at the one floor u_i of each zero row of B, so that regions
+        # with a failing constant row and regions without one both occur
+        held = tuple(uv if not any(br) else ri for br, uv, ri in zip(inst.B, inst.u, r))
+        for floors in (r, held):
+            for _ in range(4):
+                cell = Cell(tuple(rng.randint(-1, 1) for _ in range(n)), floors)
+                assert cell_region(inst, cell).rows == _region_rows_from_fractions(inst, cell)
 
 
 def _region_rows_from_fractions(inst, cell):
     """cell_region's rows, built by row_le and row_lt from Fraction data: the
-    upper rows at x, then the floor rows of each i, a block with a failing
-    constant row replaced by 0 <= -1 and constant rows that hold dropped."""
+    upper rows at x, then the floor rows of each i, with the constant rows
+    that hold dropped, or the one row 0 <= -1 when a constant row fails."""
     d = inst.d
-    upper = [row_le(_fractions(dr), pv - sum(Fraction(a) * v for a, v in zip(cr, cell.x)))
-             for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
-    upper += [row_le(_fractions(-int(j == i) for j in range(d)), 0) for i in range(d)]
-    blocks = [upper]
+    rows = [row_le(_fractions(dr), pv - sum(Fraction(a) * v for a, v in zip(cr, cell.x)))
+            for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+    rows += [row_le(_fractions(-int(j == i) for j in range(d)), 0) for i in range(d)]
     for br, uv, ri in zip(inst.B, inst.u, cell.r):
         br = _fractions(br)
-        blocks.append([row_le([-f for f in br], uv - ri), row_lt(br, ri + 1 - uv)])
-    rows = []
-    for block in blocks:
-        if any(row.constant_truth() is False for row in block):
-            rows.append(row_le([0] * d, -1))
-        else:
-            rows += [row for row in block if row.constant_truth() is None]
-    return tuple(rows)
+        rows += [row_le([-f for f in br], uv - ri), row_lt(br, ri + 1 - uv)]
+    if any(row.constant_truth() is False for row in rows):
+        return (row_le([0] * d, -1),)
+    return tuple(row for row in rows if row.constant_truth() is None)
 
 
 # ------------------------------------------------------------ frozen examples

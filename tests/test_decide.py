@@ -102,7 +102,7 @@ def test_decision_scan_matches_decide_le(example1):
 def _reference_hit(scan, row, alpha):
     """The first item whose region meets the value row at alpha, by vertex scan."""
     for it in scan.items:
-        rows = list(it.region.rows) + [row(scan.obj_z, alpha - it.shift)]
+        rows = list(cell_region(scan.inst, it.cell).rows) + [row(scan.obj_z, alpha - it.shift)]
         if support.ref_strictly_feasible(rows):
             return it
     return None
@@ -111,7 +111,7 @@ def _reference_hit(scan, row, alpha):
 def _assert_witness(inst, got, it, alpha, row):
     x, z = got
     assert x == it.cell.x
-    assert all(support.row_holds(r, z.entries) for r in it.region.rows)
+    assert all(support.row_holds(r, z.entries) for r in cell_region(inst, it.cell).rows)
     value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
     assert value == alpha if row is row_eq else value <= alpha
     assert bilevel_feasible(inst, x, z, CFG)
@@ -127,8 +127,9 @@ def test_decision_table_matches_vertex_reference(example1):
         alphas = set()
         for it in table.items:
             low = it.low
-            assert support.ref_strictly_feasible(it.region.rows)
-            assert low == support.ref_lp_min(it.region, table.obj_z)[0]
+            region = cell_region(inst, it.cell)
+            assert support.ref_strictly_feasible(region.rows)
+            assert low == support.ref_lp_min(region, table.obj_z)[0]
             alphas.update(it.shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
         v_star = solve_mixed(inst, config=CFG).infimum

@@ -9,6 +9,7 @@ generator and solved with eps 1/8; the cold decide_le answers on those
 instances are checked against it too. Telemetry is left out: query counts
 may change while answers may not. The same instances also check each
 cell-index entry against references that share no LP or lattice code, and
+each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
 the LP kernel's basis exchanges of 25 solves.
 
@@ -125,18 +126,6 @@ def test_mixed_grid_cold_decide_matches_golden():
                 assert decide_le(inst, alpha) == answer, f"mixed-grid instance {i} at {alpha}"
 
 
-def test_index_regions_match_fresh_cell_regions(example1):
-    # the floor walk shares row blocks among its cells' regions; each region
-    # must have exactly the rows cell_region builds fresh for its cell
-    from bilevel_exact.cells import cell_index, cell_region
-    checked = 0
-    for inst in [example1] + grid_instances():
-        for entry in cell_index(inst).entries:
-            assert entry.region.rows == cell_region(inst, entry.cell).rows, entry.cell
-            checked += 1
-    assert checked > 700
-
-
 def test_index_entries_match_independent_references(example1):
     # each entry's low is the vertex-scan minimum of e . z over its region's
     # closure; low_inside promises a point of the region at that value, and
@@ -145,11 +134,12 @@ def test_index_entries_match_independent_references(example1):
     import math
     import support
     from bilevel_exact import row_eq
-    from bilevel_exact.cells import cell_index
+    from bilevel_exact.cells import cell_index, cell_region
     checked = inside = 0
     for inst in [example1] + grid_instances():
         for entry in cell_index(inst).entries:
-            cell, region = entry.cell, entry.region
+            cell = entry.cell
+            region = cell_region(inst, cell)
             assert entry.low == support.ref_lp_min(region, inst.e)[0], cell
             if entry.low_inside:
                 rows = list(region.rows) + [row_eq(inst.e, entry.low)]
@@ -165,12 +155,36 @@ def test_index_entries_match_independent_references(example1):
     assert checked > 700 and 0 < inside < checked
 
 
+def test_lex_cell_is_the_floor_refinement_survivor(mixed_batch):
+    # on every attained solve of the mixed batch and the mixed-grid instances,
+    # the lex trace's (x*, r) is the one cell left by the floor-vector
+    # refinement, run by vertex scans over the cells of the definition, and
+    # each rho_i is the vertex-scan minimum of B_i z + u_i over cl(Q)
+    import support
+    from bilevel_exact import ATTAINED, Cell, solve_mixed
+    solved = [(inst, rep) for inst, rep, _ in mixed_batch[0]]
+    solved += [(inst, solve_mixed(inst, eps=GRID_EPS)) for inst in grid_instances()]
+    checked = 0
+    for inst, rep in solved:
+        if rep.status != ATTAINED:
+            continue
+        trace = rep.lex_trace
+        survivors = support.ref_floor_refinement(
+            inst, support.valid_cells_by_definition(inst), rep.infimum)
+        assert survivors == [Cell(trace.x_star, trace.r)]
+        assert list(trace.rho) == [support.ref_lp_min(trace.q_system, br)[0] + uv
+                                   for br, uv in zip(inst.B, inst.u)]
+        checked += 1
+    assert checked > 150
+
+
 def test_mixed_grid_lp_count():
     # a deterministic count of the LPs of 25 mixed-grid solves: the lp_solve
     # calls, in every module that binds lp_solve, and the RhsFamily solves
     # made outside one (the floor walk's and the strict checks'); it was
     # 1310 before the index build began to certify cells from the closure
-    # LP's vertex, and may only fall
+    # LP's vertex and 991 before the lex cell was read off the scan's first
+    # hit, and may only fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
@@ -199,14 +213,15 @@ def test_mixed_grid_lp_count():
         mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 1046
+    assert len(calls) <= 977
 
 
 def test_mixed_grid_basis_exchanges():
     # a deterministic count of the exact LP kernel's work in the same 25
     # mixed-grid solves: its basis exchanges (linear._exchange calls). The
-    # two-phase tableau it replaced made 2519 pivots there and the cold-started
-    # dual simplex 833; it may only fall
+    # two-phase tableau it replaced made 2519 pivots there, the cold-started
+    # dual simplex 833 and the warm-started one 592 before the lex cell was
+    # read off the scan's first hit; it may only fall
     import pytest
     from bilevel_exact import linear, solve_mixed
     exchange = linear._exchange
@@ -215,7 +230,7 @@ def test_mixed_grid_basis_exchanges():
         mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 592
+    assert len(calls) <= 566
 
 
 def _write_reports(fh, reports):
