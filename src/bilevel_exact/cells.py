@@ -33,11 +33,12 @@ integer right-hand sides at (x, r). The walk's families and cell_region
 both derive from that pair, and a cell index holds no region: a caller
 that needs one builds it with cell_region. The instance data are ints, so
 the rows of the walk, of the cell regions and of the follower are built as
-LinRows straight from them. The candidate x come from
-lattice.integer_candidates, the one integer walk, with their activities
-A x and psi . x as integers. Nothing caches an index across calls either:
-each cell_index call builds a fresh one, and the Instance holds its data
-fields alone.
+LinRows straight from them; the follower at a leader point z is read at its
+integer floors, follower_system(floor_rhs(inst, z)) (see bilevel_feasible).
+The candidate x come from lattice.integer_candidates, the one integer walk,
+with their activities A x and psi . x as integers. Nothing caches an index
+across calls either: each cell_index call builds a fresh one, and the
+Instance holds its data fields alone.
 """
 from __future__ import annotations
 
@@ -49,8 +50,9 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
 from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge, _unit
 from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve, nonconstant,
-                     recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system)
-from .rational import QVector, floor_rat
+                     recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system,
+                     _over_common_denominator)
+from .rational import QVector
 
 WITNESS_DELTA = Fraction(1, 2**20)  # cell_infimum's witness slack, of the objective range
 
@@ -115,9 +117,7 @@ class Instance:
             object.__setattr__(self, name, tuple(tuple(map(int, row)) for row in data[name]))
         for name in _VECTORS:
             object.__setattr__(self, name, tuple(map(int, data[name])))
-        cone_rows = [cr + dr for cr, dr in zip(self.C, self.D)]
-        cone_rows += [_unit(n + d, n + i, -1) for i in range(d)]
-        if not recession_bounded(cone_rows, n + d):
+        if not recession_bounded([row.a for row in self.upper_rows()], n + d):
             raise ValidationError("unbounded-P", "upper-level region C x + D z <= p, z >= 0 is unbounded")
         if not recession_bounded(self.A, n):
             raise ValidationError("unbounded-follower", "follower regions A x <= B z + u are unbounded")
@@ -153,22 +153,11 @@ class Instance:
         return _bounded_system(self.joint_dim(), self.upper_rows())
 
     def follower_system(self, rhs) -> LinearSystem:
-        """A x <= rhs, carrying the proof that validation made for A
-        (code "unbounded-follower"). An int rhs entry gives its row as is;
-        a rational one is scaled by row_le."""
-        rows = [LinRow(ar, rv, LE) if type(rv) is int else row_le(ar, rv)
-                for ar, rv in zip(self.A, rhs)]
-        return _bounded_system(self.n, rows)
-
-    def follower_system_at(self, z) -> LinearSystem:
-        """A x <= B z + u for a fixed leader point z, a QVector or a tuple
-        of ints."""
-        return self.follower_system(_affine(self.B, self.u, z))
-
-
-def _affine(rows, offsets, point) -> list:
-    """rows . point + offsets, one value per row."""
-    return [sum(map(mul, row, point)) + off for row, off in zip(rows, offsets)]
+        """A x <= rhs for integer right-hand sides, carrying the proof that
+        validation made for A (code "unbounded-follower"). The follower at a
+        leader point z is follower_system(floor_rhs(self, z)); a Fraction
+        entry raises ValueError, as LinRow takes integers only."""
+        return _bounded_system(self.n, [LinRow(ar, rv, LE) for ar, rv in zip(self.A, rhs)])
 
 
 @dataclass(frozen=True)
@@ -196,11 +185,14 @@ def _int_tuple(values) -> tuple:
     return tuple(out)
 
 
-def floor_rhs(inst: Instance, z: QVector) -> tuple:
-    """Componentwise floor of B z + u at the given leader point."""
-    if z.dim != inst.d:
+def floor_rhs(inst: Instance, z) -> tuple:
+    """Componentwise floor of B z + u at the leader point z, any sequence of
+    d ints and Fractions: the integer right-hand sides of the follower at z,
+    since an integer x has A x <= B z + u exactly when A x <= floor(B z + u)."""
+    if len(z) != inst.d:
         raise ValueError("leader point has the wrong dimension")
-    return tuple(map(floor_rat, _affine(inst.B, inst.u, z)))
+    nums, den = _over_common_denominator(z)
+    return tuple((sum(map(mul, br, nums)) + uv * den) // den for br, uv in zip(inst.B, inst.u))
 
 
 def _region_rows(inst: Instance) -> list:
@@ -259,23 +251,23 @@ def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CON
     return strict_feasible_point(cell_region(inst, cell)) is not None
 
 
-def bilevel_feasible(inst: Instance, x, z: QVector,
-                     config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """Direct definition: upper rows hold and x solves the follower at z."""
+def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+    """Direct definition: (x, z) meets upper_system and the integer x solves
+    the follower at z. For an integer x, A x <= B z + u holds exactly when
+    A x <= floor(B z + u), so x must meet follower_system(floor_rhs(inst, z))
+    and attain its integer_min_value of psi . x. A non-integral x gives
+    False before a wrong shape raises ValueError."""
     xv = QVector(x)
     if not xv.is_integral():
         return False
-    if z.dim != inst.d or xv.dim != inst.n:
+    if len(z) != inst.d or xv.dim != inst.n:
         raise ValueError("point has the wrong shape")
-    if any(v < 0 for v in z):
+    if not inst.upper_system().satisfied_by(xv.entries + tuple(z)):
         return False
-    if any(sum(map(mul, cr, xv)) + sum(map(mul, dr, z)) > pv
-           for cr, dr, pv in zip(inst.C, inst.D, inst.p)):
-        return False
-    follower = inst.follower_system_at(z)
+    follower = inst.follower_system(floor_rhs(inst, z))
     if not follower.satisfied_by(xv):
         return False
-    opt = integer_min_value(QVector(inst.psi), follower, config)
+    opt = integer_min_value(inst.psi, follower, config)
     if opt is None:
         raise InternalInvariantError("follower was feasible at x yet integer_min found nothing")
     return opt == sum(map(mul, inst.psi, xv))
@@ -511,13 +503,13 @@ def cell_infimum(inst: Instance, cell: Cell, objective: QVector):
         raise ValueError("objective must be over (x, z)")
     region = cell_region(inst, cell)
     obj_x = sum((a * b for a, b in zip(objective.entries[:inst.n], cell.x)), Fraction(0))
-    obj_z = QVector(objective.entries[inst.n:])
+    obj_z = objective.entries[inst.n:]
     closed = region.closure()
     mn = lp_solve(closed, obj_z, "min")
     if not mn.is_optimal:
         raise InternalInvariantError("cell_infimum needs a valid (nonempty, bounded) cell")
     inf = obj_x + mn.value
-    at = strict_feasible_point(region.with_rows([row_eq(obj_z.entries, mn.value)]))
+    at = strict_feasible_point(region.with_rows([row_eq(obj_z, mn.value)]))
     if at is not None:
         witness = QVector(list(map(Fraction, cell.x)) + list(at.entries))
         return inf, True, witness
@@ -528,7 +520,7 @@ def cell_infimum(inst: Instance, cell: Cell, objective: QVector):
     if spread == 0:
         raise InternalInvariantError("constant objective on a valid cell must be attained")
     delta = WITNESS_DELTA * spread
-    near = strict_feasible_point(region.with_rows([row_le(obj_z.entries, mn.value + delta)]))
+    near = strict_feasible_point(region.with_rows([row_le(obj_z, mn.value + delta)]))
     if near is None:
         raise InternalInvariantError("near-optimal witness must exist on a valid cell")
     witness = QVector(list(map(Fraction, cell.x)) + list(near.entries))

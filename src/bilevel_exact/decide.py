@@ -31,12 +31,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cells import Instance, cell_index, cell_region, valid_cells
+from .cells import Instance, cell_index, cell_region, floor_rhs, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_candidates, integer_min, integer_min_value
 from .linear import fix_block, nonconstant, row_eq, row_le, strict_feasible_point
-from .rational import QVector
 
 
 class DecisionScan:
@@ -68,7 +67,6 @@ class DecisionScan:
 
     def __init__(self, inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
         self.inst = inst
-        self.obj_z = inst.e
         self.items = cell_index(inst, config).entries
 
     def hits(self, row, alpha, witness: bool = True):
@@ -87,7 +85,7 @@ class DecisionScan:
             target = alpha - it.shift
             if target < it.low:
                 continue
-            system = cell_region(self.inst, it.cell).with_rows([row(self.obj_z, target)])
+            system = cell_region(self.inst, it.cell).with_rows([row(self.inst.e, target)])
             sure = it.low_inside if target == it.low else row is row_le
             if sure and not witness:
                 yield it.cell, None, system
@@ -107,8 +105,7 @@ def _first_hit(inst, row, alpha, config, scan) -> Optional[tuple]:
     return None
 
 
-def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
-              telemetry=None) -> bool:
+def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """True iff some bilevel-feasible point has value <= alpha.
 
     One floor walk restricted to value <= alpha answers the query and stops
@@ -116,20 +113,16 @@ def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
     queries (decide_eq, witness_le) take a DecisionScan built from the same
     inst and config, and build one when none is passed.
     """
-    if telemetry is not None:
-        telemetry.decision_queries += 1
     return next(valid_cells(inst, config, Fraction(alpha)), None) is not None
 
 
 def decide_eq(inst: Instance, value, config: SolverConfig = DEFAULT_CONFIG,
-              telemetry=None, scan: Optional[DecisionScan] = None) -> Optional[tuple]:
+              scan: Optional[DecisionScan] = None) -> Optional[tuple]:
     """A bilevel-feasible point with objective exactly `value`, or None.
 
     The first cell in lex order whose value slice is strictly realizable
     supplies the witness (x, z).
     """
-    if telemetry is not None:
-        telemetry.decision_queries += 1
     return _first_hit(inst, row_eq, value, config, scan)
 
 
@@ -159,32 +152,28 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     joint = upper + inst.follower_relax_rows()
     if alpha is not None:
         joint.append(row_le(inst.c + inst.e, alpha))
-    psi, c = QVector(inst.psi), QVector(inst.c)
     budget = [0]
     for z_ints in integer_candidates(joint, inst.joint_dim(), range(inst.n, inst.joint_dim()),
                                      config, budget):
-        follower = inst.follower_system_at(z_ints)
-        fopt = integer_min_value(psi, follower, config)
+        follower = inst.follower_system(floor_rhs(inst, z_ints))
+        fopt = integer_min_value(inst.psi, follower, config)
         if fopt is None:
             continue
         fixed = nonconstant(fix_block(upper, z_ints, inst.n))
         if fixed is None:
             continue
         leader = follower.with_rows([row_eq(inst.psi, fopt)] + fixed)
-        lopt = integer_min(c, leader, config)
+        lopt = integer_min(inst.c, leader, config)
         if lopt.is_optimal:
             x = tuple(int(v) for v in lopt.point.entries)
             yield lopt.value + sum(map(mul, inst.e, z_ints)), x, z_ints
 
 
-def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
-                   telemetry=None) -> bool:
+def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """All-integer variant: leader z is integral too.
 
     One pass of pure_responses with value <= alpha added to the relaxation,
     stopping at the first entry of value <= alpha.
     """
-    if telemetry is not None:
-        telemetry.decision_queries += 1
     alpha = Fraction(alpha)
     return any(v <= alpha for v, _, _ in pure_responses(inst, config, alpha))

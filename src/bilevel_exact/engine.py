@@ -105,7 +105,7 @@ def objective_bounds(inst: Instance):
     The bilevel constraint is dropped, so [v_lo, v_hi] brackets every
     feasible value.
     """
-    span = lp_range(inst.upper_system(), inst.objective_vector())
+    span = lp_range(inst.upper_system(), inst.c + inst.e)
     if span is None:
         raise InfeasibleRelaxationError("upper-level system is empty")
     return span
@@ -245,9 +245,9 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     for v in verts[1:]:
         total = total + v
     z_star = total.scaled(Fraction(1, k))
-    for row in q_system.rows:
-        if not row.satisfied_by(z_star):
-            raise InternalInvariantError(f"barycenter violates a region row: {row!r}")
+    if not q_system.satisfied_by(z_star):
+        row = next(row for row in q_system.rows if not row.satisfied_by(z_star))
+        raise InternalInvariantError(f"barycenter violates a region row: {row!r}")
     if not bilevel_feasible(inst, x_star, z_star, config):
         raise InternalInvariantError("extracted optimum is not bilevel feasible")
     joint = QVector(list(map(Fraction, x_star)) + list(z_star.entries))
@@ -260,7 +260,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         closed = q_system.closure()
         rho = []
         for br, uv in zip(inst.B, inst.u):
-            out = lp_solve(closed, QVector(br), "min")
+            out = lp_solve(closed, br, "min")
             if not out.is_optimal:
                 raise InternalInvariantError("attaining slice lost feasibility")
             rho.append(out.value + uv)
@@ -366,12 +366,12 @@ def _cells_by_definition(inst: Instance, config: SolverConfig) -> list:
     upper = inst.upper_system()
     ranges = []
     for j in range(inst.n):
-        span = lp_range(upper, QVector([int(i == j) for i in range(inst.joint_dim())]))
+        span = lp_range(upper, [int(i == j) for i in range(inst.joint_dim())])
         if span is None:
             return []
         ranges.append(range(ceil_rat(span[0]), floor_rat(span[1]) + 1))
     for br, uv in zip(inst.B, inst.u):
-        lo, hi = lp_range(upper, QVector((0,) * inst.n + br))
+        lo, hi = lp_range(upper, (0,) * inst.n + br)
         ranges.append(range(floor_rat(lo + uv), floor_rat(hi + uv) + 1))
     budget = [0]
     cells = []
@@ -403,11 +403,10 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     cells = _cells_by_definition(inst, config)
     if variant == PURE:
         found = []
-        e = QVector(inst.e)
         for cell in cells:
             rows = [LinRow(r.a, r.b - 1, LE) if r.rel == LT else r
                     for r in cell_region(inst, cell).rows]
-            out = integer_min(e, _bounded_system(inst.d, rows), config)
+            out = integer_min(inst.e, _bounded_system(inst.d, rows), config)
             if out.is_optimal:
                 found.append((sum(map(mul, inst.c, cell.x)) + out.value, cell.x,
                               out.point.entries))

@@ -13,12 +13,13 @@ results and tie-breaks are deterministic. A bounded projection onto the
 integer coordinates, checked first, bounds every branch, so no box is
 needed. The search stops once the incumbent's value equals the root
 relaxation's (Land and Doig, 1960): every node is a subproblem of the root,
-so none does better.
+so none does better. An objective is any sequence of ints and Fractions,
+as linear.lp_solve takes it: integer data goes to the LPs as it is.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
@@ -45,7 +46,7 @@ def _unit(dim: int, i: int, sign: int = 1) -> tuple:
     return tuple(sign if j == i else 0 for j in range(dim))
 
 
-def _branch_and_bound(objective: QVector, sys: LinearSystem, coords,
+def _branch_and_bound(objective: Sequence, sys: LinearSystem, coords,
                       config: SolverConfig) -> Optional[LpOutcome]:
     """The LP optimum at the first node of least value whose point is integer
     on coords, or None when there is none. A node no better than the
@@ -93,38 +94,40 @@ def mixed_feasible(sys: LinearSystem, integer_coords,
     if not all(0 <= i < sys.dim for i in coords):
         raise ValueError("integer coordinate index out of range")
     _check_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
-    out = _branch_and_bound(QVector([0] * sys.dim), sys, coords, config)
+    out = _branch_and_bound((0,) * sys.dim, sys, coords, config)
     return None if out is None else out.point
 
 
-def integer_min_value(objective: QVector, sys: LinearSystem,
+def integer_min_value(objective: Sequence, sys: LinearSystem,
                       config: SolverConfig = DEFAULT_CONFIG) -> Optional[Fraction]:
-    """Exact integer minimum value of the objective, None when no integer
-    point exists. The feasible region must be bounded."""
+    """Exact integer minimum value of the objective, a sequence of ints and
+    Fractions, None when no integer point exists. The feasible region must
+    be bounded."""
     _require_closed(sys)
-    if objective.dim != sys.dim:
+    if len(objective) != sys.dim:
         raise ValueError("objective dimension mismatch")
     _check_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
     out = _branch_and_bound(objective, sys, range(sys.dim), config)
     return None if out is None else out.value
 
 
-def integer_min(objective: QVector, sys: LinearSystem,
+def integer_min(objective: Sequence, sys: LinearSystem,
                 config: SolverConfig = DEFAULT_CONFIG) -> LpOutcome:
     """Exact integer minimum with the lexicographically smallest optimum.
 
-    Every coordinate is integer; the feasible region must be bounded. Stage
-    one finds the optimum value (integer_min_value), stage two fixes
-    coordinates left to right at their minimum values.
+    The objective is a sequence of ints and Fractions. Every coordinate is
+    integer; the feasible region must be bounded. Stage one finds the
+    optimum value (integer_min_value), stage two fixes coordinates left to
+    right at their minimum values, each a unit objective.
     """
     best = integer_min_value(objective, sys, config)
     if best is None:
         return LpOutcome("infeasible")
     coords = range(sys.dim)
-    cur = sys.with_rows([row_eq(objective.entries, best)])
+    cur = sys.with_rows([row_eq(objective, best)])
     point = []
     for j in coords:
-        out = _branch_and_bound(QVector(_unit(sys.dim, j)), cur, coords, config)
+        out = _branch_and_bound(_unit(sys.dim, j), cur, coords, config)
         if out is None or out.value.denominator != 1:
             raise InternalInvariantError("lex fixing lost feasibility or integrality")
         point.append(out.value)
@@ -150,13 +153,13 @@ def integer_candidates(rows, total_dim: int, coords: range, config: SolverConfig
     """
     if not coords:  # the empty assignment, when the system has a point
         sys = LinearSystem(total_dim, tuple(rows))
-        return [()] if lp_solve(sys, QVector([0] * total_dim), "min").is_optimal else []
+        return [()] if lp_solve(sys, (0,) * total_dim, "min").is_optimal else []
     at = coords.start
     out = []
 
     def walk(prefix, cur):
         dim = total_dim - len(prefix)
-        span = lp_range(LinearSystem(dim, tuple(cur)), QVector(_unit(dim, at)))
+        span = lp_range(LinearSystem(dim, tuple(cur)), _unit(dim, at))
         if span is None:
             return
         for v in range(ceil_rat(span[0]), floor_rat(span[1]) + 1):

@@ -28,6 +28,9 @@ coefficients with a 0 for a new variable t, strict rows get +t, 0 <= t <= 1
 and t is maximized; `strict_feasible_point` checks one system with it, and
 the floor walk of `cells.valid_cells` checks its cells with one per walk.
 
+An objective is any sequence of ints and Fractions, integer data as it is;
+`lp_solve` scales it once by the lcm of its denominators into an integer cost.
+
 Every row is stored in integer form alone: `LinRow(a, b, rel)` is the row
 a . x rel b with integer a and b, and its constructor rejects anything else.
 Rows of integer data (the instance's, the floor walk's, the branch rows)
@@ -618,26 +621,31 @@ class StrictFamily:
 # public operations
 
 
-def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOutcome:
+def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOutcome:
     """Exact LP over a closed system with free variables.
 
-    Returns Infeasible, Unbounded, or Optimal with an exact value and a point
-    that is a vertex of the optimal face whenever one exists: a one-shot
-    RhsFamily, started cold. The optimum is re-verified against every row in
-    integer arithmetic; a miss raises InternalInvariantError.
+    The objective is a sequence of dim ints and Fractions (a QVector is
+    one); a wrong length or any other entry, a float or a bool say, raises
+    ValueError. Returns Infeasible, Unbounded, or Optimal with an exact
+    value and a point that is a vertex of the optimal face whenever one
+    exists: a one-shot RhsFamily, started cold. The optimum is re-verified
+    against every row in integer arithmetic; a miss raises
+    InternalInvariantError.
     """
     if sense not in ("min", "max"):
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     if sys.has_strict():
         raise ValueError("lp_solve takes closed rows only")
-    if objective.dim != sys.dim:
+    if len(objective) != sys.dim:
         raise ValueError("objective dimension does not match the system")
+    if any(type(v) is not int and type(v) is not Fraction for v in objective):
+        raise ValueError("objective entries must be int or Fraction")
 
     rows = nonconstant(sys.rows)
     if rows is None:
         return _INFEASIBLE
-    omult = math.lcm(*(f.denominator for f in objective.entries))
-    iobjective = [f.numerator * (omult // f.denominator) for f in objective.entries]
+    omult = math.lcm(*(v.denominator for v in objective))
+    iobjective = [v.numerator * (omult // v.denominator) for v in objective]
     cost = iobjective if sense == "min" else [-v for v in iobjective]
     family = RhsFamily(sys.dim, [(r.a, r.rel) for r in rows], cost)
     tag, nums, den = family.solve([r.b for r in rows])
@@ -649,9 +657,10 @@ def lp_solve(sys: LinearSystem, objective: QVector, sense: str = "min") -> LpOut
     return LpOutcome("optimal", value, QVector([Fraction(v, den) for v in nums]))
 
 
-def lp_range(sys: LinearSystem, objective: QVector) -> Optional[tuple]:
-    """(min, max) of the objective over a closed system, None when the
-    system is empty. The maximum is solved only once the minimum is optimal.
+def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
+    """(min, max) of the objective, a sequence of ints and Fractions as
+    lp_solve takes it, over a closed system, None when the system is empty.
+    The maximum is solved only once the minimum is optimal.
     The caller knows the region bounded, so an unbounded LP raises
     InternalInvariantError."""
     mn = lp_solve(sys, objective, "min")
@@ -675,7 +684,7 @@ def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     if rows is None:
         return None
     if not any(r.rel == LT for r in rows):
-        out = lp_solve(LinearSystem(sys.dim, tuple(rows)), QVector([0] * sys.dim), "min")
+        out = lp_solve(LinearSystem(sys.dim, tuple(rows)), (0,) * sys.dim, "min")
         return out.point if out.is_optimal else None
     found = StrictFamily(sys.dim, [(r.a, r.rel) for r in rows]).point([r.b for r in rows])
     if found is None:
@@ -716,7 +725,7 @@ def _cone_coords_zero(coeff_rows, dim: int, coords) -> bool:
         unit = [0] * dim
         unit[i] = 1
         for sense in ("max", "min"):
-            out = lp_solve(cone, QVector(unit), sense)
+            out = lp_solve(cone, unit, sense)
             if not out.is_optimal:
                 raise InternalInvariantError("truncated cone LP must be optimal")
             if out.value != 0:
@@ -749,7 +758,7 @@ def recession_bounded(rows, ncols: int) -> bool:
         return True
     if _nullspace_direction(rows, ncols) is not None:
         return False
-    sums = QVector([sum(col) for col in zip(*rows)])
+    sums = [sum(col) for col in zip(*rows)]
     out = lp_solve(_truncated_cone(rows, ncols), sums, "min")
     if not out.is_optimal:
         raise InternalInvariantError("truncated cone LP must be optimal")
@@ -763,7 +772,7 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
     raises ResourceLimitError if C(rows, dim) exceeds the configured cap.
     """
     closed = sys.closure()
-    feas = lp_solve(closed, QVector([0] * sys.dim), "min")
+    feas = lp_solve(closed, (0,) * sys.dim, "min")
     if not feas.is_optimal:
         return []
     if sys.dim == 0:
@@ -821,23 +830,24 @@ def affinely_independent_vertices(sys: LinearSystem):
     infeasible one gives (0, []).
     """
     closed = sys.closure()
-    first = lp_solve(closed, QVector([0] * sys.dim), "min")
+    first = lp_solve(closed, (0,) * sys.dim, "min")
     if not first.is_optimal:
         return 0, []
     v0 = first.point
     if sys.dim == 0 or _pinned(closed.rows, sys.dim, v0):
         return 1, [v0]
+    nums, den = _over_common_denominator(v0.entries)
     chosen = [v0]
     spanned = []
     while len(spanned) < sys.dim:
-        normal = _nullspace_direction(spanned, sys.dim)
-        w = QVector(normal)
+        w = _nullspace_direction(spanned, sys.dim)
         outs = [lp_solve(closed, w, sense) for sense in ("min", "max")]
         if not all(out.is_optimal for out in outs):
             raise ValueError("vertex walk on an unbounded system")
-        off = next((out.point for out in outs if out.value != w.dot(v0)), None)
+        at_v0 = Fraction(sum(map(mul, w, nums)), den)
+        off = next((out.point for out in outs if out.value != at_v0), None)
         if off is None:
-            spanned.append(normal)
+            spanned.append(w)
         else:
             chosen.append(off)
             spanned.append(_over_common_denominator((off - v0).entries)[0])

@@ -1,12 +1,13 @@
 """Exact rational scalars and vectors, and a subdeterminant bound.
 
 Nothing in the library is ever rounded. Integer data stays int: instance
-data, cells, the coefficients of every row (linear.LinRow) and the integer
-matrices that linear.recession_bounded and subdeterminant_bound take as
-tuples of int rows. Rational values are `fractions.Fraction`s, held in the
-immutable QVector here: LP optima and points, thresholds and objectives. A
-QVector carries its dimension, and operations on two of them reject a
-mismatch.
+data, cells, the coefficients of every row (linear.LinRow), the objectives
+of integer data that the LP and integer routines take as int sequences, and
+the integer matrices that linear.recession_bounded and subdeterminant_bound
+take as tuples of int rows. Rational values are `fractions.Fraction`s, and
+the immutable QVector here holds rational points: LP optima, z* and
+witnesses. A QVector carries its dimension, and operations on two of them
+reject a mismatch.
 """
 from __future__ import annotations
 

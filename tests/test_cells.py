@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -218,6 +219,59 @@ def test_bilevel_feasible_examples(example1):
     assert bilevel_feasible(example1, (0,), QVector([0]), CFG)
     assert bilevel_feasible(example1, (1,), QVector([Fraction(1, 2)]), CFG)
     assert not bilevel_feasible(example1, (1,), QVector([0]), CFG)
+
+
+def _leader_points(inst, rng):
+    """Rational leader points z >= 0: two random ones and, for each row i
+    with a nonzero B_i, one where B_i z + u_i is an integer and one where it
+    lies 1/97 below one."""
+    points = [tuple(Fraction(rng.randint(0, 10), rng.choice((3, 5))) for _ in range(inst.d))
+              for _ in range(2)]
+    for br, uv in zip(inst.B, inst.u):
+        j = next((j for j, v in enumerate(br) if v), None)
+        if j is None:
+            continue
+        for below in (0, Fraction(1, 97)):
+            z = [Fraction(rng.randint(1, 8), 4) for _ in range(inst.d)]
+            value = sum(b * v for b, v in zip(br, z)) + uv
+            z[j] += (math.ceil(value) - below - value) / br[j]
+            assert sum(b * v for b, v in zip(br, z)) + uv == math.ceil(value) - below
+            points.append(tuple(z))
+    return points
+
+
+def test_follower_floors_match_rational_rows_and_brute_feasibility():
+    # the floor identity, checked against an independent reference: an
+    # integer x meets A x <= B z + u exactly when it meets the integer rows
+    # at floor_rhs, and bilevel_feasible, which reads the follower at those
+    # floors, agrees with support._brute_feasible, which keeps the rational
+    # right-hand sides and searches a grid; z sits on and just below integer
+    # values of B_i z + u_i, where a floor taken the wrong way shows
+    rng = random.Random(20261019)
+    compared = feasible = 0
+    for _ in range(60):
+        inst = random_instance(rng)
+        grid = list(support.grid_points(inst.n, -8, 8))
+        for z in _leader_points(inst, rng):
+            rhs = [sum(b * v for b, v in zip(br, z)) + uv for br, uv in zip(inst.B, inst.u)]
+            follower = inst.follower_system(floor_rhs(inst, z))
+            assert support.brute_integer_points(follower, -8, 8) == [
+                x for x in grid
+                if all(sum(a * v for a, v in zip(ar, x)) <= rv for ar, rv in zip(inst.A, rhs))]
+            for x in support.grid_points(inst.n, -3, 3):
+                got = bilevel_feasible(inst, x, QVector(z) if compared % 2 else z, CFG)
+                assert got == support._brute_feasible(inst, x, z), (inst, x, z)
+                compared += 1
+                feasible += got
+    assert feasible >= 20 and compared >= 10 * feasible  # 30 of 5,250 at this seed
+
+
+def test_follower_system_takes_integer_right_hand_sides_only(example1):
+    assert example1.follower_system((0, 1, 0)).rows[0].b == 0
+    with pytest.raises(ValueError):
+        example1.follower_system((Fraction(1, 2), 1, 0))
+    with pytest.raises(ValueError):
+        example1.follower_system((Fraction(0), 1, 0))
 
 
 def test_cell_cap_enforced(example1):

@@ -102,7 +102,7 @@ def test_decision_scan_matches_decide_le(example1):
 def _reference_hit(scan, row, alpha):
     """The first item whose region meets the value row at alpha, by vertex scan."""
     for it in scan.items:
-        rows = list(cell_region(scan.inst, it.cell).rows) + [row(scan.obj_z, alpha - it.shift)]
+        rows = list(cell_region(scan.inst, it.cell).rows) + [row(scan.inst.e, alpha - it.shift)]
         if support.ref_strictly_feasible(rows):
             return it
     return None
@@ -129,7 +129,7 @@ def test_decision_table_matches_vertex_reference(example1):
             low = it.low
             region = cell_region(inst, it.cell)
             assert support.ref_strictly_feasible(region.rows)
-            assert low == support.ref_lp_min(region, table.obj_z)[0]
+            assert low == support.ref_lp_min(region, table.inst.e)[0]
             alphas.update(it.shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
         v_star = solve_mixed(inst, config=CFG).infimum

@@ -161,3 +161,27 @@ def test_solve_paths_reach_no_search(driver):
     assert sorted(reached & SEARCH) == []
     if driver == "solve_mixed":
         assert "denominator_cap" in reached
+
+
+# The objective-taking LP and integer routines take integer data as it is:
+# a QVector built inside such a call would turn its ints into Fractions for
+# lp_solve to scale back.
+OBJECTIVE_TAKERS = {"lp_solve", "lp_range", "integer_min", "integer_min_value",
+                    "_branch_and_bound"}
+
+
+def _called_name(call):
+    func = call.func
+    return func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+
+
+def test_no_qvector_built_in_an_objective_call():
+    calls = wrapped = 0
+    for name in MODULES:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, ast.Call) and _called_name(node) in OBJECTIVE_TAKERS:
+                calls += 1
+                args = node.args + [k.value for k in node.keywords]
+                wrapped += sum(1 for arg in args for sub in ast.walk(arg)
+                               if isinstance(sub, ast.Call) and _called_name(sub) == "QVector")
+    assert calls >= 20 and wrapped == 0

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 import support
 from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, QVector,
                            ResourceLimitError, SolverConfig, enumerate_integers, integer_min,
-                           mixed_feasible, row_eq, row_le, row_lt)
+                           lp_solve, mixed_feasible, row_eq, row_le, row_lt)
 from bilevel_exact.lattice import integer_candidates, integer_min_value
-from bilevel_exact.linear import fix_block
+from bilevel_exact.linear import fix_block, lp_range
 
 
 def boxed_systems(dim=2, side=4):
@@ -220,3 +220,29 @@ def test_mixed_feasible_agrees_with_scan(sys_):
         for v in range(-4, 5):
             slice_sys = sys_.with_rows([row_eq(unit, v)])
             assert support.ref_lp_min(slice_sys, [Fraction(0), Fraction(0)]) is None
+
+
+@settings(max_examples=40)
+@given(boxed_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+def test_integer_objectives_give_the_qvector_outcomes(sys_, obj):
+    # an objective of ints, or of ints and Fractions, goes to the kernel as
+    # it is, with the outcome of the same objective as a QVector
+    for given_as in (tuple(obj), [Fraction(obj[0], 2), obj[1]]):
+        q = QVector(given_as)
+        for sense in ("min", "max"):
+            assert lp_solve(sys_, given_as, sense) == lp_solve(sys_, q, sense)
+        assert lp_range(sys_, given_as) == lp_range(sys_, q)
+        assert (integer_min_value(given_as, sys_, DEFAULT_CONFIG)
+                == integer_min_value(q, sys_, DEFAULT_CONFIG))
+        assert integer_min(given_as, sys_, DEFAULT_CONFIG) == integer_min(q, sys_, DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("objective", [(1.0, 0), (1, 0.5), (True, 0), ("1", 0), (1,), (1, 0, 0)])
+def test_objective_of_other_entries_or_length_raises(objective):
+    box = LinearSystem(2, (row_le([1, 0], 2), row_le([-1, 0], 2),
+                           row_le([0, 1], 2), row_le([0, -1], 2)))
+    for call in (lambda: lp_solve(box, objective), lambda: lp_range(box, objective),
+                 lambda: integer_min_value(objective, box, DEFAULT_CONFIG),
+                 lambda: integer_min(objective, box, DEFAULT_CONFIG)):
+        with pytest.raises(ValueError):
+            call()
