@@ -8,7 +8,8 @@ LPs. Cell regions are half open: the floor rows hold as r_i <= B_i z + u_i <
 r_i + 1, the upper-level rows and z >= 0 are closed.
 
 The valid cells come from one walk over the floor vectors r on the upper
-system in (x, z), x continuous, carrying the integer x of the upper region
+system in (x, z), x continuous, carrying the integer x of the joint
+relaxation (upper rows and A x <= B z + u), none on an Infeasible instance,
 that fit the floors chosen so far; at each reachable r one integer
 feasibility check, for a follower response better than the best carried x,
 settles the follower's optimum, and the carried x at that value are the
@@ -136,6 +137,11 @@ class Instance:
     def objective_vector(self) -> QVector:
         return QVector(self.c + self.e)
 
+    def objective_value(self, x, z) -> Fraction:
+        """c . x + e . z at an integer x and a leader point z, over z's common denominator."""
+        nums, den = _over_common_denominator(z)
+        return Fraction(sum(map(mul, self.c, x)) * den + sum(map(mul, self.e, nums)), den)
+
     def upper_rows(self) -> list:
         """C x + D z <= p plus z >= 0, over (x, z)."""
         rows = [LinRow(cr + dr, pv, LE) for cr, dr, pv in zip(self.C, self.D, self.p)]
@@ -153,10 +159,12 @@ class Instance:
         return _bounded_system(self.joint_dim(), self.upper_rows())
 
     def follower_system(self, rhs) -> LinearSystem:
-        """A x <= rhs for integer right-hand sides, carrying the proof that
+        """A x <= rhs for m integer right-hand sides, carrying the proof that
         validation made for A (code "unbounded-follower"). The follower at a
-        leader point z is follower_system(floor_rhs(self, z)); a Fraction
-        entry raises ValueError, as LinRow takes integers only."""
+        leader point z is follower_system(floor_rhs(self, z)); another
+        length or a Fraction entry raises ValueError."""
+        if len(rhs) != self.m:
+            raise ValueError("follower right-hand side has the wrong length")
         return _bounded_system(self.n, [LinRow(ar, rv, LE) for ar, rv in zip(self.A, rhs)])
 
 
@@ -295,13 +303,19 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     floor walk; with `alpha`, only the cells whose region has a point of
     value c . x + e . z <= alpha.
 
-    The walk lists the x candidates once: the integer x of the upper region,
-    each with A x and psi . x. It then walks the floor vector r once, on the
-    closed upper system in (x, z) with x continuous. At row i it takes the
-    range of B_i z over the rows chosen so far and, for each floor r_i in
-    it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row A_i x <= r_i
-    and keeps the candidates with A_i x <= r_i; a floor that keeps none is
-    not entered, and a zero row of B has the one floor u_i and needs no LP.
+    The walk lists the x candidates once: the integer x of the joint
+    relaxation, the upper rows with A x - B z <= u, each with A x and
+    psi . x; none means an Infeasible instance, as every valid cell's
+    (x, z) lies there. With n > 1 a mixed_feasible check of the relaxation
+    comes first, as each value of a leading coordinate that the listing
+    tries may lack an integer completion. It then walks the floor vector r
+    once, on the closed upper system in (x, z) with x continuous (relaxation
+    rows there cost more basis exchanges than they save). At row i it takes
+    the range of B_i z over the rows chosen so far and, for each floor r_i
+    in it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row
+    A_i x <= r_i and keeps the candidates with A_i x <= r_i; a floor that
+    keeps none is not entered, and a zero row of B has the one floor u_i
+    and needs no LP.
     The rows at row i are the same for every prefix of floors, and their
     right-hand sides are integers: the walk carries those right-hand sides,
     and takes each range from a min and a max RhsFamily of row i. A
@@ -316,7 +330,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are integral):
     a point there beats every candidate, and the leaf has no cell; none
     makes v_c the optimum, and the candidates at v_c are the follower's
-    optimal responses that lie in the upper region. A leaf never lists the
+    optimal responses among the candidates. A leaf never lists the
     follower's argmin, which may be far wider than the upper region.
 
     Each such (x, r) then takes one LP, the minimum low of e . z over the
@@ -326,7 +340,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     nonconstant rows, and the strict checks one StrictFamily. The constant
     rows hold at every pair: a zero row of D reads 0 <= p_k - C_k x, an
     upper row free of z that the candidate x meets, as integer_candidates
-    lists only x with a point of the upper region, and a zero row of B
+    lists only x with a point of the joint relaxation, and a zero row of B
     has the right-hand sides 0 and 1 at its one floor. An infeasible LP
     means an empty Q. When the LP's optimal vertex, re-verified on the
     closure, meets every strict row of Q strictly, Q is nonempty and attains
@@ -348,21 +362,20 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     the first pair.
 
     cell_cap counts the candidate walk's values, the leaves and the (x, r)
-    pairs tested.
+    pairs tested, and node_cap the screen's branch and bound.
     """
     budget = [0]
-    upper = inst.upper_rows()
-    if alpha is not None:
-        value_rows = nonconstant([row_le(inst.c + inst.e, alpha)])
-        if value_rows is None:
-            return
-        upper += value_rows
-    candidates = [(x, tuple(sum(map(mul, row, x)) for row in inst.A), sum(map(mul, inst.psi, x)))
-                  for x in integer_candidates(upper, inst.joint_dim(), range(inst.n),
-                                              config, budget)]
-    top = nonconstant(upper)
-    if top is None:
+    value = [] if alpha is None else [row_le(inst.c + inst.e, alpha)]
+    upper = inst.upper_rows() + value
+    joint = inst.upper_system().with_rows(value + inst.follower_relax_rows())
+    if inst.n > 1 and mixed_feasible(joint, range(inst.n), config) is None:
         return
+    candidates = [(x, tuple(sum(map(mul, row, x)) for row in inst.A), sum(map(mul, inst.psi, x)))
+                  for x in integer_candidates(joint.rows, inst.joint_dim(), range(inst.n),
+                                              config, budget)]
+    if not candidates:
+        return
+    top = nonconstant(upper)
     n, dim = inst.n, inst.joint_dim()
     # per row i over (x, z): B_i z, and the nonconstant rows among those a
     # floor r_i adds, A_i x <= r_i, -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i

@@ -33,7 +33,7 @@ from .cells import Cell, Instance, bilevel_feasible, cell_infimum, cell_region, 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
-from .lattice import integer_min, mixed_feasible, _charge
+from .lattice import integer_min, _charge
 from .linear import (LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
                      lp_solve, row_eq, _bounded_system)
 from .rational import QVector, ceil_rat, floor_rat, subdeterminant_bound
@@ -250,8 +250,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
         raise InternalInvariantError(f"barycenter violates a region row: {row!r}")
     if not bilevel_feasible(inst, x_star, z_star, config):
         raise InternalInvariantError("extracted optimum is not bilevel feasible")
-    joint = QVector(list(map(Fraction, x_star)) + list(z_star.entries))
-    if inst.objective_vector().dot(joint) != v_star:
+    if inst.objective_value(x_star, z_star) != v_star:
         raise InternalInvariantError("extracted optimum misses the optimal value")
 
     if k == 1:  # cl(Q) is the point z*
@@ -282,22 +281,18 @@ def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
     x, z = hit
-    value = inst.objective_vector().dot(QVector(list(map(Fraction, x)) + list(z.entries)))
+    value = inst.objective_value(x, z)
     if value > v_star + eps:
         raise InternalInvariantError("eps witness exceeds the allowed value")
     return EpsSolution(x, z, value, eps)
 
 
 def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
-    """Full mixed pipeline: feasibility, infimum, attainment, extraction."""
+    """Full mixed pipeline: one DecisionScan (no cell is Infeasible), infimum, extraction."""
     if eps is not None and Fraction(eps) <= 0:
         raise ValueError("eps must be positive")
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    joint = inst.upper_system().with_rows(inst.follower_relax_rows())
-    if mixed_feasible(joint, range(inst.n), config) is None:
-        return report
-
     scan = DecisionScan(inst, config)
     telemetry.cells = len(scan.items)
     try:
@@ -453,7 +448,7 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
         x, z = report.solution
         if not bilevel_feasible(inst, x, z, config):
             return f"{name} solution is not bilevel feasible"
-        value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
+        value = inst.objective_value(x, z)
         if value != report.infimum:
             return f"{name} solution has value {value}, not {report.infimum}"
     if variant == PURE:

@@ -9,12 +9,13 @@ is one fraction-free update, `_exchange`, whose divisions are exact by
 construction; a remainder would mean a bug, not bad data. The core reads
 the kernel form of the rows: the "<=" rows, each "=" row split into its
 two sides, and per coordinate the rows whose only nonzero is there. A cold
-start is dual feasible, built from those unit rows or from artificial bound
-rows far enough out to cut off no vertex, and Bland's rule on the dual ends
-every solve. The optimum leaves the kernel as integer numerators over det.
-It is a vertex unless an artificial row stays in the final basis; only then
-is it purified onto a vertex of the optimal face. It is re-verified in that
-form and becomes `Fraction`s once, for the returned point and value.
+start is dual feasible, built from those unit rows, the tightest on the
+side each cost pushes to, or from artificial bound rows far enough out to
+cut off no vertex, and Bland's rule on the dual ends every solve. The
+optimum leaves the kernel as integer numerators over det. It is a vertex
+unless an artificial row stays in the final basis; only then is it purified
+onto a vertex of the optimal face. It is re-verified in that form and
+becomes `Fraction`s once, for the returned point and value.
 
 The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the
 nonconstant rows (a, rel) and an integer cost, and solves them for one
@@ -325,11 +326,12 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
     The basis is dim rows kept as an integer adjugate adj and a denominator
     det > 0 with B^-1 = adj / det, so the point is adj b_B / det and the
     duals are y det = -adj^T cost. A cold start is dual feasible: each x_j
-    gets a row whose only nonzero is at j, on the side its cost pushes it to
-    (the one nearest 0 for a zero cost); a coordinate without one gets the
-    artificial row +-x_j <= M, where M exceeds every vertex coordinate by
-    Hadamard's bound. Each iteration brings in the first violated row and
-    drops the basis row of least y_r / alpha_r (Bland's rule on the dual).
+    gets a row whose only nonzero is at j: the tightest on the side its
+    cost pushes it to, the first in row order on a tie, or the one nearest
+    0 for a zero cost; a coordinate without one gets the artificial row
+    +-x_j <= M, where M exceeds every vertex coordinate by Hadamard's
+    bound. Each iteration brings in the first violated row and drops the
+    basis row of least y_r / alpha_r (Bland's rule on the dual).
     An artificial row left in the final basis means an unbounded LP when
     its dual is positive; at a zero dual the point is optimal but may not be
     a vertex.
@@ -343,9 +345,9 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
             k = None
             for i in units[j]:
                 if cj:
-                    if (A[i][j] > 0) == (cj < 0):
+                    if (A[i][j] > 0) == (cj < 0) and (
+                            k is None or b[i] * abs(A[k][j]) < b[k] * abs(A[i][j])):
                         k = i
-                        break
                 elif k is None or abs(b[i] * A[k][j]) < abs(b[k] * A[i][j]):
                     k = i
             if k is None:

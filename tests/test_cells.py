@@ -274,6 +274,11 @@ def test_follower_system_takes_integer_right_hand_sides_only(example1):
         example1.follower_system((Fraction(0), 1, 0))
 
 
+def test_follower_system_takes_one_right_hand_side_per_row(example1):
+    with pytest.raises(ValueError):
+        example1.follower_system((5,))
+
+
 def test_cell_cap_enforced(example1):
     with pytest.raises(ResourceLimitError):
         enumerate_cells(example1, SolverConfig(cell_cap=1))

@@ -333,6 +333,42 @@ def test_solve_mixed_infeasible():
     assert rep.infimum is None and rep.solution is None
 
 
+def wide_box_infeasible(A, B, u):
+    """The upper x box 0 <= x <= 10**6 with 0 <= z <= 1, and a follower
+    A x <= B z + u that no point of that box meets."""
+    return Instance(n=1, d=1, A=A, B=B, C=[[1], [-1], [0]], D=[[0], [0], [1]],
+                    c=[1], e=[1], psi=[1], u=u, p=[10**6, 0, 1])
+
+
+@pytest.mark.parametrize("inst", [
+    wide_box_infeasible([[1], [-1]], [[0], [0]], [-1, 5]),  # follower box [-5, -1]
+    wide_box_infeasible([[1], [-1]], [[1], [0]], [-10, 0]),  # x <= z - 10
+], ids=["follower-box", "coupled-row"])
+def test_empty_joint_relaxation_lists_no_candidate(inst):
+    # the floor walk lists its x over the joint relaxation, which is empty:
+    # no x of the wide upper box is tried, so a cap of 10 is never reached
+    cfg = SolverConfig(cell_cap=10)
+    assert not decide_le(inst, 10**7, cfg)
+    rep = solve_mixed(inst, config=cfg)
+    assert (rep.status, rep.infimum, rep.solution) == (INFEASIBLE, None, None)
+    assert rep.telemetry.as_dict() == Telemetry().as_dict()
+
+
+def test_relaxation_without_integer_point_is_infeasible_under_the_default_cap():
+    # 0 <= x1 <= 2 * 10**6 and x2 = 1/2 in the joint relaxation: it is
+    # LP-feasible, but listing x1 would try 2 * 10**6 + 1 values, past the
+    # default cell_cap, where the screen's branch and bound refutes x2 at once
+    inst = Instance(n=2, d=1, A=[[1, 0], [-1, 0], [0, 2], [0, -2]], B=[[0]] * 4,
+                    C=[[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]],
+                    D=[[0], [0], [0], [0], [1]],
+                    c=[0, 0], e=[0], psi=[0, 0], u=[2 * 10**6, 0, 1, -1],
+                    p=[2 * 10**6, 0, 10, 0, 1])
+    assert not decide_le(inst, 0)
+    rep = solve_mixed(inst)
+    assert (rep.status, rep.infimum, rep.solution) == (INFEASIBLE, None, None)
+    assert rep.telemetry.as_dict() == Telemetry().as_dict()
+
+
 def test_solve_pure_examples(example1):
     rep = solve_pure(example1, config=CFG)
     assert rep.status == ATTAINED and rep.infimum == 0

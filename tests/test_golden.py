@@ -183,8 +183,11 @@ def test_mixed_grid_lp_count():
     # calls, in every module that binds lp_solve, and the RhsFamily solves
     # made outside one (the floor walk's and the strict checks'); it was
     # 1310 before the index build began to certify cells from the closure
-    # LP's vertex and 991 before the lex cell was read off the scan's first
-    # hit, and may only fall
+    # LP's vertex, 991 before the lex cell was read off the scan's first
+    # hit and 977 before the candidate x were listed over the joint
+    # relaxation with the kernel's cold start on the tightest unit rows and
+    # the mixed-feasibility screen moved into the walk for n > 1, and may
+    # only fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
@@ -213,15 +216,18 @@ def test_mixed_grid_lp_count():
         mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 977
+    assert len(calls) <= 907
 
 
 def test_mixed_grid_basis_exchanges():
     # a deterministic count of the exact LP kernel's work in the same 25
     # mixed-grid solves: its basis exchanges (linear._exchange calls). The
     # two-phase tableau it replaced made 2519 pivots there, the cold-started
-    # dual simplex 833 and the warm-started one 592 before the lex cell was
-    # read off the scan's first hit; it may only fall
+    # dual simplex 833, the warm-started one 592 before the lex cell was
+    # read off the scan's first hit and 566 before the cold start took the
+    # tightest unit rows, the candidate x the joint relaxation and the
+    # mixed-feasibility screen moved into the walk for n > 1; it may only
+    # fall
     import pytest
     from bilevel_exact import linear, solve_mixed
     exchange = linear._exchange
@@ -230,7 +236,7 @@ def test_mixed_grid_basis_exchanges():
         mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 566
+    assert len(calls) <= 524
 
 
 def _write_reports(fh, reports):

@@ -610,6 +610,19 @@ def test_rhs_family_restarts_from_its_last_optimal_basis(monkeypatch):
     assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
 
 
+def test_cold_start_takes_the_tightest_unit_row(monkeypatch):
+    # min x + y over x >= -5, x >= 1, y >= 0: the cold basis takes x >= 1,
+    # the tighter lower bound, not x >= -5, the first, and is optimal at once
+    exchanges = []
+    exchange = linear._exchange
+    monkeypatch.setattr(linear, "_exchange",
+                        lambda *args: exchanges.append(args) or exchange(*args))
+    sys_ = LinearSystem(2, (row_le([-1, 0], 5), row_le([-1, 0], -1), row_le([0, -1], 0)))
+    out = lp_solve(sys_, (1, 1), "min")
+    assert (out.value, out.point.entries) == (1, (1, 0))
+    assert exchanges == []
+
+
 def test_rhs_family_corrupted_basis_is_fatal():
     # the stored adjugate of the basis {2x + y <= 8, x + 3y <= 9} over det 5
     # is altered in one entry; the next solve must not return a point
