@@ -27,15 +27,16 @@ kind as one linear.RhsFamily, warm-started from its last optimal basis.
 The kinds are the range of B_i z at level i (a min and a max family per
 level), the closure LP of the pairs and their strict check
 (linear.StrictFamily). Each family is built on first use and none outlives
-the walk; constant rows never enter one, and those the walk meets hold
-(see valid_cells). A cell's rows are defined once: _region_rows gives their
-coefficients over z, the same for every cell, and _region_rhs their
-integer right-hand sides at (x, r). The walk's families and cell_region
-both derive from that pair, and a cell index holds no region: a caller
-that needs one builds it with cell_region. The instance data are ints, so
-the rows of the walk, of the cell regions and of the follower are built as
-LinRows straight from them; the follower at a leader point z is read at its
-integer floors, follower_system(floor_rhs(inst, z)) (see bilevel_feasible).
+the walk; a family settles its own constant rows, such as those of a zero
+row of A, B or D, so the walk passes every row it adds. A cell's rows are
+defined once: _region_rows gives their coefficients over z, the same for
+every cell, and _region_rhs their integer right-hand sides at (x, r). The
+walk's families and cell_region both derive from that pair, and a cell
+index holds no region: a caller that needs one builds it with cell_region.
+The instance data are ints, so the rows of the walk, of the cell regions
+and of the follower are built as LinRows straight from them; the follower
+at a leader point z is read at its integer floors,
+follower_system(floor_rhs(inst, z)) (see bilevel_feasible).
 The candidate x come from lattice.integer_candidates, the one integer walk,
 with their activities A x and psi . x as integers. Nothing caches an index
 across calls either: each cell_index call builds a fresh one, and the
@@ -50,7 +51,7 @@ from operator import mul
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
 from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge, _unit
-from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve, nonconstant,
+from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve,
                      recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system,
                      _over_common_denominator)
 from .rational import QVector
@@ -196,9 +197,13 @@ def _int_tuple(values) -> tuple:
 def floor_rhs(inst: Instance, z) -> tuple:
     """Componentwise floor of B z + u at the leader point z, any sequence of
     d ints and Fractions: the integer right-hand sides of the follower at z,
-    since an integer x has A x <= B z + u exactly when A x <= floor(B z + u)."""
+    since an integer x has A x <= B z + u exactly when A x <= floor(B z + u).
+    A wrong length or any other entry, a float or a bool say, raises
+    ValueError."""
     if len(z) != inst.d:
         raise ValueError("leader point has the wrong dimension")
+    if any(type(v) is not int and type(v) is not Fraction for v in z):
+        raise ValueError("leader point entries must be int or Fraction")
     nums, den = _over_common_denominator(z)
     return tuple((sum(map(mul, br, nums)) + uv * den) // den for br, uv in zip(inst.B, inst.u))
 
@@ -228,20 +233,16 @@ def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
     """The half-open region of leader points that realize the cell.
 
     Rows over z: D z <= p - C x (closed), z >= 0 (closed), r_i <= B_i z + u_i
-    (closed) and B_i z + u_i < r_i + 1 (strict), the rows of _region_rows
-    at the right-hand sides of _region_rhs. Constant rows that hold are
-    dropped; when one fails, the region is the one row 0 <= -1. The region
-    carries a boundedness proof: its recession cone lies in
-    {z : D z <= 0, z >= 0}, the x = 0 slice of the upper-level cone that
-    validation proved to be {0}.
+    (closed) and B_i z + u_i < r_i + 1 (strict): every row of _region_rows
+    at the right-hand sides of _region_rhs, constant rows included, which
+    the LPs settle. The region carries a boundedness proof: its recession
+    cone lies in {z : D z <= 0, z >= 0}, the x = 0 slice of the upper-level
+    cone that validation proved to be {0}.
     """
     if len(cell.x) != inst.n or len(cell.r) != inst.m:
         raise ValueError("cell does not match the instance shape")
-    rows = nonconstant([LinRow(a, b, rel) for (a, rel), b in
-                        zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
-    if rows is None:
-        rows = [LinRow((0,) * inst.d, -1, LE)]
-    return _bounded_system(inst.d, tuple(rows))
+    return _bounded_system(inst.d, [LinRow(a, b, rel) for (a, rel), b in
+                                    zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
 
 
 def _follower_improves(inst: Instance, r: tuple, value, config: SolverConfig) -> bool:
@@ -264,15 +265,17 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
     the follower at z. For an integer x, A x <= B z + u holds exactly when
     A x <= floor(B z + u), so x must meet follower_system(floor_rhs(inst, z))
     and attain its integer_min_value of psi . x. A non-integral x gives
-    False before a wrong shape raises ValueError."""
+    False before a wrong shape, or a z entry other than an int or a
+    Fraction, raises ValueError."""
     xv = QVector(x)
     if not xv.is_integral():
         return False
     if len(z) != inst.d or xv.dim != inst.n:
         raise ValueError("point has the wrong shape")
+    rhs = floor_rhs(inst, z)
     if not inst.upper_system().satisfied_by(xv.entries + tuple(z)):
         return False
-    follower = inst.follower_system(floor_rhs(inst, z))
+    follower = inst.follower_system(rhs)
     if not follower.satisfied_by(xv):
         return False
     opt = integer_min_value(inst.psi, follower, config)
@@ -318,13 +321,10 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     and needs no LP.
     The rows at row i are the same for every prefix of floors, and their
     right-hand sides are integers: the walk carries those right-hand sides,
-    and takes each range from a min and a max RhsFamily of row i. A
-    constant row among them holds wherever the walk goes: for a zero row of
-    A it reads 0 <= r_i, which a candidate kept with A_i x = 0 <= r_i
-    proves, and for a zero row of B its floor u_i gives right-hand sides 0
-    and 1. A valid cell (x, r) has a point z in its region, and (x, z) meets
-    every row the walk adds for r, so the walk reaches every r a valid cell
-    has with x still among its candidates. A leaf r is entered with
+    and takes each range from a min and a max RhsFamily of row i. A valid
+    cell (x, r) has a point z in its region, and (x, z) meets every row the
+    walk adds for r, so the walk reaches every r a valid cell has with x
+    still among its candidates. A leaf r is entered with
     candidates, all with A x <= r, so the follower's optimal value at r is
     at most v_c, the least psi . x among them. One mixed_feasible check of
     {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are integral):
@@ -336,14 +336,10 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     Each such (x, r) then takes one LP, the minimum low of e . z over the
     closure of its region Q. Every Q has the rows of _region_rows, the same
     for every (x, r), and only their right-hand sides, _region_rhs, depend
-    on the pair: the closure LPs are one RhsFamily per walk over the
-    nonconstant rows, and the strict checks one StrictFamily. The constant
-    rows hold at every pair: a zero row of D reads 0 <= p_k - C_k x, an
-    upper row free of z that the candidate x meets, as integer_candidates
-    lists only x with a point of the joint relaxation, and a zero row of B
-    has the right-hand sides 0 and 1 at its one floor. An infeasible LP
-    means an empty Q. When the LP's optimal vertex, re-verified on the
-    closure, meets every strict row of Q strictly, Q is nonempty and attains
+    on the pair: the closure LPs are one RhsFamily per walk, and the strict
+    checks one StrictFamily. An infeasible LP means an empty Q. When the
+    LP's optimal vertex, re-verified on the closure, meets every strict row
+    of Q strictly, Q is nonempty and attains
     low: the cell is valid with no strict-feasibility check. Otherwise a
     strict check decides. The entry carries low and whether its vertex lies
     in Q, and no region. A warm start may end at another optimal vertex
@@ -375,19 +371,13 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                                               config, budget)]
     if not candidates:
         return
-    top = nonconstant(upper)
-    n, dim = inst.n, inst.joint_dim()
-    # per row i over (x, z): B_i z, and the nonconstant rows among those a
-    # floor r_i adds, A_i x <= r_i, -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i
-    spans = [(0,) * n + br for br in inst.B]
-    level_rows, kept = [], []
-    for ar, span in zip(inst.A, spans):
-        added = (ar + (0,) * inst.d, tuple(-v for v in span), span)
-        kept.append([k for k, a in enumerate(added) if any(a)])
-        level_rows.append([(added[k], LE) for k in kept[-1]])
+    dim = inst.joint_dim()
+    # per row i over (x, z): B_i z, and the rows a floor r_i adds,
+    # A_i x <= r_i, -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i
+    spans = [(0,) * inst.n + br for br in inst.B]
+    level_rows = [[(ar + (0,) * inst.d, LE), (tuple(-v for v in span), LE), (span, LE)]
+                  for ar, span in zip(inst.A, spans)]
     region_rows = _region_rows(inst)
-    live = [k for k, (a, _) in enumerate(region_rows) if any(a)]
-    region_rows = [region_rows[k] for k in live]  # the pairs' rows: the nonconstant ones
     ranges = {}  # row i -> the min and max families of B_i z over the rows of levels < i
     closure = strict = None  # the families of the pairs' closure LPs and strict checks
 
@@ -395,7 +385,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         """The floors of B_i z + u_i over the walk's system at rhs, None
         when the system is empty: one family solve per sense."""
         if i not in ranges:
-            rows = [(r.a, r.rel) for r in top] + [row for j in range(i) for row in level_rows[j]]
+            rows = [(r.a, r.rel) for r in upper] + [row for j in range(i) for row in level_rows[j]]
             ranges[i] = (RhsFamily(dim, rows, spans[i]),
                          RhsFamily(dim, rows, tuple(-v for v in spans[i])))
         uv = inst.u[i]
@@ -424,8 +414,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         for ri in floors:
             fits = [cand for cand in candidates if cand[1][i] <= ri]
             if fits:
-                added = (ri, uv - ri, ri + 1 - uv)
-                yield from walk(rhs + [added[k] for k in kept[i]], r_prefix + [ri], fits)
+                yield from walk(rhs + [ri, uv - ri, ri + 1 - uv], r_prefix + [ri], fits)
 
     def optimal_cells(r, candidates):
         _charge(budget, config)
@@ -441,8 +430,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
     def checked_entry(cell):
         nonlocal closure, strict
-        every = _region_rhs(inst, cell.x, cell.r)
-        rhs = [every[k] for k in live]
+        rhs = _region_rhs(inst, cell.x, cell.r)
         if closure is None:
             closure = RhsFamily(inst.d, [(a, LE) for a, _ in region_rows], inst.e)
         tag, nums, den = closure.solve(rhs)
@@ -459,7 +447,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
             return None
         if not inside:
             rows = region_rows
-            if alpha is not None and any(inst.e):  # a zero e meets e . z <= alpha - shift at low
+            if alpha is not None:
                 value = row_le(inst.e, alpha - shift)
                 rows = rows + [(value.a, LE)]
                 rhs.append(value.b)
@@ -470,7 +458,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         return CellEntry(cell, shift, low, inside)
 
     try:
-        yield from walk([r.b for r in top], [], candidates)
+        yield from walk([r.b for r in upper], [], candidates)
     finally:
         # walk refers to itself through its closure: dropping the name frees
         # the walk's state (candidates, families) as soon as the caller

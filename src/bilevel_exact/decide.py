@@ -35,7 +35,7 @@ from .cells import Instance, cell_index, cell_region, floor_rhs, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import integer_candidates, integer_min, integer_min_value
-from .linear import fix_block, nonconstant, row_eq, row_le, strict_feasible_point
+from .linear import fix_block, row_eq, row_le, strict_feasible_point
 
 
 class DecisionScan:
@@ -159,10 +159,7 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
         fopt = integer_min_value(inst.psi, follower, config)
         if fopt is None:
             continue
-        fixed = nonconstant(fix_block(upper, z_ints, inst.n))
-        if fixed is None:
-            continue
-        leader = follower.with_rows([row_eq(inst.psi, fopt)] + fixed)
+        leader = follower.with_rows([row_eq(inst.psi, fopt)] + fix_block(upper, z_ints, inst.n))
         lopt = integer_min(inst.c, leader, config)
         if lopt.is_optimal:
             x = tuple(int(v) for v in lopt.point.entries)

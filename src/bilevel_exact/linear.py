@@ -17,15 +17,15 @@ unless an artificial row stays in the final basis; only then is it purified
 onto a vertex of the optimal face. It is re-verified in that form and
 becomes `Fraction`s once, for the returned point and value.
 
-The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the
-nonconstant rows (a, rel) and an integer cost, and solves them for one
-right-hand side after another, each from the last optimal basis that held
-no artificial row: the duals of a basis, y det = -adj^T cost, depend on its
-rows and the cost alone, so a basis optimal for one right-hand side is dual
-feasible for every other, and the dual simplex goes on from it. `lp_solve`
-is a one-shot family, started cold, so its pivots and vertices are those of
-a cold solve. `StrictFamily` is the one strict lift: closed rows keep their
-coefficients with a 0 for a new variable t, strict rows get +t, 0 <= t <= 1
+The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the rows
+(a, rel) and an integer cost, and solves them for one right-hand side after
+another, each from the last optimal basis that held no artificial row: the
+duals of a basis, y det = -adj^T cost, depend on its rows and the cost
+alone, so a basis optimal for one right-hand side is dual feasible for every
+other, and the dual simplex goes on from it. `lp_solve` is a one-shot
+family, started cold, so its pivots and vertices are those of a cold solve.
+`StrictFamily` is the one strict lift: closed rows keep their coefficients
+with a 0 for a new variable t, nonconstant strict rows get +t, 0 <= t <= 1
 and t is maximized; `strict_feasible_point` checks one system with it, and
 the floor walk of `cells.valid_cells` checks its cells with one per walk.
 
@@ -53,13 +53,14 @@ is made with `_bounded_system`; adding rows only shrinks a cone, so
 `vertices` skip their cone LPs on such systems. A system built through the
 public constructor carries no proof and is still checked.
 
-Constant rows (all coefficients zero) are settled in one place,
-`nonconstant`, which `lp_solve` and `strict_feasible_point` call once
-before they build a family; a family takes nonconstant rows alone, and a
-caller that solves one for many right-hand sides settles the constant rows
-on their right-hand sides itself. `fix_block` is the one restriction of
-rows to fixed values of a block of coordinates, and `lp_range` the one
-min-then-max range of an objective.
+Constant rows (all coefficients zero), such as a zero row of the data or a
+row whose coordinates `fix_block` fixed, may stand in any system. The two
+families own them: an RhsFamily splits its rows once into the nonconstant
+ones, which alone reach the kernel, and the constant ones, which it settles
+as 0 rel b on every right-hand side before any pivot; a StrictFamily leaves
+them unlifted for its RhsFamily to settle. No caller filters them.
+`fix_block` is the one restriction of rows to fixed values of a block of
+coordinates, and `lp_range` the one min-then-max range of an objective.
 
 `_nullspace_direction` is the one exact elimination routine. No solve path
 calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
@@ -67,8 +68,9 @@ also the only function here that takes a `SolverConfig`, for `basis_cap`.
 Nothing else in this module reads a cap.
 
 Conventions: systems are over free variables; rows are "<=", "=", or the
-strict "<". Only closed rows ("<=", "=") are legal LP input; strict rows are
-the business of StrictFamily and strict_feasible_point.
+strict "<". Only closed rows ("<=", "=") are legal LP input, but for the
+constant "<" rows that an RhsFamily settles; strict rows are the business of
+StrictFamily and strict_feasible_point.
 """
 from __future__ import annotations
 
@@ -112,16 +114,6 @@ class LinRow:
             raise ValueError("LinRow takes integer coefficients and rhs; "
                              "row_le, row_eq and row_lt take rationals")
 
-    def constant_truth(self) -> Optional[bool]:
-        """None if some coefficient is nonzero; otherwise whether 0 rel b holds."""
-        if any(self.a):
-            return None
-        if self.rel == LE:
-            return self.b >= 0
-        if self.rel == EQ:
-            return self.b == 0
-        return self.b > 0
-
     def holds_at(self, nums, den: int) -> bool:
         """Whether the row holds at the point nums / den (den > 0)."""
         lhs = sum(map(mul, self.a, nums))
@@ -164,17 +156,6 @@ def row_eq(coeffs: Iterable, rhs) -> LinRow:
 
 def row_lt(coeffs: Iterable, rhs) -> LinRow:
     return _integer_row(coeffs, rhs, LT)
-
-
-def nonconstant(rows) -> Optional[list]:
-    """The rows without the constant ones that hold; None if one fails."""
-    out = []
-    for row in rows:
-        if any(row.a):
-            out.append(row)
-        elif not row.constant_truth():
-            return None
-    return out
 
 
 def fix_block(rows, values, start: int) -> list:
@@ -538,33 +519,53 @@ class RhsFamily:
     """The LPs min cost . x over fixed rows a . x rel b, one per right-hand
     side b, with free x.
 
-    dim: the number of variables; rows: nonconstant integer rows (a, rel),
-    rel "<=" or "="; cost: integers. solve(rhs) takes one integer b per row
-    and returns (tag, nums, den): "optimal" with an optimal point as integer
-    numerators over one positive denominator, a vertex of the optimal face
-    whenever one exists, or "infeasible" or "unbounded" with None, None.
+    dim: the number of variables; rows: integer rows (a, rel), rel "<=" or
+    "=", and a constant row (a = 0) may also be "<"; cost: integers.
+    solve(rhs) takes one integer b per row and returns (tag, nums, den):
+    "optimal" with an optimal point as integer numerators over one positive
+    denominator, a vertex of the optimal face whenever one exists, or
+    "infeasible" or "unbounded" with None, None.
 
-    The kernel form of the rows (_kernel_form) is built once, on the first
-    solve in two or more variables. A solve starts from the last optimal
-    basis that held no artificial row, and cold when there is none: the
-    reduced costs of a basis depend on its rows and the cost alone, not on
-    b, so an optimal basis for one rhs is dual feasible for every other, and
-    the dual simplex goes on from it. An optimum whose basis keeps an
-    artificial row is purified onto a vertex and stores no basis. One
-    variable takes the closed form. Every optimum is re-verified against
+    Construction splits the rows: the nonconstant ones, in their order, are
+    the live rows, all that the kernel sees; the constant ones are fixed. A
+    solve first settles each fixed row as 0 rel b at its b and answers
+    "infeasible" when one fails, before any pivot. The kernel form of the
+    live rows (_kernel_form) is built once, on the first solve in two or
+    more variables. A solve starts from the last optimal basis that held no
+    artificial row, and cold when there is none: the reduced costs of a
+    basis depend on its rows and the cost alone, not on b, so an optimal
+    basis for one rhs is dual feasible for every other, and the dual simplex
+    goes on from it. An optimum whose basis keeps an artificial row is
+    purified onto a vertex and stores no basis. One variable takes the
+    closed form. Every optimum is re-verified against
     every row in integer arithmetic; a miss raises InternalInvariantError.
     """
 
-    __slots__ = ("dim", "rows", "cost", "_kernel", "_basis")
+    __slots__ = ("dim", "rows", "cost", "_live", "_fixed", "_kernel", "_basis")
 
     def __init__(self, dim: int, rows, cost):
+        live, keep, fixed = [], [], []
+        for k, row in enumerate(rows):
+            if any(row[0]):
+                live.append(row)
+                keep.append(k)
+            else:
+                fixed.append((k, row[1]))
+        self._live = keep if fixed else None  # None: every row is live, rhs is passed on as it is
+        self._fixed = fixed
         self.dim = dim
-        self.rows = rows
+        self.rows = live
         self.cost = cost
         self._kernel = None
         self._basis = None
 
     def solve(self, rhs) -> tuple:
+        if self._live is not None:
+            for k, rel in self._fixed:
+                b = rhs[k]
+                if b < 0 or (rel == LT if b == 0 else rel == EQ):  # 0 rel b fails
+                    return "infeasible", None, None
+            rhs = [rhs[k] for k in self._live]
         dim, rows, cost = self.dim, self.rows, self.cost
         if dim == 1:
             tag, nums, den, vertex = _interval_solve(rows, rhs, cost[0])
@@ -593,17 +594,19 @@ class StrictFamily:
     "<", one per right-hand side, through the strict lift.
 
     The lift adds a variable t: a closed row keeps its coefficients with a 0
-    for t, a strict row a . x < b becomes a . x + t <= b, and 0 <= t <= 1;
-    it is an RhsFamily that maximizes t. The rows have a point meeting the
-    closed rows and every strict row strictly exactly when the optimal t is
-    positive.
+    for t, a nonconstant strict row a . x < b becomes a . x + t <= b, and
+    0 <= t <= 1; it is an RhsFamily that maximizes t. The rows have a point
+    meeting the closed rows and every strict row strictly exactly when the
+    optimal t is positive. A constant row, closed or strict, is not lifted:
+    it keeps its relation and a 0 for t, so that the lifted family settles
+    it as 0 rel b before any pivot and the kernel never sees it.
     """
 
     __slots__ = ("lp", "order")
 
     def __init__(self, dim: int, rows):
-        closed = [i for i, (_, rel) in enumerate(rows) if rel != LT]
-        strict = [i for i, (_, rel) in enumerate(rows) if rel == LT]
+        closed = [i for i, (a, rel) in enumerate(rows) if rel != LT or not any(a)]
+        strict = [i for i, (a, rel) in enumerate(rows) if rel == LT and any(a)]
         lifted = [(rows[i][0] + (0,), rows[i][1]) for i in closed]
         lifted += [(rows[i][0] + (1,), LE) for i in strict]
         lifted += [((0,) * dim + (-1,), LE), ((0,) * dim + (1,), LE)]  # 0 <= t <= 1
@@ -643,14 +646,11 @@ def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOu
     if any(type(v) is not int and type(v) is not Fraction for v in objective):
         raise ValueError("objective entries must be int or Fraction")
 
-    rows = nonconstant(sys.rows)
-    if rows is None:
-        return _INFEASIBLE
     omult = math.lcm(*(v.denominator for v in objective))
     iobjective = [v.numerator * (omult // v.denominator) for v in objective]
     cost = iobjective if sense == "min" else [-v for v in iobjective]
-    family = RhsFamily(sys.dim, [(r.a, r.rel) for r in rows], cost)
-    tag, nums, den = family.solve([r.b for r in rows])
+    family = RhsFamily(sys.dim, [(r.a, r.rel) for r in sys.rows], cost)
+    tag, nums, den = family.solve([r.b for r in sys.rows])
     if tag == "infeasible":
         return _INFEASIBLE
     if tag == "unbounded":
@@ -677,24 +677,27 @@ def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
 def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     """A point satisfying closed rows and every strict row strictly, or None.
 
-    A system with strict rows takes one check of a one-shot StrictFamily;
-    one without takes an LP of the zero objective. The witness is
-    re-verified against every row in integer arithmetic; a miss raises
-    InternalInvariantError.
+    A system with a nonconstant strict row takes one check of a one-shot
+    StrictFamily; any other takes the one-shot RhsFamily of the zero
+    objective, which settles its constant strict rows; when they hold, its
+    point is that of lp_solve over the closure. Either family re-verifies
+    its point in integer arithmetic, and the lift's witness is checked again
+    against every row; a miss raises InternalInvariantError.
     """
-    rows = nonconstant(sys.rows)
-    if rows is None:
-        return None
-    if not any(r.rel == LT for r in rows):
-        out = lp_solve(LinearSystem(sys.dim, tuple(rows)), (0,) * sys.dim, "min")
-        return out.point if out.is_optimal else None
-    found = StrictFamily(sys.dim, [(r.a, r.rel) for r in rows]).point([r.b for r in rows])
-    if found is None:
-        return None
-    nums, den = found
-    for r in sys.rows:
-        if not r.holds_at(nums, den):
-            raise InternalInvariantError("strict feasibility witness failed re-verification")
+    rows = [(r.a, r.rel) for r in sys.rows]
+    rhs = [r.b for r in sys.rows]
+    if any(rel == LT and any(a) for a, rel in rows):
+        found = StrictFamily(sys.dim, rows).point(rhs)
+        if found is None:
+            return None
+        nums, den = found
+        for r in sys.rows:
+            if not r.holds_at(nums, den):
+                raise InternalInvariantError("strict feasibility witness failed re-verification")
+    else:
+        tag, nums, den = RhsFamily(sys.dim, rows, (0,) * sys.dim).solve(rhs)
+        if tag != "optimal":
+            return None
     return QVector([Fraction(v, den) for v in nums])
 
 
@@ -781,7 +784,7 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
         return [QVector(())]
     if not _projection_bounded(closed, range(sys.dim)):
         raise ValueError("vertex enumeration on an unbounded system")
-    rows = nonconstant(closed.rows)
+    rows = [r for r in closed.rows if any(r.a)]  # a zero row bounds no vertex
     if math.comb(len(rows), sys.dim) > config.basis_cap:
         raise ResourceLimitError(f"basis_cap={config.basis_cap}: vertex enumeration over "
                                  f"{len(rows)} rows exceeds the basis cap")

@@ -135,7 +135,7 @@ def test_rows_carry_the_integers_of_the_rational_rows():
         assert inst.follower_system(r).rows == tuple(
             row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r))
         # r, and r at the one floor u_i of each zero row of B, so that regions
-        # with a failing constant row and regions without one both occur
+        # whose constant rows all hold and regions with a failing one both occur
         held = tuple(uv if not any(br) else ri for br, uv, ri in zip(inst.B, inst.u, r))
         for floors in (r, held):
             for _ in range(4):
@@ -145,8 +145,8 @@ def test_rows_carry_the_integers_of_the_rational_rows():
 
 def _region_rows_from_fractions(inst, cell):
     """cell_region's rows, built by row_le and row_lt from Fraction data: the
-    upper rows at x, then the floor rows of each i, with the constant rows
-    that hold dropped, or the one row 0 <= -1 when a constant row fails."""
+    upper rows at x, the rows z >= 0, then the floor rows of each i, every
+    row kept, constant ones included."""
     d = inst.d
     rows = [row_le(_fractions(dr), pv - sum(Fraction(a) * v for a, v in zip(cr, cell.x)))
             for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
@@ -154,9 +154,7 @@ def _region_rows_from_fractions(inst, cell):
     for br, uv, ri in zip(inst.B, inst.u, cell.r):
         br = _fractions(br)
         rows += [row_le([-f for f in br], uv - ri), row_lt(br, ri + 1 - uv)]
-    if any(row.constant_truth() is False for row in rows):
-        return (row_le([0] * d, -1),)
-    return tuple(row for row in rows if row.constant_truth() is None)
+    return tuple(rows)
 
 
 # ------------------------------------------------------------ frozen examples
@@ -166,6 +164,16 @@ def test_floor_rhs_examples(example1):
     assert floor_rhs(example1, QVector([Fraction(1, 2)])) == (-1, 1, 0)
     assert floor_rhs(example1, QVector([0])) == (0, 1, 0)
     assert floor_rhs(example1, QVector([1])) == (-1, 1, 0)
+
+
+@pytest.mark.parametrize("entry", [0.5, 1.0, True, "1/2"])
+def test_leader_point_entries_must_be_int_or_fraction(example1, entry):
+    # as lp_solve takes its objective: a float, a bool or a str is no exact
+    # leader coordinate, even where its value is one
+    with pytest.raises(ValueError):
+        floor_rhs(example1, [entry])
+    with pytest.raises(ValueError):
+        bilevel_feasible(example1, [1], [entry], CFG)
 
 
 def test_is_valid_cell_examples(example1):

@@ -11,7 +11,8 @@ may change while answers may not. The same instances also check each
 cell-index entry against references that share no LP or lattice code, and
 each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
-the LP kernel's basis exchanges of 25 solves.
+the LP kernel's basis exchanges of 25 solves. The kernel's LPs and basis
+exchanges of 25 pure-small benchmark solves are capped too.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -237,6 +238,43 @@ def test_mixed_grid_basis_exchanges():
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
     assert len(calls) <= 524
+
+
+def pure_small_instances(count: int) -> list:
+    """The first `count` pure-small benchmark instances, drawn as the
+    benchmark draws them: grid_instance at the workload's seed in its one
+    shape."""
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import gen
+    import workloads
+    from bilevel_exact import parse_instance
+    seed = workloads.WORKLOADS["pure-small"].seed
+    rng = random.Random(seed)
+    return [parse_instance(gen.to_json(gen.grid_instance(rng, f"pure-small-{seed}-{i}",
+                                                         workloads.PURE_SHAPE, "pure")))[0]
+            for i in range(count)]
+
+
+def test_pure_small_kernel_work():
+    # a deterministic count of the exact LP kernel's work in 25 pure-small
+    # solves: its LPs (linear._dual_simplex_min and linear._interval_solve
+    # calls) and its basis exchanges (linear._exchange calls); 264 and 12
+    # when first measured, and they may only fall
+    import pytest
+    from bilevel_exact import linear, solve_pure
+    insts = pure_small_instances(25)
+    lps, exchanges = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        for name, calls in (("_dual_simplex_min", lps), ("_interval_solve", lps),
+                            ("_exchange", exchanges)):
+            kernel = getattr(linear, name)
+            mp.setattr(linear, name, lambda *args, _kernel=kernel, _calls=calls:
+                       _calls.append(1) or _kernel(*args))
+        for inst in insts:
+            solve_pure(inst)
+    assert len(lps) <= 264
+    assert len(exchanges) <= 12
 
 
 def _write_reports(fh, reports):

@@ -524,14 +524,82 @@ def test_scaled_row_is_integral_and_equivalent():
         LinRow((1,), Fraction(1, 2), LE)
 
 
-def test_constant_truth():
-    assert row_le([1, 0], -1).constant_truth() is None
-    assert row_le([0, 0], 0).constant_truth() is True
-    assert row_le([0, 0], Fraction(-1, 3)).constant_truth() is False
-    assert row_eq([0], 0).constant_truth() is True
-    assert row_eq([0], Fraction(1, 7)).constant_truth() is False
-    assert row_lt([0], 0).constant_truth() is False
-    assert row_lt([0], Fraction(1, 9)).constant_truth() is True
+# constant rows 0 rel b, built from rational data, and whether each holds
+CONSTANT_ROWS = [(row_le, 0, True), (row_le, Fraction(-1, 3), False),
+                 (row_eq, 0, True), (row_eq, Fraction(1, 7), False),
+                 (row_lt, 0, False), (row_lt, Fraction(1, 9), True)]
+
+
+def _family_solve(dim, rows, cost):
+    return linear.RhsFamily(dim, [(r.a, r.rel) for r in rows], cost).solve([r.b for r in rows])
+
+
+def _family_point(dim, rows):
+    return linear.StrictFamily(dim, [(r.a, r.rel) for r in rows]).point([r.b for r in rows])
+
+
+@pytest.mark.parametrize("dim", (1, 2))
+@pytest.mark.parametrize("build, b, holds", CONSTANT_ROWS)
+def test_families_settle_constant_rows(dim, build, b, holds):
+    # a constant row, first, in the middle or last, leaves every outcome as
+    # it is without the row when it holds, and makes it infeasible (None for
+    # a point) when it fails
+    constant = build([0] * dim, b)
+    units = [tuple(int(i == j) for i in range(dim)) for j in range(dim)]
+    box = [row_le(u, 2) for u in units] + [row_le([-v for v in u], 1) for u in units]
+    strict = box + [row_lt([1] * dim, 2)]
+    cost = tuple(-j - 1 for j in range(dim))
+    for at in (0, 1, len(box)):
+        closed = box[:at] + [constant] + box[at:]
+        lifted = strict[:at] + [constant] + strict[at:]
+        want = _family_solve(dim, box, cost)
+        assert _family_solve(dim, closed, cost) == (want if holds else ("infeasible", None, None))
+        want = _family_point(dim, strict)
+        assert want is not None and _family_point(dim, lifted) == (want if holds else None)
+        for rows, base in ((closed, box), (lifted, strict)):
+            want = strict_feasible_point(LinearSystem(dim, tuple(base)))
+            assert strict_feasible_point(LinearSystem(dim, tuple(rows))) == (
+                want if holds else None)
+        if constant.rel != "<":
+            want = lp_solve(LinearSystem(dim, tuple(box)), cost)
+            got = lp_solve(LinearSystem(dim, tuple(closed)), cost)
+            assert (got.tag, got.value, got.point) == (
+                (want.tag, want.value, want.point) if holds else ("infeasible", None, None))
+
+
+@pytest.mark.parametrize("rel, held, failed", [(LE, 0, -1), ("=", 0, 1), ("<", 1, 0)])
+def test_rhs_family_settles_its_constant_rows_at_every_right_hand_side(rel, held, failed):
+    # one family, its constant row holding, failing and holding again: the
+    # failing solves are infeasible and leave the warm start alone, so every
+    # other solve matches the family without the row; x <= -1 has a nonzero
+    # coefficient and is a live row
+    rows = [((2, 1), LE), ((1, 3), LE), ((0, 0), rel), ((-1, 0), LE), ((0, -1), LE)]
+    family = linear.RhsFamily(2, rows, (-1, -1))
+    without = linear.RhsFamily(2, rows[:2] + rows[3:], (-1, -1))
+    for top, b in ((9, held), (9, failed), (30, held), (9, failed), (9, held)):
+        got = family.solve([8, top, b, 0, 0])
+        if b == failed:
+            assert got == ("infeasible", None, None)
+        else:
+            assert got == without.solve([8, top, 0, 0])
+    live = lp_solve(BOX.with_rows([row_le([1, 0], -1)]), (-1, 0))
+    assert live.tag == "infeasible"
+    live = lp_solve(BOX.with_rows([row_le([1, 0], 1)]), (-1, 0))
+    assert live.value == -1
+
+
+def test_strict_point_of_constant_strict_rows_is_the_closed_lp_point(monkeypatch):
+    # strict rows that are all constant and hold take the zero-objective LP
+    # of the closed rows, never the strict lift
+    closed = (row_le([1, 1], 3), row_le([-1, 0], 1), row_le([0, -1], 2), row_le([1, -1], 1))
+    sys_ = LinearSystem(2, closed[:2] + (row_lt([0, 0], 1),) + closed[2:] + (row_lt([0, 0], 5),))
+    want = lp_solve(LinearSystem(2, closed), (0, 0)).point
+
+    def no_lift(*args):
+        raise AssertionError("a system without a nonconstant strict row took the lift")
+
+    monkeypatch.setattr(linear, "StrictFamily", no_lift)
+    assert strict_feasible_point(sys_) == want
 
 
 def test_lp_reverification_is_fatal(monkeypatch):
