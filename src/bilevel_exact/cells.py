@@ -13,9 +13,12 @@ relaxation (upper rows and A x <= B z + u), none on an Infeasible instance,
 that fit the floors chosen so far; at each reachable r one integer
 feasibility check, for a follower response better than the best carried x,
 settles the follower's optimum, and the carried x at that value are the
-responses to pair with r. The same walk serves the cell index, which
-collects and sorts its cells, and a single threshold query, which adds the
-row value <= alpha to the walk and stops at the first cell that meets it.
+responses to pair with r. Those checks are one lattice.IntegerSearch per
+walk (_follower_check: the rows A and psi, zero cost), each a right-hand
+side (r, v - 1), and is_valid_cell makes the same check one-shot. The same
+walk serves the cell index, which collects and sorts its cells, and a
+single threshold query, which adds the row value <= alpha to the walk and
+stops at the first cell that meets it.
 One LP over the closure of each pair's region gives the cell's least e . z
 and, when its vertex lies in the half-open region, proves the cell valid
 with no strict-feasibility check.
@@ -50,7 +53,8 @@ from operator import mul
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
-from .lattice import integer_candidates, integer_min_value, mixed_feasible, _charge, _unit
+from .lattice import (IntegerSearch, integer_candidates, integer_min_value, mixed_feasible,
+                      _charge, _unit)
 from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve,
                      recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system,
                      _over_common_denominator)
@@ -245,17 +249,26 @@ def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
                                     zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
 
 
-def _follower_improves(inst: Instance, r: tuple, value, config: SolverConfig) -> bool:
-    """Whether an integer x' with A x' <= r has psi . x' <= value - 1."""
-    sys = inst.follower_system(r).with_rows([LinRow(inst.psi, value - 1, LE)])
-    return mixed_feasible(sys, range(inst.n), config) is not None
+def _follower_check(inst: Instance) -> IntegerSearch:
+    """The search for an integer x' with A x' <= r and psi . x' <= v, at the
+    right-hand side (r, v): the rows A and psi, zero cost. Validation
+    proved the rows A bounded (code "unbounded-follower")."""
+    return IntegerSearch(inst.n, [(a, LE) for a in inst.A] + [(inst.psi, LE)], range(inst.n),
+                         (0,) * inst.n)
+
+
+def _follower_improves(check: IntegerSearch, r: tuple, value, config: SolverConfig) -> bool:
+    """Whether an integer x' with A x' <= r has psi . x' <= value - 1: one
+    search of the instance's _follower_check."""
+    return check.minimize(list(r) + [value - 1], config) is not None
 
 
 def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """Feasible response, follower-optimal, and a strictly realizable region."""
     if any(sum(map(mul, ar, cell.x)) > rv for ar, rv in zip(inst.A, cell.r)):
         return False
-    if _follower_improves(inst, cell.r, sum(map(mul, inst.psi, cell.x)), config):
+    value = sum(map(mul, inst.psi, cell.x))
+    if _follower_improves(_follower_check(inst), cell.r, value, config):
         return False
     return strict_feasible_point(cell_region(inst, cell)) is not None
 
@@ -326,8 +339,9 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     walk adds for r, so the walk reaches every r a valid cell has with x
     still among its candidates. A leaf r is entered with
     candidates, all with A x <= r, so the follower's optimal value at r is
-    at most v_c, the least psi . x among them. One mixed_feasible check of
-    {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are integral):
+    at most v_c, the least psi . x among them. One integer feasibility check
+    of {A x <= r, psi . x <= v_c - 1} settles it (psi, x and r are
+    integral), a search of the walk's one _follower_check at (r, v_c - 1):
     a point there beats every candidate, and the leaf has no cell; none
     makes v_c the optimum, and the candidates at v_c are the follower's
     optimal responses among the candidates. A leaf never lists the
@@ -358,7 +372,8 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     the first pair.
 
     cell_cap counts the candidate walk's values, the leaves and the (x, r)
-    pairs tested, and node_cap the screen's branch and bound.
+    pairs tested, and node_cap the nodes of each branch-and-bound call: the
+    screen's and each leaf's follower check.
     """
     budget = [0]
     value = [] if alpha is None else [row_le(inst.c + inst.e, alpha)]
@@ -380,6 +395,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     region_rows = _region_rows(inst)
     ranges = {}  # row i -> the min and max families of B_i z over the rows of levels < i
     closure = strict = None  # the families of the pairs' closure LPs and strict checks
+    follower = None  # the leaves' follower-check search
 
     def floor_range(i, rhs):
         """The floors of B_i z + u_i over the walk's system at rhs, None
@@ -417,9 +433,12 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                 yield from walk(rhs + [ri, uv - ri, ri + 1 - uv], r_prefix + [ri], fits)
 
     def optimal_cells(r, candidates):
+        nonlocal follower
         _charge(budget, config)
         opt = min(value for _, _, value in candidates)
-        if _follower_improves(inst, r, opt, config):
+        if follower is None:
+            follower = _follower_check(inst)
+        if _follower_improves(follower, r, opt, config):
             return
         for x, _, value in candidates:
             if value == opt:

@@ -34,8 +34,8 @@ from typing import Optional
 from .cells import Instance, cell_index, cell_region, floor_rhs, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
-from .lattice import integer_candidates, integer_min, integer_min_value
-from .linear import fix_block, row_eq, row_le, strict_feasible_point
+from .lattice import IntegerSearch, LexMin, integer_candidates
+from .linear import EQ, LE, row_eq, row_le, strict_feasible_point
 
 
 class DecisionScan:
@@ -147,23 +147,34 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     set has a point it yields (value, x, z) with x its lex-least minimizer
     and x and z as tuples of ints. Every bilevel-feasible point of value v
     at a listed z has an entry of value <= v at that z.
+
+    Only right-hand sides move with z, so one search per solve serves every
+    z: the follower's IntegerSearch (rows A, cost psi, at floor_rhs(z)) and
+    the leader's LexMin (rows A, psi as "=" and C, cost c, at floor_rhs(z),
+    the follower's optimum and p - D z). The rows z >= 0 hold at every
+    listed z and are left out.
     """
-    upper = inst.upper_rows()
-    joint = upper + inst.follower_relax_rows()
+    n = inst.n
+    joint = inst.upper_rows() + inst.follower_relax_rows()
     if alpha is not None:
         joint.append(row_le(inst.c + inst.e, alpha))
+    follower_rows = [(a, LE) for a in inst.A]
+    follower = IntegerSearch(n, follower_rows, range(n), inst.psi)
+    leader = LexMin(n, follower_rows + [(inst.psi, EQ)] + [(cr, LE) for cr in inst.C], inst.c)
     budget = [0]
-    for z_ints in integer_candidates(joint, inst.joint_dim(), range(inst.n, inst.joint_dim()),
+    for z_ints in integer_candidates(joint, inst.joint_dim(), range(n, inst.joint_dim()),
                                      config, budget):
-        follower = inst.follower_system(floor_rhs(inst, z_ints))
-        fopt = integer_min_value(inst.psi, follower, config)
-        if fopt is None:
+        r = floor_rhs(inst, z_ints)
+        found = follower.minimize(r, config)
+        if found is None:
             continue
-        leader = follower.with_rows([row_eq(inst.psi, fopt)] + fix_block(upper, z_ints, inst.n))
-        lopt = integer_min(inst.c, leader, config)
-        if lopt.is_optimal:
-            x = tuple(int(v) for v in lopt.point.entries)
-            yield lopt.value + sum(map(mul, inst.e, z_ints)), x, z_ints
+        nums, den = found
+        fopt = sum(map(mul, inst.psi, nums)) // den  # an integer point: exact
+        upper = [pv - sum(map(mul, dr, z_ints)) for dr, pv in zip(inst.D, inst.p)]
+        best = leader.solve(list(r) + [fopt] + upper, config)
+        if best is not None:
+            lopt, x = best
+            yield lopt + sum(map(mul, inst.e, z_ints)), tuple(x), z_ints
 
 
 def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:

@@ -388,7 +388,7 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     strict row a . z < b of its region, in integral form, tightens to
     a . z <= b - 1; integer_min over those rows gives the cell's lex-least
     optimum, and the least (value, x, z) over the cells wins. Shared with
-    the engines: is_valid_cell (_follower_improves, a mixed_feasible check,
+    the engines: is_valid_cell (_follower_improves, a one-shot IntegerSearch,
     and strict_feasible_point), cell_region, integer_min, and cell_infimum's
     LP over a cell's closure, the LP behind the engine's per-cell low.
     """

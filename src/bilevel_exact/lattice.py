@@ -7,24 +7,36 @@ closed system feasible, taking the exact LP range (lp_range) of one
 coordinate per level; every value tried counts against cell_cap. It lists
 the cell candidates (x, the leading range), the pure table's leader points
 (z, the trailing range) and, over every coordinate, enumerate_integers.
-_branch_and_bound serves feasibility (zero objective) and minimization: it
-branches on the lowest-index fractional coordinate, lower branch first, so
-results and tie-breaks are deterministic. A bounded projection onto the
-integer coordinates, checked first, bounds every branch, so no box is
-needed. The search stops once the incumbent's value equals the root
-relaxation's (Land and Doig, 1960): every node is a subproblem of the root,
-so none does better. An objective is any sequence of ints and Fractions,
-as linear.lp_solve takes it: integer data goes to the LPs as it is.
+
+The branch-and-bound, IntegerSearch, holds fixed rows (a, rel) plus an
+upper and a lower bound row per integer coordinate as one
+linear.RhsFamily, so a node is a right-hand side: a branch replaces the
+bound on one side of one coordinate, and each node's LP starts from the
+family's last optimal basis, which stays dual feasible as right-hand sides
+move. An unbranched bound sits at linear._vertex_bound of that call's rows,
+which cuts nothing. It branches on the lowest-index fractional coordinate,
+lower branch first, so results and tie-breaks are deterministic, prunes a
+node no better than the incumbent, and stops once the incumbent's value
+equals the root relaxation's (Land and Doig, 1960): every node is a
+subproblem of the root, so none does better. node_cap counts the nodes of
+each call. LexMin adds integer_min's lex stage: one search per coordinate
+over the rows and the value row, fixing the earlier coordinates through
+their bound rows. The floor walk and the pure table keep one search per
+walk or solve; mixed_feasible, integer_min_value and integer_min are
+one-shot uses, as lp_solve is a one-shot family. An objective is any
+sequence of ints and Fractions, as linear.lp_solve takes it: integer data
+goes to the LPs as it is.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (LE, LinRow, LinearSystem, LpOutcome, fix_block, lp_range, lp_solve, row_eq,
-                     _projection_bounded)
+from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, fix_block, lp_range, lp_solve,
+                     _integer_cost, _projection_bounded, _vertex_bound)
 from .rational import QVector, ceil_rat, floor_rat
 
 
@@ -46,43 +58,112 @@ def _unit(dim: int, i: int, sign: int = 1) -> tuple:
     return tuple(sign if j == i else 0 for j in range(dim))
 
 
-def _branch_and_bound(objective: Sequence, sys: LinearSystem, coords,
-                      config: SolverConfig) -> Optional[LpOutcome]:
-    """The LP optimum at the first node of least value whose point is integer
-    on coords, or None when there is none. A node no better than the
-    incumbent is pruned; an incumbent at the root relaxation's value ends
-    the search."""
-    nodes = 0
-    best = root = None
-    stack = [()]
-    while stack:
-        extra = stack.pop()
-        nodes += 1
-        if nodes > config.node_cap:
-            raise ResourceLimitError(
-                f"node_cap={config.node_cap}: branch and bound node cap exceeded")
-        out = lp_solve(sys.with_rows(extra), objective, "min")
-        if out.tag == "infeasible":
-            continue
-        if not out.is_optimal:
-            raise BoundednessError("LP relaxation unbounded despite the boundedness pre-check")
-        if not extra:
-            root = out.value
-        if best is not None and out.value >= best.value:
-            continue
-        pt = out.point
-        frac = next((i for i in coords if pt[i].denominator != 1), None)
-        if frac is None:
-            best = out
-            if best.value == root:
-                break
-            continue
-        fl = floor_rat(pt[frac])
-        up = extra + (LinRow(_unit(sys.dim, frac, -1), -(fl + 1), LE),)
-        down = extra + (LinRow(_unit(sys.dim, frac), fl, LE),)
-        stack.append(up)
-        stack.append(down)  # popped first: lower branch leads
-    return best
+class IntegerSearch:
+    """Branch and bound over fixed rows (a, rel) in dim variables, integer
+    on the coordinates `coords` (sorted), minimizing an integer cost.
+
+    The rows must bound the region's projection onto coords for every
+    right-hand side the search is given. minimize(rhs, config, fixed)
+    takes one integer per row, and the integer values `fixed` of the first
+    len(fixed) coordinates of coords, and returns (nums, den), the LP
+    optimum at the first node of least cost whose point is integer on
+    coords, or None when there is none.
+    """
+
+    __slots__ = ("dim", "coords", "cost", "lp", "_norms")
+
+    def __init__(self, dim: int, rows, coords, cost):
+        self.dim = dim
+        self.coords = coords = sorted(set(coords))
+        self.cost = cost
+        self._norms = [sum(map(abs, a)) for a, _ in rows]
+        bounds = [(_unit(dim, j, sign), LE) for j in coords for sign in (1, -1)]
+        self.lp = RhsFamily(dim, list(rows) + bounds, cost)
+
+    def minimize(self, rhs, config: SolverConfig, fixed=()) -> Optional[tuple]:
+        coords, cost = self.coords, self.cost
+        rhs = list(rhs)
+        far = _vertex_bound(self._norms, rhs, self.dim)
+        bounds = [far] * (2 * len(coords))  # per coordinate: x_j <= b, then -x_j <= b
+        for t, v in enumerate(fixed):
+            bounds[2 * t] = v
+            bounds[2 * t + 1] = -v
+        nodes = 0
+        best = root = None  # values as (cost . nums, den), the incumbent with its point
+        stack = [bounds]
+        while stack:
+            bounds = stack.pop()
+            nodes += 1
+            if nodes > config.node_cap:
+                raise ResourceLimitError(
+                    f"node_cap={config.node_cap}: branch and bound node cap exceeded")
+            tag, nums, den = self.lp.solve(rhs + bounds)
+            if tag == "infeasible":
+                continue
+            if tag != "optimal":
+                raise BoundednessError("LP relaxation unbounded despite the boundedness pre-check")
+            value = sum(map(mul, cost, nums))
+            if root is None:
+                root = (value, den)
+            if best is not None and value * best[1] >= best[0] * den:
+                continue
+            t = next((t for t, j in enumerate(coords) if nums[j] % den), None)
+            if t is None:
+                best = (value, den, nums)
+                if value * root[1] == root[0] * den:
+                    break
+                continue
+            fl = nums[coords[t]] // den
+            up = bounds.copy()
+            up[2 * t + 1] = -(fl + 1)
+            down = bounds.copy()
+            down[2 * t] = fl
+            stack.append(up)
+            stack.append(down)  # popped first: lower branch leads
+        return None if best is None else (best[2], best[1])
+
+
+class LexMin:
+    """integer_min over fixed rows (a, rel) in dim variables, every
+    coordinate integer, for one right-hand side after another.
+
+    solve(rhs, config) returns (level, point): the least value level of the
+    integer cost and the lex-least integer point attaining it, or None when
+    there is no integer point. A first IntegerSearch finds the level; then,
+    for each coordinate j in turn, the search over the rows with cost . x =
+    level minimizes x_j with the earlier coordinates fixed at their values
+    through their bound rows. The rows must bound the region.
+    """
+
+    __slots__ = ("first", "lex")
+
+    def __init__(self, dim: int, rows, cost):
+        self.first = IntegerSearch(dim, rows, range(dim), cost)
+        rows = list(rows) + [(tuple(cost), EQ)]
+        self.lex = [IntegerSearch(dim, rows, range(dim), _unit(dim, j)) for j in range(dim)]
+
+    def solve(self, rhs, config: SolverConfig) -> Optional[tuple]:
+        found = self.first.minimize(rhs, config)
+        if found is None:
+            return None
+        nums, den = found
+        level = sum(map(mul, self.first.cost, nums)) // den  # an integer point: exact
+        rhs = list(rhs) + [level]
+        point = []
+        for j, search in enumerate(self.lex):
+            found = search.minimize(rhs, config, point)
+            if found is None:
+                raise InternalInvariantError("lex fixing lost feasibility")
+            nums, den = found
+            point.append(nums[j] // den)
+        return level, point
+
+
+def _branch_and_bound(cost, sys: LinearSystem, coords,
+                      config: SolverConfig) -> Optional[tuple]:
+    """The one-shot IntegerSearch over the rows of sys: (nums, den) or None."""
+    search = IntegerSearch(sys.dim, [(r.a, r.rel) for r in sys.rows], coords, cost)
+    return search.minimize([r.b for r in sys.rows], config)
 
 
 def mixed_feasible(sys: LinearSystem, integer_coords,
@@ -94,8 +175,11 @@ def mixed_feasible(sys: LinearSystem, integer_coords,
     if not all(0 <= i < sys.dim for i in coords):
         raise ValueError("integer coordinate index out of range")
     _check_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
-    out = _branch_and_bound((0,) * sys.dim, sys, coords, config)
-    return None if out is None else out.point
+    found = _branch_and_bound((0,) * sys.dim, sys, coords, config)
+    if found is None:
+        return None
+    nums, den = found
+    return QVector([Fraction(v, den) for v in nums])
 
 
 def integer_min_value(objective: Sequence, sys: LinearSystem,
@@ -104,11 +188,13 @@ def integer_min_value(objective: Sequence, sys: LinearSystem,
     Fractions, None when no integer point exists. The feasible region must
     be bounded."""
     _require_closed(sys)
-    if len(objective) != sys.dim:
-        raise ValueError("objective dimension mismatch")
+    cost, mult = _integer_cost(objective, sys.dim)
     _check_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
-    out = _branch_and_bound(objective, sys, range(sys.dim), config)
-    return None if out is None else out.value
+    found = _branch_and_bound(cost, sys, range(sys.dim), config)
+    if found is None:
+        return None
+    nums, den = found
+    return Fraction(sum(map(mul, cost, nums)), mult * den)
 
 
 def integer_min(objective: Sequence, sys: LinearSystem,
@@ -116,23 +202,19 @@ def integer_min(objective: Sequence, sys: LinearSystem,
     """Exact integer minimum with the lexicographically smallest optimum.
 
     The objective is a sequence of ints and Fractions. Every coordinate is
-    integer; the feasible region must be bounded. Stage one finds the
-    optimum value (integer_min_value), stage two fixes coordinates left to
-    right at their minimum values, each a unit objective.
+    integer; the feasible region must be bounded. The one-shot LexMin of
+    the system's rows: the optimum value first, then the coordinates fixed
+    left to right at their minimum values, each a unit objective.
     """
-    best = integer_min_value(objective, sys, config)
-    if best is None:
+    _require_closed(sys)
+    cost, mult = _integer_cost(objective, sys.dim)
+    _check_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
+    found = LexMin(sys.dim, [(r.a, r.rel) for r in sys.rows], cost).solve(
+        [r.b for r in sys.rows], config)
+    if found is None:
         return LpOutcome("infeasible")
-    coords = range(sys.dim)
-    cur = sys.with_rows([row_eq(objective, best)])
-    point = []
-    for j in coords:
-        out = _branch_and_bound(_unit(sys.dim, j), cur, coords, config)
-        if out is None or out.value.denominator != 1:
-            raise InternalInvariantError("lex fixing lost feasibility or integrality")
-        point.append(out.value)
-        cur = cur.with_rows([row_eq(_unit(sys.dim, j), out.value)])
-    return LpOutcome("optimal", best, QVector(point))
+    level, point = found
+    return LpOutcome("optimal", Fraction(level, mult), QVector(point))
 
 
 def _charge(budget, config: SolverConfig):

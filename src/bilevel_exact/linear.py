@@ -11,11 +11,13 @@ the kernel form of the rows: the "<=" rows, each "=" row split into its
 two sides, and per coordinate the rows whose only nonzero is there. A cold
 start is dual feasible, built from those unit rows, the tightest on the
 side each cost pushes to, or from artificial bound rows far enough out to
-cut off no vertex, and Bland's rule on the dual ends every solve. The
-optimum leaves the kernel as integer numerators over det. It is a vertex
-unless an artificial row stays in the final basis; only then is it purified
-onto a vertex of the optimal face. It is re-verified in that form and
-becomes `Fraction`s once, for the returned point and value.
+cut off no vertex (`_vertex_bound`, Hadamard's bound, which the integer
+search of `lattice` also takes for its unbranched bounds), and Bland's rule
+on the dual ends every solve. The optimum leaves the kernel as integer
+numerators over det. It is a vertex unless an artificial row stays in the
+final basis; only then is it purified onto a vertex of the optimal face. It
+is re-verified in that form and becomes `Fraction`s once, for the returned
+point and value.
 
 The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the rows
 (a, rel) and an integer cost, and solves them for one right-hand side after
@@ -60,7 +62,8 @@ ones, which alone reach the kernel, and the constant ones, which it settles
 as 0 rel b on every right-hand side before any pivot; a StrictFamily leaves
 them unlifted for its RhsFamily to settle. No caller filters them.
 `fix_block` is the one restriction of rows to fixed values of a block of
-coordinates, and `lp_range` the one min-then-max range of an objective.
+coordinates, and `lp_range` the one min-then-max range of an objective,
+two one-shot families that return the optimum values and build no point.
 
 `_nullspace_direction` is the one exact elimination routine. No solve path
 calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
@@ -78,7 +81,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
@@ -248,6 +251,15 @@ _UNBOUNDED = LpOutcome("unbounded")
 # integer dual simplex
 
 
+def _vertex_bound(norms, rhs, dim: int) -> int:
+    """An integer above |x_j| at every vertex of rows with L1 norms `norms`
+    and right-hand sides rhs in dim variables: by Cramer's rule and
+    Hadamard's inequality, (max_i norm_i + |b_i|)^dim + 1. When the rows
+    bound some coordinates over their region, which may hold lines along
+    the other ones, it bounds those coordinates at every point."""
+    return max(map(add, norms, map(abs, rhs)), default=1) ** dim + 1
+
+
 def _exchange(adj, det: int, alpha, r: int) -> list:
     """The adjugate after basis row r is replaced by a row a with
     alpha = adj^T a: (alpha_r adj - adj[:, r] (alpha - det e_r)^T) / det,
@@ -333,8 +345,7 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
                     k = i
             if k is None:
                 if big is None:
-                    big = max((sum(map(abs, a)) + abs(rhs) for a, rhs in zip(A, b)),
-                              default=1) ** dim + 1
+                    big = _vertex_bound([sum(map(abs, a)) for a in A], b, dim)
                 unit = [0] * dim
                 unit[j] = -1 if cj > 0 else 1
                 k = m + len(extra)
@@ -626,6 +637,18 @@ class StrictFamily:
 # public operations
 
 
+def _integer_cost(objective: Sequence, dim: int) -> tuple:
+    """(cost, mult): the objective, a sequence of dim ints and Fractions,
+    times mult, the lcm of its denominators, as integers. A wrong length or
+    any other entry, a float or a bool say, raises ValueError."""
+    if len(objective) != dim:
+        raise ValueError("objective dimension does not match the system")
+    if any(type(v) is not int and type(v) is not Fraction for v in objective):
+        raise ValueError("objective entries must be int or Fraction")
+    mult = math.lcm(*(v.denominator for v in objective))
+    return [v.numerator * (mult // v.denominator) for v in objective], mult
+
+
 def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOutcome:
     """Exact LP over a closed system with free variables.
 
@@ -641,13 +664,7 @@ def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOu
         raise ValueError(f"sense must be 'min' or 'max', got {sense!r}")
     if sys.has_strict():
         raise ValueError("lp_solve takes closed rows only")
-    if len(objective) != sys.dim:
-        raise ValueError("objective dimension does not match the system")
-    if any(type(v) is not int and type(v) is not Fraction for v in objective):
-        raise ValueError("objective entries must be int or Fraction")
-
-    omult = math.lcm(*(v.denominator for v in objective))
-    iobjective = [v.numerator * (omult // v.denominator) for v in objective]
+    iobjective, omult = _integer_cost(objective, sys.dim)
     cost = iobjective if sense == "min" else [-v for v in iobjective]
     family = RhsFamily(sys.dim, [(r.a, r.rel) for r in sys.rows], cost)
     tag, nums, den = family.solve([r.b for r in sys.rows])
@@ -662,16 +679,24 @@ def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOu
 def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
     """(min, max) of the objective, a sequence of ints and Fractions as
     lp_solve takes it, over a closed system, None when the system is empty.
-    The maximum is solved only once the minimum is optimal.
-    The caller knows the region bounded, so an unbounded LP raises
-    InternalInvariantError."""
-    mn = lp_solve(sys, objective, "min")
-    if mn.tag == "infeasible":
-        return None
-    mx = lp_solve(sys, objective, "max") if mn.is_optimal else mn
-    if not mx.is_optimal:
-        raise InternalInvariantError("LP range unbounded on a bounded region")
-    return mn.value, mx.value
+    Two one-shot RhsFamily solves, each started cold as lp_solve's, that
+    return the optimum values alone: the maximum is solved only once the
+    minimum is optimal. The caller knows the region bounded, so an
+    unbounded LP raises InternalInvariantError."""
+    if sys.has_strict():
+        raise ValueError("lp_range takes closed rows only")
+    cost, mult = _integer_cost(objective, sys.dim)
+    rows = [(r.a, r.rel) for r in sys.rows]
+    rhs = [r.b for r in sys.rows]
+    ends = []
+    for sign in (1, -1):
+        tag, nums, den = RhsFamily(sys.dim, rows, [sign * v for v in cost]).solve(rhs)
+        if tag == "infeasible":
+            return None
+        if tag != "optimal":
+            raise InternalInvariantError("LP range unbounded on a bounded region")
+        ends.append(Fraction(sum(map(mul, cost, nums)), mult * den))
+    return tuple(ends)
 
 
 def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:

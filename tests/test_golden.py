@@ -227,8 +227,9 @@ def test_mixed_grid_basis_exchanges():
     # dual simplex 833, the warm-started one 592 before the lex cell was
     # read off the scan's first hit and 566 before the cold start took the
     # tightest unit rows, the candidate x the joint relaxation and the
-    # mixed-feasibility screen moved into the walk for n > 1; it may only
-    # fall
+    # mixed-feasibility screen moved into the walk for n > 1, and 524
+    # before each branch-and-bound became one warm family whose branches
+    # move bound rows; it may only fall
     import pytest
     from bilevel_exact import linear, solve_mixed
     exchange = linear._exchange
@@ -237,7 +238,7 @@ def test_mixed_grid_basis_exchanges():
         mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 524
+    assert len(calls) <= 503
 
 
 def pure_small_instances(count: int) -> list:

@@ -1,14 +1,16 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, BoundednessError, LinearSystem, QVector,
-                           ResourceLimitError, SolverConfig, enumerate_integers, integer_min,
-                           lp_solve, mixed_feasible, row_eq, row_le, row_lt)
-from bilevel_exact.lattice import integer_candidates, integer_min_value
+from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError, Instance, LinRow,
+                           LinearSystem, QVector, ResourceLimitError, SolverConfig,
+                           enumerate_integers, integer_min, lp_solve, mixed_feasible, row_eq,
+                           row_le, row_lt, solve_mixed)
+from bilevel_exact import linear
+from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates, integer_min_value
 from bilevel_exact.linear import fix_block, lp_range
 
 
@@ -246,3 +248,87 @@ def test_objective_of_other_entries_or_length_raises(objective):
                  lambda: integer_min(objective, box, DEFAULT_CONFIG)):
         with pytest.raises(ValueError):
             call()
+
+
+# one warm search over a sequence of right-hand sides: the box rows
+# x_j <= s_j, -x_j <= t_j, then two rows of drawn coefficients, each "<="
+# or "="; a right-hand side is (the box's, the two rows', the fixed prefix)
+BOX_ROWS = [((1, 0), LE), ((-1, 0), LE), ((0, 1), LE), ((0, -1), LE)]
+
+
+def rhs_sequences():
+    coeffs = st.lists(st.integers(-3, 3), min_size=2, max_size=2).map(tuple)
+    rows = st.lists(st.tuples(coeffs, st.sampled_from((LE, EQ))), min_size=2, max_size=2)
+    rhs = st.tuples(st.lists(st.integers(-2, 4), min_size=4, max_size=4),
+                    st.lists(st.integers(-6, 6), min_size=2, max_size=2),
+                    st.sampled_from([(), (), (-1,), (0,), (2,), (0, 1)]))
+    return st.tuples(rows, st.lists(rhs, min_size=3, max_size=8))
+
+
+def _value(cost, found):
+    nums, den = found
+    assert all(v % den == 0 for v in nums)  # an integer point
+    return sum(c * v for c, v in zip(cost, nums)) // den, tuple(v // den for v in nums)
+
+
+@settings(max_examples=80, deadline=None)
+@given(rhs_sequences(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
+@example(([((1, 1), LE), ((2, -2), EQ)],
+          [([3, 3, 3, 3], [4, 0], ()),      # feasible, on the "=" row x0 = x1
+           ([-1, 0, 3, 3], [4, 0], ()),     # infeasible: x0 <= -1 and x0 >= 0
+           ([3, 3, 3, 3], [4, 1], ()),      # infeasible: 2 x0 - 2 x1 = 1
+           ([3, 3, 3, 3], [4, 0], (2,)),    # x0 fixed at 2
+           ([4, 4, 4, 4], [6, 0], ()),      # feasible again, all bounds reset
+           ([3, 3, 3, 3], [4, 0], (0, 1))]),  # both fixed, off the "=" row
+         [1, -2])
+def test_one_warm_search_matches_the_grid_scan_and_fresh_searches(case, cost):
+    rows, sequence = case
+    rows = BOX_ROWS + rows
+    search = IntegerSearch(2, rows, range(2), cost)
+    lex = LexMin(2, rows, cost)
+    for box, extra, fixed in sequence:
+        rhs = box + extra
+        system = LinearSystem(2, [LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)]
+                              + [row_eq([int(k == i) for k in range(2)], v)
+                                 for i, v in enumerate(fixed)])
+        points = support.brute_integer_points(system, -4, 4)
+        got = search.minimize(rhs, DEFAULT_CONFIG, fixed)
+        fresh = IntegerSearch(2, rows, range(2), cost).minimize(rhs, DEFAULT_CONFIG, fixed)
+        if not fixed:
+            lexed = lex.solve(rhs, DEFAULT_CONFIG)
+            assert lexed == LexMin(2, rows, cost).solve(rhs, DEFAULT_CONFIG)
+        if not points:
+            assert got is None and fresh is None
+            if not fixed:
+                assert lexed is None
+            continue
+        want = min(sum(c * v for c, v in zip(cost, p)) for p in points)
+        assert _value(cost, got)[0] == _value(cost, fresh)[0] == want
+        assert _value(cost, got)[1] in points
+        if not fixed:
+            lex_point = min(p for p in points if sum(c * v for c, v in zip(cost, p)) == want)
+            assert lexed == (want, list(lex_point))
+
+
+def thin_follower(K: int) -> Instance:
+    """The follower's rows 2 x1 - 2 x2 = 1 in [0, K]^2, which no integer x
+    meets, with the same box as upper rows on x and 0 <= z <= 1."""
+    return Instance(n=2, d=1, A=[[2, -2], [-2, 2], [1, 0], [0, 1], [-1, 0], [0, -1]],
+                    B=[[0]] * 6, u=[1, -1, K, K, 0, 0],
+                    C=[[1, 0], [0, 1], [-1, 0], [0, -1], [0, 0]], D=[[0]] * 4 + [[1]],
+                    p=[K, K, 0, 0, 1], c=[0, 0], e=[1], psi=[1, 1])
+
+
+def test_thin_follower_takes_linear_kernel_work():
+    # the mixed-feasibility screen proves the thin follower empty in 4K + 1
+    # nodes; each node is one warm solve of the same rows, so the kernel's
+    # basis exchanges (linear._exchange calls) stay at about one per node:
+    # 79,606 at K = 100 while each branch appended a row to a cold LP
+    K = 100
+    exchanges = []
+    exchange = linear._exchange
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear, "_exchange", lambda *args: exchanges.append(1) or exchange(*args))
+        assert solve_mixed(thin_follower(K)).status == INFEASIBLE
+    assert len(exchanges) <= 4 * K
+    assert solve_mixed(thin_follower(1000)).status == INFEASIBLE

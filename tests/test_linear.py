@@ -50,24 +50,38 @@ def test_lp_infeasible_and_unbounded():
 
 
 def test_lp_range(monkeypatch):
+    # lp_range solves one-shot families, the minimum's and then the
+    # maximum's, and builds no QVector point: each solve is recorded by its
+    # sense, read off the family's cost, and building a QVector fails
     senses = []
-    solve = linear.lp_solve
-    monkeypatch.setattr(linear, "lp_solve",
-                        lambda s, o, sense: senses.append(sense) or solve(s, o, sense))
+    solve = linear.RhsFamily.solve
+
+    def recording(family, rhs):
+        senses.append("min" if family.cost == expected else "max")
+        return solve(family, rhs)
+
+    def no_point(*args):
+        raise AssertionError("lp_range built a QVector")
+
+    monkeypatch.setattr(linear.RhsFamily, "solve", recording)
+    monkeypatch.setattr(linear, "QVector", no_point)
     # an empty system: None after the minimization alone
-    assert linear.lp_range(BOX.with_rows([row_le([1, 1], -1)]), QVector([1, 0])) is None
+    expected = [1, 0]
+    assert linear.lp_range(BOX.with_rows([row_le([1, 1], -1)]), (1, 0)) is None
     assert senses == ["min"]
     # a box: the exact range, minimum first
     senses.clear()
-    assert linear.lp_range(BOX, QVector([Fraction(1, 2), -2])) == (-6, 1)
+    expected = [1, -4]
+    assert linear.lp_range(BOX, (Fraction(1, 2), -2)) == (-6, 1)
     assert senses == ["min", "max"]
     # an unbounded direction is a broken invariant; unbounded below, the
     # maximization is never solved
     half_line = LinearSystem(1, (row_le([-1], 0),))
     for objective, solved in (([1], ["min", "max"]), ([-1], ["min"])):
         senses.clear()
+        expected = objective
         with pytest.raises(InternalInvariantError, match="unbounded"):
-            linear.lp_range(half_line, QVector(objective))
+            linear.lp_range(half_line, objective)
         assert senses == solved
 
 
