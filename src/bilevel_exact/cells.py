@@ -27,8 +27,9 @@ Within one walk, the LPs of each kind share their rows and cost and differ
 only in their right-hand sides, which are integers: the walk carries the
 right-hand sides of its prefix of floors, not a system, and solves each
 kind as one linear.RhsFamily, warm-started from its last optimal basis.
-The kinds are the range of B_i z at level i (a min and a max family per
-level), the closure LP of the pairs and their strict check
+The kinds are the range of B_i z at level i (a min family per level and
+its with_cost sibling for the max, which share one kernel form), the
+closure LP of the pairs and their strict check
 (linear.StrictFamily). Each family is built on first use and none outlives
 the walk; a family settles its own constant rows, such as those of a zero
 row of A, B or D, so the walk passes every row it adds. A cell's rows are
@@ -42,12 +43,15 @@ at a leader point z is read at its integer floors,
 follower_system(floor_rhs(inst, z)) (see bilevel_feasible).
 The candidate x come from lattice.integer_candidates, the one integer walk,
 with their activities A x and psi . x as integers. Nothing caches an index
-across calls either: each cell_index call builds a fresh one, and the
-Instance holds its data fields alone.
+across calls either: each cell_index call builds a fresh one. Besides its
+data fields, the Instance holds two row sets that its constructor builds
+from the data alone, once: the upper system, with its boundedness proof, and the
+follower-relaxation rows A x - B z <= u. Every solve reads them, and none
+writes to the instance.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
 
@@ -78,7 +82,14 @@ class Instance:
     Construction takes any numbers with integral values (ints, integral
     Fractions), validates shapes and integrality before it converts them to
     ints, then validates that the upper-level region is bounded and that the
-    follower polyhedra are bounded for every z.
+    follower polyhedra are bounded for every z. It keeps two row sets built
+    from the data: the upper system C x + D z <= p, z >= 0, whose rows the
+    recession test reads, with its boundedness proof, and the
+    follower-relaxation rows A x - B z <= u; upper_system, upper_rows and
+    follower_relax_rows read them. They are fields
+    that the constructor sets and that equality, hashing and repr leave out;
+    dataclasses.replace builds them again from the new data. Equal tuples of
+    ints among the data and these rows are kept as one tuple.
     """
 
     n: int
@@ -92,6 +103,9 @@ class Instance:
     psi: tuple
     u: tuple
     p: tuple
+    # built once from the data above by __post_init__; never set by a solve
+    _upper: LinearSystem = field(init=False, compare=False, repr=False)
+    _relax: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n, d = self.n, self.d
@@ -119,14 +133,26 @@ class Instance:
         for name in _VECTORS:
             if any(type(v) is not int and v.denominator != 1 for v in data[name]):
                 raise ValidationError("nonintegral-data", f"vector {name} has a non-integer entry")
+        kept = {}  # equal tuples of ints, of the data or of its rows, are kept once
+
+        def one(values) -> tuple:
+            values = tuple(values)
+            return kept.setdefault(values, values)
+
         for name in _MATRICES:
-            object.__setattr__(self, name, tuple(tuple(map(int, row)) for row in data[name]))
+            object.__setattr__(self, name, tuple(one(map(int, row)) for row in data[name]))
         for name in _VECTORS:
-            object.__setattr__(self, name, tuple(map(int, data[name])))
-        if not recession_bounded([row.a for row in self.upper_rows()], n + d):
+            object.__setattr__(self, name, one(map(int, data[name])))
+        upper = [LinRow(one(cr + dr), pv, LE) for cr, dr, pv in zip(self.C, self.D, self.p)]
+        upper += [LinRow(one(_unit(n + d, n + i, -1)), 0, LE) for i in range(d)]
+        if not recession_bounded([row.a for row in upper], n + d):
             raise ValidationError("unbounded-P", "upper-level region C x + D z <= p, z >= 0 is unbounded")
         if not recession_bounded(self.A, n):
             raise ValidationError("unbounded-follower", "follower regions A x <= B z + u are unbounded")
+        object.__setattr__(self, "_upper", _bounded_system(n + d, upper))
+        object.__setattr__(self, "_relax", tuple(
+            LinRow(one(ar + tuple(-v for v in br)), uv, LE)
+            for ar, br, uv in zip(self.A, self.B, self.u)))
 
     @property
     def m(self) -> int:
@@ -148,20 +174,19 @@ class Instance:
         return Fraction(sum(map(mul, self.c, x)) * den + sum(map(mul, self.e, nums)), den)
 
     def upper_rows(self) -> list:
-        """C x + D z <= p plus z >= 0, over (x, z)."""
-        rows = [LinRow(cr + dr, pv, LE) for cr, dr, pv in zip(self.C, self.D, self.p)]
-        rows += [LinRow(_unit(self.n + self.d, self.n + i, -1), 0, LE) for i in range(self.d)]
-        return rows
+        """C x + D z <= p plus z >= 0, over (x, z): a fresh list of the
+        rows that the constructor built."""
+        return list(self._upper.rows)
 
     def follower_relax_rows(self) -> list:
-        """A x - B z <= u over (x, z)."""
-        return [LinRow(ar + tuple(-v for v in br), uv, LE)
-                for ar, br, uv in zip(self.A, self.B, self.u)]
+        """A x - B z <= u over (x, z): a fresh list of the rows that the
+        constructor built."""
+        return list(self._relax)
 
     def upper_system(self) -> LinearSystem:
         """The upper rows as a system over (x, z), carrying the boundedness
         proof that validation made for them (code "unbounded-P")."""
-        return _bounded_system(self.joint_dim(), self.upper_rows())
+        return self._upper
 
     def follower_system(self, rhs) -> LinearSystem:
         """A x <= rhs for m integer right-hand sides, carrying the proof that
@@ -334,7 +359,8 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     and needs no LP.
     The rows at row i are the same for every prefix of floors, and their
     right-hand sides are integers: the walk carries those right-hand sides,
-    and takes each range from a min and a max RhsFamily of row i. A valid
+    and takes each range from a min RhsFamily of row i and its with_cost
+    sibling for the max. A valid
     cell (x, r) has a point z in its region, and (x, z) meets every row the
     walk adds for r, so the walk reaches every r a valid cell has with x
     still among its candidates. A leaf r is entered with
@@ -402,8 +428,8 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         when the system is empty: one family solve per sense."""
         if i not in ranges:
             rows = [(r.a, r.rel) for r in upper] + [row for j in range(i) for row in level_rows[j]]
-            ranges[i] = (RhsFamily(dim, rows, spans[i]),
-                         RhsFamily(dim, rows, tuple(-v for v in spans[i])))
+            low = RhsFamily(dim, rows, spans[i])
+            ranges[i] = (low, low.with_cost(tuple(-v for v in spans[i])))
         uv = inst.u[i]
         ends = []
         for family in ranges[i]:

@@ -26,6 +26,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Callable, Optional
 
@@ -72,16 +73,35 @@ class EpsSolution:
 
 @dataclass(frozen=True)
 class LexTrace:
-    """Everything produced on the way to the lex-minimal optimum."""
+    """Everything produced on the way to the lex-minimal optimum.
+
+    rho_i, the least value of B_i z + u_i over cl(Q), is computed on its
+    first read and kept: one LP per row, or, when cl(Q) is the one point z*
+    (k = 1), B_i z* + u_i with no LP. A solve never reads it.
+    """
 
     x_star: tuple
-    rho: tuple
     r: tuple
     q_system: LinearSystem
     k: int
     vertices: tuple
     z_star: QVector
     delta_denominator: int
+    instance: Instance = field(compare=False, repr=False)
+
+    @cached_property
+    def rho(self) -> tuple:
+        inst = self.instance
+        if self.k == 1:  # cl(Q) is the point z*
+            return tuple(sum(map(mul, br, self.z_star)) + uv for br, uv in zip(inst.B, inst.u))
+        closed = self.q_system.closure()
+        rho = []
+        for br, uv in zip(inst.B, inst.u):
+            out = lp_solve(closed, br, "min")
+            if not out.is_optimal:
+                raise InternalInvariantError("attaining slice lost feasibility")
+            rho.append(out.value + uv)
+        return tuple(rho)
 
 
 @dataclass
@@ -223,9 +243,8 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     at that cell: a nonempty slice puts that minimum in [r_i, r_i + 1), so
     each step keeps the cells of least r_i. z* is the barycenter of k
     affinely independent vertices of cl(Q), found by at most 2d + 1 LPs,
-    which span its affine hull, so z* lands strictly inside Q. rho_i is the
-    least value of B_i z + u_i over cl(Q), one LP per row; when cl(Q) is
-    one point (k = 1), it is B_i z* + u_i, with no LP.
+    which span its affine hull, so z* lands strictly inside Q. The trace's
+    rho is left to its first read (see LexTrace).
     """
     v_star = Fraction(v_star)
     if telemetry is not None:
@@ -253,21 +272,11 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     if inst.objective_value(x_star, z_star) != v_star:
         raise InternalInvariantError("extracted optimum misses the optimal value")
 
-    if k == 1:  # cl(Q) is the point z*
-        rho = [sum(map(mul, br, z_star)) + uv for br, uv in zip(inst.B, inst.u)]
-    else:
-        closed = q_system.closure()
-        rho = []
-        for br, uv in zip(inst.B, inst.u):
-            out = lp_solve(closed, br, "min")
-            if not out.is_optimal:
-                raise InternalInvariantError("attaining slice lost feasibility")
-            rho.append(out.value + uv)
     denom = 1
     for v in verts:
         for coord in v:
             denom = math.lcm(denom, coord.denominator)
-    return LexTrace(x_star, tuple(rho), cell.r, q_system, k, tuple(verts), z_star, k * denom)
+    return LexTrace(x_star, cell.r, q_system, k, tuple(verts), z_star, k * denom, inst)
 
 
 def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,

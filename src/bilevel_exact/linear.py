@@ -24,8 +24,14 @@ The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the rows
 another, each from the last optimal basis that held no artificial row: the
 duals of a basis, y det = -adj^T cost, depend on its rows and the cost
 alone, so a basis optimal for one right-hand side is dual feasible for every
-other, and the dual simplex goes on from it. `lp_solve` is a one-shot
-family, started cold, so its pivots and vertices are those of a cold solve.
+other, and the dual simplex goes on from it. The duals are computed only
+when a row enters the basis, and at the exit only for an artificial row
+left in it. A family's row split and kernel form depend on its rows alone,
+so `with_cost` gives the family of the same rows under another cost, which
+shares them and starts cold with its own basis: `lp_range` and the floor
+walk's ranges solve their minimum and maximum that way. `lp_solve` is a
+one-shot family, started cold, so its pivots and vertices are those of a
+cold solve.
 `StrictFamily` is the one strict lift: closed rows keep their coefficients
 with a 0 for a new variable t, nonconstant strict rows get +t, 0 <= t <= 1
 and t is maximized; `strict_feasible_point` checks one system with it, and
@@ -324,10 +330,11 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
     0 for a zero cost; a coordinate without one gets the artificial row
     +-x_j <= M, where M exceeds every vertex coordinate by Hadamard's
     bound. Each iteration brings in the first violated row and drops the
-    basis row of least y_r / alpha_r (Bland's rule on the dual).
-    An artificial row left in the final basis means an unbounded LP when
-    its dual is positive; at a zero dual the point is optimal but may not be
-    a vertex.
+    basis row of least y_r / alpha_r (Bland's rule on the dual); the duals
+    are computed only then, when a row enters. An artificial row left in the
+    final basis means an unbounded LP when its dual is positive, the one
+    dual computed at the exit; at a zero dual the point is optimal but may
+    not be a vertex.
     """
     m = len(A)
     if start is None:
@@ -367,10 +374,10 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
         bb = [b[k] for k in basis]
         nums = [sum(map(mul, row, bb)) for row in adj]
         k = next((i for i, a in enumerate(A) if sum(map(mul, a, nums)) > b[i] * det), None)
-        cols = list(zip(*adj))
-        ydet = [-sum(map(mul, col, cost)) for col in cols]
         if k is None:
             break
+        cols = list(zip(*adj))
+        ydet = [-sum(map(mul, col, cost)) for col in cols]
         alpha = [sum(map(mul, col, A[k])) for col in cols]
         out = None
         for r, ar in enumerate(alpha):
@@ -388,7 +395,7 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
         det = alpha[out]
         basis[out] = k
     artificial = [r for r, k in enumerate(basis) if k >= m]
-    if any(ydet[r] > 0 for r in artificial):
+    if any(sum(row[r] * cj for row, cj in zip(adj, cost)) < 0 for r in artificial):  # y_r > 0
         return "unbounded", None, None, None
     return "optimal", nums, det, (None if artificial else (tuple(basis), adj, det))
 
@@ -550,6 +557,8 @@ class RhsFamily:
     purified onto a vertex and stores no basis. One variable takes the
     closed form. Every optimum is re-verified against
     every row in integer arithmetic; a miss raises InternalInvariantError.
+    with_cost(cost) gives the family of the same rows under another cost:
+    it shares this family's row split and kernel form, and starts cold.
     """
 
     __slots__ = ("dim", "rows", "cost", "_live", "_fixed", "_kernel", "_basis")
@@ -569,6 +578,18 @@ class RhsFamily:
         self.cost = cost
         self._kernel = None
         self._basis = None
+
+    def with_cost(self, cost) -> "RhsFamily":
+        """The family of these rows under the integer cost `cost`. A basis
+        optimal for one cost need not be dual feasible for another, so it
+        starts cold, with no basis of its own yet."""
+        if self._kernel is None and self.dim > 1:
+            self._kernel = _kernel_form(self.dim, self.rows)
+        other = object.__new__(RhsFamily)
+        other.dim, other.rows, other.cost = self.dim, self.rows, cost
+        other._live, other._fixed, other._kernel = self._live, self._fixed, self._kernel
+        other._basis = None
+        return other
 
     def solve(self, rhs) -> tuple:
         if self._live is not None:
@@ -679,18 +700,21 @@ def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOu
 def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
     """(min, max) of the objective, a sequence of ints and Fractions as
     lp_solve takes it, over a closed system, None when the system is empty.
-    Two one-shot RhsFamily solves, each started cold as lp_solve's, that
-    return the optimum values alone: the maximum is solved only once the
-    minimum is optimal. The caller knows the region bounded, so an
-    unbounded LP raises InternalInvariantError."""
+    Two one-shot solves, each started cold as lp_solve's, that return the
+    optimum values alone: the maximum, solved only once the minimum is
+    optimal, is the minimum family's with_cost sibling, so the rows are
+    split and put in kernel form once. The caller knows the region bounded,
+    so an unbounded LP raises InternalInvariantError."""
     if sys.has_strict():
         raise ValueError("lp_range takes closed rows only")
     cost, mult = _integer_cost(objective, sys.dim)
-    rows = [(r.a, r.rel) for r in sys.rows]
     rhs = [r.b for r in sys.rows]
+    family = RhsFamily(sys.dim, [(r.a, r.rel) for r in sys.rows], cost)
     ends = []
     for sign in (1, -1):
-        tag, nums, den = RhsFamily(sys.dim, rows, [sign * v for v in cost]).solve(rhs)
+        if sign < 0:
+            family = family.with_cost([-v for v in cost])
+        tag, nums, den = family.solve(rhs)
         if tag == "infeasible":
             return None
         if tag != "optimal":

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import pytest
@@ -141,6 +143,38 @@ def test_rows_carry_the_integers_of_the_rational_rows():
             for _ in range(4):
                 cell = Cell(tuple(rng.randint(-1, 1) for _ in range(n)), floors)
                 assert cell_region(inst, cell).rows == _region_rows_from_fractions(inst, cell)
+
+
+def test_instance_keeps_the_rows_its_constructor_builds():
+    # the upper system and the relaxation rows are built once, from the
+    # data: every read returns the same rows, replace builds them again from
+    # the new data, equality, hash and repr ignore them, and the lists the
+    # instance hands out are the caller's own to extend
+    inst = support.make_example1()
+    kept = [f.name for f in fields(inst) if not f.compare]
+    assert kept and all(not f.init and not f.repr for f in fields(inst) if f.name in kept)
+    assert inst.upper_system() is inst.upper_system()
+    assert inst.upper_system().proved_bounded
+    assert inst.upper_rows() == list(inst.upper_system().rows)
+    # replace rebuilds the rows from the new right-hand sides
+    moved = replace(inst, p=(2, 1, 0), u=(1, 1, 0))
+    assert [r.b for r in moved.upper_rows()] == [2, 1, 0, 0]
+    assert [r.b for r in moved.follower_relax_rows()] == [1, 1, 0]
+    assert moved != inst
+    again = replace(inst)
+    assert again.upper_system() is not inst.upper_system()
+    assert again.upper_system() == inst.upper_system()
+    # two instances of the same data are equal with other kept rows
+    twin = copy.copy(inst)
+    for name in kept:
+        object.__setattr__(twin, name, None)
+    assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
+    # extending a returned list leaves the instance as it was
+    for read in (inst.upper_rows, inst.follower_relax_rows):
+        before = read()
+        grown = read()
+        grown.append(row_le([1, 1], 0))
+        assert read() == before and read() is not before
 
 
 def _region_rows_from_fractions(inst, cell):

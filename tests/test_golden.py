@@ -12,7 +12,8 @@ cell-index entry against references that share no LP or lattice code, and
 each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
 the LP kernel's basis exchanges of 25 solves. The kernel's LPs and basis
-exchanges of 25 pure-small benchmark solves are capped too.
+exchanges of 25 pure-small benchmark solves are capped too, and so are the
+rows and kernel forms that 25 solves of each kind build.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -185,10 +186,11 @@ def test_mixed_grid_lp_count():
     # made outside one (the floor walk's and the strict checks'); it was
     # 1310 before the index build began to certify cells from the closure
     # LP's vertex, 991 before the lex cell was read off the scan's first
-    # hit and 977 before the candidate x were listed over the joint
+    # hit, 977 before the candidate x were listed over the joint
     # relaxation with the kernel's cold start on the tightest unit rows and
-    # the mixed-feasibility screen moved into the walk for n > 1, and may
-    # only fall
+    # the mixed-feasibility screen moved into the walk for n > 1, and 907
+    # before the lex trace's rho was left to its first read, and may only
+    # fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
@@ -217,7 +219,7 @@ def test_mixed_grid_lp_count():
         mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 907
+    assert len(calls) <= 882
 
 
 def test_mixed_grid_basis_exchanges():
@@ -227,9 +229,10 @@ def test_mixed_grid_basis_exchanges():
     # dual simplex 833, the warm-started one 592 before the lex cell was
     # read off the scan's first hit and 566 before the cold start took the
     # tightest unit rows, the candidate x the joint relaxation and the
-    # mixed-feasibility screen moved into the walk for n > 1, and 524
-    # before each branch-and-bound became one warm family whose branches
-    # move bound rows; it may only fall
+    # mixed-feasibility screen moved into the walk for n > 1, 524 before
+    # each branch-and-bound became one warm family whose branches move bound
+    # rows, and 503 before the lex trace's rho was left to its first read;
+    # it may only fall
     import pytest
     from bilevel_exact import linear, solve_mixed
     exchange = linear._exchange
@@ -238,7 +241,7 @@ def test_mixed_grid_basis_exchanges():
         mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 503
+    assert len(calls) <= 493
 
 
 def pure_small_instances(count: int) -> list:
@@ -276,6 +279,33 @@ def test_pure_small_kernel_work():
             solve_pure(inst)
     assert len(lps) <= 264
     assert len(exchanges) <= 12
+
+
+def test_per_solve_construction_work():
+    # a deterministic count of what 25 mixed-grid and 25 pure-small solves
+    # build around their LPs: LinRow constructions and kernel forms
+    # (linear._kernel_form calls), the instances built beforehand. They were
+    # 2217 and 361 on mixed-grid, 200 and 50 on pure-small, before the
+    # instance kept the rows its constructor builds, a family for another
+    # cost over the same rows shared their kernel form and the lex trace's
+    # rho was left to its first read; they may only fall
+    import pytest
+    from bilevel_exact import linear, solve_mixed, solve_pure
+    runs = ((solve_mixed, grid_instances()[:25], {"eps": GRID_EPS}),
+            (solve_pure, pure_small_instances(25), {}))
+    post, kernel_form = linear.LinRow.__post_init__, linear._kernel_form
+    work = []
+    with pytest.MonkeyPatch.context() as mp:
+        for solve, insts, kwargs in runs:
+            rows, forms = [], []
+            mp.setattr(linear.LinRow, "__post_init__", lambda row: rows.append(1) or post(row))
+            mp.setattr(linear, "_kernel_form", lambda *args: forms.append(1) or kernel_form(*args))
+            for inst in insts:
+                solve(inst, **kwargs)
+            work.append((len(rows), len(forms)))
+    (grid_rows, grid_forms), (pure_rows, pure_forms) = work
+    assert grid_rows <= 1432 and grid_forms <= 234
+    assert pure_rows == 0 and pure_forms <= 25
 
 
 def _write_reports(fh, reports):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -674,6 +675,64 @@ def test_rhs_family_matches_cold_lp_and_vertex_scan(family):
         assert value == cold.value == ref[0]
         assert sys_.satisfied_by(point)
         assert tuple(point) in {tuple(p) for p in support.ref_vertices(sys_)}
+
+
+def sibling_families():
+    """(dim, rows, costs, rhs list, late): integer rows (a, rel) over dim 1
+    to 3, a box |x_j| <= 4 and then up to five random rows, "<=" or "=",
+    some of them constant (a = 0, which may also be "<"); two costs, the
+    second often the negated first; two to six right-hand sides, the box's
+    kept, the others drawn so that some systems are empty and some constant
+    rows fail; and whether the sibling is made after the first solve."""
+    row = st.tuples(st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+                    st.sampled_from((LE, "=", "<")))
+    costs = st.lists(st.integers(-3, 3), min_size=3, max_size=3)
+
+    def build(dim, extra, first, second, negated, draws, late):
+        box = []
+        for j in range(dim):
+            unit = tuple(int(i == j) for i in range(dim))
+            box += [(unit, LE), (tuple(-v for v in unit), LE)]
+        # a strict row is legal input only when it is constant
+        rows = box + [(tuple(a[:dim]), rel) for a, rel in extra if rel != "<" or not any(a[:dim])]
+        rhs = [[4] * len(box) + draw[:len(rows) - len(box)] for draw in draws]
+        cost = tuple(first[:dim])
+        other = tuple(-v for v in cost) if negated else tuple(second[:dim])
+        return dim, rows, (cost, other), rhs, late
+
+    draws = st.lists(st.lists(st.integers(-3, 5), min_size=5, max_size=5), min_size=2, max_size=6)
+    return st.builds(build, st.integers(1, 3), st.lists(row, max_size=5), costs, costs,
+                     st.booleans(), draws, st.booleans())
+
+
+@settings(max_examples=120, deadline=None)
+@given(sibling_families())
+def test_sibling_family_shares_the_kernel_form_and_starts_cold(family):
+    # a family and its with_cost sibling, solved in turn on each right-hand
+    # side, answer exactly as two families built apart from the same rows;
+    # the sibling's first solve is a cold one-shot solve, and every answer
+    # has the tag and value of a cold one-shot solve
+    dim, rows, costs, rhs_list, late = family
+    first = linear.RhsFamily(dim, rows, costs[0])
+    apart = [linear.RhsFamily(dim, rows, cost) for cost in costs]
+    if late:
+        assert first.solve(rhs_list[0]) == apart[0].solve(rhs_list[0])
+    sibling = first.with_cost(costs[1])
+    assert sibling.rows is first.rows
+    assert dim == 1 or sibling._kernel is first._kernel is not None
+    for step, rhs in enumerate(rhs_list):
+        for k, (family_, cost) in enumerate(zip((first, sibling), costs)):
+            if late and step == 0 and k == 0:
+                continue
+            got = family_.solve(rhs)
+            assert got == apart[k].solve(rhs)
+            cold = linear.RhsFamily(dim, rows, cost).solve(rhs)
+            if k == 1 and step == 0:
+                assert got == cold
+            assert got[0] == cold[0]
+            if got[0] == "optimal":
+                assert (Fraction(sum(map(mul, cost, got[1])), got[2])
+                        == Fraction(sum(map(mul, cost, cold[1])), cold[2]))
 
 
 def test_rhs_family_restarts_from_its_last_optimal_basis(monkeypatch):
