@@ -78,7 +78,7 @@ def load_instance(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:  # a missing file, or one not UTF-8
         raise ValidationError("unreadable", f"cannot read {path}: {exc}") from exc
     return parse_instance(text)
 

@@ -3,10 +3,13 @@ branch-and-bound, sharing no search code, so each cross-checks the other.
 
 Both name the integer coordinates by index. The walk, integer_candidates,
 lists in lex order the integer values of a range of coordinates that keep a
-closed system feasible, taking the exact LP range (lp_range) of one
-coordinate per level; every value tried counts against cell_cap. It lists
-the cell candidates (x, the leading range), the pure table's leader points
-(z, the trailing range) and, over every coordinate, enumerate_integers.
+closed system feasible, taking the exact LP range of one coordinate per
+level; every value tried counts against cell_cap. Each level keeps one
+linear.RhsFamily over the rows with the fixed coordinates' columns dropped,
+so a prefix is a right-hand side, and each range is the family's span, as
+in lp_range. It lists the cell candidates (x, the leading range), the pure
+table's leader points (z, the trailing range) and, over every coordinate,
+enumerate_integers.
 
 The branch-and-bound, IntegerSearch, holds fixed rows (a, rel) plus an
 upper and a lower bound row per integer coordinate as one
@@ -21,11 +24,12 @@ equals the root relaxation's (Land and Doig, 1960): every node is a
 subproblem of the root, so none does better. node_cap counts the nodes of
 each call. LexMin adds integer_min's lex stage: one search per coordinate
 over the rows and the value row, fixing the earlier coordinates through
-their bound rows. The floor walk and the pure table keep one search per
-walk or solve; mixed_feasible, integer_min_value and integer_min are
-one-shot uses, as lp_solve is a one-shot family. An objective is any
-sequence of ints and Fractions, as linear.lp_solve takes it: integer data
-goes to the LPs as it is.
+their bound rows, up to the first coordinate from which the "=" rows and
+the value row pin the rest. The floor walk and the pure table keep one
+search per walk or solve; mixed_feasible, integer_min_value and
+integer_min are one-shot uses, as lp_solve is a one-shot family. An
+objective is any sequence of ints and Fractions, as linear.lp_solve takes
+it: integer data goes to the LPs as it is.
 """
 from __future__ import annotations
 
@@ -35,9 +39,9 @@ from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, fix_block, lp_range, lp_solve,
-                     _integer_cost, _projection_bounded, _vertex_bound)
-from .rational import QVector, ceil_rat, floor_rat
+from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, _integer_cost,
+                     _nullspace_direction, _projection_bounded, _vertex_bound)
+from .rational import QVector
 
 
 def _require_closed(sys: LinearSystem):
@@ -133,14 +137,24 @@ class LexMin:
     for each coordinate j in turn, the search over the rows with cost . x =
     level minimizes x_j with the earlier coordinates fixed at their values
     through their bound rows. The rows must bound the region.
+
+    The "=" rows and cost . x = level pin the point once its first `pinned`
+    coordinates are fixed, the least count at which those rows restricted
+    to the coordinates pinned, ..., dim - 1 have full column rank: only the
+    coordinates before it get a search, and the others are read off the
+    last point found, the level search's when pinned is 0, which is the
+    only integer point with its prefix at the level.
     """
 
     __slots__ = ("first", "lex")
 
     def __init__(self, dim: int, rows, cost):
         self.first = IntegerSearch(dim, rows, range(dim), cost)
+        equal = [a for a, rel in rows if rel == EQ] + [tuple(cost)]
+        pinned = next((j for j in range(dim)
+                       if _nullspace_direction([a[j:] for a in equal], dim - j) is None), dim)
         rows = list(rows) + [(tuple(cost), EQ)]
-        self.lex = [IntegerSearch(dim, rows, range(dim), _unit(dim, j)) for j in range(dim)]
+        self.lex = [IntegerSearch(dim, rows, range(dim), _unit(dim, j)) for j in range(pinned)]
 
     def solve(self, rhs, config: SolverConfig) -> Optional[tuple]:
         found = self.first.minimize(rhs, config)
@@ -156,7 +170,7 @@ class LexMin:
                 raise InternalInvariantError("lex fixing lost feasibility")
             nums, den = found
             point.append(nums[j] // den)
-        return level, point
+        return level, point + [v // den for v in nums[len(point):]]
 
 
 def _branch_and_bound(cost, sys: LinearSystem, coords,
@@ -229,29 +243,42 @@ def integer_candidates(rows, total_dim: int, coords: range, config: SolverConfig
     """Integer assignments of the coordinates in `coords`, a step-1 range,
     that keep the closed system feasible with the others continuous.
 
-    Lex order; each level fixes coordinate coords.start, where the next one
-    of the range then sits. `budget` is a one-element mutable counter shared
-    with the caller's cap, charged once per integer value tried.
+    Lex order; level t fixes coordinate coords.start + t. Each level keeps
+    one RhsFamily over the rows with the columns of the coordinates fixed
+    above it dropped, minimizing its coordinate, so only right-hand sides
+    move with the prefix: fixing a coordinate at v subtracts its column
+    times v. A prefix takes the coordinate's range from the family's span,
+    two cold siblings that share its row split and kernel form. `budget` is
+    a one-element mutable counter shared with the caller's cap, charged
+    once per integer value tried.
     """
+    rhs = [r.b for r in rows]
     if not coords:  # the empty assignment, when the system has a point
-        sys = LinearSystem(total_dim, tuple(rows))
-        return [()] if lp_solve(sys, (0,) * total_dim, "min").is_optimal else []
+        family = RhsFamily(total_dim, [(r.a, r.rel) for r in rows], (0,) * total_dim)
+        return [()] if family.solve(rhs)[0] == "optimal" else []
     at = coords.start
+    levels = []  # per level: its family and its coordinate's column
     out = []
 
-    def walk(prefix, cur):
-        dim = total_dim - len(prefix)
-        span = lp_range(LinearSystem(dim, tuple(cur)), _unit(dim, at))
-        if span is None:
+    def walk(prefix, rhs):
+        t = len(prefix)
+        if t == len(levels):
+            dim = total_dim - t
+            levels.append((RhsFamily(dim, [(r.a[:at] + r.a[at + t:], r.rel) for r in rows],
+                                     _unit(dim, at)), [r.a[at + t] for r in rows]))
+        family, column = levels[t]
+        ends = family.span(rhs)
+        if ends is None:
             return
-        for v in range(ceil_rat(span[0]), floor_rat(span[1]) + 1):
+        (lo, lo_den), (hi, hi_den) = ends
+        for v in range(-(-lo // lo_den), hi // hi_den + 1):
             _charge(budget, config)
-            if len(prefix) + 1 == len(coords):  # a leaf: nothing reads the substituted rows
+            if t + 1 == len(coords):  # a leaf: nothing reads the moved right-hand sides
                 out.append(tuple(prefix) + (v,))
             else:
-                walk(prefix + [v], fix_block(cur, (v,), at))
+                walk(prefix + [v], [b - a * v for a, b in zip(column, rhs)])
 
-    walk([], list(rows))
+    walk([], rhs)
     return out
 
 

@@ -28,8 +28,9 @@ other, and the dual simplex goes on from it. The duals are computed only
 when a row enters the basis, and at the exit only for an artificial row
 left in it. A family's row split and kernel form depend on its rows alone,
 so `with_cost` gives the family of the same rows under another cost, which
-shares them and starts cold with its own basis: `lp_range` and the floor
-walk's ranges solve their minimum and maximum that way. `lp_solve` is a
+shares them and starts cold with its own basis: `span` (in `lp_range` and
+the integer walk) and the floor walk's ranges solve their minimum and
+maximum that way. `lp_solve` is a
 one-shot family, started cold, so its pivots and vertices are those of a
 cold solve.
 `StrictFamily` is the one strict lift: closed rows keep their coefficients
@@ -62,14 +63,14 @@ is made with `_bounded_system`; adding rows only shrinks a cone, so
 public constructor carries no proof and is still checked.
 
 Constant rows (all coefficients zero), such as a zero row of the data or a
-row whose coordinates `fix_block` fixed, may stand in any system. The two
-families own them: an RhsFamily splits its rows once into the nonconstant
-ones, which alone reach the kernel, and the constant ones, which it settles
-as 0 rel b on every right-hand side before any pivot; a StrictFamily leaves
-them unlifted for its RhsFamily to settle. No caller filters them.
-`fix_block` is the one restriction of rows to fixed values of a block of
-coordinates, and `lp_range` the one min-then-max range of an objective,
-two one-shot families that return the optimum values and build no point.
+row whose coordinates the integer walk of `lattice` fixed, may stand in any
+system. The two families own them: an RhsFamily splits its rows once into
+the nonconstant ones, which alone reach the kernel, and the constant ones,
+which it settles as 0 rel b on every right-hand side before any pivot; a
+StrictFamily leaves them unlifted for its RhsFamily to settle. No caller
+filters them. `RhsFamily.span` is the one min-then-max range of a cost,
+two cold siblings that return the optimum values and build no point: over
+a system in `lp_range`, and at each prefix in the integer walk of `lattice`.
 
 `_nullspace_direction` is the one exact elimination routine. No solve path
 calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
@@ -165,14 +166,6 @@ def row_eq(coeffs: Iterable, rhs) -> LinRow:
 
 def row_lt(coeffs: Iterable, rhs) -> LinRow:
     return _integer_row(coeffs, rhs, LT)
-
-
-def fix_block(rows, values, start: int) -> list:
-    """Rows with the coordinates start, ..., start + len(values) - 1 fixed at
-    the integer values, as rows over the remaining coordinates in their order."""
-    stop = start + len(values)
-    return [LinRow(r.a[:start] + r.a[stop:], r.b - sum(map(mul, r.a[start:stop], values)), r.rel)
-            for r in rows]
 
 
 @dataclass(frozen=True, slots=True)
@@ -558,7 +551,9 @@ class RhsFamily:
     closed form. Every optimum is re-verified against
     every row in integer arithmetic; a miss raises InternalInvariantError.
     with_cost(cost) gives the family of the same rows under another cost:
-    it shares this family's row split and kernel form, and starts cold.
+    it shares this family's row split and kernel form, and starts cold;
+    span(rhs) solves two such siblings for the cost's least and greatest
+    value.
     """
 
     __slots__ = ("dim", "rows", "cost", "_live", "_fixed", "_kernel", "_basis")
@@ -590,6 +585,25 @@ class RhsFamily:
         other._live, other._fixed, other._kernel = self._live, self._fixed, self._kernel
         other._basis = None
         return other
+
+    def span(self, rhs) -> Optional[tuple]:
+        """((lo, lo_den), (hi, hi_den)): the least and the greatest value of
+        the cost over the rows at rhs, each an integer over a positive
+        denominator, or None when the rows have no point. Each end is one
+        solve of a cold with_cost sibling, the minimum's first, so this
+        family's own basis is left as it was. The caller knows the cost
+        bounded over the rows, so an unbounded LP raises
+        InternalInvariantError."""
+        cost = self.cost
+        ends = []
+        for sibling in (cost, [-v for v in cost]):
+            tag, nums, den = self.with_cost(sibling).solve(rhs)
+            if tag == "infeasible":
+                return None
+            if tag != "optimal":
+                raise InternalInvariantError("LP range unbounded on a bounded region")
+            ends.append((sum(map(mul, cost, nums)), den))
+        return tuple(ends)
 
     def solve(self, rhs) -> tuple:
         if self._live is not None:
@@ -699,28 +713,16 @@ def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOu
 
 def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
     """(min, max) of the objective, a sequence of ints and Fractions as
-    lp_solve takes it, over a closed system, None when the system is empty.
-    Two one-shot solves, each started cold as lp_solve's, that return the
-    optimum values alone: the maximum, solved only once the minimum is
-    optimal, is the minimum family's with_cost sibling, so the rows are
-    split and put in kernel form once. The caller knows the region bounded,
-    so an unbounded LP raises InternalInvariantError."""
+    lp_solve takes it, over a closed system, None when the system is empty:
+    the span of a one-shot family, whose two solves each start cold, as
+    lp_solve's, and return the optimum values alone. The caller knows the
+    region bounded, so an unbounded LP raises InternalInvariantError."""
     if sys.has_strict():
         raise ValueError("lp_range takes closed rows only")
     cost, mult = _integer_cost(objective, sys.dim)
-    rhs = [r.b for r in sys.rows]
     family = RhsFamily(sys.dim, [(r.a, r.rel) for r in sys.rows], cost)
-    ends = []
-    for sign in (1, -1):
-        if sign < 0:
-            family = family.with_cost([-v for v in cost])
-        tag, nums, den = family.solve(rhs)
-        if tag == "infeasible":
-            return None
-        if tag != "optimal":
-            raise InternalInvariantError("LP range unbounded on a bounded region")
-        ends.append(Fraction(sum(map(mul, cost, nums)), mult * den))
-    return tuple(ends)
+    ends = family.span([r.b for r in sys.rows])
+    return None if ends is None else tuple(Fraction(v, mult * den) for v, den in ends)
 
 
 def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:

@@ -354,6 +354,21 @@ def test_cli_missing_file(capsys):
     assert "unreadable" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["check", "solve"])
+def test_cli_file_not_utf8(tmp_path, capsys, command):
+    # a file that is not UTF-8 is a validation error (exit 2), not a
+    # traceback and not the infeasible exit code
+    path = tmp_path / "f.json"
+    path.write_bytes(b"\xff\xfe{}")
+    with pytest.raises(ValidationError, match="cannot read") as err:
+        load_instance(str(path))
+    assert err.value.code == "unreadable"
+    assert cli_main([command, str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "validation error [unreadable]" in captured.err
+
+
 def test_cli_fuzz(capsys):
     assert cli_main(["fuzz", "--count", "3", "--seed", "1"]) == 0
     out = capsys.readouterr().out

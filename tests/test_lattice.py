@@ -11,7 +11,7 @@ from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError,
                            row_le, row_lt, solve_mixed)
 from bilevel_exact import linear
 from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates, integer_min_value
-from bilevel_exact.linear import fix_block, lp_range
+from bilevel_exact.linear import lp_range
 
 
 def boxed_systems(dim=2, side=4):
@@ -162,32 +162,86 @@ def test_enumerate_integers_matches_grid_scan(sys_):
     assert got == sorted(got)
 
 
-@settings(max_examples=40)
-@given(boxed_systems(dim=3, side=2),
-       st.sampled_from([range(0), range(1), range(2), range(1, 2), range(1, 3), range(2, 3)]))
+def _unit_rows(dim):
+    """The rows x_j <= b and -x_j <= b of a box, as (a, rel)."""
+    return [(tuple(sign * int(i == j) for i in range(dim)), LE)
+            for j in range(dim) for sign in (1, -1)]
+
+
+WALK_BOX = tuple(LinRow(a, 2, rel) for a, rel in _unit_rows(3))
+
+
+def walk_systems():
+    """[-2, 2]^3 with up to three more rows, each "<=" or "=" and nonzero in
+    the first k coordinates alone: once the walk fixes those, the row is
+    constant. At k = 0 it is constant from the start, and it holds or fails
+    by the sign of its right-hand side."""
+    row = st.tuples(st.lists(st.integers(-2, 2), min_size=3, max_size=3), st.integers(0, 3),
+                    st.integers(-4, 4), st.sampled_from((LE, EQ)))
+    return st.lists(row, max_size=3).map(lambda rows: LinearSystem(3, WALK_BOX + tuple(
+        LinRow(tuple(a[:k]) + (0,) * (3 - k), b, rel) for a, k, b, rel in rows)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(walk_systems(), st.sampled_from([range(0), range(1), range(2), range(3), range(1, 2),
+                                        range(1, 3), range(2, 3)]))
+@example(LinearSystem(3, WALK_BOX + (row_le([1, 1, 0], 1), row_eq([1, -1, 1], 0),
+                                     row_le([0, 0, 0], 0))), range(3))
+@example(LinearSystem(3, WALK_BOX + (row_eq([2, 0, 0], 2), row_eq([0, 0, 0], 1))), range(3))
 def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
     # an assignment of the coordinates in the range is listed iff the slice
-    # with them fixed has a point; the range need not start at coordinate 0
-    got = integer_candidates(sys_.rows, 3, coords, DEFAULT_CONFIG, [0])
-    want = []
-    for values in support.grid_points(len(coords), -2, 2):
+    # with them fixed has a point; the range need not start at coordinate 0.
+    # A row over fixed coordinates alone is constant in the walk's families,
+    # which settle it. Each value tried is one cell_cap charge, and the walk
+    # tries exactly the values that extend a feasible prefix feasibly
+    def feasible(values):
         fixed = [row_eq([int(j == i) for j in range(3)], v) for i, v in zip(coords, values)]
-        if support.ref_lp_min(sys_.with_rows(fixed), [Fraction(0)] * 3) is not None:
-            want.append(values)
-    assert got == want
+        return support.ref_lp_min(sys_.with_rows(fixed), [Fraction(0)] * 3) is not None
+
+    want = [()] if feasible(()) else []
+    tried = 0
+    for _ in coords:
+        want = [p + (v,) for p in want for v in range(-2, 3) if feasible(p + (v,))]
+        tried += len(want)
+    budget = [0]
+    assert integer_candidates(sys_.rows, 3, coords, DEFAULT_CONFIG, budget) == want
+    assert budget == [tried]
+    if tried:
+        with pytest.raises(ResourceLimitError, match=f"^cell_cap={tried - 1}:"):
+            integer_candidates(sys_.rows, 3, coords, SolverConfig(cell_cap=tried - 1), [0])
 
 
-def test_fix_block():
-    # the second row is -x1 + x3 = 1/2 in integer form: -2 x1 + 2 x3 = 1
-    rows = [row_le([1, 2, 3, 4], 10), row_eq([0, -1, 0, 1], Fraction(1, 2))]
-    def shown(out):
-        return [(r.a, r.b, r.rel) for r in out]
-    assert shown(fix_block(rows, (1, 2), 0)) == [((3, 4), 5, "<="), ((0, 2), 5, "=")]
-    assert shown(fix_block(rows, (1,), 1)) == [((1, 3, 4), 8, "<="), ((0, 0, 2), 3, "=")]
-    assert shown(fix_block(rows, (2, -1), 2)) == [((1, 2), 8, "<="), ((0, -2), 3, "=")]
-    assert shown(fix_block(rows, (), 4)) == shown(rows)
-    with pytest.raises(ValueError):
-        fix_block(rows, (Fraction(1, 2),), 1)
+@pytest.mark.parametrize("dim, extra, cost, searches", [
+    # pinned at once: x0 + x1 = b and the cost x0 - x1 are independent
+    (2, [((1, 1), EQ), ((1, 2), LE)], (1, -1), 0),
+    # pinned midway: x1 + x2 = b and the cost x1 - x2 fix x1 and x2, not x0
+    (3, [((0, 1, 1), EQ), ((1, 1, 1), LE)], (0, 1, -1), 1),
+    # never pinned: a zero cost and no "=" row
+    (2, [((1, 2), LE), ((-1, 1), LE)], (0, 0), 2),
+    # a "=" row parallel to the cost adds no rank: x1 is pinned once x0 is fixed
+    (2, [((2, 2), EQ), ((1, -1), LE)], (1, 1), 1),
+    # dependent "=" rows in three coordinates: rank 2 on columns 1 and 2
+    (3, [((0, 1, 1), EQ), ((0, 2, 2), EQ), ((1, 0, 0), LE)], (0, 1, -1), 1),
+])
+def test_lex_min_searches_only_the_coordinates_left_free(dim, extra, cost, searches):
+    # LexMin searches the coordinates before the first one from which the
+    # "=" rows and the cost row have full column rank, and reads the rest off
+    # the last point found; over right-hand sides in [-1, 3] for the extra
+    # rows, its answer is the grid scan's lex-least optimum in [-2, 2]^dim
+    rows = _unit_rows(dim) + extra
+    search = LexMin(dim, rows, cost)
+    assert len(search.lex) == searches
+    for sides in support.grid_points(len(extra), -1, 3):
+        rhs = [2] * (2 * dim) + list(sides)
+        system = LinearSystem(dim, [LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)])
+        points = support.brute_integer_points(system, -2, 2)
+        got = search.solve(rhs, DEFAULT_CONFIG)
+        if not points:
+            assert got is None
+            continue
+        values = {p: sum(c * v for c, v in zip(cost, p)) for p in points}
+        level = min(values.values())
+        assert got == (level, list(min(p for p in points if values[p] == level)))
 
 
 def test_mixed_feasible_follower_slice():
@@ -253,7 +307,7 @@ def test_objective_of_other_entries_or_length_raises(objective):
 # one warm search over a sequence of right-hand sides: the box rows
 # x_j <= s_j, -x_j <= t_j, then two rows of drawn coefficients, each "<="
 # or "="; a right-hand side is (the box's, the two rows', the fixed prefix)
-BOX_ROWS = [((1, 0), LE), ((-1, 0), LE), ((0, 1), LE), ((0, -1), LE)]
+BOX_ROWS = _unit_rows(2)
 
 
 def rhs_sequences():
