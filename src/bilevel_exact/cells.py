@@ -39,8 +39,9 @@ walk's families and cell_region both derive from that pair, and a cell
 index holds no region: a caller that needs one builds it with cell_region.
 The instance data are ints, so the rows of the walk, of the cell regions
 and of the follower are built as LinRows straight from them; the follower
-at a leader point z is read at its integer floors,
-follower_system(floor_rhs(inst, z)) (see bilevel_feasible).
+at a leader point z is read at its integer floors: bilevel_feasible
+searches the rows A, minimizing psi, at floor_rhs(inst, z), one
+IntegerSearch built per call.
 The candidate x come from lattice.integer_candidates, the one integer walk,
 with their activities A x and psi . x as integers. Nothing caches an index
 across calls either: each cell_index call builds a fresh one. Besides its
@@ -57,11 +58,10 @@ from operator import mul
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
-from .lattice import (IntegerSearch, integer_candidates, integer_min_value, mixed_feasible,
-                      _charge, _unit)
+from .lattice import IntegerSearch, integer_candidates, mixed_feasible, _charge
 from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve,
                      recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system,
-                     _over_common_denominator)
+                     _over_common_denominator, _unit)
 from .rational import QVector
 
 WITNESS_DELTA = Fraction(1, 2**20)  # cell_infimum's witness slack, of the objective range
@@ -301,10 +301,12 @@ def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CON
 def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG) -> bool:
     """Direct definition: (x, z) meets upper_system and the integer x solves
     the follower at z. For an integer x, A x <= B z + u holds exactly when
-    A x <= floor(B z + u), so x must meet follower_system(floor_rhs(inst, z))
-    and attain its integer_min_value of psi . x. A non-integral x gives
-    False before a wrong shape, or a z entry other than an int or a
-    Fraction, raises ValueError."""
+    A x <= floor(B z + u), so x must meet A x <= floor_rhs(inst, z) and
+    attain the least psi . x there, which one IntegerSearch over the rows A
+    finds; validation proved those rows bounded (code
+    "unbounded-follower"). A non-integral x gives False before a wrong
+    shape, or a z entry other than an int or a Fraction, raises
+    ValueError."""
     xv = QVector(x)
     if not xv.is_integral():
         return False
@@ -313,13 +315,15 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
     rhs = floor_rhs(inst, z)
     if not inst.upper_system().satisfied_by(xv.entries + tuple(z)):
         return False
-    follower = inst.follower_system(rhs)
-    if not follower.satisfied_by(xv):
+    xs = [int(v) for v in xv]
+    if any(sum(map(mul, ar, xs)) > rv for ar, rv in zip(inst.A, rhs)):
         return False
-    opt = integer_min_value(inst.psi, follower, config)
-    if opt is None:
-        raise InternalInvariantError("follower was feasible at x yet integer_min found nothing")
-    return opt == sum(map(mul, inst.psi, xv))
+    search = IntegerSearch(inst.n, [(a, LE) for a in inst.A], range(inst.n), inst.psi)
+    found = search.minimize(rhs, config)
+    if found is None:
+        raise InternalInvariantError("follower was feasible at x yet its search found nothing")
+    nums, den = found
+    return sum(map(mul, inst.psi, nums)) == sum(map(mul, inst.psi, xs)) * den
 
 
 # ---------------------------------------------------------------------------

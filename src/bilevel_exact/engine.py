@@ -36,7 +36,7 @@ from .decide import DecisionScan, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import integer_min, _charge
 from .linear import (LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
-                     lp_solve, row_eq, _bounded_system)
+                     lp_solve, row_eq, _bounded_system, _unit)
 from .rational import QVector, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -76,8 +76,7 @@ class LexTrace:
     """Everything produced on the way to the lex-minimal optimum.
 
     rho_i, the least value of B_i z + u_i over cl(Q), is computed on its
-    first read and kept: one LP per row, or, when cl(Q) is the one point z*
-    (k = 1), B_i z* + u_i with no LP. A solve never reads it.
+    first read and kept: one LP per row. A solve never reads it.
     """
 
     x_star: tuple
@@ -92,8 +91,6 @@ class LexTrace:
     @cached_property
     def rho(self) -> tuple:
         inst = self.instance
-        if self.k == 1:  # cl(Q) is the point z*
-            return tuple(sum(map(mul, br, self.z_star)) + uv for br, uv in zip(inst.B, inst.u))
         closed = self.q_system.closure()
         rho = []
         for br, uv in zip(inst.B, inst.u):
@@ -325,37 +322,25 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
 # pure driver
 
 
-def _pure_driver(inst: Instance, config: SolverConfig):
-    """Pure solve from the response table: (v*, x*, z*) or None when infeasible.
+def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+    """Pure-integer solve by the response-table driver alone.
 
     Lists the response table (pure_responses) and takes its least entry
     (value, x, z): the least value is v*, and (x*, z*) is the least (x, z)
     among the entries of value v*. An optimal point (x, z) minimizes the
     leader's objective at its z, so the entry at z has value v* and an x no
-    larger, and the least such entry is the lex-least optimum.
-    """
-    best = min(pure_responses(inst, config), default=None)
-    if best is None:
-        return None
-    v_star, x_star, z_ints = best
-    return v_star, x_star, QVector([Fraction(v) for v in z_ints])
-
-
-def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
-    """Pure-integer solve by the response-table driver alone.
-
-    Its independent second computation is the pure reference oracle;
+    larger, and the least such entry is the lex-least optimum. Its
+    independent second computation is the pure reference oracle;
     `solve --engine both` and the tests compare the two.
     """
-    telemetry = Telemetry()
-    report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    searched = _pure_driver(inst, config)
-    if searched is None:
+    report = SolveReport(INFEASIBLE, telemetry=Telemetry())
+    best = min(pure_responses(inst, config), default=None)
+    if best is None:
         return report
-    v_star, x_star, z_star = searched
+    v_star, x_star, z_ints = best
     report.status = ATTAINED
     report.infimum = v_star
-    report.solution = (x_star, z_star)
+    report.solution = (x_star, QVector([Fraction(v) for v in z_ints]))
     return report
 
 
@@ -370,7 +355,7 @@ def _cells_by_definition(inst: Instance, config: SolverConfig) -> list:
     upper = inst.upper_system()
     ranges = []
     for j in range(inst.n):
-        span = lp_range(upper, [int(i == j) for i in range(inst.joint_dim())])
+        span = lp_range(upper, _unit(inst.joint_dim(), j))
         if span is None:
             return []
         ranges.append(range(ceil_rat(span[0]), floor_rat(span[1]) + 1))

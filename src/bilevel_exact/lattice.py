@@ -26,8 +26,11 @@ each call. LexMin adds integer_min's lex stage: one search per coordinate
 over the rows and the value row, fixing the earlier coordinates through
 their bound rows, up to the first coordinate from which the "=" rows and
 the value row pin the rest. The floor walk and the pure table keep one
-search per walk or solve; mixed_feasible, integer_min_value and
-integer_min are one-shot uses, as lp_solve is a one-shot family. An
+search per walk or solve, and cells.bilevel_feasible builds one per call;
+mixed_feasible (an IntegerSearch) and integer_min (a LexMin) are one-shot
+uses, as lp_solve is a one-shot family. They and enumerate_integers share
+one prologue, _closed_bounded: strict rows are rejected and the projection
+onto the integer coordinates proved bounded before any search. An
 objective is any sequence of ints and Fractions, as linear.lp_solve takes
 it: integer data goes to the LPs as it is.
 """
@@ -40,26 +43,22 @@ from typing import Optional, Sequence
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
 from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, _integer_cost,
-                     _nullspace_direction, _projection_bounded, _vertex_bound)
+                     _nullspace_direction, _projection_bounded, _unit, _vertex_bound)
 from .rational import QVector
 
 
-def _require_closed(sys: LinearSystem):
+def _closed_bounded(sys: LinearSystem, coords, message: str) -> tuple:
+    """(rows, rhs): the rows (a, rel) of sys and their right-hand sides.
+
+    Raises ValueError on a strict row and BoundednessError(message) unless
+    the projection onto coords is bounded; a system carrying a boundedness
+    proof passes without cone LPs.
+    """
     if sys.has_strict():
         raise ValueError("lattice operations take closed rows only")
-
-
-def _check_bounded(sys: LinearSystem, coords, message: str):
-    """Raise BoundednessError unless the projection onto coords is bounded.
-
-    A system carrying a boundedness proof passes without cone LPs.
-    """
     if not _projection_bounded(sys, coords):
         raise BoundednessError(message)
-
-
-def _unit(dim: int, i: int, sign: int = 1) -> tuple:
-    return tuple(sign if j == i else 0 for j in range(dim))
+    return [(r.a, r.rel) for r in sys.rows], [r.b for r in sys.rows]
 
 
 class IntegerSearch:
@@ -173,42 +172,20 @@ class LexMin:
         return level, point + [v // den for v in nums[len(point):]]
 
 
-def _branch_and_bound(cost, sys: LinearSystem, coords,
-                      config: SolverConfig) -> Optional[tuple]:
-    """The one-shot IntegerSearch over the rows of sys: (nums, den) or None."""
-    search = IntegerSearch(sys.dim, [(r.a, r.rel) for r in sys.rows], coords, cost)
-    return search.minimize([r.b for r in sys.rows], config)
-
-
 def mixed_feasible(sys: LinearSystem, integer_coords,
                    config: SolverConfig = DEFAULT_CONFIG) -> Optional[QVector]:
     """A feasible point with the coordinates whose indices integer_coords
-    lists (a range, say) integer and the others continuous, or None."""
-    _require_closed(sys)
+    lists (a range, say) integer and the others continuous, or None: the
+    one-shot IntegerSearch of the zero cost."""
     coords = sorted(set(integer_coords))
     if not all(0 <= i < sys.dim for i in coords):
         raise ValueError("integer coordinate index out of range")
-    _check_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
-    found = _branch_and_bound((0,) * sys.dim, sys, coords, config)
+    rows, rhs = _closed_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
+    found = IntegerSearch(sys.dim, rows, coords, (0,) * sys.dim).minimize(rhs, config)
     if found is None:
         return None
     nums, den = found
     return QVector([Fraction(v, den) for v in nums])
-
-
-def integer_min_value(objective: Sequence, sys: LinearSystem,
-                      config: SolverConfig = DEFAULT_CONFIG) -> Optional[Fraction]:
-    """Exact integer minimum value of the objective, a sequence of ints and
-    Fractions, None when no integer point exists. The feasible region must
-    be bounded."""
-    _require_closed(sys)
-    cost, mult = _integer_cost(objective, sys.dim)
-    _check_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
-    found = _branch_and_bound(cost, sys, range(sys.dim), config)
-    if found is None:
-        return None
-    nums, den = found
-    return Fraction(sum(map(mul, cost, nums)), mult * den)
 
 
 def integer_min(objective: Sequence, sys: LinearSystem,
@@ -220,11 +197,9 @@ def integer_min(objective: Sequence, sys: LinearSystem,
     the system's rows: the optimum value first, then the coordinates fixed
     left to right at their minimum values, each a unit objective.
     """
-    _require_closed(sys)
     cost, mult = _integer_cost(objective, sys.dim)
-    _check_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
-    found = LexMin(sys.dim, [(r.a, r.rel) for r in sys.rows], cost).solve(
-        [r.b for r in sys.rows], config)
+    rows, rhs = _closed_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
+    found = LexMin(sys.dim, rows, cost).solve(rhs, config)
     if found is None:
         return LpOutcome("infeasible")
     level, point = found
@@ -286,6 +261,5 @@ def enumerate_integers(sys: LinearSystem,
                        config: SolverConfig = DEFAULT_CONFIG) -> list:
     """All integer points of a bounded closed system, in lex order: one
     integer_candidates walk over every coordinate, charged to cell_cap."""
-    _require_closed(sys)
-    _check_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
+    _closed_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
     return [QVector(p) for p in integer_candidates(sys.rows, sys.dim, range(sys.dim), config, [0])]

@@ -35,11 +35,15 @@ one-shot family, started cold, so its pivots and vertices are those of a
 cold solve.
 `StrictFamily` is the one strict lift: closed rows keep their coefficients
 with a 0 for a new variable t, nonconstant strict rows get +t, 0 <= t <= 1
-and t is maximized; `strict_feasible_point` checks one system with it, and
-the floor walk of `cells.valid_cells` checks its cells with one per walk.
+and t is maximized; `strict_feasible_point` checks every system with it,
+one whose strict rows are all constant, or absent, included, and the floor
+walk of `cells.valid_cells` checks its cells with one per walk.
 
 An objective is any sequence of ints and Fractions, integer data as it is;
 `lp_solve` scales it once by the lcm of its denominators into an integer cost.
+Anything else, a float, a bool or a str, raises ValueError, in an objective
+or in a row built by `row_le`, `row_eq` or `row_lt`: one scaler,
+`_integer_cost`, serves both.
 
 Every row is stored in integer form alone: `LinRow(a, b, rel)` is the row
 a . x rel b with integer a and b, and its constructor rejects anything else.
@@ -60,7 +64,9 @@ validation proves it for the follower matrix and for the upper-level region)
 is made with `_bounded_system`; adding rows only shrinks a cone, so
 `with_rows` and `closure` keep the proof, and the integer searches and
 `vertices` skip their cone LPs on such systems. A system built through the
-public constructor carries no proof and is still checked.
+public constructor carries no proof and is still checked
+(`_projection_bounded`): one `lp_range` per coordinate over the truncated
+cone.
 
 Constant rows (all coefficients zero), such as a zero row of the data or a
 row whose coordinates the integer walk of `lattice` fixed, may stand in any
@@ -145,15 +151,17 @@ class LinRow:
         return self.holds_at(*_over_common_denominator(point.entries))
 
 
+def _unit(dim: int, i: int, sign: int = 1) -> tuple:
+    return tuple(sign if j == i else 0 for j in range(dim))
+
+
 def _integer_row(coeffs: Iterable, rhs, rel: str) -> LinRow:
     """The rational row coeffs . x rel rhs times the lcm of its denominators,
-    with no gcd reduction."""
-    q = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in coeffs]
-    if not isinstance(rhs, (int, Fraction)):
-        rhs = Fraction(rhs)
-    mult = math.lcm(rhs.denominator, *(v.denominator for v in q))
-    return LinRow(tuple(v.numerator * (mult // v.denominator) for v in q),
-                  rhs.numerator * (mult // rhs.denominator), rel)
+    with no gcd reduction: the scaling of _integer_cost, which rejects any
+    entry but an int or a Fraction."""
+    coeffs = tuple(coeffs)
+    scaled, _ = _integer_cost(coeffs + (rhs,), len(coeffs) + 1)
+    return LinRow(tuple(scaled[:-1]), scaled[-1], rel)
 
 
 def row_le(coeffs: Iterable, rhs) -> LinRow:
@@ -346,10 +354,8 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
             if k is None:
                 if big is None:
                     big = _vertex_bound([sum(map(abs, a)) for a in A], b, dim)
-                unit = [0] * dim
-                unit[j] = -1 if cj > 0 else 1
                 k = m + len(extra)
-                extra.append(tuple(unit))
+                extra.append(_unit(dim, j, -1 if cj > 0 else 1))
             basis.append(k)
         if extra:
             A = A + extra
@@ -675,11 +681,12 @@ class StrictFamily:
 def _integer_cost(objective: Sequence, dim: int) -> tuple:
     """(cost, mult): the objective, a sequence of dim ints and Fractions,
     times mult, the lcm of its denominators, as integers. A wrong length or
-    any other entry, a float or a bool say, raises ValueError."""
+    any other entry, a float, a bool or a str say, raises ValueError; the
+    row builders scale a row with it too."""
     if len(objective) != dim:
         raise ValueError("objective dimension does not match the system")
     if any(type(v) is not int and type(v) is not Fraction for v in objective):
-        raise ValueError("objective entries must be int or Fraction")
+        raise ValueError("entries must be int or Fraction")
     mult = math.lcm(*(v.denominator for v in objective))
     return [v.numerator * (mult // v.denominator) for v in objective], mult
 
@@ -728,27 +735,18 @@ def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
 def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     """A point satisfying closed rows and every strict row strictly, or None.
 
-    A system with a nonconstant strict row takes one check of a one-shot
-    StrictFamily; any other takes the one-shot RhsFamily of the zero
-    objective, which settles its constant strict rows; when they hold, its
-    point is that of lp_solve over the closure. Either family re-verifies
-    its point in integer arithmetic, and the lift's witness is checked again
-    against every row; a miss raises InternalInvariantError.
+    One check of a one-shot StrictFamily, whose lifted family settles the
+    constant rows, strict ones included, and re-verifies its optimum in
+    integer arithmetic; the witness is checked again against every row. A
+    miss raises InternalInvariantError.
     """
-    rows = [(r.a, r.rel) for r in sys.rows]
-    rhs = [r.b for r in sys.rows]
-    if any(rel == LT and any(a) for a, rel in rows):
-        found = StrictFamily(sys.dim, rows).point(rhs)
-        if found is None:
-            return None
-        nums, den = found
-        for r in sys.rows:
-            if not r.holds_at(nums, den):
-                raise InternalInvariantError("strict feasibility witness failed re-verification")
-    else:
-        tag, nums, den = RhsFamily(sys.dim, rows, (0,) * sys.dim).solve(rhs)
-        if tag != "optimal":
-            return None
+    found = StrictFamily(sys.dim, [(r.a, r.rel) for r in sys.rows]).point(
+        [r.b for r in sys.rows])
+    if found is None:
+        return None
+    nums, den = found
+    if not all(r.holds_at(nums, den) for r in sys.rows):
+        raise InternalInvariantError("strict feasibility witness failed re-verification")
     return QVector([Fraction(v, den) for v in nums])
 
 
@@ -767,36 +765,21 @@ def _truncated_cone(coeff_rows, dim: int) -> LinearSystem:
     first."""
     rows = [LinRow(tuple(r), 0, LE) for r in coeff_rows]
     for j in range(dim):
-        unit = [0] * dim
-        unit[j] = 1
-        rows.append(LinRow(tuple(unit), 1, LE))
-        rows.append(LinRow(tuple(-v for v in unit), 1, LE))
+        rows.append(LinRow(_unit(dim, j), 1, LE))
+        rows.append(LinRow(_unit(dim, j, -1), 1, LE))
     return LinearSystem(dim, tuple(rows))
 
 
-def _cone_coords_zero(coeff_rows, dim: int, coords) -> bool:
-    """True iff every y with (rows) . y <= 0 has y_i = 0 for i in coords."""
-    cone = _truncated_cone(coeff_rows, dim)
-    for i in coords:
-        unit = [0] * dim
-        unit[i] = 1
-        for sense in ("max", "min"):
-            out = lp_solve(cone, unit, sense)
-            if not out.is_optimal:
-                raise InternalInvariantError("truncated cone LP must be optimal")
-            if out.value != 0:
-                return False
-    return True
-
-
 def _projection_bounded(sys: LinearSystem, coords) -> bool:
-    """True iff the closed system's recession cone has y_i = 0 for i in coords.
+    """True iff the closed system's recession cone has y_i = 0 for i in coords:
+    the lp_range of each y_i over the truncated cone is (0, 0).
 
     A carried boundedness proof answers without solving the cone LPs.
     """
     if sys.proved_bounded:
         return True
-    return _cone_coords_zero(recession_rows(sys), sys.dim, coords)
+    cone = _truncated_cone(recession_rows(sys), sys.dim)
+    return all(lp_range(cone, _unit(sys.dim, i)) == (0, 0) for i in coords)
 
 
 def recession_bounded(rows, ncols: int) -> bool:

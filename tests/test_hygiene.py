@@ -167,8 +167,8 @@ def test_solve_paths_reach_no_search(driver):
 # searches that take an integer cost, take integer data as it is: a QVector
 # built inside such a call would turn its ints into Fractions for lp_solve
 # to scale back.
-OBJECTIVE_TAKERS = {"lp_solve", "lp_range", "integer_min", "integer_min_value",
-                    "_branch_and_bound", "RhsFamily", "IntegerSearch", "LexMin"}
+OBJECTIVE_TAKERS = {"lp_solve", "lp_range", "integer_min", "RhsFamily", "IntegerSearch",
+                    "LexMin"}
 
 
 def _called_name(call):

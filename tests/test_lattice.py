@@ -10,7 +10,7 @@ from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError,
                            enumerate_integers, integer_min, lp_solve, mixed_feasible, row_eq,
                            row_le, row_lt, solve_mixed)
 from bilevel_exact import linear
-from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates, integer_min_value
+from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates
 from bilevel_exact.linear import lp_range
 
 
@@ -97,7 +97,7 @@ def test_integer_min_matches_grid_scan(sys_, obj):
 @given(boxed_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_integer_min_value_matches_grid_scan(sys_, obj):
     pts = support.brute_integer_points(sys_, -4, 4)
-    got = integer_min_value(QVector(obj), sys_, DEFAULT_CONFIG)
+    got = integer_min(QVector(obj), sys_, DEFAULT_CONFIG).value
     if not pts:
         assert got is None
         return
@@ -109,7 +109,6 @@ def test_integer_min_value_searches_past_the_first_incumbent():
     # only the later upper branches reach the optimum (3, 2) of value -4
     sys_ = LinearSystem(2, (row_le([-1, 0], 0), row_le([0, -1], 0), row_le([1, 0], 3),
                             row_le([0, 1], 3), row_le([4, -4], 6), row_le([-1, 1], 1)))
-    assert integer_min_value(QVector([-2, 1]), sys_, DEFAULT_CONFIG) == -4
     out = integer_min(QVector([-2, 1]), sys_, config=DEFAULT_CONFIG)
     assert out.value == -4 and out.point.entries == (3, 2)
 
@@ -128,18 +127,18 @@ def two_row_systems():
 @given(two_row_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_integer_min_value_matches_grid_scan_on_two_row_systems(sys_, obj):
     pts = support.brute_integer_points(sys_, -4, 4)
-    got = integer_min_value(QVector(obj), sys_, DEFAULT_CONFIG)
+    got = integer_min(QVector(obj), sys_, DEFAULT_CONFIG).value
     want = min((sum(o * v for o, v in zip(obj, p)) for p in pts), default=None)
     assert got == want
 
 
 def test_integer_min_value_guards():
     with pytest.raises(ValueError):
-        integer_min_value(QVector([1]), LinearSystem(1, (row_lt([1], 1),)), DEFAULT_CONFIG)
+        integer_min(QVector([1]), LinearSystem(1, (row_lt([1], 1),)), DEFAULT_CONFIG)
     with pytest.raises(ValueError):
-        integer_min_value(QVector([1, 0]), LinearSystem(1, (row_le([1], 1),)), DEFAULT_CONFIG)
+        integer_min(QVector([1, 0]), LinearSystem(1, (row_le([1], 1),)), DEFAULT_CONFIG)
     with pytest.raises(BoundednessError):
-        integer_min_value(QVector([1]), LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
+        integer_min(QVector([1]), LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
 
 
 def test_enumerate_integers_interval():
@@ -288,8 +287,6 @@ def test_integer_objectives_give_the_qvector_outcomes(sys_, obj):
         for sense in ("min", "max"):
             assert lp_solve(sys_, given_as, sense) == lp_solve(sys_, q, sense)
         assert lp_range(sys_, given_as) == lp_range(sys_, q)
-        assert (integer_min_value(given_as, sys_, DEFAULT_CONFIG)
-                == integer_min_value(q, sys_, DEFAULT_CONFIG))
         assert integer_min(given_as, sys_, DEFAULT_CONFIG) == integer_min(q, sys_, DEFAULT_CONFIG)
 
 
@@ -298,7 +295,6 @@ def test_objective_of_other_entries_or_length_raises(objective):
     box = LinearSystem(2, (row_le([1, 0], 2), row_le([-1, 0], 2),
                            row_le([0, 1], 2), row_le([0, -1], 2)))
     for call in (lambda: lp_solve(box, objective), lambda: lp_range(box, objective),
-                 lambda: integer_min_value(objective, box, DEFAULT_CONFIG),
                  lambda: integer_min(objective, box, DEFAULT_CONFIG)):
         with pytest.raises(ValueError):
             call()

@@ -539,6 +539,16 @@ def test_scaled_row_is_integral_and_equivalent():
         LinRow((1,), Fraction(1, 2), LE)
 
 
+@pytest.mark.parametrize("build", (row_le, row_eq, row_lt))
+@pytest.mark.parametrize("bad", (0.1, True, "1/2"))
+def test_row_builders_reject_other_entries(build, bad):
+    # a float, a bool or a str, as a coefficient or as the right-hand side,
+    # raises as it does in an objective, rather than becoming a rational
+    for coeffs, rhs in (([bad, 2], 1), ([1, 2], bad)):
+        with pytest.raises(ValueError):
+            build(coeffs, rhs)
+
+
 # constant rows 0 rel b, built from rational data, and whether each holds
 CONSTANT_ROWS = [(row_le, 0, True), (row_le, Fraction(-1, 3), False),
                  (row_eq, 0, True), (row_eq, Fraction(1, 7), False),
@@ -603,18 +613,19 @@ def test_rhs_family_settles_its_constant_rows_at_every_right_hand_side(rel, held
     assert live.value == -1
 
 
-def test_strict_point_of_constant_strict_rows_is_the_closed_lp_point(monkeypatch):
-    # strict rows that are all constant and hold take the zero-objective LP
-    # of the closed rows, never the strict lift
-    closed = (row_le([1, 1], 3), row_le([-1, 0], 1), row_le([0, -1], 2), row_le([1, -1], 1))
-    sys_ = LinearSystem(2, closed[:2] + (row_lt([0, 0], 1),) + closed[2:] + (row_lt([0, 0], 5),))
-    want = lp_solve(LinearSystem(2, closed), (0, 0)).point
-
-    def no_lift(*args):
-        raise AssertionError("a system without a nonconstant strict row took the lift")
-
-    monkeypatch.setattr(linear, "StrictFamily", no_lift)
-    assert strict_feasible_point(sys_) == want
+@settings(max_examples=60)
+@given(small_systems(), st.lists(st.tuples(st.integers(0, 6), st.integers(-1, 2)), max_size=3))
+def test_strict_point_without_nonconstant_strict_rows_matches_reference(sys_, constants):
+    # closed-only systems (no draws), and systems whose strict rows are all
+    # constant, 0 < b holding for b > 0 and failing otherwise, take the
+    # strict lift like any other: a point exactly when the vertex-scan
+    # reference finds one, meeting every row
+    rows = list(sys_.rows)
+    for at, b in constants:
+        rows.insert(at, row_lt([0, 0], b))
+    pt = strict_feasible_point(LinearSystem(2, tuple(rows)))
+    assert (pt is not None) == support.ref_strictly_feasible(rows)
+    assert pt is None or all(r.satisfied_by(pt) for r in rows)
 
 
 def test_lp_reverification_is_fatal(monkeypatch):
