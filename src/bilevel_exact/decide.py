@@ -31,7 +31,7 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cells import Instance, cell_index, cell_region, floor_rhs, valid_cells
+from .cells import Instance, cell_index, cell_region, valid_cells
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import IntegerSearch, LexMin, integer_candidates
@@ -149,10 +149,13 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     at a listed z has an entry of value <= v at that z.
 
     Only right-hand sides move with z, so one search per solve serves every
-    z: the follower's IntegerSearch (rows A, cost psi, at floor_rhs(z)) and
-    the leader's LexMin (rows A, psi as "=" and C, cost c, at floor_rhs(z),
-    the follower's optimum and p - D z). The rows z >= 0 hold at every
-    listed z and are left out.
+    z: the follower's IntegerSearch (rows A, cost psi, at B z + u, which an
+    integer z makes its own floor, so integer dot products give it) and the
+    leader's LexMin (rows A, psi as "=" and C, cost c, at B z + u, the
+    follower's optimum and p - D z). When n = 1 and psi != 0, the row psi pins the leader's
+    response, so the LexMin builds no search: it divides the follower's
+    optimum by psi and tests the rows. The rows z >= 0 hold at every listed
+    z and are left out.
     """
     n = inst.n
     joint = inst.upper_rows() + inst.follower_relax_rows()
@@ -164,14 +167,14 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     budget = [0]
     for z_ints in integer_candidates(joint, inst.joint_dim(), range(n, inst.joint_dim()),
                                      config, budget):
-        r = floor_rhs(inst, z_ints)
+        r = [sum(map(mul, br, z_ints)) + uv for br, uv in zip(inst.B, inst.u)]
         found = follower.minimize(r, config)
         if found is None:
             continue
         nums, den = found
         fopt = sum(map(mul, inst.psi, nums)) // den  # an integer point: exact
         upper = [pv - sum(map(mul, dr, z_ints)) for dr, pv in zip(inst.D, inst.p)]
-        best = leader.solve(list(r) + [fopt] + upper, config)
+        best = leader.solve(r + [fopt] + upper, config)
         if best is not None:
             lopt, x = best
             yield lopt + sum(map(mul, inst.e, z_ints)), tuple(x), z_ints

@@ -13,7 +13,8 @@ each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
 the LP kernel's basis exchanges of 25 solves. The kernel's LPs and basis
 exchanges of 25 pure-small benchmark solves are capped too, and so are the
-rows and kernel forms that 25 solves of each kind build.
+rows and kernel forms that 25 solves of each kind build. The first 300
+pure-small benchmark instances are checked against the reference oracle.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -260,12 +261,24 @@ def pure_small_instances(count: int) -> list:
             for i in range(count)]
 
 
+def test_pure_small_solves_match_the_reference_oracle():
+    # the benchmark's pure traffic checked against the cell-by-definition
+    # oracle, not only by definition: status, infimum and (x*, z*) of the
+    # first 300 pure-small solves
+    from bilevel_exact import disagreement, reference_oracle, solve_pure
+    for inst in pure_small_instances(300):
+        assert disagreement(inst, solve_pure(inst), reference_oracle(inst, "pure"),
+                            variant="pure") is None
+
+
 def test_pure_small_kernel_work():
     # a deterministic count of the exact LP kernel's work in 25 pure-small
     # solves: its LPs (linear._dual_simplex_min and linear._interval_solve
     # calls) and its basis exchanges (linear._exchange calls); 264 and 12
-    # when first measured, and 264 LPs before the lex-least response stopped
-    # searching the coordinates that its "=" rows pin; they may only fall
+    # when first measured, 264 LPs before the lex-least response stopped
+    # searching the coordinates that its "=" rows pin, and 198 before a
+    # response that the "=" rows alone pin was solved without a search;
+    # they may only fall
     import pytest
     from bilevel_exact import linear, solve_pure
     insts = pure_small_instances(25)
@@ -278,7 +291,7 @@ def test_pure_small_kernel_work():
                        _calls.append(1) or _kernel(*args))
         for inst in insts:
             solve_pure(inst)
-    assert len(lps) <= 198
+    assert len(lps) <= 134
     assert len(exchanges) <= 12
 
 
