@@ -19,7 +19,7 @@ from .engine import (ATTAINED, INFEASIBLE, UNATTAINED, EpsSolution, LexTrace, So
 from .errors import (BoundednessError, InfeasibleProblemError, InfeasibleRelaxationError,
                      InternalInvariantError, ResourceLimitError, SolverError, ValidationError)
 from .instance_io import (instance_to_json, load_instance, parse_and_validate, parse_instance,
-                          render_text, report_to_json)
+                          render_text, report_to_dict, report_to_json)
 from .lattice import enumerate_integers, integer_min, mixed_feasible
 from .linear import (LE, EQ, LT, LinRow, LinearSystem, LpOutcome, affinely_independent_vertices,
                      lp_solve, recession_bounded, row_eq, row_le, row_lt, strict_feasible_point,

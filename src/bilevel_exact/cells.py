@@ -21,7 +21,8 @@ single threshold query, which adds the row value <= alpha to the walk and
 stops at the first cell that meets it.
 One LP over the closure of each pair's region gives the cell's least e . z
 and, when its vertex lies in the half-open region, proves the cell valid
-with no strict-feasibility check.
+with no strict-feasibility check; when the LP proves that vertex its only
+optimum, the index entry keeps it.
 
 Within one walk, the LPs of each kind share their rows and cost and differ
 only in their right-hand sides, which are integers: the walk carries the
@@ -55,6 +56,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
@@ -330,17 +332,21 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
 # enumeration and the cell index
 
 
-@dataclass
+@dataclass(slots=True)
 class CellEntry:
     """A valid cell with shift = c . x and low, the least e . z over the
     closure of its region Q (cell_region builds Q on demand); low_inside
-    says that the LP vertex attaining low lies in Q itself. Over the cell
-    the leader's objective is shift + e . z."""
+    says that the LP vertex attaining low lies in Q itself. vertex is that
+    vertex as (nums, den), integer numerators over a positive denominator,
+    when the closure LP proved it the only point of the closure at low
+    (RhsFamily.unique), and None otherwise. Over the cell the leader's
+    objective is shift + e . z."""
 
     cell: Cell
     shift: int
     low: Fraction
     low_inside: bool
+    vertex: Optional[tuple]
 
 
 def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
@@ -388,7 +394,11 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     strict check decides. The entry carries low and whether its vertex lies
     in Q, and no region. A warm start may end at another optimal vertex
     than a cold one, so low_inside says only that some optimal vertex lies
-    in Q; low and the cells are the same.
+    in Q; low and the cells are the same. When every dual of the LP's final
+    basis is positive (RhsFamily.unique), the vertex is the only optimum,
+    whichever start the LP took, and the entry keeps it as integer
+    numerators over a positive denominator; then low_inside says exactly
+    whether Q reaches low. Other entries keep no vertex.
 
     With `alpha`, the candidate listing and the walk's system carry the row
     c . x + e . z <= alpha too: a cell with a point z of value <= alpha in
@@ -504,7 +514,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
                 strict = StrictFamily(inst.d, rows)
             if strict.point(rhs) is None:
                 return None
-        return CellEntry(cell, shift, low, inside)
+        return CellEntry(cell, shift, low, inside, (tuple(nums), den) if closure.unique() else None)
 
     try:
         yield from walk([r.b for r in upper], [], candidates)

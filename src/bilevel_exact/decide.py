@@ -18,8 +18,10 @@ scan's items are the entries of the cell index it builds, each with its
 cell's shift c . x and low, and a scan answers from them: a threshold below
 low skips the cell, a value <= alpha query above low is a hit, and so is a
 query at low when the LP vertex at low lies in Q (low_inside), all without
-an LP. Only the other queries at low, and equality queries above it, run a
-strict-feasibility check; so does a witness request, to produce the point.
+an LP. When that LP proved its vertex the only optimum and the vertex lies
+outside Q, a query at low skips the cell too. Only the other queries at
+low, and equality queries above it, run a strict-feasibility check; so does
+a witness request, to produce the point.
 
 The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
@@ -45,12 +47,17 @@ class DecisionScan:
     only holder of that index: each valid cell, in lex order of (x, r), with
     `shift` = c . x (the leader's objective on the cell is shift + e . z),
     `low`, the LP minimum of e . z over the closure cl(Q) of its region Q,
-    and `low_inside`, whether the optimal vertex that the index build's LP
-    reached lies in Q. That LP is warm-started, so on a tied optimum the
-    vertex is some optimal one, not a fixed one: `low_inside` False does not
-    say that Q misses `low`, and only changes how many queries need a
-    strict-feasibility check, never an answer. The items hold no region: a
-    query builds Q with cell_region for the items it does not skip.
+    `low_inside`, whether the optimal vertex that the index build's LP
+    reached lies in Q, and `vertex`, that vertex when the LP proved it the
+    only optimum. The LP is warm-started, so on a tied optimum the vertex
+    is some optimal one, not a fixed one. With `vertex` set the optimum is
+    not tied: the slice of cl(Q) at `low` is that vertex alone, so
+    `low_inside` says exactly whether Q reaches `low`. Without it,
+    `low_inside` False leaves open whether another point of that slice lies
+    in Q, and a query at `low` takes a strict-feasibility check. Either
+    way the flag changes how many queries need a check, never an answer.
+    The items hold no region: a query builds Q with cell_region only for
+    an item it checks or yields.
 
     Why `low` answers most queries exactly: Q has a point, so the closed
     system cl(Q), its strict rows relaxed, is the closure of Q, and Q is
@@ -60,9 +67,10 @@ class DecisionScan:
     {value <= alpha} for every alpha > low; as Q lies in cl(Q), it misses
     {value <= alpha}, and so {value = alpha}, for every alpha < low. At
     alpha = low, a vertex of Q at `low` (`low_inside`) answers both queries
-    yes. The other queries at `low`, and equality queries above it (does Q
-    reach that value?), need a strict-feasibility check of the region with
-    the value row.
+    yes, and a unique optimal vertex outside Q answers both no, as Q lies
+    in cl(Q). The other queries at `low`, and equality queries above it
+    (does Q reach that value?), need a strict-feasibility check of the
+    region with the value row.
     """
 
     def __init__(self, inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
@@ -70,29 +78,34 @@ class DecisionScan:
         self.items = cell_index(inst, config).entries
 
     def hits(self, row, alpha, witness: bool = True):
-        """Cells whose region meets value <= alpha (row=row_le) or value =
-        alpha (row=row_eq), in lex order: (cell, strictly feasible z, the
+        """Items whose region meets value <= alpha (row=row_le) or value =
+        alpha (row=row_eq), in lex order: (item, strictly feasible z, the
         cell's system with the value row).
 
         A cell costs no LP when alpha lies below its least value
-        shift + low (skipped, with no region built), nor when the cell
-        surely meets the row, a value <= alpha query above that value or a
-        query at it with `low_inside`: a hit, whose z is None unless
-        `witness` asks for it.
+        shift + low, nor at that value when its unique vertex lies outside
+        Q: both are skipped, with no region built. Nor does it when the
+        cell surely meets the row, a value <= alpha query above that value
+        or a query at it with `low_inside`: a hit, whose z is None unless
+        `witness` asks for it. Only a cell that is checked or yielded gets
+        its region built.
         """
         alpha = Fraction(alpha)
         for it in self.items:
             target = alpha - it.shift
             if target < it.low:
                 continue
+            at_low = target == it.low
+            if at_low and it.vertex is not None and not it.low_inside:
+                continue
             system = cell_region(self.inst, it.cell).with_rows([row(self.inst.e, target)])
-            sure = it.low_inside if target == it.low else row is row_le
+            sure = it.low_inside if at_low else row is row_le
             if sure and not witness:
-                yield it.cell, None, system
+                yield it, None, system
                 continue
             z = strict_feasible_point(system)
             if z is not None:
-                yield it.cell, z, system
+                yield it, z, system
             elif sure:
                 raise InternalInvariantError("cell with a point on the value row has no witness")
 
@@ -100,8 +113,8 @@ class DecisionScan:
 def _first_hit(inst, row, alpha, config, scan) -> Optional[tuple]:
     if scan is None:
         scan = DecisionScan(inst, config)
-    for cell, z, _ in scan.hits(row, alpha):
-        return cell.x, z
+    for it, z, _ in scan.hits(row, alpha):
+        return it.cell.x, z
     return None
 
 

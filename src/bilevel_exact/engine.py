@@ -5,7 +5,9 @@ slices at it once: the infimum is attained exactly when some cell's slice is
 nonempty, and then the lex-first such cell, the scan's first hit, gives the
 lexicographically minimal optimum: its x is x*, its floor vector is the one
 that the floor-vector refinement would isolate, and z* is a barycenter of
-vertices of its slice's closure found by at most 2d + 1 LPs. The scan
+vertices of its slice's closure: the vertex of the cell's closure LP when
+that LP proved it the only optimum, else the vertices that at most 2d + 1
+LPs find. The scan
 holds, for each valid cell, one LP minimum of the objective over the cell's
 closure, which the index build found. The half-open cell is dense in its
 closure, so that minimum is the cell's infimum, and the least of them is
@@ -239,9 +241,13 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     floor of the minimum of B_i z + u_i over their slices' closures, ends
     at that cell: a nonempty slice puts that minimum in [r_i, r_i + 1), so
     each step keeps the cells of least r_i. z* is the barycenter of k
-    affinely independent vertices of cl(Q), found by at most 2d + 1 LPs,
-    which span its affine hull, so z* lands strictly inside Q. The trace's
-    rho is left to its first read (see LexTrace).
+    affinely independent vertices of cl(Q), which span its affine hull, so
+    z* lands strictly inside Q. When the index entry keeps its closure LP's
+    vertex, that LP proved it the only point of the cell's closure at v*,
+    so cl(Q) is that point: k = 1 and z* is the vertex, with no LP.
+    Otherwise the vertices are found by at most 2d + 1 LPs. Either way z* is
+    checked against Q, for bilevel feasibility and for the value v*. The
+    trace's rho is left to its first read (see LexTrace).
     """
     v_star = Fraction(v_star)
     if telemetry is not None:
@@ -251,12 +257,15 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     hit = next(scan.hits(row_eq, v_star, witness=False), None)
     if hit is None:
         return None
-    cell, _, q_system = hit
-    x_star = cell.x
-
-    k, verts = affinely_independent_vertices(q_system)
-    if k == 0:
-        raise InternalInvariantError("attaining slice closure has no vertices")
+    entry, _, q_system = hit
+    x_star = entry.cell.x
+    if entry.vertex is not None:  # the closure LP's only optimum: cl(Q) at v* is one point
+        nums, den = entry.vertex
+        k, verts = 1, [QVector([Fraction(v, den) for v in nums])]
+    else:
+        k, verts = affinely_independent_vertices(q_system)
+        if k == 0:
+            raise InternalInvariantError("attaining slice closure has no vertices")
     total = verts[0]
     for v in verts[1:]:
         total = total + v
@@ -273,7 +282,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     for v in verts:
         for coord in v:
             denom = math.lcm(denom, coord.denominator)
-    return LexTrace(x_star, cell.r, q_system, k, tuple(verts), z_star, k * denom, inst)
+    return LexTrace(x_star, entry.cell.r, q_system, k, tuple(verts), z_star, k * denom, inst)
 
 
 def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,

@@ -3,7 +3,10 @@
 The on-disk format is a versioned JSON object with integer data only; the
 implicit z >= 0 rows are never stored. Reports serialize with a fixed key
 order and all rationals in lowest terms so equal runs produce identical
-bytes.
+bytes. report_to_dict gives a report's JSON document; report_to_json
+writes the same document directly, byte for byte the text of
+json.dumps(report_to_dict(report), indent=2) and a newline, with no
+encoder.
 """
 from __future__ import annotations
 
@@ -132,8 +135,49 @@ def report_to_dict(report: SolveReport) -> dict:
     return doc
 
 
+def _json_block(open_: str, close: str, items: list, indent: str) -> str:
+    """A JSON array or object whose items are already written, one per line
+    at indent + 2 spaces, as json.dumps(indent=2) lays them out."""
+    if not items:
+        return open_ + close
+    inner = indent + "  "
+    return f"{open_}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{close}"
+
+
+def _json_point(x, z, extra: list, indent: str) -> str:
+    """The object {"x": [...], "z": [...]} and the written items `extra`."""
+    inner = indent + "  "
+    items = [f'"x": {_json_block("[", "]", [str(int(v)) for v in x], inner)}',
+             f'"z": {_json_block("[", "]", [_quoted(f) for f in z.entries], inner)}']
+    return _json_block("{", "}", items + extra, indent)
+
+
+def _quoted(value) -> str:
+    return f'"{format_rat(value)}"'  # digits, "-" and "/": nothing to escape
+
+
 def report_to_json(report: SolveReport) -> str:
-    return json.dumps(report_to_dict(report), indent=2) + "\n"
+    """The bytes of json.dumps(report_to_dict(report), indent=2) + "\n",
+    written directly: the schema is fixed and every string in it is a
+    lower-case status or a format_rat rational, so nothing needs escaping,
+    and the standard library serves indent=2 with its pure-Python encoder."""
+    status = f'"{report.status.lower()}"'
+    infimum = "null" if report.infimum is None else _quoted(report.infimum)
+    solution = "null"
+    if report.solution is not None:
+        solution = _json_point(*report.solution, [], "  ")
+    eps_solution = "null"
+    if report.eps_solution is not None:
+        es = report.eps_solution
+        eps_solution = _json_point(es.x, es.z, [f'"value": {_quoted(es.value)}',
+                                                f'"eps": {_quoted(es.eps)}'], "  ")
+    telemetry = _json_block("{", "}", [f'"{key}": {value}' for key, value
+                                       in report.telemetry.as_dict().items()], "  ")
+    items = [f'"status": {status}', f'"infimum": {infimum}', f'"solution": {solution}',
+             f'"eps_solution": {eps_solution}', f'"telemetry": {telemetry}']
+    if report.oracle_agreement is not None:
+        items.append(f'"oracle_agreement": {"true" if report.oracle_agreement else "false"}')
+    return _json_block("{", "}", items, "") + "\n"
 
 
 def render_text(report: SolveReport) -> str:

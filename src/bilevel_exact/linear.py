@@ -32,7 +32,11 @@ shares them and starts cold with its own basis: `span` (in `lp_range` and
 the integer walk) and the floor walk's ranges solve their minimum and
 maximum that way. `lp_solve` is a
 one-shot family, started cold, so its pivots and vertices are those of a
-cold solve.
+cold solve, and so are those of `affinely_independent_vertices`, whose LPs
+are cold with_cost siblings of one family over the closed rows. A family
+also answers whether its last optimum is the only one (`RhsFamily.unique`):
+an optimal vertex whose basis duals are all positive is, and the closure
+LPs of `cells.valid_cells` read that test once per cell.
 `StrictFamily` is the one strict lift: closed rows keep their coefficients
 with a 0 for a new variable t, nonconstant strict rows get +t, 0 <= t <= 1
 and t is maximized; `strict_feasible_point` checks every system with it,
@@ -560,9 +564,18 @@ class RhsFamily:
     it shares this family's row split and kernel form, and starts cold;
     span(rhs) solves two such siblings for the cost's least and greatest
     value.
+
+    unique() says whether the last solve's optimum is the only optimum. The
+    family keeps the final basis of its last optimum for it, None when that
+    optimum was purified or the solve found none, so the warm-start basis
+    of an earlier right-hand side is never read: an optimal vertex whose
+    basis duals, y det = -adj^T cost over det > 0, are all positive is the
+    only optimum (Mangasarian 1979), since another optimal point would have
+    to keep every basis row tight. In one variable the optimum is an end of
+    an interval, the only optimum when the cost is nonzero.
     """
 
-    __slots__ = ("dim", "rows", "cost", "_live", "_fixed", "_kernel", "_basis")
+    __slots__ = ("dim", "rows", "cost", "_live", "_fixed", "_kernel", "_basis", "_last")
 
     def __init__(self, dim: int, rows, cost):
         live, keep, fixed = [], [], []
@@ -579,6 +592,7 @@ class RhsFamily:
         self.cost = cost
         self._kernel = None
         self._basis = None
+        self._last = None  # the last optimum's basis; () for an interval end in one variable
 
     def with_cost(self, cost) -> "RhsFamily":
         """The family of these rows under the integer cost `cost`. A basis
@@ -589,7 +603,7 @@ class RhsFamily:
         other = object.__new__(RhsFamily)
         other.dim, other.rows, other.cost = self.dim, self.rows, cost
         other._live, other._fixed, other._kernel = self._live, self._fixed, self._kernel
-        other._basis = None
+        other._basis = other._last = None
         return other
 
     def span(self, rhs) -> Optional[tuple]:
@@ -611,7 +625,18 @@ class RhsFamily:
             ends.append((sum(map(mul, cost, nums)), den))
         return tuple(ends)
 
+    def unique(self) -> bool:
+        """Whether the last solve's optimum is the only optimum: a vertex
+        whose basis duals are all positive (see the class)."""
+        last = self._last
+        if last is None:
+            return False
+        if not last:
+            return self.cost[0] != 0
+        return all(sum(map(mul, col, self.cost)) < 0 for col in zip(*last[1]))
+
     def solve(self, rhs) -> tuple:
+        self._last = None
         if self._live is not None:
             for k, rel in self._fixed:
                 b = rhs[k]
@@ -621,6 +646,7 @@ class RhsFamily:
         dim, rows, cost = self.dim, self.rows, self.cost
         if dim == 1:
             tag, nums, den, vertex = _interval_solve(rows, rhs, cost[0])
+            basis = () if vertex else None
         else:
             if self._kernel is None:
                 self._kernel = _kernel_form(dim, rows)
@@ -638,6 +664,7 @@ class RhsFamily:
             gap = sum(map(mul, a, nums)) - b * den
             if gap > 0 or (gap and rel == EQ):
                 raise InternalInvariantError("an LP optimum failed re-verification")
+        self._last = basis
         return "optimal", nums, den
 
 
@@ -833,22 +860,22 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
     return [QVector(v) for v in sorted(found)]
 
 
-def _pinned(rows, dim: int, v0: QVector) -> bool:
-    """Whether the rows tight at v0 alone prove that v0 is the region's only
-    point: the equality rows leave no free direction, or they leave exactly
-    one, w, and two rows tight at v0 bound it on opposite sides (a . w > 0
-    and a . w < 0, so v0 + t w leaves the region for every t != 0)."""
-    nums, den = _over_common_denominator(v0.entries)
-    equal = [r.a for r in rows if r.rel == EQ]
+def _pinned(rows, rhs, dim: int, nums, den: int) -> bool:
+    """Whether the rows (a, rel) at rhs tight at the point nums / den alone
+    prove that it is the region's only point: the equality rows leave no
+    free direction, or they leave exactly one, w, and two rows tight at the
+    point bound it on opposite sides (a . w > 0 and a . w < 0, so the point
+    plus t w leaves the region for every t != 0)."""
+    equal = [a for a, rel in rows if rel == EQ]
     w = _nullspace_direction(equal, dim)
     if w is None:
         return True
     if _nullspace_direction(equal + [w], dim) is not None:
         return False
     sides = set()
-    for r in rows:
-        if r.rel != EQ and sum(map(mul, r.a, nums)) == r.b * den:
-            aw = sum(map(mul, r.a, w))
+    for (a, rel), b in zip(rows, rhs):
+        if rel != EQ and sum(map(mul, a, nums)) == b * den:
+            aw = sum(map(mul, a, w))
             if aw:
                 sides.add(aw > 0)
     return len(sides) == 2
@@ -858,36 +885,40 @@ def affinely_independent_vertices(sys: LinearSystem):
     """(k, vertices): k affinely independent vertices of the closed region,
     k = 1 + its affine dimension, found by at most 2 dim + 1 LPs.
 
-    v0 is the optimum of the zero objective. When the rows tight at v0
-    pin it (_pinned), the region is the point v0 and the walk ends there,
-    after one LP. Otherwise, while the directions found span less than
-    R^dim, a w orthogonal to them is minimized and maximized: an optimal
-    vertex v with w . v != w . v0 (the minimizer first) joins the output
-    and v - v0 the directions; if none, w is an implicit equality and joins
-    the directions. The w are independent and each is bounded both ways on
-    a bounded region, so an unbounded region raises ValueError; an
-    infeasible one gives (0, []).
+    The LPs are cold with_cost siblings of one RhsFamily over the closed
+    rows, which share its row split and kernel form, so their pivots and
+    vertices are those of lp_solve. v0 is the optimum of the zero cost.
+    When the rows tight at v0 pin it (_pinned), the region is the point v0
+    and the walk ends there, after one LP. Otherwise, while the directions
+    found span less than R^dim, a w orthogonal to them is minimized and
+    maximized: an optimal vertex v with w . v != w . v0 (the minimizer
+    first) joins the output and v - v0 the directions; if none, w is an
+    implicit equality and joins the directions. The w are independent and
+    each is bounded both ways on a bounded region, so an unbounded region
+    raises ValueError; an infeasible one gives (0, []).
     """
-    closed = sys.closure()
-    first = lp_solve(closed, (0,) * sys.dim, "min")
-    if not first.is_optimal:
+    dim = sys.dim
+    rows = [(r.a, LE if r.rel == LT else r.rel) for r in sys.rows]
+    rhs = [r.b for r in sys.rows]
+    family = RhsFamily(dim, rows, (0,) * dim)
+    tag, nums, den = family.solve(rhs)
+    if tag != "optimal":
         return 0, []
-    v0 = first.point
-    if sys.dim == 0 or _pinned(closed.rows, sys.dim, v0):
-        return 1, [v0]
-    nums, den = _over_common_denominator(v0.entries)
-    chosen = [v0]
+    chosen = [QVector([Fraction(v, den) for v in nums])]
+    if dim == 0 or _pinned(rows, rhs, dim, nums, den):
+        return 1, chosen
     spanned = []
-    while len(spanned) < sys.dim:
-        w = _nullspace_direction(spanned, sys.dim)
-        outs = [lp_solve(closed, w, sense) for sense in ("min", "max")]
-        if not all(out.is_optimal for out in outs):
+    while len(spanned) < dim:
+        w = _nullspace_direction(spanned, dim)
+        outs = [family.with_cost(cost).solve(rhs) for cost in (w, [-v for v in w])]
+        if any(out[0] != "optimal" for out in outs):
             raise ValueError("vertex walk on an unbounded system")
-        at_v0 = Fraction(sum(map(mul, w, nums)), den)
-        off = next((out.point for out in outs if out.value != at_v0), None)
+        at_v0 = sum(map(mul, w, nums))  # over den
+        off = next(((p, d) for _, p, d in outs if sum(map(mul, w, p)) * den != at_v0 * d), None)
         if off is None:
             spanned.append(w)
         else:
-            chosen.append(off)
-            spanned.append(_over_common_denominator((off - v0).entries)[0])
+            p, d = off
+            chosen.append(QVector([Fraction(v, d) for v in p]))
+            spanned.append([v * den - v0 * d for v, v0 in zip(p, nums)])  # (v - v0) d den
     return len(chosen), chosen

@@ -131,19 +131,27 @@ def test_mixed_grid_cold_decide_matches_golden():
 
 def test_index_entries_match_independent_references(example1):
     # each entry's low is the vertex-scan minimum of e . z over its region's
-    # closure; low_inside promises a point of the region at that value, and
-    # the cell's x is follower-optimal at r among the integer points of the
-    # follower's box: references that share no LP or lattice code
+    # closure; low_inside promises a point of the region at that value; a
+    # stored vertex is the closure's only vertex at low, so the only
+    # optimum of the bounded closure; and the cell's x is follower-optimal
+    # at r among the integer points of the follower's box: references that
+    # share no LP or lattice code
     import math
     import support
     from bilevel_exact import row_eq
     from bilevel_exact.cells import cell_index, cell_region
-    checked = inside = 0
+    checked = inside = unique = 0
     for inst in [example1] + grid_instances():
         for entry in cell_index(inst).entries:
             cell = entry.cell
             region = cell_region(inst, cell)
             assert entry.low == support.ref_lp_min(region, inst.e)[0], cell
+            if entry.vertex is not None:
+                nums, den = entry.vertex
+                optimal = [v for v in support.ref_vertices(region)
+                           if sum(a * b for a, b in zip(inst.e, v)) == entry.low]
+                assert optimal == [[Fraction(v, den) for v in nums]], cell
+                unique += 1
             if entry.low_inside:
                 rows = list(region.rows) + [row_eq(inst.e, entry.low)]
                 assert support.ref_strictly_feasible(rows), cell
@@ -155,7 +163,7 @@ def test_index_entries_match_independent_references(example1):
             value = {p: sum(a * b for a, b in zip(inst.psi, p)) for p in points}
             assert cell.x in value and value[cell.x] == min(value.values()), cell
             checked += 1
-    assert checked > 700 and 0 < inside < checked
+    assert checked > 700 and 0 < inside < checked and 0 < unique < checked
 
 
 def test_lex_cell_is_the_floor_refinement_survivor(mixed_batch):
@@ -189,9 +197,10 @@ def test_mixed_grid_lp_count():
     # LP's vertex, 991 before the lex cell was read off the scan's first
     # hit, 977 before the candidate x were listed over the joint
     # relaxation with the kernel's cold start on the tightest unit rows and
-    # the mixed-feasibility screen moved into the walk for n > 1, and 907
-    # before the lex trace's rho was left to its first read, and may only
-    # fall
+    # the mixed-feasibility screen moved into the walk for n > 1, 907
+    # before the lex trace's rho was left to its first read, and 882 before
+    # the lex scan and extraction read a unique optimum off the index's
+    # closure LP, and may only fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
@@ -220,7 +229,7 @@ def test_mixed_grid_lp_count():
         mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 882
+    assert len(calls) <= 850
 
 
 def test_mixed_grid_basis_exchanges():
@@ -232,8 +241,9 @@ def test_mixed_grid_basis_exchanges():
     # tightest unit rows, the candidate x the joint relaxation and the
     # mixed-feasibility screen moved into the walk for n > 1, 524 before
     # each branch-and-bound became one warm family whose branches move bound
-    # rows, and 503 before the lex trace's rho was left to its first read;
-    # it may only fall
+    # rows, 503 before the lex trace's rho was left to its first read, and
+    # 493 before the lex scan and extraction read a unique optimum off the
+    # index's closure LP; it may only fall
     import pytest
     from bilevel_exact import linear, solve_mixed
     exchange = linear._exchange
@@ -242,7 +252,7 @@ def test_mixed_grid_basis_exchanges():
         mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 493
+    assert len(calls) <= 422
 
 
 def pure_small_instances(count: int) -> list:
@@ -306,7 +316,9 @@ def test_per_solve_construction_work():
     # the integer walk kept one family per level, whose right-hand sides
     # move with the fixed coordinates, and 1100 LinRows on mixed-grid
     # before bilevel_feasible searched the follower's rows without building
-    # a follower system; they may only fall
+    # a follower system, and 981 and 222 on mixed-grid before the lex scan
+    # skipped the cells whose unique closure optimum lies outside their
+    # region and the vertex walk ran on one family; they may only fall
     import pytest
     from bilevel_exact import linear, solve_mixed, solve_pure
     runs = ((solve_mixed, grid_instances()[:25], {"eps": GRID_EPS}),
@@ -322,7 +334,7 @@ def test_per_solve_construction_work():
                 solve(inst, **kwargs)
             work.append((len(rows), len(forms)))
     (grid_rows, grid_forms), (pure_rows, pure_forms) = work
-    assert grid_rows <= 981 and grid_forms <= 222
+    assert grid_rows <= 579 and grid_forms <= 174
     assert pure_rows == 0 and pure_forms <= 25
 
 

@@ -195,6 +195,26 @@ def test_pure_report_json_frozen(example1):
 """
 
 
+def test_report_writer_matches_json_dumps(example1, mixed_batch, pure_batch):
+    # the direct writer against json.dumps(report_to_dict(r), indent=2) over
+    # reports of every shape: infeasible, attained, and unattained with and
+    # without an eps point, mixed and pure, each with no oracle agreement
+    # and with either answer
+    from dataclasses import replace
+    from bilevel_exact import report_to_dict
+    reports = [solve_mixed(example1, eps=Fraction(1, 8)), solve_mixed(example1),
+               solve_pure(example1), solve_mixed(support.make_flipped())]
+    reports += [rep for _, rep, _ in mixed_batch[0] + pure_batch[0]]
+    shapes = set()
+    for rep in reports:
+        for agreement in (None, True, False):
+            shaped = replace(rep, oracle_agreement=agreement)
+            assert report_to_json(shaped) == json.dumps(report_to_dict(shaped), indent=2) + "\n"
+        shapes.add((rep.status, rep.eps_solution is not None))
+    assert shapes == {("Infeasible", False), ("Attained", False), ("Unattained", False),
+                      ("Unattained", True)}
+
+
 def test_solve_pure_runs_one_driver(example1, monkeypatch):
     rng = random.Random(PURE_SEED)
     instances = [example1] + [random_instance(rng) for _ in range(20)]

@@ -405,15 +405,17 @@ def walk_systems():
 
 
 def _walk_counting_lps(sys_):
-    """affinely_independent_vertices(sys_) and the systems of its LPs."""
+    """affinely_independent_vertices(sys_) and the families of its LPs: the
+    walk solves each LP as one RhsFamily solve."""
     calls = []
+    solve = linear.RhsFamily.solve
 
-    def counting(*args, **kwargs):
-        calls.append(args[0])
-        return lp_solve(*args, **kwargs)
+    def counting(family, rhs):
+        calls.append(family)
+        return solve(family, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linear, "lp_solve", counting)
+        mp.setattr(linear.RhsFamily, "solve", counting)
         return affinely_independent_vertices(sys_), calls
 
 
@@ -744,6 +746,50 @@ def test_sibling_family_shares_the_kernel_form_and_starts_cold(family):
             if got[0] == "optimal":
                 assert (Fraction(sum(map(mul, cost, got[1])), got[2])
                         == Fraction(sum(map(mul, cost, cold[1])), cold[2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(sibling_families())
+def test_unique_optimum_is_the_only_optimal_vertex(family):
+    # after every warm solve of a family and every solve of its sibling, a
+    # claim that the optimum is unique must leave exactly one optimal
+    # vertex, the returned point, by a vertex scan that shares no LP code;
+    # a solve with no optimum claims nothing
+    dim, rows, costs, rhs_list, _ = family
+    first = linear.RhsFamily(dim, rows, costs[0])
+    sibling = first.with_cost(costs[1])
+    for rhs in rhs_list:
+        for family_, cost in zip((first, sibling), costs):
+            tag, nums, den = family_.solve(rhs)
+            if tag != "optimal":
+                assert not family_.unique()
+                continue
+            if not family_.unique():
+                continue
+            sys_ = LinearSystem(dim, tuple(LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)))
+            point = [Fraction(v, den) for v in nums]
+            value = sum(map(mul, cost, point))
+            assert [v for v in support.ref_vertices(sys_)
+                    if sum(map(mul, cost, v)) == value] == [point]
+
+
+def test_unique_optimum_needs_every_basis_dual_positive():
+    # (1, 1) is a primal-degenerate vertex: x <= 1, y <= 1 and x + y <= 2
+    # are all tight there, and under the cost (-1, -1) it is the only
+    # optimum. Under (0, -1), a cost parallel to the facet y = 1, every
+    # point of that edge is optimal. In one variable a nonzero cost has one
+    # optimum over an interval and the zero cost all of them.
+    rows = [((1, 0), LE), ((0, 1), LE), ((1, 1), LE), ((-1, 0), LE), ((0, -1), LE)]
+    family = linear.RhsFamily(2, rows, (-1, -1))
+    tag, nums, den = family.solve([1, 1, 2, 0, 0])
+    assert (tag, [Fraction(v, den) for v in nums]) == ("optimal", [1, 1]) and family.unique()
+    flat = family.with_cost((0, -1))
+    assert flat.solve([1, 1, 2, 0, 0])[0] == "optimal" and not flat.unique()
+    assert family.solve([1, 1, 2, -3, 0])[0] == "infeasible" and not family.unique()
+    interval = [((1,), LE), ((-1,), LE)]
+    for cost, unique in (((2,), True), ((-1,), True), ((0,), False)):
+        family = linear.RhsFamily(1, interval, cost)
+        assert family.solve([3, 1])[0] == "optimal" and family.unique() == unique
 
 
 def test_rhs_family_restarts_from_its_last_optimal_basis(monkeypatch):
