@@ -81,10 +81,14 @@ class Instance:
     (integer). Upper level: C x + D z <= p. Follower: x minimizes psi . x
     over A x <= B z + u. The matrices A, B, C and D are tuples of rows, each
     a tuple of ints; the vectors c, e, psi, u and p are tuples of ints.
-    Construction takes any numbers with integral values (ints, integral
-    Fractions), validates shapes and integrality before it converts them to
-    ints, then validates that the upper-level region is bounded and that the
-    follower polyhedra are bounded for every z. It keeps two row sets built
+    Construction owns every check of the data fields, in the order an
+    instance file meets them: n and d must be ints ("nonintegral-data") of
+    at least 1 ("bad-shape"); field by field, each matrix must be a list or
+    tuple of lists or tuples and each vector a list or tuple ("bad-format"),
+    and _int_tuple converts its entries in the same pass ("nonintegral-data"
+    for a float, a bool, a str or a non-integral Fraction); then come the
+    shapes ("bad-shape"), and the boundedness of the upper-level region and
+    of the follower polyhedra for every z. It keeps two row sets built
     from the data: the upper system C x + D z <= p, z >= 0, whose rows the
     recession test reads, with its boundedness proof, and the
     follower-relaxation rows A x - B z <= u; upper_system, upper_rows and
@@ -111,40 +115,39 @@ class Instance:
 
     def __post_init__(self):
         n, d = self.n, self.d
+        for name, size in (("n", n), ("d", d)):
+            if type(size) is not int:
+                raise ValidationError("nonintegral-data", f"{name} must be an integer, got {size!r}")
         if n < 1 or d < 1:
             raise ValidationError("bad-shape", "need n >= 1 and d >= 1")
+        kept = {}  # equal tuples of ints, of the data or of its rows, are kept once
+
+        def one(values: tuple) -> tuple:
+            return kept.setdefault(values, values)
+
         try:
-            data = {name: tuple(tuple(v if type(v) is int else Fraction(v) for v in row)
-                                for row in getattr(self, name)) for name in _MATRICES}
-            data.update((name, tuple(v if type(v) is int else Fraction(v)
-                                     for v in getattr(self, name))) for name in _VECTORS)
-        except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ValidationError("bad-shape", f"cannot build instance data: {exc}") from exc
-        m, h = len(data["A"]), len(data["C"])
+            for name in _MATRICES:
+                rows = getattr(self, name)
+                if not isinstance(rows, (list, tuple)) or any(
+                        not isinstance(row, (list, tuple)) for row in rows):
+                    raise ValidationError("bad-format", f"{name} must be a list of rows")
+                object.__setattr__(self, name, tuple(
+                    one(_int_tuple(row, f"matrix {name}")) for row in rows))
+            for name in _VECTORS:
+                values = getattr(self, name)
+                if not isinstance(values, (list, tuple)):
+                    raise ValidationError("bad-format", f"{name} must be a list")
+                object.__setattr__(self, name, one(_int_tuple(values, f"vector {name}")))
+        except ValueError as exc:
+            raise ValidationError("nonintegral-data", str(exc)) from exc
+        m, h = len(self.A), len(self.C)
         widths = {"A": n, "B": d, "C": n, "D": d}
         lengths = {"A": m, "B": m, "C": h, "D": h, "c": n, "e": d, "psi": n, "u": m, "p": h}
         for name, size in lengths.items():
-            cols = widths.get(name)
-            if len(data[name]) != size or (
-                    cols is not None and any(len(row) != cols for row in data[name])):
+            data, cols = getattr(self, name), widths.get(name)
+            if len(data) != size or (cols is not None and any(len(row) != cols for row in data)):
                 raise ValidationError("bad-shape", f"{name} does not fit n={n}, d={d}, the "
                                       f"{m} rows of A and the {h} rows of C")
-        for name in _MATRICES:
-            if any(type(v) is not int and v.denominator != 1 for row in data[name] for v in row):
-                raise ValidationError("nonintegral-data", f"matrix {name} has a non-integer entry")
-        for name in _VECTORS:
-            if any(type(v) is not int and v.denominator != 1 for v in data[name]):
-                raise ValidationError("nonintegral-data", f"vector {name} has a non-integer entry")
-        kept = {}  # equal tuples of ints, of the data or of its rows, are kept once
-
-        def one(values) -> tuple:
-            values = tuple(values)
-            return kept.setdefault(values, values)
-
-        for name in _MATRICES:
-            object.__setattr__(self, name, tuple(one(map(int, row)) for row in data[name]))
-        for name in _VECTORS:
-            object.__setattr__(self, name, one(map(int, data[name])))
         upper = [LinRow(one(cr + dr), pv, LE) for cr, dr, pv in zip(self.C, self.D, self.p)]
         upper += [LinRow(one(_unit(n + d, n + i, -1)), 0, LE) for i in range(d)]
         if not recession_bounded([row.a for row in upper], n + d):
@@ -190,37 +193,31 @@ class Instance:
         proof that validation made for them (code "unbounded-P")."""
         return self._upper
 
-    def follower_system(self, rhs) -> LinearSystem:
-        """A x <= rhs for m integer right-hand sides, carrying the proof that
-        validation made for A (code "unbounded-follower"). The follower at a
-        leader point z is follower_system(floor_rhs(self, z)); another
-        length or a Fraction entry raises ValueError."""
-        if len(rhs) != self.m:
-            raise ValueError("follower right-hand side has the wrong length")
-        return _bounded_system(self.n, [LinRow(ar, rv, LE) for ar, rv in zip(self.A, rhs)])
-
 
 @dataclass(frozen=True)
 class Cell:
-    """A follower response x and a floor vector r, both tuples of ints;
-    any integral entries are taken, a non-integral one raises ValueError."""
+    """A follower response x and a floor vector r, both tuples of ints; the
+    entries follow _int_tuple's rule, and any other raises ValueError."""
 
     x: tuple
     r: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _int_tuple(self.x))
-        object.__setattr__(self, "r", _int_tuple(self.r))
+        object.__setattr__(self, "x", _int_tuple(self.x, "cell x"))
+        object.__setattr__(self, "r", _int_tuple(self.r, "cell r"))
 
 
-def _int_tuple(values) -> tuple:
+def _int_tuple(values, what: str) -> tuple:
+    """values as a tuple of ints: the one rule for integer data. An int is
+    kept and an integral Fraction becomes its numerator; any other entry, a
+    non-integral Fraction, a float, a bool or a str, raises ValueError
+    naming what the values are."""
     out = []
     for v in values:
         if type(v) is not int:
-            q = Fraction(v)
-            if q.denominator != 1:
-                raise ValueError(f"cell entry {v!r} is not an integer")
-            v = int(q)
+            if type(v) is not Fraction or v.denominator != 1:
+                raise ValueError(f"{what} entry {v!r} is not an integer")
+            v = v.numerator
         out.append(v)
     return tuple(out)
 

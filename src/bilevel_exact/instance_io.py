@@ -1,12 +1,15 @@
 """Instance file parsing, validation, and report serialization.
 
 The on-disk format is a versioned JSON object with integer data only; the
-implicit z >= 0 rows are never stored. Reports serialize with a fixed key
-order and all rationals in lowest terms so equal runs produce identical
-bytes. report_to_dict gives a report's JSON document; report_to_json
-writes the same document directly, byte for byte the text of
-json.dumps(report_to_dict(report), indent=2) and a newline, with no
-encoder.
+implicit z >= 0 rows are never stored. parse_instance checks the document's
+structure: a JSON object, a known format_version, the required fields, the
+variant and the name. It hands the data fields to Instance as read, and
+Instance checks them once, from their lists of rows to every entry.
+Reports serialize with a fixed key order and all rationals in lowest terms
+so equal runs produce identical bytes. report_to_dict gives a report's JSON
+document; report_to_json writes the same document directly, byte for byte
+the text of json.dumps(report_to_dict(report), indent=2) and a newline,
+with no encoder.
 """
 from __future__ import annotations
 
@@ -20,28 +23,6 @@ from .rational import format_rat
 
 _REQUIRED = ("n", "d", "A", "B", "C", "D", "c", "e", "psi", "u", "p")
 _VARIANTS = (MIXED, PURE)
-
-
-def _int_entry(value, where: str) -> int:
-    # bool is an int subclass; true/false in a matrix is a data error
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError("nonintegral-data",
-                              f"{where} must be a JSON integer, got {value!r}")
-    return value
-
-
-def _matrix(doc: dict, key: str) -> list:
-    raw = doc[key]
-    if not isinstance(raw, list) or any(not isinstance(row, list) for row in raw):
-        raise ValidationError("bad-format", f"{key} must be a list of rows")
-    return [[_int_entry(e, key) for e in row] for row in raw]
-
-
-def _vector(doc: dict, key: str) -> list:
-    raw = doc[key]
-    if not isinstance(raw, list):
-        raise ValidationError("bad-format", f"{key} must be a list")
-    return [_int_entry(e, key) for e in raw]
 
 
 def parse_instance(text: str):
@@ -64,16 +45,7 @@ def parse_instance(text: str):
     name = doc.get("name")
     if name is not None and not isinstance(name, str):
         raise ValidationError("bad-format", "name must be a string")
-    n = _int_entry(doc["n"], "n")
-    d = _int_entry(doc["d"], "d")
-    if n < 1 or d < 1:
-        raise ValidationError("bad-shape", "need n >= 1 and d >= 1")
-    inst = Instance(
-        n=n, d=d,
-        A=_matrix(doc, "A"), B=_matrix(doc, "B"), C=_matrix(doc, "C"), D=_matrix(doc, "D"),
-        c=_vector(doc, "c"), e=_vector(doc, "e"), psi=_vector(doc, "psi"),
-        u=_vector(doc, "u"), p=_vector(doc, "p"),
-    )
+    inst = Instance(**{key: doc[key] for key in _REQUIRED})
     return inst, {"name": name, "variant": variant}
 
 

@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, Cell, Instance, LinearSystem, QVector,
+from bilevel_exact import (DEFAULT_CONFIG, LE, Cell, Instance, LinRow, LinearSystem, QVector,
                            ResourceLimitError, SolverConfig, ValidationError,
                            bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
                            floor_rhs, is_valid_cell, random_instance, row_le, row_lt,
@@ -109,9 +109,43 @@ def test_cell_rejects_non_integers():
         Cell((1.9,), (2,))
     with pytest.raises(ValueError):
         Cell((1,), (2, Fraction(-1, 3)))
-    cell = Cell((Fraction(2),), (2.0, -1))
+    # one rule with Instance: a float, a bool or a str is never an integer,
+    # even when its value is one
+    for x, r in (((1,), (2.0,)), (("1",), (0,)), ((True,), (0,)), ((0,), (1, False))):
+        with pytest.raises(ValueError):
+            Cell(x, r)
+    cell = Cell((Fraction(2),), (2, -1))
     assert cell == Cell((2,), (2, -1))
     assert all(type(v) is int for v in cell.x + cell.r)
+
+
+@pytest.mark.parametrize("changes, code", [
+    # the codes an instance file with the same fault gets
+    ({"A": [["1"], [1], [-1]]}, "nonintegral-data"),
+    ({"u": [True, 1, 0]}, "nonintegral-data"),
+    ({"c": [1.0]}, "nonintegral-data"),
+    ({"A": ["1", [1], [-1]]}, "bad-format"),
+    ({"A": "matrix"}, "bad-format"),
+    ({"p": 1}, "bad-format"),
+    ({"n": 1.0}, "nonintegral-data"),
+    ({"n": True}, "nonintegral-data"),
+    ({"d": "1"}, "nonintegral-data"),
+    # several faults: the first one an instance file meets decides
+    ({"n": 0, "A": "matrix"}, "bad-shape"),
+    ({"A": [[0.5], [1]], "u": [0]}, "nonintegral-data"),
+    ({"B": "matrix", "c": [0.5]}, "bad-format"),
+])
+def test_instance_rejects_what_an_instance_file_rejects(changes, code):
+    with pytest.raises(ValidationError) as err:
+        replace(support.make_example1(), **changes)
+    assert err.value.code == code
+
+
+def test_instance_entry_errors_name_the_field():
+    with pytest.raises(ValidationError, match=r"matrix A entry 0\.5 is not an integer"):
+        replace(support.make_example1(), A=[[-1], [0.5], [-1]])
+    with pytest.raises(ValidationError, match="vector u entry True is not an integer"):
+        replace(support.make_example1(), u=[True, 1, 0])
 
 
 def _fractions(values):
@@ -134,8 +168,8 @@ def test_rows_carry_the_integers_of_the_rational_rows():
             row_le(_fractions(ar) + [-Fraction(v) for v in br], Fraction(uv))
             for ar, br, uv in zip(inst.A, inst.B, inst.u)]
         r = tuple(rng.randint(-3, 3) for _ in range(inst.m))
-        assert inst.follower_system(r).rows == tuple(
-            row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r))
+        assert [LinRow(ar, rv, LE) for ar, rv in zip(inst.A, r)] == [
+            row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r)]
         # r, and r at the one floor u_i of each zero row of B, so that regions
         # whose constant rows all hold and regions with a failing one both occur
         held = tuple(uv if not any(br) else ri for br, uv, ri in zip(inst.B, inst.u, r))
@@ -296,7 +330,8 @@ def test_follower_floors_match_rational_rows_and_brute_feasibility():
         grid = list(support.grid_points(inst.n, -8, 8))
         for z in _leader_points(inst, rng):
             rhs = [sum(b * v for b, v in zip(br, z)) + uv for br, uv in zip(inst.B, inst.u)]
-            follower = inst.follower_system(floor_rhs(inst, z))
+            follower = LinearSystem(inst.n, [LinRow(ar, rv, LE)
+                                             for ar, rv in zip(inst.A, floor_rhs(inst, z))])
             assert support.brute_integer_points(follower, -8, 8) == [
                 x for x in grid
                 if all(sum(a * v for a, v in zip(ar, x)) <= rv for ar, rv in zip(inst.A, rhs))]
@@ -306,19 +341,6 @@ def test_follower_floors_match_rational_rows_and_brute_feasibility():
                 compared += 1
                 feasible += got
     assert feasible >= 20 and compared >= 10 * feasible  # 30 of 5,250 at this seed
-
-
-def test_follower_system_takes_integer_right_hand_sides_only(example1):
-    assert example1.follower_system((0, 1, 0)).rows[0].b == 0
-    with pytest.raises(ValueError):
-        example1.follower_system((Fraction(1, 2), 1, 0))
-    with pytest.raises(ValueError):
-        example1.follower_system((Fraction(0), 1, 0))
-
-
-def test_follower_system_takes_one_right_hand_side_per_row(example1):
-    with pytest.raises(ValueError):
-        example1.follower_system((5,))
 
 
 def test_cell_cap_enforced(example1):

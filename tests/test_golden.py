@@ -138,7 +138,7 @@ def test_index_entries_match_independent_references(example1):
     # share no LP or lattice code
     import math
     import support
-    from bilevel_exact import row_eq
+    from bilevel_exact import LE, LinRow, LinearSystem, row_eq
     from bilevel_exact.cells import cell_index, cell_region
     checked = inside = unique = 0
     for inst in [example1] + grid_instances():
@@ -156,7 +156,7 @@ def test_index_entries_match_independent_references(example1):
                 rows = list(region.rows) + [row_eq(inst.e, entry.low)]
                 assert support.ref_strictly_feasible(rows), cell
                 inside += 1
-            follower = inst.follower_system(cell.r)
+            follower = LinearSystem(inst.n, [LinRow(ar, rv, LE) for ar, rv in zip(inst.A, cell.r)])
             coords = [v for p in support.ref_vertices(follower) for v in p]
             points = support.brute_integer_points(follower, math.floor(min(coords)),
                                                   math.ceil(max(coords)))

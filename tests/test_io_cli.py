@@ -271,6 +271,22 @@ def test_cli_engines(example1_path, capsys):
     assert doc["oracle_agreement"] is True
 
 
+@pytest.mark.parametrize("variant", ["mixed", "pure", "infeasible"])
+def test_cli_oracle_matches_solve_with_the_oracle_engine(variant, tmp_path, capsys):
+    # the oracle subcommand reads the file's variant; solve --engine oracle
+    # with no --mode does too, so both print one report with one exit code
+    inst = support.make_infeasible_upper() if variant == "infeasible" else support.make_example1()
+    path = tmp_path / "instance.json"
+    path.write_text(instance_to_json(inst, variant="mixed" if variant == "infeasible" else variant))
+    code = cli_main(["oracle", str(path), "--json"])
+    out = capsys.readouterr().out
+    assert cli_main(["solve", str(path), "--engine", "oracle", "--json"]) == code
+    assert capsys.readouterr().out == out
+    assert code == (1 if variant == "infeasible" else 0)
+    assert json.loads(out)["status"] == {"mixed": "unattained", "pure": "attained",
+                                         "infeasible": "infeasible"}[variant]
+
+
 def test_cli_engine_both_builds_one_index(example1_path, capsys, monkeypatch):
     # the engine builds its cell index; the reference oracle builds none, as
     # it takes its cells from the definition
