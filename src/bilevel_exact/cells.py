@@ -303,9 +303,9 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
     A x <= floor(B z + u), so x must meet A x <= floor_rhs(inst, z) and
     attain the least psi . x there, which one IntegerSearch over the rows A
     finds; validation proved those rows bounded (code
-    "unbounded-follower"). A non-integral x gives False before a wrong
-    shape, or a z entry other than an int or a Fraction, raises
-    ValueError."""
+    "unbounded-follower"). An x entry other than an int or a Fraction
+    raises ValueError; a non-integral x then gives False before a wrong
+    shape, or a z entry of another type, raises ValueError."""
     xv = QVector(x)
     if not xv.is_integral():
         return False

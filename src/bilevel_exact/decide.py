@@ -165,10 +165,11 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     z: the follower's IntegerSearch (rows A, cost psi, at B z + u, which an
     integer z makes its own floor, so integer dot products give it) and the
     leader's LexMin (rows A, psi as "=" and C, cost c, at B z + u, the
-    follower's optimum and p - D z). When n = 1 and psi != 0, the row psi pins the leader's
-    response, so the LexMin builds no search: it divides the follower's
-    optimum by psi and tests the rows. The rows z >= 0 hold at every listed
-    z and are left out.
+    follower's optimum and p - D z). When n = 1 and psi != 0, psi . x at
+    the follower's optimum leaves one integer x, the follower's point, so
+    no LexMin is built: that point is the response when it meets
+    C x <= p - D z. The rows z >= 0 hold at every listed z and are left
+    out.
     """
     n = inst.n
     joint = inst.upper_rows() + inst.follower_relax_rows()
@@ -176,7 +177,8 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
         joint.append(row_le(inst.c + inst.e, alpha))
     follower_rows = [(a, LE) for a in inst.A]
     follower = IntegerSearch(n, follower_rows, range(n), inst.psi)
-    leader = LexMin(n, follower_rows + [(inst.psi, EQ)] + [(cr, LE) for cr in inst.C], inst.c)
+    leader = None if n == 1 and any(inst.psi) else LexMin(
+        n, follower_rows + [(inst.psi, EQ)] + [(cr, LE) for cr in inst.C], inst.c)
     budget = [0]
     for z_ints in integer_candidates(joint, inst.joint_dim(), range(n, inst.joint_dim()),
                                      config, budget):
@@ -185,12 +187,19 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
         if found is None:
             continue
         nums, den = found
-        fopt = sum(map(mul, inst.psi, nums)) // den  # an integer point: exact
         upper = [pv - sum(map(mul, dr, z_ints)) for dr, pv in zip(inst.D, inst.p)]
-        best = leader.solve(r + [fopt] + upper, config)
-        if best is not None:
+        if leader is None:  # the follower's point is the one candidate
+            x = [v // den for v in nums]  # an integer point: exact
+            if any(sum(map(mul, cr, x)) > pv for cr, pv in zip(inst.C, upper)):
+                continue
+            lopt = sum(map(mul, inst.c, x))
+        else:
+            fopt = sum(map(mul, inst.psi, nums)) // den  # an integer point: exact
+            best = leader.solve(r + [fopt] + upper, config)
+            if best is None:
+                continue
             lopt, x = best
-            yield lopt + sum(map(mul, inst.e, z_ints)), tuple(x), z_ints
+        yield lopt + sum(map(mul, inst.e, z_ints)), tuple(x), z_ints
 
 
 def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:

@@ -34,7 +34,7 @@ def parse_instance(text: str):
     if not isinstance(doc, dict):
         raise ValidationError("bad-format", "top level must be a JSON object")
     version = doc.get("format_version", 1)
-    if isinstance(version, bool) or version != 1:
+    if type(version) is not int or version != 1:
         raise ValidationError("bad-format", f"unsupported format_version {version!r}")
     for key in _REQUIRED:
         if key not in doc:

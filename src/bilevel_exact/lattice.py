@@ -25,24 +25,19 @@ subproblem of the root, so none does better. node_cap counts the nodes of
 each call. LexMin adds integer_min's lex stage: one search per coordinate
 over the rows and the value row, fixing the earlier coordinates through
 their bound rows, up to the first coordinate from which the "=" rows and
-the value row pin the rest. When the "=" rows alone have full column
-rank, LexMin builds no search at all: the region holds at most their one
-solution, read off through the inverse of dim independent "=" rows, kept
-once as an integer matrix over a positive denominator, then tested for
-integrality and against the other rows, and node_cap counts no nodes for
-it. The floor walk and the pure table keep one search per walk or solve,
-and cells.bilevel_feasible builds one per call; mixed_feasible (an
-IntegerSearch) and integer_min (a LexMin) are one-shot uses, as lp_solve
-is a one-shot family. They and enumerate_integers share one prologue,
-_closed_bounded: strict rows are rejected and the projection onto the
-integer coordinates proved bounded before any search. An objective is any
-sequence of ints and Fractions, as linear.lp_solve takes it: integer data
-goes to the LPs as it is.
+the value row pin the rest, so a point that they pin at once costs the
+level search alone. The floor walk and the pure table keep one search per
+walk or solve, and cells.bilevel_feasible builds one per call;
+mixed_feasible (an IntegerSearch) and integer_min (a LexMin) are one-shot
+uses, as lp_solve is a one-shot family. They and enumerate_integers share
+one prologue, _closed_bounded: strict rows are rejected and the projection
+onto the integer coordinates proved bounded before any search. An
+objective is any sequence of ints and Fractions, as linear.lp_solve takes
+it: integer data goes to the LPs as it is.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -140,35 +135,20 @@ class LexMin:
     integer cost and the lex-least integer point attaining it, or None when
     there is no integer point. The rows must bound the region.
 
-    When the "=" rows alone have full column rank, the region holds at most
-    one point, their solution, and no search is built: `first` is None and
-    `pin` holds dim independent "=" rows, by index, with the inverse of
-    their matrix as integer rows over a positive denominator. solve then
-    takes that inverse times their right-hand sides and tests that the
-    denominator divides it, so that the point is integer and meets those
-    rows, and that it meets every other row, "=" rows left out of the
-    square too; it returns the point with its cost. node_cap counts no
-    nodes there.
-
-    Otherwise a first IntegerSearch finds the level; then, for each
-    coordinate j in turn, the search over the rows with cost . x = level
-    minimizes x_j with the earlier coordinates fixed at their values
-    through their bound rows. The "=" rows and cost . x = level pin the
-    point once its first `pinned` coordinates are fixed, the least count
-    at which those rows restricted to the coordinates pinned, ..., dim - 1
-    have full column rank: only the coordinates before it get a search,
-    and the others are read off the last point found, the level search's
-    when pinned is 0, which is the only integer point with its prefix at
-    the level.
+    A first IntegerSearch finds the level; then, for each coordinate j in
+    turn, the search over the rows with cost . x = level minimizes x_j
+    with the earlier coordinates fixed at their values through their bound
+    rows. The "=" rows and cost . x = level pin the point once its first
+    `pinned` coordinates are fixed, the least count at which those rows
+    restricted to the coordinates pinned, ..., dim - 1 have full column
+    rank: only the coordinates before it get a search, and the others are
+    read off the last point found, the level search's when pinned is 0,
+    which is the only integer point with its prefix at the level.
     """
 
-    __slots__ = ("cost", "pin", "first", "lex")
+    __slots__ = ("first", "lex")
 
     def __init__(self, dim: int, rows, cost):
-        self.cost, self.pin = cost, _pin(rows, dim)
-        if self.pin is not None:
-            self.first, self.lex = None, []
-            return
         self.first = IntegerSearch(dim, rows, range(dim), cost)
         equal = [a for a, rel in rows if rel == EQ] + [tuple(cost)]
         pinned = next((j for j in range(dim)
@@ -177,27 +157,11 @@ class LexMin:
         self.lex = [IntegerSearch(dim, rows, range(dim), _unit(dim, j)) for j in range(pinned)]
 
     def solve(self, rhs, config: SolverConfig) -> Optional[tuple]:
-        if self.first is None:
-            picked, inverse, den, below, equal = self.pin
-            sides = [rhs[i] for i in picked]
-            point = []
-            for row in inverse:
-                v, r = divmod(sum(map(mul, row, sides)), den)
-                if r:
-                    return None
-                point.append(v)
-            for i, a in below:
-                if sum(map(mul, a, point)) > rhs[i]:
-                    return None
-            for i, a in equal:
-                if sum(map(mul, a, point)) != rhs[i]:
-                    return None
-            return sum(map(mul, self.cost, point)), point
         found = self.first.minimize(rhs, config)
         if found is None:
             return None
         nums, den = found
-        level = sum(map(mul, self.cost, nums)) // den  # an integer point: exact
+        level = sum(map(mul, self.first.cost, nums)) // den  # an integer point: exact
         rhs = list(rhs) + [level]
         point = []
         for j, search in enumerate(self.lex):
@@ -207,46 +171,6 @@ class LexMin:
             nums, den = found
             point.append(nums[j] // den)
         return level, point + [v // den for v in nums[len(point):]]
-
-
-def _pin(rows, dim) -> Optional[tuple]:
-    """(picked, inverse, den, below, equal) when the "=" rows among rows
-    (a, rel) have full column rank, else None: picked indexes dim
-    independent "=" rows, the first in order, inverse / den, with den > 0,
-    is the inverse of their matrix, and below and equal list the other
-    "<=" and "=" rows as (index, a), which the point must be checked
-    against.
-
-    Fraction-free Gauss-Jordan: each "=" row, with a unit tail that names
-    it among those picked, is cleared at the earlier pivots by integer
-    cross-multiplication and clears its own pivot from them, so a row left
-    with lead d at pivot p and tail t says d x_p = t . (picked sides).
-    """
-    picked, done = [], []  # done: (reduced row with its tail, pivot)
-    for i, (a, rel) in enumerate(rows):
-        if rel != EQ or len(picked) == dim:
-            continue
-        v = [*a, *_unit(dim, len(picked))]
-        for r, p in done:
-            if v[p]:
-                f, g = v[p], r[p]
-                v = [x * g - f * y for x, y in zip(v, r)]
-        lead = next((j for j in range(dim) if v[j]), None)
-        if lead is None:
-            continue
-        done = [([x * v[lead] - r[lead] * y for x, y in zip(r, v)] if r[lead] else r, p)
-                for r, p in done]
-        done.append((v, lead))
-        picked.append(i)
-    if len(picked) < dim:
-        return None
-    den = lcm(*(r[p] for r, p in done))
-    inverse = [None] * dim
-    for r, p in done:
-        inverse[p] = [t * (den // r[p]) for t in r[dim:]]
-    below = [(i, a) for i, (a, rel) in enumerate(rows) if rel != EQ]
-    equal = [(i, a) for i, (a, rel) in enumerate(rows) if rel == EQ and i not in picked]
-    return picked, inverse, den, below, equal
 
 
 def mixed_feasible(sys: LinearSystem, integer_coords,
@@ -272,10 +196,8 @@ def integer_min(objective: Sequence, sys: LinearSystem,
     The objective is a sequence of ints and Fractions. Every coordinate is
     integer; the feasible region must be bounded. The one-shot LexMin of
     the system's rows: the optimum value first, then the coordinates fixed
-    left to right at their minimum values, each a unit objective; or, when
-    the "=" rows alone have full column rank, their one solution, tested
-    for integrality and against the other rows with no search, so that
-    node_cap counts no nodes.
+    left to right at their minimum values, each a unit objective. node_cap
+    counts the nodes of each search, whatever rows pin the point.
     """
     cost, mult = _integer_cost(objective, sys.dim)
     rows, rhs = _closed_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")

@@ -82,9 +82,8 @@ filters them. `RhsFamily.span` is the one min-then-max range of a cost,
 two cold siblings that return the optimum values and build no point: over
 a system in `lp_range`, and at each prefix in the integer walk of `lattice`.
 
-`_nullspace_direction` is this module's exact elimination routine;
-`lattice._pin` runs a second one, its own fraction-free Gauss-Jordan, to
-invert the "=" rows that pin a point. No solve path
+`_nullspace_direction` is the package's one exact elimination routine:
+`lattice` decides with it where the "=" rows pin a point. No solve path
 calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
 also the only function here that takes a `SolverConfig`, for `basis_cap`.
 Nothing else in this module reads a cap.

@@ -46,11 +46,15 @@ def isqrt_ceil(v: int) -> int:
 
 
 class QVector:
-    """Immutable dense vector of rationals."""
+    """Immutable dense vector of rationals, built from ints and Fractions;
+    any other entry, a float, a bool or a str say, raises ValueError."""
 
     __slots__ = ("entries",)
 
     def __init__(self, entries: Iterable):
+        entries = tuple(entries)
+        if any(type(e) is not int and type(e) is not Fraction for e in entries):
+            raise ValueError("QVector entries must be int or Fraction")
         object.__setattr__(self, "entries", tuple(
             e if type(e) is Fraction else Fraction(e) for e in entries))
 

@@ -13,7 +13,8 @@ each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
 the LP kernel's basis exchanges of 25 solves. The kernel's LPs and basis
 exchanges of 25 pure-small benchmark solves are capped too, and so are the
-rows and kernel forms that 25 solves of each kind build. The first 300
+leader searches those solves build and the rows and kernel forms that 25
+solves of each kind build. The first 300
 pure-small benchmark instances are checked against the reference oracle.
 
 Regenerate (only when a change of answers is intended and explained):
@@ -303,6 +304,23 @@ def test_pure_small_kernel_work():
             solve_pure(inst)
     assert len(lps) <= 134
     assert len(exchanges) <= 12
+
+
+def test_pure_small_leader_searches():
+    # a deterministic count of the leader's LexMin searches that 25
+    # pure-small solves build: 25, one per solve, before a response that
+    # psi . x at the follower's optimum pins (n = 1, psi != 0) was read off
+    # the follower's point; it may only fall
+    import pytest
+    from bilevel_exact import decide, solve_pure
+    insts = pure_small_instances(25)
+    built = []
+    lex_min = decide.LexMin
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(decide, "LexMin", lambda *args: built.append(1) or lex_min(*args))
+        for inst in insts:
+            solve_pure(inst)
+    assert len(built) <= 1
 
 
 def test_per_solve_construction_work():

@@ -52,9 +52,10 @@ def test_bad_format_cases():
     doc = fixture_doc()
     del doc["psi"]
     expect_code(doc, "bad-format")
-    doc = fixture_doc()
-    doc["format_version"] = 2
-    expect_code(doc, "bad-format")
+    for version in (2, 1.0, "1", True):
+        doc = fixture_doc()
+        doc["format_version"] = version
+        expect_code(doc, "bad-format")
     doc = fixture_doc()
     doc["name"] = 7
     expect_code(doc, "bad-format")
@@ -442,6 +443,16 @@ def test_solve_example1_script_matches_readme():
     pure = next(s for s in sections if s.startswith("pure solve")).splitlines()[1:]
     assert mixed == _readme_output_after("example1.json --epsilon 1/8")
     assert pure == _readme_output_after("example1.json --mode pure")
+
+
+def test_ab_inprocess_script_runs_one_checkout_against_itself():
+    # the A/B timing tool, run with this checkout as both sides on one pass
+    # of pure-small, ends with equal answers
+    script = os.path.join(support.ROOT, "scripts", "ab_inprocess.py")
+    out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, "pure-small",
+                          "--reps", "1"], capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == "answers equal: yes"
 
 
 def _with_config(monkeypatch, config):

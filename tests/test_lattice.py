@@ -221,28 +221,26 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
     (2, [((2, 2), EQ), ((1, -1), LE)], (1, 1), 1),
     # dependent "=" rows in three coordinates: rank 2 on columns 1 and 2
     (3, [((0, 1, 1), EQ), ((0, 2, 2), EQ), ((1, 0, 0), LE)], (0, 1, -1), 1),
-    # the "=" rows alone pin the point, so no search at all (None):
-    # 2 x = b, which has no integer point at an odd b
-    (1, [((2,), EQ)], (-1,), None),
+    # the "=" rows alone pin the point, so the level search's point is read
+    # off: 2 x = b, which has no integer point at an odd b
+    (1, [((2,), EQ)], (-1,), 0),
     # two independent "=" rows, whose point is integer when b0 + b1 is even
     # and may leave the box
-    (2, [((1, 1), EQ), ((1, -1), EQ)], (1, 2), None),
+    (2, [((1, 1), EQ), ((1, -1), EQ)], (1, 2), 0),
     # the same and a dependent third "=" row, 2 x0 = b2, which holds only
     # where b2 = b0 + b1
-    (2, [((1, 1), EQ), ((1, -1), EQ), ((2, 0), EQ)], (0, -1), None),
+    (2, [((1, 1), EQ), ((1, -1), EQ), ((2, 0), EQ)], (0, -1), 0),
     # a zero "=" row, as psi = 0 gives the pure table's leader, pins nothing
     (1, [((0,), EQ), ((1,), LE)], (-1,), 0),
 ])
 def test_lex_min_searches_only_the_coordinates_left_free(dim, extra, cost, searches):
     # LexMin searches the coordinates before the first one from which the
     # "=" rows and the cost row have full column rank, and reads the rest off
-    # the last point found; when the "=" rows alone have full column rank it
-    # builds no search and solves them. Over right-hand sides in [-1, 3] for
-    # the extra rows, its answer is the grid scan's lex-least optimum in
-    # [-2, 2]^dim
+    # the last point found. Over right-hand sides in [-1, 3] for the extra
+    # rows, its answer is the grid scan's lex-least optimum in [-2, 2]^dim
     rows = _unit_rows(dim) + extra
     search = LexMin(dim, rows, cost)
-    assert (None if search.first is None else len(search.lex)) == searches
+    assert len(search.lex) == searches
     for sides in support.grid_points(len(extra), -1, 3):
         rhs = [2] * (2 * dim) + list(sides)
         system = LinearSystem(dim, [LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)])
@@ -307,8 +305,10 @@ def test_integer_objectives_give_the_qvector_outcomes(sys_, obj):
 def test_objective_of_other_entries_or_length_raises(objective):
     box = LinearSystem(2, (row_le([1, 0], 2), row_le([-1, 0], 2),
                            row_le([0, 1], 2), row_le([0, -1], 2)))
+    # a QVector is no way around the entry rule: 0.5 would become 1/2
     for call in (lambda: lp_solve(box, objective), lambda: lp_range(box, objective),
-                 lambda: integer_min(objective, box, DEFAULT_CONFIG)):
+                 lambda: integer_min(objective, box, DEFAULT_CONFIG),
+                 lambda: lp_solve(box, QVector(objective))):
         with pytest.raises(ValueError):
             call()
 

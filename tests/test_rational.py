@@ -86,6 +86,15 @@ def test_qvector_dot_and_integrality():
     assert w.is_integral()
 
 
+@pytest.mark.parametrize("entries", [[0.1], [1, 2.0], [True], [1, "1/2"], [None]])
+def test_qvector_takes_ints_and_fractions_only(entries):
+    # an int or a Fraction is exact; a float, a bool or a str would be
+    # turned into a rational that the data never held
+    with pytest.raises(ValueError, match="int or Fraction"):
+        QVector(entries)
+    assert QVector([3, Fraction(-1, 2)]).entries == (Fraction(3), Fraction(-1, 2))
+
+
 def test_subdeterminant_bound_shapes():
     # column norms sqrt(10) and sqrt(20): ceilings 4 and 5
     assert subdeterminant_bound([(1, 2), (3, 4)], 2) == 20
