@@ -29,7 +29,6 @@ pure driver lists it once per solve and takes its least entry.
 """
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 from typing import Optional
 
@@ -38,6 +37,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import IntegerSearch, LexMin, integer_candidates
 from .linear import EQ, LE, row_eq, row_le, strict_feasible_point
+from .rational import as_rat
 
 
 class DecisionScan:
@@ -90,7 +90,7 @@ class DecisionScan:
         `witness` asks for it. Only a cell that is checked or yielded gets
         its region built.
         """
-        alpha = Fraction(alpha)
+        alpha = as_rat(alpha)
         for it in self.items:
             target = alpha - it.shift
             if target < it.low:
@@ -126,7 +126,7 @@ def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> b
     queries (decide_eq, witness_le) take a DecisionScan built from the same
     inst and config, and build one when none is passed.
     """
-    return next(valid_cells(inst, config, Fraction(alpha)), None) is not None
+    return next(valid_cells(inst, config, as_rat(alpha)), None) is not None
 
 
 def decide_eq(inst: Instance, value, config: SolverConfig = DEFAULT_CONFIG,
@@ -208,5 +208,5 @@ def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG)
     One pass of pure_responses with value <= alpha added to the relaxation,
     stopping at the first entry of value <= alpha.
     """
-    alpha = Fraction(alpha)
+    alpha = as_rat(alpha)
     return any(v <= alpha for v, _, _ in pure_responses(inst, config, alpha))

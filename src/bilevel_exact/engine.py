@@ -39,7 +39,7 @@ from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, Internal
 from .lattice import integer_min, _charge
 from .linear import (LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
                      lp_solve, row_eq, _bounded_system, _unit)
-from .rational import QVector, ceil_rat, floor_rat, subdeterminant_bound
+from .rational import QVector, as_rat, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
 PURE = "pure"
@@ -172,7 +172,7 @@ def rational_reconstruct(lo, hi, cap: int, telemetry=None) -> Fraction:
     interval, and a simplest rational with a larger denominator proves no
     candidate exists, which falsifies the denominator bound and aborts.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_rat(lo), as_rat(hi)
     if lo > hi:
         raise ValueError("empty interval")
     value = _simplest_in_interval(lo, hi, telemetry)
@@ -189,7 +189,7 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
     The caller vouches for the endpoint answers; they are not re-queried.
     Stops as soon as hi - lo < width.
     """
-    lo, hi = Fraction(lo), Fraction(hi)
+    lo, hi = as_rat(lo), as_rat(hi)
     if lo >= hi:
         raise ValueError("need lo < hi")
     while hi - lo >= width:
@@ -249,7 +249,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     checked against Q, for bilevel feasibility and for the value v*. The
     trace's rho is left to its first read (see LexTrace).
     """
-    v_star = Fraction(v_star)
+    v_star = as_rat(v_star)
     if telemetry is not None:
         telemetry.decision_queries += 1
     if scan is None:
@@ -288,10 +288,10 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
 def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
               scan: Optional[DecisionScan] = None) -> EpsSolution:
     """A bilevel-feasible point with value at most v* + eps."""
-    eps = Fraction(eps)
+    eps = as_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    v_star = Fraction(v_star)
+    v_star = as_rat(v_star)
     hit = witness_le(inst, v_star + eps, config, scan)
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
@@ -304,7 +304,7 @@ def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG
 
 def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
     """Full mixed pipeline: one DecisionScan (no cell is Infeasible), infimum, extraction."""
-    if eps is not None and Fraction(eps) <= 0:
+    if eps is not None and as_rat(eps) <= 0:
         raise ValueError("eps must be positive")
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)

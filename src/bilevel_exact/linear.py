@@ -7,13 +7,13 @@ B^-1 = adj / det (Bareiss), so every intermediate quantity is an exact
 integer and every reported optimum is an exact rational. A basis exchange
 is one fraction-free update, `_exchange`, whose divisions are exact by
 construction; a remainder would mean a bug, not bad data. The core reads
-the kernel form of the rows: the "<=" rows, each "=" row split into its
-two sides, and per coordinate the rows whose only nonzero is there. A cold
-start is dual feasible, built from those unit rows, the tightest on the
-side each cost pushes to, or from artificial bound rows far enough out to
-cut off no vertex (`_vertex_bound`, Hadamard's bound, which the integer
-search of `lattice` also takes for its unbranched bounds), and Bland's rule
-on the dual ends every solve. The optimum leaves the kernel as integer
+"<=" rows alone, an "=" row as its two sides, and per coordinate the rows
+whose only nonzero is there (`_kernel_form`); no kernel function reads a
+relation. A cold start is dual feasible, built from those unit rows, the
+tightest on the side each cost pushes to, or from artificial bound rows far
+enough out to cut off no vertex (`_vertex_bound`, Hadamard's bound, which
+the integer search of `lattice` also takes for its unbranched bounds), and
+Bland's rule on the dual ends every solve. The optimum leaves the kernel as integer
 numerators over det. It is a vertex unless an artificial row stays in the
 final basis; only then is it purified onto a vertex of the optimal face. It
 is re-verified in that form and becomes `Fraction`s once, for the returned
@@ -74,9 +74,11 @@ cone.
 
 Constant rows (all coefficients zero), such as a zero row of the data or a
 row whose coordinates the integer walk of `lattice` fixed, may stand in any
-system. The two families own them: an RhsFamily splits its rows once into
-the nonconstant ones, which alone reach the kernel, and the constant ones,
-which it settles as 0 rel b on every right-hand side before any pivot; a
+system. The two families own them: an RhsFamily splits its rows once, when
+it is built, into the kernel's "<=" rows, the nonconstant rows with each
+"=" row followed at once by its negation, and the constant ones. One map
+takes a caller's right-hand sides to the kernel's rows, and a solve
+settles each constant row as 0 rel b in the same pass, before any pivot; a
 StrictFamily leaves them unlifted for its RhsFamily to settle. No caller
 filters them. `RhsFamily.span` is the one min-then-max range of a cost,
 two cold siblings that return the optimum values and build no point: over
@@ -293,40 +295,26 @@ def _exchange(adj, det: int, alpha, r: int) -> list:
     return out
 
 
-def _kernel_form(dim: int, rows) -> tuple:
-    """(A, sides, units) of nonconstant rows (a, rel): A the "<=" rows of the
-    kernel, an "=" row entering as its two sides in place; sides[k] =
-    (i, sign) says that A[k] is sign times row i, and is None when no row is
-    "=", so that A is the rows themselves; units[j] lists the A rows whose
+def _kernel_form(dim: int, A) -> list:
+    """The unit-row index of the "<=" rows A: units[j] lists the rows whose
     only nonzero coefficient is at j."""
-    if all(rel == LE for _, rel in rows):
-        A = [a for a, _ in rows]
-        sides = None
-    else:
-        A = []
-        sides = []
-        for i, (a, rel) in enumerate(rows):
-            A.append(a)
-            sides.append((i, 1))
-            if rel == EQ:
-                A.append(tuple(-v for v in a))
-                sides.append((i, -1))
     units = [[] for _ in range(dim)]
     for k, a in enumerate(A):
         if a.count(0) == dim - 1:  # one nonzero, which is then the sum of the row
             units[a.index(sum(a))].append(k)
-    return A, sides, units
+    return units
 
 
 def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
     """Minimize cost . x over the rows A x <= b with free x.
 
-    A and units: a kernel form (_kernel_form); b and cost: integers. start:
-    a basis (ids, adj, det) of A rows that is dual feasible for cost, or
-    None for a cold start. Returns (tag, nums, den, basis): an optimal point
-    as integer numerators over one positive denominator, and the final basis
-    as (ids, adj, det) when it holds no artificial row, so that the point is
-    a vertex; None, None, None when there is no optimum.
+    A: the nonconstant "<=" rows of a family, units their index
+    (_kernel_form); b and cost: integers. start: a basis (ids, adj, det) of
+    A rows that is dual feasible for cost, or None for a cold start.
+    Returns (tag, nums, den, basis): an optimal point as integer numerators
+    over one positive denominator, and the final basis as (ids, adj, det)
+    when it holds no artificial row, so that the point is a vertex; None,
+    None, None when there is no optimum.
 
     The basis is dim rows kept as an integer adjugate adj and a denominator
     det > 0 with B^-1 = adj / det, so the point is adj b_B / det and the
@@ -409,21 +397,20 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
 
 
 def _interval_solve(rows, rhs, cost: int):
-    """Closed-form LP in one variable over nonconstant rows (a, rel) with
+    """Closed-form LP in one variable over nonconstant "<=" rows (a,) with
     right-hand sides rhs; bounds are kept as integer pairs (num, den),
     den > 0, and compared by cross-multiplication. Returns (tag, nums, den,
     vertex): the point is an end of the interval, and no vertex exists when
     it has neither end."""
     lo = None  # None encodes the infinite end
     hi = None
-    for ((a,), rel), b in zip(rows, rhs):
-        bound = (b, a) if a > 0 else (-b, -a)
-        if rel == EQ or a < 0:
+    for (a,), b in zip(rows, rhs):
+        if a < 0:
+            bound = (-b, -a)
             if lo is None or bound[0] * lo[1] > lo[0] * bound[1]:
                 lo = bound
-        if rel == EQ or a > 0:
-            if hi is None or bound[0] * hi[1] < hi[0] * bound[1]:
-                hi = bound
+        elif hi is None or b * hi[1] < hi[0] * a:
+            hi = (b, a)
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return "infeasible", None, None, False
     if cost > 0:
@@ -492,7 +479,7 @@ def _purify_to_vertex(dim, rows, rhs, nums, den, objective):
     """Slide an optimal point nums / den (den > 0) along the optimal face onto
     a vertex; returns the vertex as (nums, den), in lowest terms after a move.
 
-    rows: nonconstant rows (a, rel) with right-hand sides rhs. Keeps every
+    rows: nonconstant "<=" rows a with right-hand sides rhs. Keeps every
     row satisfied and the objective value fixed. If the optimal face
     contains a line (only possible for unbounded feasible sets) the current
     point is returned unchanged. `objective` holds integer coefficients (any
@@ -501,15 +488,15 @@ def _purify_to_vertex(dim, rows, rhs, nums, den, objective):
     """
     while True:
         active = [objective]
-        for (a, rel), b in zip(rows, rhs):
-            if rel == EQ or sum(map(mul, a, nums)) == b * den:
+        for a, b in zip(rows, rhs):
+            if sum(map(mul, a, nums)) == b * den:
                 active.append(a)
         w = _nullspace_direction(active, dim)
         if w is None:
             return nums, den
         # a step is (gap, |a . w|): row a is reached at x + gap / (den |a . w|) * (+-w)
         plus = minus = None
-        for (a, _), b in zip(rows, rhs):
+        for a, b in zip(rows, rhs):
             aw = sum(map(mul, a, w))
             if aw == 0:
                 continue
@@ -548,23 +535,26 @@ class RhsFamily:
     denominator, a vertex of the optimal face whenever one exists, or
     "infeasible" or "unbounded" with None, None.
 
-    Construction splits the rows: the nonconstant ones, in their order, are
-    the live rows, all that the kernel sees; the constant ones are fixed. A
-    solve first settles each fixed row as 0 rel b at its b and answers
-    "infeasible" when one fails, before any pivot. The kernel form of the
-    live rows (_kernel_form) is built once, on the first solve in two or
-    more variables. A solve starts from the last optimal basis that held no
-    artificial row, and cold when there is none: the reduced costs of a
-    basis depend on its rows and the cost alone, not on b, so an optimal
-    basis for one rhs is dual feasible for every other, and the dual simplex
-    goes on from it. An optimum whose basis keeps an artificial row is
-    purified onto a vertex and stores no basis. One variable takes the
-    closed form. Every optimum is re-verified against
-    every row in integer arithmetic; a miss raises InternalInvariantError.
-    with_cost(cost) gives the family of the same rows under another cost:
-    it shares this family's row split and kernel form, and starts cold;
-    span(rhs) solves two such siblings for the cost's least and greatest
-    value.
+    Construction splits the rows once. The attribute `rows` holds the
+    kernel's "<=" rows: the nonconstant rows in their order, each "=" row
+    followed at once by its negation. The constant rows are fixed. One map,
+    a (k, sign) per kernel row, takes the caller's right-hand sides to the
+    kernel's; it is None, and rhs is passed on as it is, when no row is
+    constant or "=". A solve settles each fixed row as 0 rel b at its b,
+    answering "infeasible" when one fails, and applies the map, in one pass
+    before any pivot. The unit-row index of the kernel rows (_kernel_form)
+    is built once, on the first solve in two or more variables. A solve
+    starts from the last optimal basis that held no artificial row, and cold
+    when there is none: the reduced costs of a basis depend on its rows and
+    the cost alone, not on b, so an optimal basis for one rhs is dual
+    feasible for every other, and the dual simplex goes on from it. An
+    optimum whose basis keeps an artificial row is purified onto a vertex
+    and stores no basis. One variable takes the closed form. Every optimum
+    is re-verified against every kernel row in integer arithmetic; a miss
+    raises InternalInvariantError. with_cost(cost) gives the family of the
+    same rows under another cost: it shares this family's row split, map
+    and unit-row index, and starts cold; span(rhs) solves two such siblings
+    for the cost's least and greatest value.
 
     unique() says whether the last solve's optimum is the only optimum. The
     family keeps the final basis of its last optimum for it, None when that
@@ -576,20 +566,24 @@ class RhsFamily:
     an interval, the only optimum when the cost is nonzero.
     """
 
-    __slots__ = ("dim", "rows", "cost", "_live", "_fixed", "_kernel", "_basis", "_last")
+    __slots__ = ("dim", "rows", "cost", "_rhs_map", "_fixed", "_kernel", "_basis", "_last")
 
     def __init__(self, dim: int, rows, cost):
-        live, keep, fixed = [], [], []
-        for k, row in enumerate(rows):
-            if any(row[0]):
-                live.append(row)
-                keep.append(k)
+        A, rhs_map, fixed = [], [], []
+        for k, (a, rel) in enumerate(rows):
+            if any(a):
+                A.append(a)
+                rhs_map.append((k, 1))
+                if rel == EQ:
+                    A.append(tuple(-v for v in a))
+                    rhs_map.append((k, -1))
             else:
-                fixed.append((k, row[1]))
-        self._live = keep if fixed else None  # None: every row is live, rhs is passed on as it is
+                fixed.append((k, rel))
+        # None: every row is a nonconstant "<=" row, rhs is passed on as it is
+        self._rhs_map = None if not fixed and len(A) == len(rows) else rhs_map
         self._fixed = fixed
         self.dim = dim
-        self.rows = live
+        self.rows = A
         self.cost = cost
         self._kernel = None
         self._basis = None
@@ -603,7 +597,7 @@ class RhsFamily:
             self._kernel = _kernel_form(self.dim, self.rows)
         other = object.__new__(RhsFamily)
         other.dim, other.rows, other.cost = self.dim, self.rows, cost
-        other._live, other._fixed, other._kernel = self._live, self._fixed, self._kernel
+        other._rhs_map, other._fixed, other._kernel = self._rhs_map, self._fixed, self._kernel
         other._basis = other._last = None
         return other
 
@@ -638,12 +632,12 @@ class RhsFamily:
 
     def solve(self, rhs) -> tuple:
         self._last = None
-        if self._live is not None:
+        if self._rhs_map is not None:
             for k, rel in self._fixed:
                 b = rhs[k]
                 if b < 0 or (rel == LT if b == 0 else rel == EQ):  # 0 rel b fails
                     return "infeasible", None, None
-            rhs = [rhs[k] for k in self._live]
+            rhs = [sign * rhs[k] for k, sign in self._rhs_map]
         dim, rows, cost = self.dim, self.rows, self.cost
         if dim == 1:
             tag, nums, den, vertex = _interval_solve(rows, rhs, cost[0])
@@ -651,9 +645,8 @@ class RhsFamily:
         else:
             if self._kernel is None:
                 self._kernel = _kernel_form(dim, rows)
-            A, sides, units = self._kernel
-            b = rhs if sides is None else [sign * rhs[i] for i, sign in sides]
-            tag, nums, den, basis = _dual_simplex_min(dim, A, b, units, cost, self._basis)
+            tag, nums, den, basis = _dual_simplex_min(dim, rows, rhs, self._kernel, cost,
+                                                      self._basis)
             vertex = basis is not None
             if vertex:
                 self._basis = basis
@@ -661,9 +654,8 @@ class RhsFamily:
             return tag, None, None
         if not vertex:
             nums, den = _purify_to_vertex(dim, rows, rhs, nums, den, cost)
-        for (a, rel), b in zip(rows, rhs):
-            gap = sum(map(mul, a, nums)) - b * den
-            if gap > 0 or (gap and rel == EQ):
+        for a, b in zip(rows, rhs):
+            if sum(map(mul, a, nums)) > b * den:
                 raise InternalInvariantError("an LP optimum failed re-verification")
         self._last = basis
         return "optimal", nums, den
@@ -778,24 +770,14 @@ def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     return QVector([Fraction(v, den) for v in nums])
 
 
-def recession_rows(sys: LinearSystem):
-    """Coefficient rows of the recession cone of the closed system."""
-    out = []
-    for r in sys.closure().rows:
-        out.append(r.a)
-        if r.rel == EQ:
-            out.append(tuple(-v for v in r.a))
-    return out
-
-
-def _truncated_cone(coeff_rows, dim: int) -> LinearSystem:
-    """{y : (rows) . y <= 0, |y_j| <= 1} for integer rows; the cone rows come
-    first."""
-    rows = [LinRow(tuple(r), 0, LE) for r in coeff_rows]
+def _truncated_cone(rows, dim: int) -> LinearSystem:
+    """{y : a . y rel 0 for each row (a, rel), |y_j| <= 1} for closed integer
+    rows; the cone rows come first."""
+    cone = [LinRow(a, 0, rel) for a, rel in rows]
     for j in range(dim):
-        rows.append(LinRow(_unit(dim, j), 1, LE))
-        rows.append(LinRow(_unit(dim, j, -1), 1, LE))
-    return LinearSystem(dim, tuple(rows))
+        cone.append(LinRow(_unit(dim, j), 1, LE))
+        cone.append(LinRow(_unit(dim, j, -1), 1, LE))
+    return LinearSystem(dim, tuple(cone))
 
 
 def _projection_bounded(sys: LinearSystem, coords) -> bool:
@@ -806,7 +788,7 @@ def _projection_bounded(sys: LinearSystem, coords) -> bool:
     """
     if sys.proved_bounded:
         return True
-    cone = _truncated_cone(recession_rows(sys), sys.dim)
+    cone = _truncated_cone([(r.a, r.rel) for r in sys.closure().rows], sys.dim)
     return all(lp_range(cone, _unit(sys.dim, i)) == (0, 0) for i in coords)
 
 
@@ -826,7 +808,7 @@ def recession_bounded(rows, ncols: int) -> bool:
     if _nullspace_direction(rows, ncols) is not None:
         return False
     sums = [sum(col) for col in zip(*rows)]
-    out = lp_solve(_truncated_cone(rows, ncols), sums, "min")
+    out = lp_solve(_truncated_cone([(a, LE) for a in rows], ncols), sums, "min")
     if not out.is_optimal:
         raise InternalInvariantError("truncated cone LP must be optimal")
     return out.value == 0

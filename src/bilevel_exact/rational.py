@@ -7,7 +7,8 @@ the integer matrices that linear.recession_bounded and subdeterminant_bound
 take as tuples of int rows. Rational values are `fractions.Fraction`s, and
 the immutable QVector here holds rational points: LP optima, z* and
 witnesses. A QVector carries its dimension, and operations on two of them
-reject a mismatch.
+reject a mismatch. A caller's threshold, an alpha, an eps or a v*, becomes
+a Fraction through `as_rat` alone.
 """
 from __future__ import annotations
 
@@ -24,6 +25,18 @@ def parse_rat(text: str) -> Rat:
         return Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational: {text!r}") from exc
+
+
+def as_rat(value) -> Rat:
+    """A caller's threshold as an exact rational: an int (not a bool), a
+    Fraction, or a str that parse_rat reads. Anything else, a float or a
+    bool say, raises ValueError: it would turn into a rational that the
+    caller never wrote."""
+    if type(value) is str:
+        return parse_rat(value)
+    if type(value) is not int and type(value) is not Fraction:
+        raise ValueError(f"a threshold must be int, Fraction or str, got {value!r}")
+    return Fraction(value)
 
 
 def format_rat(q: Rat) -> str:
@@ -78,8 +91,9 @@ class QVector:
         return QVector(a - b for a, b in zip(self.entries, other.entries))
 
     def scaled(self, factor) -> "QVector":
-        f = Fraction(factor)
-        return QVector(f * a for a in self.entries)
+        if type(factor) is not int and type(factor) is not Fraction:
+            raise ValueError("a QVector factor must be int or Fraction")
+        return QVector(factor * a for a in self.entries)
 
     def is_integral(self) -> bool:
         return all(e.denominator == 1 for e in self.entries)

@@ -11,14 +11,14 @@ from hypothesis import strategies as st
 
 import support
 from conftest import MIXED_SEED
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED,
+from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED, DecisionScan,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
                            InternalInvariantError, LinearSystem, QVector, SolverConfig, Telemetry,
                            bilevel_feasible, bisect_decision, decide_eq, decide_le,
-                           denominator_cap, disagreement, eps_point, infimum, instance_to_json,
-                           lex_extract, objective_bounds, parse_instance, random_instance,
-                           rational_reconstruct, reference_oracle, row_le, solve_mixed,
-                           solve_pure)
+                           decide_le_pure, denominator_cap, disagreement, eps_point, infimum,
+                           instance_to_json, lex_extract, objective_bounds, parse_instance,
+                           random_instance, rational_reconstruct, reference_oracle, row_le,
+                           solve_mixed, solve_pure)
 from bilevel_exact import cells, lattice
 from support import make_flipped, with_upper_rows
 
@@ -315,6 +315,31 @@ def test_solve_mixed_rejects_nonpositive_eps(example1):
         for eps in (0, Fraction(-1, 8)):
             with pytest.raises(ValueError, match="eps must be positive"):
                 solve_mixed(inst, eps=eps, config=CFG)
+
+
+THRESHOLD_TAKERS = {
+    "DecisionScan.hits": lambda inst, t: next(DecisionScan(inst, CFG).hits(row_le, t)),
+    "decide_le": lambda inst, t: decide_le(inst, t, CFG),
+    "decide_le_pure": lambda inst, t: decide_le_pure(inst, t, CFG),
+    "rational_reconstruct lo": lambda inst, t: rational_reconstruct(t, Fraction(2), 10),
+    "rational_reconstruct hi": lambda inst, t: rational_reconstruct(Fraction(-1), t, 10),
+    "bisect_decision lo": lambda inst, t: bisect_decision(bool, t, Fraction(2), Fraction(1)),
+    "bisect_decision hi": lambda inst, t: bisect_decision(bool, Fraction(-1), t, Fraction(1)),
+    "lex_extract": lambda inst, t: lex_extract(inst, t, CFG),
+    "eps_point v_star": lambda inst, t: eps_point(inst, t, Fraction(1, 8), CFG),
+    "eps_point eps": lambda inst, t: eps_point(inst, Fraction(-1), t, CFG),
+    "solve_mixed eps": lambda inst, t: solve_mixed(inst, eps=t, config=CFG),
+}
+
+
+@pytest.mark.parametrize("bad", [0.1, True], ids=["float", "bool"])
+@pytest.mark.parametrize("entry", list(THRESHOLD_TAKERS))
+def test_thresholds_take_exact_rationals_only(example1, entry, bad):
+    # a float or a bool would become a rational that the caller never
+    # wrote: eps=0.1 the binary 3602879701896397/36028797018963968, and
+    # alpha=True the threshold 1; an int, a Fraction or a str is exact
+    with pytest.raises(ValueError, match="int, Fraction or str"):
+        THRESHOLD_TAKERS[entry](example1, bad)
 
 
 def test_solve_leaves_no_state_on_the_instance():

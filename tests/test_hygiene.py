@@ -5,7 +5,8 @@ top-level function and class is named somewhere in the package, so dead
 imports, dead knobs, unread arguments and dead definitions cannot come back
 unnoticed. The reference oracle reaches none of the engines' enumerations,
 so it stays an independent second computation, and neither solve path
-reaches the bisection and reconstruction search."""
+reaches the bisection and reconstruction search. The LP kernel reads no row
+relation."""
 import ast
 import os
 
@@ -186,3 +187,18 @@ def test_no_qvector_built_in_an_objective_call():
                 wrapped += sum(1 for arg in args for sub in ast.walk(arg)
                                if isinstance(sub, ast.Call) and _called_name(sub) == "QVector")
     assert calls >= 20 and wrapped == 0
+
+
+# The LP kernel reads "<=" rows alone: each RhsFamily splits its "=" rows
+# into their two sides once, at construction, so no kernel function reads
+# a relation.
+KERNEL = ("_dual_simplex_min", "_exchange", "_kernel_form", "_interval_solve",
+          "_purify_to_vertex")
+
+
+def test_lp_kernel_reads_no_relation():
+    defs = {node.name: node for node in _tree("linear.py").body
+            if isinstance(node, ast.FunctionDef)}
+    read = {name: sorted({n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
+                         & {"LE", "EQ", "LT"}) for name in KERNEL}
+    assert read == {name: [] for name in KERNEL}

@@ -76,6 +76,16 @@ def test_enumerate_and_mixed_feasible_guards():
     for coords in ([2], [-1], range(3)):
         with pytest.raises(ValueError, match="out of range"):
             mixed_feasible(strip, coords, DEFAULT_CONFIG)
+    # "=" rows reach the cone LPs as they are: x - y = 0 with 0 <= x <= 1
+    # is the segment from (0, 0) to (1, 1), and with x >= 0 alone a ray
+    segment = LinearSystem(2, (row_eq([1, -1], 0), row_le([1, 0], 1), row_le([-1, 0], 0)))
+    assert enumerate_integers(segment, DEFAULT_CONFIG) == [QVector([0, 0]), QVector([1, 1])]
+    assert mixed_feasible(segment, range(2), DEFAULT_CONFIG) in (QVector([0, 0]), QVector([1, 1]))
+    ray = LinearSystem(2, (row_eq([1, -1], 0), row_le([-1, 0], 0)))
+    with pytest.raises(BoundednessError):
+        enumerate_integers(ray, DEFAULT_CONFIG)
+    with pytest.raises(BoundednessError):
+        mixed_feasible(ray, range(2), DEFAULT_CONFIG)
 
 
 @settings(max_examples=40)

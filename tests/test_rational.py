@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from bilevel_exact import QVector, floor_rat, format_rat, parse_rat, subdeterminant_bound
-from bilevel_exact.rational import ceil_rat, isqrt_ceil
+from bilevel_exact.rational import as_rat, ceil_rat, isqrt_ceil
 
 rationals = st.fractions(max_denominator=10**6)
 
@@ -89,10 +89,25 @@ def test_qvector_dot_and_integrality():
 @pytest.mark.parametrize("entries", [[0.1], [1, 2.0], [True], [1, "1/2"], [None]])
 def test_qvector_takes_ints_and_fractions_only(entries):
     # an int or a Fraction is exact; a float, a bool or a str would be
-    # turned into a rational that the data never held
+    # turned into a rational that the data never held, as an entry or as
+    # the factor of `scaled`
     with pytest.raises(ValueError, match="int or Fraction"):
         QVector(entries)
-    assert QVector([3, Fraction(-1, 2)]).entries == (Fraction(3), Fraction(-1, 2))
+    v = QVector([3, Fraction(-1, 2)])
+    assert v.entries == (Fraction(3), Fraction(-1, 2))
+    with pytest.raises(ValueError, match="int or Fraction"):
+        v.scaled(next(e for e in entries if type(e) is not int))
+    assert v.scaled(2) == QVector([6, -1])
+    assert v.scaled(Fraction(2, 3)) == QVector([2, Fraction(-1, 3)])
+
+
+def test_as_rat_takes_ints_fractions_and_strs_only():
+    # the one rule for a caller's threshold: a str reads as parse_rat reads it
+    assert as_rat(3) == 3 and as_rat(Fraction(-1, 2)) == Fraction(-1, 2)
+    assert as_rat(" 1/8") == Fraction(1, 8)
+    for bad in (0.1, True, None, "seven"):
+        with pytest.raises(ValueError):
+            as_rat(bad)
 
 
 def test_subdeterminant_bound_shapes():
