@@ -16,7 +16,8 @@ machine falls on both. An op is timed as the benchmark's worker times it:
 one solve and its report_to_json, or, on decide-cold, one cli_main call.
 The script prints, per side, the p50, p90 and mean over ops of each op's
 least time, the change's difference to the parent, and whether every answer
-(the report or the command's output) is the same on both sides.
+is the same on both sides: the command's output, or the report with, for a
+mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 """
 from __future__ import annotations
 
@@ -71,7 +72,12 @@ def _op_runner(modules: dict, plan: dict):
             eps = rational.parse_rat(op["eps"]) if op.get("eps") else None
             report = engine.solve_mixed(inst, eps=eps)
         text = io_.report_to_json(report)
-        return time.perf_counter() - start, text
+        elapsed = time.perf_counter() - start
+        trace = report.lex_trace
+        if trace is None:
+            return elapsed, text
+        vertices = tuple(v.entries for v in trace.vertices)
+        return elapsed, (text, trace.x_star, trace.r, trace.k, vertices)
 
     return run
 

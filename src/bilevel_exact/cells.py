@@ -36,13 +36,13 @@ the walk; a family settles its own constant rows, such as those of a zero
 row of A, B or D, so the walk passes every row it adds. A cell's rows are
 defined once: _region_rows gives their coefficients over z, the same for
 every cell, and _region_rhs their integer right-hand sides at (x, r). The
-walk's families and cell_region both derive from that pair, and a cell
-index holds no region: a caller that needs one builds it with cell_region.
-The instance data are ints, so the rows of the walk, of the cell regions
-and of the follower are built as LinRows straight from them; the follower
-at a leader point z is read at its integer floors: bilevel_feasible
-searches the rows A, minimizing psi, at floor_rhs(inst, z), one
-IntegerSearch built per call.
+walk's families, the checks of decide.DecisionScan and cell_region all
+derive from that pair, and a cell index holds no region: no solve builds
+one. The instance data are ints, so the rows of the walk, of the cell
+regions and of the follower are built straight from them; the follower at
+a leader point z is read at its integer floors: bilevel_feasible searches
+the rows A, minimizing psi, at floor_rhs(inst, z), one IntegerSearch built
+per call, and checks the upper rows over z's common denominator.
 The candidate x come from lattice.integer_candidates, the one integer walk,
 with their activities A x and psi . x as integers. Nothing caches an index
 across calls either: each cell_index call builds a fresh one. Besides its
@@ -312,9 +312,11 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
     if len(z) != inst.d or xv.dim != inst.n:
         raise ValueError("point has the wrong shape")
     rhs = floor_rhs(inst, z)
-    if not inst.upper_system().satisfied_by(xv.entries + tuple(z)):
-        return False
     xs = [int(v) for v in xv]
+    nums, den = _over_common_denominator(z)
+    point = [v * den for v in xs] + nums
+    if not all(row.holds_at(point, den) for row in inst.upper_system().rows):
+        return False
     if any(sum(map(mul, ar, xs)) > rv for ar, rv in zip(inst.A, rhs)):
         return False
     search = IntegerSearch(inst.n, [(a, LE) for a in inst.A], range(inst.n), inst.psi)
@@ -332,7 +334,7 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
 @dataclass(slots=True)
 class CellEntry:
     """A valid cell with shift = c . x and low, the least e . z over the
-    closure of its region Q (cell_region builds Q on demand); low_inside
+    closure of its region Q (_region_rows at _region_rhs); low_inside
     says that the LP vertex attaining low lies in Q itself. vertex is that
     vertex as (nums, den), integer numerators over a positive denominator,
     when the closure LP proved it the only point of the closure at low

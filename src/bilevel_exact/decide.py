@@ -7,9 +7,8 @@ all-integer variant.
 
 A decide_le query is one floor walk of cells.valid_cells restricted to value
 <= alpha that stops at its first cell: it builds no cell index, no scan and
-no region.
-The lex-ordered queries (decide_eq, witness_le) are each one pass of
-DecisionScan.hits, the only loop over the indexed cells here. On one cell
+no region. The lex-ordered queries (decide_eq, witness_le) are each one pass
+of DecisionScan.hits, the only loop over the indexed cells here. On one cell
 the objective is affine in z over a half-open region Q, and the thresholds
 alpha for which Q has a point of value <= alpha form a ray, [low, inf) or
 (low, inf), where low is the LP minimum of the objective over the closure of
@@ -19,9 +18,10 @@ cell's shift c . x and low, and a scan answers from them: a threshold below
 low skips the cell, a value <= alpha query above low is a hit, and so is a
 query at low when the LP vertex at low lies in Q (low_inside), all without
 an LP. When that LP proved its vertex the only optimum and the vertex lies
-outside Q, a query at low skips the cell too. Only the other queries at
-low, and equality queries above it, run a strict-feasibility check; so does
-a witness request, to produce the point.
+outside Q, a query at low skips the cell too. Only the other queries at low,
+and equality queries above it, run a strict-feasibility check; so does a
+witness request, to produce the point. A check poses Q as integer rows and
+right-hand sides, as the floor walk does: no query builds a region.
 
 The all-integer variant's one loop is pure_responses, the table of the best
 leader response at each integer z: decide_le_pure is one pass of it, and the
@@ -29,15 +29,16 @@ pure driver lists it once per solve and takes its least entry.
 """
 from __future__ import annotations
 
+from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cells import Instance, cell_index, cell_region, valid_cells
+from .cells import Instance, cell_index, valid_cells, _region_rhs, _region_rows
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import IntegerSearch, LexMin, integer_candidates
-from .linear import EQ, LE, row_eq, row_le, strict_feasible_point
-from .rational import as_rat
+from .linear import EQ, LE, StrictFamily, row_le, rows_hold
+from .rational import QVector, as_rat
 
 
 class DecisionScan:
@@ -56,8 +57,8 @@ class DecisionScan:
     `low_inside` False leaves open whether another point of that slice lies
     in Q, and a query at `low` takes a strict-feasibility check. Either
     way the flag changes how many queries need a check, never an answer.
-    The items hold no region: a query builds Q with cell_region only for
-    an item it checks or yields.
+    The items hold no region: a query poses Q as integer rows and
+    right-hand sides (see hits).
 
     Why `low` answers most queries exactly: Q has a point, so the closed
     system cl(Q), its strict rows relaxed, is the closure of Q, and Q is
@@ -77,20 +78,22 @@ class DecisionScan:
         self.inst = inst
         self.items = cell_index(inst, config).entries
 
-    def hits(self, row, alpha, witness: bool = True):
-        """Items whose region meets value <= alpha (row=row_le) or value =
-        alpha (row=row_eq), in lex order: (item, strictly feasible z, the
-        cell's system with the value row).
-
-        A cell costs no LP when alpha lies below its least value
-        shift + low, nor at that value when its unique vertex lies outside
-        Q: both are skipped, with no region built. Nor does it when the
-        cell surely meets the row, a value <= alpha query above that value
-        or a query at it with `low_inside`: a hit, whose z is None unless
-        `witness` asks for it. Only a cell that is checked or yielded gets
-        its region built.
+    def hits(self, rel, alpha, witness: bool = True):
+        """Items whose region meets value <= alpha (rel LE) or value = alpha
+        (rel EQ), in lex order: (item, strictly feasible z, (rows, rhs)),
+        Q with the value row as _region_rows plus (q e, rel), q the
+        denominator of alpha and so of each target alpha - shift, at
+        _region_rhs plus q target. A cell costs no LP when alpha lies below
+        its least value shift + low, nor at that value when its unique
+        vertex lies outside Q: both are skipped. Nor does it when the cell
+        surely meets the row, a value <= alpha query above that value or a
+        query at it with `low_inside`: a hit, whose z is None unless
+        `witness` asks for it. Any other check is one cold StrictFamily
+        solve, its point checked again against every row (rows_hold).
         """
         alpha = as_rat(alpha)
+        inst, q = self.inst, alpha.denominator
+        rows = _region_rows(inst) + [(tuple(q * v for v in inst.e), rel)]
         for it in self.items:
             target = alpha - it.shift
             if target < it.low:
@@ -98,24 +101,30 @@ class DecisionScan:
             at_low = target == it.low
             if at_low and it.vertex is not None and not it.low_inside:
                 continue
-            system = cell_region(self.inst, it.cell).with_rows([row(self.inst.e, target)])
-            sure = it.low_inside if at_low else row is row_le
+            rhs = _region_rhs(inst, it.cell.x, it.cell.r) + [target.numerator]
+            sure = it.low_inside if at_low else rel == LE
             if sure and not witness:
-                yield it, None, system
+                yield it, None, (rows, rhs)
                 continue
-            z = strict_feasible_point(system)
-            if z is not None:
-                yield it, z, system
+            found = StrictFamily(inst.d, rows).point(rhs)
+            if found is not None:
+                if not rows_hold(rows, rhs, *found):
+                    raise InternalInvariantError("strict witness failed re-verification")
+                yield it, QVector([Fraction(v, found[1]) for v in found[0]]), (rows, rhs)
             elif sure:
                 raise InternalInvariantError("cell with a point on the value row has no witness")
 
 
-def _first_hit(inst, row, alpha, config, scan) -> Optional[tuple]:
-    if scan is None:
-        scan = DecisionScan(inst, config)
-    for it, z, _ in scan.hits(row, alpha):
-        return it.cell.x, z
-    return None
+def _scan_for(inst, config, scan) -> DecisionScan:
+    """`scan`, which must be inst's (else ValueError), or a new one if None."""
+    if scan is not None and scan.inst is not inst and scan.inst != inst:
+        raise ValueError("the scan was built for another instance")
+    return DecisionScan(inst, config) if scan is None else scan
+
+
+def _first_hit(inst, rel, alpha, config, scan) -> Optional[tuple]:
+    hit = next(_scan_for(inst, config, scan).hits(rel, alpha), None)
+    return None if hit is None else (hit[0].cell.x, hit[1])
 
 
 def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:
@@ -136,13 +145,13 @@ def decide_eq(inst: Instance, value, config: SolverConfig = DEFAULT_CONFIG,
     The first cell in lex order whose value slice is strictly realizable
     supplies the witness (x, z).
     """
-    return _first_hit(inst, row_eq, value, config, scan)
+    return _first_hit(inst, EQ, value, config, scan)
 
 
 def witness_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
                scan: Optional[DecisionScan] = None) -> Optional[tuple]:
     """Like decide_le but returns the witness (x, z) from the lex-least cell."""
-    return _first_hit(inst, row_le, alpha, config, scan)
+    return _first_hit(inst, LE, alpha, config, scan)
 
 
 # ---------------------------------------------------------------------------
@@ -162,8 +171,8 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     at a listed z has an entry of value <= v at that z.
 
     Only right-hand sides move with z, so one search per solve serves every
-    z: the follower's IntegerSearch (rows A, cost psi, at B z + u, which an
-    integer z makes its own floor, so integer dot products give it) and the
+    z: the follower's IntegerSearch (rows A, cost psi, at r = B z + u, its
+    own floor at an integer z, searched once per distinct r) and the
     leader's LexMin (rows A, psi as "=" and C, cost c, at B z + u, the
     follower's optimum and p - D z). When n = 1 and psi != 0, psi . x at
     the follower's optimum leaves one integer x, the follower's point, so
@@ -180,10 +189,13 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     leader = None if n == 1 and any(inst.psi) else LexMin(
         n, follower_rows + [(inst.psi, EQ)] + [(cr, LE) for cr in inst.C], inst.c)
     budget = [0]
+    optima = {}  # r -> the follower's search at r, which reads nothing else
     for z_ints in integer_candidates(joint, inst.joint_dim(), range(n, inst.joint_dim()),
                                      config, budget):
-        r = [sum(map(mul, br, z_ints)) + uv for br, uv in zip(inst.B, inst.u)]
-        found = follower.minimize(r, config)
+        r = tuple(sum(map(mul, br, z_ints)) + uv for br, uv in zip(inst.B, inst.u))
+        if r not in optima:
+            optima[r] = follower.minimize(list(r), config)
+        found = optima[r]
         if found is None:
             continue
         nums, den = found
@@ -195,7 +207,7 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
             lopt = sum(map(mul, inst.c, x))
         else:
             fopt = sum(map(mul, inst.psi, nums)) // den  # an integer point: exact
-            best = leader.solve(r + [fopt] + upper, config)
+            best = leader.solve(list(r) + [fopt] + upper, config)
             if best is None:
                 continue
             lopt, x = best

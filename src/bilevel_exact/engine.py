@@ -7,20 +7,21 @@ lexicographically minimal optimum: its x is x*, its floor vector is the one
 that the floor-vector refinement would isolate, and z* is a barycenter of
 vertices of its slice's closure: the vertex of the cell's closure LP when
 that LP proved it the only optimum, else the vertices that at most 2d + 1
-LPs find. The scan
-holds, for each valid cell, one LP minimum of the objective over the cell's
-closure, which the index build found. The half-open cell is dense in its
-closure, so that minimum is the cell's infimum, and the least of them is
-v*. No solve
-bisects: bisect_decision and rational_reconstruct, the search that a
-decomposition known only through its decision oracle needs, stay exported
-for callers. Strict-feasibility checks remain for the value slices and for
-witnesses. The pure driver lists the response table over integer leader
-points once and reads v*, x* and z* off its least entry. The reference
-oracle checks both drivers from the cell definition, with no floor walk,
-cell index, DecisionScan or response table (see reference_oracle for what
-it shares): `solve --engine both`, the `oracle` command and the acceptance
-tests compare the drivers with it, a solve does not.
+LPs find. The scan holds, for each valid cell, one LP minimum of the
+objective over the cell's closure, which the index build found. The
+half-open cell is dense in its closure, so that minimum is the cell's
+infimum, and the least of them is v*. No solve bisects: bisect_decision and
+rational_reconstruct, the search that a decomposition known only through
+its decision oracle needs, stay exported for callers. Strict-feasibility
+checks remain for the value slices and for witnesses. After the index
+build every LP, and every check of a point, reads the scan's integer rows
+and right-hand sides: a solve builds no LinRow. The pure driver lists the
+response table over integer leader points once and reads v*, x* and z* off
+its least entry. The reference oracle checks both drivers from the cell
+definition, with no floor walk, cell index, DecisionScan or response table
+(see reference_oracle for what it shares): `solve --engine both`, the
+`oracle` command and the acceptance tests compare the drivers with it, a
+solve does not.
 """
 from __future__ import annotations
 
@@ -34,11 +35,12 @@ from typing import Callable, Optional
 
 from .cells import Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell
 from .config import DEFAULT_CONFIG, SolverConfig
-from .decide import DecisionScan, pure_responses, witness_le
+from .decide import DecisionScan, pure_responses, witness_le, _scan_for
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import integer_min, _charge
-from .linear import (LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
-                     lp_solve, row_eq, _bounded_system, _unit)
+from .linear import (EQ, LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
+                     lp_solve, row_eq, rows_hold, _bounded_system, _over_common_denominator,
+                     _unit)
 from .rational import QVector, as_rat, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -77,18 +79,24 @@ class EpsSolution:
 class LexTrace:
     """Everything produced on the way to the lex-minimal optimum.
 
-    rho_i, the least value of B_i z + u_i over cl(Q), is computed on its
-    first read and kept: one LP per row. A solve never reads it.
+    q_system (Q: the cell's region with e . z = e . z*, which is v* - c . x*)
+    and rho_i, the least value of B_i z + u_i over cl(Q), are computed on
+    their first read and kept, rho by one LP per row. A solve reads neither.
     """
 
     x_star: tuple
     r: tuple
-    q_system: LinearSystem
     k: int
     vertices: tuple
     z_star: QVector
     delta_denominator: int
     instance: Instance = field(compare=False, repr=False)
+
+    @cached_property
+    def q_system(self) -> LinearSystem:
+        inst = self.instance
+        value = sum(map(mul, inst.e, self.z_star.entries))
+        return cell_region(inst, Cell(self.x_star, self.r)).with_rows([row_eq(inst.e, value)])
 
     @cached_property
     def rho(self) -> tuple:
@@ -213,8 +221,7 @@ def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
     denominator exceeds denominator_cap falsifies the subdeterminant bound
     and raises InternalInvariantError.
     """
-    if scan is None:
-        scan = DecisionScan(inst, config)
+    scan = _scan_for(inst, config, scan)
     if not scan.items:
         raise InfeasibleProblemError("no bilevel-feasible point")
     v_star = Fraction(min(it.shift + it.low for it in scan.items))
@@ -252,37 +259,28 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     v_star = as_rat(v_star)
     if telemetry is not None:
         telemetry.decision_queries += 1
-    if scan is None:
-        scan = DecisionScan(inst, config)
-    hit = next(scan.hits(row_eq, v_star, witness=False), None)
+    hit = next(_scan_for(inst, config, scan).hits(EQ, v_star, witness=False), None)
     if hit is None:
         return None
-    entry, _, q_system = hit
+    entry, _, (rows, rhs) = hit
     x_star = entry.cell.x
     if entry.vertex is not None:  # the closure LP's only optimum: cl(Q) at v* is one point
         nums, den = entry.vertex
         k, verts = 1, [QVector([Fraction(v, den) for v in nums])]
     else:
-        k, verts = affinely_independent_vertices(q_system)
+        k, verts = affinely_independent_vertices(inst.d, rows, rhs)
         if k == 0:
             raise InternalInvariantError("attaining slice closure has no vertices")
-    total = verts[0]
-    for v in verts[1:]:
-        total = total + v
-    z_star = total.scaled(Fraction(1, k))
-    if not q_system.satisfied_by(z_star):
-        row = next(row for row in q_system.rows if not row.satisfied_by(z_star))
-        raise InternalInvariantError(f"barycenter violates a region row: {row!r}")
+    z_star = QVector([sum(coords) / k for coords in zip(*verts)])
+    if not rows_hold(rows, rhs, *_over_common_denominator(z_star.entries)):
+        raise InternalInvariantError("barycenter violates a row of the value slice")
     if not bilevel_feasible(inst, x_star, z_star, config):
         raise InternalInvariantError("extracted optimum is not bilevel feasible")
     if inst.objective_value(x_star, z_star) != v_star:
         raise InternalInvariantError("extracted optimum misses the optimal value")
 
-    denom = 1
-    for v in verts:
-        for coord in v:
-            denom = math.lcm(denom, coord.denominator)
-    return LexTrace(x_star, entry.cell.r, q_system, k, tuple(verts), z_star, k * denom, inst)
+    denom = math.lcm(*(coord.denominator for v in verts for coord in v))
+    return LexTrace(x_star, entry.cell.r, k, tuple(verts), z_star, k * denom, inst)
 
 
 def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
@@ -391,9 +389,11 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     strict row a . z < b of its region, in integral form, tightens to
     a . z <= b - 1; integer_min over those rows gives the cell's lex-least
     optimum, and the least (value, x, z) over the cells wins. Shared with
-    the engines: is_valid_cell (_follower_improves, a one-shot IntegerSearch,
-    and strict_feasible_point), cell_region, integer_min, and cell_infimum's
-    LP over a cell's closure, the LP behind the engine's per-cell low.
+    the engines: the rows of _region_rows and _region_rhs (cell_region's),
+    is_valid_cell's _follower_improves (an IntegerSearch) and StrictFamily
+    (through strict_feasible_point), integer_min (a LexMin), and
+    cell_infimum's LP over a cell's closure, the LP behind the engine's
+    per-cell low. No solve calls cell_region or strict_feasible_point.
     """
     if variant not in (MIXED, PURE):
         raise ValueError(f"unknown variant {variant!r}")

@@ -39,9 +39,10 @@ an optimal vertex whose basis duals are all positive is, and the closure
 LPs of `cells.valid_cells` read that test once per cell.
 `StrictFamily` is the one strict lift: closed rows keep their coefficients
 with a 0 for a new variable t, nonconstant strict rows get +t, 0 <= t <= 1
-and t is maximized; `strict_feasible_point` checks every system with it,
-one whose strict rows are all constant, or absent, included, and the floor
-walk of `cells.valid_cells` checks its cells with one per walk.
+and t is maximized; `strict_feasible_point` checks a system with a
+one-shot one, one whose strict rows are all constant, or absent, included,
+the floor walk of `cells.valid_cells` checks its cells with one per walk,
+and `decide.DecisionScan.hits` runs one cold per check.
 
 An objective is any sequence of ints and Fractions, integer data as it is;
 `lp_solve` scales it once by the lcm of its denominators into an integer cost.
@@ -58,8 +59,8 @@ the row once by the lcm of its denominators, with no gcd reduction, so a
 row of integral data comes out with the integers it was given. The dual simplex, the
 active-row test of vertex purification and the re-verification all read
 that form: a point is put over one common denominator and every row is
-checked with integer dot products. Re-verification stays fatal: a family
-optimum, and so an `lp_solve` one, or a `strict_feasible_point` witness
+checked with integer dot products (`rows_hold`). Re-verification stays
+fatal: a family optimum, and so an `lp_solve` one, or a strict witness
 that misses any row raises `InternalInvariantError`.
 
 Boundedness is proved once and carried. A system built from rows whose
@@ -120,6 +121,16 @@ def _over_common_denominator(point) -> tuple:
     return [v.numerator * (den // v.denominator) for v in point], den
 
 
+def rows_hold(rows, rhs, nums, den: int) -> bool:
+    """Whether every integer row (a, rel) holds at its b in rhs at the point
+    nums / den (den > 0), a strict row strictly: integer dot products."""
+    for (a, rel), b in zip(rows, rhs):
+        lhs, b = sum(map(mul, a, nums)), b * den
+        if lhs > b or (lhs == b and rel == LT) or (lhs < b and rel == EQ):
+            return False
+    return True
+
+
 @dataclass(frozen=True, slots=True)
 class LinRow:
     """One linear constraint over integers: a . x  rel  b."""
@@ -139,13 +150,7 @@ class LinRow:
 
     def holds_at(self, nums, den: int) -> bool:
         """Whether the row holds at the point nums / den (den > 0)."""
-        lhs = sum(map(mul, self.a, nums))
-        rhs = self.b * den
-        if self.rel == LE:
-            return lhs <= rhs
-        if self.rel == EQ:
-            return lhs == rhs
-        return lhs < rhs
+        return rows_hold(((self.a, self.rel),), (self.b,), nums, den)
 
     def closed(self) -> "LinRow":
         return self if self.rel != LT else LinRow(self.a, self.b, LE)
@@ -864,9 +869,9 @@ def _pinned(rows, rhs, dim: int, nums, den: int) -> bool:
     return len(sides) == 2
 
 
-def affinely_independent_vertices(sys: LinearSystem):
-    """(k, vertices): k affinely independent vertices of the closed region,
-    k = 1 + its affine dimension, found by at most 2 dim + 1 LPs.
+def affinely_independent_vertices(dim: int, rows, rhs):
+    """(k, vertices): k affinely independent vertices of the closure of the
+    rows (a, rel) at rhs, k = 1 + its affine dimension, by <= 2 dim + 1 LPs.
 
     The LPs are cold with_cost siblings of one RhsFamily over the closed
     rows, which share its row split and kernel form, so their pivots and
@@ -880,9 +885,7 @@ def affinely_independent_vertices(sys: LinearSystem):
     each is bounded both ways on a bounded region, so an unbounded region
     raises ValueError; an infeasible one gives (0, []).
     """
-    dim = sys.dim
-    rows = [(r.a, LE if r.rel == LT else r.rel) for r in sys.rows]
-    rhs = [r.b for r in sys.rows]
+    rows = [(a, LE if rel == LT else rel) for a, rel in rows]
     family = RhsFamily(dim, rows, (0,) * dim)
     tag, nums, den = family.solve(rhs)
     if tag != "optimal":

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import support
 from conftest import MIXED_SEED, PURE_SEED
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, DecisionScan, InfeasibleRelaxationError,
+from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, LE, DecisionScan, InfeasibleRelaxationError,
                            QVector, bilevel_feasible, cell_infimum, cell_region, decide_eq,
                            decide_le, decide_le_pure, enumerate_cells, objective_bounds,
                            random_instance, row_eq, row_le, solve_mixed, solve_pure)
@@ -79,7 +79,7 @@ def _decide_le(inst, alpha, config, scan=None):
     at value <= alpha (witness=False)."""
     if scan is None:
         return decide_le(inst, alpha, config)
-    return next(scan.hits(row_le, alpha, witness=False), None) is not None
+    return next(scan.hits(LE, alpha, witness=False), None) is not None
 
 
 def test_decision_scan_matches_decide_le(example1):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import support
 from conftest import MIXED_SEED
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED, DecisionScan,
+from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, LE, UNATTAINED, DecisionScan,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
                            InternalInvariantError, LinearSystem, QVector, SolverConfig, Telemetry,
                            bilevel_feasible, bisect_decision, decide_eq, decide_le,
@@ -20,6 +20,7 @@ from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, UNATTAINED, Dec
                            random_instance, rational_reconstruct, reference_oracle, row_le,
                            solve_mixed, solve_pure)
 from bilevel_exact import cells, lattice
+from bilevel_exact.decide import witness_le
 from support import make_flipped, with_upper_rows
 
 CFG = DEFAULT_CONFIG
@@ -318,7 +319,7 @@ def test_solve_mixed_rejects_nonpositive_eps(example1):
 
 
 THRESHOLD_TAKERS = {
-    "DecisionScan.hits": lambda inst, t: next(DecisionScan(inst, CFG).hits(row_le, t)),
+    "DecisionScan.hits": lambda inst, t: next(DecisionScan(inst, CFG).hits(LE, t)),
     "decide_le": lambda inst, t: decide_le(inst, t, CFG),
     "decide_le_pure": lambda inst, t: decide_le_pure(inst, t, CFG),
     "rational_reconstruct lo": lambda inst, t: rational_reconstruct(t, Fraction(2), 10),
@@ -340,6 +341,26 @@ def test_thresholds_take_exact_rationals_only(example1, entry, bad):
     # alpha=True the threshold 1; an int, a Fraction or a str is exact
     with pytest.raises(ValueError, match="int, Fraction or str"):
         THRESHOLD_TAKERS[entry](example1, bad)
+
+
+SCAN_TAKERS = {
+    "infimum": lambda inst, scan: infimum(inst, CFG, scan),
+    "lex_extract": lambda inst, scan: lex_extract(inst, Fraction(-1), CFG, scan=scan),
+    "witness_le": lambda inst, scan: witness_le(inst, 10, CFG, scan=scan),
+    "decide_eq": lambda inst, scan: decide_eq(inst, Fraction(0), CFG, scan=scan),
+    "eps_point": lambda inst, scan: eps_point(inst, Fraction(-1), Fraction(1, 8), CFG, scan),
+}
+
+
+@pytest.mark.parametrize("entry", list(SCAN_TAKERS))
+def test_a_scan_answers_only_for_its_instance(example1, entry):
+    # a scan built for another instance would answer with that instance's
+    # cells (make_flipped's v* is 0, example1's -1): it is refused; a scan
+    # built for an equal instance answers as a fresh one
+    take = SCAN_TAKERS[entry]
+    with pytest.raises(ValueError, match="another instance"):
+        take(example1, DecisionScan(make_flipped(), CFG))
+    assert take(example1, DecisionScan(replace(example1), CFG)) == take(example1, None)
 
 
 def test_solve_leaves_no_state_on_the_instance():

@@ -323,6 +323,64 @@ def test_pure_small_leader_searches():
     assert len(built) <= 1
 
 
+def test_pure_follower_searches():
+    # a deterministic count of the follower's searches (IntegerSearch.minimize
+    # calls) in the pure solves of nine seed-7 draws where d > m0, three of
+    # each shape; 5243 before the response table searched once per distinct
+    # follower right-hand side B z + u; it may only fall
+    import pytest
+    from bilevel_exact import lattice, parse_instance, solve_pure
+    if BENCH not in sys.path:
+        sys.path.insert(0, BENCH)
+    import gen
+    rng = random.Random(7)
+    shapes = [(1, 3, 2, 16)] * 3 + [(1, 4, 2, 8)] * 3 + [(2, 3, 2, 8)] * 3
+    insts = [parse_instance(gen.to_json(gen.grid_instance(rng, f"pure-{i}", shape, "pure")))[0]
+             for i, shape in enumerate(shapes)]
+    searches = []
+    minimize = lattice.IntegerSearch.minimize
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lattice.IntegerSearch, "minimize",
+                   lambda search, *args: searches.append(1) or minimize(search, *args))
+        for inst in insts:
+            solve_pure(inst)
+    assert len(searches) <= 785
+
+
+def test_mixed_solve_path_reaches_no_one_shot_layer(mixed_batch):
+    # once its instance is built, a mixed solve with eps, and witness_le and
+    # decide_eq at a feasible v*, build no LinRow and call neither
+    # cell_region nor strict_feasible_point: every LP after the index build
+    # is posed as integer rows and right-hand sides. Checked on the
+    # mixed-grid instances and the first 40 of the mixed acceptance batch
+    import pytest
+    from bilevel_exact import UNATTAINED, cells, decide, engine, linear, solve_mixed
+    insts = grid_instances() + [inst for inst, _, _ in mixed_batch[0][:40]]
+    one_shot = ("cell_region", "strict_feasible_point")
+    assert not set(one_shot) & set(vars(decide))
+
+    def refuse(*args):
+        raise AssertionError("a mixed solve reached the one-shot layer")
+
+    feasible = 0
+    with pytest.MonkeyPatch.context() as mp:
+        for module in (cells, decide, engine, linear):
+            for name in one_shot:
+                if hasattr(module, name):
+                    mp.setattr(module, name, refuse)
+        mp.setattr(linear.LinRow, "__post_init__", refuse)
+        for inst in insts:
+            rep = solve_mixed(inst, eps=GRID_EPS)
+            if rep.infimum is None:
+                continue
+            feasible += 1
+            scan = decide.DecisionScan(inst)
+            unattained = rep.status == UNATTAINED
+            assert (decide.witness_le(inst, rep.infimum, scan=scan) is None) == unattained
+            assert (decide.decide_eq(inst, rep.infimum, scan=scan) is None) == unattained
+    assert feasible > 100
+
+
 def test_per_solve_construction_work():
     # a deterministic count of what 25 mixed-grid and 25 pure-small solves
     # build around their LPs: LinRow constructions and kernel forms
@@ -336,7 +394,10 @@ def test_per_solve_construction_work():
     # before bilevel_feasible searched the follower's rows without building
     # a follower system, and 981 and 222 on mixed-grid before the lex scan
     # skipped the cells whose unique closure optimum lies outside their
-    # region and the vertex walk ran on one family; they may only fall
+    # region and the vertex walk ran on one family, and 579 LinRows on
+    # mixed-grid before the scan's checks, the lex vertex walk and the
+    # extraction checks read integer rows and right-hand sides; they may
+    # only fall, and neither kind of solve builds a LinRow
     import pytest
     from bilevel_exact import linear, solve_mixed, solve_pure
     runs = ((solve_mixed, grid_instances()[:25], {"eps": GRID_EPS}),
@@ -352,7 +413,7 @@ def test_per_solve_construction_work():
                 solve(inst, **kwargs)
             work.append((len(rows), len(forms)))
     (grid_rows, grid_forms), (pure_rows, pure_forms) = work
-    assert grid_rows <= 579 and grid_forms <= 174
+    assert grid_rows == 0 and grid_forms <= 174
     assert pure_rows == 0 and pure_forms <= 25
 
 

@@ -447,12 +447,14 @@ def test_solve_example1_script_matches_readme():
 
 def test_ab_inprocess_script_runs_one_checkout_against_itself():
     # the A/B timing tool, run with this checkout as both sides on one pass
-    # of pure-small, ends with equal answers
+    # of pure-small and one of mixed-small, whose answers include the lex
+    # traces, ends with equal answers
     script = os.path.join(support.ROOT, "scripts", "ab_inprocess.py")
-    out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, "pure-small",
-                          "--reps", "1"], capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines()[-1] == "answers equal: yes"
+    for workload in ("pure-small", "mixed-small"):
+        out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, workload,
+                              "--reps", "1"], capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.splitlines()[-1] == "answers equal: yes"
 
 
 def _with_config(monkeypatch, config):

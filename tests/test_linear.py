@@ -404,9 +404,15 @@ def walk_systems():
     return st.builds(build, st.integers(1, 3), st.lists(row, max_size=3))
 
 
+def _walk(sys_):
+    """affinely_independent_vertices over the rows and right-hand sides of sys_."""
+    return affinely_independent_vertices(sys_.dim, [(r.a, r.rel) for r in sys_.rows],
+                                         [r.b for r in sys_.rows])
+
+
 def _walk_counting_lps(sys_):
-    """affinely_independent_vertices(sys_) and the families of its LPs: the
-    walk solves each LP as one RhsFamily solve."""
+    """_walk(sys_) and the families of its LPs: the walk solves each LP as
+    one RhsFamily solve."""
     calls = []
     solve = linear.RhsFamily.solve
 
@@ -416,7 +422,7 @@ def _walk_counting_lps(sys_):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(linear.RhsFamily, "solve", counting)
-        return affinely_independent_vertices(sys_), calls
+        return _walk(sys_), calls
 
 
 @settings(max_examples=80)
@@ -434,13 +440,13 @@ def test_affinely_independent_vertices_match_vertex_scan(sys_):
 
 
 def test_affinely_independent_counts():
-    k, verts = affinely_independent_vertices(BOX)
+    k, verts = _walk(BOX)
     assert k == 3 and len(verts) == 3
     point = LinearSystem(2, (row_eq([1, 0], 1), row_eq([0, 1], 2)))
-    k1, v1 = affinely_independent_vertices(point)
+    k1, v1 = _walk(point)
     assert k1 == 1 and v1[0].entries == (1, 2)
     segment = BOX.with_rows([row_eq([0, 1], 1)])
-    k2, _ = affinely_independent_vertices(segment)
+    k2, _ = _walk(segment)
     assert k2 == 2
 
 
@@ -463,15 +469,15 @@ def test_segment_slice_still_walks():
 
 def test_affinely_independent_vertices_empty_and_unbounded():
     empty = BOX.with_rows([row_le([1, 1], -1)])
-    assert affinely_independent_vertices(empty) == (0, [])
+    assert _walk(empty) == (0, [])
     with pytest.raises(ValueError):
-        affinely_independent_vertices(LinearSystem(1, (row_le([-1], 0),)))
+        _walk(LinearSystem(1, (row_le([-1], 0),)))
     # unbounded, yet each minimization of the walk finds a vertex off v0's
     # level: only the maximizations see the unbounded direction
     wedge = LinearSystem(2, (row_le([-1, -2], 1), row_le([-1, -1], 1), row_le([-1, 0], 2),
                              row_le([2, -2], 3)))
     with pytest.raises(ValueError):
-        affinely_independent_vertices(wedge)
+        _walk(wedge)
 
 
 def test_derived_systems_check_only_new_rows():
