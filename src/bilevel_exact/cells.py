@@ -47,9 +47,10 @@ The candidate x come from lattice.integer_candidates, the one integer walk,
 with their activities A x and psi . x as integers. Nothing caches an index
 across calls either: each cell_index call builds a fresh one. Besides its
 data fields, the Instance holds two row sets that its constructor builds
-from the data alone, once: the upper system, with its boundedness proof, and the
-follower-relaxation rows A x - B z <= u. Every solve reads them, and none
-writes to the instance.
+from the data alone, once, as integer rows (a, "<=") and their right-hand
+sides, the form every LP here takes: the upper rows and the
+follower-relaxation rows A x - B z <= u. Every solve reads them, none
+writes to the instance, and none builds a LinRow.
 """
 from __future__ import annotations
 
@@ -60,9 +61,9 @@ from typing import Optional
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
-from .lattice import IntegerSearch, integer_candidates, mixed_feasible, _charge
+from .lattice import IntegerSearch, integer_candidates, _charge
 from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve,
-                     recession_bounded, row_eq, row_le, strict_feasible_point, _bounded_system,
+                     recession_bounded, row_eq, row_le, rows_hold, strict_feasible_point,
                      _over_common_denominator, _unit)
 from .rational import QVector
 
@@ -89,13 +90,14 @@ class Instance:
     for a float, a bool, a str or a non-integral Fraction); then come the
     shapes ("bad-shape"), and the boundedness of the upper-level region and
     of the follower polyhedra for every z. It keeps two row sets built
-    from the data: the upper system C x + D z <= p, z >= 0, whose rows the
-    recession test reads, with its boundedness proof, and the
-    follower-relaxation rows A x - B z <= u; upper_system, upper_rows and
-    follower_relax_rows read them. They are fields
-    that the constructor sets and that equality, hashing and repr leave out;
-    dataclasses.replace builds them again from the new data. Equal tuples of
-    ints among the data and these rows are kept as one tuple.
+    from the data, each a pair (rows, rhs) of a tuple of integer rows
+    (a, "<=") over (x, z) and the tuple of their right-hand sides: `upper`,
+    C x + D z <= p and z >= 0 (the rows the recession test reads, at p and
+    d zeros), and `relax`, the follower-relaxation rows A x - B z <= u.
+    They are fields that the constructor sets and that equality, hashing
+    and repr leave out; dataclasses.replace builds them again from the new
+    data. Equal tuples of ints among the data and these rows are kept as
+    one tuple.
     """
 
     n: int
@@ -110,8 +112,8 @@ class Instance:
     u: tuple
     p: tuple
     # built once from the data above by __post_init__; never set by a solve
-    _upper: LinearSystem = field(init=False, compare=False, repr=False)
-    _relax: tuple = field(init=False, compare=False, repr=False)
+    upper: tuple = field(init=False, compare=False, repr=False)
+    relax: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         n, d = self.n, self.d
@@ -148,16 +150,15 @@ class Instance:
             if len(data) != size or (cols is not None and any(len(row) != cols for row in data)):
                 raise ValidationError("bad-shape", f"{name} does not fit n={n}, d={d}, the "
                                       f"{m} rows of A and the {h} rows of C")
-        upper = [LinRow(one(cr + dr), pv, LE) for cr, dr, pv in zip(self.C, self.D, self.p)]
-        upper += [LinRow(one(_unit(n + d, n + i, -1)), 0, LE) for i in range(d)]
-        if not recession_bounded([row.a for row in upper], n + d):
+        upper = [one(cr + dr) for cr, dr in zip(self.C, self.D)]
+        upper += [one(_unit(n + d, n + i, -1)) for i in range(d)]
+        if not recession_bounded(upper, n + d):
             raise ValidationError("unbounded-P", "upper-level region C x + D z <= p, z >= 0 is unbounded")
         if not recession_bounded(self.A, n):
             raise ValidationError("unbounded-follower", "follower regions A x <= B z + u are unbounded")
-        object.__setattr__(self, "_upper", _bounded_system(n + d, upper))
-        object.__setattr__(self, "_relax", tuple(
-            LinRow(one(ar + tuple(-v for v in br)), uv, LE)
-            for ar, br, uv in zip(self.A, self.B, self.u)))
+        object.__setattr__(self, "upper", (tuple((a, LE) for a in upper), self.p + (0,) * d))
+        object.__setattr__(self, "relax", (tuple(
+            (one(ar + tuple(-v for v in br)), LE) for ar, br in zip(self.A, self.B)), self.u))
 
     @property
     def m(self) -> int:
@@ -178,20 +179,11 @@ class Instance:
         nums, den = _over_common_denominator(z)
         return Fraction(sum(map(mul, self.c, x)) * den + sum(map(mul, self.e, nums)), den)
 
-    def upper_rows(self) -> list:
-        """C x + D z <= p plus z >= 0, over (x, z): a fresh list of the
-        rows that the constructor built."""
-        return list(self._upper.rows)
-
-    def follower_relax_rows(self) -> list:
-        """A x - B z <= u over (x, z): a fresh list of the rows that the
-        constructor built."""
-        return list(self._relax)
-
     def upper_system(self) -> LinearSystem:
-        """The upper rows as a system over (x, z), carrying the boundedness
-        proof that validation made for them (code "unbounded-P")."""
-        return self._upper
+        """The upper rows at their right-hand sides as a new LinearSystem
+        over (x, z), for the one-shot layer: each call builds one."""
+        return LinearSystem(self.n + self.d,
+                            [LinRow(a, b, rel) for (a, rel), b in zip(*self.upper)])
 
 
 @dataclass(frozen=True)
@@ -236,6 +228,13 @@ def floor_rhs(inst: Instance, z) -> tuple:
     return tuple((sum(map(mul, br, nums)) + uv * den) // den for br, uv in zip(inst.B, inst.u))
 
 
+def _value_row(inst: Instance, alpha) -> tuple:
+    """((a, "<="), b): the row c . x + e . z <= alpha over (x, z) as integers,
+    both sides times q, the denominator of alpha, as row_le builds it."""
+    q = alpha.denominator
+    return (tuple(q * v for v in inst.c + inst.e), LE), alpha.numerator
+
+
 def _region_rows(inst: Instance) -> list:
     """The coefficient rows (a, rel) over z that every cell region has, in
     the order of _region_rhs: D_k (<=), -e_j (<=) and, for each i, -B_i (<=)
@@ -257,20 +256,24 @@ def _region_rhs(inst: Instance, x: tuple, r: tuple) -> list:
     return rhs
 
 
+def _check_shape(inst: Instance, cell: Cell):
+    """Raise ValueError unless len(cell.x) is n and len(cell.r) is m."""
+    if len(cell.x) != inst.n or len(cell.r) != inst.m:
+        raise ValueError("cell does not match the instance shape")
+
+
 def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
     """The half-open region of leader points that realize the cell.
 
     Rows over z: D z <= p - C x (closed), z >= 0 (closed), r_i <= B_i z + u_i
     (closed) and B_i z + u_i < r_i + 1 (strict): every row of _region_rows
     at the right-hand sides of _region_rhs, constant rows included, which
-    the LPs settle. The region carries a boundedness proof: its recession
-    cone lies in {z : D z <= 0, z >= 0}, the x = 0 slice of the upper-level
-    cone that validation proved to be {0}.
+    the LPs settle. A cell of another shape than the instance's raises
+    ValueError.
     """
-    if len(cell.x) != inst.n or len(cell.r) != inst.m:
-        raise ValueError("cell does not match the instance shape")
-    return _bounded_system(inst.d, [LinRow(a, b, rel) for (a, rel), b in
-                                    zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
+    _check_shape(inst, cell)
+    return LinearSystem(inst.d, [LinRow(a, b, rel) for (a, rel), b in
+                                 zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
 
 
 def _follower_check(inst: Instance) -> IntegerSearch:
@@ -288,7 +291,9 @@ def _follower_improves(check: IntegerSearch, r: tuple, value, config: SolverConf
 
 
 def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """Feasible response, follower-optimal, and a strictly realizable region."""
+    """Feasible response, follower-optimal, and a strictly realizable region.
+    A cell of another shape than the instance's raises ValueError."""
+    _check_shape(inst, cell)
     if any(sum(map(mul, ar, cell.x)) > rv for ar, rv in zip(inst.A, cell.r)):
         return False
     value = sum(map(mul, inst.psi, cell.x))
@@ -298,7 +303,7 @@ def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CON
 
 
 def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG) -> bool:
-    """Direct definition: (x, z) meets upper_system and the integer x solves
+    """Direct definition: (x, z) meets the upper rows and the integer x solves
     the follower at z. For an integer x, A x <= B z + u holds exactly when
     A x <= floor(B z + u), so x must meet A x <= floor_rhs(inst, z) and
     attain the least psi . x there, which one IntegerSearch over the rows A
@@ -315,7 +320,7 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
     xs = [int(v) for v in xv]
     nums, den = _over_common_denominator(z)
     point = [v * den for v in xs] + nums
-    if not all(row.holds_at(point, den) for row in inst.upper_system().rows):
+    if not rows_hold(*inst.upper, point, den):
         return False
     if any(sum(map(mul, ar, xs)) > rv for ar, rv in zip(inst.A, rhs)):
         return False
@@ -356,9 +361,11 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     The walk lists the x candidates once: the integer x of the joint
     relaxation, the upper rows with A x - B z <= u, each with A x and
     psi . x; none means an Infeasible instance, as every valid cell's
-    (x, z) lies there. With n > 1 a mixed_feasible check of the relaxation
-    comes first, as each value of a leading coordinate that the listing
-    tries may lack an integer completion. It then walks the floor vector r
+    (x, z) lies there. With n > 1 a mixed-feasibility check of the
+    relaxation comes first, as each value of a leading coordinate that the
+    listing tries may lack an integer completion: one IntegerSearch over
+    its rows, integer on x, of zero cost, whose upper rows validation
+    proved bounded (code "unbounded-P"). It then walks the floor vector r
     once, on the closed upper system in (x, z) with x continuous (relaxation
     rows there cost more basis exchanges than they save). At row i it takes
     the range of B_i z over the rows chosen so far and, for each floor r_i
@@ -400,32 +407,36 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     whether Q reaches low. Other entries keep no vertex.
 
     With `alpha`, the candidate listing and the walk's system carry the row
-    c . x + e . z <= alpha too: a cell with a point z of value <= alpha in
-    its region has (x, z) on that row, so the walk still reaches it. A pair
-    with low > alpha - c . x has no such point and is skipped; a pair whose
-    LP vertex lies in Q at low <= alpha - c . x is a hit. Any other pair is
-    kept when its region with e . z <= alpha - c . x added is strictly
-    feasible, which proves at once that the cell is valid and that it meets
-    the threshold; that value row has the same coefficients for every x,
-    so it is a row of the walk's strict family. A decision query stops at
-    the first pair.
+    c . x + e . z <= alpha too, in integer form (_value_row): a cell with a
+    point z of value <= alpha in its region has (x, z) on that row, so the
+    walk still reaches it. A pair with low > alpha - c . x has no such
+    point and is skipped; a pair whose LP vertex lies in Q at
+    low <= alpha - c . x is a hit. Any other pair is kept when its region
+    with e . z <= alpha - c . x added is strictly feasible, which proves at
+    once that the cell is valid and that it meets the threshold; that value
+    row, times the denominator q of alpha, has the same coefficients q e
+    for every x, so it is a row of the walk's strict family. A decision
+    query stops at the first pair.
 
     cell_cap counts the candidate walk's values, the leaves and the (x, r)
     pairs tested, and node_cap the nodes of each branch-and-bound call: the
     screen's and each leaf's follower check.
     """
     budget = [0]
-    value = [] if alpha is None else [row_le(inst.c + inst.e, alpha)]
-    upper = inst.upper_rows() + value
-    joint = inst.upper_system().with_rows(value + inst.follower_relax_rows())
-    if inst.n > 1 and mixed_feasible(joint, range(inst.n), config) is None:
+    dim = inst.joint_dim()
+    upper, upper_rhs = inst.upper
+    if alpha is not None:
+        value, b = _value_row(inst, alpha)
+        upper, upper_rhs = upper + (value,), upper_rhs + (b,)
+    joint, joint_rhs = upper + inst.relax[0], upper_rhs + inst.relax[1]
+    if inst.n > 1 and IntegerSearch(dim, joint, range(inst.n), (0,) * dim).minimize(
+            joint_rhs, config) is None:
         return
     candidates = [(x, tuple(sum(map(mul, row, x)) for row in inst.A), sum(map(mul, inst.psi, x)))
-                  for x in integer_candidates(joint.rows, inst.joint_dim(), range(inst.n),
-                                              config, budget)]
+                  for x in integer_candidates(joint, joint_rhs, dim, range(inst.n), config,
+                                              budget)]
     if not candidates:
         return
-    dim = inst.joint_dim()
     # per row i over (x, z): B_i z, and the rows a floor r_i adds,
     # A_i x <= r_i, -B_i z <= u_i - r_i and B_i z <= r_i + 1 - u_i
     spans = [(0,) * inst.n + br for br in inst.B]
@@ -440,7 +451,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         """The floors of B_i z + u_i over the walk's system at rhs, None
         when the system is empty: one family solve per sense."""
         if i not in ranges:
-            rows = [(r.a, r.rel) for r in upper] + [row for j in range(i) for row in level_rows[j]]
+            rows = list(upper) + [row for j in range(i) for row in level_rows[j]]
             low = RhsFamily(dim, rows, spans[i])
             ranges[i] = (low, low.with_cost(tuple(-v for v in spans[i])))
         uv = inst.u[i]
@@ -504,19 +515,19 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
         if alpha is not None and low > alpha - shift:
             return None
         if not inside:
-            rows = region_rows
-            if alpha is not None:
-                value = row_le(inst.e, alpha - shift)
-                rows = rows + [(value.a, LE)]
-                rhs.append(value.b)
+            if alpha is not None:  # e . z <= alpha - shift, both sides times alpha's denominator
+                rhs.append(alpha.numerator - alpha.denominator * shift)
             if strict is None:
+                rows = region_rows
+                if alpha is not None:
+                    rows = rows + [(tuple(alpha.denominator * v for v in inst.e), LE)]
                 strict = StrictFamily(inst.d, rows)
             if strict.point(rhs) is None:
                 return None
         return CellEntry(cell, shift, low, inside, (tuple(nums), den) if closure.unique() else None)
 
     try:
-        yield from walk([r.b for r in upper], [], candidates)
+        yield from walk(list(upper_rhs), [], candidates)
     finally:
         # walk refers to itself through its closure: dropping the name frees
         # the walk's state (candidates, families) as soon as the caller

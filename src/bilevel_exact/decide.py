@@ -33,11 +33,11 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cells import Instance, cell_index, valid_cells, _region_rhs, _region_rows
+from .cells import Instance, cell_index, valid_cells, _region_rhs, _region_rows, _value_row
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError
 from .lattice import IntegerSearch, LexMin, integer_candidates
-from .linear import EQ, LE, StrictFamily, row_le, rows_hold
+from .linear import EQ, LE, StrictFamily, rows_hold
 from .rational import QVector, as_rat
 
 
@@ -161,11 +161,12 @@ def witness_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
 def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
     """The all-integer variant's response table, one entry per leader z.
 
-    Lists the integer z of the closed joint relaxation (upper rows, follower
-    relaxation, and value <= alpha when alpha is given) in lex order, one
-    integer_candidates walk over the coordinates range(n, n + d). At
-    each z it solves the follower, fixes the upper rows at z, and minimizes
-    the leader's objective over the follower's argmin under them; when that
+    Lists the integer z of the closed joint relaxation (the instance's upper
+    and relaxation rows, and value <= alpha when alpha is given, in the
+    integer form of _value_row) in lex order, one integer_candidates walk
+    over the coordinates range(n, n + d). At each z it solves the
+    follower, fixes the upper rows at z, and minimizes the leader's
+    objective over the follower's argmin under them; when that
     set has a point it yields (value, x, z) with x its lex-least minimizer
     and x and z as tuples of ints. Every bilevel-feasible point of value v
     at a listed z has an entry of value <= v at that z.
@@ -181,17 +182,19 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     out.
     """
     n = inst.n
-    joint = inst.upper_rows() + inst.follower_relax_rows()
+    joint = inst.upper[0] + inst.relax[0]
+    joint_rhs = inst.upper[1] + inst.relax[1]
     if alpha is not None:
-        joint.append(row_le(inst.c + inst.e, alpha))
+        value, b = _value_row(inst, alpha)
+        joint, joint_rhs = joint + (value,), joint_rhs + (b,)
     follower_rows = [(a, LE) for a in inst.A]
     follower = IntegerSearch(n, follower_rows, range(n), inst.psi)
     leader = None if n == 1 and any(inst.psi) else LexMin(
         n, follower_rows + [(inst.psi, EQ)] + [(cr, LE) for cr in inst.C], inst.c)
     budget = [0]
     optima = {}  # r -> the follower's search at r, which reads nothing else
-    for z_ints in integer_candidates(joint, inst.joint_dim(), range(n, inst.joint_dim()),
-                                     config, budget):
+    for z_ints in integer_candidates(joint, joint_rhs, inst.joint_dim(),
+                                     range(n, inst.joint_dim()), config, budget):
         r = tuple(sum(map(mul, br, z_ints)) + uv for br, uv in zip(inst.B, inst.u))
         if r not in optima:
             optima[r] = follower.minimize(list(r), config)

@@ -39,8 +39,7 @@ from .decide import DecisionScan, pure_responses, witness_le, _scan_for
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import integer_min, _charge
 from .linear import (EQ, LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
-                     lp_solve, row_eq, rows_hold, _bounded_system, _over_common_denominator,
-                     _unit)
+                     lp_solve, row_eq, rows_hold, _over_common_denominator, _unit)
 from .rational import QVector, as_rat, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -387,13 +386,16 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     x* and, from cell_infimum's witness, z* strictly inside its optimal
     slice. Pure: an integer z in a cell (x, r) has B z + u = r, so each
     strict row a . z < b of its region, in integral form, tightens to
-    a . z <= b - 1; integer_min over those rows gives the cell's lex-least
-    optimum, and the least (value, x, z) over the cells wins. Shared with
-    the engines: the rows of _region_rows and _region_rhs (cell_region's),
-    is_valid_cell's _follower_improves (an IntegerSearch) and StrictFamily
-    (through strict_feasible_point), integer_min (a LexMin), and
-    cell_infimum's LP over a cell's closure, the LP behind the engine's
-    per-cell low. No solve calls cell_region or strict_feasible_point.
+    a . z <= b - 1; integer_min over those rows, which checks each such
+    system bounded by its own cone LPs, gives the cell's lex-least optimum,
+    and the least (value, x, z) over the cells wins. The boxes of x and of
+    the floors are lp_range over inst.upper_system(). Shared with the
+    engines: the instance's upper rows, the rows of _region_rows and
+    _region_rhs (cell_region's), is_valid_cell's _follower_improves (an
+    IntegerSearch) and StrictFamily (through strict_feasible_point),
+    integer_min (a LexMin), and cell_infimum's LP over a cell's closure,
+    the LP behind the engine's per-cell low. No solve calls cell_region or
+    strict_feasible_point.
     """
     if variant not in (MIXED, PURE):
         raise ValueError(f"unknown variant {variant!r}")
@@ -404,7 +406,7 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
         for cell in cells:
             rows = [LinRow(r.a, r.b - 1, LE) if r.rel == LT else r
                     for r in cell_region(inst, cell).rows]
-            out = integer_min(inst.e, _bounded_system(inst.d, rows), config)
+            out = integer_min(inst.e, LinearSystem(inst.d, rows), config)
             if out.is_optimal:
                 found.append((sum(map(mul, inst.c, cell.x)) + out.value, cell.x,
                               out.point.entries))

@@ -2,9 +2,10 @@
 branch-and-bound, sharing no search code, so each cross-checks the other.
 
 Both name the integer coordinates by index. The walk, integer_candidates,
-lists in lex order the integer values of a range of coordinates that keep a
-closed system feasible, taking the exact LP range of one coordinate per
-level; every value tried counts against cell_cap. Each level keeps one
+lists in lex order the integer values of a range of coordinates that keep
+closed rows (a, rel) feasible at integer right-hand sides, taking the
+exact LP range of one coordinate per level; every value tried counts
+against cell_cap. Each level keeps one
 linear.RhsFamily over the rows with the fixed coordinates' columns dropped,
 so a prefix is a right-hand side, and each range is the family's span, as
 in lp_range. It lists the cell candidates (x, the leading range), the pure
@@ -27,13 +28,15 @@ over the rows and the value row, fixing the earlier coordinates through
 their bound rows, up to the first coordinate from which the "=" rows and
 the value row pin the rest, so a point that they pin at once costs the
 level search alone. The floor walk and the pure table keep one search per
-walk or solve, and cells.bilevel_feasible builds one per call;
-mixed_feasible (an IntegerSearch) and integer_min (a LexMin) are one-shot
-uses, as lp_solve is a one-shot family. They and enumerate_integers share
-one prologue, _closed_bounded: strict rows are rejected and the projection
-onto the integer coordinates proved bounded before any search. An
-objective is any sequence of ints and Fractions, as linear.lp_solve takes
-it: integer data goes to the LPs as it is.
+walk or solve, the floor walk's mixed-feasibility screen and
+cells.bilevel_feasible build one per call, each over rows that instance
+validation proved bounded. mixed_feasible (an IntegerSearch) and
+integer_min (a LexMin) are the one-shot uses over a LinearSystem, as
+lp_solve is a one-shot family. They and enumerate_integers share one
+prologue, _closed_bounded: strict rows are rejected and the projection
+onto the integer coordinates checked bounded by its cone LPs before any
+search. An objective is any sequence of ints and Fractions, as
+linear.lp_solve takes it: integer data goes to the LPs as it is.
 """
 from __future__ import annotations
 
@@ -52,8 +55,8 @@ def _closed_bounded(sys: LinearSystem, coords, message: str) -> tuple:
     """(rows, rhs): the rows (a, rel) of sys and their right-hand sides.
 
     Raises ValueError on a strict row and BoundednessError(message) unless
-    the projection onto coords is bounded; a system carrying a boundedness
-    proof passes without cone LPs.
+    the cone LPs of _projection_bounded find the projection onto coords
+    bounded.
     """
     if sys.has_strict():
         raise ValueError("lattice operations take closed rows only")
@@ -215,10 +218,11 @@ def _charge(budget, config: SolverConfig):
         raise ResourceLimitError(f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
 
 
-def integer_candidates(rows, total_dim: int, coords: range, config: SolverConfig,
+def integer_candidates(rows, rhs, total_dim: int, coords: range, config: SolverConfig,
                        budget) -> list:
     """Integer assignments of the coordinates in `coords`, a step-1 range,
-    that keep the closed system feasible with the others continuous.
+    that keep the closed rows (a, rel) at the integer right-hand sides rhs
+    feasible with the others continuous.
 
     Lex order; level t fixes coordinate coords.start + t. Each level keeps
     one RhsFamily over the rows with the columns of the coordinates fixed
@@ -229,9 +233,8 @@ def integer_candidates(rows, total_dim: int, coords: range, config: SolverConfig
     a one-element mutable counter shared with the caller's cap, charged
     once per integer value tried.
     """
-    rhs = [r.b for r in rows]
-    if not coords:  # the empty assignment, when the system has a point
-        family = RhsFamily(total_dim, [(r.a, r.rel) for r in rows], (0,) * total_dim)
+    if not coords:  # the empty assignment, when the rows have a point
+        family = RhsFamily(total_dim, rows, (0,) * total_dim)
         return [()] if family.solve(rhs)[0] == "optimal" else []
     at = coords.start
     levels = []  # per level: its family and its coordinate's column
@@ -241,8 +244,8 @@ def integer_candidates(rows, total_dim: int, coords: range, config: SolverConfig
         t = len(prefix)
         if t == len(levels):
             dim = total_dim - t
-            levels.append((RhsFamily(dim, [(r.a[:at] + r.a[at + t:], r.rel) for r in rows],
-                                     _unit(dim, at)), [r.a[at + t] for r in rows]))
+            levels.append((RhsFamily(dim, [(a[:at] + a[at + t:], rel) for a, rel in rows],
+                                     _unit(dim, at)), [a[at + t] for a, _ in rows]))
         family, column = levels[t]
         ends = family.span(rhs)
         if ends is None:
@@ -263,5 +266,6 @@ def enumerate_integers(sys: LinearSystem,
                        config: SolverConfig = DEFAULT_CONFIG) -> list:
     """All integer points of a bounded closed system, in lex order: one
     integer_candidates walk over every coordinate, charged to cell_cap."""
-    _closed_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
-    return [QVector(p) for p in integer_candidates(sys.rows, sys.dim, range(sys.dim), config, [0])]
+    rows, rhs = _closed_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
+    return [QVector(p)
+            for p in integer_candidates(rows, rhs, sys.dim, range(sys.dim), config, [0])]

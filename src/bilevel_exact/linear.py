@@ -50,10 +50,14 @@ Anything else, a float, a bool or a str, raises ValueError, in an objective
 or in a row built by `row_le`, `row_eq` or `row_lt`: one scaler,
 `_integer_cost`, serves both.
 
-Every row is stored in integer form alone: `LinRow(a, b, rel)` is the row
-a . x rel b with integer a and b, and its constructor rejects anything else.
-Rows of integer data (the instance's, the floor walk's, the branch rows)
-are built as `LinRow`s directly. `row_le`, `row_eq` and `row_lt` are for
+Every row is in integer form. The engine's one row form is an integer row
+(a, rel), its right-hand side b an integer kept apart, one per row, as the
+families take them: the instance keeps its rows so, and the floor walk, the
+searches and the scans pose every LP on such rows. `LinRow(a, b, rel)` is
+the row a . x rel b with integer a and b, and its constructor rejects
+anything else; `LinearSystem`s of them are the input of the one-shot layer
+(`lp_solve`, `lp_range`, `strict_feasible_point`, `vertices` and the
+one-shot searches of `lattice`). `row_le`, `row_eq` and `row_lt` are for
 rational data, such as a value row at a rational threshold: they multiply
 the row once by the lcm of its denominators, with no gcd reduction, so a
 row of integral data comes out with the integers it was given. The dual simplex, the
@@ -63,13 +67,11 @@ checked with integer dot products (`rows_hold`). Re-verification stays
 fatal: a family optimum, and so an `lp_solve` one, or a strict witness
 that misses any row raises `InternalInvariantError`.
 
-Boundedness is proved once and carried. A system built from rows whose
-recession cone `{y : rows y <= 0}` is already proved to be `{0}` (instance
-validation proves it for the follower matrix and for the upper-level region)
-is made with `_bounded_system`; adding rows only shrinks a cone, so
-`with_rows` and `closure` keep the proof, and the integer searches and
-`vertices` skip their cone LPs on such systems. A system built through the
-public constructor carries no proof and is still checked
+Boundedness is the caller's to know. A family, a search or a walk of
+`lattice` takes rows that bound what it is asked: instance validation
+proves the follower matrix and the upper-level region bounded
+(`recession_bounded`), and every LP the engine poses keeps the rows of one
+of them. The one-shot layer checks each system it is given
 (`_projection_bounded`): one `lp_range` per coordinate over the truncated
 cone.
 
@@ -99,7 +101,7 @@ StrictFamily and strict_feasible_point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from operator import add, mul
@@ -190,46 +192,28 @@ def row_lt(coeffs: Iterable, rhs) -> LinRow:
 
 @dataclass(frozen=True, slots=True)
 class LinearSystem:
-    """A finite set of rows over a fixed ambient dimension.
-
-    `proved_bounded` records a proof that the recession cone of the closed
-    system is {0}. The constructor always sets it False; only
-    `_bounded_system` sets it, and `with_rows` and `closure` keep it.
-    """
+    """A finite set of rows over a fixed ambient dimension."""
 
     dim: int
     rows: tuple
-    proved_bounded: bool = field(default=False, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "rows", tuple(self.rows))
-        self._check(self.rows)
-
-    def _check(self, rows):
-        for r in rows:
+        for r in self.rows:
             if not isinstance(r, LinRow):
                 raise ValueError("LinearSystem rows must be LinRow")
             if len(r.a) != self.dim:
                 raise ValueError(f"row of dim {len(r.a)} in system of dim {self.dim}")
 
-    def _carrying_proof(self, rows: tuple) -> "LinearSystem":
-        out = object.__new__(LinearSystem)  # rows already checked: no __post_init__
-        object.__setattr__(out, "dim", self.dim)
-        object.__setattr__(out, "rows", rows)
-        object.__setattr__(out, "proved_bounded", self.proved_bounded)
-        return out
-
     def closure(self) -> "LinearSystem":
         """Replace strict rows by their closed counterparts (idempotent)."""
-        return self._carrying_proof(tuple(r.closed() for r in self.rows))
+        return LinearSystem(self.dim, [r.closed() for r in self.rows])
 
     def has_strict(self) -> bool:
         return any(r.rel == LT for r in self.rows)
 
     def with_rows(self, extra: Iterable[LinRow]) -> "LinearSystem":
-        extra = tuple(extra)
-        self._check(extra)
-        return self._carrying_proof(self.rows + extra)
+        return LinearSystem(self.dim, self.rows + tuple(extra))
 
     def satisfied_by(self, point: Sequence) -> bool:
         if not isinstance(point, QVector):
@@ -238,17 +222,6 @@ class LinearSystem:
             raise ValueError(f"point of dim {point.dim} for a system of dim {self.dim}")
         nums, den = _over_common_denominator(point.entries)
         return all(r.holds_at(nums, den) for r in self.rows)
-
-
-def _bounded_system(dim: int, rows) -> LinearSystem:
-    """A system marked as having the recession cone {0}.
-
-    Only for rows that include a set whose cone is already proved trivial;
-    the caller states which proof it relies on.
-    """
-    out = LinearSystem(dim, rows)
-    object.__setattr__(out, "proved_bounded", True)
-    return out
 
 
 @dataclass(frozen=True)
@@ -787,12 +760,7 @@ def _truncated_cone(rows, dim: int) -> LinearSystem:
 
 def _projection_bounded(sys: LinearSystem, coords) -> bool:
     """True iff the closed system's recession cone has y_i = 0 for i in coords:
-    the lp_range of each y_i over the truncated cone is (0, 0).
-
-    A carried boundedness proof answers without solving the cone LPs.
-    """
-    if sys.proved_bounded:
-        return True
+    the lp_range of each y_i over the truncated cone is (0, 0)."""
     cone = _truncated_cone([(r.a, r.rel) for r in sys.closure().rows], sys.dim)
     return all(lp_range(cone, _unit(sys.dim, i)) == (0, 0) for i in coords)
 
@@ -883,9 +851,15 @@ def affinely_independent_vertices(dim: int, rows, rhs):
     first) joins the output and v - v0 the directions; if none, w is an
     implicit equality and joins the directions. The w are independent and
     each is bounded both ways on a bounded region, so an unbounded region
-    raises ValueError; an infeasible one gives (0, []).
+    raises ValueError; an infeasible one gives (0, []). A row of another
+    length than dim, or an rhs of another length than rows, raises
+    ValueError before any LP.
     """
     rows = [(a, LE if rel == LT else rel) for a, rel in rows]
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    if any(len(a) != dim for a, _ in rows):
+        raise ValueError(f"a row of another length than dim = {dim}")
     family = RhsFamily(dim, rows, (0,) * dim)
     tag, nums, den = family.solve(rhs)
     if tag != "optimal":

@@ -152,6 +152,11 @@ def _fractions(values):
     return [Fraction(v) for v in values]
 
 
+def _pairs(rows):
+    """LinRows as the instance keeps its rows: ((a, rel), ...) and (b, ...)."""
+    return tuple((r.a, r.rel) for r in rows), tuple(r.b for r in rows)
+
+
 def test_rows_carry_the_integers_of_the_rational_rows():
     # every row built straight from the int data is the row that row_le and
     # row_lt build from the Fraction form of the same data: lcm 1, no gcd
@@ -161,12 +166,12 @@ def test_rows_carry_the_integers_of_the_rational_rows():
         inst = random_instance(rng)
         n, d = inst.n, inst.d
         units = [_fractions(-int(j == n + i) for j in range(n + d)) for i in range(d)]
-        assert inst.upper_rows() == (
+        assert inst.upper == _pairs(
             [row_le(_fractions(cr + dr), Fraction(pv)) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
             + [row_le(unit, 0) for unit in units])
-        assert inst.follower_relax_rows() == [
+        assert inst.relax == _pairs([
             row_le(_fractions(ar) + [-Fraction(v) for v in br], Fraction(uv))
-            for ar, br, uv in zip(inst.A, inst.B, inst.u)]
+            for ar, br, uv in zip(inst.A, inst.B, inst.u)])
         r = tuple(rng.randint(-3, 3) for _ in range(inst.m))
         assert [LinRow(ar, rv, LE) for ar, rv in zip(inst.A, r)] == [
             row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r)]
@@ -180,35 +185,30 @@ def test_rows_carry_the_integers_of_the_rational_rows():
 
 
 def test_instance_keeps_the_rows_its_constructor_builds():
-    # the upper system and the relaxation rows are built once, from the
-    # data: every read returns the same rows, replace builds them again from
-    # the new data, equality, hash and repr ignore them, and the lists the
-    # instance hands out are the caller's own to extend
+    # the upper and the relaxation rows are built once, from the data, as
+    # tuples of integer rows (a, "<=") and of their right-hand sides:
+    # replace builds them again from the new data, equality, hash and repr
+    # ignore them, and upper_system builds a new system of them on each call
     inst = support.make_example1()
     kept = [f.name for f in fields(inst) if not f.compare]
-    assert kept and all(not f.init and not f.repr for f in fields(inst) if f.name in kept)
-    assert inst.upper_system() is inst.upper_system()
-    assert inst.upper_system().proved_bounded
-    assert inst.upper_rows() == list(inst.upper_system().rows)
+    assert kept == ["upper", "relax"]
+    assert all(not f.init and not f.repr for f in fields(inst) if f.name in kept)
+    assert inst.upper == ((((0, 1), LE), ((1, 0), LE), ((-1, 0), LE), ((0, -1), LE)),
+                          (1, 1, 0, 0))
+    assert inst.relax == ((((-1, 1), LE), ((1, 0), LE), ((-1, 0), LE)), (0, 1, 0))
+    assert inst.upper_system() is not inst.upper_system()
+    assert inst.upper_system() == LinearSystem(2, [LinRow(a, b, rel)
+                                                   for (a, rel), b in zip(*inst.upper)])
     # replace rebuilds the rows from the new right-hand sides
     moved = replace(inst, p=(2, 1, 0), u=(1, 1, 0))
-    assert [r.b for r in moved.upper_rows()] == [2, 1, 0, 0]
-    assert [r.b for r in moved.follower_relax_rows()] == [1, 1, 0]
+    assert moved.upper == (inst.upper[0], (2, 1, 0, 0))
+    assert moved.relax == (inst.relax[0], (1, 1, 0))
     assert moved != inst
-    again = replace(inst)
-    assert again.upper_system() is not inst.upper_system()
-    assert again.upper_system() == inst.upper_system()
     # two instances of the same data are equal with other kept rows
     twin = copy.copy(inst)
     for name in kept:
         object.__setattr__(twin, name, None)
     assert twin == inst and hash(twin) == hash(inst) and repr(twin) == repr(inst)
-    # extending a returned list leaves the instance as it was
-    for read in (inst.upper_rows, inst.follower_relax_rows):
-        before = read()
-        grown = read()
-        grown.append(row_le([1, 1], 0))
-        assert read() == before and read() is not before
 
 
 def _region_rows_from_fractions(inst, cell):
@@ -473,3 +473,14 @@ def test_cell_infimum_certificate(seed):
         if attained:
             assert wval == inf
             assert region.satisfied_by(QVector(witness.entries[inst.n:]))
+
+
+def test_is_valid_cell_rejects_a_cell_of_another_shape(example1):
+    # example1 has n = 1 and m = 3: a short or a long x or r raises the
+    # ValueError of cell_region before any search reads its right-hand sides
+    for cell in (Cell((), (0, 1, 0)), Cell((0, 0), (0, 1, 0)), Cell((0,), (1, 1)),
+                 Cell((0,), (0, 1, 0, 0))):
+        for check in (is_valid_cell, cell_region):
+            with pytest.raises(ValueError, match="^cell does not match the instance shape$"):
+                check(example1, cell)
+    assert is_valid_cell(example1, Cell((0,), (0, 1, 0)))

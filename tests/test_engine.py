@@ -10,11 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from conftest import MIXED_SEED
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, LE, UNATTAINED, DecisionScan,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
-                           InternalInvariantError, LinearSystem, QVector, SolverConfig, Telemetry,
-                           bilevel_feasible, bisect_decision, decide_eq, decide_le,
+                           InternalInvariantError, LinRow, LinearSystem, QVector, SolverConfig,
+                           Telemetry, bilevel_feasible, bisect_decision, decide_eq, decide_le,
                            decide_le_pure, denominator_cap, disagreement, eps_point, infimum,
                            instance_to_json, lex_extract, objective_bounds, parse_instance,
                            random_instance, rational_reconstruct, reference_oracle, row_le,
@@ -445,7 +444,8 @@ def _check_pure_against_grid(inst, z_hi=4, x_box=5):
         unit = [0] * inst.joint_dim()
         unit[inst.n + j] = 1
         z_box += [row_le(unit, z_hi), row_le([-v for v in unit], 0)]
-    follower = LinearSystem(inst.joint_dim(), inst.follower_relax_rows() + z_box)
+    relax = [LinRow(a, b, rel) for (a, rel), b in zip(*inst.relax)]
+    follower = LinearSystem(inst.joint_dim(), relax + z_box)
     for region in (inst.upper_system(), follower):
         for vert in support.ref_vertices(region):
             assert all(-x_box <= v <= x_box for v in vert[:inst.n])
@@ -547,8 +547,8 @@ def test_pure_oracle_catches_a_lost_leader_point(pure_batch, monkeypatch):
     # the integer walk loses its last leader z (trailing-range calls only,
     # so the cell candidates over x are intact)
     def drop_last_z(real):
-        def walk(rows, total_dim, coords, config, budget):
-            out = real(rows, total_dim, coords, config, budget)
+        def walk(rows, rhs, total_dim, coords, config, budget):
+            out = real(rows, rhs, total_dim, coords, config, budget)
             return out[:-1] if coords.start > 0 else out
         return walk
 
@@ -557,43 +557,3 @@ def test_pure_oracle_catches_a_lost_leader_point(pure_batch, monkeypatch):
     assert any(disagreement(inst, solve_pure(inst, config=CFG),
                             reference_oracle(inst, "pure", CFG), CFG, variant="pure")
                for inst, _, _ in rows)
-
-
-# ------------------------------------------------------ boundedness proofs
-
-
-def test_every_carried_boundedness_proof_holds(monkeypatch):
-    """Each system whose cone LPs are skipped passes them when run anyway.
-
-    Records every system that reaches the boundedness check carrying a proof,
-    over example1 and 40 acceptance-distribution instances solved in both
-    readings and by both oracles, then checks each with the cone LPs. It
-    took 20 instances while the floor walk's follower checks and the pure
-    table's integer searches passed each follower system through the check;
-    their searches hold the rows of A, which validation proved bounded.
-    bilevel_feasible no longer builds a follower system either, so 51
-    distinct systems reach the check here, 63 while it did.
-    """
-    from bilevel_exact import linear
-    proved = set()
-    real = linear._projection_bounded
-
-    def recording(sys_, coords):
-        if sys_.proved_bounded:
-            proved.add(sys_)
-        return real(sys_, coords)
-
-    monkeypatch.setattr(linear, "_projection_bounded", recording)
-    monkeypatch.setattr(lattice, "_projection_bounded", recording)
-    rng = random.Random(MIXED_SEED)
-    instances = [support.make_example1()] + [random_instance(rng) for _ in range(40)]
-    for inst in instances:
-        solve_mixed(inst, eps=Fraction(1, 8), config=CFG)
-        reference_oracle(inst, "mixed", CFG)
-        solve_pure(inst, config=CFG)
-        reference_oracle(inst, "pure", CFG)
-    monkeypatch.undo()
-    assert len(proved) > 50
-    for sys_ in proved:
-        unproved = LinearSystem(sys_.dim, sys_.rows)  # the constructor carries no proof
-        assert linear._projection_bounded(unproved, range(sys_.dim)), sys_

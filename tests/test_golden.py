@@ -13,9 +13,11 @@ each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
 the LP kernel's basis exchanges of 25 solves. The kernel's LPs and basis
 exchanges of 25 pure-small benchmark solves are capped too, and so are the
-leader searches those solves build and the rows and kernel forms that 25
-solves of each kind build. The first 300
-pure-small benchmark instances are checked against the reference oracle.
+leader searches those solves build, the rows and kernel forms that 25
+solves of each kind build, and the rows that parsing 25 files of each kind
+and one cold decision query on each build; no solve or decision query may
+reach the one-shot layer's boundedness check. The first 300 pure-small
+benchmark instances are checked against the reference oracle.
 
 Regenerate (only when a change of answers is intended and explained):
 
@@ -59,22 +61,24 @@ def batch_records(mixed_rows, pure_rows) -> dict:
     }
 
 
-def grid_instances() -> list:
-    """The mixed-grid instances, drawn as the benchmark draws them:
+def grid_documents() -> list:
+    """The mixed-grid instance files, drawn as the benchmark draws them:
     grid_instance at GRID_SEED over the workload's shapes, round-robin."""
     if BENCH not in sys.path:
         sys.path.insert(0, BENCH)
     import gen
     import workloads
-    from bilevel_exact import parse_instance
     rng = random.Random(GRID_SEED)
     shapes = workloads.GRID_SHAPES
-    out = []
-    for i in range(GRID_COUNT):
-        doc = gen.grid_instance(rng, f"mixed-grid-{GRID_SEED}-{i}", shapes[i % len(shapes)],
-                                "mixed")
-        out.append(parse_instance(gen.to_json(doc))[0])
-    return out
+    return [gen.to_json(gen.grid_instance(rng, f"mixed-grid-{GRID_SEED}-{i}",
+                                          shapes[i % len(shapes)], "mixed"))
+            for i in range(GRID_COUNT)]
+
+
+def grid_instances() -> list:
+    """The mixed-grid instances, parsed from grid_documents."""
+    from bilevel_exact import parse_instance
+    return [parse_instance(doc)[0] for doc in grid_documents()]
 
 
 def grid_records() -> list:
@@ -256,20 +260,26 @@ def test_mixed_grid_basis_exchanges():
     assert len(calls) <= 422
 
 
-def pure_small_instances(count: int) -> list:
-    """The first `count` pure-small benchmark instances, drawn as the
+def pure_small_documents(count: int) -> list:
+    """The first `count` pure-small benchmark instance files, drawn as the
     benchmark draws them: grid_instance at the workload's seed in its one
     shape."""
     if BENCH not in sys.path:
         sys.path.insert(0, BENCH)
     import gen
     import workloads
-    from bilevel_exact import parse_instance
     seed = workloads.WORKLOADS["pure-small"].seed
     rng = random.Random(seed)
-    return [parse_instance(gen.to_json(gen.grid_instance(rng, f"pure-small-{seed}-{i}",
-                                                         workloads.PURE_SHAPE, "pure")))[0]
+    return [gen.to_json(gen.grid_instance(rng, f"pure-small-{seed}-{i}", workloads.PURE_SHAPE,
+                                          "pure"))
             for i in range(count)]
+
+
+def pure_small_instances(count: int) -> list:
+    """The first `count` pure-small benchmark instances, parsed from
+    pure_small_documents."""
+    from bilevel_exact import parse_instance
+    return [parse_instance(doc)[0] for doc in pure_small_documents(count)]
 
 
 def test_pure_small_solves_match_the_reference_oracle():
@@ -379,6 +389,69 @@ def test_mixed_solve_path_reaches_no_one_shot_layer(mixed_batch):
             assert (decide.witness_le(inst, rep.infimum, scan=scan) is None) == unattained
             assert (decide.decide_eq(inst, rep.infimum, scan=scan) is None) == unattained
     assert feasible > 100
+
+
+def test_no_solve_reaches_the_cone_check(mixed_batch):
+    # every row a solve poses keeps the instance's upper or follower rows,
+    # which validation proved bounded, so no solve or decision query runs
+    # the one-shot layer's cone check (linear._projection_bounded) or its
+    # mixed_feasible: solve_mixed, solve_pure, decide_le and decide_le_pure
+    # on the mixed-grid instances, the first 40 of the mixed acceptance
+    # batch and 25 pure-small instances. The floor walk's n > 1 screen ran
+    # both before it searched the instance's rows directly
+    import pytest
+    from bilevel_exact import decide_le, decide_le_pure, lattice, linear, solve_mixed, solve_pure
+    insts = (grid_instances() + [inst for inst, _, _ in mixed_batch[0][:40]]
+             + pure_small_instances(25))
+
+    def refuse(*args):
+        raise AssertionError("a solve reached the one-shot boundedness check")
+
+    refused = (linear._projection_bounded, lattice.mixed_feasible)
+    with pytest.MonkeyPatch.context() as mp:
+        for mod_name, mod in list(sys.modules.items()):
+            if mod_name.startswith("bilevel_exact"):
+                for name, value in list(vars(mod).items()):
+                    if any(value is fn for fn in refused):
+                        mp.setattr(mod, name, refuse)
+        for inst in insts:
+            mixed = solve_mixed(inst, eps=GRID_EPS)
+            pure = solve_pure(inst)
+            decide_le(inst, 0 if mixed.infimum is None else mixed.infimum)
+            decide_le_pure(inst, 0 if pure.infimum is None else pure.infimum)
+    assert sum(inst.n > 1 for inst in insts) > 50
+
+
+def test_parse_and_decision_construction_work():
+    # a deterministic count of the LinRows that parsing 25 files builds and
+    # that one cold query on each builds after it: decide_le at the golden
+    # v* + 1/8 (10**6 when infeasible) on mixed-grid files and decide_le_pure
+    # at 0 on pure-small ones. A query built 40 and 25 before the instance
+    # kept its rows as integer rows and right-hand sides and the value rows
+    # were posed in that form, and builds none; parsing builds at most the
+    # cone LPs' rows of validation's recession tests, 570 and 350 (910 and
+    # 550 before), and may only fall
+    import pytest
+    from bilevel_exact import decide_le, decide_le_pure, linear, parse_instance
+    with open(GRID_PATH) as fh:
+        infima = [w["infimum"] for w in json.load(fh)["reports"][:25]]
+    grid_alphas = [Fraction(10**6) if v is None else Fraction(v) + GRID_EPS for v in infima]
+    runs = ((grid_documents()[:25], decide_le, grid_alphas),
+            (pure_small_documents(25), decide_le_pure, [0] * 25))
+    post = linear.LinRow.__post_init__
+    work = []
+    with pytest.MonkeyPatch.context() as mp:
+        for docs, decide, alphas in runs:
+            rows = []
+            mp.setattr(linear.LinRow, "__post_init__", lambda row: rows.append(1) or post(row))
+            insts = [parse_instance(doc)[0] for doc in docs]
+            parsed = len(rows)
+            for inst, alpha in zip(insts, alphas):
+                decide(inst, alpha)
+            work.append((parsed, len(rows) - parsed))
+    (grid_parsed, grid_queried), (pure_parsed, pure_queried) = work
+    assert grid_queried == 0 and grid_parsed <= 570
+    assert pure_queried == 0 and pure_parsed <= 350
 
 
 def test_per_solve_construction_work():

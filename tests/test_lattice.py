@@ -212,12 +212,13 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
     for _ in coords:
         want = [p + (v,) for p in want for v in range(-2, 3) if feasible(p + (v,))]
         tried += len(want)
+    rows, rhs = [(r.a, r.rel) for r in sys_.rows], [r.b for r in sys_.rows]
     budget = [0]
-    assert integer_candidates(sys_.rows, 3, coords, DEFAULT_CONFIG, budget) == want
+    assert integer_candidates(rows, rhs, 3, coords, DEFAULT_CONFIG, budget) == want
     assert budget == [tried]
     if tried:
         with pytest.raises(ResourceLimitError, match=f"^cell_cap={tried - 1}:"):
-            integer_candidates(sys_.rows, 3, coords, SolverConfig(cell_cap=tried - 1), [0])
+            integer_candidates(rows, rhs, 3, coords, SolverConfig(cell_cap=tried - 1), [0])
 
 
 @pytest.mark.parametrize("dim, extra, cost, searches", [

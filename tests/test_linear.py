@@ -467,6 +467,20 @@ def test_segment_slice_still_walks():
     assert len(calls) <= 2 * segment.dim + 1
 
 
+def test_affinely_independent_vertices_check_their_input():
+    # rows and right-hand sides of other lengths, and a row of another
+    # length than dim, raise ValueError naming the mismatch, before any LP
+    rows = [((1, 0), LE), ((0, 1), LE), ((-1, -1), LE)]
+    with pytest.raises(ValueError, match="^3 rows but 2 right-hand sides$"):
+        affinely_independent_vertices(2, rows, [1, 1])
+    with pytest.raises(ValueError, match="^3 rows but 4 right-hand sides$"):
+        affinely_independent_vertices(2, rows, [1, 1, 0, 5])
+    with pytest.raises(ValueError, match="^a row of another length than dim = 2$"):
+        affinely_independent_vertices(2, rows + [((1, 1, 1), LE)], [1, 1, 0, 5])
+    k, verts = affinely_independent_vertices(2, rows, [1, 1, 0])
+    assert k == 3 and sorted(v.entries for v in verts) == [(-1, 1), (1, -1), (1, 1)]
+
+
 def test_affinely_independent_vertices_empty_and_unbounded():
     empty = BOX.with_rows([row_le([1, 1], -1)])
     assert _walk(empty) == (0, [])
@@ -481,20 +495,20 @@ def test_affinely_independent_vertices_empty_and_unbounded():
 
 
 def test_derived_systems_check_only_new_rows():
-    # the constructor checks every row; with_rows checks the rows it adds,
-    # and a derived system keeps its rows and its boundedness proof
+    # the constructor checks every row, and a derived system is built
+    # through it, so with_rows rejects a row it adds of another dimension or
+    # kind; a derived system keeps its rows in order
     with pytest.raises(ValueError):
         LinearSystem(2, (row_le([1], 0),))
     with pytest.raises(ValueError):
         BOX.with_rows([row_le([1, 0, 0], 1)])
     with pytest.raises(ValueError):
         BOX.with_rows(["x <= 1"])
-    proved = linear._bounded_system(2, BOX.rows + (row_lt([1, 1], 4),))
-    grown = proved.with_rows([row_eq([1, -1], 0)])
-    assert grown.proved_bounded and grown.rows == proved.rows + (row_eq([1, -1], 0),)
-    closed = proved.closure()
-    assert closed.proved_bounded and closed == LinearSystem(2, BOX.rows + (row_le([1, 1], 4),))
-    assert not BOX.with_rows([]).proved_bounded
+    strict = BOX.with_rows([row_lt([1, 1], 4)])
+    grown = strict.with_rows([row_eq([1, -1], 0)])
+    assert grown.rows == strict.rows + (row_eq([1, -1], 0),)
+    assert strict.closure() == LinearSystem(2, BOX.rows + (row_le([1, 1], 4),))
+    assert BOX.with_rows([]) == BOX
 
 
 def test_recession_bounded():
@@ -848,20 +862,10 @@ def test_strict_witness_reverification_is_fatal(monkeypatch):
         strict_feasible_point(s)
 
 
-def test_boundedness_proof_not_settable_publicly():
-    with pytest.raises(TypeError):
-        LinearSystem(1, (row_le([1], 1),), proved_bounded=True)
+def test_vertices_raise_on_a_half_line():
+    # vertices checks the boundedness of every system it is given, a
+    # derived one too
     half_line = LinearSystem(1, (row_le([-1], 0),))
-    assert not half_line.proved_bounded
-    assert not half_line.with_rows([row_le([-1], 3)]).proved_bounded
-    with pytest.raises(ValueError):
-        vertices(half_line, DEFAULT_CONFIG)
-
-
-def test_boundedness_proof_carried_by_with_rows_and_closure():
-    proved = linear._bounded_system(1, (row_le([1], 1), row_le([-1], 0)))
-    assert proved.proved_bounded
-    assert proved.with_rows([row_lt([1], Fraction(1, 2))]).proved_bounded
-    assert proved.with_rows([row_lt([1], Fraction(1, 2))]).closure().proved_bounded
-    # the proof is not part of equality: same rows, same system
-    assert proved == LinearSystem(1, proved.rows)
+    for sys_ in (half_line, half_line.with_rows([row_le([-1], 3)])):
+        with pytest.raises(ValueError, match="unbounded"):
+            vertices(sys_, DEFAULT_CONFIG)
