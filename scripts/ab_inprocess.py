@@ -18,6 +18,9 @@ The script prints, per side, the p50, p90 and mean over ops of each op's
 least time, the change's difference to the parent, and whether every answer
 is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
+After the timed runs, one untimed pass of every op on each side counts its
+RhsFamily.solve calls, a deterministic work counter that the script prints
+per side too.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ def _load(checkout: str, name: str, directory: str):
     shutil.copytree(os.path.join(checkout, "src", "bilevel_exact"), os.path.join(directory, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("cli", "engine", "instance_io", "rational")}
+            for mod in ("cli", "engine", "instance_io", "linear", "rational")}
 
 
 def _op_runner(modules: dict, plan: dict):
@@ -82,6 +85,25 @@ def _op_runner(modules: dict, plan: dict):
     return run
 
 
+def _family_solves(linear, run, count: int) -> int:
+    """The RhsFamily.solve calls of one untimed pass of ops 0..count-1."""
+    family = linear.RhsFamily
+    solve = family.solve
+    calls = [0]
+
+    def counting(self, rhs):
+        calls[0] += 1
+        return solve(self, rhs)
+
+    family.solve = counting
+    try:
+        for i in range(count):
+            run(i)
+    finally:
+        family.solve = solve
+    return calls[0]
+
+
 def percentile(values: list, q: float) -> float:
     """Nearest-rank percentile, as perfbench/run.py takes it."""
     ordered = sorted(values)
@@ -100,8 +122,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="ab-inprocess-") as tmp:
         sys.path.insert(0, tmp)
         plan = workloads.write_plan(args.workload, seed, tmp)
-        runners = {side: _op_runner(_load(checkout, f"bx_{side}", tmp), plan)
-                   for side, checkout in zip(SIDES, (args.parent, args.change))}
+        loaded = {side: _load(checkout, f"bx_{side}", tmp)
+                  for side, checkout in zip(SIDES, (args.parent, args.change))}
+        runners = {side: _op_runner(loaded[side], plan) for side in SIDES}
         count = len(plan["ops"])
         best = {side: [math.inf] * count for side in SIDES}
         equal = True
@@ -112,6 +135,8 @@ def main(argv=None) -> int:
                     elapsed, answers[side] = runners[side](i)
                     best[side][i] = min(best[side][i], elapsed)
                 equal = equal and answers["parent"] == answers["change"]
+        solves = {side: _family_solves(loaded[side]["linear"], runners[side], count)
+                  for side in SIDES}
     stats = {side: (percentile(times, 0.5), percentile(times, 0.9), sum(times) / count)
              for side, times in best.items()}
     print(f"{args.workload} seed {seed}: {count} ops, least of {args.reps} alternated runs each")
@@ -120,6 +145,7 @@ def main(argv=None) -> int:
         print(f"{side:8}" + "".join(f"{1000 * v:10.4f}" for v in stats[side]))
     print(f"{'diff':8}" + "".join(f"{100 * (c / p - 1):+9.1f}%"
                                  for p, c in zip(stats["parent"], stats["change"])))
+    print(f"RhsFamily solves: parent {solves['parent']}, change {solves['change']}")
     print(f"answers equal: {'yes' if equal else 'NO'}")
     return 0 if equal else 1
 

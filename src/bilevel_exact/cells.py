@@ -28,9 +28,9 @@ Within one walk, the LPs of each kind share their rows and cost and differ
 only in their right-hand sides, which are integers: the walk carries the
 right-hand sides of its prefix of floors, not a system, and solves each
 kind as one linear.RhsFamily, warm-started from its last optimal basis.
-The kinds are the range of B_i z at level i (a min family per level and
-its with_cost sibling for the max, which share one kernel form), the
-closure LP of the pairs and their strict check
+The kinds are the floors of B_i z + u_i at level i (a min family per level
+and, only past the least floor, its with_cost sibling for the max, which
+share one kernel form), the closure LP of the pairs and their strict check
 (linear.StrictFamily). Each family is built on first use and none outlives
 the walk; a family settles its own constant rows, such as those of a zero
 row of A, B or D, so the walk passes every row it adds. A cell's rows are
@@ -367,16 +367,17 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     its rows, integer on x, of zero cost, whose upper rows validation
     proved bounded (code "unbounded-P"). It then walks the floor vector r
     once, on the closed upper system in (x, z) with x continuous (relaxation
-    rows there cost more basis exchanges than they save). At row i it takes
-    the range of B_i z over the rows chosen so far and, for each floor r_i
-    in it, adds r_i <= B_i z + u_i <= r_i + 1 and the response row
+    rows there cost more basis exchanges than they save). At row i it reads
+    the floors r_i of B_i z + u_i over the rows chosen so far, least first,
+    and for each adds r_i <= B_i z + u_i <= r_i + 1 and the response row
     A_i x <= r_i and keeps the candidates with A_i x <= r_i; a floor that
     keeps none is not entered, and a zero row of B has the one floor u_i
-    and needs no LP.
-    The rows at row i are the same for every prefix of floors, and their
-    right-hand sides are integers: the walk carries those right-hand sides,
-    and takes each range from a min RhsFamily of row i and its with_cost
-    sibling for the max. A valid
+    and needs no LP. The rows at row i are the same for every prefix of
+    floors, and their right-hand sides are integers: the walk carries those
+    right-hand sides. A min RhsFamily of row i gives the least floor and its
+    with_cost sibling the greatest, only once the walk asks for a second
+    floor: a walk that stops at its first cell solves no upper end it did
+    not reach, and each family sees the same right-hand sides. A valid
     cell (x, r) has a point z in its region, and (x, z) meets every row the
     walk adds for r, so the walk reaches every r a valid cell has with x
     still among its candidates. A leaf r is entered with
@@ -447,23 +448,29 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     closure = strict = None  # the families of the pairs' closure LPs and strict checks
     follower = None  # the leaves' follower-check search
 
-    def floor_range(i, rhs):
-        """The floors of B_i z + u_i over the walk's system at rhs, None
-        when the system is empty: one family solve per sense."""
+    def floors(i, rhs):
+        """The floors of B_i z + u_i at rhs, least first: the max sibling
+        solves only once the walk asks for a floor past the least."""
+        span, uv = spans[i], inst.u[i]
+        if not any(span):
+            yield uv  # B_i z + u_i is the constant u_i: one floor, no LP
+            return
         if i not in ranges:
             rows = list(upper) + [row for j in range(i) for row in level_rows[j]]
-            low = RhsFamily(dim, rows, spans[i])
-            ranges[i] = (low, low.with_cost(tuple(-v for v in spans[i])))
-        uv = inst.u[i]
-        ends = []
+            low = RhsFamily(dim, rows, span)
+            ranges[i] = (low, low.with_cost(tuple(-v for v in span)))
+        least = None
         for family in ranges[i]:
             tag, nums, den = family.solve(rhs)
-            if tag == "infeasible" and not ends:  # the min LP finds the system empty
-                return None
+            if tag == "infeasible" and least is None:  # the min LP finds the system empty
+                return
             if tag != "optimal":
                 raise InternalInvariantError("LP range unbounded on a bounded region")
-            ends.append((sum(map(mul, spans[i], nums)) + uv * den) // den)
-        return range(ends[0], ends[1] + 1)
+            ri = (sum(map(mul, span, nums)) + uv * den) // den
+            if least is None:
+                least = ri
+                yield ri
+        yield from range(least + 1, ri + 1)
 
     def walk(rhs, r_prefix, candidates):
         i = len(r_prefix)
@@ -471,13 +478,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
             yield from optimal_cells(tuple(r_prefix), candidates)
             return
         uv = inst.u[i]
-        if not any(inst.B[i]):  # B_i z + u_i is the constant u_i: one floor, no LP
-            floors = [uv]
-        else:
-            floors = floor_range(i, rhs)
-            if floors is None:
-                return
-        for ri in floors:
+        for ri in floors(i, rhs):
             fits = [cand for cand in candidates if cand[1][i] <= ri]
             if fits:
                 yield from walk(rhs + [ri, uv - ri, ri + 1 - uv], r_prefix + [ri], fits)

@@ -178,8 +178,11 @@ def rational_reconstruct(lo, hi, cap: int, telemetry=None) -> Fraction:
     exists; the continued-fraction walk finds the simplest rational in the
     interval, and a simplest rational with a larger denominator proves no
     candidate exists, which falsifies the denominator bound and aborts.
+    A cap other than an int (not a bool) of at least 1 raises ValueError.
     """
     lo, hi = as_rat(lo), as_rat(hi)
+    if type(cap) is not int or cap < 1:
+        raise ValueError(f"cap must be an int of at least 1, got {cap!r}")
     if lo > hi:
         raise ValueError("empty interval")
     value = _simplest_in_interval(lo, hi, telemetry)
@@ -194,11 +197,14 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
     """Shrink [lo, hi] keeping decide(lo) false and decide(hi) true.
 
     The caller vouches for the endpoint answers; they are not re-queried.
-    Stops as soon as hi - lo < width.
+    Stops as soon as hi - lo < width. lo, hi and width are read by as_rat,
+    and a width that is not positive raises ValueError.
     """
-    lo, hi = as_rat(lo), as_rat(hi)
+    lo, hi, width = as_rat(lo), as_rat(hi), as_rat(width)
     if lo >= hi:
         raise ValueError("need lo < hi")
+    if width <= 0:
+        raise ValueError("width must be positive")
     while hi - lo >= width:
         mid = (lo + hi) / 2
         if telemetry is not None:

@@ -29,8 +29,9 @@ when a row enters the basis, and at the exit only for an artificial row
 left in it. A family's row split and kernel form depend on its rows alone,
 so `with_cost` gives the family of the same rows under another cost, which
 shares them and starts cold with its own basis: `span` (in `lp_range` and
-the integer walk) and the floor walk's ranges solve their minimum and
-maximum that way. `lp_solve` is a
+the integer walk) and each floor-walk level solve their minimum and
+maximum that way, a level its maximum only once the walk asks for a
+second floor. `lp_solve` is a
 one-shot family, started cold, so its pivots and vertices are those of a
 cold solve, and so are those of `affinely_independent_vertices`, whose LPs
 are cold with_cost siblings of one family over the closed rows. A family

@@ -3,8 +3,11 @@
 The oracles here are deliberately independent of the solver internals: plain
 Fraction Gaussian elimination for vertex enumeration, grid scans for integer
 sets, and a denominator scan for simplest-rational questions. They are slow
-and only meant for small reference problems.
+and only meant for small reference problems. ref_mixed_no_lp and
+ref_pure_no_lp solve a whole instance this way, reading nothing of the
+package but its data fields, for the drivers to be compared with.
 """
+import collections
 import contextlib
 import itertools
 import math
@@ -190,6 +193,105 @@ def ref_strictly_feasible(rows):
         return False
     center = [sum(col) / len(verts) for col in zip(*verts)]
     return all(row_holds(r, center) for r in rows)
+
+
+# ---------------------------------------------------------------------------
+# the reference that uses no LP: vertices by bases of rows, integers by box
+# scans, and nothing of the package but the instance's data fields
+
+Row = collections.namedtuple("Row", "a b rel")
+
+
+def _dot(a, v):
+    return sum(x * y for x, y in zip(a, v))
+
+
+def _integer_box(points):
+    """The integer points of the box spanned by `points`, lex order; none
+    when there are no points."""
+    if not points:
+        return []
+    return itertools.product(*(range(math.ceil(min(col)), math.floor(max(col)) + 1)
+                               for col in zip(*points)))
+
+
+def _responses(inst):
+    """Every (x, r), in lex order, with x an optimal follower response at
+    the floors r: x in the integer box of the upper region's vertices in
+    (x, z), each r_i between the least and the greatest floor of
+    B_i z + u_i at those vertices, A x <= r, and no integer point of
+    {A x' <= r} with a smaller psi . x', by one scan of its box per r."""
+    n, d = inst.n, inst.d
+    upper = [Row(cr + dr, pv, LE) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+    upper += [Row(tuple(-int(k == j) for k in range(n + d)), 0, LE) for j in range(n, n + d)]
+    verts = _closure_vertices(upper, n + d)
+    if not verts:
+        return []
+    floors = [[math.floor(_dot(br, v[n:]) + uv) for v in verts] for br, uv in zip(inst.B, inst.u)]
+    best, out = {}, []
+    for x in _integer_box([v[:n] for v in verts]):
+        for r in itertools.product(*(range(min(f), max(f) + 1) for f in floors)):
+            if any(_dot(ar, x) > ri for ar, ri in zip(inst.A, r)):
+                continue
+            if r not in best:
+                rows = [Row(ar, ri, LE) for ar, ri in zip(inst.A, r)]
+                best[r] = min(_dot(inst.psi, y) for y in _integer_box(_closure_vertices(rows, n))
+                              if all(row_holds(row, y) for row in rows))
+            if _dot(inst.psi, x) == best[r]:
+                out.append((x, r))
+    return out
+
+
+def _region(inst, x, r, integer_z=False):
+    """The rows over z of the cell (x, r): D z <= p - C x, z >= 0 and
+    r_i <= B_i z + u_i < r_i + 1, the strict rows tightened by 1 to
+    B_i z + u_i <= r_i with `integer_z`."""
+    rows = [Row(dr, pv - _dot(cr, x), LE) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+    rows += [Row(tuple(-int(k == j) for k in range(inst.d)), 0, LE) for j in range(inst.d)]
+    for br, uv, ri in zip(inst.B, inst.u, r):
+        rows.append(Row(tuple(-v for v in br), uv - ri, LE))
+        rows.append(Row(br, ri - uv, LE) if integer_z else Row(br, ri + 1 - uv, LT))
+    return rows
+
+
+def ref_mixed_no_lp(inst):
+    """(status, infimum, x*) of the mixed problem from the cell definition.
+
+    A cell is valid when its half-open region is nonempty
+    (ref_strictly_feasible); its infimum is c . x plus the least e . z over
+    its closure's vertices, and v* is the least. v* is attained when the
+    slice of a cell at v*, its region with c . x + e . z = v*, is nonempty,
+    and x* is the x of the lex-first such cell."""
+    valid = []
+    for x, r in _responses(inst):
+        rows = _region(inst, x, r)
+        if ref_strictly_feasible(rows):
+            low = min(_dot(inst.e, v) for v in _closure_vertices(rows, inst.d))
+            valid.append((x, rows, _dot(inst.c, x) + low))
+    if not valid:
+        return "Infeasible", None, None
+    v_star = min(value for _, _, value in valid)
+    for x, rows, value in valid:
+        if value == v_star and ref_strictly_feasible(
+                rows + [Row(inst.e, v_star - _dot(inst.c, x), EQ)]):
+            return "Attained", v_star, x
+    return "Unattained", v_star, None
+
+
+def ref_pure_no_lp(inst):
+    """(status, infimum, (x*, z*)) of the pure problem: the least
+    (c . x + e . z, x, z) over the integer z of each cell (x, r), which have
+    B z + u = r, found by a scan of the box of that closure's vertices."""
+    found = []
+    for x, r in _responses(inst):
+        rows = _region(inst, x, r, integer_z=True)
+        found += [(_dot(inst.c, x) + _dot(inst.e, z), x, z)
+                  for z in _integer_box(_closure_vertices(rows, inst.d))
+                  if all(row_holds(row, z) for row in rows)]
+    if not found:
+        return "Infeasible", None, None
+    value, x, z = min(found)
+    return "Attained", value, (x, z)
 
 
 def valid_cells_by_definition(inst):

@@ -95,6 +95,32 @@ def test_rational_reconstruct_recovers_hidden(cap, seed):
     assert support.simplest_in_interval_scan(lo, hi, cap) == [hidden]
 
 
+@pytest.mark.parametrize("cap", [0, -3, True, 2.5, "3"])
+def test_rational_reconstruct_takes_a_positive_int_cap(cap):
+    # a cap that is not an int of at least 1 is the caller's error, not a
+    # broken invariant (InternalInvariantError, exit 4) or a raw TypeError
+    with pytest.raises(ValueError, match="cap must be an int of at least 1"):
+        rational_reconstruct(Fraction(1, 3), Fraction(1, 3), cap)
+
+
+@pytest.mark.parametrize("width", [0, -1, 0.1, True])
+def test_bisect_decision_takes_a_positive_exact_width(width):
+    # a width of 0 or -1 never stops the bisection, and 0.1 or True would
+    # be a rational the caller never wrote; decide gives up after 200 calls
+    # so that a bisection that never stops fails instead of hanging
+    calls = []
+
+    def dec(a):
+        calls.append(a)
+        if len(calls) > 200:
+            raise AssertionError("bisection did not stop")
+        return a > 0
+
+    with pytest.raises(ValueError):
+        bisect_decision(dec, Fraction(-1), Fraction(1), width)
+    assert calls == []
+
+
 def test_bisect_decision_brackets():
     hidden = Fraction(5, 7)
     tel = Telemetry()

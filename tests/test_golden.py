@@ -7,16 +7,19 @@ tests/golden/mixed_grid.json pins the same fields plus the eps point for the
 125 mixed-grid benchmark instances at seed 7, built by perfbench's own
 generator and solved with eps 1/8; the cold decide_le answers on those
 instances are checked against it too. Telemetry is left out: query counts
-may change while answers may not. The same instances also check each
+may change while answers may not. Both drivers are checked on both
+batches and on 25 of those instances against the references of support.py
+that use no LP and no search. The same instances also check each
 cell-index entry against references that share no LP or lattice code, and
 each lex trace against the floor-vector refinement run by vertex scans, and
 cap the LP count (lp_solve calls and right-hand-side family solves) and
-the LP kernel's basis exchanges of 25 solves. The kernel's LPs and basis
-exchanges of 25 pure-small benchmark solves are capped too, and so are the
-leader searches those solves build, the rows and kernel forms that 25
-solves of each kind build, and the rows that parsing 25 files of each kind
-and one cold decision query on each build; no solve or decision query may
-reach the one-shot layer's boundedness check. The first 300 pure-small
+the LP kernel's basis exchanges of 25 solves, and the family solves of 25
+cold decision queries. The kernel's LPs and basis exchanges of 25
+pure-small benchmark solves are capped too, and so are the leader searches
+those solves build, the rows and kernel forms that 25 solves of each kind
+build, and the rows that parsing 25 files of each kind and one cold
+decision query on each build; no solve or decision query may reach the
+one-shot layer's boundedness check. The first 300 pure-small
 benchmark instances are checked against the reference oracle.
 
 Regenerate (only when a change of answers is intended and explained):
@@ -134,6 +137,35 @@ def test_mixed_grid_cold_decide_matches_golden():
                 assert decide_le(inst, alpha) == answer, f"mixed-grid instance {i} at {alpha}"
 
 
+def _reference_record(rep, pure=False) -> tuple:
+    """(status, infimum, x*) of a report, (status, infimum, (x*, z*)) with
+    `pure`, in the form of the references of tests/support.py that use no
+    LP."""
+    if rep.solution is None:
+        return rep.status, rep.infimum, None
+    x, z = rep.solution
+    return rep.status, rep.infimum, (tuple(x), tuple(z.entries)) if pure else tuple(x)
+
+
+def test_both_drivers_match_the_reference_that_uses_no_lp(mixed_batch, pure_batch):
+    # both drivers on both acceptance batches and on the first 25 mixed-grid
+    # instances give the status, infimum and x* (pure: (x*, z*)) of
+    # ref_mixed_no_lp and ref_pure_no_lp, which find vertices by bases of
+    # rows and integer points by box scans, and read nothing of the package
+    # but the instance's data fields
+    import support
+    from bilevel_exact import solve_mixed, solve_pure
+    runs = [(inst, rep, solve_pure(inst)) for inst, rep, _ in mixed_batch[0]]
+    runs += [(inst, solve_mixed(inst), rep) for inst, rep, _ in pure_batch[0]]
+    runs += [(inst, solve_mixed(inst), solve_pure(inst)) for inst in grid_instances()[:25]]
+    statuses = []
+    for i, (inst, mixed, pure) in enumerate(runs):
+        assert _reference_record(mixed) == support.ref_mixed_no_lp(inst), f"mixed run {i}"
+        assert _reference_record(pure, pure=True) == support.ref_pure_no_lp(inst), f"pure run {i}"
+        statuses += [mixed.status, pure.status]
+    assert len(runs) == 465 and set(statuses) == {"Attained", "Unattained", "Infeasible"}
+
+
 def test_index_entries_match_independent_references(example1):
     # each entry's low is the vertex-scan minimum of e . z over its region's
     # closure; low_inside promises a point of the region at that value; a
@@ -235,6 +267,29 @@ def test_mixed_grid_lp_count():
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
     assert len(calls) <= 850
+
+
+def test_cold_decide_lp_count():
+    # a deterministic count of the LPs of 25 cold decision queries, the
+    # RhsFamily solves of decide_le at the golden v* + 1/8 (10**6 when
+    # infeasible) on the first 25 mixed-grid instances, parsed beforehand;
+    # it was 331 before each floor-walk level read its floors lazily, least
+    # first, so that a walk stopping at its first cell solved no upper end
+    # it did not reach, and may only fall
+    import pytest
+    from bilevel_exact import decide_le, linear
+    with open(GRID_PATH) as fh:
+        infima = [w["infimum"] for w in json.load(fh)["reports"][:25]]
+    alphas = [Fraction(10**6) if v is None else Fraction(v) + GRID_EPS for v in infima]
+    insts = grid_instances()[:25]
+    family_solve = linear.RhsFamily.solve
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear.RhsFamily, "solve",
+                   lambda family, rhs: calls.append(family) or family_solve(family, rhs))
+        answers = [decide_le(inst, alpha) for inst, alpha in zip(insts, alphas)]
+    assert all(answers)
+    assert len(calls) <= 289
 
 
 def test_mixed_grid_basis_exchanges():

@@ -6,8 +6,10 @@ imports, dead knobs, unread arguments and dead definitions cannot come back
 unnoticed. The reference oracle reaches none of the engines' enumerations,
 so it stays an independent second computation, and neither solve path
 reaches the bisection and reconstruction search. The LP kernel reads no row
-relation."""
+relation, and the references of tests/support.py that use no LP reach
+nothing of the package."""
 import ast
+import inspect
 import os
 
 import pytest
@@ -202,3 +204,41 @@ def test_lp_kernel_reads_no_relation():
     read = {name: sorted({n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
                          & {"LE", "EQ", "LT"}) for name in KERNEL}
     assert read == {name: [] for name in KERNEL}
+
+
+# The references of tests/support.py that use no LP share no code with the
+# engine: from their definitions on, no name they read, transitively through
+# support's own definitions, is a function, class or module of the package,
+# and of an instance they read the data fields alone.
+LP_FREE = ("ref_mixed_no_lp", "ref_pure_no_lp")
+DATA_FIELDS = {"n", "d", "A", "B", "C", "D", "c", "e", "psi", "u", "p"}
+
+
+def test_lp_free_reference_reaches_none_of_the_package():
+    with open(os.path.join(support.ROOT, "tests", "support.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    defs = {node.name: node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    seen, todo, loaded, fields = set(), list(LP_FREE), set(), set()
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            assert not isinstance(node, (ast.Import, ast.ImportFrom)), name
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.id)
+                todo += [node.id] if node.id in defs else []
+            elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "inst":
+                fields.add(node.attr)
+    assert {"_closure_vertices", "ref_strictly_feasible", "row_holds"} <= seen
+
+    def of_package(value):
+        if inspect.ismodule(value):
+            return value.__name__.startswith("bilevel_exact")
+        return callable(value) and (getattr(value, "__module__", None) or "").startswith(
+            "bilevel_exact")
+
+    assert sorted(name for name in loaded if of_package(vars(support).get(name))) == []
+    assert {"A", "B", "psi"} <= fields <= DATA_FIELDS

@@ -2,6 +2,7 @@ import functools
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -448,13 +449,17 @@ def test_solve_example1_script_matches_readme():
 def test_ab_inprocess_script_runs_one_checkout_against_itself():
     # the A/B timing tool, run with this checkout as both sides on one pass
     # of pure-small and one of mixed-small, whose answers include the lex
-    # traces, ends with equal answers
+    # traces, ends with equal answers after equal RhsFamily solve counts
     script = os.path.join(support.ROOT, "scripts", "ab_inprocess.py")
     for workload in ("pure-small", "mixed-small"):
         out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, workload,
                               "--reps", "1"], capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        assert out.stdout.splitlines()[-1] == "answers equal: yes"
+        counts, last = out.stdout.splitlines()[-2:]
+        assert last == "answers equal: yes"
+        parent, change = re.fullmatch(r"RhsFamily solves: parent (\d+), change (\d+)",
+                                      counts).groups()
+        assert parent == change and int(parent) > 0
 
 
 def _with_config(monkeypatch, config):
