@@ -19,8 +19,9 @@ least time, the change's difference to the parent, and whether every answer
 is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 After the timed runs, one untimed pass of every op on each side counts its
-RhsFamily.solve calls, a deterministic work counter that the script prints
-per side too.
+RhsFamily.solve calls and its basis exchanges (linear._exchange calls),
+deterministic work counters that the script prints per side too, each on a
+line of its own, so that a kernel change shows whether it pivots as before.
 """
 from __future__ import annotations
 
@@ -85,23 +86,28 @@ def _op_runner(modules: dict, plan: dict):
     return run
 
 
-def _family_solves(linear, run, count: int) -> int:
-    """The RhsFamily.solve calls of one untimed pass of ops 0..count-1."""
+def _kernel_work(linear, run, count: int) -> tuple:
+    """(solves, exchanges): the RhsFamily.solve and linear._exchange calls of
+    one untimed pass of ops 0..count-1."""
     family = linear.RhsFamily
-    solve = family.solve
-    calls = [0]
+    solve, exchange = family.solve, linear._exchange
+    calls = [0, 0]
 
-    def counting(self, rhs):
+    def counting_solve(self, rhs):
         calls[0] += 1
         return solve(self, rhs)
 
-    family.solve = counting
+    def counting_exchange(*args):
+        calls[1] += 1
+        return exchange(*args)
+
+    family.solve, linear._exchange = counting_solve, counting_exchange
     try:
         for i in range(count):
             run(i)
     finally:
-        family.solve = solve
-    return calls[0]
+        family.solve, linear._exchange = solve, exchange
+    return tuple(calls)
 
 
 def percentile(values: list, q: float) -> float:
@@ -135,8 +141,8 @@ def main(argv=None) -> int:
                     elapsed, answers[side] = runners[side](i)
                     best[side][i] = min(best[side][i], elapsed)
                 equal = equal and answers["parent"] == answers["change"]
-        solves = {side: _family_solves(loaded[side]["linear"], runners[side], count)
-                  for side in SIDES}
+        work = {side: _kernel_work(loaded[side]["linear"], runners[side], count)
+                for side in SIDES}
     stats = {side: (percentile(times, 0.5), percentile(times, 0.9), sum(times) / count)
              for side, times in best.items()}
     print(f"{args.workload} seed {seed}: {count} ops, least of {args.reps} alternated runs each")
@@ -145,7 +151,8 @@ def main(argv=None) -> int:
         print(f"{side:8}" + "".join(f"{1000 * v:10.4f}" for v in stats[side]))
     print(f"{'diff':8}" + "".join(f"{100 * (c / p - 1):+9.1f}%"
                                  for p, c in zip(stats["parent"], stats["change"])))
-    print(f"RhsFamily solves: parent {solves['parent']}, change {solves['change']}")
+    print(f"RhsFamily solves: parent {work['parent'][0]}, change {work['change'][0]}")
+    print(f"basis exchanges: parent {work['parent'][1]}, change {work['change'][1]}")
     print(f"answers equal: {'yes' if equal else 'NO'}")
     return 0 if equal else 1
 

@@ -13,10 +13,15 @@ relation. A cold start is dual feasible, built from those unit rows, the
 tightest on the side each cost pushes to, or from artificial bound rows far
 enough out to cut off no vertex (`_vertex_bound`, Hadamard's bound, which
 the integer search of `lattice` also takes for its unbranched bounds), and
-Bland's rule on the dual ends every solve. The optimum leaves the kernel as integer
-numerators over det. It is a vertex unless an artificial row stays in the
-final basis; only then is it purified onto a vertex of the optimal face. It
-is re-verified in that form and becomes `Fraction`s once, for the returned
+Bland's rule on the dual ends every solve. Its row products, the pricing
+scan, the point adj b_B and the ratio test's adj^T cost and adj^T a, are
+straight-line integer sums a0 * x0 + a1 * x1 + ... of locals, compiled once
+per dimension from one template (`_row_ops`): one code path for every
+dimension, the same integers as a plain sum. The optimum leaves the kernel
+as integer numerators over det. It is a vertex unless an artificial row
+stays in the final basis; only then is it purified onto a vertex of the
+optimal face. It is re-verified in that form, one pass of the same generated
+scan over every kernel row, and becomes `Fraction`s once, for the returned
 point and value.
 
 The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the rows
@@ -101,6 +106,7 @@ StrictFamily and strict_feasible_point.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,6 +259,39 @@ def _vertex_bound(norms, rhs, dim: int) -> int:
     return max(map(add, norms, map(abs, rhs)), default=1) ** dim + 1
 
 
+# One template for every dimension: x and each row are unpacked into locals,
+# and a . x is the straight-line sum a0 * x0 + a1 * x1 + ... of them.
+_ROW_OPS = """
+def first(A, b, x, den):
+    [{xs}] = x
+    for i, [{row}] in enumerate(A):
+        if {dot} > b[i] * den:
+            return i
+    return None
+
+
+def dots(rows, x):
+    [{xs}] = x
+    return [{dot} for [{row}] in rows]
+"""
+
+
+@functools.cache
+def _row_ops(dim: int) -> tuple:
+    """(first, dots), the row products of the kernel in dim variables:
+    first(A, b, x, den) is the index of the first row a of A with
+    a . x > b_i den, or None, and dots(rows, x) the list of a . x. Both are
+    compiled from _ROW_OPS once per dimension, a source built from index
+    numbers alone; in dimension 0 every product is 0. A row or an x of
+    another length fails to unpack (ValueError)."""
+    source = _ROW_OPS.format(xs=", ".join(f"x{j}" for j in range(dim)),
+                             row=", ".join(f"a{j}" for j in range(dim)),
+                             dot=" + ".join(f"a{j} * x{j}" for j in range(dim)) or "0")
+    scope = {}
+    exec(compile(source, f"<row ops, dim {dim}>", "exec"), scope)
+    return scope["first"], scope["dots"]
+
+
 def _exchange(adj, det: int, alpha, r: int) -> list:
     """The adjugate after basis row r is replaced by a row a with
     alpha = adj^T a: (alpha_r adj - adj[:, r] (alpha - det e_r)^T) / det,
@@ -304,11 +343,14 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
     +-x_j <= M, where M exceeds every vertex coordinate by Hadamard's
     bound. Each iteration brings in the first violated row and drops the
     basis row of least y_r / alpha_r (Bland's rule on the dual); the duals
-    are computed only then, when a row enters. An artificial row left in the
+    are computed only then, when a row enters. Every row product, a . x for
+    the scan and adj b_B, adj^T cost and adj^T a, is one of the generated
+    straight-line sums of _row_ops(dim). An artificial row left in the
     final basis means an unbounded LP when its dual is positive, the one
     dual computed at the exit; at a zero dual the point is optimal but may
     not be a vertex.
     """
+    first, dots = _row_ops(dim)
     m = len(A)
     if start is None:
         big = None
@@ -342,14 +384,13 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
         basis = list(ids)
 
     while True:
-        bb = [b[k] for k in basis]
-        nums = [sum(map(mul, row, bb)) for row in adj]
-        k = next((i for i, a in enumerate(A) if sum(map(mul, a, nums)) > b[i] * det), None)
+        nums = dots(adj, [b[k] for k in basis])
+        k = first(A, b, nums, det)
         if k is None:
             break
         cols = list(zip(*adj))
-        ydet = [-sum(map(mul, col, cost)) for col in cols]
-        alpha = [sum(map(mul, col, A[k])) for col in cols]
+        ydet = [-v for v in dots(cols, cost)]
+        alpha = dots(cols, A[k])
         out = None
         for r, ar in enumerate(alpha):
             if ar > 0:
@@ -503,6 +544,11 @@ def _purify_to_vertex(dim, rows, rhs, nums, den, objective):
 # right-hand-side families: one set of rows and one cost, many right-hand sides
 
 
+def _check_cost(cost, dim: int) -> None:
+    if len(cost) != dim:
+        raise ValueError(f"a cost of {len(cost)} entries for dim = {dim}")
+
+
 class RhsFamily:
     """The LPs min cost . x over fixed rows a . x rel b, one per right-hand
     side b, with free x.
@@ -529,11 +575,13 @@ class RhsFamily:
     feasible for every other, and the dual simplex goes on from it. An
     optimum whose basis keeps an artificial row is purified onto a vertex
     and stores no basis. One variable takes the closed form. Every optimum
-    is re-verified against every kernel row in integer arithmetic; a miss
-    raises InternalInvariantError. with_cost(cost) gives the family of the
-    same rows under another cost: it shares this family's row split, map
-    and unit-row index, and starts cold; span(rhs) solves two such siblings
-    for the cost's least and greatest value.
+    is re-verified against every kernel row in integer arithmetic, one full
+    pass of the kernel's generated row scan; a miss raises
+    InternalInvariantError. A row or a cost of another length than dim
+    raises ValueError, here and in with_cost. with_cost(cost) gives the
+    family of the same rows under another cost: it shares this family's row
+    split, map and unit-row index, and starts cold; span(rhs) solves two
+    such siblings for the cost's least and greatest value.
 
     unique() says whether the last solve's optimum is the only optimum. The
     family keeps the final basis of its last optimum for it, None when that
@@ -548,8 +596,11 @@ class RhsFamily:
     __slots__ = ("dim", "rows", "cost", "_rhs_map", "_fixed", "_kernel", "_basis", "_last")
 
     def __init__(self, dim: int, rows, cost):
+        _check_cost(cost, dim)
         A, rhs_map, fixed = [], [], []
         for k, (a, rel) in enumerate(rows):
+            if len(a) != dim:
+                raise ValueError(f"a row of {len(a)} entries for dim = {dim}")
             if any(a):
                 A.append(a)
                 rhs_map.append((k, 1))
@@ -572,6 +623,7 @@ class RhsFamily:
         """The family of these rows under the integer cost `cost`. A basis
         optimal for one cost need not be dual feasible for another, so it
         starts cold, with no basis of its own yet."""
+        _check_cost(cost, self.dim)
         if self._kernel is None and self.dim > 1:
             self._kernel = _kernel_form(self.dim, self.rows)
         other = object.__new__(RhsFamily)
@@ -607,7 +659,8 @@ class RhsFamily:
             return False
         if not last:
             return self.cost[0] != 0
-        return all(sum(map(mul, col, self.cost)) < 0 for col in zip(*last[1]))
+        _, dots = _row_ops(self.dim)
+        return all(v < 0 for v in dots(zip(*last[1]), self.cost))
 
     def solve(self, rhs) -> tuple:
         self._last = None
@@ -633,9 +686,9 @@ class RhsFamily:
             return tag, None, None
         if not vertex:
             nums, den = _purify_to_vertex(dim, rows, rhs, nums, den, cost)
-        for a, b in zip(rows, rhs):
-            if sum(map(mul, a, nums)) > b * den:
-                raise InternalInvariantError("an LP optimum failed re-verification")
+        first, _ = _row_ops(dim)
+        if first(rows, rhs, nums, den) is not None:
+            raise InternalInvariantError("an LP optimum failed re-verification")
         self._last = basis
         return "optimal", nums, den
 

@@ -193,9 +193,9 @@ def test_no_qvector_built_in_an_objective_call():
 
 # The LP kernel reads "<=" rows alone: each RhsFamily splits its "=" rows
 # into their two sides once, at construction, so no kernel function reads
-# a relation.
+# a relation, the generated row products included.
 KERNEL = ("_dual_simplex_min", "_exchange", "_kernel_form", "_interval_solve",
-          "_purify_to_vertex")
+          "_purify_to_vertex", "_row_ops")
 
 
 def test_lp_kernel_reads_no_relation():

@@ -659,6 +659,87 @@ def test_lp_reverification_is_fatal(monkeypatch):
         lp_solve(BOX, QVector([1, 1]), "min")
 
 
+BOX_ROWS = [((1, 0), LE), ((0, 1), LE), ((-1, 0), LE), ((0, -1), LE)]
+
+
+@pytest.mark.parametrize("build", [
+    lambda: linear.RhsFamily(2, [((2, 3, 7), LE)] + BOX_ROWS, (-1, -1)),
+    lambda: linear.RhsFamily(2, [((2, 3), LE)] + BOX_ROWS, (-1,)),
+    lambda: linear.StrictFamily(2, [((1,), "<")] + BOX_ROWS),
+    lambda: linear.RhsFamily(2, [((1, 0, 5), LE)] + BOX_ROWS, (-1, -1)),
+    lambda: linear.RhsFamily(2, BOX_ROWS, (-1, -1)).with_cost((1, 1, 1)),
+], ids=["long row", "short cost", "short strict row", "long row with a zero",
+        "long cost of a sibling"])
+def test_families_reject_rows_and_costs_of_another_length(build):
+    # a row or a cost of another length than dim is refused when the family
+    # is built, not cut to dim by zip, lifted into another row, or left to
+    # fail in the kernel; a StrictFamily's lifted family names its dim + 1
+    with pytest.raises(ValueError, match="entries for dim = "):
+        build()
+
+
+BIG = 2 ** 200
+
+
+def row_op_cases():
+    """(dim, rows, b, x, den) in dim 0 to 8, entries small or near +-2**200."""
+    entry = st.one_of(st.integers(-4, 4), st.integers(-BIG - 2, -BIG + 2),
+                      st.integers(BIG - 2, BIG + 2), st.integers(-BIG, BIG))
+
+    def case(dim):
+        vector = st.lists(entry, min_size=dim, max_size=dim)
+        return st.tuples(st.just(dim), st.lists(vector.map(tuple), max_size=6),
+                         st.lists(entry, min_size=6, max_size=6), vector,
+                         st.one_of(st.integers(1, 5), st.integers(1, BIG)))
+    return st.integers(0, 8).flatmap(case)
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_op_cases())
+def test_row_ops_match_the_plain_sums(case):
+    # the generated straight-line products against sum(map(mul, ...))
+    dim, rows, b, x, den = case
+    first, dots = linear._row_ops(dim)
+    assert first(rows, b, x, den) == next(
+        (i for i, a in enumerate(rows) if sum(map(mul, a, x)) > b[i] * den), None)
+    assert dots(rows, x) == [sum(map(mul, a, x)) for a in rows]
+
+
+def test_dimension_zero_family_settles_its_constant_rows():
+    # no variable: the constant rows alone decide, and the one point () is
+    # the only optimum
+    family = linear.RhsFamily(0, [((), LE), ((), "<")], ())
+    assert family.solve([0, 1]) == ("optimal", [], 1) and family.unique()
+    assert family.solve([-1, 1]) == ("infeasible", None, None)
+    assert family.solve([0, 0]) == ("infeasible", None, None)
+
+
+def seven_dimensional_systems():
+    """Closed systems in 7 variables bounded by -x_j <= 2 and sum x <= 3,
+    with up to three random "<=" rows, and a cost."""
+    coeffs = st.lists(st.integers(-3, 3), min_size=7, max_size=7)
+
+    def build(extra):
+        rows = [row_le([-int(i == j) for i in range(7)], 2) for j in range(7)]
+        rows += [row_le([1] * 7, 3)] + [row_le(a, b) for a, b in extra]
+        return LinearSystem(7, tuple(rows))
+    return st.tuples(st.lists(st.tuples(coeffs, st.integers(-6, 6)), max_size=3).map(build),
+                     coeffs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seven_dimensional_systems())
+def test_lp_matches_vertex_scan_in_seven_dimensions(case):
+    sys_, cost = case
+    ref = support.ref_lp_min(sys_, [Fraction(v) for v in cost])
+    out = lp_solve(sys_, cost, "min")
+    if ref is None:
+        assert out.tag == "infeasible"
+    else:
+        assert out.tag == "optimal" and out.value == ref[0]
+        assert sys_.satisfied_by(out.point)
+
+
 def rhs_families():
     """(dim, rows, cost, rhs list): integer rows (a, rel) over dim 2 or 3
     bounded by a box, either the unit box |x_j| <= 4 or the simplex-like
