@@ -21,7 +21,7 @@ from .errors import (BoundednessError, InfeasibleProblemError, InfeasibleRelaxat
 from .instance_io import (instance_to_json, load_instance, parse_and_validate, parse_instance,
                           render_text, report_to_dict, report_to_json)
 from .lattice import enumerate_integers, integer_min, mixed_feasible
-from .linear import (LE, EQ, LT, LinRow, LinearSystem, LpOutcome, affinely_independent_vertices,
+from .linear import (LE, EQ, LT, LinearSystem, LpOutcome, affinely_independent_vertices,
                      lp_solve, recession_bounded, row_eq, row_le, row_lt, strict_feasible_point,
                      vertices)
 from .randgen import random_instance

@@ -50,7 +50,7 @@ data fields, the Instance holds two row sets that its constructor builds
 from the data alone, once, as integer rows (a, "<=") and their right-hand
 sides, the form every LP here takes: the upper rows and the
 follower-relaxation rows A x - B z <= u. Every solve reads them, none
-writes to the instance, and none builds a LinRow.
+writes to the instance.
 """
 from __future__ import annotations
 
@@ -62,7 +62,7 @@ from typing import Optional
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
 from .lattice import IntegerSearch, integer_candidates, _charge
-from .linear import (LE, LT, LinRow, LinearSystem, RhsFamily, StrictFamily, lp_solve,
+from .linear import (LE, LT, LinearSystem, RhsFamily, StrictFamily, lp_solve,
                      recession_bounded, row_eq, row_le, rows_hold, strict_feasible_point,
                      _over_common_denominator, _unit)
 from .rational import QVector
@@ -182,8 +182,7 @@ class Instance:
     def upper_system(self) -> LinearSystem:
         """The upper rows at their right-hand sides as a new LinearSystem
         over (x, z), for the one-shot layer: each call builds one."""
-        return LinearSystem(self.n + self.d,
-                            [LinRow(a, b, rel) for (a, rel), b in zip(*self.upper)])
+        return LinearSystem(self.n + self.d, zip(*self.upper))
 
 
 @dataclass(frozen=True)
@@ -272,8 +271,7 @@ def cell_region(inst: Instance, cell: Cell) -> LinearSystem:
     ValueError.
     """
     _check_shape(inst, cell)
-    return LinearSystem(inst.d, [LinRow(a, b, rel) for (a, rel), b in
-                                 zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r))])
+    return LinearSystem(inst.d, zip(_region_rows(inst), _region_rhs(inst, cell.x, cell.r)))
 
 
 def _follower_check(inst: Instance) -> IntegerSearch:
@@ -561,15 +559,20 @@ def enumerate_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> li
     return [e.cell for e in cell_index(inst, config).entries]
 
 
-def cell_infimum(inst: Instance, cell: Cell, objective: QVector):
+def cell_infimum(inst: Instance, cell: Cell, objective):
     """(infimum, attained, witness) of an objective over one valid cell.
 
-    The infimum is the LP minimum over the region's closure; it is attained
-    exactly when the optimal face meets the half-open region. The witness is
-    an exact optimal point when attained, otherwise a strictly feasible point
-    within delta of the infimum, delta being WITNESS_DELTA times the
-    objective range over the cell.
+    The objective over (x, z) is a sequence of ints and Fractions, as
+    lp_solve takes it (a QVector is one); a wrong length or any other
+    entry, a float or a bool say, raises ValueError. The infimum is the LP
+    minimum over the region's closure; it is attained exactly when the
+    optimal face meets the half-open region. The witness is an exact
+    optimal point when attained, otherwise a strictly feasible point within
+    delta of the infimum, delta being WITNESS_DELTA times the objective
+    range over the cell.
     """
+    if not isinstance(objective, QVector):
+        objective = QVector(objective)
     if objective.dim != inst.joint_dim():
         raise ValueError("objective must be over (x, z)")
     region = cell_region(inst, cell)

@@ -15,10 +15,10 @@ rational_reconstruct, the search that a decomposition known only through
 its decision oracle needs, stay exported for callers. Strict-feasibility
 checks remain for the value slices and for witnesses. After the index
 build every LP, and every check of a point, reads the scan's integer rows
-and right-hand sides: a solve builds no LinRow. The pure driver lists the
-response table over integer leader points once and reads v*, x* and z* off
-its least entry. The reference oracle checks both drivers from the cell
-definition, with no floor walk, cell index, DecisionScan or response table
+and right-hand sides. The pure driver lists the response table over
+integer leader points once and reads v*, x* and z* off its least entry.
+The reference oracle checks both drivers from the cell definition, with no
+floor walk, cell index, DecisionScan or response table
 (see reference_oracle for what it shares): `solve --engine both`, the
 `oracle` command and the acceptance tests compare the drivers with it, a
 solve does not.
@@ -38,7 +38,7 @@ from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, pure_responses, witness_le, _scan_for
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import integer_min, _charge
-from .linear import (EQ, LE, LT, LinRow, LinearSystem, affinely_independent_vertices, lp_range,
+from .linear import (EQ, LE, LT, LinearSystem, affinely_independent_vertices, lp_range,
                      lp_solve, row_eq, rows_hold, _over_common_denominator, _unit)
 from .rational import QVector, as_rat, ceil_rat, floor_rat, subdeterminant_bound
 
@@ -410,9 +410,10 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     if variant == PURE:
         found = []
         for cell in cells:
-            rows = [LinRow(r.a, r.b - 1, LE) if r.rel == LT else r
-                    for r in cell_region(inst, cell).rows]
-            out = integer_min(inst.e, LinearSystem(inst.d, rows), config)
+            region = cell_region(inst, cell)
+            out = integer_min(inst.e, LinearSystem(inst.d, (
+                ((a, LE), b - 1) if rel == LT else ((a, rel), b)
+                for (a, rel), b in zip(region.rows, region.rhs))), config)
             if out.is_optimal:
                 found.append((sum(map(mul, inst.c, cell.x)) + out.value, cell.x,
                               out.point.entries))

@@ -62,7 +62,7 @@ def _closed_bounded(sys: LinearSystem, coords, message: str) -> tuple:
         raise ValueError("lattice operations take closed rows only")
     if not _projection_bounded(sys, coords):
         raise BoundednessError(message)
-    return [(r.a, r.rel) for r in sys.rows], [r.b for r in sys.rows]
+    return sys.rows, sys.rhs
 
 
 class IntegerSearch:

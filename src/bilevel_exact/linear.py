@@ -56,22 +56,23 @@ Anything else, a float, a bool or a str, raises ValueError, in an objective
 or in a row built by `row_le`, `row_eq` or `row_lt`: one scaler,
 `_integer_cost`, serves both.
 
-Every row is in integer form. The engine's one row form is an integer row
-(a, rel), its right-hand side b an integer kept apart, one per row, as the
-families take them: the instance keeps its rows so, and the floor walk, the
-searches and the scans pose every LP on such rows. `LinRow(a, b, rel)` is
-the row a . x rel b with integer a and b, and its constructor rejects
-anything else; `LinearSystem`s of them are the input of the one-shot layer
+There is one row form: an integer row (a, rel), its right-hand side b an
+integer kept apart, one per row, as the families take them. The instance
+keeps its rows so, the floor walk, the searches and the scans pose every
+LP on such rows, and a `LinearSystem`, the input of the one-shot layer
 (`lp_solve`, `lp_range`, `strict_feasible_point`, `vertices` and the
-one-shot searches of `lattice`). `row_le`, `row_eq` and `row_lt` are for
-rational data, such as a value row at a rational threshold: they multiply
-the row once by the lcm of its denominators, with no gcd reduction, so a
-row of integral data comes out with the integers it was given. The dual simplex, the
-active-row test of vertex purification and the re-verification all read
-that form: a point is put over one common denominator and every row is
-checked with integer dot products (`rows_hold`). Re-verification stays
-fatal: a family optimum, and so an `lp_solve` one, or a strict witness
-that misses any row raises `InternalInvariantError`.
+one-shot searches of `lattice`), holds its `rows` and `rhs` so, which that
+layer hands to a family as they are. Its constructor takes ((a, rel), b)
+pairs and rejects any entry but an int. `row_le`, `row_eq` and `row_lt`
+build such a pair from rational data, such as a value row at a rational
+threshold: they multiply the row once by the lcm of its denominators, with
+no gcd reduction, so a row of integral data comes out with the integers it
+was given. The dual simplex, the active-row test of vertex purification
+and the re-verification all read that form: a point is put over one common
+denominator and every row is checked with integer dot products
+(`rows_hold`). Re-verification stays fatal: a family optimum, and so an
+`lp_solve` one, or a strict witness that misses any row raises
+`InternalInvariantError`.
 
 Boundedness is the caller's to know. A family, a search or a walk of
 `lattice` takes rows that bound what it is asked: instance validation
@@ -140,95 +141,82 @@ def rows_hold(rows, rhs, nums, den: int) -> bool:
     return True
 
 
-@dataclass(frozen=True, slots=True)
-class LinRow:
-    """One linear constraint over integers: a . x  rel  b."""
-
-    a: tuple
-    b: int
-    rel: str
-
-    def __post_init__(self):
-        if self.rel not in _RELATIONS:
-            raise ValueError(f"unknown relation {self.rel!r}")
-        if type(self.a) is not tuple:
-            object.__setattr__(self, "a", tuple(self.a))
-        if type(self.b) is not int or any(type(v) is not int for v in self.a):
-            raise ValueError("LinRow takes integer coefficients and rhs; "
-                             "row_le, row_eq and row_lt take rationals")
-
-    def holds_at(self, nums, den: int) -> bool:
-        """Whether the row holds at the point nums / den (den > 0)."""
-        return rows_hold(((self.a, self.rel),), (self.b,), nums, den)
-
-    def closed(self) -> "LinRow":
-        return self if self.rel != LT else LinRow(self.a, self.b, LE)
-
-    def satisfied_by(self, point: Sequence) -> bool:
-        if not isinstance(point, QVector):
-            point = QVector(point)
-        if point.dim != len(self.a):
-            raise ValueError(f"point of dim {point.dim} for a row of dim {len(self.a)}")
-        return self.holds_at(*_over_common_denominator(point.entries))
-
-
 def _unit(dim: int, i: int, sign: int = 1) -> tuple:
     return tuple(sign if j == i else 0 for j in range(dim))
 
 
-def _integer_row(coeffs: Iterable, rhs, rel: str) -> LinRow:
-    """The rational row coeffs . x rel rhs times the lcm of its denominators,
-    with no gcd reduction: the scaling of _integer_cost, which rejects any
-    entry but an int or a Fraction."""
+def _integer_row(coeffs: Iterable, rhs, rel: str) -> tuple:
+    """((a, rel), b): the rational row coeffs . x rel rhs times the lcm of its
+    denominators, with no gcd reduction: the scaling of _integer_cost, which
+    rejects any entry but an int or a Fraction."""
     coeffs = tuple(coeffs)
     scaled, _ = _integer_cost(coeffs + (rhs,), len(coeffs) + 1)
-    return LinRow(tuple(scaled[:-1]), scaled[-1], rel)
+    return (tuple(scaled[:-1]), rel), scaled[-1]
 
 
-def row_le(coeffs: Iterable, rhs) -> LinRow:
+def row_le(coeffs: Iterable, rhs) -> tuple:
     return _integer_row(coeffs, rhs, LE)
 
 
-def row_eq(coeffs: Iterable, rhs) -> LinRow:
+def row_eq(coeffs: Iterable, rhs) -> tuple:
     return _integer_row(coeffs, rhs, EQ)
 
 
-def row_lt(coeffs: Iterable, rhs) -> LinRow:
+def row_lt(coeffs: Iterable, rhs) -> tuple:
     return _integer_row(coeffs, rhs, LT)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LinearSystem:
-    """A finite set of rows over a fixed ambient dimension."""
+    """Integer rows (a, rel) over a fixed ambient dimension and their integer
+    right-hand sides rhs, one per row: the rows a . x rel b, in the form the
+    families take.
+
+    Built from ((a, rel), b) pairs, as row_le, row_eq and row_lt return them
+    and as zip(rows, rhs) gives them. A coefficient or a right-hand side that
+    is not an int (a bool is not), an unknown relation or a row of another
+    length than dim raises ValueError.
+    """
 
     dim: int
     rows: tuple
+    rhs: tuple
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(self.rows))
-        for r in self.rows:
-            if not isinstance(r, LinRow):
-                raise ValueError("LinearSystem rows must be LinRow")
-            if len(r.a) != self.dim:
-                raise ValueError(f"row of dim {len(r.a)} in system of dim {self.dim}")
+    def __init__(self, dim: int, pairs: Iterable):
+        rows, rhs = [], []
+        for (a, rel), b in pairs:
+            a = tuple(a)
+            if rel not in _RELATIONS:
+                raise ValueError(f"unknown relation {rel!r}")
+            if len(a) != dim:
+                raise ValueError(f"row of dim {len(a)} in system of dim {dim}")
+            if type(b) is not int or any(type(v) is not int for v in a):
+                raise ValueError("LinearSystem takes integer coefficients and right-hand "
+                                 "sides; row_le, row_eq and row_lt take rationals")
+            rows.append((a, rel))
+            rhs.append(b)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "rows", tuple(rows))
+        object.__setattr__(self, "rhs", tuple(rhs))
 
     def closure(self) -> "LinearSystem":
         """Replace strict rows by their closed counterparts (idempotent)."""
-        return LinearSystem(self.dim, [r.closed() for r in self.rows])
+        return LinearSystem(self.dim, (((a, LE if rel == LT else rel), b)
+                                       for (a, rel), b in zip(self.rows, self.rhs)))
 
     def has_strict(self) -> bool:
-        return any(r.rel == LT for r in self.rows)
+        return any(rel == LT for _, rel in self.rows)
 
-    def with_rows(self, extra: Iterable[LinRow]) -> "LinearSystem":
-        return LinearSystem(self.dim, self.rows + tuple(extra))
+    def with_rows(self, extra: Iterable) -> "LinearSystem":
+        """This system with the ((a, rel), b) pairs `extra` appended."""
+        return LinearSystem(self.dim, [*zip(self.rows, self.rhs), *extra])
 
     def satisfied_by(self, point: Sequence) -> bool:
         if not isinstance(point, QVector):
             point = QVector(point)
         if point.dim != self.dim:
             raise ValueError(f"point of dim {point.dim} for a system of dim {self.dim}")
-        nums, den = _over_common_denominator(point.entries)
-        return all(r.holds_at(nums, den) for r in self.rows)
+        return rows_hold(self.rows, self.rhs, *_over_common_denominator(point.entries))
 
 
 @dataclass(frozen=True)
@@ -549,6 +537,11 @@ def _check_cost(cost, dim: int) -> None:
         raise ValueError(f"a cost of {len(cost)} entries for dim = {dim}")
 
 
+def _check_rhs(rhs, count: int) -> None:
+    if len(rhs) != count:
+        raise ValueError(f"{count} rows but {len(rhs)} right-hand sides")
+
+
 class RhsFamily:
     """The LPs min cost . x over fixed rows a . x rel b, one per right-hand
     side b, with free x.
@@ -578,9 +571,10 @@ class RhsFamily:
     is re-verified against every kernel row in integer arithmetic, one full
     pass of the kernel's generated row scan; a miss raises
     InternalInvariantError. A row or a cost of another length than dim
-    raises ValueError, here and in with_cost. with_cost(cost) gives the
-    family of the same rows under another cost: it shares this family's row
-    split, map and unit-row index, and starts cold; span(rhs) solves two
+    raises ValueError, here and in with_cost, and so does an rhs of another
+    length than the rows, in solve before any pivot. with_cost(cost) gives
+    the family of the same rows under another cost: it shares this family's
+    row split, map and unit-row index, and starts cold; span(rhs) solves two
     such siblings for the cost's least and greatest value.
 
     unique() says whether the last solve's optimum is the only optimum. The
@@ -593,7 +587,8 @@ class RhsFamily:
     an interval, the only optimum when the cost is nonzero.
     """
 
-    __slots__ = ("dim", "rows", "cost", "_rhs_map", "_fixed", "_kernel", "_basis", "_last")
+    __slots__ = ("dim", "rows", "cost", "_count", "_rhs_map", "_fixed", "_kernel", "_basis",
+                 "_last")
 
     def __init__(self, dim: int, rows, cost):
         _check_cost(cost, dim)
@@ -612,6 +607,7 @@ class RhsFamily:
         # None: every row is a nonconstant "<=" row, rhs is passed on as it is
         self._rhs_map = None if not fixed and len(A) == len(rows) else rhs_map
         self._fixed = fixed
+        self._count = len(rows)
         self.dim = dim
         self.rows = A
         self.cost = cost
@@ -627,7 +623,7 @@ class RhsFamily:
         if self._kernel is None and self.dim > 1:
             self._kernel = _kernel_form(self.dim, self.rows)
         other = object.__new__(RhsFamily)
-        other.dim, other.rows, other.cost = self.dim, self.rows, cost
+        other.dim, other.rows, other.cost, other._count = self.dim, self.rows, cost, self._count
         other._rhs_map, other._fixed, other._kernel = self._rhs_map, self._fixed, self._kernel
         other._basis = other._last = None
         return other
@@ -663,6 +659,7 @@ class RhsFamily:
         return all(v < 0 for v in dots(zip(*last[1]), self.cost))
 
     def solve(self, rhs) -> tuple:
+        _check_rhs(rhs, self._count)
         self._last = None
         if self._rhs_map is not None:
             for k, rel in self._fixed:
@@ -719,7 +716,9 @@ class StrictFamily:
 
     def point(self, rhs) -> Optional[tuple]:
         """(nums, den) of a point with the rows' right-hand sides rhs that
-        meets every strict row strictly, or None when there is none."""
+        meets every strict row strictly, or None when there is none. An rhs
+        of another length than the rows raises ValueError."""
+        _check_rhs(rhs, len(self.order))
         tag, nums, den = self.lp.solve([rhs[i] for i in self.order] + [0, 1])
         if tag != "optimal" or not nums[-1]:
             return None
@@ -760,8 +759,7 @@ def lp_solve(sys: LinearSystem, objective: Sequence, sense: str = "min") -> LpOu
         raise ValueError("lp_solve takes closed rows only")
     iobjective, omult = _integer_cost(objective, sys.dim)
     cost = iobjective if sense == "min" else [-v for v in iobjective]
-    family = RhsFamily(sys.dim, [(r.a, r.rel) for r in sys.rows], cost)
-    tag, nums, den = family.solve([r.b for r in sys.rows])
+    tag, nums, den = RhsFamily(sys.dim, sys.rows, cost).solve(sys.rhs)
     if tag == "infeasible":
         return _INFEASIBLE
     if tag == "unbounded":
@@ -779,8 +777,7 @@ def lp_range(sys: LinearSystem, objective: Sequence) -> Optional[tuple]:
     if sys.has_strict():
         raise ValueError("lp_range takes closed rows only")
     cost, mult = _integer_cost(objective, sys.dim)
-    family = RhsFamily(sys.dim, [(r.a, r.rel) for r in sys.rows], cost)
-    ends = family.span([r.b for r in sys.rows])
+    ends = RhsFamily(sys.dim, sys.rows, cost).span(sys.rhs)
     return None if ends is None else tuple(Fraction(v, mult * den) for v, den in ends)
 
 
@@ -792,12 +789,11 @@ def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
     integer arithmetic; the witness is checked again against every row. A
     miss raises InternalInvariantError.
     """
-    found = StrictFamily(sys.dim, [(r.a, r.rel) for r in sys.rows]).point(
-        [r.b for r in sys.rows])
+    found = StrictFamily(sys.dim, sys.rows).point(sys.rhs)
     if found is None:
         return None
     nums, den = found
-    if not all(r.holds_at(nums, den) for r in sys.rows):
+    if not rows_hold(sys.rows, sys.rhs, nums, den):
         raise InternalInvariantError("strict feasibility witness failed re-verification")
     return QVector([Fraction(v, den) for v in nums])
 
@@ -805,17 +801,16 @@ def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
 def _truncated_cone(rows, dim: int) -> LinearSystem:
     """{y : a . y rel 0 for each row (a, rel), |y_j| <= 1} for closed integer
     rows; the cone rows come first."""
-    cone = [LinRow(a, 0, rel) for a, rel in rows]
+    cone = [(row, 0) for row in rows]
     for j in range(dim):
-        cone.append(LinRow(_unit(dim, j), 1, LE))
-        cone.append(LinRow(_unit(dim, j, -1), 1, LE))
-    return LinearSystem(dim, tuple(cone))
+        cone += [((_unit(dim, j), LE), 1), ((_unit(dim, j, -1), LE), 1)]
+    return LinearSystem(dim, cone)
 
 
 def _projection_bounded(sys: LinearSystem, coords) -> bool:
     """True iff the closed system's recession cone has y_i = 0 for i in coords:
     the lp_range of each y_i over the truncated cone is (0, 0)."""
-    cone = _truncated_cone([(r.a, r.rel) for r in sys.closure().rows], sys.dim)
+    cone = _truncated_cone(sys.closure().rows, sys.dim)
     return all(lp_range(cone, _unit(sys.dim, i)) == (0, 0) for i in coords)
 
 
@@ -855,17 +850,17 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
         return [QVector(())]
     if not _projection_bounded(closed, range(sys.dim)):
         raise ValueError("vertex enumeration on an unbounded system")
-    rows = [r for r in closed.rows if any(r.a)]  # a zero row bounds no vertex
+    # a zero row bounds no vertex
+    rows = [(a, b) for (a, _), b in zip(closed.rows, closed.rhs) if any(a)]
     if math.comb(len(rows), sys.dim) > config.basis_cap:
         raise ResourceLimitError(f"basis_cap={config.basis_cap}: vertex enumeration over "
                                  f"{len(rows)} rows exceeds the basis cap")
     found = set()
     for subset in combinations(rows, sys.dim):
-        x = _solve_square([r.a for r in subset], [r.b for r in subset], sys.dim)
+        x = _solve_square([a for a, _ in subset], [b for _, b in subset], sys.dim)
         if x is None:
             continue
-        nums, den = _over_common_denominator(x)
-        if all(r.holds_at(nums, den) for r in closed.rows):
+        if rows_hold(closed.rows, closed.rhs, *_over_common_denominator(x)):
             found.add(tuple(x))
     return [QVector(v) for v in sorted(found)]
 
@@ -906,14 +901,10 @@ def affinely_independent_vertices(dim: int, rows, rhs):
     implicit equality and joins the directions. The w are independent and
     each is bounded both ways on a bounded region, so an unbounded region
     raises ValueError; an infeasible one gives (0, []). A row of another
-    length than dim, or an rhs of another length than rows, raises
-    ValueError before any LP.
+    length than dim, or an rhs of another length than rows, raises the
+    family's ValueError before any LP.
     """
     rows = [(a, LE if rel == LT else rel) for a, rel in rows]
-    if len(rhs) != len(rows):
-        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
-    if any(len(a) != dim for a, _ in rows):
-        raise ValueError(f"a row of another length than dim = {dim}")
     family = RhsFamily(dim, rows, (0,) * dim)
     tag, nums, den = family.solve(rhs)
     if tag != "optimal":

@@ -7,7 +7,6 @@ and only meant for small reference problems. ref_mixed_no_lp and
 ref_pure_no_lp solve a whole instance this way, reading nothing of the
 package but its data fields, for the drivers to be compared with.
 """
-import collections
 import contextlib
 import itertools
 import math
@@ -16,8 +15,8 @@ from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
-from bilevel_exact import (DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, LinearSystem, cells,
-                           is_valid_cell, row_eq)
+from bilevel_exact import (DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, cells, is_valid_cell,
+                           row_eq)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1_PATH = os.path.join(ROOT, "instances", "example1.json")
@@ -101,17 +100,24 @@ def _solve_square(rows, rhs):
 
 
 def row_holds(row, point, closed=False):
-    val = sum(c * p for c, p in zip(row.a, point))
-    if row.rel == EQ:
-        return val == row.b
-    if row.rel == LT and not closed:
-        return val < row.b
-    return val <= row.b
+    """Whether the row ((a, rel), b) holds at the point."""
+    (a, rel), b = row
+    val = sum(c * p for c, p in zip(a, point))
+    if rel == EQ:
+        return val == b
+    if rel == LT and not closed:
+        return val < b
+    return val <= b
+
+
+def pairs(system):
+    """The rows of a LinearSystem as ((a, rel), b) pairs, in order."""
+    return list(zip(system.rows, system.rhs))
 
 
 def ref_vertices(system):
     """All basic feasible points of the closure, by brute combination."""
-    return _closure_vertices(list(system.rows), system.dim)
+    return _closure_vertices(pairs(system), system.dim)
 
 
 def _reduced(basis, coeffs, rhs):
@@ -130,12 +136,12 @@ def _closure_vertices(rows, dim):
     """Every vertex lies on every equality row, so the bases tried are a
     maximal independent set of the equality rows plus each combination of
     other rows that stays independent; each is solved by back substitution
-    in Fraction arithmetic and kept when it meets every row."""
+    in Fraction arithmetic and kept when it meets every row ((a, rel), b)."""
     basis = []
     others = []
-    for r in rows:
-        coeffs, rhs = [Fraction(v) for v in r.a], Fraction(r.b)
-        if r.rel != EQ:
+    for (a, rel), b in rows:
+        coeffs, rhs = [Fraction(v) for v in a], Fraction(b)
+        if rel != EQ:
             others.append((coeffs, rhs))
         elif len(basis) < dim:
             basis += [red for red in [_reduced(basis, coeffs, rhs)] if red is not None]
@@ -188,7 +194,7 @@ def ref_strictly_feasible(rows):
     a point whenever one exists.
     """
     rows = list(rows)
-    verts = _closure_vertices(rows, len(rows[0].a))
+    verts = _closure_vertices(rows, len(rows[0][0][0]))
     if not verts:
         return False
     center = [sum(col) / len(verts) for col in zip(*verts)]
@@ -197,9 +203,8 @@ def ref_strictly_feasible(rows):
 
 # ---------------------------------------------------------------------------
 # the reference that uses no LP: vertices by bases of rows, integers by box
-# scans, and nothing of the package but the instance's data fields
-
-Row = collections.namedtuple("Row", "a b rel")
+# scans, and nothing of the package but the instance's data fields; a row is
+# the pair ((a, rel), b), as the package poses it
 
 
 def _dot(a, v):
@@ -222,8 +227,8 @@ def _responses(inst):
     B_i z + u_i at those vertices, A x <= r, and no integer point of
     {A x' <= r} with a smaller psi . x', by one scan of its box per r."""
     n, d = inst.n, inst.d
-    upper = [Row(cr + dr, pv, LE) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
-    upper += [Row(tuple(-int(k == j) for k in range(n + d)), 0, LE) for j in range(n, n + d)]
+    upper = [((cr + dr, LE), pv) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+    upper += [((tuple(-int(k == j) for k in range(n + d)), LE), 0) for j in range(n, n + d)]
     verts = _closure_vertices(upper, n + d)
     if not verts:
         return []
@@ -234,7 +239,7 @@ def _responses(inst):
             if any(_dot(ar, x) > ri for ar, ri in zip(inst.A, r)):
                 continue
             if r not in best:
-                rows = [Row(ar, ri, LE) for ar, ri in zip(inst.A, r)]
+                rows = [((ar, LE), ri) for ar, ri in zip(inst.A, r)]
                 best[r] = min(_dot(inst.psi, y) for y in _integer_box(_closure_vertices(rows, n))
                               if all(row_holds(row, y) for row in rows))
             if _dot(inst.psi, x) == best[r]:
@@ -246,11 +251,11 @@ def _region(inst, x, r, integer_z=False):
     """The rows over z of the cell (x, r): D z <= p - C x, z >= 0 and
     r_i <= B_i z + u_i < r_i + 1, the strict rows tightened by 1 to
     B_i z + u_i <= r_i with `integer_z`."""
-    rows = [Row(dr, pv - _dot(cr, x), LE) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
-    rows += [Row(tuple(-int(k == j) for k in range(inst.d)), 0, LE) for j in range(inst.d)]
+    rows = [((dr, LE), pv - _dot(cr, x)) for cr, dr, pv in zip(inst.C, inst.D, inst.p)]
+    rows += [((tuple(-int(k == j) for k in range(inst.d)), LE), 0) for j in range(inst.d)]
     for br, uv, ri in zip(inst.B, inst.u, r):
-        rows.append(Row(tuple(-v for v in br), uv - ri, LE))
-        rows.append(Row(br, ri - uv, LE) if integer_z else Row(br, ri + 1 - uv, LT))
+        rows.append(((tuple(-v for v in br), LE), uv - ri))
+        rows.append(((br, LE), ri - uv) if integer_z else ((br, LT), ri + 1 - uv))
     return rows
 
 
@@ -273,7 +278,7 @@ def ref_mixed_no_lp(inst):
     v_star = min(value for _, _, value in valid)
     for x, rows, value in valid:
         if value == v_star and ref_strictly_feasible(
-                rows + [Row(inst.e, v_star - _dot(inst.c, x), EQ)]):
+                rows + [((inst.e, EQ), v_star - _dot(inst.c, x))]):
             return "Attained", v_star, x
     return "Unattained", v_star, None
 
@@ -345,9 +350,9 @@ def ref_floor_refinement(inst, cell_list, v_star):
         if pool and cell.x != pool[0][0].x:
             break
         shift = sum(a * b for a, b in zip(inst.c, cell.x))
-        rows = cells.cell_region(inst, cell).rows + (row_eq(inst.e, v_star - shift),)
-        if ref_strictly_feasible(rows):
-            pool.append((cell, LinearSystem(inst.d, rows)))
+        sliced = cells.cell_region(inst, cell).with_rows([row_eq(inst.e, v_star - shift)])
+        if ref_strictly_feasible(pairs(sliced)):
+            pool.append((cell, sliced))
     if not pool:
         return None
     for i, (br, uv) in enumerate(zip(inst.B, inst.u)):
@@ -365,7 +370,7 @@ def brute_integer_points(system, lo, hi):
     out = []
     for pt in grid_points(system.dim, lo, hi):
         fp = [Fraction(v) for v in pt]
-        if all(row_holds(r, fp, closed=True) for r in system.rows):
+        if all(row_holds(r, fp, closed=True) for r in pairs(system)):
             out.append(pt)
     return out
 

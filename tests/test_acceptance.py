@@ -151,8 +151,7 @@ def test_criterion_7_lex_postconditions(mixed_batch):
                 continue
             trace = rep.lex_trace
             assert trace is not None
-            for row in trace.q_system.rows:
-                assert row.satisfied_by(trace.z_star)
+            assert trace.q_system.satisfied_by(trace.z_star)
             assert all(ri <= rho_i < ri + 1 for ri, rho_i in zip(trace.r, trace.rho))
             assert bilevel_feasible(inst, trace.x_star, trace.z_star, CFG)
             checked += 1

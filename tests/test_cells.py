@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, LE, Cell, Instance, LinRow, LinearSystem, QVector,
+from bilevel_exact import (DEFAULT_CONFIG, LE, Cell, Instance, LinearSystem, QVector,
                            ResourceLimitError, SolverConfig, ValidationError,
                            bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
                            floor_rhs, is_valid_cell, random_instance, row_le, row_lt,
@@ -152,9 +152,9 @@ def _fractions(values):
     return [Fraction(v) for v in values]
 
 
-def _pairs(rows):
-    """LinRows as the instance keeps its rows: ((a, rel), ...) and (b, ...)."""
-    return tuple((r.a, r.rel) for r in rows), tuple(r.b for r in rows)
+def _pairs(pairs):
+    """Rows ((a, rel), b) as the instance keeps them: ((a, rel), ...) and (b, ...)."""
+    return tuple(row for row, _ in pairs), tuple(b for _, b in pairs)
 
 
 def test_rows_carry_the_integers_of_the_rational_rows():
@@ -173,7 +173,7 @@ def test_rows_carry_the_integers_of_the_rational_rows():
             row_le(_fractions(ar) + [-Fraction(v) for v in br], Fraction(uv))
             for ar, br, uv in zip(inst.A, inst.B, inst.u)])
         r = tuple(rng.randint(-3, 3) for _ in range(inst.m))
-        assert [LinRow(ar, rv, LE) for ar, rv in zip(inst.A, r)] == [
+        assert [((ar, LE), rv) for ar, rv in zip(inst.A, r)] == [
             row_le(_fractions(ar), Fraction(rv)) for ar, rv in zip(inst.A, r)]
         # r, and r at the one floor u_i of each zero row of B, so that regions
         # whose constant rows all hold and regions with a failing one both occur
@@ -181,7 +181,8 @@ def test_rows_carry_the_integers_of_the_rational_rows():
         for floors in (r, held):
             for _ in range(4):
                 cell = Cell(tuple(rng.randint(-1, 1) for _ in range(n)), floors)
-                assert cell_region(inst, cell).rows == _region_rows_from_fractions(inst, cell)
+                assert cell_region(inst, cell) == LinearSystem(
+                    inst.d, _region_rows_from_fractions(inst, cell))
 
 
 def test_instance_keeps_the_rows_its_constructor_builds():
@@ -197,8 +198,7 @@ def test_instance_keeps_the_rows_its_constructor_builds():
                           (1, 1, 0, 0))
     assert inst.relax == ((((-1, 1), LE), ((1, 0), LE), ((-1, 0), LE)), (0, 1, 0))
     assert inst.upper_system() is not inst.upper_system()
-    assert inst.upper_system() == LinearSystem(2, [LinRow(a, b, rel)
-                                                   for (a, rel), b in zip(*inst.upper)])
+    assert inst.upper_system() == LinearSystem(2, zip(*inst.upper))
     # replace rebuilds the rows from the new right-hand sides
     moved = replace(inst, p=(2, 1, 0), u=(1, 1, 0))
     assert moved.upper == (inst.upper[0], (2, 1, 0, 0))
@@ -291,6 +291,20 @@ def test_cell_infimum_examples(example1):
     assert (inf2, attained2) == (1, False)
 
 
+def test_cell_infimum_takes_any_objective_sequence(example1):
+    # an objective is any sequence of ints and Fractions, as lp_solve takes
+    # it: a tuple or a list answers as the QVector of the same entries, and
+    # a float or a bool entry, or a wrong length, raises ValueError
+    for cell in (Cell((1,), (-1, 1, 0)), Cell((0,), (0, 1, 0))):
+        for entries in ((1, 1), (-1, 1), (Fraction(1, 2), -3)):
+            want = cell_infimum(example1, cell, QVector(entries))
+            assert cell_infimum(example1, cell, entries) == want
+            assert cell_infimum(example1, cell, list(entries)) == want
+        for bad in ((1.0, 1), (1, True), (1,), (1, 1, 1)):
+            with pytest.raises(ValueError):
+                cell_infimum(example1, cell, bad)
+
+
 def test_bilevel_feasible_examples(example1):
     assert bilevel_feasible(example1, (0,), QVector([0]), CFG)
     assert bilevel_feasible(example1, (1,), QVector([Fraction(1, 2)]), CFG)
@@ -330,7 +344,7 @@ def test_follower_floors_match_rational_rows_and_brute_feasibility():
         grid = list(support.grid_points(inst.n, -8, 8))
         for z in _leader_points(inst, rng):
             rhs = [sum(b * v for b, v in zip(br, z)) + uv for br, uv in zip(inst.B, inst.u)]
-            follower = LinearSystem(inst.n, [LinRow(ar, rv, LE)
+            follower = LinearSystem(inst.n, [((ar, LE), rv)
                                              for ar, rv in zip(inst.A, floor_rhs(inst, z))])
             assert support.brute_integer_points(follower, -8, 8) == [
                 x for x in grid

@@ -102,7 +102,7 @@ def test_decision_scan_matches_decide_le(example1):
 def _reference_hit(scan, row, alpha):
     """The first item whose region meets the value row at alpha, by vertex scan."""
     for it in scan.items:
-        rows = list(cell_region(scan.inst, it.cell).rows) + [row(scan.inst.e, alpha - it.shift)]
+        rows = support.pairs(cell_region(scan.inst, it.cell)) + [row(scan.inst.e, alpha - it.shift)]
         if support.ref_strictly_feasible(rows):
             return it
     return None
@@ -111,7 +111,7 @@ def _reference_hit(scan, row, alpha):
 def _assert_witness(inst, got, it, alpha, row):
     x, z = got
     assert x == it.cell.x
-    assert all(support.row_holds(r, z.entries) for r in cell_region(inst, it.cell).rows)
+    assert all(support.row_holds(r, z.entries) for r in support.pairs(cell_region(inst, it.cell)))
     value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
     assert value == alpha if row is row_eq else value <= alpha
     assert bilevel_feasible(inst, x, z, CFG)
@@ -128,7 +128,7 @@ def test_decision_table_matches_vertex_reference(example1):
         for it in table.items:
             low = it.low
             region = cell_region(inst, it.cell)
-            assert support.ref_strictly_feasible(region.rows)
+            assert support.ref_strictly_feasible(support.pairs(region))
             assert low == support.ref_lp_min(region, table.inst.e)[0]
             alphas.update(it.shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
@@ -157,7 +157,7 @@ def _reference_decide_le(inst, alpha):
     with the row value <= alpha."""
     for cell in support.valid_cells_by_definition(inst):
         shift = sum(a * b for a, b in zip(inst.c, cell.x))
-        rows = list(cell_region(inst, cell).rows) + [row_le(inst.e, alpha - shift)]
+        rows = support.pairs(cell_region(inst, cell)) + [row_le(inst.e, alpha - shift)]
         if support.ref_strictly_feasible(rows):
             return True
     return False

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import support
 from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, LE, UNATTAINED, DecisionScan,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
-                           InternalInvariantError, LinRow, LinearSystem, QVector, SolverConfig,
+                           InternalInvariantError, LinearSystem, QVector, SolverConfig,
                            Telemetry, bilevel_feasible, bisect_decision, decide_eq, decide_le,
                            decide_le_pure, denominator_cap, disagreement, eps_point, infimum,
                            instance_to_json, lex_extract, objective_bounds, parse_instance,
@@ -236,8 +236,7 @@ def test_lex_trace_postconditions(seed):
     trace = rep.lex_trace
     assert trace is not None
     assert all(ri <= rho_i < ri + 1 for ri, rho_i in zip(trace.r, trace.rho))
-    for row in trace.q_system.rows:
-        assert row.satisfied_by(trace.z_star)
+    assert trace.q_system.satisfied_by(trace.z_star)
     x, z = rep.solution
     assert x == trace.x_star and z.entries == trace.z_star.entries
     assert bilevel_feasible(inst, x, z, CFG)
@@ -267,8 +266,7 @@ def test_lex_trace_postconditions_in_higher_leader_dimension(shape):
         if rep.status != ATTAINED:
             continue
         attained += 1
-        for row in trace.q_system.rows:
-            assert row.satisfied_by(trace.z_star)
+        assert trace.q_system.satisfied_by(trace.z_star)
         verts = support.ref_vertices(trace.q_system)
         assert trace.k == 1 + support.affine_dimension(verts)
     assert attained
@@ -470,8 +468,7 @@ def _check_pure_against_grid(inst, z_hi=4, x_box=5):
         unit = [0] * inst.joint_dim()
         unit[inst.n + j] = 1
         z_box += [row_le(unit, z_hi), row_le([-v for v in unit], 0)]
-    relax = [LinRow(a, b, rel) for (a, rel), b in zip(*inst.relax)]
-    follower = LinearSystem(inst.joint_dim(), relax + z_box)
+    follower = LinearSystem(inst.joint_dim(), [*zip(*inst.relax), *z_box])
     for region in (inst.upper_system(), follower):
         for vert in support.ref_vertices(region):
             assert all(-x_box <= v <= x_box for v in vert[:inst.n])

@@ -175,7 +175,7 @@ def test_index_entries_match_independent_references(example1):
     # share no LP or lattice code
     import math
     import support
-    from bilevel_exact import LE, LinRow, LinearSystem, row_eq
+    from bilevel_exact import LE, LinearSystem, row_eq
     from bilevel_exact.cells import cell_index, cell_region
     checked = inside = unique = 0
     for inst in [example1] + grid_instances():
@@ -190,10 +190,10 @@ def test_index_entries_match_independent_references(example1):
                 assert optimal == [[Fraction(v, den) for v in nums]], cell
                 unique += 1
             if entry.low_inside:
-                rows = list(region.rows) + [row_eq(inst.e, entry.low)]
+                rows = support.pairs(region) + [row_eq(inst.e, entry.low)]
                 assert support.ref_strictly_feasible(rows), cell
                 inside += 1
-            follower = LinearSystem(inst.n, [LinRow(ar, rv, LE) for ar, rv in zip(inst.A, cell.r)])
+            follower = LinearSystem(inst.n, [((ar, LE), rv) for ar, rv in zip(inst.A, cell.r)])
             coords = [v for p in support.ref_vertices(follower) for v in p]
             points = support.brute_integer_points(follower, math.floor(min(coords)),
                                                   math.ceil(max(coords)))
@@ -414,7 +414,7 @@ def test_pure_follower_searches():
 
 def test_mixed_solve_path_reaches_no_one_shot_layer(mixed_batch):
     # once its instance is built, a mixed solve with eps, and witness_le and
-    # decide_eq at a feasible v*, build no LinRow and call neither
+    # decide_eq at a feasible v*, build no LinearSystem and call neither
     # cell_region nor strict_feasible_point: every LP after the index build
     # is posed as integer rows and right-hand sides. Checked on the
     # mixed-grid instances and the first 40 of the mixed acceptance batch
@@ -433,7 +433,7 @@ def test_mixed_solve_path_reaches_no_one_shot_layer(mixed_batch):
             for name in one_shot:
                 if hasattr(module, name):
                     mp.setattr(module, name, refuse)
-        mp.setattr(linear.LinRow, "__post_init__", refuse)
+        mp.setattr(linear.LinearSystem, "__init__", refuse)
         for inst in insts:
             rep = solve_mixed(inst, eps=GRID_EPS)
             if rep.infimum is None:
@@ -477,15 +477,29 @@ def test_no_solve_reaches_the_cone_check(mixed_batch):
     assert sum(inst.n > 1 for inst in insts) > 50
 
 
+def _counting_system_rows(linear, rows):
+    """A LinearSystem constructor that appends the row count of each system
+    it builds to `rows`."""
+    init = linear.LinearSystem.__init__
+
+    def counting(system, *args):
+        init(system, *args)
+        rows.append(len(system.rows))
+    return counting
+
+
 def test_parse_and_decision_construction_work():
-    # a deterministic count of the LinRows that parsing 25 files builds and
-    # that one cold query on each builds after it: decide_le at the golden
-    # v* + 1/8 (10**6 when infeasible) on mixed-grid files and decide_le_pure
-    # at 0 on pure-small ones. A query built 40 and 25 before the instance
-    # kept its rows as integer rows and right-hand sides and the value rows
-    # were posed in that form, and builds none; parsing builds at most the
-    # cone LPs' rows of validation's recession tests, 570 and 350 (910 and
-    # 550 before), and may only fall
+    # a deterministic count of the rows of the LinearSystems that parsing 25
+    # files builds and that one cold query on each builds after it:
+    # decide_le at the golden v* + 1/8 (10**6 when infeasible) on mixed-grid
+    # files and decide_le_pure at 0 on pure-small ones. A query built 40 and
+    # 25 rows before the instance kept its rows as integer rows and
+    # right-hand sides and the value rows were posed in that form, and
+    # builds none; parsing builds at most the cone LPs' systems of
+    # validation's recession tests, 570 and 350 rows (910 and 550 before),
+    # and may only fall. These bounds once counted the rows built as
+    # objects of their own, each of which stood in exactly one of these
+    # systems: the counts are the same
     import pytest
     from bilevel_exact import decide_le, decide_le_pure, linear, parse_instance
     with open(GRID_PATH) as fh:
@@ -493,17 +507,16 @@ def test_parse_and_decision_construction_work():
     grid_alphas = [Fraction(10**6) if v is None else Fraction(v) + GRID_EPS for v in infima]
     runs = ((grid_documents()[:25], decide_le, grid_alphas),
             (pure_small_documents(25), decide_le_pure, [0] * 25))
-    post = linear.LinRow.__post_init__
-    work = []
+    rows, work = [], []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear.LinearSystem, "__init__", _counting_system_rows(linear, rows))
         for docs, decide, alphas in runs:
-            rows = []
-            mp.setattr(linear.LinRow, "__post_init__", lambda row: rows.append(1) or post(row))
+            rows.clear()
             insts = [parse_instance(doc)[0] for doc in docs]
-            parsed = len(rows)
+            parsed = sum(rows)
             for inst, alpha in zip(insts, alphas):
                 decide(inst, alpha)
-            work.append((parsed, len(rows) - parsed))
+            work.append((parsed, sum(rows) - parsed))
     (grid_parsed, grid_queried), (pure_parsed, pure_queried) = work
     assert grid_queried == 0 and grid_parsed <= 570
     assert pure_queried == 0 and pure_parsed <= 350
@@ -511,35 +524,38 @@ def test_parse_and_decision_construction_work():
 
 def test_per_solve_construction_work():
     # a deterministic count of what 25 mixed-grid and 25 pure-small solves
-    # build around their LPs: LinRow constructions and kernel forms
-    # (linear._kernel_form calls), the instances built beforehand. They were
-    # 2217 and 361 on mixed-grid, 200 and 50 on pure-small, before the
-    # instance kept the rows its constructor builds, a family for another
-    # cost over the same rows shared their kernel form and the lex trace's
-    # rho was left to its first read, and 1432 and 234 on mixed-grid before
-    # the integer walk kept one family per level, whose right-hand sides
-    # move with the fixed coordinates, and 1100 LinRows on mixed-grid
-    # before bilevel_feasible searched the follower's rows without building
-    # a follower system, and 981 and 222 on mixed-grid before the lex scan
-    # skipped the cells whose unique closure optimum lies outside their
-    # region and the vertex walk ran on one family, and 579 LinRows on
-    # mixed-grid before the scan's checks, the lex vertex walk and the
-    # extraction checks read integer rows and right-hand sides; they may
-    # only fall, and neither kind of solve builds a LinRow
+    # build around their LPs: the rows of the LinearSystems built and
+    # kernel forms (linear._kernel_form calls), the instances built
+    # beforehand. The rows were once counted as row objects of their own,
+    # each of which stood in exactly one system: the counts are the same.
+    # They were 2217 and 361 on mixed-grid, 200 and 50 on pure-small,
+    # before the instance kept the rows its constructor builds, a family
+    # for another cost over the same rows shared their kernel form and the
+    # lex trace's rho was left to its first read, and 1432 and 234 on
+    # mixed-grid before the integer walk kept one family per level, whose
+    # right-hand sides move with the fixed coordinates, and 1100 rows on
+    # mixed-grid before bilevel_feasible searched the follower's rows
+    # without building a follower system, and 981 and 222 on mixed-grid
+    # before the lex scan skipped the cells whose unique closure optimum
+    # lies outside their region and the vertex walk ran on one family, and
+    # 579 rows on mixed-grid before the scan's checks, the lex vertex walk
+    # and the extraction checks read integer rows and right-hand sides; they
+    # may only fall, and neither kind of solve builds a system with a row
     import pytest
     from bilevel_exact import linear, solve_mixed, solve_pure
     runs = ((solve_mixed, grid_instances()[:25], {"eps": GRID_EPS}),
             (solve_pure, pure_small_instances(25), {}))
-    post, kernel_form = linear.LinRow.__post_init__, linear._kernel_form
-    work = []
+    kernel_form = linear._kernel_form
+    rows, work = [], []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linear.LinearSystem, "__init__", _counting_system_rows(linear, rows))
         for solve, insts, kwargs in runs:
-            rows, forms = [], []
-            mp.setattr(linear.LinRow, "__post_init__", lambda row: rows.append(1) or post(row))
+            rows.clear()
+            forms = []
             mp.setattr(linear, "_kernel_form", lambda *args: forms.append(1) or kernel_form(*args))
             for inst in insts:
                 solve(inst, **kwargs)
-            work.append((len(rows), len(forms)))
+            work.append((sum(rows), len(forms)))
     (grid_rows, grid_forms), (pure_rows, pure_forms) = work
     assert grid_rows == 0 and grid_forms <= 174
     assert pure_rows == 0 and pure_forms <= 25

@@ -5,7 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError, Instance, LinRow,
+from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError, Instance,
                            LinearSystem, QVector, ResourceLimitError, SolverConfig,
                            enumerate_integers, integer_min, lp_solve, mixed_feasible, row_eq,
                            row_le, row_lt, solve_mixed)
@@ -177,7 +177,7 @@ def _unit_rows(dim):
             for j in range(dim) for sign in (1, -1)]
 
 
-WALK_BOX = tuple(LinRow(a, 2, rel) for a, rel in _unit_rows(3))
+WALK_BOX = tuple((row, 2) for row in _unit_rows(3))
 
 
 def walk_systems():
@@ -188,7 +188,7 @@ def walk_systems():
     row = st.tuples(st.lists(st.integers(-2, 2), min_size=3, max_size=3), st.integers(0, 3),
                     st.integers(-4, 4), st.sampled_from((LE, EQ)))
     return st.lists(row, max_size=3).map(lambda rows: LinearSystem(3, WALK_BOX + tuple(
-        LinRow(tuple(a[:k]) + (0,) * (3 - k), b, rel) for a, k, b, rel in rows)))
+        ((tuple(a[:k]) + (0,) * (3 - k), rel), b) for a, k, b, rel in rows)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -212,7 +212,7 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
     for _ in coords:
         want = [p + (v,) for p in want for v in range(-2, 3) if feasible(p + (v,))]
         tried += len(want)
-    rows, rhs = [(r.a, r.rel) for r in sys_.rows], [r.b for r in sys_.rows]
+    rows, rhs = sys_.rows, sys_.rhs
     budget = [0]
     assert integer_candidates(rows, rhs, 3, coords, DEFAULT_CONFIG, budget) == want
     assert budget == [tried]
@@ -254,7 +254,7 @@ def test_lex_min_searches_only_the_coordinates_left_free(dim, extra, cost, searc
     assert len(search.lex) == searches
     for sides in support.grid_points(len(extra), -1, 3):
         rhs = [2] * (2 * dim) + list(sides)
-        system = LinearSystem(dim, [LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)])
+        system = LinearSystem(dim, zip(rows, rhs))
         points = support.brute_integer_points(system, -2, 2)
         got = search.solve(rhs, DEFAULT_CONFIG)
         if not points:
@@ -291,7 +291,7 @@ def test_mixed_feasible_agrees_with_scan(sys_):
         pt = mixed_feasible(sys_, [i], DEFAULT_CONFIG)
         if pt is not None:
             assert pt[i].denominator == 1
-            assert all(support.row_holds(r, pt, closed=True) for r in sys_.rows)
+            assert all(support.row_holds(r, pt, closed=True) for r in support.pairs(sys_))
             continue
         # completeness: no integer value of coordinate i leaves a feasible slice
         for v in range(-4, 5):
@@ -362,9 +362,8 @@ def test_one_warm_search_matches_the_grid_scan_and_fresh_searches(case, cost):
     lex = LexMin(2, rows, cost)
     for box, extra, fixed in sequence:
         rhs = box + extra
-        system = LinearSystem(2, [LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)]
-                              + [row_eq([int(k == i) for k in range(2)], v)
-                                 for i, v in enumerate(fixed)])
+        system = LinearSystem(2, [*zip(rows, rhs)] + [row_eq([int(k == i) for k in range(2)], v)
+                                                      for i, v in enumerate(fixed)])
         points = support.brute_integer_points(system, -4, 4)
         got = search.minimize(rhs, DEFAULT_CONFIG, fixed)
         fresh = IntegerSearch(2, rows, range(2), cost).minimize(rhs, DEFAULT_CONFIG, fixed)

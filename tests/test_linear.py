@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (LE, DEFAULT_CONFIG, InternalInvariantError, LinRow, LinearSystem,
+from bilevel_exact import (LE, EQ, LT, DEFAULT_CONFIG, InternalInvariantError, LinearSystem,
                            QVector, ResourceLimitError, SolverConfig,
                            affinely_independent_vertices, lp_solve, recession_bounded, row_eq,
                            row_le, row_lt, strict_feasible_point, vertices)
@@ -350,7 +350,7 @@ def test_strict_point_satisfies_all_rows(sys_, strict_rows):
     sys_ = sys_.with_rows([row_lt(c, r) for c, r in strict_rows])
     pt = strict_feasible_point(sys_)
     if pt is not None:
-        assert all(r.satisfied_by(pt) for r in sys_.rows)
+        assert sys_.satisfied_by(pt)
 
 
 def test_vertices_box():
@@ -406,8 +406,7 @@ def walk_systems():
 
 def _walk(sys_):
     """affinely_independent_vertices over the rows and right-hand sides of sys_."""
-    return affinely_independent_vertices(sys_.dim, [(r.a, r.rel) for r in sys_.rows],
-                                         [r.b for r in sys_.rows])
+    return affinely_independent_vertices(sys_.dim, sys_.rows, sys_.rhs)
 
 
 def _walk_counting_lps(sys_):
@@ -469,13 +468,14 @@ def test_segment_slice_still_walks():
 
 def test_affinely_independent_vertices_check_their_input():
     # rows and right-hand sides of other lengths, and a row of another
-    # length than dim, raise ValueError naming the mismatch, before any LP
+    # length than dim, raise the family's ValueError naming the mismatch,
+    # before any LP
     rows = [((1, 0), LE), ((0, 1), LE), ((-1, -1), LE)]
     with pytest.raises(ValueError, match="^3 rows but 2 right-hand sides$"):
         affinely_independent_vertices(2, rows, [1, 1])
     with pytest.raises(ValueError, match="^3 rows but 4 right-hand sides$"):
         affinely_independent_vertices(2, rows, [1, 1, 0, 5])
-    with pytest.raises(ValueError, match="^a row of another length than dim = 2$"):
+    with pytest.raises(ValueError, match="^a row of 3 entries for dim = 2$"):
         affinely_independent_vertices(2, rows + [((1, 1, 1), LE)], [1, 1, 0, 5])
     k, verts = affinely_independent_vertices(2, rows, [1, 1, 0])
     assert k == 3 and sorted(v.entries for v in verts) == [(-1, 1), (1, -1), (1, 1)]
@@ -506,8 +506,8 @@ def test_derived_systems_check_only_new_rows():
         BOX.with_rows(["x <= 1"])
     strict = BOX.with_rows([row_lt([1, 1], 4)])
     grown = strict.with_rows([row_eq([1, -1], 0)])
-    assert grown.rows == strict.rows + (row_eq([1, -1], 0),)
-    assert strict.closure() == LinearSystem(2, BOX.rows + (row_le([1, 1], 4),))
+    assert support.pairs(grown) == support.pairs(strict) + [row_eq([1, -1], 0)]
+    assert strict.closure() == BOX.with_rows([row_le([1, 1], 4)])
     assert BOX.with_rows([]) == BOX
 
 
@@ -542,23 +542,38 @@ def test_lp_fractional_rows_match_vertex_scan(sys_, obj):
     else:
         assert out.tag == "optimal"
         assert out.value == ref[0]
-        assert all(support.row_holds(r, out.point, closed=True) for r in sys_.rows)
+        assert all(support.row_holds(r, out.point, closed=True) for r in support.pairs(sys_))
 
 
 def test_scaled_row_is_integral_and_equivalent():
     r = row_le([Fraction(2, 3), Fraction(-1, 4)], Fraction(5, 6))
-    assert (r.a, r.b) == ((8, -3), 10)
-    assert r.satisfied_by([Fraction(5, 4), 0]) and not r.satisfied_by([Fraction(13, 10), 0])
-    closed = row_lt([Fraction(1, 2)], Fraction(1, 2)).closed()
-    assert (closed.a, closed.b, closed.rel) == ((1,), 1, LE)
+    assert r == (((8, -3), LE), 10)
+    one = LinearSystem(2, [r])
+    assert one.satisfied_by([Fraction(5, 4), 0]) and not one.satisfied_by([Fraction(13, 10), 0])
+    closed = LinearSystem(1, [row_lt([Fraction(1, 2)], Fraction(1, 2))]).closure()
+    assert (closed.rows, closed.rhs) == ((((1,), LE),), (1,))
     # no gcd reduction: an integral row keeps its coefficients as given
-    r = row_le([2, 4], 6)
-    assert (r.a, r.b) == ((2, 4), 6)
-    # the constructor takes the integer form only
-    with pytest.raises(ValueError):
-        LinRow((Fraction(1, 2),), 1, LE)
-    with pytest.raises(ValueError):
-        LinRow((1,), Fraction(1, 2), LE)
+    assert row_le([2, 4], 6) == (((2, 4), LE), 6)
+
+
+@pytest.mark.parametrize("pair, message", [
+    ((((Fraction(1, 2), 0), LE), 1), "integer coefficients"),
+    ((((1, 0), LE), Fraction(1, 2)), "integer coefficients"),
+    ((((True, 0), LE), 1), "integer coefficients"),
+    ((((1, 0), LE), False), "integer coefficients"),
+    ((((1, 0), ">="), 1), "^unknown relation '>='$"),
+    ((((1, 0, 0), LE), 1), "^row of dim 3 in system of dim 2$"),
+    ((((1,), EQ), 1), "^row of dim 1 in system of dim 2$"),
+], ids=["fraction coefficient", "fraction rhs", "bool coefficient", "bool rhs",
+        "unknown relation", "long row", "short row"])
+def test_system_takes_integer_rows_of_its_dim(pair, message):
+    # the constructor takes the integer form only, a known relation and
+    # rows of its dim, wherever the row stands; row_le, row_eq and row_lt
+    # take rationals
+    for pairs in ([pair], [row_le([1, 1], 2), pair, row_lt([0, 1], 3)]):
+        with pytest.raises(ValueError, match=message):
+            LinearSystem(2, pairs)
+    assert LinearSystem(2, [(([1, 0], LT), 3)]).rows == (((1, 0), LT),)
 
 
 @pytest.mark.parametrize("build", (row_le, row_eq, row_lt))
@@ -577,12 +592,12 @@ CONSTANT_ROWS = [(row_le, 0, True), (row_le, Fraction(-1, 3), False),
                  (row_lt, 0, False), (row_lt, Fraction(1, 9), True)]
 
 
-def _family_solve(dim, rows, cost):
-    return linear.RhsFamily(dim, [(r.a, r.rel) for r in rows], cost).solve([r.b for r in rows])
+def _family_solve(sys_, cost):
+    return linear.RhsFamily(sys_.dim, sys_.rows, cost).solve(sys_.rhs)
 
 
-def _family_point(dim, rows):
-    return linear.StrictFamily(dim, [(r.a, r.rel) for r in rows]).point([r.b for r in rows])
+def _family_point(sys_):
+    return linear.StrictFamily(sys_.dim, sys_.rows).point(sys_.rhs)
 
 
 @pytest.mark.parametrize("dim", (1, 2))
@@ -597,19 +612,18 @@ def test_families_settle_constant_rows(dim, build, b, holds):
     strict = box + [row_lt([1] * dim, 2)]
     cost = tuple(-j - 1 for j in range(dim))
     for at in (0, 1, len(box)):
-        closed = box[:at] + [constant] + box[at:]
-        lifted = strict[:at] + [constant] + strict[at:]
-        want = _family_solve(dim, box, cost)
-        assert _family_solve(dim, closed, cost) == (want if holds else ("infeasible", None, None))
-        want = _family_point(dim, strict)
-        assert want is not None and _family_point(dim, lifted) == (want if holds else None)
-        for rows, base in ((closed, box), (lifted, strict)):
-            want = strict_feasible_point(LinearSystem(dim, tuple(base)))
-            assert strict_feasible_point(LinearSystem(dim, tuple(rows))) == (
-                want if holds else None)
-        if constant.rel != "<":
-            want = lp_solve(LinearSystem(dim, tuple(box)), cost)
-            got = lp_solve(LinearSystem(dim, tuple(closed)), cost)
+        closed = LinearSystem(dim, box[:at] + [constant] + box[at:])
+        lifted = LinearSystem(dim, strict[:at] + [constant] + strict[at:])
+        want = _family_solve(LinearSystem(dim, box), cost)
+        assert _family_solve(closed, cost) == (want if holds else ("infeasible", None, None))
+        want = _family_point(LinearSystem(dim, strict))
+        assert want is not None and _family_point(lifted) == (want if holds else None)
+        for system, base in ((closed, box), (lifted, strict)):
+            want = strict_feasible_point(LinearSystem(dim, base))
+            assert strict_feasible_point(system) == (want if holds else None)
+        if constant[0][1] != LT:
+            want = lp_solve(LinearSystem(dim, box), cost)
+            got = lp_solve(closed, cost)
             assert (got.tag, got.value, got.point) == (
                 (want.tag, want.value, want.point) if holds else ("infeasible", None, None))
 
@@ -642,12 +656,13 @@ def test_strict_point_without_nonconstant_strict_rows_matches_reference(sys_, co
     # constant, 0 < b holding for b > 0 and failing otherwise, take the
     # strict lift like any other: a point exactly when the vertex-scan
     # reference finds one, meeting every row
-    rows = list(sys_.rows)
+    rows = support.pairs(sys_)
     for at, b in constants:
         rows.insert(at, row_lt([0, 0], b))
-    pt = strict_feasible_point(LinearSystem(2, tuple(rows)))
+    with_constants = LinearSystem(2, rows)
+    pt = strict_feasible_point(with_constants)
     assert (pt is not None) == support.ref_strictly_feasible(rows)
-    assert pt is None or all(r.satisfied_by(pt) for r in rows)
+    assert pt is None or with_constants.satisfied_by(pt)
 
 
 def test_lp_reverification_is_fatal(monkeypatch):
@@ -662,19 +677,41 @@ def test_lp_reverification_is_fatal(monkeypatch):
 BOX_ROWS = [((1, 0), LE), ((0, 1), LE), ((-1, 0), LE), ((0, -1), LE)]
 
 
-@pytest.mark.parametrize("build", [
-    lambda: linear.RhsFamily(2, [((2, 3, 7), LE)] + BOX_ROWS, (-1, -1)),
-    lambda: linear.RhsFamily(2, [((2, 3), LE)] + BOX_ROWS, (-1,)),
-    lambda: linear.StrictFamily(2, [((1,), "<")] + BOX_ROWS),
-    lambda: linear.RhsFamily(2, [((1, 0, 5), LE)] + BOX_ROWS, (-1, -1)),
-    lambda: linear.RhsFamily(2, BOX_ROWS, (-1, -1)).with_cost((1, 1, 1)),
+@pytest.mark.parametrize("build, message", [
+    (lambda: linear.RhsFamily(2, [((2, 3, 7), LE)] + BOX_ROWS, (-1, -1)), "entries for dim = "),
+    (lambda: linear.RhsFamily(2, [((2, 3), LE)] + BOX_ROWS, (-1,)), "entries for dim = "),
+    (lambda: linear.StrictFamily(2, [((1,), "<")] + BOX_ROWS), "entries for dim = "),
+    (lambda: linear.RhsFamily(2, [((1, 0, 5), LE)] + BOX_ROWS, (-1, -1)), "entries for dim = "),
+    (lambda: linear.RhsFamily(2, BOX_ROWS, (-1, -1)).with_cost((1, 1, 1)), "entries for dim = "),
+    (lambda: linear.RhsFamily(2, BOX_ROWS, (-1, -1)).solve([2, 3, 0, 0, 99]),
+     "^4 rows but 5 right-hand sides$"),
+    (lambda: linear.RhsFamily(2, BOX_ROWS, (-1, -1)).solve([2, 3, 0]),
+     "^4 rows but 3 right-hand sides$"),
+    (lambda: linear.RhsFamily(2, [((0, 0), LE)] + BOX_ROWS, (-1, -1)).solve([2, 3, 0, 0]),
+     "^5 rows but 4 right-hand sides$"),
+    (lambda: linear.RhsFamily(2, [((1, 1), EQ)] + BOX_ROWS, (-1, -1)).solve([1, 2, 3, 0, 0, 9]),
+     "^5 rows but 6 right-hand sides$"),
+    (lambda: linear.RhsFamily(2, BOX_ROWS, (-1, -1)).span([2, 3, 0, 0, 99]),
+     "^4 rows but 5 right-hand sides$"),
+    (lambda: linear.StrictFamily(2, [((1, 1), "<")] + BOX_ROWS).point([3, 2, 3, 0, 0, 9]),
+     "^5 rows but 6 right-hand sides$"),
+    (lambda: linear.StrictFamily(2, [((1, 1), "<")] + BOX_ROWS).point([3, 2, 3, 0]),
+     "^5 rows but 4 right-hand sides$"),
 ], ids=["long row", "short cost", "short strict row", "long row with a zero",
-        "long cost of a sibling"])
-def test_families_reject_rows_and_costs_of_another_length(build):
+        "long cost of a sibling", "long rhs", "short rhs", "short rhs with a constant row",
+        "long rhs with an = row", "long rhs of a span", "long rhs of a strict family",
+        "short rhs of a strict family"])
+def test_families_reject_rows_and_costs_of_another_length(build, message, monkeypatch):
     # a row or a cost of another length than dim is refused when the family
     # is built, not cut to dim by zip, lifted into another row, or left to
-    # fail in the kernel; a StrictFamily's lifted family names its dim + 1
-    with pytest.raises(ValueError, match="entries for dim = "):
+    # fail in the kernel; a StrictFamily's lifted family names its dim + 1.
+    # An rhs of another length than the rows is refused by the solve, before
+    # any pivot, not cut to the rows or left to fail on an index
+    def refuse(*args):
+        raise AssertionError("a solve reached the kernel")
+
+    monkeypatch.setattr(linear, "_dual_simplex_min", refuse)
+    with pytest.raises(ValueError, match=message):
         build()
 
 
@@ -776,7 +813,7 @@ def test_rhs_family_matches_cold_lp_and_vertex_scan(family):
     dim, rows, cost, rhs_list = family
     warm = linear.RhsFamily(dim, rows, cost)
     for rhs in rhs_list:
-        sys_ = LinearSystem(dim, tuple(LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)))
+        sys_ = LinearSystem(dim, zip(rows, rhs))
         ref = support.ref_lp_min(sys_, cost)
         cold = lp_solve(sys_, QVector(cost), "min")
         tag, nums, den = warm.solve(rhs)
@@ -867,7 +904,7 @@ def test_unique_optimum_is_the_only_optimal_vertex(family):
                 continue
             if not family_.unique():
                 continue
-            sys_ = LinearSystem(dim, tuple(LinRow(a, b, rel) for (a, rel), b in zip(rows, rhs)))
+            sys_ = LinearSystem(dim, zip(rows, rhs))
             point = [Fraction(v, den) for v in nums]
             value = sum(map(mul, cost, point))
             assert [v for v in support.ref_vertices(sys_)
