@@ -19,9 +19,11 @@ least time, the change's difference to the parent, and whether every answer
 is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 After the timed runs, one untimed pass of every op on each side counts its
-RhsFamily.solve calls and its basis exchanges (linear._exchange calls),
-deterministic work counters that the script prints per side too, each on a
-line of its own, so that a kernel change shows whether it pivots as before.
+RhsFamily.solve calls and its basis exchanges, as linear._dual_simplex_min
+reports them (a checkout whose kernel reports none counts its
+linear._exchange calls), deterministic work counters that the script prints
+per side too, each on a line of its own, so that a kernel change shows
+whether it pivots as before.
 """
 from __future__ import annotations
 
@@ -87,26 +89,31 @@ def _op_runner(modules: dict, plan: dict):
 
 
 def _kernel_work(linear, run, count: int) -> tuple:
-    """(solves, exchanges): the RhsFamily.solve and linear._exchange calls of
-    one untimed pass of ops 0..count-1."""
+    """(solves, exchanges): the RhsFamily.solve calls of one untimed pass of
+    ops 0..count-1 and the basis exchanges of its kernel calls."""
     family = linear.RhsFamily
-    solve, exchange = family.solve, linear._exchange
+    solve = family.solve
+    name = "_exchange" if hasattr(linear, "_exchange") else "_dual_simplex_min"
+    kernel = getattr(linear, name)
     calls = [0, 0]
 
     def counting_solve(self, rhs):
         calls[0] += 1
         return solve(self, rhs)
 
-    def counting_exchange(*args):
-        calls[1] += 1
-        return exchange(*args)
+    def counting_kernel(*args):
+        out = kernel(*args)
+        calls[1] += 1 if name == "_exchange" else out[4]
+        return out
 
-    family.solve, linear._exchange = counting_solve, counting_exchange
+    family.solve = counting_solve
+    setattr(linear, name, counting_kernel)
     try:
         for i in range(count):
             run(i)
     finally:
-        family.solve, linear._exchange = solve, exchange
+        family.solve = solve
+        setattr(linear, name, kernel)
     return tuple(calls)
 
 

@@ -33,11 +33,12 @@ from functools import cached_property
 from operator import mul
 from typing import Callable, Optional
 
-from .cells import Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell
+from .cells import (Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell,
+                    _region_rhs, _region_rows)
 from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, pure_responses, witness_le, _scan_for
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
-from .lattice import integer_min, _charge
+from .lattice import LexMin, _charge
 from .linear import (EQ, LE, LT, LinearSystem, affinely_independent_vertices, lp_range,
                      lp_solve, row_eq, rows_hold, _over_common_denominator, _unit)
 from .rational import QVector, as_rat, ceil_rat, floor_rat, subdeterminant_bound
@@ -392,31 +393,33 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     x* and, from cell_infimum's witness, z* strictly inside its optimal
     slice. Pure: an integer z in a cell (x, r) has B z + u = r, so each
     strict row a . z < b of its region, in integral form, tightens to
-    a . z <= b - 1; integer_min over those rows, which checks each such
-    system bounded by its own cone LPs, gives the cell's lex-least optimum,
-    and the least (value, x, z) over the cells wins. The boxes of x and of
-    the floors are lp_range over inst.upper_system(). Shared with the
-    engines: the instance's upper rows, the rows of _region_rows and
-    _region_rhs (cell_region's), is_valid_cell's _follower_improves (an
-    IntegerSearch) and StrictFamily (through strict_feasible_point),
-    integer_min (a LexMin), and cell_infimum's LP over a cell's closure,
-    the LP behind the engine's per-cell low. No solve calls cell_region or
-    strict_feasible_point.
+    a . z <= b - 1; one LexMin over _region_rows so tightened, the search
+    of integer_min, posed at each cell's _region_rhs, gives the cell's
+    lex-least optimum, and the least (value, x, z) over the cells wins.
+    Instance validation proved every region bounded, so no cell pays a
+    cone check. The boxes of x and of the floors are lp_range over
+    inst.upper_system(). Shared with the engines: the instance's upper
+    rows, the rows of _region_rows and _region_rhs (cell_region's),
+    is_valid_cell's _follower_improves (an IntegerSearch) and StrictFamily
+    (through strict_feasible_point), LexMin, and cell_infimum's LP over a
+    cell's closure, the LP behind the engine's per-cell low. No solve calls
+    cell_region or strict_feasible_point.
     """
     if variant not in (MIXED, PURE):
         raise ValueError(f"unknown variant {variant!r}")
     telemetry = Telemetry()
     cells = _cells_by_definition(inst, config)
     if variant == PURE:
+        region = _region_rows(inst)
+        search = LexMin(inst.d, [(a, LE if rel == LT else rel) for a, rel in region], inst.e)
         found = []
         for cell in cells:
-            region = cell_region(inst, cell)
-            out = integer_min(inst.e, LinearSystem(inst.d, (
-                ((a, LE), b - 1) if rel == LT else ((a, rel), b)
-                for (a, rel), b in zip(region.rows, region.rhs))), config)
-            if out.is_optimal:
-                found.append((sum(map(mul, inst.c, cell.x)) + out.value, cell.x,
-                              out.point.entries))
+            rhs = _region_rhs(inst, cell.x, cell.r)
+            out = search.solve([b - 1 if rel == LT else b for (_, rel), b in zip(region, rhs)],
+                               config)
+            if out is not None:
+                level, z = out
+                found.append((sum(map(mul, inst.c, cell.x)) + Fraction(level), cell.x, z))
         if not found:
             return SolveReport(INFEASIBLE, telemetry=telemetry)
         value, x, z = min(found)

@@ -5,24 +5,28 @@ in two or more variables; an LP in one variable has a closed form. The
 basis inverse is kept as an integer adjugate over a positive denominator,
 B^-1 = adj / det (Bareiss), so every intermediate quantity is an exact
 integer and every reported optimum is an exact rational. A basis exchange
-is one fraction-free update, `_exchange`, whose divisions are exact by
-construction; a remainder would mean a bug, not bad data. The core reads
-"<=" rows alone, an "=" row as its two sides, and per coordinate the rows
-whose only nonzero is there (`_kernel_form`); no kernel function reads a
-relation. A cold start is dual feasible, built from those unit rows, the
-tightest on the side each cost pushes to, or from artificial bound rows far
-enough out to cut off no vertex (`_vertex_bound`, Hadamard's bound, which
-the integer search of `lattice` also takes for its unbranched bounds), and
-Bland's rule on the dual ends every solve. Its row products, the pricing
-scan, the point adj b_B and the ratio test's adj^T cost and adj^T a, are
-straight-line integer sums a0 * x0 + a1 * x1 + ... of locals, compiled once
-per dimension from one template (`_row_ops`): one code path for every
-dimension, the same integers as a plain sum. The optimum leaves the kernel
-as integer numerators over det. It is a vertex unless an artificial row
-stays in the final basis; only then is it purified onto a vertex of the
-optimal face. It is re-verified in that form, one pass of the same generated
-scan over every kernel row, and becomes `Fraction`s once, for the returned
-point and value.
+is one fraction-free update whose divisions are exact by construction; a
+remainder would mean a bug, not bad data. The core reads "<=" rows alone,
+an "=" row as its two sides, and per coordinate the rows whose only nonzero
+is there (`_kernel_form`); no kernel function reads a relation. A cold
+start is dual feasible, built from those unit rows, the tightest on the
+side each cost pushes to, or from artificial bound rows far enough out to
+cut off no vertex (`_vertex_bound`, Hadamard's bound, which the integer
+search of `lattice` also takes for its unbranched bounds), and Bland's rule
+on the dual ends every solve. The whole dual simplex, the cold start, the
+pricing scan, the point adj b_B, the ratio test's adj^T cost and adj^T a,
+the exchange and the exit test, is compiled once per dimension from one
+template (`_kernel_source`, `_kernel_ops`): the basis, the adjugate and the
+point are locals, every product a straight-line integer sum
+a0 * x0 + a1 * x1 + ..., and the exchange is written out once per leaving
+row, so a pivot builds no list. Its source grows as dim^3: 114 lines in
+two variables, 234 in four. `_dual_simplex_min` is its one entry, and
+reports with each solve the exchanges it made. The optimum leaves the
+kernel as integer numerators over det. It is a vertex unless an artificial
+row stays in the final basis; only then is it purified onto a vertex of
+the optimal face. It is re-verified in that form, one pass of the same
+generated scan over every kernel row, and becomes `Fraction`s once, for the
+returned point and value.
 
 The kernel has two ways in. `RhsFamily(dim, rows, cost)` fixes the rows
 (a, rel) and an integer cost, and solves them for one right-hand side after
@@ -247,58 +251,149 @@ def _vertex_bound(norms, rhs, dim: int) -> int:
     return max(map(add, norms, map(abs, rhs)), default=1) ** dim + 1
 
 
-# One template for every dimension: x and each row are unpacked into locals,
-# and a . x is the straight-line sum a0 * x0 + a1 * x1 + ... of them.
-_ROW_OPS = """
+# One template for every dimension. x, each row, the cost, the basis ids
+# k{r} with their right-hand sides v{r}, and the adjugate's entries a{i}_{r}
+# (coordinate i, basis position r) are locals, every product is a
+# straight-line sum of them, and the exchange is written out once per
+# leaving row, so a pivot builds no list.
+_KERNEL = """
 def first(A, b, x, den):
     [{xs}] = x
-    for i, [{row}] in enumerate(A):
-        if {dot} > b[i] * den:
+    for i, [{es}] in enumerate(A):
+        if {ex} > b[i] * den:
             return i
     return None
 
 
 def dots(rows, x):
     [{xs}] = x
-    return [{dot} for [{row}] in rows]
+    return [{ex} for [{es}] in rows]
+
+
+def simplex(A, b, units, cost, start):
+    [{cs}] = cost
+    m = len(A)
+    if start is None:
+        extra = []
+{cold}        if extra:
+            big = _vertex_bound([sum(map(abs, a)) for a in A], b, {dim})
+            A = A + extra
+            b = [*b, *[big] * len(extra)]
+{artificial}        det = abs({diag})
+{inverse}    else:
+        {basis}, det = start
+{warm}    exchanges = 0
+    while True:
+{point}        for k, [{es}] in enumerate(A):
+            if {ex} > b[k] * det:
+                break
+        else:
+            break
+{alpha}        out = -1
+{ratio}        if out < 0:
+            return "infeasible", None, None, None, exchanges
+        exchanges += 1
+{exchange}    if {kept}:
+        return "optimal", [{xs}], det, ({basis}, det), exchanges
+    if {unbounded}:
+        return "unbounded", None, None, None, exchanges
+    return "optimal", [{xs}], det, None, exchanges
+"""
+
+# the cold start's basis row for x{j}: the tightest unit row on the side its
+# cost pushes it to, the first on a tie, the one nearest 0 for a zero cost,
+# or else an artificial unit row, whose right-hand side is set once all are
+# known
+_COLD = """\
+        k{j} = None
+        if c{j}:
+            up = c{j} < 0
+            for i in units[{j}]:
+                e = A[i][{j}]
+                if (e > 0) == up and (k{j} is None or b[i] * abs(d{j}) < v{j} * abs(e)):
+                    k{j}, d{j}, v{j} = i, e, b[i]
+        else:
+            for i in units[{j}]:
+                e = A[i][{j}]
+                if k{j} is None or abs(b[i] * d{j}) < abs(v{j} * e):
+                    k{j}, d{j}, v{j} = i, e, b[i]
+        if k{j} is None:
+            k{j}, d{j} = m + len(extra), -1 if c{j} > 0 else 1
+            extra.append(({unit}))
+"""
+
+# Bland's rule on the dual: the least y{r} / p{r} over p{r} > 0, the smaller
+# basis id on a tie; (yb, pb, kb) is the best so far
+_RATIO = """\
+        if p{r} > 0:
+            y{r} = -({ycol})
+            if out < 0:
+                out, yb, pb, kb = {r}, y{r}, p{r}, k{r}
+            else:
+                lhs, rhs = y{r} * pb, yb * p{r}
+                if lhs < rhs or lhs == rhs and k{r} < kb:
+                    out, yb, pb, kb = {r}, y{r}, p{r}, k{r}
 """
 
 
+def _kernel_source(dim: int) -> str:
+    """The source of the kernel in dim variables (_KERNEL), built from
+    index numbers alone."""
+    span = range(dim)
+
+    def terms(form, sep=" + ", empty="0"):
+        return sep.join(form.format(j=j) for j in span) or empty
+
+    def col(r, vector):  # sum_i a{i}_{r} vector{i}: column r of adj against a vector
+        return terms(f"a{{j}}_{r} * {vector}{{j}}")
+
+    adj = "[" + terms("[" + ", ".join(f"a{{j}}_{r}" for r in span) + "]", ", ", "") + "]"
+    exchange = []
+    for r in span:
+        # (p{r} adj - adj[:, r] (p - det e_r)^T) / det, column r kept
+        cells = [(i, j) for i in span for j in span if j != r]
+        lines = [f"a{i}_{j}, t{i}_{j} = divmod(p{r} * a{i}_{j} - a{i}_{r} * p{j}, det)"
+                 for i, j in cells]
+        if cells:
+            lines += ["if " + " or ".join(f"t{i}_{j}" for i, j in cells) + ":",
+                      '    raise InternalInvariantError("adjugate update lost integrality")']
+        lines.append(f"det, k{r}, v{r} = p{r}, k, b[k]")
+        exchange.append(f"        {'if' if r == 0 else 'elif'} out == {r}:\n"
+                        + "".join(f"            {line}\n" for line in lines))
+    return _KERNEL.format(
+        dim=dim,
+        xs=terms("x{j}", ", ", ""),
+        es=terms("e{j}", ", ", ""),
+        cs=terms("c{j}", ", ", ""),
+        ex=terms("e{j} * x{j}"),
+        cold="".join(_COLD.format(j=j, unit=" ".join(f"d{j}," if i == j else "0," for i in span))
+                     for j in span),
+        artificial=terms("            if k{j} >= m:\n                v{j} = big\n", "", ""),
+        diag=terms("d{j}", " * ", "1"),
+        inverse="".join(f"        a{i}_{i} = det // d{i}\n"
+                        + "".join(f"        a{i}_{j} = 0\n" for j in span if j != i)
+                        for i in span),
+        basis=f"({terms('k{j},', ' ', '')}), {adj}",
+        warm=terms("        v{j} = b[k{j}]\n", "", ""),
+        point="".join(f"        x{i} = {terms(f'a{i}_{{j}} * v{{j}}')}\n" for i in span),
+        alpha="".join(f"        p{r} = {col(r, 'e')}\n" for r in span),
+        ratio="".join(_RATIO.format(r=r, ycol=col(r, "c")) for r in span),
+        exchange="".join(exchange),
+        kept=terms("k{j} < m", " and ", "True"),
+        unbounded=" or ".join(f"k{r} >= m and {col(r, 'c')} < 0" for r in span) or "False")
+
+
 @functools.cache
-def _row_ops(dim: int) -> tuple:
-    """(first, dots), the row products of the kernel in dim variables:
-    first(A, b, x, den) is the index of the first row a of A with
-    a . x > b_i den, or None, and dots(rows, x) the list of a . x. Both are
-    compiled from _ROW_OPS once per dimension, a source built from index
-    numbers alone; in dimension 0 every product is 0. A row or an x of
-    another length fails to unpack (ValueError)."""
-    source = _ROW_OPS.format(xs=", ".join(f"x{j}" for j in range(dim)),
-                             row=", ".join(f"a{j}" for j in range(dim)),
-                             dot=" + ".join(f"a{j} * x{j}" for j in range(dim)) or "0")
-    scope = {}
-    exec(compile(source, f"<row ops, dim {dim}>", "exec"), scope)
-    return scope["first"], scope["dots"]
-
-
-def _exchange(adj, det: int, alpha, r: int) -> list:
-    """The adjugate after basis row r is replaced by a row a with
-    alpha = adj^T a: (alpha_r adj - adj[:, r] (alpha - det e_r)^T) / det,
-    over the new denominator alpha_r (Bareiss). Every division is exact when
-    adj / det is the inverse of the old basis; a remainder raises
-    InternalInvariantError."""
-    ar = alpha[r]
-    out = []
-    for row in adj:
-        f = row[r]
-        new = []
-        for v, aj in zip(row, alpha):
-            q, rem = divmod(ar * v - f * aj, det)
-            if rem:
-                raise InternalInvariantError("adjugate update lost integrality")
-            new.append(q)
-        new[r] = f
-        out.append(new)
-    return out
+def _kernel_ops(dim: int) -> tuple:
+    """(first, dots, simplex), the LP kernel in dim variables, compiled from
+    _kernel_source(dim) once per dimension; in dimension 0 every product is
+    0. first(A, b, x, den) is the index of the first row a of A with
+    a . x > b_i den, or None, dots(rows, x) the list of a . x, and simplex
+    the dual simplex of _dual_simplex_min. A row or an x of another length
+    fails to unpack (ValueError)."""
+    scope = {"_vertex_bound": _vertex_bound, "InternalInvariantError": InternalInvariantError}
+    exec(compile(_kernel_source(dim), f"<LP kernel, dim {dim}>", "exec"), scope)
+    return scope["first"], scope["dots"], scope["simplex"]
 
 
 def _kernel_form(dim: int, A) -> list:
@@ -317,10 +412,11 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
     A: the nonconstant "<=" rows of a family, units their index
     (_kernel_form); b and cost: integers. start: a basis (ids, adj, det) of
     A rows that is dual feasible for cost, or None for a cold start.
-    Returns (tag, nums, den, basis): an optimal point as integer numerators
-    over one positive denominator, and the final basis as (ids, adj, det)
-    when it holds no artificial row, so that the point is a vertex; None,
-    None, None when there is no optimum.
+    Returns (tag, nums, den, basis, exchanges): an optimal point as integer
+    numerators over one positive denominator, and the final basis as
+    (ids, adj, det) when it holds no artificial row, so that the point is a
+    vertex; None, None, None when there is no optimum; and the number of
+    basis exchanges made.
 
     The basis is dim rows kept as an integer adjugate adj and a denominator
     det > 0 with B^-1 = adj / det, so the point is adj b_B / det and the
@@ -330,74 +426,18 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
     0 for a zero cost; a coordinate without one gets the artificial row
     +-x_j <= M, where M exceeds every vertex coordinate by Hadamard's
     bound. Each iteration brings in the first violated row and drops the
-    basis row of least y_r / alpha_r (Bland's rule on the dual); the duals
-    are computed only then, when a row enters. Every row product, a . x for
-    the scan and adj b_B, adj^T cost and adj^T a, is one of the generated
-    straight-line sums of _row_ops(dim). An artificial row left in the
-    final basis means an unbounded LP when its dual is positive, the one
-    dual computed at the exit; at a zero dual the point is optimal but may
-    not be a vertex.
+    basis row of least y_r / alpha_r, alpha = adj^T a (Bland's rule on the
+    dual, the smaller basis id on a tie); the duals are computed only then,
+    when a row enters. The exchange is one fraction-free update (Bareiss),
+    adj' = (alpha_r adj - adj[:, r] (alpha - det e_r)^T) / det over the new
+    denominator alpha_r, whose divisions are exact when adj / det is the
+    inverse of the old basis; a remainder raises InternalInvariantError. An
+    artificial row left in the final basis means an unbounded LP when its
+    dual is positive, the one dual computed at the exit; at a zero dual the
+    point is optimal but may not be a vertex. The whole solve is the
+    generated simplex of _kernel_ops(dim), on locals.
     """
-    first, dots = _row_ops(dim)
-    m = len(A)
-    if start is None:
-        big = None
-        basis = []
-        extra = []
-        for j, cj in enumerate(cost):
-            k = None
-            for i in units[j]:
-                if cj:
-                    if (A[i][j] > 0) == (cj < 0) and (
-                            k is None or b[i] * abs(A[k][j]) < b[k] * abs(A[i][j])):
-                        k = i
-                elif k is None or abs(b[i] * A[k][j]) < abs(b[k] * A[i][j]):
-                    k = i
-            if k is None:
-                if big is None:
-                    big = _vertex_bound([sum(map(abs, a)) for a in A], b, dim)
-                k = m + len(extra)
-                extra.append(_unit(dim, j, -1 if cj > 0 else 1))
-            basis.append(k)
-        if extra:
-            A = A + extra
-            b = list(b) + [big] * len(extra)
-        diag = [A[k][j] for j, k in enumerate(basis)]
-        det = abs(math.prod(diag))
-        adj = [[0] * dim for _ in range(dim)]
-        for j, d in enumerate(diag):
-            adj[j][j] = det // d
-    else:
-        ids, adj, det = start
-        basis = list(ids)
-
-    while True:
-        nums = dots(adj, [b[k] for k in basis])
-        k = first(A, b, nums, det)
-        if k is None:
-            break
-        cols = list(zip(*adj))
-        ydet = [-v for v in dots(cols, cost)]
-        alpha = dots(cols, A[k])
-        out = None
-        for r, ar in enumerate(alpha):
-            if ar > 0:
-                if out is None:
-                    out = r
-                    continue
-                lhs = ydet[r] * alpha[out]
-                rhs = ydet[out] * ar
-                if lhs < rhs or (lhs == rhs and basis[r] < basis[out]):
-                    out = r
-        if out is None:
-            return "infeasible", None, None, None
-        adj = _exchange(adj, det, alpha, out)
-        det = alpha[out]
-        basis[out] = k
-    artificial = [r for r, k in enumerate(basis) if k >= m]
-    if any(sum(row[r] * cj for row, cj in zip(adj, cost)) < 0 for r in artificial):  # y_r > 0
-        return "unbounded", None, None, None
-    return "optimal", nums, det, (None if artificial else (tuple(basis), adj, det))
+    return _kernel_ops(dim)[2](A, b, units, cost, start)
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +695,7 @@ class RhsFamily:
             return False
         if not last:
             return self.cost[0] != 0
-        _, dots = _row_ops(self.dim)
+        _, dots, _ = _kernel_ops(self.dim)
         return all(v < 0 for v in dots(zip(*last[1]), self.cost))
 
     def solve(self, rhs) -> tuple:
@@ -674,8 +714,8 @@ class RhsFamily:
         else:
             if self._kernel is None:
                 self._kernel = _kernel_form(dim, rows)
-            tag, nums, den, basis = _dual_simplex_min(dim, rows, rhs, self._kernel, cost,
-                                                      self._basis)
+            tag, nums, den, basis, _ = _dual_simplex_min(dim, rows, rhs, self._kernel, cost,
+                                                         self._basis)
             vertex = basis is not None
             if vertex:
                 self._basis = basis
@@ -683,7 +723,7 @@ class RhsFamily:
             return tag, None, None
         if not vertex:
             nums, den = _purify_to_vertex(dim, rows, rhs, nums, den, cost)
-        first, _ = _row_ops(dim)
+        first = _kernel_ops(dim)[0]
         if first(rows, rhs, nums, den) is not None:
             raise InternalInvariantError("an LP optimum failed re-verification")
         self._last = basis
@@ -809,8 +849,10 @@ def _truncated_cone(rows, dim: int) -> LinearSystem:
 
 def _projection_bounded(sys: LinearSystem, coords) -> bool:
     """True iff the closed system's recession cone has y_i = 0 for i in coords:
-    the lp_range of each y_i over the truncated cone is (0, 0)."""
-    cone = _truncated_cone(sys.closure().rows, sys.dim)
+    the lp_range of each y_i over the truncated cone is (0, 0). The rows go
+    into the cone as they are, so a strict row raises lp_range's
+    ValueError."""
+    cone = _truncated_cone(sys.rows, sys.dim)
     return all(lp_range(cone, _unit(sys.dim, i)) == (0, 0) for i in coords)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 from unittest import mock
 
 from bilevel_exact import (DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, cells, is_valid_cell,
-                           row_eq)
+                           linear, row_eq)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1_PATH = os.path.join(ROOT, "instances", "example1.json")
@@ -59,6 +59,23 @@ def no_index_build():
 
     with mock.patch.object(cells.CellIndex, "_build", refuse):
         yield
+
+
+@contextlib.contextmanager
+def kernel_exchanges():
+    """Inside the block, each linear._dual_simplex_min call appends to the
+    yielded list the basis exchanges that it reports: the list's length
+    counts the kernel's calls, and its sum their exchanges."""
+    kernel = linear._dual_simplex_min
+    reported = []
+
+    def counting(*args):
+        out = kernel(*args)
+        reported.append(out[4])
+        return out
+
+    with mock.patch.object(linear, "_dual_simplex_min", counting):
+        yield reported
 
 
 def make_empty_follower_pure():

@@ -510,6 +510,19 @@ def test_reference_oracle_examples(example1):
     assert orc3.solution[0] == (0,)
 
 
+def test_pure_oracle_pays_no_cone_check(example1, monkeypatch):
+    # instance validation proved every cell region bounded, so the pure
+    # oracle poses its cells on one LexMin and runs no cone LPs
+    def refuse(*args):
+        raise AssertionError("a cone check ran")
+
+    monkeypatch.setattr(lattice, "_projection_bounded", refuse)
+    for inst, want in ((example1, (0, (0,), (0,))), (make_tie(), (0, (0,), (1,)))):
+        orc = reference_oracle(inst, "pure", CFG)
+        assert type(orc.infimum) is Fraction
+        assert (orc.infimum, orc.solution[0], orc.solution[1].entries) == want
+
+
 def test_disagreement_names_each_failed_check():
     inst = make_flipped()
     searched, oracled = solve_mixed(inst, config=CFG), reference_oracle(inst, "mixed", CFG)

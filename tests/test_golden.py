@@ -294,7 +294,8 @@ def test_cold_decide_lp_count():
 
 def test_mixed_grid_basis_exchanges():
     # a deterministic count of the exact LP kernel's work in the same 25
-    # mixed-grid solves: its basis exchanges (linear._exchange calls). The
+    # mixed-grid solves: its basis exchanges, as each
+    # linear._dual_simplex_min call reports them. The
     # two-phase tableau it replaced made 2519 pivots there, the cold-started
     # dual simplex 833, the warm-started one 592 before the lex cell was
     # read off the scan's first hit and 566 before the cold start took the
@@ -304,15 +305,12 @@ def test_mixed_grid_basis_exchanges():
     # rows, 503 before the lex trace's rho was left to its first read, and
     # 493 before the lex scan and extraction read a unique optimum off the
     # index's closure LP; it may only fall
-    import pytest
-    from bilevel_exact import linear, solve_mixed
-    exchange = linear._exchange
-    calls = []
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linear, "_exchange", lambda *args: calls.append(args[3]) or exchange(*args))
+    import support
+    from bilevel_exact import solve_mixed
+    with support.kernel_exchanges() as reported:
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 422
+    assert sum(reported) <= 422
 
 
 def pure_small_documents(count: int) -> list:
@@ -350,25 +348,24 @@ def test_pure_small_solves_match_the_reference_oracle():
 def test_pure_small_kernel_work():
     # a deterministic count of the exact LP kernel's work in 25 pure-small
     # solves: its LPs (linear._dual_simplex_min and linear._interval_solve
-    # calls) and its basis exchanges (linear._exchange calls); 264 and 12
+    # calls) and the basis exchanges that the former report; 264 and 12
     # when first measured, 264 LPs before the lex-least response stopped
     # searching the coordinates that its "=" rows pin, and 198 before a
     # response that the "=" rows alone pin was solved without a search;
     # they may only fall
     import pytest
+    import support
     from bilevel_exact import linear, solve_pure
     insts = pure_small_instances(25)
-    lps, exchanges = [], []
-    with pytest.MonkeyPatch.context() as mp:
-        for name, calls in (("_dual_simplex_min", lps), ("_interval_solve", lps),
-                            ("_exchange", exchanges)):
-            kernel = getattr(linear, name)
-            mp.setattr(linear, name, lambda *args, _kernel=kernel, _calls=calls:
-                       _calls.append(1) or _kernel(*args))
+    intervals = []
+    interval_solve = linear._interval_solve
+    with pytest.MonkeyPatch.context() as mp, support.kernel_exchanges() as reported:
+        mp.setattr(linear, "_interval_solve",
+                   lambda *args: intervals.append(1) or interval_solve(*args))
         for inst in insts:
             solve_pure(inst)
-    assert len(lps) <= 134
-    assert len(exchanges) <= 12
+    assert len(reported) + len(intervals) <= 134
+    assert sum(reported) <= 12
 
 
 def test_pure_small_leader_searches():

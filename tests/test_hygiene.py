@@ -148,7 +148,7 @@ def _reached_from(module, name):
 
 def test_reference_oracle_reaches_no_engine_enumeration():
     reached = _reached_from("engine", "reference_oracle")
-    assert {"is_valid_cell", "cell_infimum", "integer_min"} <= reached
+    assert {"is_valid_cell", "cell_infimum", "LexMin"} <= reached
     assert sorted(reached & ENUMERATIONS) == []
 
 
@@ -193,17 +193,28 @@ def test_no_qvector_built_in_an_objective_call():
 
 # The LP kernel reads "<=" rows alone: each RhsFamily splits its "=" rows
 # into their two sides once, at construction, so no kernel function reads
-# a relation, the generated row products included.
-KERNEL = ("_dual_simplex_min", "_exchange", "_kernel_form", "_interval_solve",
-          "_purify_to_vertex", "_row_ops")
+# a relation, and neither does the source it generates per dimension.
+KERNEL = ("_dual_simplex_min", "_kernel_source", "_kernel_ops", "_kernel_form",
+          "_interval_solve", "_purify_to_vertex")
+RELATIONS = {"LE", "EQ", "LT"}
 
 
 def test_lp_kernel_reads_no_relation():
     defs = {node.name: node for node in _tree("linear.py").body
             if isinstance(node, ast.FunctionDef)}
     read = {name: sorted({n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
-                         & {"LE", "EQ", "LT"}) for name in KERNEL}
+                         & RELATIONS) for name in KERNEL}
     assert read == {name: [] for name in KERNEL}
+
+
+@pytest.mark.parametrize("dim", [0, 2, 3, 4, 5, 6])
+def test_generated_kernel_reads_no_relation(dim):
+    from bilevel_exact import linear
+    tree = ast.parse(linear._kernel_source(dim))
+    names = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    texts = {n.value for n in ast.walk(tree) if isinstance(n, ast.Constant)}
+    assert {"first", "dots", "simplex"} <= {n.name for n in tree.body}
+    assert sorted(names & RELATIONS) == [] and sorted(texts & {"<=", "=", "<"}) == []
 
 
 # The references of tests/support.py that use no LP share no code with the

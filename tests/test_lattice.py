@@ -9,7 +9,6 @@ from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError,
                            LinearSystem, QVector, ResourceLimitError, SolverConfig,
                            enumerate_integers, integer_min, lp_solve, mixed_feasible, row_eq,
                            row_le, row_lt, solve_mixed)
-from bilevel_exact import linear
 from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates
 from bilevel_exact.linear import lp_range
 
@@ -394,14 +393,11 @@ def thin_follower(K: int) -> Instance:
 
 def test_thin_follower_takes_linear_kernel_work():
     # the mixed-feasibility screen proves the thin follower empty in 4K + 1
-    # nodes; each node is one warm solve of the same rows, so the kernel's
-    # basis exchanges (linear._exchange calls) stay at about one per node:
-    # 79,606 at K = 100 while each branch appended a row to a cold LP
+    # nodes; each node is one warm solve of the same rows, so the basis
+    # exchanges that the kernel reports stay at about one per node: 79,606
+    # at K = 100 while each branch appended a row to a cold LP
     K = 100
-    exchanges = []
-    exchange = linear._exchange
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linear, "_exchange", lambda *args: exchanges.append(1) or exchange(*args))
+    with support.kernel_exchanges() as reported:
         assert solve_mixed(thin_follower(K)).status == INFEASIBLE
-    assert len(exchanges) <= 4 * K
+    assert sum(reported) <= 4 * K
     assert solve_mixed(thin_follower(1000)).status == INFEASIBLE

@@ -2,13 +2,14 @@ from fractions import Fraction
 from operator import mul
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import support
 from bilevel_exact import (LE, EQ, LT, DEFAULT_CONFIG, InternalInvariantError, LinearSystem,
                            QVector, ResourceLimitError, SolverConfig,
-                           affinely_independent_vertices, lp_solve, recession_bounded, row_eq,
+                           affinely_independent_vertices, integer_min, lp_solve,
+                           recession_bounded, row_eq,
                            row_le, row_lt, strict_feasible_point, vertices)
 from bilevel_exact import linear
 
@@ -164,10 +165,15 @@ def test_lp_matches_vertex_scan_in_three_and_four_dimensions(sys_, obj):
 
 
 def test_exchange_rejects_an_inconsistent_adjugate():
-    # adj / det = I / 2 claims B = 2I, whose adjugate is 2I over det 4;
-    # bringing in (1, 1) for row 0 sends entry (0, 1) to (1 * 0 - 1 * 1) / 2
+    # a warm start on the basis B = I of rows 0 and 1 whose adjugate I over
+    # det 2 is not det B^-1 (it claims B = 2I): the point (1, 1) violates
+    # x + y <= 1, which enters with alpha = (1, 1); both duals are 1, so
+    # the tie goes to basis row 0, and the exchange sends entry (0, 1) to
+    # (1 * 0 - 1 * 1) / 2
+    A = [(1, 0), (0, 1), (1, 1)]
     with pytest.raises(InternalInvariantError, match="lost integrality"):
-        linear._exchange([[1, 0], [0, 1]], 2, [1, 1], 0)
+        linear._dual_simplex_min(2, A, [2, 2, 1], linear._kernel_form(2, A), (-1, -1),
+                                 ((0, 1), [[1, 0], [0, 1]], 2))
 
 
 def _fraction_inverse(rows):
@@ -184,22 +190,44 @@ def _fraction_inverse(rows):
     return [r[n:] for r in aug]
 
 
-@settings(max_examples=80)
-@given(st.integers(2, 4), st.lists(st.tuples(st.integers(0, 3), st.lists(
-    st.integers(-4, 4), min_size=4, max_size=4)), max_size=8))
-def test_exchanges_keep_the_inverse(dim, swaps):
-    # from B = I, each swap replaces basis row r by a; a swap that would make
-    # B singular (alpha_r = 0) is skipped. adj / det stays B^-1 throughout.
-    basis = [[int(i == j) for j in range(dim)] for i in range(dim)]
-    adj, det = [row[:] for row in basis], 1
-    for r, a in swaps:
-        r, a = r % dim, a[:dim]
-        alpha = [sum(adj[i][j] * a[i] for i in range(dim)) for j in range(dim)]
-        if alpha[r] == 0:
+def kernel_chains():
+    """(dim, boxed, rows, cost, shifts) in 2 to 4 variables: with boxed, the
+    rows -2 <= x_j <= 2 come first (without them the kernel starts from
+    artificial rows), then up to five random rows, whose right-hand sides
+    each of up to four shifts gives."""
+    def case(dim):
+        vector = st.lists(st.integers(-4, 4), min_size=dim, max_size=dim).map(tuple)
+        return st.tuples(st.just(dim), st.booleans(), st.lists(vector, max_size=5), vector,
+                         st.lists(st.lists(st.integers(-6, 6), min_size=5, max_size=5),
+                                  min_size=1, max_size=4))
+    return st.integers(2, 4).flatmap(case)
+
+
+@settings(max_examples=80, deadline=None)
+@given(kernel_chains())
+def test_exchanges_keep_the_inverse(case):
+    # each right-hand side starts from the last basis the kernel returned, so
+    # its exchanges go on from an earlier solve's; every returned basis
+    # (ids, adj, det) has det > 0 and adj / det equal to the inverse of its
+    # rows, by Fraction Gauss-Jordan, and its point is that inverse times b_B
+    dim, boxed, extra, cost, shifts = case
+    A = [tuple(s * int(i == j) for i in range(dim)) for j in range(dim) for s in (1, -1)]
+    A = (A if boxed else []) + [a for a in extra if any(a)]
+    units = linear._kernel_form(dim, A)
+    start, exchanges = None, 0
+    for shift in shifts:
+        b = [2] * (2 * dim if boxed else 0) + shift[:len(A) - (2 * dim if boxed else 0)]
+        tag, nums, den, basis, made = linear._dual_simplex_min(dim, A, b, units, cost, start)
+        exchanges += made
+        if basis is None:
             continue
-        adj, det = linear._exchange(adj, det, alpha, r), alpha[r]
-        basis[r] = a
-        assert [[Fraction(v, det) for v in row] for row in adj] == _fraction_inverse(basis)
+        ids, adj, det = basis
+        inverse = _fraction_inverse([A[k] for k in ids])
+        assert det > 0 and [[Fraction(v, det) for v in row] for row in adj] == inverse
+        assert [Fraction(v, den) for v in nums] == [
+            sum(row[r] * b[k] for r, k in enumerate(ids)) for row in inverse]
+        start = basis
+    note(f"exchanges: {exchanges}")
 
 
 def _cross_polytope(dim, radius):
@@ -665,11 +693,24 @@ def test_strict_point_without_nonconstant_strict_rows_matches_reference(sys_, co
     assert pt is None or with_constants.satisfied_by(pt)
 
 
+def test_projection_check_takes_its_rows_as_they_are(monkeypatch):
+    # both callers of the cone check pass closed rows, so it builds no
+    # closed copy of them, and a strict row raises lp_range's ValueError
+    def refuse(self):
+        raise AssertionError("a closed copy was built")
+
+    monkeypatch.setattr(LinearSystem, "closure", refuse)
+    assert linear._projection_bounded(BOX, range(2))
+    assert integer_min((1, 1), BOX).value == 0
+    with pytest.raises(ValueError, match="closed rows only"):
+        linear._projection_bounded(BOX.with_rows([row_lt([1, 1], 1)]), range(2))
+
+
 def test_lp_reverification_is_fatal(monkeypatch):
     # a kernel vertex off the feasible region must not go unnoticed:
     # (6/2, 0) lies outside the box's x <= 2
     monkeypatch.setattr(linear, "_dual_simplex_min",
-                        lambda *args: ("optimal", [6, 0], 2, ((0, 1), [[1, 0], [0, 1]], 1)))
+                        lambda *args: ("optimal", [6, 0], 2, ((0, 1), [[1, 0], [0, 1]], 1), 0))
     with pytest.raises(InternalInvariantError):
         lp_solve(BOX, QVector([1, 1]), "min")
 
@@ -736,7 +777,7 @@ def row_op_cases():
 def test_row_ops_match_the_plain_sums(case):
     # the generated straight-line products against sum(map(mul, ...))
     dim, rows, b, x, den = case
-    first, dots = linear._row_ops(dim)
+    first, dots, _ = linear._kernel_ops(dim)
     assert first(rows, b, x, den) == next(
         (i for i, a in enumerate(rows) if sum(map(mul, a, x)) > b[i] * den), None)
     assert dots(rows, x) == [sum(map(mul, a, x)) for a in rows]
@@ -930,33 +971,27 @@ def test_unique_optimum_needs_every_basis_dual_positive():
         assert family.solve([3, 1])[0] == "optimal" and family.unique() == unique
 
 
-def test_rhs_family_restarts_from_its_last_optimal_basis(monkeypatch):
+def test_rhs_family_restarts_from_its_last_optimal_basis():
     # a repeated right-hand side starts at its own optimal basis: no exchange
     rows = [((2, 1), LE), ((1, 3), LE), ((-1, 0), LE), ((0, -1), LE)]
     family = linear.RhsFamily(2, rows, (-1, -1))
     assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
-    exchanges = []
-    exchange = linear._exchange
-    monkeypatch.setattr(linear, "_exchange",
-                        lambda *args: exchanges.append(args) or exchange(*args))
-    assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
-    assert exchanges == []
+    with support.kernel_exchanges() as reported:
+        assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
+    assert reported == [0]
     assert family.solve([8, 30, 0, 0]) == ("optimal", [0, 8], 1)
     assert family.solve([8, 9, -9, 0])[0] == "infeasible"
     assert family.solve([8, 9, 0, 0]) == ("optimal", [15, 10], 5)
 
 
-def test_cold_start_takes_the_tightest_unit_row(monkeypatch):
+def test_cold_start_takes_the_tightest_unit_row():
     # min x + y over x >= -5, x >= 1, y >= 0: the cold basis takes x >= 1,
     # the tighter lower bound, not x >= -5, the first, and is optimal at once
-    exchanges = []
-    exchange = linear._exchange
-    monkeypatch.setattr(linear, "_exchange",
-                        lambda *args: exchanges.append(args) or exchange(*args))
     sys_ = LinearSystem(2, (row_le([-1, 0], 5), row_le([-1, 0], -1), row_le([0, -1], 0)))
-    out = lp_solve(sys_, (1, 1), "min")
+    with support.kernel_exchanges() as reported:
+        out = lp_solve(sys_, (1, 1), "min")
     assert (out.value, out.point.entries) == (1, (1, 0))
-    assert exchanges == []
+    assert reported == [0]
 
 
 def test_rhs_family_corrupted_basis_is_fatal():
