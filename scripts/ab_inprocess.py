@@ -19,11 +19,13 @@ least time, the change's difference to the parent, and whether every answer
 is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 After the timed runs, one untimed pass of every op on each side counts its
-RhsFamily.solve calls and its basis exchanges, as linear._dual_simplex_min
+RhsFamily.solve calls, its basis exchanges, as linear._dual_simplex_min
 reports them (a checkout whose kernel reports none counts its
-linear._exchange calls), deterministic work counters that the script prints
-per side too, each on a line of its own, so that a kernel change shows
-whether it pivots as before.
+linear._exchange calls), and its lattice.IntegerSearch.minimize calls,
+deterministic work counters that the script prints per side too, each on a
+line of its own, so that a kernel change shows whether it pivots as before
+and a search change whether it keeps every search while it solves fewer
+LPs.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ def _load(checkout: str, name: str, directory: str):
     shutil.copytree(os.path.join(checkout, "src", "bilevel_exact"), os.path.join(directory, name),
                     ignore=shutil.ignore_patterns("__pycache__"))
     return {mod: importlib.import_module(f"{name}.{mod}")
-            for mod in ("cli", "engine", "instance_io", "linear", "rational")}
+            for mod in ("cli", "engine", "instance_io", "lattice", "linear", "rational")}
 
 
 def _op_runner(modules: dict, plan: dict):
@@ -88,14 +90,16 @@ def _op_runner(modules: dict, plan: dict):
     return run
 
 
-def _kernel_work(linear, run, count: int) -> tuple:
-    """(solves, exchanges): the RhsFamily.solve calls of one untimed pass of
-    ops 0..count-1 and the basis exchanges of its kernel calls."""
+def _kernel_work(modules: dict, run, count: int) -> tuple:
+    """(solves, exchanges, searches): the RhsFamily.solve calls of one
+    untimed pass of ops 0..count-1, the basis exchanges of its kernel calls
+    and its IntegerSearch.minimize calls."""
+    linear, search = modules["linear"], modules["lattice"].IntegerSearch
     family = linear.RhsFamily
-    solve = family.solve
+    solve, minimize = family.solve, search.minimize
     name = "_exchange" if hasattr(linear, "_exchange") else "_dual_simplex_min"
     kernel = getattr(linear, name)
-    calls = [0, 0]
+    calls = [0, 0, 0]
 
     def counting_solve(self, rhs):
         calls[0] += 1
@@ -106,13 +110,19 @@ def _kernel_work(linear, run, count: int) -> tuple:
         calls[1] += 1 if name == "_exchange" else out[4]
         return out
 
+    def counting_minimize(self, *args):
+        calls[2] += 1
+        return minimize(self, *args)
+
     family.solve = counting_solve
+    search.minimize = counting_minimize
     setattr(linear, name, counting_kernel)
     try:
         for i in range(count):
             run(i)
     finally:
         family.solve = solve
+        search.minimize = minimize
         setattr(linear, name, kernel)
     return tuple(calls)
 
@@ -148,7 +158,7 @@ def main(argv=None) -> int:
                     elapsed, answers[side] = runners[side](i)
                     best[side][i] = min(best[side][i], elapsed)
                 equal = equal and answers["parent"] == answers["change"]
-        work = {side: _kernel_work(loaded[side]["linear"], runners[side], count)
+        work = {side: _kernel_work(loaded[side], runners[side], count)
                 for side in SIDES}
     stats = {side: (percentile(times, 0.5), percentile(times, 0.9), sum(times) / count)
              for side, times in best.items()}
@@ -160,6 +170,7 @@ def main(argv=None) -> int:
                                  for p, c in zip(stats["parent"], stats["change"])))
     print(f"RhsFamily solves: parent {work['parent'][0]}, change {work['change'][0]}")
     print(f"basis exchanges: parent {work['parent'][1]}, change {work['change'][1]}")
+    print(f"integer searches: parent {work['parent'][2]}, change {work['change'][2]}")
     print(f"answers equal: {'yes' if equal else 'NO'}")
     return 0 if equal else 1
 

@@ -15,7 +15,8 @@ class SolverConfig:
     # responses (x, r) tested at them; per reference oracle, its (x, r) pairs
     cell_cap: int = 10**6
     basis_cap: int = 10**6           # row subsets tried by `vertices`; no solve calls it
-    node_cap: int = 10**6            # branch-and-bound nodes per search
+    node_cap: int = 10**6            # branch-and-bound nodes per search; a search in one
+                                     # integer variable rounds, one node
 
 
 DEFAULT_CONFIG = SolverConfig()

@@ -1,5 +1,6 @@
-"""Integer and mixed-integer search over polyhedra: one walk, one
-branch-and-bound, sharing no search code, so each cross-checks the other.
+"""Integer and mixed-integer search over polyhedra: one walk and one
+integer search, a branch-and-bound that rounds in one integer variable,
+sharing no search code, so each cross-checks the other.
 
 Both name the integer coordinates by index. The walk, integer_candidates,
 lists in lex order the integer values of a range of coordinates that keep
@@ -12,15 +13,20 @@ in lp_range. It lists the cell candidates (x, the leading range), the pure
 table's leader points (z, the trailing range) and, over every coordinate,
 enumerate_integers.
 
-The branch-and-bound, IntegerSearch, holds fixed rows (a, rel) plus an
-upper and a lower bound row per integer coordinate as one
-linear.RhsFamily, so a node is a right-hand side: a branch replaces the
-bound on one side of one coordinate, and each node's LP starts from the
-family's last optimal basis, which stays dual feasible as right-hand sides
-move. An unbranched bound sits at linear._vertex_bound of that call's rows,
-which cuts nothing. It branches on the lowest-index fractional coordinate,
-lower branch first, so results and tie-breaks are deterministic, prunes a
-node no better than the incumbent, and stops once the incumbent's value
+The integer search, IntegerSearch, in one integer variable rounds the
+interval of its rows, the base case of integer programming in fixed
+dimension (Lenstra 1983): no LP, one node against node_cap, the point
+re-verified against every row, and BoundednessError for rows that leave
+the line open. In more variables it is a branch-and-bound that holds
+fixed rows (a, rel) plus an upper and a lower bound row per integer
+coordinate as one linear.RhsFamily, so a node is a right-hand side: a
+branch replaces the bound on one side of one coordinate, and each node's
+LP starts from the family's last optimal basis, which stays dual
+feasible as right-hand sides move. An unbranched bound sits at
+linear._vertex_bound of that call's rows, which cuts nothing. It
+branches on the lowest-index fractional coordinate, lower branch first,
+so results and tie-breaks are deterministic, prunes a node no better
+than the incumbent, and stops once the incumbent's value
 equals the root relaxation's (Land and Doig, 1960): every node is a
 subproblem of the root, so none does better. node_cap counts the nodes of
 each call. LexMin adds integer_min's lex stage: one search per coordinate
@@ -46,8 +52,9 @@ from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, _integer_cost,
-                     _nullspace_direction, _projection_bounded, _unit, _vertex_bound)
+from .linear import (EQ, LE, LT, LinearSystem, LpOutcome, RhsFamily, _check_cost,
+                     _check_rhs, _check_row, _integer_cost, _nullspace_direction,
+                     _projection_bounded, _unit, _vertex_bound)
 from .rational import QVector
 
 
@@ -65,29 +72,107 @@ def _closed_bounded(sys: LinearSystem, coords, message: str) -> tuple:
     return sys.rows, sys.rhs
 
 
+def _rounded_end(lowers, uppers, rhs, upper: bool, fixed) -> Optional[int]:
+    """The lower end, or the upper end when `upper`, of the integer range
+    that the nonempty lists of rows (k, a) bounding x below and above leave
+    at rhs, x >= ceil(b / a) and x <= floor(b / a) for b = rhs[k], narrowed
+    to fixed[0] when fixed is given; None when the range is empty."""
+    lo = max([-(-rhs[k] // a) for k, a in lowers])
+    hi = min([rhs[k] // a for k, a in uppers])
+    if fixed:
+        lo, hi = max(lo, fixed[0]), min(hi, fixed[0])
+    if lo > hi:
+        return None
+    return hi if upper else lo
+
+
 class IntegerSearch:
     """Branch and bound over fixed rows (a, rel) in dim variables, integer
-    on the coordinates `coords` (sorted), minimizing an integer cost.
+    on the coordinates `coords` (sorted), minimizing an integer cost; in one
+    integer variable, rounding.
 
     The rows must bound the region's projection onto coords for every
     right-hand side the search is given. minimize(rhs, config, fixed)
     takes one integer per row, and the integer values `fixed` of the first
     len(fixed) coordinates of coords, and returns (nums, den), the LP
     optimum at the first node of least cost whose point is integer on
-    coords, or None when there is none.
+    coords, or None when there is none. A row or a cost of another length
+    than dim raises RhsFamily's ValueError, and so does an rhs of another
+    length than the rows, before any node.
+
+    When dim is 1 and the one coordinate is integer, the optimum has a
+    closed form, the base case of integer programming in fixed dimension
+    (Lenstra 1983): the search builds no family, and minimize settles the
+    constant rows, rounds each row's bound, a x <= b giving x <=
+    floor(b / a) at a > 0 and x >= ceil(b / a) at a < 0 and an "=" row
+    both, and returns ([x], 1), the lower end at a cost >= 0 and the upper
+    end at a cost < 0, the point that branch and bound returns. It counts
+    as one node against node_cap. The point is re-verified against every
+    row in integer arithmetic, and a miss raises InternalInvariantError.
+    Rows that leave the line open on either side raise BoundednessError.
+    linear._interval_solve is not reused: it answers an LP over a family's
+    split rows, so the rounding would have to build the family it skips.
     """
 
-    __slots__ = ("dim", "coords", "cost", "lp", "_norms")
+    __slots__ = ("dim", "coords", "cost", "lp", "_norms", "_line")
 
     def __init__(self, dim: int, rows, coords, cost):
         self.dim = dim
         self.coords = coords = sorted(set(coords))
         self.cost = cost
+        if dim == 1 and coords == [0]:
+            _check_cost(cost, 1)
+            # per row its coefficient; the rows (k, a) bounding x below and
+            # above, an "=" row on both lists; the "=" rows; the constant rows
+            coeffs, lowers, uppers, equals, constants = line = ([], [], [], [], [])
+            for k, (a, rel) in enumerate(rows):
+                _check_row(a, 1)
+                a = a[0]
+                coeffs.append(a)
+                if not a:
+                    constants.append((k, rel))
+                elif rel == EQ:
+                    lowers.append((k, a))
+                    uppers.append((k, a))
+                    equals.append((k, a))
+                else:
+                    (lowers if a < 0 else uppers).append((k, a))
+            self._line = line
+            self.lp = self._norms = None
+            return
+        self._line = None
         self._norms = [sum(map(abs, a)) for a, _ in rows]
         bounds = [(_unit(dim, j, sign), LE) for j in coords for sign in (1, -1)]
         self.lp = RhsFamily(dim, list(rows) + bounds, cost)
 
+    def _round(self, rhs, config: SolverConfig, fixed) -> Optional[tuple]:
+        """minimize in one integer variable (see the class)."""
+        coeffs, lowers, uppers, equals, constants = self._line
+        _check_rhs(rhs, len(coeffs))
+        if config.node_cap < 1:
+            raise ResourceLimitError(
+                f"node_cap={config.node_cap}: branch and bound node cap exceeded")
+        for k, rel in constants:
+            b = rhs[k]
+            if b < 0 or (rel == LT if b == 0 else rel == EQ):  # 0 rel b fails
+                return None
+        if not lowers or not uppers:
+            raise BoundednessError("the rows leave a one-variable search open")
+        x = _rounded_end(lowers, uppers, rhs, self.cost[0] < 0, fixed)
+        if x is None:
+            return None
+        for a, b in zip(coeffs, rhs):
+            if a * x > b:
+                raise InternalInvariantError("a rounded integer point failed re-verification")
+        for k, a in equals:
+            if a * x != rhs[k]:
+                raise InternalInvariantError("a rounded integer point failed re-verification")
+        return [x], 1
+
     def minimize(self, rhs, config: SolverConfig, fixed=()) -> Optional[tuple]:
+        if self._line is not None:
+            return self._round(rhs, config, fixed)
+        _check_rhs(rhs, len(self._norms))
         coords, cost = self.coords, self.cost
         rhs = list(rhs)
         far = _vertex_bound(self._norms, rhs, self.dim)

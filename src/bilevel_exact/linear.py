@@ -572,6 +572,11 @@ def _purify_to_vertex(dim, rows, rhs, nums, den, objective):
 # right-hand-side families: one set of rows and one cost, many right-hand sides
 
 
+def _check_row(a, dim: int) -> None:
+    if len(a) != dim:
+        raise ValueError(f"a row of {len(a)} entries for dim = {dim}")
+
+
 def _check_cost(cost, dim: int) -> None:
     if len(cost) != dim:
         raise ValueError(f"a cost of {len(cost)} entries for dim = {dim}")
@@ -634,8 +639,7 @@ class RhsFamily:
         _check_cost(cost, dim)
         A, rhs_map, fixed = [], [], []
         for k, (a, rel) in enumerate(rows):
-            if len(a) != dim:
-                raise ValueError(f"a row of {len(a)} entries for dim = {dim}")
+            _check_row(a, dim)
             if any(a):
                 A.append(a)
                 rhs_map.append((k, 1))

@@ -316,6 +316,15 @@ def ref_pure_no_lp(inst):
     return "Attained", value, (x, z)
 
 
+def reference_record(rep, pure=False) -> tuple:
+    """(status, infimum, x*) of a report, (status, infimum, (x*, z*)) with
+    `pure`, in the form of ref_mixed_no_lp and ref_pure_no_lp."""
+    if rep.solution is None:
+        return rep.status, rep.infimum, None
+    x, z = rep.solution
+    return rep.status, rep.infimum, (tuple(x), tuple(z.entries)) if pure else tuple(x)
+
+
 def valid_cells_by_definition(inst):
     """Every (x, r) that is_valid_cell accepts, in lex order.
 

@@ -593,3 +593,23 @@ def test_pure_oracle_catches_a_lost_leader_point(pure_batch, monkeypatch):
     assert any(disagreement(inst, solve_pure(inst, config=CFG),
                             reference_oracle(inst, "pure", CFG), CFG, variant="pure")
                for inst, _, _ in rows)
+
+
+def test_lp_free_reference_catches_a_search_past_the_optimum(pure_batch, monkeypatch):
+    # a one-variable integer search that returns the next integer point past
+    # its optimum, feasible but not optimal. reference_oracle shares
+    # IntegerSearch through LexMin and runs the same fault, so the judge is
+    # ref_pure_no_lp, which reads nothing of the package
+    real = lattice.IntegerSearch._round
+
+    def past_optimum(search, rhs, config, fixed):
+        found = real(search, rhs, config, fixed)
+        if found is None or fixed:
+            return found
+        step = -1 if search.cost[0] < 0 else 1
+        return real(search, rhs, config, (found[0][0] + step,)) or found
+
+    monkeypatch.setattr(lattice.IntegerSearch, "_round", past_optimum)
+    rows, _ = pure_batch
+    assert any(support.reference_record(solve_pure(inst, config=CFG), pure=True)
+               != support.ref_pure_no_lp(inst) for inst, _, _ in rows)

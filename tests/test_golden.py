@@ -137,16 +137,6 @@ def test_mixed_grid_cold_decide_matches_golden():
                 assert decide_le(inst, alpha) == answer, f"mixed-grid instance {i} at {alpha}"
 
 
-def _reference_record(rep, pure=False) -> tuple:
-    """(status, infimum, x*) of a report, (status, infimum, (x*, z*)) with
-    `pure`, in the form of the references of tests/support.py that use no
-    LP."""
-    if rep.solution is None:
-        return rep.status, rep.infimum, None
-    x, z = rep.solution
-    return rep.status, rep.infimum, (tuple(x), tuple(z.entries)) if pure else tuple(x)
-
-
 def test_both_drivers_match_the_reference_that_uses_no_lp(mixed_batch, pure_batch):
     # both drivers on both acceptance batches and on the first 25 mixed-grid
     # instances give the status, infimum and x* (pure: (x*, z*)) of
@@ -158,10 +148,11 @@ def test_both_drivers_match_the_reference_that_uses_no_lp(mixed_batch, pure_batc
     runs = [(inst, rep, solve_pure(inst)) for inst, rep, _ in mixed_batch[0]]
     runs += [(inst, solve_mixed(inst), rep) for inst, rep, _ in pure_batch[0]]
     runs += [(inst, solve_mixed(inst), solve_pure(inst)) for inst in grid_instances()[:25]]
+    record = support.reference_record
     statuses = []
     for i, (inst, mixed, pure) in enumerate(runs):
-        assert _reference_record(mixed) == support.ref_mixed_no_lp(inst), f"mixed run {i}"
-        assert _reference_record(pure, pure=True) == support.ref_pure_no_lp(inst), f"pure run {i}"
+        assert record(mixed) == support.ref_mixed_no_lp(inst), f"mixed run {i}"
+        assert record(pure, pure=True) == support.ref_pure_no_lp(inst), f"pure run {i}"
         statuses += [mixed.status, pure.status]
     assert len(runs) == 465 and set(statuses) == {"Attained", "Unattained", "Infeasible"}
 
@@ -237,7 +228,8 @@ def test_mixed_grid_lp_count():
     # the mixed-feasibility screen moved into the walk for n > 1, 907
     # before the lex trace's rho was left to its first read, and 882 before
     # the lex scan and extraction read a unique optimum off the index's
-    # closure LP, and may only fall
+    # closure LP, and 850 before a one-variable integer search rounded its
+    # interval in place of branch and bound; it may only fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
@@ -266,7 +258,7 @@ def test_mixed_grid_lp_count():
         mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 850
+    assert len(calls) <= 701
 
 
 def test_cold_decide_lp_count():
@@ -275,7 +267,8 @@ def test_cold_decide_lp_count():
     # infeasible) on the first 25 mixed-grid instances, parsed beforehand;
     # it was 331 before each floor-walk level read its floors lazily, least
     # first, so that a walk stopping at its first cell solved no upper end
-    # it did not reach, and may only fall
+    # it did not reach, and 289 before a one-variable integer search
+    # rounded its interval in place of branch and bound; it may only fall
     import pytest
     from bilevel_exact import decide_le, linear
     with open(GRID_PATH) as fh:
@@ -289,7 +282,7 @@ def test_cold_decide_lp_count():
                    lambda family, rhs: calls.append(family) or family_solve(family, rhs))
         answers = [decide_le(inst, alpha) for inst, alpha in zip(insts, alphas)]
     assert all(answers)
-    assert len(calls) <= 289
+    assert len(calls) <= 267
 
 
 def test_mixed_grid_basis_exchanges():
@@ -350,9 +343,10 @@ def test_pure_small_kernel_work():
     # solves: its LPs (linear._dual_simplex_min and linear._interval_solve
     # calls) and the basis exchanges that the former report; 264 and 12
     # when first measured, 264 LPs before the lex-least response stopped
-    # searching the coordinates that its "=" rows pin, and 198 before a
-    # response that the "=" rows alone pin was solved without a search;
-    # they may only fall
+    # searching the coordinates that its "=" rows pin, 198 before a
+    # response that the "=" rows alone pin was solved without a search, and
+    # 134 before a one-variable integer search rounded its interval in
+    # place of branch and bound; they may only fall
     import pytest
     import support
     from bilevel_exact import linear, solve_pure
@@ -364,7 +358,7 @@ def test_pure_small_kernel_work():
                    lambda *args: intervals.append(1) or interval_solve(*args))
         for inst in insts:
             solve_pure(inst)
-    assert len(reported) + len(intervals) <= 134
+    assert len(reported) + len(intervals) <= 50
     assert sum(reported) <= 12
 
 

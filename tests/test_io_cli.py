@@ -449,16 +449,17 @@ def test_solve_example1_script_matches_readme():
 def test_ab_inprocess_script_runs_one_checkout_against_itself():
     # the A/B timing tool, run with this checkout as both sides on one pass
     # of pure-small and one of mixed-small, whose answers include the lex
-    # traces, ends with equal answers after equal RhsFamily solve counts and
-    # equal basis exchange counts
+    # traces, ends with equal answers after equal RhsFamily solve counts,
+    # equal basis exchange counts and equal integer search counts
     script = os.path.join(support.ROOT, "scripts", "ab_inprocess.py")
     for workload in ("pure-small", "mixed-small"):
         out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, workload,
                               "--reps", "1"], capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        solves, exchanges, last = out.stdout.splitlines()[-3:]
+        solves, exchanges, searches, last = out.stdout.splitlines()[-4:]
         assert last == "answers equal: yes"
-        for line, label in ((solves, "RhsFamily solves"), (exchanges, "basis exchanges")):
+        for line, label in ((solves, "RhsFamily solves"), (exchanges, "basis exchanges"),
+                            (searches, "integer searches")):
             parent, change = re.fullmatch(label + r": parent (\d+), change (\d+)",
                                           line).groups()
             assert parent == change and int(parent) > 0

@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 
 import support
 from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError, Instance,
-                           LinearSystem, QVector, ResourceLimitError, SolverConfig,
-                           enumerate_integers, integer_min, lp_solve, mixed_feasible, row_eq,
-                           row_le, row_lt, solve_mixed)
+                           InternalInvariantError, LinearSystem, QVector, ResourceLimitError,
+                           SolverConfig, enumerate_integers, integer_min, lattice, lp_solve,
+                           mixed_feasible, row_eq, row_le, row_lt, solve_mixed)
 from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates
 from bilevel_exact.linear import lp_range
 
@@ -262,6 +262,98 @@ def test_lex_min_searches_only_the_coordinates_left_free(dim, extra, cost, searc
         values = {p: sum(c * v for c, v in zip(cost, p)) for p in points}
         level = min(values.values())
         assert got == (level, list(min(p for p in points if values[p] == level)))
+
+
+def line_cases():
+    """(rows, rhs, cost, fixed) in one integer variable: the box rows
+    x <= s and -x <= t at s, t in [-3, 4], which leave x in [-4, 4] or
+    nothing, then up to four rows, "<=" or "=", of coefficients in [-3, 3],
+    zero included, at right-hand sides in [-7, 7]; a cost in [-2, 2]; no
+    fixed value or one in [-6, 6], inside the range or not."""
+    extra = st.tuples(st.integers(-3, 3), st.sampled_from((LE, EQ)), st.integers(-7, 7))
+
+    def build(s, t, rows, cost, fixed):
+        rows = [(1, LE, s), (-1, LE, t)] + rows
+        return [((a,), rel) for a, rel, _ in rows], [b for _, _, b in rows], (cost,), fixed
+
+    return st.builds(build, st.integers(-3, 4), st.integers(-3, 4), st.lists(extra, max_size=4),
+                     st.integers(-2, 2), st.sampled_from([()] + [(v,) for v in range(-6, 7)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_cases())
+# an "=" row bounds x on both sides, whatever the sign of its coefficient
+@example(([((1,), LE), ((-1,), LE), ((2,), EQ)], [4, 4, 4], (1,), ()))
+@example(([((1,), LE), ((-1,), LE), ((-2,), EQ)], [4, 4, 4], (-1,), ()))
+# right-hand sides that the coefficients do not divide round inward
+@example(([((1,), LE), ((-1,), LE), ((2,), LE), ((-2,), LE)], [4, 4, 5, 5], (-1,), ()))
+@example(([((1,), LE), ((-1,), LE), ((3,), EQ)], [4, 4, 4], (0,), ()))
+# constant rows: 0 = 3 and 0 <= -1 fail, 0 = 0 and 0 <= 0 hold
+@example(([((1,), LE), ((-1,), LE), ((0,), EQ)], [4, 4, 3], (1,), ()))
+@example(([((1,), LE), ((-1,), LE), ((0,), LE)], [4, 4, -1], (1,), ()))
+@example(([((1,), LE), ((-1,), LE), ((0,), EQ), ((0,), LE)], [4, 4, 0, 0], (-1,), ()))
+# fixed inside and outside the range, and an empty box
+@example(([((1,), LE), ((-1,), LE)], [2, 1], (1,), (2,)))
+@example(([((1,), LE), ((-1,), LE)], [2, 1], (1,), (3,)))
+@example(([((1,), LE), ((-1,), LE)], [-2, 1], (0,), ()))
+def test_one_variable_searches_match_the_scan(case):
+    # a search in one integer variable rounds its interval: the least
+    # integer point that every row holds at a cost >= 0, the greatest at a
+    # cost < 0, as ([x], 1), in one node; LexMin gives that point with its
+    # value. The scan of [-6, 6] reads each row as a x <= b or a x = b
+    rows, rhs, cost, fixed = case
+    points = [x for x in range(-6, 7)
+              if all(a * x <= b if rel == LE else a * x == b for ((a,), rel), b in zip(rows, rhs))
+              and (not fixed or x == fixed[0])]
+    got = IntegerSearch(1, rows, range(1), cost).minimize(rhs, SolverConfig(node_cap=1), fixed)
+    if not points:
+        assert got is None
+    else:
+        assert got == ([max(points) if cost[0] < 0 else min(points)], 1)
+    if not fixed:
+        want = None if got is None else (cost[0] * got[0][0], got[0])
+        assert LexMin(1, rows, cost).solve(rhs, SolverConfig(node_cap=1)) == want
+
+
+LINE = [((1,), LE), ((-1,), LE)]
+
+
+def test_one_variable_search_keeps_its_checks(monkeypatch):
+    search = IntegerSearch(1, LINE + [((2,), EQ)], range(1), (1,))
+    assert search.minimize([3, 3, 2], DEFAULT_CONFIG) == ([1], 1)
+    # the rounding is one node
+    with pytest.raises(ResourceLimitError, match="^node_cap=0: branch and bound node cap"):
+        search.minimize([3, 3, 2], SolverConfig(node_cap=0))
+    # rows that leave the line open on either side break the contract
+    for row in ((1,), (-1,)):
+        with pytest.raises(BoundednessError):
+            IntegerSearch(1, [(row, LE), ((0,), LE)], range(1), (1,)).minimize(
+                [3, 0], DEFAULT_CONFIG)
+    # a point off the rows is fatal: past the "<=" rows, or off the "=" row
+    for x in (4, 0):
+        monkeypatch.setattr(lattice, "_rounded_end", lambda *args, x=x: x)
+        with pytest.raises(InternalInvariantError):
+            search.minimize([3, 3, 2], DEFAULT_CONFIG)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: IntegerSearch(1, LINE + [((1, 2), LE)], range(1), (1,)),
+     "^a row of 2 entries for dim = 1$"),
+    (lambda: IntegerSearch(1, LINE, range(1), ()), "^a cost of 0 entries for dim = 1$"),
+    (lambda: LexMin(1, LINE, (1, 0)), "^a cost of 2 entries for dim = 1$"),
+    (lambda: IntegerSearch(1, LINE, range(1), (1,)).minimize([2, 2, 2], SolverConfig(node_cap=0)),
+     "^2 rows but 3 right-hand sides$"),
+    (lambda: IntegerSearch(1, LINE, range(1), (1,)).minimize([2], SolverConfig(node_cap=0)),
+     "^2 rows but 1 right-hand sides$"),
+    # branch and bound counts the caller's rows, not its own bound rows
+    (lambda: IntegerSearch(2, BOX_ROWS, range(2), (1, 1)).minimize([2] * 5,
+                                                                   SolverConfig(node_cap=0)),
+     "^4 rows but 5 right-hand sides$"),
+])
+def test_integer_search_rejects_rows_of_another_length(build, message):
+    # the family's three ValueErrors, the right-hand sides' before any node
+    with pytest.raises(ValueError, match=message):
+        build()
 
 
 def test_mixed_feasible_follower_slice():
