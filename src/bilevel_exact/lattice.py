@@ -15,13 +15,14 @@ enumerate_integers.
 
 The integer search, IntegerSearch, in one integer variable rounds the
 interval of its rows, the base case of integer programming in fixed
-dimension (Lenstra 1983): no LP, one node against node_cap, the point
-re-verified against every row, and BoundednessError for rows that leave
-the line open. In more variables it is a branch-and-bound that holds
-fixed rows (a, rel) plus an upper and a lower bound row per integer
-coordinate as one linear.RhsFamily, so a node is a right-hand side: a
-branch replaces the bound on one side of one coordinate, and each node's
-LP starts from the family's last optimal basis, which stays dual
+dimension (Lenstra 1983): no LP, one node against node_cap, and
+BoundednessError for rows that leave the line open. It keeps no row rule
+of its own: its rows are a one-variable linear.RhsFamily's, read as the
+one-variable LP reads them. In more variables it is a branch-and-bound
+that holds fixed rows (a, rel) plus an upper and a lower bound row per
+integer coordinate as one linear.RhsFamily, so a node is a right-hand
+side: a branch replaces the bound on one side of one coordinate, and each
+node's LP starts from the family's last optimal basis, which stays dual
 feasible as right-hand sides move. An unbranched bound sits at
 linear._vertex_bound of that call's rows, which cuts nothing. It
 branches on the lowest-index fractional coordinate, lower branch first,
@@ -52,9 +53,9 @@ from typing import Optional, Sequence
 
 from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
-from .linear import (EQ, LE, LT, LinearSystem, LpOutcome, RhsFamily, _check_cost,
-                     _check_rhs, _check_row, _integer_cost, _nullspace_direction,
-                     _projection_bounded, _unit, _vertex_bound)
+from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, _check_rhs, _integer_cost,
+                     _kernel_ops, _line_ends, _nullspace_direction, _projection_bounded, _unit,
+                     _vertex_bound)
 from .rational import QVector
 
 
@@ -70,20 +71,6 @@ def _closed_bounded(sys: LinearSystem, coords, message: str) -> tuple:
     if not _projection_bounded(sys, coords):
         raise BoundednessError(message)
     return sys.rows, sys.rhs
-
-
-def _rounded_end(lowers, uppers, rhs, upper: bool, fixed) -> Optional[int]:
-    """The lower end, or the upper end when `upper`, of the integer range
-    that the nonempty lists of rows (k, a) bounding x below and above leave
-    at rhs, x >= ceil(b / a) and x <= floor(b / a) for b = rhs[k], narrowed
-    to fixed[0] when fixed is given; None when the range is empty."""
-    lo = max([-(-rhs[k] // a) for k, a in lowers])
-    hi = min([rhs[k] // a for k, a in uppers])
-    if fixed:
-        lo, hi = max(lo, fixed[0]), min(hi, fixed[0])
-    if lo > hi:
-        return None
-    return hi if upper else lo
 
 
 class IntegerSearch:
@@ -102,77 +89,58 @@ class IntegerSearch:
 
     When dim is 1 and the one coordinate is integer, the optimum has a
     closed form, the base case of integer programming in fixed dimension
-    (Lenstra 1983): the search builds no family, and minimize settles the
-    constant rows, rounds each row's bound, a x <= b giving x <=
-    floor(b / a) at a > 0 and x >= ceil(b / a) at a < 0 and an "=" row
-    both, and returns ([x], 1), the lower end at a cost >= 0 and the upper
-    end at a cost < 0, the point that branch and bound returns. It counts
-    as one node against node_cap. The point is re-verified against every
-    row in integer arithmetic, and a miss raises InternalInvariantError.
-    Rows that leave the line open on either side raise BoundednessError.
-    linear._interval_solve is not reused: it answers an LP over a family's
-    split rows, so the rounding would have to build the family it skips.
+    (Lenstra 1983). The search holds RhsFamily(1, rows, cost), with no
+    bound rows, and solves no LP: the family's kernel_rhs settles the
+    constant rows and splits the "=" rows, linear._line_ends gives the ends
+    lo and hi of the line, and minimize returns ([x], 1), x = ceil(lo) at
+    a cost >= 0 and floor(hi) at a cost < 0, the point that branch and
+    bound returns, in one node against node_cap. The family's row scan
+    re-verifies it, as every LP optimum, and a miss raises
+    InternalInvariantError. Rows that leave the line open on either side
+    raise BoundednessError.
     """
 
-    __slots__ = ("dim", "coords", "cost", "lp", "_norms", "_line")
+    __slots__ = ("dim", "coords", "cost", "lp", "_count", "_norms")
 
     def __init__(self, dim: int, rows, coords, cost):
         self.dim = dim
         self.coords = coords = sorted(set(coords))
         self.cost = cost
+        self._count = len(rows)
         if dim == 1 and coords == [0]:
-            _check_cost(cost, 1)
-            # per row its coefficient; the rows (k, a) bounding x below and
-            # above, an "=" row on both lists; the "=" rows; the constant rows
-            coeffs, lowers, uppers, equals, constants = line = ([], [], [], [], [])
-            for k, (a, rel) in enumerate(rows):
-                _check_row(a, 1)
-                a = a[0]
-                coeffs.append(a)
-                if not a:
-                    constants.append((k, rel))
-                elif rel == EQ:
-                    lowers.append((k, a))
-                    uppers.append((k, a))
-                    equals.append((k, a))
-                else:
-                    (lowers if a < 0 else uppers).append((k, a))
-            self._line = line
-            self.lp = self._norms = None
+            self._norms = None
+            self.lp = RhsFamily(1, rows, cost)
             return
-        self._line = None
         self._norms = [sum(map(abs, a)) for a, _ in rows]
         bounds = [(_unit(dim, j, sign), LE) for j in coords for sign in (1, -1)]
         self.lp = RhsFamily(dim, list(rows) + bounds, cost)
 
     def _round(self, rhs, config: SolverConfig, fixed) -> Optional[tuple]:
         """minimize in one integer variable (see the class)."""
-        coeffs, lowers, uppers, equals, constants = self._line
-        _check_rhs(rhs, len(coeffs))
         if config.node_cap < 1:
             raise ResourceLimitError(
                 f"node_cap={config.node_cap}: branch and bound node cap exceeded")
-        for k, rel in constants:
-            b = rhs[k]
-            if b < 0 or (rel == LT if b == 0 else rel == EQ):  # 0 rel b fails
-                return None
-        if not lowers or not uppers:
-            raise BoundednessError("the rows leave a one-variable search open")
-        x = _rounded_end(lowers, uppers, rhs, self.cost[0] < 0, fixed)
-        if x is None:
+        family = self.lp
+        rhs = family.kernel_rhs(rhs)
+        if rhs is None:
             return None
-        for a, b in zip(coeffs, rhs):
-            if a * x > b:
-                raise InternalInvariantError("a rounded integer point failed re-verification")
-        for k, a in equals:
-            if a * x != rhs[k]:
-                raise InternalInvariantError("a rounded integer point failed re-verification")
+        lo, hi = _line_ends(family.rows, rhs)
+        if lo is None or hi is None:
+            raise BoundednessError("the rows leave a one-variable search open")
+        lo, hi = -(-lo[0] // lo[1]), hi[0] // hi[1]
+        if fixed:
+            lo, hi = max(lo, fixed[0]), min(hi, fixed[0])
+        if lo > hi:
+            return None
+        x = hi if self.cost[0] < 0 else lo
+        if _kernel_ops(1)[0](family.rows, rhs, [x], 1) is not None:
+            raise InternalInvariantError("a rounded integer point failed re-verification")
         return [x], 1
 
     def minimize(self, rhs, config: SolverConfig, fixed=()) -> Optional[tuple]:
-        if self._line is not None:
+        _check_rhs(rhs, self._count)
+        if self._norms is None:
             return self._round(rhs, config, fixed)
-        _check_rhs(rhs, len(self._norms))
         coords, cost = self.coords, self.cost
         rhs = list(rhs)
         far = _vertex_bound(self._norms, rhs, self.dim)
@@ -231,7 +199,8 @@ class LexMin:
     restricted to the coordinates pinned, ..., dim - 1 have full column
     rank: only the coordinates before it get a search, and the others are
     read off the last point found, the level search's when pinned is 0,
-    which is the only integer point with its prefix at the level.
+    which is the only integer point with its prefix at the level, or, in
+    one variable, the lex-least one.
     """
 
     __slots__ = ("first", "lex")
@@ -239,8 +208,11 @@ class LexMin:
     def __init__(self, dim: int, rows, cost):
         self.first = IntegerSearch(dim, rows, range(dim), cost)
         equal = [a for a, rel in rows if rel == EQ] + [tuple(cost)]
-        pinned = next((j for j in range(dim)
-                       if _nullspace_direction([a[j:] for a in equal], dim - j) is None), dim)
+        # in one variable the level search's rounded end is the lex-least
+        # point at the level, even at a zero cost, where no row pins it
+        pinned = 0 if dim == 1 else next(
+            (j for j in range(dim)
+             if _nullspace_direction([a[j:] for a in equal], dim - j) is None), dim)
         rows = list(rows) + [(tuple(cost), EQ)]
         self.lex = [IntegerSearch(dim, rows, range(dim), _unit(dim, j)) for j in range(pinned)]
 

@@ -92,11 +92,14 @@ system. The two families own them: an RhsFamily splits its rows once, when
 it is built, into the kernel's "<=" rows, the nonconstant rows with each
 "=" row followed at once by its negation, and the constant ones. One map
 takes a caller's right-hand sides to the kernel's rows, and a solve
-settles each constant row as 0 rel b in the same pass, before any pivot; a
-StrictFamily leaves them unlifted for its RhsFamily to settle. No caller
-filters them. `RhsFamily.span` is the one min-then-max range of a cost,
-two cold siblings that return the optimum values and build no point: over
-a system in `lp_range`, and at each prefix in the integer walk of `lattice`.
+settles each constant row as 0 rel b in the same pass, before any pivot
+(`RhsFamily.kernel_rhs`); a StrictFamily leaves them unlifted for its
+RhsFamily to settle. No caller filters them: the rounding of a
+one-variable integer search in `lattice` reads its rows through a family
+too, by `kernel_rhs` and the one-variable LP's line ends (`_line_ends`).
+`RhsFamily.span` is the one min-then-max range of a cost, two cold
+siblings that return the optimum values and build no point: over a system
+in `lp_range`, and at each prefix in the integer walk of `lattice`.
 
 `_nullspace_direction` is the package's one exact elimination routine:
 `lattice` decides with it where the "=" rows pin a point. No solve path
@@ -444,13 +447,12 @@ def _dual_simplex_min(dim: int, A, b, units, cost, start=None):
 # one-dimensional closed systems have a closed-form solution
 
 
-def _interval_solve(rows, rhs, cost: int):
-    """Closed-form LP in one variable over nonconstant "<=" rows (a,) with
-    right-hand sides rhs; bounds are kept as integer pairs (num, den),
-    den > 0, and compared by cross-multiplication. Returns (tag, nums, den,
-    vertex): the point is an end of the interval, and no vertex exists when
-    it has neither end."""
-    lo = None  # None encodes the infinite end
+def _line_ends(rows, rhs) -> tuple:
+    """(lo, hi): the greatest lower and the least upper bound b / a that
+    nonconstant "<=" rows (a,) in one variable set at the right-hand sides
+    rhs, each an integer pair (num, den), den > 0, compared by
+    cross-multiplication, or None where no row bounds x."""
+    lo = None
     hi = None
     for (a,), b in zip(rows, rhs):
         if a < 0:
@@ -459,6 +461,14 @@ def _interval_solve(rows, rhs, cost: int):
                 lo = bound
         elif hi is None or b * hi[1] < hi[0] * a:
             hi = (b, a)
+    return lo, hi
+
+
+def _interval_solve(rows, rhs, cost: int):
+    """Closed-form LP in one variable over nonconstant "<=" rows (a,) with
+    right-hand sides rhs: the end (_line_ends) the cost pushes to. Returns
+    (tag, nums, den, vertex): no vertex exists when the line has no end."""
+    lo, hi = _line_ends(rows, rhs)
     if lo is not None and hi is not None and lo[0] * hi[1] > hi[0] * lo[1]:
         return "infeasible", None, None, False
     if cost > 0:
@@ -603,9 +613,10 @@ class RhsFamily:
     followed at once by its negation. The constant rows are fixed. One map,
     a (k, sign) per kernel row, takes the caller's right-hand sides to the
     kernel's; it is None, and rhs is passed on as it is, when no row is
-    constant or "=". A solve settles each fixed row as 0 rel b at its b,
-    answering "infeasible" when one fails, and applies the map, in one pass
-    before any pivot. The unit-row index of the kernel rows (_kernel_form)
+    constant or "=". kernel_rhs(rhs) settles each fixed row as 0 rel b at
+    its b, giving None when one fails, and applies the map, in one pass; a
+    solve starts with it, answering "infeasible" at None, before any
+    pivot. The unit-row index of the kernel rows (_kernel_form)
     is built once, on the first solve in two or more variables. A solve
     starts from the last optimal basis that held no artificial row, and cold
     when there is none: the reduced costs of a basis depend on its rows and
@@ -702,15 +713,24 @@ class RhsFamily:
         _, dots, _ = _kernel_ops(self.dim)
         return all(v < 0 for v in dots(zip(*last[1]), self.cost))
 
-    def solve(self, rhs) -> tuple:
+    def kernel_rhs(self, rhs) -> Optional[list]:
+        """The kernel rows' right-hand sides at the caller's rhs, or None
+        when a constant row fails (see the class). An rhs of another
+        length than the rows raises ValueError."""
         _check_rhs(rhs, self._count)
+        if self._rhs_map is None:
+            return rhs
+        for k, rel in self._fixed:
+            b = rhs[k]
+            if b < 0 or (rel == LT if b == 0 else rel == EQ):  # 0 rel b fails
+                return None
+        return [sign * rhs[k] for k, sign in self._rhs_map]
+
+    def solve(self, rhs) -> tuple:
         self._last = None
-        if self._rhs_map is not None:
-            for k, rel in self._fixed:
-                b = rhs[k]
-                if b < 0 or (rel == LT if b == 0 else rel == EQ):  # 0 rel b fails
-                    return "infeasible", None, None
-            rhs = [sign * rhs[k] for k, sign in self._rhs_map]
+        rhs = self.kernel_rhs(rhs)
+        if rhs is None:
+            return "infeasible", None, None
         dim, rows, cost = self.dim, self.rows, self.cost
         if dim == 1:
             tag, nums, den, vertex = _interval_solve(rows, rhs, cost[0])

@@ -195,16 +195,30 @@ def test_no_qvector_built_in_an_objective_call():
 # into their two sides once, at construction, so no kernel function reads
 # a relation, and neither does the source it generates per dimension.
 KERNEL = ("_dual_simplex_min", "_kernel_source", "_kernel_ops", "_kernel_form",
-          "_interval_solve", "_purify_to_vertex")
+          "_line_ends", "_interval_solve", "_purify_to_vertex")
 RELATIONS = {"LE", "EQ", "LT"}
+
+
+def _relations_read(node) -> list:
+    return sorted({n.id for n in ast.walk(node) if isinstance(n, ast.Name)} & RELATIONS)
 
 
 def test_lp_kernel_reads_no_relation():
     defs = {node.name: node for node in _tree("linear.py").body
             if isinstance(node, ast.FunctionDef)}
-    read = {name: sorted({n.id for n in ast.walk(defs[name]) if isinstance(n, ast.Name)}
-                         & RELATIONS) for name in KERNEL}
+    read = {name: _relations_read(defs[name]) for name in KERNEL}
     assert read == {name: [] for name in KERNEL}
+
+
+def test_one_variable_rounding_reads_no_relation():
+    # the rounding of a one-variable integer search reads the kernel rows of
+    # its RhsFamily, which settles the constant rows and splits the "=" rows,
+    # so the rule for either stays in the family
+    search = next(node for node in _tree("lattice.py").body
+                  if isinstance(node, ast.ClassDef) and node.name == "IntegerSearch")
+    rounding = next(node for node in search.body
+                    if isinstance(node, ast.FunctionDef) and node.name == "_round")
+    assert _relations_read(rounding) == []
 
 
 @pytest.mark.parametrize("dim", [0, 2, 3, 4, 5, 6])

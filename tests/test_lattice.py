@@ -10,7 +10,7 @@ from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError,
                            SolverConfig, enumerate_integers, integer_min, lattice, lp_solve,
                            mixed_feasible, row_eq, row_le, row_lt, solve_mixed)
 from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates
-from bilevel_exact.linear import lp_range
+from bilevel_exact.linear import RhsFamily, lp_range
 
 
 def boxed_systems(dim=2, side=4):
@@ -242,6 +242,9 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
     (2, [((1, 1), EQ), ((1, -1), EQ), ((2, 0), EQ)], (0, -1), 0),
     # a zero "=" row, as psi = 0 gives the pure table's leader, pins nothing
     (1, [((0,), EQ), ((1,), LE)], (-1,), 0),
+    # a zero cost in one variable: the level search's lower end is already
+    # the lex-least point, though no row pins it
+    (1, [((2,), LE)], (0,), 0),
 ])
 def test_lex_min_searches_only_the_coordinates_left_free(dim, extra, cost, searches):
     # LexMin searches the coordinates before the first one from which the
@@ -313,6 +316,21 @@ def test_one_variable_searches_match_the_scan(case):
     if not fixed:
         want = None if got is None else (cost[0] * got[0][0], got[0])
         assert LexMin(1, rows, cost).solve(rhs, SolverConfig(node_cap=1)) == want
+    # the one-variable LP reads the same ends of the line as the rounding;
+    # the vertex scan judges its value or "infeasible", and unique(), which
+    # holds exactly at a nonzero cost, and then at the scan's one optimum
+    family = RhsFamily(1, rows, cost)
+    tag, nums, den = family.solve(rhs)
+    system = LinearSystem(1, zip(rows, rhs))
+    best = support.ref_lp_min(system, cost)
+    if best is None:
+        assert (tag, family.unique()) == ("infeasible", False)
+    else:
+        assert tag == "optimal" and Fraction(cost[0] * nums[0], den) == best[0]
+        assert family.unique() == (cost[0] != 0)
+        if family.unique():
+            optima = [v for v in support.ref_vertices(system) if cost[0] * v[0] == best[0]]
+            assert optima == [[Fraction(nums[0], den)]]
 
 
 LINE = [((1,), LE), ((-1,), LE)]
@@ -329,9 +347,10 @@ def test_one_variable_search_keeps_its_checks(monkeypatch):
         with pytest.raises(BoundednessError):
             IntegerSearch(1, [(row, LE), ((0,), LE)], range(1), (1,)).minimize(
                 [3, 0], DEFAULT_CONFIG)
-    # a point off the rows is fatal: past the "<=" rows, or off the "=" row
+    # a point off the rows is fatal: past the "<=" rows, or off the "=" row,
+    # planted as the line's ends that the search rounds
     for x in (4, 0):
-        monkeypatch.setattr(lattice, "_rounded_end", lambda *args, x=x: x)
+        monkeypatch.setattr(lattice, "_line_ends", lambda *args, x=x: ((x, 1), (x, 1)))
         with pytest.raises(InternalInvariantError):
             search.minimize([3, 3, 2], DEFAULT_CONFIG)
 
