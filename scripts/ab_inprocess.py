@@ -20,12 +20,10 @@ is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 After the timed runs, one untimed pass of every op on each side counts its
 RhsFamily.solve calls, its basis exchanges, as linear._dual_simplex_min
-reports them (a checkout whose kernel reports none counts its
-linear._exchange calls), and its lattice.IntegerSearch.minimize calls,
-deterministic work counters that the script prints per side too, each on a
-line of its own, so that a kernel change shows whether it pivots as before
-and a search change whether it keeps every search while it solves fewer
-LPs.
+reports them, and its lattice.IntegerSearch.minimize calls: deterministic
+work counters that the script prints per side too, each on a line of its
+own, so that a kernel change shows whether it pivots as before and a search
+change whether it keeps every search while it solves fewer LPs.
 """
 from __future__ import annotations
 
@@ -97,8 +95,7 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
     linear, search = modules["linear"], modules["lattice"].IntegerSearch
     family = linear.RhsFamily
     solve, minimize = family.solve, search.minimize
-    name = "_exchange" if hasattr(linear, "_exchange") else "_dual_simplex_min"
-    kernel = getattr(linear, name)
+    kernel = linear._dual_simplex_min
     calls = [0, 0, 0]
 
     def counting_solve(self, rhs):
@@ -107,7 +104,7 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
 
     def counting_kernel(*args):
         out = kernel(*args)
-        calls[1] += 1 if name == "_exchange" else out[4]
+        calls[1] += out[4]
         return out
 
     def counting_minimize(self, *args):
@@ -116,14 +113,14 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
 
     family.solve = counting_solve
     search.minimize = counting_minimize
-    setattr(linear, name, counting_kernel)
+    linear._dual_simplex_min = counting_kernel
     try:
         for i in range(count):
             run(i)
     finally:
         family.solve = solve
         search.minimize = minimize
-        setattr(linear, name, kernel)
+        linear._dual_simplex_min = kernel
     return tuple(calls)
 
 

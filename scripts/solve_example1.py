@@ -13,9 +13,8 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from bilevel_exact import (DEFAULT_CONFIG, cell_infimum, decide_le,
-                           enumerate_cells, parse_and_validate, render_text,
-                           solve_mixed, solve_pure)
+from bilevel_exact import (cell_infimum, decide_le, enumerate_cells, parse_and_validate,
+                           render_text, solve_mixed, solve_pure)
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURE = os.path.join(HERE, "..", "instances", "example1.json")
@@ -27,14 +26,14 @@ def main():
 
     obj = inst.objective_vector()
     print("\ncells (x, r) with objective infima:")
-    for cell in enumerate_cells(inst, DEFAULT_CONFIG):
+    for cell in enumerate_cells(inst):
         inf, attained, witness = cell_infimum(inst, cell, obj)
         tag = "attained" if attained else "open"
         print(f"  x={cell.x} r={cell.r}  inf={inf} ({tag})  witness={tuple(witness.entries)}")
 
     print("\ndecision oracle:")
     for alpha in (Fraction(0), Fraction(-1, 2), Fraction(-7, 8), Fraction(-1)):
-        ans = decide_le(inst, alpha, DEFAULT_CONFIG)
+        ans = decide_le(inst, alpha)
         print(f"  exists value <= {alpha}?  {ans}")
 
     print("\nmixed solve (epsilon = 1/8):")

@@ -59,7 +59,6 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ValidationError
 from .lattice import IntegerSearch, integer_candidates, _charge
 from .linear import (LE, LT, LinearSystem, RhsFamily, StrictFamily, lp_solve,
@@ -227,13 +226,6 @@ def floor_rhs(inst: Instance, z) -> tuple:
     return tuple((sum(map(mul, br, nums)) + uv * den) // den for br, uv in zip(inst.B, inst.u))
 
 
-def _value_row(inst: Instance, alpha) -> tuple:
-    """((a, "<="), b): the row c . x + e . z <= alpha over (x, z) as integers,
-    both sides times q, the denominator of alpha, as row_le builds it."""
-    q = alpha.denominator
-    return (tuple(q * v for v in inst.c + inst.e), LE), alpha.numerator
-
-
 def _region_rows(inst: Instance) -> list:
     """The coefficient rows (a, rel) over z that every cell region has, in
     the order of _region_rhs: D_k (<=), -e_j (<=) and, for each i, -B_i (<=)
@@ -282,25 +274,25 @@ def _follower_check(inst: Instance) -> IntegerSearch:
                          (0,) * inst.n)
 
 
-def _follower_improves(check: IntegerSearch, r: tuple, value, config: SolverConfig) -> bool:
+def _follower_improves(check: IntegerSearch, r: tuple, value) -> bool:
     """Whether an integer x' with A x' <= r has psi . x' <= value - 1: one
     search of the instance's _follower_check."""
-    return check.minimize(list(r) + [value - 1], config) is not None
+    return check.minimize(list(r) + [value - 1]) is not None
 
 
-def is_valid_cell(inst: Instance, cell: Cell, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def is_valid_cell(inst: Instance, cell: Cell) -> bool:
     """Feasible response, follower-optimal, and a strictly realizable region.
     A cell of another shape than the instance's raises ValueError."""
     _check_shape(inst, cell)
     if any(sum(map(mul, ar, cell.x)) > rv for ar, rv in zip(inst.A, cell.r)):
         return False
     value = sum(map(mul, inst.psi, cell.x))
-    if _follower_improves(_follower_check(inst), cell.r, value, config):
+    if _follower_improves(_follower_check(inst), cell.r, value):
         return False
     return strict_feasible_point(cell_region(inst, cell)) is not None
 
 
-def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def bilevel_feasible(inst: Instance, x, z) -> bool:
     """Direct definition: (x, z) meets the upper rows and the integer x solves
     the follower at z. For an integer x, A x <= B z + u holds exactly when
     A x <= floor(B z + u), so x must meet A x <= floor_rhs(inst, z) and
@@ -323,7 +315,7 @@ def bilevel_feasible(inst: Instance, x, z, config: SolverConfig = DEFAULT_CONFIG
     if any(sum(map(mul, ar, xs)) > rv for ar, rv in zip(inst.A, rhs)):
         return False
     search = IntegerSearch(inst.n, [(a, LE) for a in inst.A], range(inst.n), inst.psi)
-    found = search.minimize(rhs, config)
+    found = search.minimize(rhs)
     if found is None:
         raise InternalInvariantError("follower was feasible at x yet its search found nothing")
     nums, den = found
@@ -351,7 +343,7 @@ class CellEntry:
     vertex: Optional[tuple]
 
 
-def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
+def valid_cells(inst: Instance, alpha=None):
     """The valid cells of the instance, as CellEntry, in the order of one
     floor walk; with `alpha`, only the cells whose region has a point of
     value c . x + e . z <= alpha.
@@ -406,7 +398,7 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     whether Q reaches low. Other entries keep no vertex.
 
     With `alpha`, the candidate listing and the walk's system carry the row
-    c . x + e . z <= alpha too, in integer form (_value_row): a cell with a
+    c . x + e . z <= alpha too, in integer form (row_le): a cell with a
     point z of value <= alpha in its region has (x, z) on that row, so the
     walk still reaches it. A pair with low > alpha - c . x has no such
     point and is skipped; a pair whose LP vertex lies in Q at
@@ -417,23 +409,22 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
     for every x, so it is a row of the walk's strict family. A decision
     query stops at the first pair.
 
-    cell_cap counts the candidate walk's values, the leaves and the (x, r)
-    pairs tested, and node_cap the nodes of each branch-and-bound call: the
-    screen's and each leaf's follower check.
+    lattice.CELL_CAP bounds the count of the candidate walk's values, the
+    leaves and the (x, r) pairs tested, and lattice.NODE_CAP the nodes of
+    each branch-and-bound call: the screen's and each leaf's follower check.
     """
     budget = [0]
     dim = inst.joint_dim()
     upper, upper_rhs = inst.upper
     if alpha is not None:
-        value, b = _value_row(inst, alpha)
+        value, b = row_le(inst.c + inst.e, alpha)
         upper, upper_rhs = upper + (value,), upper_rhs + (b,)
     joint, joint_rhs = upper + inst.relax[0], upper_rhs + inst.relax[1]
     if inst.n > 1 and IntegerSearch(dim, joint, range(inst.n), (0,) * dim).minimize(
-            joint_rhs, config) is None:
+            joint_rhs) is None:
         return
     candidates = [(x, tuple(sum(map(mul, row, x)) for row in inst.A), sum(map(mul, inst.psi, x)))
-                  for x in integer_candidates(joint, joint_rhs, dim, range(inst.n), config,
-                                              budget)]
+                  for x in integer_candidates(joint, joint_rhs, dim, range(inst.n), budget)]
     if not candidates:
         return
     # per row i over (x, z): B_i z, and the rows a floor r_i adds,
@@ -483,15 +474,15 @@ def valid_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=Non
 
     def optimal_cells(r, candidates):
         nonlocal follower
-        _charge(budget, config)
+        _charge(budget)
         opt = min(value for _, _, value in candidates)
         if follower is None:
             follower = _follower_check(inst)
-        if _follower_improves(follower, r, opt, config):
+        if _follower_improves(follower, r, opt):
             return
         for x, _, value in candidates:
             if value == opt:
-                _charge(budget, config)
+                _charge(budget)
                 entry = checked_entry(Cell(x, r))
                 if entry is not None:
                     yield entry
@@ -538,25 +529,24 @@ class CellIndex:
     """Lex-ordered valid cells of an instance: the entries of valid_cells,
     sorted by (x, r)."""
 
-    def __init__(self, inst: Instance, config: SolverConfig):
+    def __init__(self, inst: Instance):
         self.instance = inst
-        self.config = config
         self.entries = self._build()
 
     def _build(self):
-        entries = list(valid_cells(self.instance, self.config))
+        entries = list(valid_cells(self.instance))
         entries.sort(key=lambda e: (e.cell.x, e.cell.r))
         return entries
 
 
-def cell_index(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> CellIndex:
+def cell_index(inst: Instance) -> CellIndex:
     """A freshly built CellIndex; nothing keeps it once its caller drops it."""
-    return CellIndex(inst, config)
+    return CellIndex(inst)
 
 
-def enumerate_cells(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> list:
+def enumerate_cells(inst: Instance) -> list:
     """Lex-ordered valid cells: the cells of cell_index."""
-    return [e.cell for e in cell_index(inst, config).entries]
+    return [e.cell for e in cell_index(inst).entries]
 
 
 def cell_infimum(inst: Instance, cell: Cell, objective):

@@ -33,11 +33,10 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional
 
-from .cells import Instance, cell_index, valid_cells, _region_rhs, _region_rows, _value_row
-from .config import DEFAULT_CONFIG, SolverConfig
+from .cells import Instance, cell_index, valid_cells, _region_rhs, _region_rows
 from .errors import InternalInvariantError
 from .lattice import IntegerSearch, LexMin, integer_candidates
-from .linear import EQ, LE, StrictFamily, rows_hold
+from .linear import EQ, LE, StrictFamily, row_le
 from .rational import QVector, as_rat
 
 
@@ -74,9 +73,9 @@ class DecisionScan:
     region with the value row.
     """
 
-    def __init__(self, inst: Instance, config: SolverConfig = DEFAULT_CONFIG):
+    def __init__(self, inst: Instance):
         self.inst = inst
-        self.items = cell_index(inst, config).entries
+        self.items = cell_index(inst).entries
 
     def hits(self, rel, alpha, witness: bool = True):
         """Items whose region meets value <= alpha (rel LE) or value = alpha
@@ -89,7 +88,7 @@ class DecisionScan:
         surely meets the row, a value <= alpha query above that value or a
         query at it with `low_inside`: a hit, whose z is None unless
         `witness` asks for it. Any other check is one cold StrictFamily
-        solve, its point checked again against every row (rows_hold).
+        solve, which checks its point again against every row.
         """
         alpha = as_rat(alpha)
         inst, q = self.inst, alpha.denominator
@@ -108,62 +107,58 @@ class DecisionScan:
                 continue
             found = StrictFamily(inst.d, rows).point(rhs)
             if found is not None:
-                if not rows_hold(rows, rhs, *found):
-                    raise InternalInvariantError("strict witness failed re-verification")
                 yield it, QVector([Fraction(v, found[1]) for v in found[0]]), (rows, rhs)
             elif sure:
                 raise InternalInvariantError("cell with a point on the value row has no witness")
 
 
-def _scan_for(inst, config, scan) -> DecisionScan:
+def _scan_for(inst, scan) -> DecisionScan:
     """`scan`, which must be inst's (else ValueError), or a new one if None."""
     if scan is not None and scan.inst is not inst and scan.inst != inst:
         raise ValueError("the scan was built for another instance")
-    return DecisionScan(inst, config) if scan is None else scan
+    return DecisionScan(inst) if scan is None else scan
 
 
-def _first_hit(inst, rel, alpha, config, scan) -> Optional[tuple]:
-    hit = next(_scan_for(inst, config, scan).hits(rel, alpha), None)
+def _first_hit(inst, rel, alpha, scan) -> Optional[tuple]:
+    hit = next(_scan_for(inst, scan).hits(rel, alpha), None)
     return None if hit is None else (hit[0].cell.x, hit[1])
 
 
-def decide_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def decide_le(inst: Instance, alpha) -> bool:
     """True iff some bilevel-feasible point has value <= alpha.
 
     One floor walk restricted to value <= alpha answers the query and stops
     at its first cell; it builds no cell index. Repeated lex-ordered
     queries (decide_eq, witness_le) take a DecisionScan built from the same
-    inst and config, and build one when none is passed.
+    inst, and build one when none is passed.
     """
-    return next(valid_cells(inst, config, as_rat(alpha)), None) is not None
+    return next(valid_cells(inst, as_rat(alpha)), None) is not None
 
 
-def decide_eq(inst: Instance, value, config: SolverConfig = DEFAULT_CONFIG,
-              scan: Optional[DecisionScan] = None) -> Optional[tuple]:
+def decide_eq(inst: Instance, value, scan: Optional[DecisionScan] = None) -> Optional[tuple]:
     """A bilevel-feasible point with objective exactly `value`, or None.
 
     The first cell in lex order whose value slice is strictly realizable
     supplies the witness (x, z).
     """
-    return _first_hit(inst, EQ, value, config, scan)
+    return _first_hit(inst, EQ, value, scan)
 
 
-def witness_le(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG,
-               scan: Optional[DecisionScan] = None) -> Optional[tuple]:
+def witness_le(inst: Instance, alpha, scan: Optional[DecisionScan] = None) -> Optional[tuple]:
     """Like decide_le but returns the witness (x, z) from the lex-least cell."""
-    return _first_hit(inst, LE, alpha, config, scan)
+    return _first_hit(inst, LE, alpha, scan)
 
 
 # ---------------------------------------------------------------------------
 # pure variant
 
 
-def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=None):
+def pure_responses(inst: Instance, alpha=None):
     """The all-integer variant's response table, one entry per leader z.
 
     Lists the integer z of the closed joint relaxation (the instance's upper
     and relaxation rows, and value <= alpha when alpha is given, in the
-    integer form of _value_row) in lex order, one integer_candidates walk
+    integer form of row_le) in lex order, one integer_candidates walk
     over the coordinates range(n, n + d). At each z it solves the
     follower, fixes the upper rows at z, and minimizes the leader's
     objective over the follower's argmin under them; when that
@@ -185,7 +180,7 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     joint = inst.upper[0] + inst.relax[0]
     joint_rhs = inst.upper[1] + inst.relax[1]
     if alpha is not None:
-        value, b = _value_row(inst, alpha)
+        value, b = row_le(inst.c + inst.e, alpha)
         joint, joint_rhs = joint + (value,), joint_rhs + (b,)
     follower_rows = [(a, LE) for a in inst.A]
     follower = IntegerSearch(n, follower_rows, range(n), inst.psi)
@@ -194,10 +189,10 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
     budget = [0]
     optima = {}  # r -> the follower's search at r, which reads nothing else
     for z_ints in integer_candidates(joint, joint_rhs, inst.joint_dim(),
-                                     range(n, inst.joint_dim()), config, budget):
+                                     range(n, inst.joint_dim()), budget):
         r = tuple(sum(map(mul, br, z_ints)) + uv for br, uv in zip(inst.B, inst.u))
         if r not in optima:
-            optima[r] = follower.minimize(list(r), config)
+            optima[r] = follower.minimize(list(r))
         found = optima[r]
         if found is None:
             continue
@@ -210,18 +205,18 @@ def pure_responses(inst: Instance, config: SolverConfig = DEFAULT_CONFIG, alpha=
             lopt = sum(map(mul, inst.c, x))
         else:
             fopt = sum(map(mul, inst.psi, nums)) // den  # an integer point: exact
-            best = leader.solve(list(r) + [fopt] + upper, config)
+            best = leader.solve(list(r) + [fopt] + upper)
             if best is None:
                 continue
             lopt, x = best
         yield lopt + sum(map(mul, inst.e, z_ints)), tuple(x), z_ints
 
 
-def decide_le_pure(inst: Instance, alpha, config: SolverConfig = DEFAULT_CONFIG) -> bool:
+def decide_le_pure(inst: Instance, alpha) -> bool:
     """All-integer variant: leader z is integral too.
 
     One pass of pure_responses with value <= alpha added to the relaxation,
     stopping at the first entry of value <= alpha.
     """
     alpha = as_rat(alpha)
-    return any(v <= alpha for v, _, _ in pure_responses(inst, config, alpha))
+    return any(v <= alpha for v, _, _ in pure_responses(inst, alpha))

@@ -35,7 +35,6 @@ from typing import Callable, Optional
 
 from .cells import (Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell,
                     _region_rhs, _region_rows)
-from .config import DEFAULT_CONFIG, SolverConfig
 from .decide import DecisionScan, pure_responses, witness_le, _scan_for
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import LexMin, _charge
@@ -217,8 +216,7 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
     return lo, hi
 
 
-def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
-            scan: Optional[DecisionScan] = None) -> Fraction:
+def infimum(inst: Instance, scan: Optional[DecisionScan] = None) -> Fraction:
     """Exact infimum of a feasible mixed instance: the least shift + low
     over the scan's items.
 
@@ -227,7 +225,7 @@ def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
     denominator exceeds denominator_cap falsifies the subdeterminant bound
     and raises InternalInvariantError.
     """
-    scan = _scan_for(inst, config, scan)
+    scan = _scan_for(inst, scan)
     if not scan.items:
         raise InfeasibleProblemError("no bilevel-feasible point")
     v_star = Fraction(min(it.shift + it.low for it in scan.items))
@@ -241,8 +239,8 @@ def infimum(inst: Instance, config: SolverConfig = DEFAULT_CONFIG,
 # mixed driver
 
 
-def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
-                telemetry=None, scan: Optional[DecisionScan] = None) -> Optional[LexTrace]:
+def lex_extract(inst: Instance, v_star, telemetry=None,
+                scan: Optional[DecisionScan] = None) -> Optional[LexTrace]:
     """Lex-minimal optimum (x*, z*) at value v*, with its trace; None when
     no bilevel-feasible point has value v* (an unattained infimum).
 
@@ -265,7 +263,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     v_star = as_rat(v_star)
     if telemetry is not None:
         telemetry.decision_queries += 1
-    hit = next(_scan_for(inst, config, scan).hits(EQ, v_star, witness=False), None)
+    hit = next(_scan_for(inst, scan).hits(EQ, v_star, witness=False), None)
     if hit is None:
         return None
     entry, _, (rows, rhs) = hit
@@ -280,7 +278,7 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     z_star = QVector([sum(coords) / k for coords in zip(*verts)])
     if not rows_hold(rows, rhs, *_over_common_denominator(z_star.entries)):
         raise InternalInvariantError("barycenter violates a row of the value slice")
-    if not bilevel_feasible(inst, x_star, z_star, config):
+    if not bilevel_feasible(inst, x_star, z_star):
         raise InternalInvariantError("extracted optimum is not bilevel feasible")
     if inst.objective_value(x_star, z_star) != v_star:
         raise InternalInvariantError("extracted optimum misses the optimal value")
@@ -289,14 +287,13 @@ def lex_extract(inst: Instance, v_star, config: SolverConfig = DEFAULT_CONFIG,
     return LexTrace(x_star, entry.cell.r, k, tuple(verts), z_star, k * denom, inst)
 
 
-def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG,
-              scan: Optional[DecisionScan] = None) -> EpsSolution:
+def eps_point(inst: Instance, v_star, eps, scan: Optional[DecisionScan] = None) -> EpsSolution:
     """A bilevel-feasible point with value at most v* + eps."""
     eps = as_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     v_star = as_rat(v_star)
-    hit = witness_le(inst, v_star + eps, config, scan)
+    hit = witness_le(inst, v_star + eps, scan)
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
     x, z = hit
@@ -306,20 +303,20 @@ def eps_point(inst: Instance, v_star, eps, config: SolverConfig = DEFAULT_CONFIG
     return EpsSolution(x, z, value, eps)
 
 
-def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve_mixed(inst: Instance, eps=None) -> SolveReport:
     """Full mixed pipeline: one DecisionScan (no cell is Infeasible), infimum, extraction."""
     if eps is not None and as_rat(eps) <= 0:
         raise ValueError("eps must be positive")
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    scan = DecisionScan(inst, config)
+    scan = DecisionScan(inst)
     telemetry.cells = len(scan.items)
     try:
-        v_star = infimum(inst, config, scan)
+        v_star = infimum(inst, scan)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star
-    trace = lex_extract(inst, v_star, config, telemetry, scan)
+    trace = lex_extract(inst, v_star, telemetry, scan)
     if trace is not None:
         report.status = ATTAINED
         report.solution = (trace.x_star, trace.z_star)
@@ -327,7 +324,7 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
     else:
         report.status = UNATTAINED
         if eps is not None:
-            report.eps_solution = eps_point(inst, v_star, eps, config, scan)
+            report.eps_solution = eps_point(inst, v_star, eps, scan)
     return report
 
 
@@ -335,7 +332,7 @@ def solve_mixed(inst: Instance, eps=None, config: SolverConfig = DEFAULT_CONFIG)
 # pure driver
 
 
-def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def solve_pure(inst: Instance) -> SolveReport:
     """Pure-integer solve by the response-table driver alone.
 
     Lists the response table (pure_responses) and takes its least entry
@@ -347,7 +344,7 @@ def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
     `solve --engine both` and the tests compare the two.
     """
     report = SolveReport(INFEASIBLE, telemetry=Telemetry())
-    best = min(pure_responses(inst, config), default=None)
+    best = min(pure_responses(inst), default=None)
     if best is None:
         return report
     v_star, x_star, z_ints = best
@@ -361,10 +358,10 @@ def solve_pure(inst: Instance, config: SolverConfig = DEFAULT_CONFIG) -> SolveRe
 # reference oracle
 
 
-def _cells_by_definition(inst: Instance, config: SolverConfig) -> list:
+def _cells_by_definition(inst: Instance) -> list:
     """The valid cells in lex order of (x, r): every integer x of the upper
     region's x box with every floor vector r of B z + u over that region,
-    each pair charged to cell_cap and kept when is_valid_cell accepts it."""
+    each pair charged to lattice.CELL_CAP and kept when is_valid_cell accepts it."""
     upper = inst.upper_system()
     ranges = []
     for j in range(inst.n):
@@ -378,15 +375,14 @@ def _cells_by_definition(inst: Instance, config: SolverConfig) -> list:
     budget = [0]
     cells = []
     for point in itertools.product(*ranges):
-        _charge(budget, config)
+        _charge(budget)
         cell = Cell(point[:inst.n], point[inst.n:])
-        if is_valid_cell(inst, cell, config):
+        if is_valid_cell(inst, cell):
             cells.append(cell)
     return cells
 
 
-def reference_oracle(inst: Instance, variant: str = MIXED,
-                     config: SolverConfig = DEFAULT_CONFIG) -> SolveReport:
+def reference_oracle(inst: Instance, variant: str = MIXED) -> SolveReport:
     """Solve from the cells of _cells_by_definition, to cross-check the drivers.
 
     Mixed: v* is the least cell_infimum; the first cell attaining it gives
@@ -408,15 +404,14 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
     if variant not in (MIXED, PURE):
         raise ValueError(f"unknown variant {variant!r}")
     telemetry = Telemetry()
-    cells = _cells_by_definition(inst, config)
+    cells = _cells_by_definition(inst)
     if variant == PURE:
         region = _region_rows(inst)
         search = LexMin(inst.d, [(a, LE if rel == LT else rel) for a, rel in region], inst.e)
         found = []
         for cell in cells:
             rhs = _region_rhs(inst, cell.x, cell.r)
-            out = search.solve([b - 1 if rel == LT else b for (_, rel), b in zip(region, rhs)],
-                               config)
+            out = search.solve([b - 1 if rel == LT else b for (_, rel), b in zip(region, rhs)])
             if out is not None:
                 level, z = out
                 found.append((sum(map(mul, inst.c, cell.x)) + Fraction(level), cell.x, z))
@@ -439,7 +434,6 @@ def reference_oracle(inst: Instance, variant: str = MIXED,
 
 
 def disagreement(inst, searched: SolveReport, oracled: SolveReport,
-                 config: SolverConfig = DEFAULT_CONFIG,
                  variant: str = MIXED) -> Optional[str]:
     """Why a search report and the reference oracle's report disagree, or None.
 
@@ -461,7 +455,7 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
         return None
     for name, report in (("search", searched), ("oracle", oracled)):
         x, z = report.solution
-        if not bilevel_feasible(inst, x, z, config):
+        if not bilevel_feasible(inst, x, z):
             return f"{name} solution is not bilevel feasible"
         value = inst.objective_value(x, z)
         if value != report.infimum:

@@ -18,7 +18,9 @@ class ValidationError(SolverError):
 
 
 class ResourceLimitError(SolverError):
-    """An enumeration or search exceeded its configured cap."""
+    """An enumeration or search exceeded its cap: lattice.CELL_CAP,
+    lattice.NODE_CAP or linear.BASIS_CAP, which the message names with its
+    limit."""
 
 
 class BoundednessError(SolverError):

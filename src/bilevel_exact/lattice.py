@@ -6,7 +6,7 @@ Both name the integer coordinates by index. The walk, integer_candidates,
 lists in lex order the integer values of a range of coordinates that keep
 closed rows (a, rel) feasible at integer right-hand sides, taking the
 exact LP range of one coordinate per level; every value tried counts
-against cell_cap. Each level keeps one
+against CELL_CAP. Each level keeps one
 linear.RhsFamily over the rows with the fixed coordinates' columns dropped,
 so a prefix is a right-hand side, and each range is the family's span, as
 in lp_range. It lists the cell candidates (x, the leading range), the pure
@@ -15,7 +15,7 @@ enumerate_integers.
 
 The integer search, IntegerSearch, in one integer variable rounds the
 interval of its rows, the base case of integer programming in fixed
-dimension (Lenstra 1983): no LP, one node against node_cap, and
+dimension (Lenstra 1983): no LP, one node against NODE_CAP, and
 BoundednessError for rows that leave the line open. It keeps no row rule
 of its own: its rows are a one-variable linear.RhsFamily's, read as the
 one-variable LP reads them. In more variables it is a branch-and-bound
@@ -29,7 +29,7 @@ branches on the lowest-index fractional coordinate, lower branch first,
 so results and tie-breaks are deterministic, prunes a node no better
 than the incumbent, and stops once the incumbent's value
 equals the root relaxation's (Land and Doig, 1960): every node is a
-subproblem of the root, so none does better. node_cap counts the nodes of
+subproblem of the root, so none does better. NODE_CAP counts the nodes of
 each call. LexMin adds integer_min's lex stage: one search per coordinate
 over the rows and the value row, fixing the earlier coordinates through
 their bound rows, up to the first coordinate from which the "=" rows and
@@ -51,12 +51,20 @@ from fractions import Fraction
 from operator import mul
 from typing import Optional, Sequence
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import BoundednessError, InternalInvariantError, ResourceLimitError
 from .linear import (EQ, LE, LinearSystem, LpOutcome, RhsFamily, _check_rhs, _integer_cost,
                      _kernel_ops, _line_ends, _nullspace_direction, _projection_bounded, _unit,
                      _vertex_bound)
 from .rational import QVector
+
+# per integer walk (integer_candidates, enumerate_integers): integer values
+# tried, at every level; per floor walk (a cell index or a cold decide_le
+# query), that count for its x candidates plus the leaves r and the optimal
+# responses (x, r) tested at them; per reference oracle, its (x, r) pairs
+CELL_CAP = 10**6
+# branch-and-bound nodes per search; a search in one integer variable
+# rounds, one node
+NODE_CAP = 10**6
 
 
 def _closed_bounded(sys: LinearSystem, coords, message: str) -> tuple:
@@ -79,7 +87,7 @@ class IntegerSearch:
     integer variable, rounding.
 
     The rows must bound the region's projection onto coords for every
-    right-hand side the search is given. minimize(rhs, config, fixed)
+    right-hand side the search is given. minimize(rhs, fixed)
     takes one integer per row, and the integer values `fixed` of the first
     len(fixed) coordinates of coords, and returns (nums, den), the LP
     optimum at the first node of least cost whose point is integer on
@@ -94,7 +102,7 @@ class IntegerSearch:
     constant rows and splits the "=" rows, linear._line_ends gives the ends
     lo and hi of the line, and minimize returns ([x], 1), x = ceil(lo) at
     a cost >= 0 and floor(hi) at a cost < 0, the point that branch and
-    bound returns, in one node against node_cap. The family's row scan
+    bound returns, in one node against NODE_CAP. The family's row scan
     re-verifies it, as every LP optimum, and a miss raises
     InternalInvariantError. Rows that leave the line open on either side
     raise BoundednessError.
@@ -115,11 +123,10 @@ class IntegerSearch:
         bounds = [(_unit(dim, j, sign), LE) for j in coords for sign in (1, -1)]
         self.lp = RhsFamily(dim, list(rows) + bounds, cost)
 
-    def _round(self, rhs, config: SolverConfig, fixed) -> Optional[tuple]:
+    def _round(self, rhs, fixed) -> Optional[tuple]:
         """minimize in one integer variable (see the class)."""
-        if config.node_cap < 1:
-            raise ResourceLimitError(
-                f"node_cap={config.node_cap}: branch and bound node cap exceeded")
+        if NODE_CAP < 1:
+            raise ResourceLimitError(f"node_cap={NODE_CAP}: branch and bound node cap exceeded")
         family = self.lp
         rhs = family.kernel_rhs(rhs)
         if rhs is None:
@@ -137,10 +144,10 @@ class IntegerSearch:
             raise InternalInvariantError("a rounded integer point failed re-verification")
         return [x], 1
 
-    def minimize(self, rhs, config: SolverConfig, fixed=()) -> Optional[tuple]:
+    def minimize(self, rhs, fixed=()) -> Optional[tuple]:
         _check_rhs(rhs, self._count)
         if self._norms is None:
-            return self._round(rhs, config, fixed)
+            return self._round(rhs, fixed)
         coords, cost = self.coords, self.cost
         rhs = list(rhs)
         far = _vertex_bound(self._norms, rhs, self.dim)
@@ -154,9 +161,8 @@ class IntegerSearch:
         while stack:
             bounds = stack.pop()
             nodes += 1
-            if nodes > config.node_cap:
-                raise ResourceLimitError(
-                    f"node_cap={config.node_cap}: branch and bound node cap exceeded")
+            if nodes > NODE_CAP:
+                raise ResourceLimitError(f"node_cap={NODE_CAP}: branch and bound node cap exceeded")
             tag, nums, den = self.lp.solve(rhs + bounds)
             if tag == "infeasible":
                 continue
@@ -187,7 +193,7 @@ class LexMin:
     """integer_min over fixed rows (a, rel) in dim variables, every
     coordinate integer, for one right-hand side after another.
 
-    solve(rhs, config) returns (level, point): the least value level of the
+    solve(rhs) returns (level, point): the least value level of the
     integer cost and the lex-least integer point attaining it, or None when
     there is no integer point. The rows must bound the region.
 
@@ -216,8 +222,8 @@ class LexMin:
         rows = list(rows) + [(tuple(cost), EQ)]
         self.lex = [IntegerSearch(dim, rows, range(dim), _unit(dim, j)) for j in range(pinned)]
 
-    def solve(self, rhs, config: SolverConfig) -> Optional[tuple]:
-        found = self.first.minimize(rhs, config)
+    def solve(self, rhs) -> Optional[tuple]:
+        found = self.first.minimize(rhs)
         if found is None:
             return None
         nums, den = found
@@ -225,7 +231,7 @@ class LexMin:
         rhs = list(rhs) + [level]
         point = []
         for j, search in enumerate(self.lex):
-            found = search.minimize(rhs, config, point)
+            found = search.minimize(rhs, point)
             if found is None:
                 raise InternalInvariantError("lex fixing lost feasibility")
             nums, den = found
@@ -233,8 +239,7 @@ class LexMin:
         return level, point + [v // den for v in nums[len(point):]]
 
 
-def mixed_feasible(sys: LinearSystem, integer_coords,
-                   config: SolverConfig = DEFAULT_CONFIG) -> Optional[QVector]:
+def mixed_feasible(sys: LinearSystem, integer_coords) -> Optional[QVector]:
     """A feasible point with the coordinates whose indices integer_coords
     lists (a range, say) integer and the others continuous, or None: the
     one-shot IntegerSearch of the zero cost."""
@@ -242,41 +247,39 @@ def mixed_feasible(sys: LinearSystem, integer_coords,
     if not all(0 <= i < sys.dim for i in coords):
         raise ValueError("integer coordinate index out of range")
     rows, rhs = _closed_bounded(sys, coords, "projection onto the integer coordinates is unbounded")
-    found = IntegerSearch(sys.dim, rows, coords, (0,) * sys.dim).minimize(rhs, config)
+    found = IntegerSearch(sys.dim, rows, coords, (0,) * sys.dim).minimize(rhs)
     if found is None:
         return None
     nums, den = found
     return QVector([Fraction(v, den) for v in nums])
 
 
-def integer_min(objective: Sequence, sys: LinearSystem,
-                config: SolverConfig = DEFAULT_CONFIG) -> LpOutcome:
+def integer_min(objective: Sequence, sys: LinearSystem) -> LpOutcome:
     """Exact integer minimum with the lexicographically smallest optimum.
 
     The objective is a sequence of ints and Fractions. Every coordinate is
     integer; the feasible region must be bounded. The one-shot LexMin of
     the system's rows: the optimum value first, then the coordinates fixed
-    left to right at their minimum values, each a unit objective. node_cap
+    left to right at their minimum values, each a unit objective. NODE_CAP
     counts the nodes of each search, whatever rows pin the point.
     """
     cost, mult = _integer_cost(objective, sys.dim)
     rows, rhs = _closed_bounded(sys, range(sys.dim), "integer_min needs a bounded feasible region")
-    found = LexMin(sys.dim, rows, cost).solve(rhs, config)
+    found = LexMin(sys.dim, rows, cost).solve(rhs)
     if found is None:
         return LpOutcome("infeasible")
     level, point = found
     return LpOutcome("optimal", Fraction(level, mult), QVector(point))
 
 
-def _charge(budget, config: SolverConfig):
-    """Count one unit of enumeration work against cell_cap."""
+def _charge(budget):
+    """Count one unit of enumeration work against CELL_CAP."""
     budget[0] += 1
-    if budget[0] > config.cell_cap:
-        raise ResourceLimitError(f"cell_cap={config.cell_cap}: cell enumeration cap exceeded")
+    if budget[0] > CELL_CAP:
+        raise ResourceLimitError(f"cell_cap={CELL_CAP}: cell enumeration cap exceeded")
 
 
-def integer_candidates(rows, rhs, total_dim: int, coords: range, config: SolverConfig,
-                       budget) -> list:
+def integer_candidates(rows, rhs, total_dim: int, coords: range, budget) -> list:
     """Integer assignments of the coordinates in `coords`, a step-1 range,
     that keep the closed rows (a, rel) at the integer right-hand sides rhs
     feasible with the others continuous.
@@ -309,7 +312,7 @@ def integer_candidates(rows, rhs, total_dim: int, coords: range, config: SolverC
             return
         (lo, lo_den), (hi, hi_den) = ends
         for v in range(-(-lo // lo_den), hi // hi_den + 1):
-            _charge(budget, config)
+            _charge(budget)
             if t + 1 == len(coords):  # a leaf: nothing reads the moved right-hand sides
                 out.append(tuple(prefix) + (v,))
             else:
@@ -319,10 +322,8 @@ def integer_candidates(rows, rhs, total_dim: int, coords: range, config: SolverC
     return out
 
 
-def enumerate_integers(sys: LinearSystem,
-                       config: SolverConfig = DEFAULT_CONFIG) -> list:
+def enumerate_integers(sys: LinearSystem) -> list:
     """All integer points of a bounded closed system, in lex order: one
-    integer_candidates walk over every coordinate, charged to cell_cap."""
+    integer_candidates walk over every coordinate, charged to CELL_CAP."""
     rows, rhs = _closed_bounded(sys, range(sys.dim), "enumerate_integers needs a bounded region")
-    return [QVector(p)
-            for p in integer_candidates(rows, rhs, sys.dim, range(sys.dim), config, [0])]
+    return [QVector(p) for p in integer_candidates(rows, rhs, sys.dim, range(sys.dim), [0])]

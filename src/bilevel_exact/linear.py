@@ -103,9 +103,8 @@ in `lp_range`, and at each prefix in the integer walk of `lattice`.
 
 `_nullspace_direction` is the package's one exact elimination routine:
 `lattice` decides with it where the "=" rows pin a point. No solve path
-calls `vertices`, the only code that tries all `C(rows, dim)` bases; it is
-also the only function here that takes a `SolverConfig`, for `basis_cap`.
-Nothing else in this module reads a cap.
+calls `vertices`, the only code that tries all `C(rows, dim)` bases, up to
+BASIS_CAP of them. Nothing else in this module reads a cap.
 
 Conventions: systems are over free variables; rows are "<=", "=", or the
 strict "<". Only closed rows ("<=", "=") are legal LP input, but for the
@@ -122,7 +121,6 @@ from itertools import combinations
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from .config import DEFAULT_CONFIG, SolverConfig
 from .errors import InternalInvariantError, ResourceLimitError
 from .rational import QVector
 
@@ -130,6 +128,8 @@ LE = "<="
 EQ = "="
 LT = "<"
 _RELATIONS = (LE, EQ, LT)
+
+BASIS_CAP = 10**6  # row subsets tried by `vertices`; no solve calls it
 
 
 def _over_common_denominator(point) -> tuple:
@@ -602,7 +602,8 @@ class RhsFamily:
     side b, with free x.
 
     dim: the number of variables; rows: integer rows (a, rel), rel "<=" or
-    "=", and a constant row (a = 0) may also be "<"; cost: integers.
+    "=", and a constant row (a = 0) may also be "<"; any other relation, a
+    nonconstant "<" row included, raises ValueError; cost: integers.
     solve(rhs) takes one integer b per row and returns (tag, nums, den):
     "optimal" with an optimal point as integer numerators over one positive
     denominator, a vertex of the optimal face whenever one exists, or
@@ -651,6 +652,9 @@ class RhsFamily:
         A, rhs_map, fixed = [], [], []
         for k, (a, rel) in enumerate(rows):
             _check_row(a, dim)
+            if rel != LE and rel != EQ and (rel != LT or any(a)):
+                raise ValueError(f"an LP family takes '<=' and '=' rows and constant '<' rows, "
+                                 f"not {a} {rel}")
             if any(a):
                 A.append(a)
                 rhs_map.append((k, 1))
@@ -767,9 +771,10 @@ class StrictFamily:
     it as 0 rel b before any pivot and the kernel never sees it.
     """
 
-    __slots__ = ("lp", "order")
+    __slots__ = ("lp", "order", "rows")
 
     def __init__(self, dim: int, rows):
+        self.rows = rows
         closed = [i for i, (a, rel) in enumerate(rows) if rel != LT or not any(a)]
         strict = [i for i, (a, rel) in enumerate(rows) if rel == LT and any(a)]
         lifted = [(rows[i][0] + (0,), rows[i][1]) for i in closed]
@@ -780,13 +785,18 @@ class StrictFamily:
 
     def point(self, rhs) -> Optional[tuple]:
         """(nums, den) of a point with the rows' right-hand sides rhs that
-        meets every strict row strictly, or None when there is none. An rhs
-        of another length than the rows raises ValueError."""
+        meets every strict row strictly, or None when there is none. The
+        point is checked again against the rows as given (rows_hold), and a
+        miss raises InternalInvariantError. An rhs of another length than
+        the rows raises ValueError."""
         _check_rhs(rhs, len(self.order))
         tag, nums, den = self.lp.solve([rhs[i] for i in self.order] + [0, 1])
         if tag != "optimal" or not nums[-1]:
             return None
-        return nums[:-1], den
+        nums = nums[:-1]
+        if not rows_hold(self.rows, rhs, nums, den):
+            raise InternalInvariantError("a strict witness failed re-verification")
+        return nums, den
 
 
 # ---------------------------------------------------------------------------
@@ -850,15 +860,13 @@ def strict_feasible_point(sys: LinearSystem) -> Optional[QVector]:
 
     One check of a one-shot StrictFamily, whose lifted family settles the
     constant rows, strict ones included, and re-verifies its optimum in
-    integer arithmetic; the witness is checked again against every row. A
-    miss raises InternalInvariantError.
+    integer arithmetic, and which checks the witness again against every
+    row of the system. A miss raises InternalInvariantError.
     """
     found = StrictFamily(sys.dim, sys.rows).point(sys.rhs)
     if found is None:
         return None
     nums, den = found
-    if not rows_hold(sys.rows, sys.rhs, nums, den):
-        raise InternalInvariantError("strict feasibility witness failed re-verification")
     return QVector([Fraction(v, den) for v in nums])
 
 
@@ -902,11 +910,11 @@ def recession_bounded(rows, ncols: int) -> bool:
     return out.value == 0
 
 
-def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
+def vertices(sys: LinearSystem) -> list:
     """All vertices of the closed feasible region, deduplicated, in lex order.
 
     Infeasible systems give []. Raises on an unbounded (nonempty) region, and
-    raises ResourceLimitError if C(rows, dim) exceeds the configured cap.
+    raises ResourceLimitError if C(rows, dim) exceeds BASIS_CAP.
     """
     closed = sys.closure()
     feas = lp_solve(closed, (0,) * sys.dim, "min")
@@ -918,8 +926,8 @@ def vertices(sys: LinearSystem, config: SolverConfig = DEFAULT_CONFIG) -> list:
         raise ValueError("vertex enumeration on an unbounded system")
     # a zero row bounds no vertex
     rows = [(a, b) for (a, _), b in zip(closed.rows, closed.rhs) if any(a)]
-    if math.comb(len(rows), sys.dim) > config.basis_cap:
-        raise ResourceLimitError(f"basis_cap={config.basis_cap}: vertex enumeration over "
+    if math.comb(len(rows), sys.dim) > BASIS_CAP:
+        raise ResourceLimitError(f"basis_cap={BASIS_CAP}: vertex enumeration over "
                                  f"{len(rows)} rows exceeds the basis cap")
     found = set()
     for subset in combinations(rows, sys.dim):

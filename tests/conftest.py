@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 import support
-from bilevel_exact import DEFAULT_CONFIG, random_instance, reference_oracle, solve_mixed, solve_pure
+from bilevel_exact import random_instance, reference_oracle, solve_mixed, solve_pure
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -46,8 +46,8 @@ def mixed_batch():
     t0 = time.perf_counter()
     for _ in range(220):
         inst = random_instance(rng)
-        rep = solve_mixed(inst, config=DEFAULT_CONFIG)
-        orc = reference_oracle(inst, "mixed", DEFAULT_CONFIG)
+        rep = solve_mixed(inst)
+        orc = reference_oracle(inst, "mixed")
         rows.append((inst, rep, orc))
     return rows, time.perf_counter() - t0
 
@@ -59,7 +59,7 @@ def pure_batch():
     t0 = time.perf_counter()
     for _ in range(220):
         inst = random_instance(rng)
-        rep = solve_pure(inst, config=DEFAULT_CONFIG)
-        orc = reference_oracle(inst, "pure", DEFAULT_CONFIG)
+        rep = solve_pure(inst)
+        orc = reference_oracle(inst, "pure")
         rows.append((inst, rep, orc))
     return rows, time.perf_counter() - t0

@@ -11,12 +11,13 @@ import contextlib
 import itertools
 import math
 import os
+import sys
 from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
-from bilevel_exact import (DEFAULT_CONFIG, LE, EQ, LT, Cell, Instance, cells, is_valid_cell,
-                           linear, row_eq)
+from bilevel_exact import (LE, EQ, LT, Cell, Instance, cells, is_valid_cell, lattice, linear,
+                           row_eq)
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLE1_PATH = os.path.join(ROOT, "instances", "example1.json")
@@ -58,6 +59,31 @@ def no_index_build():
         raise AssertionError("a cell index was built")
 
     with mock.patch.object(cells.CellIndex, "_build", refuse):
+        yield
+
+
+def plant(monkeypatch, home, name, fault):
+    """Replace home.name by fault(home.name) in every module of the package
+    that binds it, so that every caller sees the planted fault."""
+    real = getattr(home, name)
+    planted = fault(real)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("bilevel_exact") and getattr(mod, name, None) is real:
+            monkeypatch.setattr(mod, name, planted)
+
+
+CAPS = {"cell_cap": (lattice, "CELL_CAP"), "node_cap": (lattice, "NODE_CAP"),
+        "basis_cap": (linear, "BASIS_CAP")}
+
+
+@contextlib.contextmanager
+def caps(**limits):
+    """Inside the block, each cap named by its message name (cell_cap,
+    node_cap, basis_cap) has the given limit: a patch of the module
+    constant that its check reads."""
+    with contextlib.ExitStack() as stack:
+        for name, limit in limits.items():
+            stack.enter_context(mock.patch.object(*CAPS[name], limit))
         yield
 
 
@@ -343,7 +369,7 @@ def valid_cells_by_definition(inst):
         r_ranges.append(range(min(floors), max(floors) + 1))
     cells = [Cell(x, r) for x in itertools.product(*x_ranges)
              for r in itertools.product(*r_ranges)]
-    return [cell for cell in cells if is_valid_cell(inst, cell, DEFAULT_CONFIG)]
+    return [cell for cell in cells if is_valid_cell(inst, cell)]
 
 
 def ref_lp_min(system, objective):

@@ -13,16 +13,15 @@ from fractions import Fraction
 
 import support
 from conftest import MIXED_SEED, PURE_SEED, record_criterion
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, Cell, QVector, Telemetry,
-                           bilevel_feasible, bisect_decision, cell_infimum, cell_region,
-                           denominator_cap, disagreement, enumerate_cells, floor_rhs,
-                           is_valid_cell, parse_rat, random_instance, rational_reconstruct,
-                           strict_feasible_point, vertices)
+from bilevel_exact import (ATTAINED, Cell, QVector, Telemetry, bilevel_feasible,
+                           bisect_decision, cell_infimum, cell_region, denominator_cap,
+                           disagreement, enumerate_cells, floor_rhs, is_valid_cell, parse_rat,
+                           random_instance, rational_reconstruct, strict_feasible_point,
+                           vertices)
 from bilevel_exact.cli import cli_main
 
 from test_cells import sample_hull, upper_region_for_x
 
-CFG = DEFAULT_CONFIG
 
 
 @contextmanager
@@ -54,7 +53,7 @@ def test_criterion_1_mixed_example_reproduction(example1_path, capsys):
         inst = support.make_example1()
         x = tuple(eps["x"])
         z = QVector([parse_rat(s) for s in eps["z"]])
-        assert bilevel_feasible(inst, x, z, CFG)
+        assert bilevel_feasible(inst, x, z)
         assert inst.objective_vector().dot(QVector(list(x) + list(z.entries))) == value
         assert elapsed < 1.0
         info["detail"] = f"infimum -1 unattained, eps value {value}, {elapsed:.3f}s"
@@ -80,7 +79,7 @@ def test_criterion_3_oracle_equivalence(mixed_batch):
         assert len(rows) >= 200
         attained = 0
         for inst, rep, orc in rows:
-            assert disagreement(inst, rep, orc, CFG) is None
+            assert disagreement(inst, rep, orc) is None
             attained += rep.status == ATTAINED
         assert elapsed < 300.0
         info["detail"] = (f"{len(rows)} instances agree "
@@ -95,7 +94,7 @@ def test_criterion_4_pure_crosscheck(pure_batch):
         for inst, rep, orc in rows:
             # the enumeration oracle lists every feasible point, so status,
             # infimum, x* and z* must all be its own
-            assert disagreement(inst, rep, orc, CFG, variant="pure") is None
+            assert disagreement(inst, rep, orc, variant="pure") is None
             if rep.infimum is not None:
                 feasible += 1
                 assert rep.infimum.denominator == 1
@@ -153,7 +152,7 @@ def test_criterion_7_lex_postconditions(mixed_batch):
             assert trace is not None
             assert trace.q_system.satisfied_by(trace.z_star)
             assert all(ri <= rho_i < ri + 1 for ri, rho_i in zip(trace.r, trace.rho))
-            assert bilevel_feasible(inst, trace.x_star, trace.z_star, CFG)
+            assert bilevel_feasible(inst, trace.x_star, trace.z_star)
             checked += 1
         assert checked > 0
         info["detail"] = f"{checked} attained instances, zero postcondition failures"
@@ -162,7 +161,7 @@ def test_criterion_7_lex_postconditions(mixed_batch):
 def _invariant_points(inst, rng):
     """Run the partition/equivalence/constancy/infimum checks; count points."""
     points = 0
-    cells = enumerate_cells(inst, CFG)
+    cells = enumerate_cells(inst)
     obj = inst.objective_vector()
     obj_z = list(obj.entries[inst.n:])
 
@@ -173,7 +172,7 @@ def _invariant_points(inst, rng):
         if x in per_x:
             continue
         upper = upper_region_for_x(inst, x)
-        per_x[x] = [tuple(v.entries) for v in vertices(upper, CFG)]
+        per_x[x] = [tuple(v.entries) for v in vertices(upper)]
 
     while points < 500:
         for x, verts in per_x.items():
@@ -193,13 +192,13 @@ def _invariant_points(inst, rng):
                         moved[i] += rng.choice((-1, 1))
                         assert not cell_region(inst, Cell(x, tuple(moved))).satisfied_by(z)
                 # equivalence with the definition-level feasibility check
-                via_cells = is_valid_cell(inst, cell, CFG) and in_region
-                assert bilevel_feasible(inst, x, z, CFG) == via_cells
+                via_cells = is_valid_cell(inst, cell) and in_region
+                assert bilevel_feasible(inst, x, z) == via_cells
                 points += 1
         for cell in cells:
             region = cell_region(inst, cell)
             pts = [strict_feasible_point(region)]
-            verts = [tuple(v.entries) for v in vertices(region, CFG)]
+            verts = [tuple(v.entries) for v in vertices(region)]
             pts += [p for p in sample_hull(verts, rng, 4) if region.satisfied_by(p)]
             inf, attained, witness = cell_infimum(inst, cell, obj)
             obj_x = sum(a * Fraction(b) for a, b in zip(obj.entries[: inst.n], cell.x))

@@ -9,14 +9,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, LE, Cell, Instance, LinearSystem, QVector,
-                           ResourceLimitError, SolverConfig, ValidationError,
-                           bilevel_feasible, cell_infimum, cell_region, enumerate_cells,
-                           floor_rhs, is_valid_cell, random_instance, row_le, row_lt,
-                           strict_feasible_point, vertices)
+from bilevel_exact import (LE, Cell, Instance, LinearSystem, QVector, ResourceLimitError,
+                           ValidationError, bilevel_feasible, cell_infimum, cell_region,
+                           enumerate_cells, floor_rhs, is_valid_cell, random_instance, row_le,
+                           row_lt, strict_feasible_point, vertices)
 from bilevel_exact.cells import WITNESS_DELTA
 
-CFG = DEFAULT_CONFIG
 
 
 def upper_region_for_x(inst, x):
@@ -241,29 +239,29 @@ def test_leader_point_entries_must_be_int_or_fraction(example1, entry):
     with pytest.raises(ValueError):
         floor_rhs(example1, [entry])
     with pytest.raises(ValueError):
-        bilevel_feasible(example1, [1], [entry], CFG)
+        bilevel_feasible(example1, [1], [entry])
 
 
 def test_is_valid_cell_examples(example1):
-    assert is_valid_cell(example1, Cell((1,), (-1, 1, 0)), CFG)
-    assert is_valid_cell(example1, Cell((0,), (0, 1, 0)), CFG)
-    assert not is_valid_cell(example1, Cell((1,), (0, 1, 0)), CFG)
+    assert is_valid_cell(example1, Cell((1,), (-1, 1, 0)))
+    assert is_valid_cell(example1, Cell((0,), (0, 1, 0)))
+    assert not is_valid_cell(example1, Cell((1,), (0, 1, 0)))
 
 
 def test_enumerate_cells_example(example1):
-    cells = enumerate_cells(example1, CFG)
+    cells = enumerate_cells(example1)
     assert [(c.x, c.r) for c in cells] == [((0,), (0, 1, 0)), ((1,), (-1, 1, 0))]
 
 
 def test_enumerate_cells_contradictory_upper():
     inst = support.make_infeasible_upper()
-    assert enumerate_cells(inst, CFG) == []
+    assert enumerate_cells(inst) == []
 
 
 def test_enumerate_cells_with_killing_extra(example1):
     # the upper row -x + z <= -1 forces z <= 0 inside the only candidate cell,
     # which its strict z > 0 row rejects
-    assert enumerate_cells(support.with_upper_rows(example1, ([-1], [1], -1)), CFG) == []
+    assert enumerate_cells(support.with_upper_rows(example1, ([-1], [1], -1))) == []
 
 
 def test_cell_region_shape(example1):
@@ -306,9 +304,9 @@ def test_cell_infimum_takes_any_objective_sequence(example1):
 
 
 def test_bilevel_feasible_examples(example1):
-    assert bilevel_feasible(example1, (0,), QVector([0]), CFG)
-    assert bilevel_feasible(example1, (1,), QVector([Fraction(1, 2)]), CFG)
-    assert not bilevel_feasible(example1, (1,), QVector([0]), CFG)
+    assert bilevel_feasible(example1, (0,), QVector([0]))
+    assert bilevel_feasible(example1, (1,), QVector([Fraction(1, 2)]))
+    assert not bilevel_feasible(example1, (1,), QVector([0]))
 
 
 def _leader_points(inst, rng):
@@ -350,7 +348,7 @@ def test_follower_floors_match_rational_rows_and_brute_feasibility():
                 x for x in grid
                 if all(sum(a * v for a, v in zip(ar, x)) <= rv for ar, rv in zip(inst.A, rhs))]
             for x in support.grid_points(inst.n, -3, 3):
-                got = bilevel_feasible(inst, x, QVector(z) if compared % 2 else z, CFG)
+                got = bilevel_feasible(inst, x, QVector(z) if compared % 2 else z)
                 assert got == support._brute_feasible(inst, x, z), (inst, x, z)
                 compared += 1
                 feasible += got
@@ -358,8 +356,8 @@ def test_follower_floors_match_rational_rows_and_brute_feasibility():
 
 
 def test_cell_cap_enforced(example1):
-    with pytest.raises(ResourceLimitError):
-        enumerate_cells(example1, SolverConfig(cell_cap=1))
+    with support.caps(cell_cap=1), pytest.raises(ResourceLimitError):
+        enumerate_cells(example1)
 
 
 def test_cell_cap_messages_name_the_cap(example1):
@@ -369,9 +367,11 @@ def test_cell_cap_messages_name_the_cap(example1):
     # the first and second leaf, caps 3 and 5 at their responses; cap 6 lets
     # the whole build through.
     for cap in (1, 2, 3, 4, 5):
-        with pytest.raises(ResourceLimitError, match=f"^cell_cap={cap}: cell enumeration cap"):
-            enumerate_cells(example1, SolverConfig(cell_cap=cap))
-    assert len(enumerate_cells(example1, SolverConfig(cell_cap=6))) == 2
+        with support.caps(cell_cap=cap), pytest.raises(
+                ResourceLimitError, match=f"^cell_cap={cap}: cell enumeration cap"):
+            enumerate_cells(example1)
+    with support.caps(cell_cap=6):
+        assert len(enumerate_cells(example1)) == 2
 
 
 # ---------------------------------------------------------- invariant suites
@@ -379,7 +379,7 @@ def test_cell_cap_messages_name_the_cap(example1):
 
 def test_index_holds_every_valid_cell_examples(example1):
     for inst in (example1, support.make_infeasible_upper()):
-        assert enumerate_cells(inst, CFG) == support.valid_cells_by_definition(inst)
+        assert enumerate_cells(inst) == support.valid_cells_by_definition(inst)
 
 
 @settings(max_examples=25)
@@ -388,7 +388,7 @@ def test_index_holds_every_valid_cell_examples(example1):
 @example(92)   # follower argmin there holds two responses x
 def test_index_holds_every_valid_cell(seed):
     inst = random_instance(random.Random(seed))
-    assert enumerate_cells(inst, CFG) == support.valid_cells_by_definition(inst)
+    assert enumerate_cells(inst) == support.valid_cells_by_definition(inst)
 
 
 @pytest.mark.parametrize("psi", [(0, 0), (1, 0)])
@@ -402,7 +402,7 @@ def test_index_reads_argmin_only_inside_the_upper_region(psi):
         C=[[1, 0], [-1, 0], [0, 1], [0, -1], [0, 0]], D=[[0], [0], [0], [0], [1]],
         c=[0, 0], e=[1], psi=list(psi), u=[1000, 1, 1000, 1], p=[1, 1, 1, 1, 1],
     )
-    cells = enumerate_cells(inst, CFG)
+    cells = enumerate_cells(inst)
     assert cells == support.valid_cells_by_definition(inst)
     assert len(cells) == (9 if psi == (0, 0) else 3)
 
@@ -410,7 +410,7 @@ def test_index_reads_argmin_only_inside_the_upper_region(psi):
 def _region_samples(inst, cell, rng, count):
     region = cell_region(inst, cell)
     pts = [strict_feasible_point(region)]
-    verts = [tuple(v.entries) for v in vertices(region, CFG)]
+    verts = [tuple(v.entries) for v in vertices(region)]
     pts.extend(p for p in sample_hull(verts, rng, count) if region.satisfied_by(p))
     return region, [p for p in pts if p is not None]
 
@@ -420,9 +420,9 @@ def _region_samples(inst, cell, rng, count):
 def test_partition_invariant(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
-    for entry_x in {c.x for c in enumerate_cells(inst, CFG)}:
+    for entry_x in {c.x for c in enumerate_cells(inst)}:
         upper = upper_region_for_x(inst, entry_x)
-        verts = [tuple(v.entries) for v in vertices(upper, CFG)]
+        verts = [tuple(v.entries) for v in vertices(upper)]
         if not verts:
             continue
         for z in sample_hull(verts, rng, 10):
@@ -441,18 +441,18 @@ def test_equivalence_invariant(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
     xs = [tuple(rng.randint(-2, 2) for _ in range(inst.n)) for _ in range(4)]
-    xs.extend(c.x for c in enumerate_cells(inst, CFG))
+    xs.extend(c.x for c in enumerate_cells(inst))
     for x in xs:
         upper = upper_region_for_x(inst, x)
-        verts = [tuple(v.entries) for v in vertices(upper, CFG)]
+        verts = [tuple(v.entries) for v in vertices(upper)]
         zs = sample_hull(verts, rng, 8) if verts else []
         zs.append(QVector([Fraction(rng.randint(-2, 4), rng.randint(1, 3))
                            for _ in range(inst.d)]))
         for z in zs:
             cell = Cell(x, floor_rhs(inst, z))
-            via_cells = (is_valid_cell(inst, cell, CFG)
+            via_cells = (is_valid_cell(inst, cell)
                          and cell_region(inst, cell).satisfied_by(z))
-            assert bilevel_feasible(inst, x, z, CFG) == via_cells
+            assert bilevel_feasible(inst, x, z) == via_cells
 
 
 @settings(max_examples=15)
@@ -460,7 +460,7 @@ def test_equivalence_invariant(seed):
 def test_constancy_invariant(seed):
     rng = random.Random(seed)
     inst = random_instance(rng)
-    for cell in enumerate_cells(inst, CFG):
+    for cell in enumerate_cells(inst):
         _, pts = _region_samples(inst, cell, rng, 10)
         for z in pts:
             assert floor_rhs(inst, z) == cell.r
@@ -473,7 +473,7 @@ def test_cell_infimum_certificate(seed):
     inst = random_instance(rng)
     obj = inst.objective_vector()
     obj_z = list(obj.entries[inst.n:])
-    for cell in enumerate_cells(inst, CFG):
+    for cell in enumerate_cells(inst):
         inf, attained, witness = cell_infimum(inst, cell, obj)
         obj_x = sum(a * Fraction(b) for a, b in zip(obj.entries[: inst.n], cell.x))
         region, pts = _region_samples(inst, cell, rng, 10)

@@ -7,14 +7,13 @@ from hypothesis import strategies as st
 
 import support
 from conftest import MIXED_SEED, PURE_SEED
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, LE, DecisionScan, InfeasibleRelaxationError,
-                           QVector, bilevel_feasible, cell_infimum, cell_region, decide_eq,
-                           decide_le, decide_le_pure, enumerate_cells, objective_bounds,
-                           random_instance, row_eq, row_le, solve_mixed, solve_pure)
+from bilevel_exact import (ATTAINED, LE, DecisionScan, InfeasibleRelaxationError, QVector,
+                           bilevel_feasible, cell_infimum, cell_region, decide_eq, decide_le,
+                           decide_le_pure, enumerate_cells, objective_bounds, random_instance,
+                           row_eq, row_le, solve_mixed, solve_pure)
 from bilevel_exact.decide import pure_responses, witness_le
 from support import make_flipped, with_upper_rows
 
-CFG = DEFAULT_CONFIG
 
 
 def brute_pure_values(inst, z_hi=4, x_box=5):
@@ -26,41 +25,41 @@ def brute_pure_values(inst, z_hi=4, x_box=5):
 
 
 def test_decide_le_examples(example1):
-    assert decide_le(example1, Fraction(0), CFG)
-    assert not decide_le(example1, Fraction(-1), CFG)
-    assert decide_le(example1, Fraction(-1, 2), CFG)
+    assert decide_le(example1, Fraction(0))
+    assert not decide_le(example1, Fraction(-1))
+    assert decide_le(example1, Fraction(-1, 2))
 
 
 def test_decide_eq_examples(example1):
-    assert decide_eq(example1, Fraction(-1), CFG) is None
-    x, z = decide_eq(example1, Fraction(0), CFG)
+    assert decide_eq(example1, Fraction(-1)) is None
+    x, z = decide_eq(example1, Fraction(0))
     assert (x, z.entries) == ((0,), (0,))
-    x2, z2 = decide_eq(make_flipped(), Fraction(0), CFG)
+    x2, z2 = decide_eq(make_flipped(), Fraction(0))
     assert (x2, z2.entries) == ((0,), (0,))
 
 
 def test_decide_le_pure_examples(example1):
-    assert decide_le_pure(example1, Fraction(0), CFG)
-    assert not decide_le_pure(example1, Fraction(-1, 2), CFG)
+    assert decide_le_pure(example1, Fraction(0))
+    assert not decide_le_pure(example1, Fraction(-1, 2))
     infeasible = support.make_infeasible_upper()
     for alpha in (Fraction(-5), Fraction(0), Fraction(100)):
-        assert not decide_le_pure(infeasible, alpha, CFG)
+        assert not decide_le_pure(infeasible, alpha)
 
 
 def test_prefix_restriction(example1):
     # x = 1 and x = 0, each as the upper rows x <= v and -x <= -v
     only_one = with_upper_rows(example1, ([1], [0], 1), ([-1], [0], -1))
-    assert decide_le(only_one, Fraction(-1, 2), CFG)
+    assert decide_le(only_one, Fraction(-1, 2))
     only_zero = with_upper_rows(example1, ([1], [0], 0), ([-1], [0], 0))
-    assert not decide_le(only_zero, Fraction(-1, 2), CFG)
-    assert decide_le(only_zero, Fraction(0), CFG)
+    assert not decide_le(only_zero, Fraction(-1, 2))
+    assert decide_le(only_zero, Fraction(0))
 
 
 def test_pure_extras(example1):
     # F' = {(0,0), (1,1)}; the upper row x <= 0 keeps only (0,0)
     keep_zero = with_upper_rows(example1, ([1], [0], 0))
-    assert decide_le_pure(keep_zero, Fraction(0), CFG)
-    assert not decide_le_pure(keep_zero, Fraction(-1), CFG)
+    assert decide_le_pure(keep_zero, Fraction(0))
+    assert not decide_le_pure(keep_zero, Fraction(-1))
 
 
 def _scan_inputs(example1):
@@ -69,16 +68,16 @@ def _scan_inputs(example1):
     rng = random.Random(MIXED_SEED)
     while len(out) < 11:
         inst = random_instance(rng)
-        if enumerate_cells(inst, CFG):
+        if enumerate_cells(inst):
             out.append(inst)
     return out
 
 
-def _decide_le(inst, alpha, config, scan=None):
+def _decide_le(inst, alpha, scan=None):
     """decide_le's cold floor walk, or with a scan, the first of its hits
     at value <= alpha (witness=False)."""
     if scan is None:
-        return decide_le(inst, alpha, config)
+        return decide_le(inst, alpha)
     return next(scan.hits(LE, alpha, witness=False), None) is not None
 
 
@@ -88,15 +87,15 @@ def test_decision_scan_matches_decide_le(example1):
     # the cold walk) on every call
     calls = (_decide_le, decide_eq, witness_le)
     for inst in _scan_inputs(example1):
-        v_star = solve_mixed(inst, config=CFG).infimum
+        v_star = solve_mixed(inst).infimum
         alphas = [Fraction(3), Fraction(-2), Fraction(1, 2), Fraction(-1), Fraction(0),
                   Fraction(5, 3), Fraction(-7, 2), Fraction(1, 3), Fraction(-1, 2)]
         if v_star is not None:
             alphas[3:3] = [v_star, v_star - Fraction(1, 4), v_star + Fraction(1, 8), v_star]
-        scan = DecisionScan(inst, CFG)
+        scan = DecisionScan(inst)
         for k, alpha in enumerate(alphas):
             for call in calls[k % 3:] + calls[:k % 3]:
-                assert call(inst, alpha, CFG, scan=scan) == call(inst, alpha, CFG)
+                assert call(inst, alpha, scan=scan) == call(inst, alpha)
 
 
 def _reference_hit(scan, row, alpha):
@@ -114,7 +113,7 @@ def _assert_witness(inst, got, it, alpha, row):
     assert all(support.row_holds(r, z.entries) for r in support.pairs(cell_region(inst, it.cell)))
     value = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
     assert value == alpha if row is row_eq else value <= alpha
-    assert bilevel_feasible(inst, x, z, CFG)
+    assert bilevel_feasible(inst, x, z)
 
 
 def test_decision_table_matches_vertex_reference(example1):
@@ -123,7 +122,7 @@ def test_decision_table_matches_vertex_reference(example1):
     # switches from a skip to a check to a sure hit, asked cold of one shared
     # scan
     for inst in _scan_inputs(example1):
-        table = DecisionScan(inst, CFG)
+        table = DecisionScan(inst)
         alphas = set()
         for it in table.items:
             low = it.low
@@ -132,19 +131,19 @@ def test_decision_table_matches_vertex_reference(example1):
             assert low == support.ref_lp_min(region, table.inst.e)[0]
             alphas.update(it.shift + low + delta
                           for delta in (0, Fraction(-1, 7), Fraction(1, 7)))
-        v_star = solve_mixed(inst, config=CFG).infimum
+        v_star = solve_mixed(inst).infimum
         if v_star is not None:
             alphas.add(v_star)
-        scan = DecisionScan(inst, CFG)
+        scan = DecisionScan(inst)
         for alpha in sorted(alphas, reverse=True):
             le_hit = _reference_hit(table, row_le, alpha)
             eq_hit = _reference_hit(table, row_eq, alpha)
-            assert _decide_le(inst, alpha, CFG, scan) == (le_hit is not None)
-            got = witness_le(inst, alpha, CFG, scan=scan)
+            assert _decide_le(inst, alpha, scan) == (le_hit is not None)
+            got = witness_le(inst, alpha, scan=scan)
             assert (got is None) == (le_hit is None)
             if got is not None:
                 _assert_witness(inst, got, le_hit, alpha, row_le)
-            got = decide_eq(inst, alpha, CFG, scan=scan)
+            got = decide_eq(inst, alpha, scan=scan)
             assert (got is None) == (eq_hit is None)
             if got is not None:
                 _assert_witness(inst, got, eq_hit, alpha, row_eq)
@@ -167,8 +166,8 @@ def _assert_cold_decide_le(inst, alpha, expected=None):
     # the cold walk must build no cell index and agree with a scan and the
     # reference
     with support.no_index_build():
-        cold = decide_le(inst, alpha, CFG)
-    assert cold == _decide_le(inst, alpha, CFG, DecisionScan(inst, CFG))
+        cold = decide_le(inst, alpha)
+    assert cold == _decide_le(inst, alpha, DecisionScan(inst))
     assert cold == _reference_decide_le(inst, alpha)
     if expected is not None:
         assert cold == expected
@@ -194,7 +193,7 @@ def test_cold_decide_le_matches_reference(seed, alpha):
     # the drawn alpha, and the thresholds at and beside the infimum
     inst = random_instance(random.Random(seed))
     alphas = [alpha]
-    v_star = solve_mixed(inst, config=CFG).infimum
+    v_star = solve_mixed(inst).infimum
     if v_star is not None:
         alphas += [v_star - Fraction(1, 7), v_star, v_star + Fraction(1, 7)]
     for a in alphas:
@@ -213,7 +212,7 @@ def _pure_table_inputs(example1):
     while feasible < 10:
         inst = random_instance(rng)
         out.append(inst)
-        feasible += solve_pure(inst, config=CFG).status == ATTAINED
+        feasible += solve_pure(inst).status == ATTAINED
     return out
 
 
@@ -225,11 +224,11 @@ def test_pure_table_matches_decide_le_pure(example1):
             v_lo, v_hi = objective_bounds(inst)
         except InfeasibleRelaxationError:
             v_lo = v_hi = Fraction(0)
-        v_star = solve_pure(inst, config=CFG).infimum
+        v_star = solve_pure(inst).infimum
         base = v_lo if v_star is None else v_star
-        table = list(pure_responses(inst, CFG))
+        table = list(pure_responses(inst))
         for alpha in (base - 1, base - Fraction(1, 2), base, base + Fraction(1, 2), v_hi):
-            assert any(v <= alpha for v, _, _ in table) == decide_le_pure(inst, alpha, CFG)
+            assert any(v <= alpha for v, _, _ in table) == decide_le_pure(inst, alpha)
 
 
 # ------------------------------------------------------------------ properties
@@ -240,10 +239,10 @@ def test_pure_table_matches_decide_le_pure(example1):
        st.fractions(min_value=0, max_value=4, max_denominator=8))
 def test_monotonicity(seed, alpha, gap):
     inst = random_instance(random.Random(seed))
-    if decide_le(inst, alpha, CFG):
-        assert decide_le(inst, alpha + gap, CFG)
-    if decide_le_pure(inst, alpha, CFG):
-        assert decide_le_pure(inst, alpha + gap, CFG)
+    if decide_le(inst, alpha):
+        assert decide_le(inst, alpha + gap)
+    if decide_le_pure(inst, alpha):
+        assert decide_le_pure(inst, alpha + gap)
 
 
 @settings(max_examples=20)
@@ -252,22 +251,22 @@ def test_consistency_with_cell_infima(seed, alpha):
     inst = random_instance(random.Random(seed))
     obj = inst.objective_vector()
     expected = False
-    for cell in enumerate_cells(inst, CFG):
+    for cell in enumerate_cells(inst):
         inf, attained, _ = cell_infimum(inst, cell, obj)
         if (attained and inf <= alpha) or (not attained and inf < alpha):
             expected = True
             break
-    assert decide_le(inst, alpha, CFG) == expected
+    assert decide_le(inst, alpha) == expected
 
 
 @settings(max_examples=20)
 @given(st.integers(0, 10**6), st.fractions(min_value=-8, max_value=8, max_denominator=4))
 def test_decide_eq_witness_is_feasible(seed, value):
     inst = random_instance(random.Random(seed))
-    got = decide_eq(inst, value, CFG)
+    got = decide_eq(inst, value)
     if got is not None:
         x, z = got
-        assert bilevel_feasible(inst, x, z, CFG)
+        assert bilevel_feasible(inst, x, z)
         assert inst.objective_vector().dot(QVector(list(x) + list(z.entries))) == value
 
 
@@ -277,4 +276,4 @@ def test_pure_matches_brute_force(seed, alpha):
     inst = random_instance(random.Random(seed))
     vals = brute_pure_values(inst)
     expected = any(v <= alpha for v in vals)
-    assert decide_le_pure(inst, alpha, CFG) == expected
+    assert decide_le_pure(inst, alpha) == expected

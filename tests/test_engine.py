@@ -10,10 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (ATTAINED, DEFAULT_CONFIG, INFEASIBLE, LE, UNATTAINED, DecisionScan,
+from bilevel_exact import (ATTAINED, INFEASIBLE, LE, UNATTAINED, DecisionScan,
                            InfeasibleProblemError, InfeasibleRelaxationError, Instance,
-                           InternalInvariantError, LinearSystem, QVector, SolverConfig,
-                           Telemetry, bilevel_feasible, bisect_decision, decide_eq, decide_le,
+                           InternalInvariantError, LinearSystem, QVector, Telemetry,
+                           bilevel_feasible, bisect_decision, decide_eq, decide_le,
                            decide_le_pure, denominator_cap, disagreement, eps_point, infimum,
                            instance_to_json, lex_extract, objective_bounds, parse_instance,
                            random_instance, rational_reconstruct, reference_oracle, row_le,
@@ -22,7 +22,6 @@ from bilevel_exact import cells, lattice
 from bilevel_exact.decide import witness_le
 from support import make_flipped, with_upper_rows
 
-CFG = DEFAULT_CONFIG
 BENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
 
@@ -141,17 +140,17 @@ def test_bisect_decision_brackets():
 
 
 def test_infimum_examples(example1):
-    assert infimum(example1, CFG) == -1
-    assert infimum(make_flipped(), CFG) == 0
+    assert infimum(example1) == -1
+    assert infimum(make_flipped()) == 0
     shifted = replace(with_upper_rows(example1, ([0], [-2], -1)), c=[-1], e=[2])
-    assert infimum(shifted, CFG) == 0
+    assert infimum(shifted) == 0
 
 
 def test_infimum_infeasible_bilevel():
     # relaxation nonempty but no bilevel-feasible point at all
     inst = support.make_empty_follower_pure()
     with pytest.raises(InfeasibleProblemError):
-        infimum(inst, CFG)
+        infimum(inst)
 
 
 @settings(max_examples=20)
@@ -160,9 +159,9 @@ def test_infimum_matches_oracle_within_cap(seed):
     # v* is read off the scan's per-cell minima, and the value is the
     # oracle's, with a denominator within the cap
     inst = random_instance(random.Random(seed))
-    want = reference_oracle(inst, "mixed", CFG)
+    want = reference_oracle(inst, "mixed")
     try:
-        v = infimum(inst, CFG)
+        v = infimum(inst)
     except InfeasibleProblemError:
         assert want.status == INFEASIBLE
     else:
@@ -174,12 +173,12 @@ def test_infimum_matches_oracle_within_cap(seed):
 @given(st.integers(0, 10**6))
 def test_infimum_boundary_probes(seed):
     inst = random_instance(random.Random(seed))
-    rep = solve_mixed(inst, config=CFG)
+    rep = solve_mixed(inst)
     if rep.status == INFEASIBLE:
         return
     gamma = Fraction(1, 2 * denominator_cap(inst) ** 2)
-    assert decide_le(inst, rep.infimum + gamma, CFG)
-    assert not decide_le(inst, rep.infimum - gamma, CFG)
+    assert decide_le(inst, rep.infimum + gamma)
+    assert not decide_le(inst, rep.infimum - gamma)
 
 
 def test_infimum_above_the_denominator_cap_is_fatal(monkeypatch, tmp_path):
@@ -193,10 +192,10 @@ def test_infimum_above_the_denominator_cap_is_fatal(monkeypatch, tmp_path):
     inst, v_star = next((inst, Fraction(rec["infimum"]))
                         for inst, rec in zip(grid_instances(), reports)
                         if rec["infimum"] is not None and Fraction(rec["infimum"]).denominator > 1)
-    assert solve_mixed(inst, config=CFG).infimum == v_star
+    assert solve_mixed(inst).infimum == v_star
     monkeypatch.setattr(engine, "denominator_cap", lambda _: v_star.denominator - 1)
     with pytest.raises(InternalInvariantError, match="denominator"):
-        solve_mixed(inst, config=CFG)
+        solve_mixed(inst)
     path = tmp_path / "capped.json"
     path.write_text(instance_to_json(inst))
     assert cli_main(["solve", str(path)]) == 4
@@ -206,7 +205,7 @@ def test_infimum_above_the_denominator_cap_is_fatal(monkeypatch, tmp_path):
 
 
 def test_lex_extract_single_point_cell(example1):
-    trace = lex_extract(make_flipped(), Fraction(0), CFG)
+    trace = lex_extract(make_flipped(), Fraction(0))
     assert trace.x_star == (0,)
     assert trace.rho == (0, 1, 0)
     assert trace.r == (0, 1, 0)
@@ -217,7 +216,7 @@ def test_lex_extract_single_point_cell(example1):
 
 def test_lex_extract_with_extras(example1):
     # the extra upper row -2z <= -1 keeps z >= 1/2
-    trace = lex_extract(with_upper_rows(example1, ([0], [-2], -1)), Fraction(-1, 2), CFG)
+    trace = lex_extract(with_upper_rows(example1, ([0], [-2], -1)), Fraction(-1, 2))
     assert trace.x_star == (1,)
     # the closure of the value-slice pins z = 1/2, so rho_1 = -z = -1/2
     assert trace.rho[0] == Fraction(-1, 2)
@@ -230,7 +229,7 @@ def test_lex_extract_with_extras(example1):
 @given(st.integers(0, 10**6))
 def test_lex_trace_postconditions(seed):
     inst = random_instance(random.Random(seed))
-    rep = solve_mixed(inst, config=CFG)
+    rep = solve_mixed(inst)
     if rep.status != ATTAINED:
         return
     trace = rep.lex_trace
@@ -239,7 +238,7 @@ def test_lex_trace_postconditions(seed):
     assert trace.q_system.satisfied_by(trace.z_star)
     x, z = rep.solution
     assert x == trace.x_star and z.entries == trace.z_star.entries
-    assert bilevel_feasible(inst, x, z, CFG)
+    assert bilevel_feasible(inst, x, z)
     val = inst.objective_vector().dot(QVector(list(x) + list(z.entries)))
     assert val == rep.infimum
 
@@ -260,8 +259,8 @@ def grid_instances(shape, count, seed=7):
 def test_lex_trace_postconditions_in_higher_leader_dimension(shape):
     attained = 0
     for inst in grid_instances(shape, 3):
-        rep = solve_mixed(inst, config=CFG)
-        assert disagreement(inst, rep, reference_oracle(inst, "mixed", CFG), CFG) is None
+        rep = solve_mixed(inst)
+        assert disagreement(inst, rep, reference_oracle(inst, "mixed")) is None
         trace = rep.lex_trace
         if rep.status != ATTAINED:
             continue
@@ -276,56 +275,56 @@ def test_solve_paths_enumerate_no_vertices(mixed_batch):
     """With basis_cap=0 any call of linear.vertices on a feasible system
     raises; the attained solves of the mixed acceptance batch, their oracle
     reports and pure readings of the first ten come out as with the default."""
-    capped = SolverConfig(basis_cap=0)
     rows, _ = mixed_batch
     attained = [(inst, rep, orc) for inst, rep, orc in rows if rep.status == ATTAINED]
     assert attained
-    for inst, rep, orc in attained:
-        got = solve_mixed(inst, config=capped)
-        assert (got.status, got.infimum) == (rep.status, rep.infimum)
-        assert got.solution[0] == rep.solution[0]
-        assert got.solution[1].entries == rep.solution[1].entries
-        again = reference_oracle(inst, "mixed", capped)
-        assert (again.status, again.infimum, again.solution) == (orc.status, orc.infimum,
-                                                                  orc.solution)
-        assert decide_le(inst, rep.infimum, capped)
-    for inst, _, _ in attained[:10]:
-        pure = solve_pure(inst, config=capped)
-        want = solve_pure(inst, config=CFG)
-        assert (pure.status, pure.infimum, pure.solution) == (want.status, want.infimum,
-                                                              want.solution)
+    wants = [solve_pure(inst) for inst, _, _ in attained[:10]]
+    with support.caps(basis_cap=0):
+        for inst, rep, orc in attained:
+            got = solve_mixed(inst)
+            assert (got.status, got.infimum) == (rep.status, rep.infimum)
+            assert got.solution[0] == rep.solution[0]
+            assert got.solution[1].entries == rep.solution[1].entries
+            again = reference_oracle(inst, "mixed")
+            assert (again.status, again.infimum, again.solution) == (orc.status, orc.infimum,
+                                                                      orc.solution)
+            assert decide_le(inst, rep.infimum)
+        for (inst, _, _), want in zip(attained, wants):
+            pure = solve_pure(inst)
+            assert (pure.status, pure.infimum, pure.solution) == (want.status, want.infimum,
+                                                                  want.solution)
 
 
 # ------------------------------------------------------------------ epsilon
 
 
 def test_eps_point_examples(example1):
-    sol = eps_point(example1, Fraction(-1), Fraction(1, 8), CFG)
+    sol = eps_point(example1, Fraction(-1), Fraction(1, 8))
     assert sol.value <= Fraction(-7, 8)
     assert sol.x == (1,)
-    assert bilevel_feasible(example1, sol.x, sol.z, CFG)
-    wide = eps_point(example1, Fraction(-1), Fraction(2), CFG)
+    assert bilevel_feasible(example1, sol.x, sol.z)
+    wide = eps_point(example1, Fraction(-1), Fraction(2))
     assert wide.value <= 1
-    assert bilevel_feasible(example1, wide.x, wide.z, CFG)
-    attained = eps_point(make_flipped(), Fraction(0), Fraction(1), CFG)
+    assert bilevel_feasible(example1, wide.x, wide.z)
+    attained = eps_point(make_flipped(), Fraction(0), Fraction(1))
     assert attained.value <= 1
-    assert bilevel_feasible(make_flipped(), attained.x, attained.z, CFG)
+    assert bilevel_feasible(make_flipped(), attained.x, attained.z)
 
 
 # ------------------------------------------------------------------- solves
 
 
 def test_solve_mixed_unattained(example1):
-    rep = solve_mixed(example1, eps=Fraction(1, 8), config=CFG)
+    rep = solve_mixed(example1, eps=Fraction(1, 8))
     assert rep.status == UNATTAINED
     assert rep.infimum == -1
     assert rep.solution is None
     assert rep.eps_solution is not None and rep.eps_solution.value <= Fraction(-7, 8)
-    assert decide_eq(example1, rep.infimum, CFG) is None
+    assert decide_eq(example1, rep.infimum) is None
 
 
 def test_solve_mixed_attained():
-    rep = solve_mixed(make_flipped(), config=CFG)
+    rep = solve_mixed(make_flipped())
     assert rep.status == ATTAINED
     assert rep.infimum == 0
     x, z = rep.solution
@@ -338,21 +337,21 @@ def test_solve_mixed_rejects_nonpositive_eps(example1):
     for inst in (example1, make_flipped()):
         for eps in (0, Fraction(-1, 8)):
             with pytest.raises(ValueError, match="eps must be positive"):
-                solve_mixed(inst, eps=eps, config=CFG)
+                solve_mixed(inst, eps=eps)
 
 
 THRESHOLD_TAKERS = {
-    "DecisionScan.hits": lambda inst, t: next(DecisionScan(inst, CFG).hits(LE, t)),
-    "decide_le": lambda inst, t: decide_le(inst, t, CFG),
-    "decide_le_pure": lambda inst, t: decide_le_pure(inst, t, CFG),
+    "DecisionScan.hits": lambda inst, t: next(DecisionScan(inst).hits(LE, t)),
+    "decide_le": lambda inst, t: decide_le(inst, t),
+    "decide_le_pure": lambda inst, t: decide_le_pure(inst, t),
     "rational_reconstruct lo": lambda inst, t: rational_reconstruct(t, Fraction(2), 10),
     "rational_reconstruct hi": lambda inst, t: rational_reconstruct(Fraction(-1), t, 10),
     "bisect_decision lo": lambda inst, t: bisect_decision(bool, t, Fraction(2), Fraction(1)),
     "bisect_decision hi": lambda inst, t: bisect_decision(bool, Fraction(-1), t, Fraction(1)),
-    "lex_extract": lambda inst, t: lex_extract(inst, t, CFG),
-    "eps_point v_star": lambda inst, t: eps_point(inst, t, Fraction(1, 8), CFG),
-    "eps_point eps": lambda inst, t: eps_point(inst, Fraction(-1), t, CFG),
-    "solve_mixed eps": lambda inst, t: solve_mixed(inst, eps=t, config=CFG),
+    "lex_extract": lambda inst, t: lex_extract(inst, t),
+    "eps_point v_star": lambda inst, t: eps_point(inst, t, Fraction(1, 8)),
+    "eps_point eps": lambda inst, t: eps_point(inst, Fraction(-1), t),
+    "solve_mixed eps": lambda inst, t: solve_mixed(inst, eps=t),
 }
 
 
@@ -367,11 +366,11 @@ def test_thresholds_take_exact_rationals_only(example1, entry, bad):
 
 
 SCAN_TAKERS = {
-    "infimum": lambda inst, scan: infimum(inst, CFG, scan),
-    "lex_extract": lambda inst, scan: lex_extract(inst, Fraction(-1), CFG, scan=scan),
-    "witness_le": lambda inst, scan: witness_le(inst, 10, CFG, scan=scan),
-    "decide_eq": lambda inst, scan: decide_eq(inst, Fraction(0), CFG, scan=scan),
-    "eps_point": lambda inst, scan: eps_point(inst, Fraction(-1), Fraction(1, 8), CFG, scan),
+    "infimum": lambda inst, scan: infimum(inst, scan),
+    "lex_extract": lambda inst, scan: lex_extract(inst, Fraction(-1), scan=scan),
+    "witness_le": lambda inst, scan: witness_le(inst, 10, scan=scan),
+    "decide_eq": lambda inst, scan: decide_eq(inst, Fraction(0), scan=scan),
+    "eps_point": lambda inst, scan: eps_point(inst, Fraction(-1), Fraction(1, 8), scan),
 }
 
 
@@ -382,8 +381,8 @@ def test_a_scan_answers_only_for_its_instance(example1, entry):
     # built for an equal instance answers as a fresh one
     take = SCAN_TAKERS[entry]
     with pytest.raises(ValueError, match="another instance"):
-        take(example1, DecisionScan(make_flipped(), CFG))
-    assert take(example1, DecisionScan(replace(example1), CFG)) == take(example1, None)
+        take(example1, DecisionScan(make_flipped()))
+    assert take(example1, DecisionScan(replace(example1))) == take(example1, None)
 
 
 def test_solve_leaves_no_state_on_the_instance():
@@ -392,12 +391,12 @@ def test_solve_leaves_no_state_on_the_instance():
     inst = support.make_example1()
     names = {f.name for f in fields(inst)}
     assert set(vars(inst)) == names
-    solve_mixed(inst, eps=Fraction(1, 8), config=CFG)
+    solve_mixed(inst, eps=Fraction(1, 8))
     assert set(vars(inst)) == names
 
 
 def test_solve_mixed_infeasible():
-    rep = solve_mixed(support.make_infeasible_upper(), config=CFG)
+    rep = solve_mixed(support.make_infeasible_upper())
     assert rep.status == INFEASIBLE
     assert rep.infimum is None and rep.solution is None
 
@@ -416,9 +415,9 @@ def wide_box_infeasible(A, B, u):
 def test_empty_joint_relaxation_lists_no_candidate(inst):
     # the floor walk lists its x over the joint relaxation, which is empty:
     # no x of the wide upper box is tried, so a cap of 10 is never reached
-    cfg = SolverConfig(cell_cap=10)
-    assert not decide_le(inst, 10**7, cfg)
-    rep = solve_mixed(inst, config=cfg)
+    with support.caps(cell_cap=10):
+        assert not decide_le(inst, 10**7)
+        rep = solve_mixed(inst)
     assert (rep.status, rep.infimum, rep.solution) == (INFEASIBLE, None, None)
     assert rep.telemetry.as_dict() == Telemetry().as_dict()
 
@@ -439,17 +438,17 @@ def test_relaxation_without_integer_point_is_infeasible_under_the_default_cap():
 
 
 def test_solve_pure_examples(example1):
-    rep = solve_pure(example1, config=CFG)
+    rep = solve_pure(example1)
     assert rep.status == ATTAINED and rep.infimum == 0
     x, z = rep.solution
     assert (x, z.entries) == ((0,), (0,))
-    rep2 = solve_pure(make_flipped(), config=CFG)
+    rep2 = solve_pure(make_flipped())
     assert rep2.infimum == 0
     assert rep2.solution[0] == (0,)
 
 
 def test_solve_pure_empty_follower_set():
-    rep = solve_pure(support.make_empty_follower_pure(), config=CFG)
+    rep = solve_pure(support.make_empty_follower_pure())
     assert rep.status == INFEASIBLE
 
 
@@ -474,7 +473,7 @@ def _check_pure_against_grid(inst, z_hi=4, x_box=5):
             assert all(-x_box <= v <= x_box for v in vert[:inst.n])
             assert all(0 <= v <= z_hi for v in vert[inst.n:])
     points = support.brute_pure_points(inst, z_hi, x_box)
-    rep = solve_pure(inst, config=CFG)
+    rep = solve_pure(inst)
     if not points:
         assert (rep.status, rep.infimum, rep.solution) == (INFEASIBLE, None, None)
         return
@@ -499,13 +498,13 @@ def test_solve_pure_matches_grid(seed):
 
 
 def test_reference_oracle_examples(example1):
-    orc = reference_oracle(example1, "mixed", CFG)
+    orc = reference_oracle(example1, "mixed")
     assert (orc.status, orc.infimum) == (UNATTAINED, -1)
-    orc2 = reference_oracle(make_flipped(), "mixed", CFG)
+    orc2 = reference_oracle(make_flipped(), "mixed")
     assert (orc2.status, orc2.infimum) == (ATTAINED, 0)
     x, z = orc2.solution
     assert (x, z.entries) == ((0,), (0,))
-    orc3 = reference_oracle(example1, "pure", CFG)
+    orc3 = reference_oracle(example1, "pure")
     assert (orc3.status, orc3.infimum) == (ATTAINED, 0)
     assert orc3.solution[0] == (0,)
 
@@ -518,52 +517,42 @@ def test_pure_oracle_pays_no_cone_check(example1, monkeypatch):
 
     monkeypatch.setattr(lattice, "_projection_bounded", refuse)
     for inst, want in ((example1, (0, (0,), (0,))), (make_tie(), (0, (0,), (1,)))):
-        orc = reference_oracle(inst, "pure", CFG)
+        orc = reference_oracle(inst, "pure")
         assert type(orc.infimum) is Fraction
         assert (orc.infimum, orc.solution[0], orc.solution[1].entries) == want
 
 
 def test_disagreement_names_each_failed_check():
     inst = make_flipped()
-    searched, oracled = solve_mixed(inst, config=CFG), reference_oracle(inst, "mixed", CFG)
-    assert disagreement(inst, searched, oracled, CFG) is None
-    assert "vs" in disagreement(inst, searched, replace(oracled, status=UNATTAINED), CFG)
+    searched, oracled = solve_mixed(inst), reference_oracle(inst, "mixed")
+    assert disagreement(inst, searched, oracled) is None
+    assert "vs" in disagreement(inst, searched, replace(oracled, status=UNATTAINED))
     tiny = Fraction(1, 10**6)
     assert "denominator cap" in disagreement(
         inst, replace(searched, status=UNATTAINED, infimum=tiny),
-        replace(oracled, status=UNATTAINED, infimum=tiny), CFG)
+        replace(oracled, status=UNATTAINED, infimum=tiny))
     off_response = replace(searched, solution=((1,), QVector([0])))
-    assert disagreement(inst, off_response, oracled, CFG) == (
+    assert disagreement(inst, off_response, oracled) == (
         "search solution is not bilevel feasible")
     worse_point = replace(oracled, solution=((1,), QVector([1])))
-    assert disagreement(inst, searched, worse_point, CFG) == (
+    assert disagreement(inst, searched, worse_point) == (
         "oracle solution has value 2, not 0")
 
 
 def test_disagreement_requires_the_oracles_pure_optimum():
     # both tie points are optimal; a pure report must name the oracle's own
     tie = make_tie()
-    searched, oracled = solve_pure(tie, config=CFG), reference_oracle(tie, "pure", CFG)
+    searched, oracled = solve_pure(tie), reference_oracle(tie, "pure")
     assert (oracled.solution[0], oracled.solution[1].entries) == ((0,), (1,))
-    assert disagreement(tie, searched, oracled, CFG, variant="pure") is None
+    assert disagreement(tie, searched, oracled, variant="pure") is None
     z_first = replace(searched, solution=((1,), QVector([0])))
-    assert disagreement(tie, z_first, oracled, CFG, variant="pure") == (
+    assert disagreement(tie, z_first, oracled, variant="pure") == (
         "search (x*, z*) ((1,), QVector([0])) is not the oracle's ((0,), QVector([1]))")
     # a lex-smaller search x* fails the mixed rule too: x* must be the oracle's
     lex_above = replace(oracled, solution=z_first.solution)
-    assert disagreement(tie, searched, lex_above, CFG) == (
+    assert disagreement(tie, searched, lex_above) == (
         "search x* (0,) is not the oracle's (1,)")
-    assert "is not the oracle's" in disagreement(tie, searched, lex_above, CFG, variant="pure")
-
-
-def _plant(monkeypatch, home, name, fault):
-    """Replace home.name by fault(home.name) in every module of the package
-    that binds it, so that every caller sees the planted fault."""
-    real = getattr(home, name)
-    planted = fault(real)
-    for mod_name, mod in list(sys.modules.items()):
-        if mod_name.startswith("bilevel_exact") and getattr(mod, name, None) is real:
-            monkeypatch.setattr(mod, name, planted)
+    assert "is not the oracle's" in disagreement(tie, searched, lex_above, variant="pure")
 
 
 def test_oracle_catches_a_lost_cell(mixed_batch, monkeypatch):
@@ -572,10 +561,9 @@ def test_oracle_catches_a_lost_cell(mixed_batch, monkeypatch):
     def drop_last(real):
         return lambda *args, **kwargs: iter(list(real(*args, **kwargs))[:-1])
 
-    _plant(monkeypatch, cells, "valid_cells", drop_last)
+    support.plant(monkeypatch, cells, "valid_cells", drop_last)
     rows, _ = mixed_batch
-    assert any(disagreement(inst, solve_mixed(inst, config=CFG),
-                            reference_oracle(inst, "mixed", CFG), CFG)
+    assert any(disagreement(inst, solve_mixed(inst), reference_oracle(inst, "mixed"))
                for inst, _, _ in rows)
 
 
@@ -583,15 +571,14 @@ def test_pure_oracle_catches_a_lost_leader_point(pure_batch, monkeypatch):
     # the integer walk loses its last leader z (trailing-range calls only,
     # so the cell candidates over x are intact)
     def drop_last_z(real):
-        def walk(rows, rhs, total_dim, coords, config, budget):
-            out = real(rows, rhs, total_dim, coords, config, budget)
+        def walk(rows, rhs, total_dim, coords, budget):
+            out = real(rows, rhs, total_dim, coords, budget)
             return out[:-1] if coords.start > 0 else out
         return walk
 
-    _plant(monkeypatch, lattice, "integer_candidates", drop_last_z)
+    support.plant(monkeypatch, lattice, "integer_candidates", drop_last_z)
     rows, _ = pure_batch
-    assert any(disagreement(inst, solve_pure(inst, config=CFG),
-                            reference_oracle(inst, "pure", CFG), CFG, variant="pure")
+    assert any(disagreement(inst, solve_pure(inst), reference_oracle(inst, "pure"), variant="pure")
                for inst, _, _ in rows)
 
 
@@ -602,14 +589,14 @@ def test_lp_free_reference_catches_a_search_past_the_optimum(pure_batch, monkeyp
     # ref_pure_no_lp, which reads nothing of the package
     real = lattice.IntegerSearch._round
 
-    def past_optimum(search, rhs, config, fixed):
-        found = real(search, rhs, config, fixed)
+    def past_optimum(search, rhs, fixed):
+        found = real(search, rhs, fixed)
         if found is None or fixed:
             return found
         step = -1 if search.cost[0] < 0 else 1
-        return real(search, rhs, config, (found[0][0] + step,)) or found
+        return real(search, rhs, (found[0][0] + step,)) or found
 
     monkeypatch.setattr(lattice.IntegerSearch, "_round", past_optimum)
     rows, _ = pure_batch
-    assert any(support.reference_record(solve_pure(inst, config=CFG), pure=True)
+    assert any(support.reference_record(solve_pure(inst), pure=True)
                != support.ref_pure_no_lp(inst) for inst, _, _ in rows)

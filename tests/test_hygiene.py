@@ -1,8 +1,8 @@
 """Source hygiene of the package, checked with the stdlib `ast` module: no
-module imports a name it never uses, every SolverConfig field is read
-somewhere, every function that takes a `config` parameter uses it, and every
-top-level function and class is named somewhere in the package, so dead
-imports, dead knobs, unread arguments and dead definitions cannot come back
+module imports a name it never uses, each cap constant is defined and read
+in the module that checks it, no function takes a `config` parameter, and
+every top-level function and class is named somewhere in the package, so
+dead imports, dead caps, cap options and dead definitions cannot come back
 unnoticed. The reference oracle reaches none of the engines' enumerations,
 so it stays an independent second computation, and neither solve path
 reaches the bisection and reconstruction search. The LP kernel reads no row
@@ -47,37 +47,32 @@ def test_no_unused_imports(name):
 
 
 def test_every_config_field_is_read():
-    cls = next(n for n in ast.walk(_tree("config.py"))
-               if isinstance(n, ast.ClassDef) and n.name == "SolverConfig")
-    fields = {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
-    read = set()
+    # the caps that were once a configuration's fields: each is a module
+    # constant, defined and read in the module whose check reads it alone,
+    # never passed down as an argument
+    homes = {"defined": {}, "read": {}}
     for name in MODULES:
         for node in ast.walk(_tree(name)):
-            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                base = node.value
-                base_name = base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
-                if base_name == "config":
-                    read.add(node.attr)
-    assert sorted(fields - read) == []
+            if isinstance(node, ast.Name) and node.id.endswith("_CAP"):
+                kind = "defined" if isinstance(node.ctx, ast.Store) else "read"
+                homes[kind].setdefault(node.id, set()).add(name)
+    want = {cap: {module.__name__.rsplit(".", 1)[1] + ".py"}
+            for module, cap in support.CAPS.values()}
+    assert homes == {"defined": want, "read": want}
 
 
-def _functions_ignoring_config(tree):
-    """Names of the functions with a `config` parameter whose body never
-    mentions `config`."""
-    out = []
-    for node in ast.walk(tree):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            params = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
-            if any(a.arg == "config" for a in params):
-                body = ast.Module(body=node.body, type_ignores=[])
-                if "config" not in _used_names(body):
-                    out.append(node.name)
-    return out
+def _functions_taking_config(tree):
+    """Names of the functions with a `config` parameter."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and any(a.arg == "config" for a in
+                    node.args.posonlyargs + node.args.args + node.args.kwonlyargs)]
 
 
 @pytest.mark.parametrize("name", MODULES)
 def test_every_config_parameter_is_used(name):
-    assert _functions_ignoring_config(_tree(name)) == []
+    # there is none to use: no function takes a `config`
+    assert _functions_taking_config(_tree(name)) == []
 
 
 def _referenced_names(tree):

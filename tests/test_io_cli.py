@@ -1,4 +1,3 @@
-import functools
 import json
 import os
 import random
@@ -11,10 +10,10 @@ import pytest
 
 import support
 from conftest import PURE_SEED
-from bilevel_exact import (SolverConfig, ValidationError, disagreement, instance_to_json,
-                           load_instance, parse_and_validate, parse_instance, random_instance,
+from bilevel_exact import (ValidationError, disagreement, instance_to_json, load_instance,
+                           parse_and_validate, parse_instance, random_instance,
                            reference_oracle, report_to_json, solve_mixed, solve_pure)
-from bilevel_exact import cli, decide, engine
+from bilevel_exact import cli, engine
 from bilevel_exact.cli import cli_main
 from bilevel_exact.instance_io import render_text
 
@@ -465,14 +464,6 @@ def test_ab_inprocess_script_runs_one_checkout_against_itself():
             assert parent == change and int(parent) > 0
 
 
-def _with_config(monkeypatch, config):
-    """Route the CLI's solves and mixed decide queries through `config`; the
-    CLI has no cap flags."""
-    monkeypatch.setattr(cli, "solve_mixed", functools.partial(engine.solve_mixed, config=config))
-    monkeypatch.setattr(cli, "solve_pure", functools.partial(engine.solve_pure, config=config))
-    monkeypatch.setattr(cli, "decide_le", functools.partial(decide.decide_le, config=config))
-
-
 @pytest.mark.parametrize("field, words, mode", [
     ("cell_cap", "cell enumeration cap", "mixed"),
     ("node_cap", "node cap", "mixed"),
@@ -480,7 +471,8 @@ def _with_config(monkeypatch, config):
     ("node_cap", "node cap", "pure"),
 ])
 def test_cli_cap_hit_names_the_cap(field, words, mode, example1_path, monkeypatch, capsys):
-    _with_config(monkeypatch, SolverConfig(**{field: 0}))
+    # the CLI has no cap flags: the test lowers the cap's constant
+    monkeypatch.setattr(*support.CAPS[field], 0)
     assert cli_main(["solve", example1_path, "--mode", mode]) == 3
     err = capsys.readouterr().err
     line = next(ln for ln in err.splitlines() if ln.startswith("resource limit:"))
@@ -489,7 +481,7 @@ def test_cli_cap_hit_names_the_cap(field, words, mode, example1_path, monkeypatc
 
 def test_cli_decide_cap_hit_names_the_cap(example1_path, monkeypatch, capsys):
     # a cold mixed query walks the cells itself, under the same cell_cap
-    _with_config(monkeypatch, SolverConfig(cell_cap=0))
+    monkeypatch.setattr(*support.CAPS["cell_cap"], 0)
     assert cli_main(["decide", example1_path, "--alpha", "0"]) == 3
     err = capsys.readouterr().err
     assert any(ln.startswith("resource limit: cell_cap=0:") for ln in err.splitlines())

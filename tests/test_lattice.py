@@ -5,10 +5,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (DEFAULT_CONFIG, EQ, INFEASIBLE, LE, BoundednessError, Instance,
+from bilevel_exact import (EQ, INFEASIBLE, LE, BoundednessError, Instance,
                            InternalInvariantError, LinearSystem, QVector, ResourceLimitError,
-                           SolverConfig, enumerate_integers, integer_min, lattice, lp_solve,
-                           mixed_feasible, row_eq, row_le, row_lt, solve_mixed)
+                           enumerate_integers, integer_min, lattice, lp_solve, mixed_feasible,
+                           row_eq, row_le, row_lt, solve_mixed)
 from bilevel_exact.lattice import IntegerSearch, LexMin, integer_candidates
 from bilevel_exact.linear import RhsFamily, lp_range
 
@@ -30,68 +30,68 @@ def boxed_systems(dim=2, side=4):
 
 def test_integer_min_interval():
     s = LinearSystem(1, (row_le([-1], Fraction(-1, 2)), row_le([1], Fraction(5, 2))))
-    out = integer_min(QVector([1]), s, config=DEFAULT_CONFIG)
+    out = integer_min(QVector([1]), s)
     assert out.tag == "optimal" and out.value == 1 and out.point.entries == (1,)
-    out2 = integer_min(QVector([-1]), s, config=DEFAULT_CONFIG)
+    out2 = integer_min(QVector([-1]), s)
     assert out2.value == -2 and out2.point.entries == (2,)
 
 
 def test_integer_min_infeasible_gap():
     # continuous relaxation nonempty but no integer point in (0, 1)
     s = LinearSystem(1, (row_le([-2], -1), row_le([2], 1)))
-    assert integer_min(QVector([1]), s, config=DEFAULT_CONFIG).tag == "infeasible"
+    assert integer_min(QVector([1]), s).tag == "infeasible"
 
 
 def test_integer_min_lex_tiebreak():
     box = LinearSystem(2, (row_le([1, 0], 2), row_le([0, 1], 2),
                            row_le([-1, 0], 0), row_le([0, -1], 0)))
-    out = integer_min(QVector([0, 0]), box, config=DEFAULT_CONFIG)
+    out = integer_min(QVector([0, 0]), box)
     assert out.point.entries == (0, 0)
     # min x - y: value -2 at both (0,2); lex picks x first
-    out2 = integer_min(QVector([1, -1]), box, config=DEFAULT_CONFIG)
+    out2 = integer_min(QVector([1, -1]), box)
     assert out2.value == -2 and out2.point.entries == (0, 2)
 
 
 def test_integer_min_guards():
     with pytest.raises(ValueError):
-        integer_min(QVector([1]), LinearSystem(1, (row_lt([1], 1),)), config=DEFAULT_CONFIG)
+        integer_min(QVector([1]), LinearSystem(1, (row_lt([1], 1),)))
     with pytest.raises(BoundednessError):
-        integer_min(QVector([1]), LinearSystem(1, (row_le([-1], 0),)), config=DEFAULT_CONFIG)
+        integer_min(QVector([1]), LinearSystem(1, (row_le([-1], 0),)))
 
 
 def test_enumerate_and_mixed_feasible_guards():
     # no boundedness proof is carried, so the cone LPs still run and still refuse
     half_line = LinearSystem(1, (row_le([-1], 0),))
     with pytest.raises(BoundednessError):
-        enumerate_integers(half_line, DEFAULT_CONFIG)
+        enumerate_integers(half_line)
     with pytest.raises(BoundednessError):
-        mixed_feasible(half_line, range(1), DEFAULT_CONFIG)
+        mixed_feasible(half_line, range(1))
     # bounded in the integer coordinate, unbounded in the continuous one: fine
     strip = LinearSystem(2, (row_le([1, 0], 1), row_le([-1, 0], 0), row_le([0, -1], 0)))
-    assert mixed_feasible(strip, [0], DEFAULT_CONFIG) is not None
+    assert mixed_feasible(strip, [0]) is not None
     with pytest.raises(BoundednessError):
-        mixed_feasible(strip, [1], DEFAULT_CONFIG)
+        mixed_feasible(strip, [1])
     # an integer coordinate index outside the system is refused before any LP
     for coords in ([2], [-1], range(3)):
         with pytest.raises(ValueError, match="out of range"):
-            mixed_feasible(strip, coords, DEFAULT_CONFIG)
+            mixed_feasible(strip, coords)
     # "=" rows reach the cone LPs as they are: x - y = 0 with 0 <= x <= 1
     # is the segment from (0, 0) to (1, 1), and with x >= 0 alone a ray
     segment = LinearSystem(2, (row_eq([1, -1], 0), row_le([1, 0], 1), row_le([-1, 0], 0)))
-    assert enumerate_integers(segment, DEFAULT_CONFIG) == [QVector([0, 0]), QVector([1, 1])]
-    assert mixed_feasible(segment, range(2), DEFAULT_CONFIG) in (QVector([0, 0]), QVector([1, 1]))
+    assert enumerate_integers(segment) == [QVector([0, 0]), QVector([1, 1])]
+    assert mixed_feasible(segment, range(2)) in (QVector([0, 0]), QVector([1, 1]))
     ray = LinearSystem(2, (row_eq([1, -1], 0), row_le([-1, 0], 0)))
     with pytest.raises(BoundednessError):
-        enumerate_integers(ray, DEFAULT_CONFIG)
+        enumerate_integers(ray)
     with pytest.raises(BoundednessError):
-        mixed_feasible(ray, range(2), DEFAULT_CONFIG)
+        mixed_feasible(ray, range(2))
 
 
 @settings(max_examples=40)
 @given(boxed_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_integer_min_matches_grid_scan(sys_, obj):
     pts = support.brute_integer_points(sys_, -4, 4)
-    out = integer_min(QVector(obj), sys_, config=DEFAULT_CONFIG)
+    out = integer_min(QVector(obj), sys_)
     if not pts:
         assert out.tag == "infeasible"
         return
@@ -106,7 +106,7 @@ def test_integer_min_matches_grid_scan(sys_, obj):
 @given(boxed_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_integer_min_value_matches_grid_scan(sys_, obj):
     pts = support.brute_integer_points(sys_, -4, 4)
-    got = integer_min(QVector(obj), sys_, DEFAULT_CONFIG).value
+    got = integer_min(QVector(obj), sys_).value
     if not pts:
         assert got is None
         return
@@ -118,7 +118,7 @@ def test_integer_min_value_searches_past_the_first_incumbent():
     # only the later upper branches reach the optimum (3, 2) of value -4
     sys_ = LinearSystem(2, (row_le([-1, 0], 0), row_le([0, -1], 0), row_le([1, 0], 3),
                             row_le([0, 1], 3), row_le([4, -4], 6), row_le([-1, 1], 1)))
-    out = integer_min(QVector([-2, 1]), sys_, config=DEFAULT_CONFIG)
+    out = integer_min(QVector([-2, 1]), sys_)
     assert out.value == -4 and out.point.entries == (3, 2)
 
 
@@ -136,27 +136,28 @@ def two_row_systems():
 @given(two_row_systems(), st.lists(st.integers(-3, 3), min_size=2, max_size=2))
 def test_integer_min_value_matches_grid_scan_on_two_row_systems(sys_, obj):
     pts = support.brute_integer_points(sys_, -4, 4)
-    got = integer_min(QVector(obj), sys_, DEFAULT_CONFIG).value
+    got = integer_min(QVector(obj), sys_).value
     want = min((sum(o * v for o, v in zip(obj, p)) for p in pts), default=None)
     assert got == want
 
 
 def test_integer_min_value_guards():
     with pytest.raises(ValueError):
-        integer_min(QVector([1]), LinearSystem(1, (row_lt([1], 1),)), DEFAULT_CONFIG)
+        integer_min(QVector([1]), LinearSystem(1, (row_lt([1], 1),)))
     with pytest.raises(ValueError):
-        integer_min(QVector([1, 0]), LinearSystem(1, (row_le([1], 1),)), DEFAULT_CONFIG)
+        integer_min(QVector([1, 0]), LinearSystem(1, (row_le([1], 1),)))
     with pytest.raises(BoundednessError):
-        integer_min(QVector([1]), LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
+        integer_min(QVector([1]), LinearSystem(1, (row_le([-1], 0),)))
 
 
 def test_enumerate_integers_interval():
     s = LinearSystem(1, (row_le([-1], Fraction(-1, 2)), row_le([1], Fraction(5, 2))))
-    assert [p.entries for p in enumerate_integers(s, DEFAULT_CONFIG)] == [(1,), (2,)]
+    assert [p.entries for p in enumerate_integers(s)] == [(1,), (2,)]
     # each integer value the walk tries counts against cell_cap
-    with pytest.raises(ResourceLimitError, match="^cell_cap=1:"):
-        enumerate_integers(s, SolverConfig(cell_cap=1))
-    assert [p.entries for p in enumerate_integers(s, SolverConfig(cell_cap=2))] == [(1,), (2,)]
+    with support.caps(cell_cap=1), pytest.raises(ResourceLimitError, match="^cell_cap=1:"):
+        enumerate_integers(s)
+    with support.caps(cell_cap=2):
+        assert [p.entries for p in enumerate_integers(s)] == [(1,), (2,)]
     # no coordinates: the empty point, when the constant rows hold
     assert [p.entries for p in enumerate_integers(LinearSystem(0, ()))] == [()]
     assert enumerate_integers(LinearSystem(0, (row_le([], -1),))) == []
@@ -165,7 +166,7 @@ def test_enumerate_integers_interval():
 @settings(max_examples=40)
 @given(boxed_systems())
 def test_enumerate_integers_matches_grid_scan(sys_):
-    got = [tuple(int(v) for v in p.entries) for p in enumerate_integers(sys_, DEFAULT_CONFIG)]
+    got = [tuple(int(v) for v in p.entries) for p in enumerate_integers(sys_)]
     assert got == support.brute_integer_points(sys_, -4, 4)
     assert got == sorted(got)
 
@@ -213,11 +214,12 @@ def test_integer_candidates_lists_feasible_prefixes(sys_, coords):
         tried += len(want)
     rows, rhs = sys_.rows, sys_.rhs
     budget = [0]
-    assert integer_candidates(rows, rhs, 3, coords, DEFAULT_CONFIG, budget) == want
+    assert integer_candidates(rows, rhs, 3, coords, budget) == want
     assert budget == [tried]
     if tried:
-        with pytest.raises(ResourceLimitError, match=f"^cell_cap={tried - 1}:"):
-            integer_candidates(rows, rhs, 3, coords, SolverConfig(cell_cap=tried - 1), [0])
+        with support.caps(cell_cap=tried - 1), pytest.raises(
+                ResourceLimitError, match=f"^cell_cap={tried - 1}:"):
+            integer_candidates(rows, rhs, 3, coords, [0])
 
 
 @pytest.mark.parametrize("dim, extra, cost, searches", [
@@ -258,7 +260,7 @@ def test_lex_min_searches_only_the_coordinates_left_free(dim, extra, cost, searc
         rhs = [2] * (2 * dim) + list(sides)
         system = LinearSystem(dim, zip(rows, rhs))
         points = support.brute_integer_points(system, -2, 2)
-        got = search.solve(rhs, DEFAULT_CONFIG)
+        got = search.solve(rhs)
         if not points:
             assert got is None
             continue
@@ -308,14 +310,15 @@ def test_one_variable_searches_match_the_scan(case):
     points = [x for x in range(-6, 7)
               if all(a * x <= b if rel == LE else a * x == b for ((a,), rel), b in zip(rows, rhs))
               and (not fixed or x == fixed[0])]
-    got = IntegerSearch(1, rows, range(1), cost).minimize(rhs, SolverConfig(node_cap=1), fixed)
-    if not points:
-        assert got is None
-    else:
-        assert got == ([max(points) if cost[0] < 0 else min(points)], 1)
-    if not fixed:
-        want = None if got is None else (cost[0] * got[0][0], got[0])
-        assert LexMin(1, rows, cost).solve(rhs, SolverConfig(node_cap=1)) == want
+    with support.caps(node_cap=1):
+        got = IntegerSearch(1, rows, range(1), cost).minimize(rhs, fixed)
+        if not points:
+            assert got is None
+        else:
+            assert got == ([max(points) if cost[0] < 0 else min(points)], 1)
+        if not fixed:
+            want = None if got is None else (cost[0] * got[0][0], got[0])
+            assert LexMin(1, rows, cost).solve(rhs) == want
     # the one-variable LP reads the same ends of the line as the rounding;
     # the vertex scan judges its value or "infeasible", and unique(), which
     # holds exactly at a nonzero cost, and then at the scan's one optimum
@@ -338,21 +341,21 @@ LINE = [((1,), LE), ((-1,), LE)]
 
 def test_one_variable_search_keeps_its_checks(monkeypatch):
     search = IntegerSearch(1, LINE + [((2,), EQ)], range(1), (1,))
-    assert search.minimize([3, 3, 2], DEFAULT_CONFIG) == ([1], 1)
+    assert search.minimize([3, 3, 2]) == ([1], 1)
     # the rounding is one node
-    with pytest.raises(ResourceLimitError, match="^node_cap=0: branch and bound node cap"):
-        search.minimize([3, 3, 2], SolverConfig(node_cap=0))
+    with support.caps(node_cap=0), pytest.raises(
+            ResourceLimitError, match="^node_cap=0: branch and bound node cap"):
+        search.minimize([3, 3, 2])
     # rows that leave the line open on either side break the contract
     for row in ((1,), (-1,)):
         with pytest.raises(BoundednessError):
-            IntegerSearch(1, [(row, LE), ((0,), LE)], range(1), (1,)).minimize(
-                [3, 0], DEFAULT_CONFIG)
+            IntegerSearch(1, [(row, LE), ((0,), LE)], range(1), (1,)).minimize([3, 0])
     # a point off the rows is fatal: past the "<=" rows, or off the "=" row,
     # planted as the line's ends that the search rounds
     for x in (4, 0):
         monkeypatch.setattr(lattice, "_line_ends", lambda *args, x=x: ((x, 1), (x, 1)))
         with pytest.raises(InternalInvariantError):
-            search.minimize([3, 3, 2], DEFAULT_CONFIG)
+            search.minimize([3, 3, 2])
 
 
 @pytest.mark.parametrize("build, message", [
@@ -360,36 +363,39 @@ def test_one_variable_search_keeps_its_checks(monkeypatch):
      "^a row of 2 entries for dim = 1$"),
     (lambda: IntegerSearch(1, LINE, range(1), ()), "^a cost of 0 entries for dim = 1$"),
     (lambda: LexMin(1, LINE, (1, 0)), "^a cost of 2 entries for dim = 1$"),
-    (lambda: IntegerSearch(1, LINE, range(1), (1,)).minimize([2, 2, 2], SolverConfig(node_cap=0)),
+    (lambda: IntegerSearch(1, LINE, range(1), (1,)).minimize([2, 2, 2]),
      "^2 rows but 3 right-hand sides$"),
-    (lambda: IntegerSearch(1, LINE, range(1), (1,)).minimize([2], SolverConfig(node_cap=0)),
+    (lambda: IntegerSearch(1, LINE, range(1), (1,)).minimize([2]),
      "^2 rows but 1 right-hand sides$"),
     # branch and bound counts the caller's rows, not its own bound rows
-    (lambda: IntegerSearch(2, BOX_ROWS, range(2), (1, 1)).minimize([2] * 5,
-                                                                   SolverConfig(node_cap=0)),
+    (lambda: IntegerSearch(2, BOX_ROWS, range(2), (1, 1)).minimize([2] * 5),
      "^4 rows but 5 right-hand sides$"),
+    # x < 2 is no "<=" row: the family refuses it rather than read it as x <= 2
+    (lambda: IntegerSearch(1, [((1,), "<"), ((-1,), LE)], range(1), (-1,)),
+     "^an LP family takes '<=' and '=' rows and constant '<' rows, not \\(1,\\) <$"),
 ])
 def test_integer_search_rejects_rows_of_another_length(build, message):
-    # the family's three ValueErrors, the right-hand sides' before any node
-    with pytest.raises(ValueError, match=message):
+    # the family's ValueErrors, the right-hand sides' before any node: each
+    # case runs with no node to spare
+    with support.caps(node_cap=0), pytest.raises(ValueError, match=message):
         build()
 
 
 def test_mixed_feasible_follower_slice():
     # the bundled example's follower at z = 1/2: integer x with x >= 1/2, 0 <= x <= 1
     s = LinearSystem(1, (row_le([-1], Fraction(-1, 2)), row_le([1], 1), row_le([-1], 0)))
-    pt = mixed_feasible(s, range(1), DEFAULT_CONFIG)
+    pt = mixed_feasible(s, range(1))
     assert pt is not None and pt.entries == (1,)
 
 
 def test_mixed_feasible_partial_pattern():
     # x integer, y continuous: x = 1/2 impossible, but (1, 1/2) works
     s = LinearSystem(2, (row_eq([2, 0], 2), row_eq([0, 2], 1)))
-    pt = mixed_feasible(s, [0], DEFAULT_CONFIG)
+    pt = mixed_feasible(s, [0])
     assert pt is not None
     assert pt.entries == (1, Fraction(1, 2))
     # forcing the continuous coordinate into the integer set kills it
-    assert mixed_feasible(s, range(2), DEFAULT_CONFIG) is None
+    assert mixed_feasible(s, range(2)) is None
 
 
 @settings(max_examples=40)
@@ -398,7 +404,7 @@ def test_mixed_feasible_agrees_with_scan(sys_):
     # the integer coordinate is the first one, then the second one
     for i in (0, 1):
         unit = [int(j == i) for j in range(2)]
-        pt = mixed_feasible(sys_, [i], DEFAULT_CONFIG)
+        pt = mixed_feasible(sys_, [i])
         if pt is not None:
             assert pt[i].denominator == 1
             assert all(support.row_holds(r, pt, closed=True) for r in support.pairs(sys_))
@@ -419,7 +425,7 @@ def test_integer_objectives_give_the_qvector_outcomes(sys_, obj):
         for sense in ("min", "max"):
             assert lp_solve(sys_, given_as, sense) == lp_solve(sys_, q, sense)
         assert lp_range(sys_, given_as) == lp_range(sys_, q)
-        assert integer_min(given_as, sys_, DEFAULT_CONFIG) == integer_min(q, sys_, DEFAULT_CONFIG)
+        assert integer_min(given_as, sys_) == integer_min(q, sys_)
 
 
 @pytest.mark.parametrize("objective", [(1.0, 0), (1, 0.5), (True, 0), ("1", 0), (1,), (1, 0, 0)])
@@ -428,7 +434,7 @@ def test_objective_of_other_entries_or_length_raises(objective):
                            row_le([0, 1], 2), row_le([0, -1], 2)))
     # a QVector is no way around the entry rule: 0.5 would become 1/2
     for call in (lambda: lp_solve(box, objective), lambda: lp_range(box, objective),
-                 lambda: integer_min(objective, box, DEFAULT_CONFIG),
+                 lambda: integer_min(objective, box),
                  lambda: lp_solve(box, QVector(objective))):
         with pytest.raises(ValueError):
             call()
@@ -475,11 +481,11 @@ def test_one_warm_search_matches_the_grid_scan_and_fresh_searches(case, cost):
         system = LinearSystem(2, [*zip(rows, rhs)] + [row_eq([int(k == i) for k in range(2)], v)
                                                       for i, v in enumerate(fixed)])
         points = support.brute_integer_points(system, -4, 4)
-        got = search.minimize(rhs, DEFAULT_CONFIG, fixed)
-        fresh = IntegerSearch(2, rows, range(2), cost).minimize(rhs, DEFAULT_CONFIG, fixed)
+        got = search.minimize(rhs, fixed)
+        fresh = IntegerSearch(2, rows, range(2), cost).minimize(rhs, fixed)
         if not fixed:
-            lexed = lex.solve(rhs, DEFAULT_CONFIG)
-            assert lexed == LexMin(2, rows, cost).solve(rhs, DEFAULT_CONFIG)
+            lexed = lex.solve(rhs)
+            assert lexed == LexMin(2, rows, cost).solve(rhs)
         if not points:
             assert got is None and fresh is None
             if not fixed:

@@ -6,8 +6,8 @@ from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
 import support
-from bilevel_exact import (LE, EQ, LT, DEFAULT_CONFIG, InternalInvariantError, LinearSystem,
-                           QVector, ResourceLimitError, SolverConfig,
+from bilevel_exact import (LE, EQ, LT, InternalInvariantError, LinearSystem,
+                           QVector, ResourceLimitError,
                            affinely_independent_vertices, integer_min, lp_solve,
                            recession_bounded, row_eq,
                            row_le, row_lt, strict_feasible_point, vertices)
@@ -382,33 +382,34 @@ def test_strict_point_satisfies_all_rows(sys_, strict_rows):
 
 
 def test_vertices_box():
-    vs = [v.entries for v in vertices(BOX, DEFAULT_CONFIG)]
+    vs = [v.entries for v in vertices(BOX)]
     assert vs == [(0, 0), (0, 3), (2, 0), (2, 3)]
 
 
 def test_vertices_take_closure_of_strict_rows():
     half_open = LinearSystem(1, (row_lt([1], 1), row_le([-1], 0)))
-    assert [v.entries for v in vertices(half_open, DEFAULT_CONFIG)] == [(0,), (1,)]
+    assert [v.entries for v in vertices(half_open)] == [(0,), (1,)]
 
 
 def test_vertices_unbounded_raises():
     with pytest.raises(ValueError):
-        vertices(LinearSystem(1, (row_le([-1], 0),)), DEFAULT_CONFIG)
+        vertices(LinearSystem(1, (row_le([-1], 0),)))
 
 
 @settings(max_examples=40)
 @given(small_systems())
 def test_vertices_match_brute_enumeration(sys_):
-    got = sorted(tuple(v.entries) for v in vertices(sys_, DEFAULT_CONFIG))
+    got = sorted(tuple(v.entries) for v in vertices(sys_))
     want = sorted(tuple(p) for p in support.ref_vertices(sys_))
     assert got == want
 
 
 def test_vertices_basis_cap_names_the_cap():
-    # C(4, 2) = 6 bases on the box; the cap error names its SolverConfig field
-    with pytest.raises(ResourceLimitError, match="^basis_cap=0:"):
-        vertices(BOX, SolverConfig(basis_cap=0))
-    assert len(vertices(BOX, SolverConfig(basis_cap=6))) == 4
+    # C(4, 2) = 6 bases on the box; the cap error names the cap
+    with support.caps(basis_cap=0), pytest.raises(ResourceLimitError, match="^basis_cap=0:"):
+        vertices(BOX)
+    with support.caps(basis_cap=6):
+        assert len(vertices(BOX)) == 4
 
 
 def walk_systems():
@@ -738,16 +739,23 @@ BOX_ROWS = [((1, 0), LE), ((0, 1), LE), ((-1, 0), LE), ((0, -1), LE)]
      "^5 rows but 6 right-hand sides$"),
     (lambda: linear.StrictFamily(2, [((1, 1), "<")] + BOX_ROWS).point([3, 2, 3, 0]),
      "^5 rows but 4 right-hand sides$"),
+    (lambda: linear.RhsFamily(1, [((1,), "<"), ((-1,), LE)], (-1,)),
+     "^an LP family takes '<=' and '=' rows and constant '<' rows, not \\(1,\\) <$"),
+    (lambda: linear.RhsFamily(1, [((1,), ">=")], (-1,)), r"not \(1,\) >=$"),
+    (lambda: linear.RhsFamily(2, [((0, 0), ">=")] + BOX_ROWS, (-1, -1)), r"not \(0, 0\) >=$"),
 ], ids=["long row", "short cost", "short strict row", "long row with a zero",
         "long cost of a sibling", "long rhs", "short rhs", "short rhs with a constant row",
         "long rhs with an = row", "long rhs of a span", "long rhs of a strict family",
-        "short rhs of a strict family"])
+        "short rhs of a strict family", "nonconstant strict row", "unknown relation",
+        "unknown relation of a constant row"])
 def test_families_reject_rows_and_costs_of_another_length(build, message, monkeypatch):
     # a row or a cost of another length than dim is refused when the family
     # is built, not cut to dim by zip, lifted into another row, or left to
     # fail in the kernel; a StrictFamily's lifted family names its dim + 1.
     # An rhs of another length than the rows is refused by the solve, before
-    # any pivot, not cut to the rows or left to fail on an index
+    # any pivot, not cut to the rows or left to fail on an index. A row whose
+    # relation the kernel would read as "<=", a nonconstant "<" row or an
+    # unknown relation, is refused when the family is built
     def refuse(*args):
         raise AssertionError("a solve reached the kernel")
 
@@ -1021,4 +1029,4 @@ def test_vertices_raise_on_a_half_line():
     half_line = LinearSystem(1, (row_le([-1], 0),))
     for sys_ in (half_line, half_line.with_rows([row_le([-1], 3)])):
         with pytest.raises(ValueError, match="unbounded"):
-            vertices(sys_, DEFAULT_CONFIG)
+            vertices(sys_)
