@@ -20,10 +20,12 @@ is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 After the timed runs, one untimed pass of every op on each side counts its
 RhsFamily.solve calls, its basis exchanges, as linear._dual_simplex_min
-reports them, and its lattice.IntegerSearch.minimize calls: deterministic
-work counters that the script prints per side too, each on a line of its
-own, so that a kernel change shows whether it pivots as before and a search
-change whether it keeps every search while it solves fewer LPs.
+reports them, its lattice.IntegerSearch.minimize calls and its
+linear.StrictFamily.point calls: deterministic work counters that the
+script prints per side too, each on a line of its own, so that a kernel
+change shows whether it pivots as before, a search change whether it keeps
+every search while it solves fewer LPs, and a change to the strict layer
+how many strict-feasibility checks it runs.
 """
 from __future__ import annotations
 
@@ -89,14 +91,15 @@ def _op_runner(modules: dict, plan: dict):
 
 
 def _kernel_work(modules: dict, run, count: int) -> tuple:
-    """(solves, exchanges, searches): the RhsFamily.solve calls of one
-    untimed pass of ops 0..count-1, the basis exchanges of its kernel calls
-    and its IntegerSearch.minimize calls."""
+    """(solves, exchanges, searches, strict checks): the RhsFamily.solve
+    calls of one untimed pass of ops 0..count-1, the basis exchanges of its
+    kernel calls, its IntegerSearch.minimize calls and its
+    StrictFamily.point calls."""
     linear, search = modules["linear"], modules["lattice"].IntegerSearch
-    family = linear.RhsFamily
-    solve, minimize = family.solve, search.minimize
+    family, strict = linear.RhsFamily, linear.StrictFamily
+    solve, minimize, point = family.solve, search.minimize, strict.point
     kernel = linear._dual_simplex_min
-    calls = [0, 0, 0]
+    calls = [0, 0, 0, 0]
 
     def counting_solve(self, rhs):
         calls[0] += 1
@@ -111,8 +114,13 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
         calls[2] += 1
         return minimize(self, *args)
 
+    def counting_point(self, *args):
+        calls[3] += 1
+        return point(self, *args)
+
     family.solve = counting_solve
     search.minimize = counting_minimize
+    strict.point = counting_point
     linear._dual_simplex_min = counting_kernel
     try:
         for i in range(count):
@@ -120,6 +128,7 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
     finally:
         family.solve = solve
         search.minimize = minimize
+        strict.point = point
         linear._dual_simplex_min = kernel
     return tuple(calls)
 
@@ -168,6 +177,7 @@ def main(argv=None) -> int:
     print(f"RhsFamily solves: parent {work['parent'][0]}, change {work['change'][0]}")
     print(f"basis exchanges: parent {work['parent'][1]}, change {work['change'][1]}")
     print(f"integer searches: parent {work['parent'][2]}, change {work['change'][2]}")
+    print(f"strict checks: parent {work['parent'][3]}, change {work['change'][3]}")
     print(f"answers equal: {'yes' if equal else 'NO'}")
     return 0 if equal else 1
 

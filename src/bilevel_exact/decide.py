@@ -8,7 +8,7 @@ all-integer variant.
 A decide_le query is one floor walk of cells.valid_cells restricted to value
 <= alpha that stops at its first cell: it builds no cell index, no scan and
 no region. The lex-ordered queries (decide_eq, witness_le) are each one pass
-of DecisionScan.hits, the only loop over the indexed cells here. On one cell
+of their DecisionScan's hits, the only loop over the indexed cells here. On one cell
 the objective is affine in z over a half-open region Q, and the thresholds
 alpha for which Q has a point of value <= alpha form a ray, [low, inf) or
 (low, inf), where low is the LP minimum of the objective over the closure of
@@ -88,8 +88,11 @@ class DecisionScan:
         surely meets the row, a value <= alpha query above that value or a
         query at it with `low_inside`: a hit, whose z is None unless
         `witness` asks for it. Any other check is one cold StrictFamily
-        solve, which checks its point again against every row.
+        solve, which checks its point again against every row. A `rel`
+        other than LE or EQ raises ValueError before any item.
         """
+        if rel != LE and rel != EQ:
+            raise ValueError(f"a scan's value row is {LE!r} or {EQ!r}, got {rel!r}")
         alpha = as_rat(alpha)
         inst, q = self.inst, alpha.denominator
         rows = _region_rows(inst) + [(tuple(q * v for v in inst.e), rel)]
@@ -112,15 +115,8 @@ class DecisionScan:
                 raise InternalInvariantError("cell with a point on the value row has no witness")
 
 
-def _scan_for(inst, scan) -> DecisionScan:
-    """`scan`, which must be inst's (else ValueError), or a new one if None."""
-    if scan is not None and scan.inst is not inst and scan.inst != inst:
-        raise ValueError("the scan was built for another instance")
-    return DecisionScan(inst) if scan is None else scan
-
-
-def _first_hit(inst, rel, alpha, scan) -> Optional[tuple]:
-    hit = next(_scan_for(inst, scan).hits(rel, alpha), None)
+def _first_hit(scan: DecisionScan, rel, alpha) -> Optional[tuple]:
+    hit = next(scan.hits(rel, alpha), None)
     return None if hit is None else (hit[0].cell.x, hit[1])
 
 
@@ -129,24 +125,24 @@ def decide_le(inst: Instance, alpha) -> bool:
 
     One floor walk restricted to value <= alpha answers the query and stops
     at its first cell; it builds no cell index. Repeated lex-ordered
-    queries (decide_eq, witness_le) take a DecisionScan built from the same
-    inst, and build one when none is passed.
+    queries (decide_eq, witness_le) take a DecisionScan, which carries its
+    instance.
     """
     return next(valid_cells(inst, as_rat(alpha)), None) is not None
 
 
-def decide_eq(inst: Instance, value, scan: Optional[DecisionScan] = None) -> Optional[tuple]:
+def decide_eq(scan: DecisionScan, value) -> Optional[tuple]:
     """A bilevel-feasible point with objective exactly `value`, or None.
 
     The first cell in lex order whose value slice is strictly realizable
     supplies the witness (x, z).
     """
-    return _first_hit(inst, EQ, value, scan)
+    return _first_hit(scan, EQ, value)
 
 
-def witness_le(inst: Instance, alpha, scan: Optional[DecisionScan] = None) -> Optional[tuple]:
+def witness_le(scan: DecisionScan, alpha) -> Optional[tuple]:
     """Like decide_le but returns the witness (x, z) from the lex-least cell."""
-    return _first_hit(inst, LE, alpha, scan)
+    return _first_hit(scan, LE, alpha)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,9 @@
 """Top-level solvers.
 
 The mixed driver reads the infimum off one DecisionScan and scans the value
-slices at it once: the infimum is attained exactly when some cell's slice is
+slices at it once; each of its steps (infimum, lex_extract, eps_point)
+takes that scan, which carries its instance, and the driver counts the one
+decision query. The infimum is attained exactly when some cell's slice is
 nonempty, and then the lex-first such cell, the scan's first hit, gives the
 lexicographically minimal optimum: its x is x*, its floor vector is the one
 that the floor-vector refinement would isolate, and z* is a barycenter of
@@ -12,11 +14,12 @@ objective over the cell's closure, which the index build found. The
 half-open cell is dense in its closure, so that minimum is the cell's
 infimum, and the least of them is v*. No solve bisects: bisect_decision and
 rational_reconstruct, the search that a decomposition known only through
-its decision oracle needs, stay exported for callers. Strict-feasibility
-checks remain for the value slices and for witnesses. After the index
-build every LP, and every check of a point, reads the scan's integer rows
-and right-hand sides. The pure driver lists the response table over
-integer leader points once and reads v*, x* and z* off its least entry.
+its decision oracle needs, stay exported for callers, and no telemetry
+counts their steps. Strict-feasibility checks remain for the value slices
+and for witnesses. After the index build every LP, and every check of a
+point, reads the scan's integer rows and right-hand sides. The pure driver
+lists the response table over integer leader points once and reads v*, x*
+and z* off its least entry.
 The reference oracle checks both drivers from the cell definition, with no
 floor walk, cell index, DecisionScan or response table
 (see reference_oracle for what it shares): `solve --engine both`, the
@@ -35,7 +38,7 @@ from typing import Callable, Optional
 
 from .cells import (Cell, Instance, bilevel_feasible, cell_infimum, cell_region, is_valid_cell,
                     _region_rhs, _region_rows)
-from .decide import DecisionScan, pure_responses, witness_le, _scan_for
+from .decide import DecisionScan, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import LexMin, _charge
 from .linear import (EQ, LE, LT, LinearSystem, affinely_independent_vertices, lp_range,
@@ -147,7 +150,7 @@ def denominator_cap(inst: Instance) -> int:
     return subdeterminant_bound(inst.D + inst.B, inst.d)
 
 
-def _simplest_in_interval(lo: Fraction, hi: Fraction, telemetry=None) -> Fraction:
+def _simplest_in_interval(lo: Fraction, hi: Fraction) -> Fraction:
     """The unique minimal-denominator rational in the closed interval."""
     sign = 1
     if hi < 0:
@@ -156,8 +159,6 @@ def _simplest_in_interval(lo: Fraction, hi: Fraction, telemetry=None) -> Fractio
         return Fraction(0)
     terms = []
     while True:
-        if telemetry is not None:
-            telemetry.reconstruction_steps += 1
         a = ceil_rat(lo)
         if a <= hi:
             terms.append(a)
@@ -171,7 +172,7 @@ def _simplest_in_interval(lo: Fraction, hi: Fraction, telemetry=None) -> Fractio
     return sign * value
 
 
-def rational_reconstruct(lo, hi, cap: int, telemetry=None) -> Fraction:
+def rational_reconstruct(lo, hi, cap: int) -> Fraction:
     """The unique rational with denominator <= cap inside [lo, hi].
 
     The interval must be narrower than 1/cap^2 so at most one candidate
@@ -185,15 +186,14 @@ def rational_reconstruct(lo, hi, cap: int, telemetry=None) -> Fraction:
         raise ValueError(f"cap must be an int of at least 1, got {cap!r}")
     if lo > hi:
         raise ValueError("empty interval")
-    value = _simplest_in_interval(lo, hi, telemetry)
+    value = _simplest_in_interval(lo, hi)
     if value.denominator > cap:
         raise InternalInvariantError(
             f"no rational with denominator <= {cap} in [{lo}, {hi}]")
     return value
 
 
-def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
-                    telemetry=None):
+def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width):
     """Shrink [lo, hi] keeping decide(lo) false and decide(hi) true.
 
     The caller vouches for the endpoint answers; they are not re-queried.
@@ -207,8 +207,6 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
         raise ValueError("width must be positive")
     while hi - lo >= width:
         mid = (lo + hi) / 2
-        if telemetry is not None:
-            telemetry.bisection_steps += 1
         if decide(mid):
             hi = mid
         else:
@@ -216,20 +214,19 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width,
     return lo, hi
 
 
-def infimum(inst: Instance, scan: Optional[DecisionScan] = None) -> Fraction:
-    """Exact infimum of a feasible mixed instance: the least shift + low
-    over the scan's items.
+def infimum(scan: DecisionScan) -> Fraction:
+    """Exact infimum of the scan's instance, when feasible: the least
+    shift + low over the scan's items.
 
     Each item's shift + low is its cell's infimum (see DecisionScan), so
     their minimum is v*; reading it makes no decision query. A v* whose
     denominator exceeds denominator_cap falsifies the subdeterminant bound
     and raises InternalInvariantError.
     """
-    scan = _scan_for(inst, scan)
     if not scan.items:
         raise InfeasibleProblemError("no bilevel-feasible point")
     v_star = Fraction(min(it.shift + it.low for it in scan.items))
-    cap = denominator_cap(inst)
+    cap = denominator_cap(scan.inst)
     if v_star.denominator > cap:
         raise InternalInvariantError(f"infimum {v_star} has a denominator above the cap {cap}")
     return v_star
@@ -239,8 +236,7 @@ def infimum(inst: Instance, scan: Optional[DecisionScan] = None) -> Fraction:
 # mixed driver
 
 
-def lex_extract(inst: Instance, v_star, telemetry=None,
-                scan: Optional[DecisionScan] = None) -> Optional[LexTrace]:
+def lex_extract(scan: DecisionScan, v_star) -> Optional[LexTrace]:
     """Lex-minimal optimum (x*, z*) at value v*, with its trace; None when
     no bilevel-feasible point has value v* (an unattained infimum).
 
@@ -260,10 +256,8 @@ def lex_extract(inst: Instance, v_star, telemetry=None,
     checked against Q, for bilevel feasibility and for the value v*. The
     trace's rho is left to its first read (see LexTrace).
     """
-    v_star = as_rat(v_star)
-    if telemetry is not None:
-        telemetry.decision_queries += 1
-    hit = next(_scan_for(inst, scan).hits(EQ, v_star, witness=False), None)
+    inst, v_star = scan.inst, as_rat(v_star)
+    hit = next(scan.hits(EQ, v_star, witness=False), None)
     if hit is None:
         return None
     entry, _, (rows, rhs) = hit
@@ -287,17 +281,17 @@ def lex_extract(inst: Instance, v_star, telemetry=None,
     return LexTrace(x_star, entry.cell.r, k, tuple(verts), z_star, k * denom, inst)
 
 
-def eps_point(inst: Instance, v_star, eps, scan: Optional[DecisionScan] = None) -> EpsSolution:
+def eps_point(scan: DecisionScan, v_star, eps) -> EpsSolution:
     """A bilevel-feasible point with value at most v* + eps."""
     eps = as_rat(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     v_star = as_rat(v_star)
-    hit = witness_le(inst, v_star + eps, scan)
+    hit = witness_le(scan, v_star + eps)
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
     x, z = hit
-    value = inst.objective_value(x, z)
+    value = scan.inst.objective_value(x, z)
     if value > v_star + eps:
         raise InternalInvariantError("eps witness exceeds the allowed value")
     return EpsSolution(x, z, value, eps)
@@ -312,11 +306,12 @@ def solve_mixed(inst: Instance, eps=None) -> SolveReport:
     scan = DecisionScan(inst)
     telemetry.cells = len(scan.items)
     try:
-        v_star = infimum(inst, scan)
+        v_star = infimum(scan)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star
-    trace = lex_extract(inst, v_star, telemetry, scan)
+    telemetry.decision_queries += 1
+    trace = lex_extract(scan, v_star)
     if trace is not None:
         report.status = ATTAINED
         report.solution = (trace.x_star, trace.z_star)
@@ -324,7 +319,7 @@ def solve_mixed(inst: Instance, eps=None) -> SolveReport:
     else:
         report.status = UNATTAINED
         if eps is not None:
-            report.eps_solution = eps_point(inst, v_star, eps, scan)
+            report.eps_solution = eps_point(scan, v_star, eps)
     return report
 
 
@@ -444,8 +439,11 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
     both take the x of the lex-first cell whose value slice at v* is
     nonempty, so a difference means one of them lost a cell. For a pure
     report, whose oracle finds each cell's lex-least integer optimum,
-    (x*, z*) must be the oracle's exactly.
+    (x*, z*) must be the oracle's exactly. Any other variant raises
+    ValueError, as in reference_oracle.
     """
+    if variant not in (MIXED, PURE):
+        raise ValueError(f"unknown variant {variant!r}")
     if searched.status != oracled.status or searched.infimum != oracled.infimum:
         return (f"{searched.status}/{searched.infimum} vs "
                 f"{oracled.status}/{oracled.infimum}")

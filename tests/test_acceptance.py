@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import support
 from conftest import MIXED_SEED, PURE_SEED, record_criterion
-from bilevel_exact import (ATTAINED, Cell, QVector, Telemetry, bilevel_feasible,
+from bilevel_exact import (ATTAINED, Cell, QVector, bilevel_feasible,
                            bisect_decision, cell_infimum, cell_region, denominator_cap,
                            disagreement, enumerate_cells, floor_rhs, is_valid_cell, parse_rat,
                            random_instance, rational_reconstruct, strict_feasible_point,
@@ -131,10 +131,8 @@ def test_criterion_6_rational_search():
             def dec(a):
                 calls[0] += 1
                 return hidden <= a
-            tel = Telemetry()
-            lo, hi = bisect_decision(dec, Fraction(-1), Fraction(1),
-                                     Fraction(1, 2 * 10**8), tel)
-            assert rational_reconstruct(lo, hi, 10**4, tel) == hidden
+            lo, hi = bisect_decision(dec, Fraction(-1), Fraction(1), Fraction(1, 2 * 10**8))
+            assert rational_reconstruct(lo, hi, 10**4) == hidden
             assert calls[0] <= bound
             worst = max(worst, calls[0])
         elapsed = time.perf_counter() - t0

@@ -2,6 +2,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -31,10 +32,11 @@ def test_decide_le_examples(example1):
 
 
 def test_decide_eq_examples(example1):
-    assert decide_eq(example1, Fraction(-1)) is None
-    x, z = decide_eq(example1, Fraction(0))
+    scan = DecisionScan(example1)
+    assert decide_eq(scan, Fraction(-1)) is None
+    x, z = decide_eq(scan, Fraction(0))
     assert (x, z.entries) == ((0,), (0,))
-    x2, z2 = decide_eq(make_flipped(), Fraction(0))
+    x2, z2 = decide_eq(DecisionScan(make_flipped()), Fraction(0))
     assert (x2, z2.entries) == ((0,), (0,))
 
 
@@ -73,12 +75,15 @@ def _scan_inputs(example1):
     return out
 
 
-def _decide_le(inst, alpha, scan=None):
-    """decide_le's cold floor walk, or with a scan, the first of its hits
-    at value <= alpha (witness=False)."""
-    if scan is None:
-        return decide_le(inst, alpha)
+def _decide_le(scan, alpha):
+    """Whether the scan has a hit at value <= alpha (witness=False)."""
     return next(scan.hits(LE, alpha, witness=False), None) is not None
+
+
+def _fresh(call, inst, alpha):
+    """call's answer at alpha from a fresh scan of inst, or for value <=
+    alpha, decide_le's cold floor walk."""
+    return decide_le(inst, alpha) if call is _decide_le else call(DecisionScan(inst), alpha)
 
 
 def test_decision_scan_matches_decide_le(example1):
@@ -95,7 +100,18 @@ def test_decision_scan_matches_decide_le(example1):
         scan = DecisionScan(inst)
         for k, alpha in enumerate(alphas):
             for call in calls[k % 3:] + calls[:k % 3]:
-                assert call(inst, alpha, scan=scan) == call(inst, alpha)
+                assert call(scan, alpha) == _fresh(call, inst, alpha)
+
+
+@pytest.mark.parametrize("rel, alpha", [("<", 0), (">=", -100), (">=", 100)])
+def test_hits_takes_le_or_eq_only(example1, rel, alpha):
+    # any other relation is the caller's error, refused before any item: on
+    # example1, "<" at 0 would reach a sure hit with no witness (an internal
+    # invariant error), ">=" at -100 would yield nothing, and ">=" at 100
+    # would meet the LP family's refusal of the row
+    hits = DecisionScan(example1).hits(rel, alpha)
+    with pytest.raises(ValueError, match="value row is '<=' or '='"):
+        next(hits)
 
 
 def _reference_hit(scan, row, alpha):
@@ -138,12 +154,12 @@ def test_decision_table_matches_vertex_reference(example1):
         for alpha in sorted(alphas, reverse=True):
             le_hit = _reference_hit(table, row_le, alpha)
             eq_hit = _reference_hit(table, row_eq, alpha)
-            assert _decide_le(inst, alpha, scan) == (le_hit is not None)
-            got = witness_le(inst, alpha, scan=scan)
+            assert _decide_le(scan, alpha) == (le_hit is not None)
+            got = witness_le(scan, alpha)
             assert (got is None) == (le_hit is None)
             if got is not None:
                 _assert_witness(inst, got, le_hit, alpha, row_le)
-            got = decide_eq(inst, alpha, scan=scan)
+            got = decide_eq(scan, alpha)
             assert (got is None) == (eq_hit is None)
             if got is not None:
                 _assert_witness(inst, got, eq_hit, alpha, row_eq)
@@ -167,7 +183,7 @@ def _assert_cold_decide_le(inst, alpha, expected=None):
     # reference
     with support.no_index_build():
         cold = decide_le(inst, alpha)
-    assert cold == _decide_le(inst, alpha, DecisionScan(inst))
+    assert cold == _decide_le(DecisionScan(inst), alpha)
     assert cold == _reference_decide_le(inst, alpha)
     if expected is not None:
         assert cold == expected
@@ -263,7 +279,7 @@ def test_consistency_with_cell_infima(seed, alpha):
 @given(st.integers(0, 10**6), st.fractions(min_value=-8, max_value=8, max_denominator=4))
 def test_decide_eq_witness_is_feasible(seed, value):
     inst = random_instance(random.Random(seed))
-    got = decide_eq(inst, value)
+    got = decide_eq(DecisionScan(inst), value)
     if got is not None:
         x, z = got
         assert bilevel_feasible(inst, x, z)

@@ -88,7 +88,7 @@ def test_rational_reconstruct_recovers_hidden(cap, seed):
     lo = hidden - width * Fraction(rng.randint(0, 7), 8)
     hi = lo + width * Fraction(rng.randint(4, 7), 8)
     hi = max(hi, hidden)
-    got = rational_reconstruct(lo, hi, cap, None)
+    got = rational_reconstruct(lo, hi, cap)
     assert got == hidden
     # independent uniqueness check by denominator scan
     assert support.simplest_in_interval_scan(lo, hi, cap) == [hidden]
@@ -122,35 +122,33 @@ def test_bisect_decision_takes_a_positive_exact_width(width):
 
 def test_bisect_decision_brackets():
     hidden = Fraction(5, 7)
-    tel = Telemetry()
     calls = []
     def dec(a):
         calls.append(a)
         return hidden <= a
-    lo, hi = bisect_decision(dec, Fraction(0), Fraction(1), Fraction(1, 128), tel)
+    lo, hi = bisect_decision(dec, Fraction(0), Fraction(1), Fraction(1, 128))
     assert lo < hidden <= hi
     assert hi - lo < Fraction(1, 128)
-    assert tel.bisection_steps == halvings_needed(Fraction(1), Fraction(1, 128))
-    assert len(calls) == tel.bisection_steps
+    assert len(calls) == halvings_needed(Fraction(1), Fraction(1, 128))
     with pytest.raises(ValueError):
-        bisect_decision(dec, Fraction(1), Fraction(1), Fraction(1, 2), tel)
+        bisect_decision(dec, Fraction(1), Fraction(1), Fraction(1, 2))
 
 
 # ----------------------------------------------------------------- infimum
 
 
 def test_infimum_examples(example1):
-    assert infimum(example1) == -1
-    assert infimum(make_flipped()) == 0
+    assert infimum(DecisionScan(example1)) == -1
+    assert infimum(DecisionScan(make_flipped())) == 0
     shifted = replace(with_upper_rows(example1, ([0], [-2], -1)), c=[-1], e=[2])
-    assert infimum(shifted) == 0
+    assert infimum(DecisionScan(shifted)) == 0
 
 
 def test_infimum_infeasible_bilevel():
     # relaxation nonempty but no bilevel-feasible point at all
     inst = support.make_empty_follower_pure()
     with pytest.raises(InfeasibleProblemError):
-        infimum(inst)
+        infimum(DecisionScan(inst))
 
 
 @settings(max_examples=20)
@@ -161,7 +159,7 @@ def test_infimum_matches_oracle_within_cap(seed):
     inst = random_instance(random.Random(seed))
     want = reference_oracle(inst, "mixed")
     try:
-        v = infimum(inst)
+        v = infimum(DecisionScan(inst))
     except InfeasibleProblemError:
         assert want.status == INFEASIBLE
     else:
@@ -205,7 +203,7 @@ def test_infimum_above_the_denominator_cap_is_fatal(monkeypatch, tmp_path):
 
 
 def test_lex_extract_single_point_cell(example1):
-    trace = lex_extract(make_flipped(), Fraction(0))
+    trace = lex_extract(DecisionScan(make_flipped()), Fraction(0))
     assert trace.x_star == (0,)
     assert trace.rho == (0, 1, 0)
     assert trace.r == (0, 1, 0)
@@ -216,7 +214,8 @@ def test_lex_extract_single_point_cell(example1):
 
 def test_lex_extract_with_extras(example1):
     # the extra upper row -2z <= -1 keeps z >= 1/2
-    trace = lex_extract(with_upper_rows(example1, ([0], [-2], -1)), Fraction(-1, 2))
+    trace = lex_extract(DecisionScan(with_upper_rows(example1, ([0], [-2], -1))),
+                        Fraction(-1, 2))
     assert trace.x_star == (1,)
     # the closure of the value-slice pins z = 1/2, so rho_1 = -z = -1/2
     assert trace.rho[0] == Fraction(-1, 2)
@@ -299,14 +298,14 @@ def test_solve_paths_enumerate_no_vertices(mixed_batch):
 
 
 def test_eps_point_examples(example1):
-    sol = eps_point(example1, Fraction(-1), Fraction(1, 8))
+    sol = eps_point(DecisionScan(example1), Fraction(-1), Fraction(1, 8))
     assert sol.value <= Fraction(-7, 8)
     assert sol.x == (1,)
     assert bilevel_feasible(example1, sol.x, sol.z)
-    wide = eps_point(example1, Fraction(-1), Fraction(2))
+    wide = eps_point(DecisionScan(example1), Fraction(-1), Fraction(2))
     assert wide.value <= 1
     assert bilevel_feasible(example1, wide.x, wide.z)
-    attained = eps_point(make_flipped(), Fraction(0), Fraction(1))
+    attained = eps_point(DecisionScan(make_flipped()), Fraction(0), Fraction(1))
     assert attained.value <= 1
     assert bilevel_feasible(make_flipped(), attained.x, attained.z)
 
@@ -320,7 +319,7 @@ def test_solve_mixed_unattained(example1):
     assert rep.infimum == -1
     assert rep.solution is None
     assert rep.eps_solution is not None and rep.eps_solution.value <= Fraction(-7, 8)
-    assert decide_eq(example1, rep.infimum) is None
+    assert decide_eq(DecisionScan(example1), rep.infimum) is None
 
 
 def test_solve_mixed_attained():
@@ -348,9 +347,9 @@ THRESHOLD_TAKERS = {
     "rational_reconstruct hi": lambda inst, t: rational_reconstruct(Fraction(-1), t, 10),
     "bisect_decision lo": lambda inst, t: bisect_decision(bool, t, Fraction(2), Fraction(1)),
     "bisect_decision hi": lambda inst, t: bisect_decision(bool, Fraction(-1), t, Fraction(1)),
-    "lex_extract": lambda inst, t: lex_extract(inst, t),
-    "eps_point v_star": lambda inst, t: eps_point(inst, t, Fraction(1, 8)),
-    "eps_point eps": lambda inst, t: eps_point(inst, Fraction(-1), t),
+    "lex_extract": lambda inst, t: lex_extract(DecisionScan(inst), t),
+    "eps_point v_star": lambda inst, t: eps_point(DecisionScan(inst), t, Fraction(1, 8)),
+    "eps_point eps": lambda inst, t: eps_point(DecisionScan(inst), Fraction(-1), t),
     "solve_mixed eps": lambda inst, t: solve_mixed(inst, eps=t),
 }
 
@@ -366,23 +365,21 @@ def test_thresholds_take_exact_rationals_only(example1, entry, bad):
 
 
 SCAN_TAKERS = {
-    "infimum": lambda inst, scan: infimum(inst, scan),
-    "lex_extract": lambda inst, scan: lex_extract(inst, Fraction(-1), scan=scan),
-    "witness_le": lambda inst, scan: witness_le(inst, 10, scan=scan),
-    "decide_eq": lambda inst, scan: decide_eq(inst, Fraction(0), scan=scan),
-    "eps_point": lambda inst, scan: eps_point(inst, Fraction(-1), Fraction(1, 8), scan),
+    "infimum": lambda scan: infimum(scan),
+    "lex_extract": lambda scan: lex_extract(scan, Fraction(-1)),
+    "witness_le": lambda scan: witness_le(scan, 10),
+    "decide_eq": lambda scan: decide_eq(scan, Fraction(0)),
+    "eps_point": lambda scan: eps_point(scan, Fraction(-1), Fraction(1, 8)),
 }
 
 
 @pytest.mark.parametrize("entry", list(SCAN_TAKERS))
 def test_a_scan_answers_only_for_its_instance(example1, entry):
-    # a scan built for another instance would answer with that instance's
-    # cells (make_flipped's v* is 0, example1's -1): it is refused; a scan
-    # built for an equal instance answers as a fresh one
+    # a scan carries the instance it was built for, and every step reads
+    # that one: a scan built for an equal instance answers as one built
+    # for example1 itself
     take = SCAN_TAKERS[entry]
-    with pytest.raises(ValueError, match="another instance"):
-        take(example1, DecisionScan(make_flipped()))
-    assert take(example1, DecisionScan(replace(example1))) == take(example1, None)
+    assert take(DecisionScan(replace(example1))) == take(DecisionScan(example1))
 
 
 def test_solve_leaves_no_state_on_the_instance():
@@ -553,6 +550,18 @@ def test_disagreement_requires_the_oracles_pure_optimum():
     assert disagreement(tie, searched, lex_above) == (
         "search x* (0,) is not the oracle's (1,)")
     assert "is not the oracle's" in disagreement(tie, searched, lex_above, variant="pure")
+
+
+def test_disagreement_refuses_an_unknown_variant():
+    # an unknown variant would check a pure report by the mixed rule: it is
+    # refused as reference_oracle refuses it
+    tie = make_tie()
+    searched, oracled = solve_pure(tie), reference_oracle(tie, "pure")
+    with pytest.raises(ValueError) as refused:
+        reference_oracle(tie, "bogus")
+    with pytest.raises(ValueError) as got:
+        disagreement(tie, searched, oracled, variant="bogus")
+    assert str(got.value) == str(refused.value) == "unknown variant 'bogus'"
 
 
 def test_oracle_catches_a_lost_cell(mixed_batch, monkeypatch):

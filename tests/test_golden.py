@@ -432,8 +432,8 @@ def test_mixed_solve_path_reaches_no_one_shot_layer(mixed_batch):
             feasible += 1
             scan = decide.DecisionScan(inst)
             unattained = rep.status == UNATTAINED
-            assert (decide.witness_le(inst, rep.infimum, scan=scan) is None) == unattained
-            assert (decide.decide_eq(inst, rep.infimum, scan=scan) is None) == unattained
+            assert (decide.witness_le(scan, rep.infimum) is None) == unattained
+            assert (decide.decide_eq(scan, rep.infimum) is None) == unattained
     assert feasible > 100
 
 

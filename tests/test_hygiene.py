@@ -1,8 +1,9 @@
 """Source hygiene of the package, checked with the stdlib `ast` module: no
 module imports a name it never uses, each cap constant is defined and read
-in the module that checks it, no function takes a `config` parameter, and
-every top-level function and class is named somewhere in the package, so
-dead imports, dead caps, cap options and dead definitions cannot come back
+in the module that checks it, no function takes a `config` parameter, the
+parameters with a default are the pinned ones, and every top-level function
+and class is named somewhere in the package, so dead imports, dead caps,
+cap options, new options and dead definitions cannot come back
 unnoticed. The reference oracle reaches none of the engines' enumerations,
 so it stays an independent second computation, and neither solve path
 reaches the bisection and reconstruction search. The LP kernel reads no row
@@ -73,6 +74,57 @@ def _functions_taking_config(tree):
 def test_every_config_parameter_is_used(name):
     # there is none to use: no function takes a `config`
     assert _functions_taking_config(_tree(name)) == []
+
+
+# Every parameter with a default in the package, as (module, function,
+# parameter), methods and nested functions by their dotted names. Each is an
+# option that some caller leaves out; an option that every caller passes
+# with one value is a parameter, and one that no caller sets is dead. A new
+# option fails this test until a CHANGES.md line names the two callers that
+# need different values for it.
+OPTIONS = {
+    ("cells", "valid_cells", "alpha"),
+    ("cli", "cli_main", "argv"),
+    ("decide", "DecisionScan.hits", "witness"),
+    ("decide", "pure_responses", "alpha"),
+    ("engine", "solve_mixed", "eps"),
+    ("engine", "reference_oracle", "variant"),
+    ("engine", "disagreement", "variant"),
+    ("instance_io", "instance_to_json", "name"),
+    ("instance_io", "instance_to_json", "variant"),
+    ("lattice", "IntegerSearch.minimize", "fixed"),
+    ("linear", "_unit", "sign"),
+    ("linear", "_kernel_source.terms", "sep"),
+    ("linear", "_kernel_source.terms", "empty"),
+    ("linear", "_dual_simplex_min", "start"),
+    ("linear", "lp_solve", "sense"),
+    ("randgen", "_coeff", "zero_bias"),
+}
+
+
+def _defaulted(node, module, prefix=""):
+    """(module, dotted function name, parameter) for each parameter with a
+    default of each function inside node."""
+    found = set()
+    for child in ast.iter_child_nodes(node):
+        name = prefix
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            name = prefix + child.name
+            args = child.args
+            positional = args.posonlyargs + args.args
+            with_default = positional[len(positional) - len(args.defaults):] + [
+                a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            found |= {(module, name, a.arg) for a in with_default}
+            name += "."
+        elif isinstance(child, ast.ClassDef):
+            name = prefix + child.name + "."
+        found |= _defaulted(child, module, name)
+    return found
+
+
+def test_options_are_the_pinned_ones():
+    got = set().union(*(_defaulted(_tree(name), name[:-3]) for name in MODULES))
+    assert got == OPTIONS
 
 
 def _referenced_names(tree):

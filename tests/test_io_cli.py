@@ -449,19 +449,21 @@ def test_ab_inprocess_script_runs_one_checkout_against_itself():
     # the A/B timing tool, run with this checkout as both sides on one pass
     # of pure-small and one of mixed-small, whose answers include the lex
     # traces, ends with equal answers after equal RhsFamily solve counts,
-    # equal basis exchange counts and equal integer search counts
+    # equal basis exchange counts, equal integer search counts and equal
+    # strict check counts; a pure solve runs no strict check
     script = os.path.join(support.ROOT, "scripts", "ab_inprocess.py")
     for workload in ("pure-small", "mixed-small"):
         out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, workload,
                               "--reps", "1"], capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        solves, exchanges, searches, last = out.stdout.splitlines()[-4:]
+        solves, exchanges, searches, stricts, last = out.stdout.splitlines()[-5:]
         assert last == "answers equal: yes"
         for line, label in ((solves, "RhsFamily solves"), (exchanges, "basis exchanges"),
-                            (searches, "integer searches")):
+                            (searches, "integer searches"), (stricts, "strict checks")):
             parent, change = re.fullmatch(label + r": parent (\d+), change (\d+)",
                                           line).groups()
-            assert parent == change and int(parent) > 0
+            assert parent == change
+            assert int(parent) > 0 or (label, workload) == ("strict checks", "pure-small")
 
 
 @pytest.mark.parametrize("field, words, mode", [

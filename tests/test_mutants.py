@@ -12,13 +12,27 @@ one-variable LP of RhsFamily and the rounding of a one-variable
 IntegerSearch, so the line scan judges both: over a fixed list of bounded
 lines and three costs, each LP against the best end of a row that holds,
 and each search against the best integer point of [-20, 20] that holds.
+
+The cell layer's faults are judged on the first 40 instances of the mixed
+acceptance batch, each solved by solve_mixed: against the LP-free
+support.ref_mixed_no_lp, which shares no code with the package, and by
+disagreement against reference_oracle, which shares the follower check of
+is_valid_cell and so cannot judge a fault there. A mutant that its check
+cannot catch is listed in SURVIVORS with the reason, and its test fails
+once the check does catch it.
 """
+import functools
+import math
+import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 
 import support
-from bilevel_exact import EQ, LE, InternalInvariantError, linear
+from conftest import MIXED_SEED
+from bilevel_exact import (EQ, LE, InternalInvariantError, cells, disagreement, linear,
+                           random_instance, reference_oracle, solve_mixed)
 from bilevel_exact.lattice import IntegerSearch
 from bilevel_exact.linear import RhsFamily
 
@@ -85,6 +99,55 @@ def upper_end_pulled_in(real):
     return line_ends
 
 
+@functools.cache
+def small_mixed_batch() -> tuple:
+    """The first 40 instances of the mixed acceptance batch."""
+    rng = random.Random(MIXED_SEED)
+    return tuple(random_instance(rng) for _ in range(40))
+
+
+def _batch_misses(wrong) -> list:
+    """The (kind, index) cases of small_mixed_batch where wrong(inst) holds,
+    kind "answer", or raises InternalInvariantError, kind "fatal"."""
+    misses = []
+    for k, inst in enumerate(small_mixed_batch()):
+        try:
+            if wrong(inst):
+                misses.append(("answer", k))
+        except InternalInvariantError:
+            misses.append(("fatal", k))
+    return misses
+
+
+def lp_free_scan() -> list:
+    """The cases where solve_mixed's status, infimum or x* is not
+    support.ref_mixed_no_lp's."""
+    def wrong(inst):
+        rep = solve_mixed(inst)
+        x_star = None if rep.solution is None else tuple(rep.solution[0])
+        return (rep.status, rep.infimum, x_star) != support.ref_mixed_no_lp(inst)
+    return _batch_misses(wrong)
+
+
+def oracle_scan() -> list:
+    """The cases where disagreement parts solve_mixed from reference_oracle."""
+    return _batch_misses(
+        lambda inst: disagreement(inst, solve_mixed(inst), reference_oracle(inst)) is not None)
+
+
+def follower_improves_at_value(real):
+    """_follower_improves asking for psi . x' <= value, not value - 1: the
+    follower's own x always qualifies, so no cell is valid."""
+    return lambda check, r, value: real(check, r, value + 1)
+
+
+def floor_rhs_rounds_up(real):
+    """floor_rhs taking the ceiling of B z + u, not its floor."""
+    def floor_rhs(inst, z):
+        return tuple(math.ceil(sum(map(mul, br, z)) + uv) for br, uv in zip(inst.B, inst.u))
+    return floor_rhs
+
+
 # name -> (home module, function, fault, the check that must catch it, and
 # what the check must catch it in): the line ends reach the LP of linear
 # and, imported, the rounding of lattice
@@ -93,6 +156,24 @@ MUTANTS = {
                                     {"LP", "rounding"}),
     "line-ends-upper-end-pulled-in": (linear, "_line_ends", upper_end_pulled_in, line_scan,
                                       {"LP", "rounding"}),
+    # every cell invalid: solve_mixed and reference_oracle both answer
+    # Infeasible, so only the LP-free reference tells
+    "follower-improves-at-value": (cells, "_follower_improves", follower_improves_at_value,
+                                   lp_free_scan, {"answer"}),
+}
+
+# name -> (home module, function, fault, the check that cannot catch it, and
+# why)
+SURVIVORS = {
+    "floor-rhs-rounds-up": (
+        cells, "floor_rhs", floor_rhs_rounds_up, oracle_scan,
+        "floor_rhs reaches a solve through bilevel_feasible alone, and disagreement "
+        "checks the attained solutions alone. Of the 220 instances of the acceptance "
+        "batch, six attained ones (one of the 40, instance 0) have B z* + u off the "
+        "integers, and at none of them does the follower do better at the ceiling. "
+        "The one point of the 220 that the fault rejects is the eps point of "
+        "instance 7, which disagreement does not check. test_floor_rhs_examples "
+        "catches the fault directly."),
 }
 
 
@@ -102,3 +183,12 @@ def test_mutant_is_caught(name, monkeypatch):
     assert check() == []
     support.plant(monkeypatch, home, attr, fault)
     assert {kind for kind, *_ in check()} == where
+
+
+@pytest.mark.parametrize("name", sorted(SURVIVORS))
+def test_survivor_is_not_caught(name, monkeypatch):
+    # a survivor that its check starts to catch moves to MUTANTS
+    home, attr, fault, check, _ = SURVIVORS[name]
+    assert check() == []
+    support.plant(monkeypatch, home, attr, fault)
+    assert check() == []
