@@ -20,12 +20,14 @@ is the same on both sides: the command's output, or the report with, for a
 mixed solve that attains its infimum, the lex trace's x*, r, k and vertices.
 After the timed runs, one untimed pass of every op on each side counts its
 RhsFamily.solve calls, its basis exchanges, as linear._dual_simplex_min
-reports them, its lattice.IntegerSearch.minimize calls and its
-linear.StrictFamily.point calls: deterministic work counters that the
-script prints per side too, each on a line of its own, so that a kernel
-change shows whether it pivots as before, a search change whether it keeps
-every search while it solves fewer LPs, and a change to the strict layer
-how many strict-feasibility checks it runs.
+reports them, its lattice.IntegerSearch.minimize calls, its
+linear.StrictFamily.point calls and its linear._kernel_form calls:
+deterministic work counters that the script prints per side too, each on a
+line of its own, so that a kernel change shows whether it pivots as before,
+a search change whether it keeps every search while it solves fewer LPs, a
+change to the strict layer how many strict-feasibility checks it runs, and
+a change to how families are shared how many kernel forms, one per family
+built, it pays for.
 """
 from __future__ import annotations
 
@@ -91,15 +93,15 @@ def _op_runner(modules: dict, plan: dict):
 
 
 def _kernel_work(modules: dict, run, count: int) -> tuple:
-    """(solves, exchanges, searches, strict checks): the RhsFamily.solve
-    calls of one untimed pass of ops 0..count-1, the basis exchanges of its
-    kernel calls, its IntegerSearch.minimize calls and its
-    StrictFamily.point calls."""
+    """(solves, exchanges, searches, strict checks, kernel forms): the
+    RhsFamily.solve calls of one untimed pass of ops 0..count-1, the basis
+    exchanges of its kernel calls, its IntegerSearch.minimize calls, its
+    StrictFamily.point calls and its linear._kernel_form calls."""
     linear, search = modules["linear"], modules["lattice"].IntegerSearch
     family, strict = linear.RhsFamily, linear.StrictFamily
     solve, minimize, point = family.solve, search.minimize, strict.point
-    kernel = linear._dual_simplex_min
-    calls = [0, 0, 0, 0]
+    kernel, form = linear._dual_simplex_min, linear._kernel_form
+    calls = [0, 0, 0, 0, 0]
 
     def counting_solve(self, rhs):
         calls[0] += 1
@@ -118,10 +120,15 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
         calls[3] += 1
         return point(self, *args)
 
+    def counting_form(*args):
+        calls[4] += 1
+        return form(*args)
+
     family.solve = counting_solve
     search.minimize = counting_minimize
     strict.point = counting_point
     linear._dual_simplex_min = counting_kernel
+    linear._kernel_form = counting_form
     try:
         for i in range(count):
             run(i)
@@ -130,6 +137,7 @@ def _kernel_work(modules: dict, run, count: int) -> tuple:
         search.minimize = minimize
         strict.point = point
         linear._dual_simplex_min = kernel
+        linear._kernel_form = form
     return tuple(calls)
 
 
@@ -178,6 +186,7 @@ def main(argv=None) -> int:
     print(f"basis exchanges: parent {work['parent'][1]}, change {work['change'][1]}")
     print(f"integer searches: parent {work['parent'][2]}, change {work['change'][2]}")
     print(f"strict checks: parent {work['parent'][3]}, change {work['change'][3]}")
+    print(f"kernel forms: parent {work['parent'][4]}, change {work['change'][4]}")
     print(f"answers equal: {'yes' if equal else 'NO'}")
     return 0 if equal else 1
 

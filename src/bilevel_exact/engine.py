@@ -1,13 +1,24 @@
 """Top-level solvers.
 
-The mixed driver reads the infimum off one DecisionScan and scans the value
-slices at it once; each of its steps (infimum, lex_extract, eps_point)
-takes that scan, which carries its instance, and the driver counts the one
-decision query. The infimum is attained exactly when some cell's slice is
-nonempty, and then the lex-first such cell, the scan's first hit, gives the
-lexicographically minimal optimum: its x is x*, its floor vector is the one
-that the floor-vector refinement would isolate, and z* is a barycenter of
-vertices of its slice's closure: the vertex of the cell's closure LP when
+With one follower variable (n = 1) the mixed driver lists no cell: it
+reads v*, x*, the floor vector r, z* and the eps point off the at most m
+blocking-row pieces of one pieces.PieceSearch, a binary search over each
+piece's convex value F(x), and no such solve reaches the floor walk, the
+cell index or the follower checks. The floor vector and z* come from the
+same refinement and barycenter as below, run over the pieces' slices at
+x*, and the eps point from the same cold strict check of its cell, so a
+report is the one the scan path gives, which stays the judge at n = 1
+(infimum, lex_extract and eps_point of one DecisionScan).
+
+For n >= 2 the mixed driver reads the infimum off one DecisionScan and
+scans the value slices at it once; each of its steps (infimum,
+lex_extract, eps_point) takes that scan, which carries its instance, and
+the driver counts the one decision query, as at n = 1. The infimum is
+attained exactly when some cell's slice is nonempty, and then the
+lex-first such cell, the scan's first hit, gives the lexicographically
+minimal optimum: its x is x*, its floor vector is the one that the
+floor-vector refinement would isolate, and z* is a barycenter of vertices
+of its slice's closure: the vertex of the cell's closure LP when
 that LP proved it the only optimum, else the vertices that at most 2d + 1
 LPs find. The scan holds, for each valid cell, one LP minimum of the
 objective over the cell's closure, which the index build found. The
@@ -41,8 +52,9 @@ from .cells import (Cell, Instance, bilevel_feasible, cell_infimum, cell_region,
 from .decide import DecisionScan, pure_responses, witness_le
 from .errors import (InfeasibleProblemError, InfeasibleRelaxationError, InternalInvariantError)
 from .lattice import LexMin, _charge
-from .linear import (EQ, LE, LT, LinearSystem, affinely_independent_vertices, lp_range,
-                     lp_solve, row_eq, rows_hold, _over_common_denominator, _unit)
+from .linear import (EQ, LE, LT, LinearSystem, StrictFamily, affinely_independent_vertices,
+                     lp_range, lp_solve, row_eq, rows_hold, _over_common_denominator, _unit)
+from .pieces import PieceSearch
 from .rational import QVector, as_rat, ceil_rat, floor_rat, subdeterminant_bound
 
 MIXED = "mixed"
@@ -214,6 +226,15 @@ def bisect_decision(decide: Callable[[Fraction], bool], lo, hi, width):
     return lo, hi
 
 
+def _capped(inst: Instance, v_star: Fraction) -> Fraction:
+    """v*, unless its denominator exceeds denominator_cap, which falsifies
+    the subdeterminant bound and raises InternalInvariantError."""
+    cap = denominator_cap(inst)
+    if v_star.denominator > cap:
+        raise InternalInvariantError(f"infimum {v_star} has a denominator above the cap {cap}")
+    return v_star
+
+
 def infimum(scan: DecisionScan) -> Fraction:
     """Exact infimum of the scan's instance, when feasible: the least
     shift + low over the scan's items.
@@ -225,15 +246,46 @@ def infimum(scan: DecisionScan) -> Fraction:
     """
     if not scan.items:
         raise InfeasibleProblemError("no bilevel-feasible point")
-    v_star = Fraction(min(it.shift + it.low for it in scan.items))
-    cap = denominator_cap(scan.inst)
-    if v_star.denominator > cap:
-        raise InternalInvariantError(f"infimum {v_star} has a denominator above the cap {cap}")
-    return v_star
+    return _capped(scan.inst, Fraction(min(it.shift + it.low for it in scan.items)))
 
 
 # ---------------------------------------------------------------------------
 # mixed driver
+
+
+def _value_slice(inst: Instance, x: tuple, r: tuple, rel, value: Fraction) -> tuple:
+    """(rows, rhs): the region of the cell (x, r) with the value row
+    c . x + e . z rel value, posed as DecisionScan.hits poses it."""
+    q = value.denominator
+    rows = _region_rows(inst) + [(tuple(q * v for v in inst.e), rel)]
+    return rows, _region_rhs(inst, x, r) + [value.numerator - q * sum(map(mul, inst.c, x))]
+
+
+def _extracted(inst: Instance, x_star: tuple, r: tuple, v_star: Fraction, rows, rhs,
+               vertex) -> LexTrace:
+    """The lex trace of the cell (x*, r), whose value slice Q at v*, the
+    rows at rhs, is nonempty. z* is the barycenter of k affinely independent
+    vertices of cl(Q), which span its affine hull, so z* lands strictly
+    inside Q. A `vertex` (nums, den) that an LP proved the only point of
+    cl(Q) is that barycenter, with k = 1 and no LP; otherwise the vertices
+    are found by at most 2d + 1 LPs. Either way z* is checked against Q,
+    for bilevel feasibility and for the value v*."""
+    if vertex is not None:
+        nums, den = vertex
+        k, verts = 1, [QVector([Fraction(v, den) for v in nums])]
+    else:
+        k, verts = affinely_independent_vertices(inst.d, rows, rhs)
+        if k == 0:
+            raise InternalInvariantError("attaining slice closure has no vertices")
+    z_star = QVector([sum(coords) / k for coords in zip(*verts)])
+    if not rows_hold(rows, rhs, *_over_common_denominator(z_star.entries)):
+        raise InternalInvariantError("barycenter violates a row of the value slice")
+    if not bilevel_feasible(inst, x_star, z_star):
+        raise InternalInvariantError("extracted optimum is not bilevel feasible")
+    if inst.objective_value(x_star, z_star) != v_star:
+        raise InternalInvariantError("extracted optimum misses the optimal value")
+    denom = math.lcm(*(coord.denominator for v in verts for coord in v))
+    return LexTrace(x_star, r, k, tuple(verts), z_star, k * denom, inst)
 
 
 def lex_extract(scan: DecisionScan, v_star) -> Optional[LexTrace]:
@@ -247,38 +299,26 @@ def lex_extract(scan: DecisionScan, v_star) -> Optional[LexTrace]:
     keeps, one row at a time, the attaining cells of x* with the least
     floor of the minimum of B_i z + u_i over their slices' closures, ends
     at that cell: a nonempty slice puts that minimum in [r_i, r_i + 1), so
-    each step keeps the cells of least r_i. z* is the barycenter of k
-    affinely independent vertices of cl(Q), which span its affine hull, so
-    z* lands strictly inside Q. When the index entry keeps its closure LP's
-    vertex, that LP proved it the only point of the cell's closure at v*,
-    so cl(Q) is that point: k = 1 and z* is the vertex, with no LP.
-    Otherwise the vertices are found by at most 2d + 1 LPs. Either way z* is
-    checked against Q, for bilevel feasibility and for the value v*. The
-    trace's rho is left to its first read (see LexTrace).
+    each step keeps the cells of least r_i. z* and its checks are those of
+    _extracted. When the index entry keeps its closure LP's vertex, that LP
+    proved it the only point of the cell's closure at v*, so cl(Q) is that
+    point and z* is the vertex. The trace's rho is left to its first read
+    (see LexTrace).
     """
-    inst, v_star = scan.inst, as_rat(v_star)
+    v_star = as_rat(v_star)
     hit = next(scan.hits(EQ, v_star, witness=False), None)
     if hit is None:
         return None
     entry, _, (rows, rhs) = hit
-    x_star = entry.cell.x
-    if entry.vertex is not None:  # the closure LP's only optimum: cl(Q) at v* is one point
-        nums, den = entry.vertex
-        k, verts = 1, [QVector([Fraction(v, den) for v in nums])]
-    else:
-        k, verts = affinely_independent_vertices(inst.d, rows, rhs)
-        if k == 0:
-            raise InternalInvariantError("attaining slice closure has no vertices")
-    z_star = QVector([sum(coords) / k for coords in zip(*verts)])
-    if not rows_hold(rows, rhs, *_over_common_denominator(z_star.entries)):
-        raise InternalInvariantError("barycenter violates a row of the value slice")
-    if not bilevel_feasible(inst, x_star, z_star):
-        raise InternalInvariantError("extracted optimum is not bilevel feasible")
-    if inst.objective_value(x_star, z_star) != v_star:
-        raise InternalInvariantError("extracted optimum misses the optimal value")
+    return _extracted(scan.inst, entry.cell.x, entry.cell.r, v_star, rows, rhs, entry.vertex)
 
-    denom = math.lcm(*(coord.denominator for v in verts for coord in v))
-    return LexTrace(x_star, entry.cell.r, k, tuple(verts), z_star, k * denom, inst)
+
+def _eps_solution(inst: Instance, x: tuple, z: QVector, v_star, eps) -> EpsSolution:
+    """The eps point (x, z), checked for its value of at most v* + eps."""
+    value = inst.objective_value(x, z)
+    if value > v_star + eps:
+        raise InternalInvariantError("eps witness exceeds the allowed value")
+    return EpsSolution(x, z, value, eps)
 
 
 def eps_point(scan: DecisionScan, v_star, eps) -> EpsSolution:
@@ -291,27 +331,76 @@ def eps_point(scan: DecisionScan, v_star, eps) -> EpsSolution:
     if hit is None:
         raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
     x, z = hit
-    value = scan.inst.objective_value(x, z)
-    if value > v_star + eps:
-        raise InternalInvariantError("eps witness exceeds the allowed value")
-    return EpsSolution(x, z, value, eps)
+    return _eps_solution(scan.inst, x, z, v_star, eps)
+
+
+def _piece_infimum(search: PieceSearch) -> Fraction:
+    """v* at n = 1: the least minimum over the pieces, capped as infimum's."""
+    if not search.ranges:
+        raise InfeasibleProblemError("no bilevel-feasible point")
+    return _capped(search.inst, min(search.minima))
+
+
+def _piece_trace(search: PieceSearch, v_star) -> Optional[LexTrace]:
+    """lex_extract at n = 1: the cell (x*, r) of PieceSearch.cell at v*,
+    whose points of value <= v* have value v*, and z* as in _extracted."""
+    found = search.cell(v_star)
+    if found is None:
+        return None
+    x_star, r, vertex = found
+    inst = search.inst
+    return _extracted(inst, x_star, r, v_star, *_value_slice(inst, x_star, r, EQ, v_star),
+                      vertex)
+
+
+def _piece_eps(search: PieceSearch, v_star, eps) -> EpsSolution:
+    """eps_point at n = 1: the cell of PieceSearch.cell at v* + eps, and
+    its witness from one cold StrictFamily check of the cell's region with
+    the value row, as DecisionScan.hits finds it."""
+    eps = as_rat(eps)
+    alpha = v_star + eps
+    found = search.cell(alpha)
+    if found is None:
+        raise InternalInvariantError("eps-optimal point must exist for a feasible problem")
+    x, r, _ = found
+    inst = search.inst
+    rows, rhs = _value_slice(inst, x, r, LE, alpha)
+    point = StrictFamily(inst.d, rows).point(rhs)
+    if point is None:
+        raise InternalInvariantError("cell with a point on the value row has no witness")
+    nums, den = point
+    return _eps_solution(inst, x, QVector([Fraction(v, den) for v in nums]), v_star, eps)
 
 
 def solve_mixed(inst: Instance, eps=None) -> SolveReport:
-    """Full mixed pipeline: one DecisionScan (no cell is Infeasible), infimum, extraction."""
+    """Full mixed pipeline: the infimum, then the lex-minimal optimum or,
+    when the infimum is not attained and eps is given, an eps point.
+
+    At n = 1 the steps read the blocking-row pieces of one PieceSearch,
+    which lists no cell; `telemetry.cells` counts the pieces that hold an
+    integer x. Otherwise they read one DecisionScan (infimum, lex_extract,
+    eps_point), and `telemetry.cells` counts its valid cells. Either way
+    one decision query is counted when the instance is feasible.
+    """
     if eps is not None and as_rat(eps) <= 0:
         raise ValueError("eps must be positive")
     telemetry = Telemetry()
     report = SolveReport(INFEASIBLE, telemetry=telemetry)
-    scan = DecisionScan(inst)
-    telemetry.cells = len(scan.items)
+    if inst.n == 1:
+        source = PieceSearch(inst)
+        telemetry.cells = len(source.ranges)
+        read_infimum, extract, eps_at = _piece_infimum, _piece_trace, _piece_eps
+    else:
+        source = DecisionScan(inst)
+        telemetry.cells = len(source.items)
+        read_infimum, extract, eps_at = infimum, lex_extract, eps_point
     try:
-        v_star = infimum(scan)
+        v_star = read_infimum(source)
     except InfeasibleProblemError:
         return report
     report.infimum = v_star
     telemetry.decision_queries += 1
-    trace = lex_extract(scan, v_star)
+    trace = extract(source, v_star)
     if trace is not None:
         report.status = ATTAINED
         report.solution = (trace.x_star, trace.z_star)
@@ -319,7 +408,7 @@ def solve_mixed(inst: Instance, eps=None) -> SolveReport:
     else:
         report.status = UNATTAINED
         if eps is not None:
-            report.eps_solution = eps_point(scan, v_star, eps)
+            report.eps_solution = eps_at(source, v_star, eps)
     return report
 
 
@@ -433,11 +522,13 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
     """Why a search report and the reference oracle's report disagree, or None.
 
     Both must give the same status and infimum, and the infimum's
-    denominator must respect denominator_cap. When attained, each solution
-    is checked from the definition (bilevel feasible, objective equal to the
-    infimum). For a mixed report the search x* must equal the oracle's:
-    both take the x of the lex-first cell whose value slice at v* is
-    nonempty, so a difference means one of them lost a cell. For a pure
+    denominator must respect denominator_cap. A search report's eps point
+    is checked from the definition: bilevel feasible, its stated value its
+    objective, and that value in (v*, v* + eps]. When attained, each
+    solution is checked from the definition (bilevel feasible, objective
+    equal to the infimum). For a mixed report the search x* must equal the
+    oracle's: both take the x of the lex-first cell whose value slice at v*
+    is nonempty, so a difference means one of them lost a cell. For a pure
     report, whose oracle finds each cell's lex-least integer optimum,
     (x*, z*) must be the oracle's exactly. Any other variant raises
     ValueError, as in reference_oracle.
@@ -449,6 +540,15 @@ def disagreement(inst, searched: SolveReport, oracled: SolveReport,
                 f"{oracled.status}/{oracled.infimum}")
     if searched.infimum is not None and searched.infimum.denominator > denominator_cap(inst):
         return f"infimum {searched.infimum} exceeds the denominator cap"
+    found = searched.eps_solution
+    if found is not None:
+        if not bilevel_feasible(inst, found.x, found.z):
+            return "search eps point is not bilevel feasible"
+        value = inst.objective_value(found.x, found.z)
+        if value != found.value:
+            return f"search eps point has value {value}, not its stated {found.value}"
+        if not searched.infimum < value <= searched.infimum + found.eps:
+            return f"search eps point value {value} is not within {found.eps} above the infimum"
     if searched.status != ATTAINED:
         return None
     for name, report in (("search", searched), ("oracle", oracled)):

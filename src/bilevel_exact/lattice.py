@@ -60,7 +60,9 @@ from .rational import QVector
 # per integer walk (integer_candidates, enumerate_integers): integer values
 # tried, at every level; per floor walk (a cell index or a cold decide_le
 # query), that count for its x candidates plus the leaves r and the optimal
-# responses (x, r) tested at them; per reference oracle, its (x, r) pairs
+# responses (x, r) tested at them; per reference oracle, its (x, r) pairs.
+# A mixed solve with one follower variable lists no cell and charges none:
+# its at most m pieces are not an enumeration
 CELL_CAP = 10**6
 # branch-and-bound nodes per search; a search in one integer variable
 # rounds, one node

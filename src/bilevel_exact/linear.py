@@ -46,13 +46,15 @@ cold solve, and so are those of `affinely_independent_vertices`, whose LPs
 are cold with_cost siblings of one family over the closed rows. A family
 also answers whether its last optimum is the only one (`RhsFamily.unique`):
 an optimal vertex whose basis duals are all positive is, and the closure
-LPs of `cells.valid_cells` read that test once per cell.
+LPs of `cells.valid_cells` read that test once per cell, those of
+`pieces.PieceSearch` once per piece and x.
 `StrictFamily` is the one strict lift: closed rows keep their coefficients
 with a 0 for a new variable t, nonconstant strict rows get +t, 0 <= t <= 1
 and t is maximized; `strict_feasible_point` checks a system with a
 one-shot one, one whose strict rows are all constant, or absent, included,
 the floor walk of `cells.valid_cells` checks its cells with one per walk,
-and `decide.DecisionScan.hits` runs one cold per check.
+`pieces.PieceSearch` its pieces with one per solve, and
+`decide.DecisionScan.hits` runs one cold per check.
 
 An objective is any sequence of ints and Fractions, integer data as it is;
 `lp_solve` scales it once by the lcm of its denominators into an integer cost.
@@ -582,11 +584,6 @@ def _purify_to_vertex(dim, rows, rhs, nums, den, objective):
 # right-hand-side families: one set of rows and one cost, many right-hand sides
 
 
-def _check_row(a, dim: int) -> None:
-    if len(a) != dim:
-        raise ValueError(f"a row of {len(a)} entries for dim = {dim}")
-
-
 def _check_cost(cost, dim: int) -> None:
     if len(cost) != dim:
         raise ValueError(f"a cost of {len(cost)} entries for dim = {dim}")
@@ -651,18 +648,19 @@ class RhsFamily:
         _check_cost(cost, dim)
         A, rhs_map, fixed = [], [], []
         for k, (a, rel) in enumerate(rows):
-            _check_row(a, dim)
-            if rel != LE and rel != EQ and (rel != LT or any(a)):
-                raise ValueError(f"an LP family takes '<=' and '=' rows and constant '<' rows, "
-                                 f"not {a} {rel}")
-            if any(a):
+            if len(a) != dim:
+                raise ValueError(f"a row of {len(a)} entries for dim = {dim}")
+            if not any(a) and (rel == LE or rel == EQ or rel == LT):
+                fixed.append((k, rel))
+            elif rel == LE:
                 A.append(a)
                 rhs_map.append((k, 1))
-                if rel == EQ:
-                    A.append(tuple(-v for v in a))
-                    rhs_map.append((k, -1))
+            elif rel == EQ:
+                A += [a, tuple(-v for v in a)]
+                rhs_map += [(k, 1), (k, -1)]
             else:
-                fixed.append((k, rel))
+                raise ValueError(f"an LP family takes '<=' and '=' rows and constant '<' rows, "
+                                 f"not {a} {rel}")
         # None: every row is a nonconstant "<=" row, rhs is passed on as it is
         self._rhs_map = None if not fixed and len(A) == len(rows) else rhs_map
         self._fixed = fixed

@@ -43,6 +43,18 @@ def make_flipped():
     )
 
 
+def make_two_followers():
+    """The bundled example with a second follower variable, which its box
+    fixes at 0: the same mixed answers, from a solve with n = 2, which
+    reads the cell index and its searches rather than one-variable pieces."""
+    return Instance(
+        n=2, d=1,
+        A=[[-1, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], B=[[-1], [0], [0], [0], [0]],
+        C=[[0, 0], [1, 0], [-1, 0], [0, 1], [0, -1]], D=[[1], [0], [0], [0], [0]],
+        c=[-1, 0], e=[1], psi=[1, 1], u=[0, 1, 0, 0, 0], p=[1, 1, 0, 0, 0],
+    )
+
+
 def with_upper_rows(inst, *rows):
     """The instance with rows cx . x + dz . z <= p appended to (C, D, p),
     each row given as (cx, dz, p)."""

@@ -536,6 +536,24 @@ def test_disagreement_names_each_failed_check():
         "oracle solution has value 2, not 0")
 
 
+def test_disagreement_checks_the_eps_point(example1):
+    # the eps point (1, 1/8), value -7/8 at v* = -1, is checked from the
+    # definition: bilevel feasible, its stated value, and within eps of v*
+    searched, oracled = solve_mixed(example1, eps=Fraction(1, 8)), reference_oracle(example1)
+    found = searched.eps_solution
+    assert (found.x, found.z.entries, found.value) == ((1,), (Fraction(1, 8),), Fraction(-7, 8))
+    assert disagreement(example1, searched, oracled) is None
+    cases = (
+        (replace(found, z=QVector([0])), "search eps point is not bilevel feasible"),
+        (replace(found, value=Fraction(-1, 2)),
+         "search eps point has value -7/8, not its stated -1/2"),
+        (replace(found, z=QVector([Fraction(1, 2)]), value=Fraction(-1, 2)),
+         "search eps point value -1/2 is not within 1/8 above the infimum"),
+    )
+    for point, reason in cases:
+        assert disagreement(example1, replace(searched, eps_solution=point), oracled) == reason
+
+
 def test_disagreement_requires_the_oracles_pure_optimum():
     # both tie points are optimal; a pure report must name the oracle's own
     tie = make_tie()

@@ -228,8 +228,10 @@ def test_mixed_grid_lp_count():
     # the mixed-feasibility screen moved into the walk for n > 1, 907
     # before the lex trace's rho was left to its first read, and 882 before
     # the lex scan and extraction read a unique optimum off the index's
-    # closure LP, and 850 before a one-variable integer search rounded its
-    # interval in place of branch and bound; it may only fall
+    # closure LP, 850 before a one-variable integer search rounded its
+    # interval in place of branch and bound, and 701 before a solve with one
+    # follower variable read its blocking-row pieces in place of the cell
+    # index; it may only fall
     import pytest
     from bilevel_exact import cells, decide, engine, lattice, linear, solve_mixed
     insts = grid_instances()[:25]
@@ -258,7 +260,7 @@ def test_mixed_grid_lp_count():
         mp.setattr(linear.RhsFamily, "solve", counting_family)
         for inst in insts:
             solve_mixed(inst, eps=GRID_EPS)
-    assert len(calls) <= 701
+    assert len(calls) <= 462
 
 
 def test_cold_decide_lp_count():
@@ -297,13 +299,14 @@ def test_mixed_grid_basis_exchanges():
     # each branch-and-bound became one warm family whose branches move bound
     # rows, 503 before the lex trace's rho was left to its first read, and
     # 493 before the lex scan and extraction read a unique optimum off the
-    # index's closure LP; it may only fall
+    # index's closure LP, and 422 before a solve with one follower variable
+    # read its blocking-row pieces; it may only fall
     import support
     from bilevel_exact import solve_mixed
     with support.kernel_exchanges() as reported:
         for inst in grid_instances()[:25]:
             solve_mixed(inst, eps=GRID_EPS)
-    assert sum(reported) <= 422
+    assert sum(reported) <= 313
 
 
 def pure_small_documents(count: int) -> list:
@@ -530,8 +533,11 @@ def test_per_solve_construction_work():
     # before the lex scan skipped the cells whose unique closure optimum
     # lies outside their region and the vertex walk ran on one family, and
     # 579 rows on mixed-grid before the scan's checks, the lex vertex walk
-    # and the extraction checks read integer rows and right-hand sides; they
-    # may only fall, and neither kind of solve builds a system with a row
+    # and the extraction checks read integer rows and right-hand sides, and
+    # 174 kernel forms on mixed-grid before a solve with one follower
+    # variable read its blocking-row pieces through one family of each kind;
+    # they may only fall, and neither kind of solve builds a system with a
+    # row
     import pytest
     from bilevel_exact import linear, solve_mixed, solve_pure
     runs = ((solve_mixed, grid_instances()[:25], {"eps": GRID_EPS}),
@@ -548,7 +554,7 @@ def test_per_solve_construction_work():
                 solve(inst, **kwargs)
             work.append((sum(rows), len(forms)))
     (grid_rows, grid_forms), (pure_rows, pure_forms) = work
-    assert grid_rows == 0 and grid_forms <= 174
+    assert grid_rows == 0 and grid_forms <= 128
     assert pure_rows == 0 and pure_forms <= 25
 
 

@@ -165,7 +165,7 @@ def test_report_json_frozen(example1):
     "decision_queries": 1,
     "bisection_steps": 0,
     "reconstruction_steps": 0,
-    "cells": 2
+    "cells": 1
   }
 }
 """
@@ -288,9 +288,16 @@ def test_cli_oracle_matches_solve_with_the_oracle_engine(variant, tmp_path, caps
                                          "infeasible": "infeasible"}[variant]
 
 
-def test_cli_engine_both_builds_one_index(example1_path, capsys, monkeypatch):
-    # the engine builds its cell index; the reference oracle builds none, as
-    # it takes its cells from the definition
+def _two_followers_path(tmp_path) -> str:
+    path = tmp_path / "two_followers.json"
+    path.write_text(instance_to_json(support.make_two_followers()), encoding="utf-8")
+    return str(path)
+
+
+def test_cli_engine_both_builds_one_index(example1_path, tmp_path, capsys, monkeypatch):
+    # with n = 2 the engine builds its cell index; the reference oracle
+    # builds none, as it takes its cells from the definition. With n = 1
+    # the engine reads its blocking-row pieces, so example1 builds none
     from bilevel_exact import cells
     built = []
     real = cells.CellIndex._build
@@ -300,9 +307,11 @@ def test_cli_engine_both_builds_one_index(example1_path, capsys, monkeypatch):
         return real(self)
 
     monkeypatch.setattr(cells.CellIndex, "_build", counting)
-    assert cli_main(["solve", example1_path, "--engine", "both"]) == 0
-    capsys.readouterr()
-    assert len(built) == 1
+    for path, count in ((_two_followers_path(tmp_path), 1), (example1_path, 0)):
+        built.clear()
+        assert cli_main(["solve", path, "--engine", "both"]) == 0
+        capsys.readouterr()
+        assert len(built) == count
 
 
 def test_cli_engine_both_pure(example1_path, capsys):
@@ -449,17 +458,19 @@ def test_ab_inprocess_script_runs_one_checkout_against_itself():
     # the A/B timing tool, run with this checkout as both sides on one pass
     # of pure-small and one of mixed-small, whose answers include the lex
     # traces, ends with equal answers after equal RhsFamily solve counts,
-    # equal basis exchange counts, equal integer search counts and equal
-    # strict check counts; a pure solve runs no strict check
+    # equal basis exchange counts, equal integer search counts, equal strict
+    # check counts and equal kernel form counts; a pure solve runs no strict
+    # check
     script = os.path.join(support.ROOT, "scripts", "ab_inprocess.py")
     for workload in ("pure-small", "mixed-small"):
         out = subprocess.run([sys.executable, script, support.ROOT, support.ROOT, workload,
                               "--reps", "1"], capture_output=True, text=True, timeout=300)
         assert out.returncode == 0, out.stderr
-        solves, exchanges, searches, stricts, last = out.stdout.splitlines()[-5:]
+        solves, exchanges, searches, stricts, forms, last = out.stdout.splitlines()[-6:]
         assert last == "answers equal: yes"
         for line, label in ((solves, "RhsFamily solves"), (exchanges, "basis exchanges"),
-                            (searches, "integer searches"), (stricts, "strict checks")):
+                            (searches, "integer searches"), (stricts, "strict checks"),
+                            (forms, "kernel forms")):
             parent, change = re.fullmatch(label + r": parent (\d+), change (\d+)",
                                           line).groups()
             assert parent == change
@@ -472,10 +483,14 @@ def test_ab_inprocess_script_runs_one_checkout_against_itself():
     ("cell_cap", "cell enumeration cap", "pure"),
     ("node_cap", "node cap", "pure"),
 ])
-def test_cli_cap_hit_names_the_cap(field, words, mode, example1_path, monkeypatch, capsys):
-    # the CLI has no cap flags: the test lowers the cap's constant
+def test_cli_cap_hit_names_the_cap(field, words, mode, example1_path, tmp_path, monkeypatch,
+                                   capsys):
+    # the CLI has no cap flags: the test lowers the cap's constant. A mixed
+    # solve with n = 1 lists no cell and runs no branch and bound, so the
+    # mixed solves take example1 with a second follower variable
+    path = example1_path if mode == "pure" else _two_followers_path(tmp_path)
     monkeypatch.setattr(*support.CAPS[field], 0)
-    assert cli_main(["solve", example1_path, "--mode", mode]) == 3
+    assert cli_main(["solve", path, "--mode", mode]) == 3
     err = capsys.readouterr().err
     line = next(ln for ln in err.splitlines() if ln.startswith("resource limit:"))
     assert f"{field}=0:" in line and words in line

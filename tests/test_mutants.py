@@ -13,13 +13,17 @@ IntegerSearch, so the line scan judges both: over a fixed list of bounded
 lines and three costs, each LP against the best end of a row that holds,
 and each search against the best integer point of [-20, 20] that holds.
 
-The cell layer's faults are judged on the first 40 instances of the mixed
-acceptance batch, each solved by solve_mixed: against the LP-free
-support.ref_mixed_no_lp, which shares no code with the package, and by
-disagreement against reference_oracle, which shares the follower check of
-is_valid_cell and so cannot judge a fault there. A mutant that its check
-cannot catch is listed in SURVIVORS with the reason, and its test fails
-once the check does catch it.
+The cell layer's faults, and those of the blocking-row pieces that a solve
+with one follower variable reads, are judged on the first 40 instances of
+the mixed acceptance batch, each solved by solve_mixed: against the LP-free
+support.ref_mixed_no_lp, which shares no code with the package, and, with
+eps 1/8, by disagreement against reference_oracle, which shares the
+follower check of is_valid_cell and so cannot judge a fault there, and which
+checks a reported eps point from the definition. Of those 40 instances, 26
+have n = 1 and are solved over the pieces, without the follower check.
+Every mutant here is caught. A mutant that its check cannot catch would be
+listed apart with the reason, with a test that fails once the check does
+catch it, as floor-rhs-rounds-up was until disagreement checked eps points.
 """
 import functools
 import math
@@ -31,7 +35,7 @@ import pytest
 
 import support
 from conftest import MIXED_SEED
-from bilevel_exact import (EQ, LE, InternalInvariantError, cells, disagreement, linear,
+from bilevel_exact import (EQ, LE, InternalInvariantError, cells, disagreement, linear, pieces,
                            random_instance, reference_oracle, solve_mixed)
 from bilevel_exact.lattice import IntegerSearch
 from bilevel_exact.linear import RhsFamily
@@ -130,9 +134,10 @@ def lp_free_scan() -> list:
 
 
 def oracle_scan() -> list:
-    """The cases where disagreement parts solve_mixed from reference_oracle."""
-    return _batch_misses(
-        lambda inst: disagreement(inst, solve_mixed(inst), reference_oracle(inst)) is not None)
+    """The cases where disagreement parts solve_mixed, with eps 1/8, from
+    reference_oracle."""
+    return _batch_misses(lambda inst: disagreement(
+        inst, solve_mixed(inst, eps=Fraction(1, 8)), reference_oracle(inst)) is not None)
 
 
 def follower_improves_at_value(real):
@@ -148,6 +153,24 @@ def floor_rhs_rounds_up(real):
     return floor_rhs
 
 
+def first_blocking_row_dropped(real):
+    """blocking_pieces as if the first blocking row blocked nothing: its
+    piece is gone, and the later pieces no longer ask that it not block."""
+    def blocking_pieces(inst):
+        found = real(inst)
+        first = found[0].row
+        if first is None:
+            return found
+        return [p._replace(lift=p.lift[:first] + (0,) + p.lift[first + 1:]) for p in found[1:]]
+    return blocking_pieces
+
+
+def strict_row_moved_out(real):
+    """blocking_pieces with each strict row's right-hand side one further
+    out, so that a piece takes in points where its row does not block."""
+    return lambda inst: [p._replace(gap=p.gap + 1) for p in real(inst)]
+
+
 # name -> (home module, function, fault, the check that must catch it, and
 # what the check must catch it in): the line ends reach the LP of linear
 # and, imported, the rounding of lattice
@@ -157,23 +180,20 @@ MUTANTS = {
     "line-ends-upper-end-pulled-in": (linear, "_line_ends", upper_end_pulled_in, line_scan,
                                       {"LP", "rounding"}),
     # every cell invalid: solve_mixed and reference_oracle both answer
-    # Infeasible, so only the LP-free reference tells
+    # Infeasible, so only the LP-free reference tells; the instances with
+    # n = 1 run no follower check, and those with n = 2 catch it
     "follower-improves-at-value": (cells, "_follower_improves", follower_improves_at_value,
                                    lp_free_scan, {"answer"}),
-}
-
-# name -> (home module, function, fault, the check that cannot catch it, and
-# why)
-SURVIVORS = {
-    "floor-rhs-rounds-up": (
-        cells, "floor_rhs", floor_rhs_rounds_up, oracle_scan,
-        "floor_rhs reaches a solve through bilevel_feasible alone, and disagreement "
-        "checks the attained solutions alone. Of the 220 instances of the acceptance "
-        "batch, six attained ones (one of the 40, instance 0) have B z* + u off the "
-        "integers, and at none of them does the follower do better at the ceiling. "
-        "The one point of the 220 that the fault rejects is the eps point of "
-        "instance 7, which disagreement does not check. test_floor_rhs_examples "
-        "catches the fault directly."),
+    # the one point of the batch that the ceiling rejects is the eps point
+    # of instance 7, which disagreement checks by bilevel_feasible
+    "floor-rhs-rounds-up": (cells, "floor_rhs", floor_rhs_rounds_up, oracle_scan, {"answer"}),
+    # five instances lose the points of the first blocking row's piece
+    "first-blocking-row-dropped": (pieces, "blocking_pieces", first_blocking_row_dropped,
+                                   lp_free_scan, {"answer"}),
+    # on three instances the extracted optimum is not bilevel feasible,
+    # which the extraction's own check refuses
+    "strict-row-moved-out": (pieces, "blocking_pieces", strict_row_moved_out, lp_free_scan,
+                             {"fatal"}),
 }
 
 
@@ -183,12 +203,3 @@ def test_mutant_is_caught(name, monkeypatch):
     assert check() == []
     support.plant(monkeypatch, home, attr, fault)
     assert {kind for kind, *_ in check()} == where
-
-
-@pytest.mark.parametrize("name", sorted(SURVIVORS))
-def test_survivor_is_not_caught(name, monkeypatch):
-    # a survivor that its check starts to catch moves to MUTANTS
-    home, attr, fault, check, _ = SURVIVORS[name]
-    assert check() == []
-    support.plant(monkeypatch, home, attr, fault)
-    assert check() == []
